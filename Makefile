@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify bench bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke bench-pr6
+.PHONY: build test race vet fmt lint verify bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke
 
 build:
 	$(GO) build ./...
@@ -32,17 +32,21 @@ fmt:
 
 verify: fmt vet build race
 
-bench:
-	$(GO) run ./cmd/benchreport -out BENCH_PR8.json
-
 # One iteration of every benchmark in the tree (keeps benchmarks from
-# bit-rotting), then the benchreport smoke gate: asserts the committed
-# BENCH_PR8.json carries the 100k-flow churn row at ≥10×, re-measures that
-# point, and replays S1/S2/S5 under the legacy knobs checking the trace
-# SHA-256s match bit for bit (CI runs this).
+# bit-rotting), then the repository benchmark (perfbench/, declared by
+# BENCHMARK.json; a nested module the root `go test ./...` skips): its
+# self-test, and a one-second run of each workload that must end with every
+# unit correct and none failed. Catches internal API changes that would break
+# the benchmark build (CI runs this).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-	$(GO) run ./cmd/benchreport -smoke -out BENCH_PR8.json
+	cd perfbench && $(GO) test ./...
+	@for w in tiny-flood objstore-k64 cluster-400 iser-fio; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*'"failed":0,'*) ;; \
+		*) echo "bench-smoke: $$w did not finish correct with zero failed units"; exit 1 ;; esac; \
+	done
 
 # Two seeded rail-failover runs through the CLI: a permanent rail kill
 # plus silent corruption, with checksums on. Exercises migration,
@@ -103,8 +107,3 @@ objsim-smoke:
 	$(GO) run ./cmd/objsim -coalesce 1 -objects 256 -replay-check
 	$(GO) run ./cmd/objsim -coalesce 64 -replay-check
 	$(GO) run ./cmd/objsim -cluster -objects 512 -coalesce 64 -replay-check
-
-# Full S5 scaling sweep (100/300/1000 hosts, each run twice) → BENCH_PR6.json.
-# Takes several minutes; not part of CI.
-bench-pr6:
-	$(GO) run ./cmd/clusterbench -o BENCH_PR6.json

@@ -42,6 +42,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -139,6 +140,27 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	tc := xfersched.TraceConfig{
+		Seed:            *seed,
+		Jobs:            *jobs,
+		JobsPerMinute:   *rate,
+		Tenants:         tList,
+		MinBytes:        minB,
+		MaxBytes:        maxB,
+		GridFTPFraction: *gridftp,
+		ReverseFraction: *reverse,
+		PriorityLevels:  2,
+	}
+	if *traceFile == "" {
+		if err := tc.Validate(); err != nil {
+			var fe interface{ Field() string }
+			if errors.As(err, &fe) {
+				err = fmt.Errorf("%w (flag -%s)", err, traceFlags[fe.Field()])
+			}
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
 
 	opt := core.DefaultOptions()
 	opt.DatasetSize = 2 * units.GB
@@ -188,17 +210,6 @@ func main() {
 		}
 		s.SubmitTrace(trace)
 	} else {
-		tc := xfersched.TraceConfig{
-			Seed:            *seed,
-			Jobs:            *jobs,
-			JobsPerMinute:   *rate,
-			Tenants:         tList,
-			MinBytes:        minB,
-			MaxBytes:        maxB,
-			GridFTPFraction: *gridftp,
-			ReverseFraction: *reverse,
-			PriorityLevels:  2,
-		}
 		s.SubmitTrace(xfersched.GenerateTrace(tc))
 	}
 
@@ -632,6 +643,12 @@ func parseTenants(s string) ([]xfersched.TraceTenant, error) {
 		return nil, fmt.Errorf("no tenants in %q", s)
 	}
 	return out, nil
+}
+
+// traceFlags names the flag behind each TraceConfig field Validate checks.
+var traceFlags = map[string]string{
+	"Jobs": "jobs", "JobsPerMinute": "rate", "MinBytes": "min", "MaxBytes": "max",
+	"GridFTPFraction": "gridftp", "ReverseFraction": "reverse",
 }
 
 func fatal(err error) {

@@ -13,8 +13,8 @@ package cluster
 
 import (
 	"math"
-	"sort"
 
+	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
 )
 
@@ -142,7 +142,7 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 	for k, i := range cohort {
 		rates[k] = c.hostRate[i].Value()
 	}
-	med := medianOf(rates)
+	med := metrics.Median(rates)
 	if med <= 0 {
 		return
 	}
@@ -243,17 +243,3 @@ func (c *Cluster) FirstHostSuspectAt() (sim.Time, bool) {
 
 // Shedding reports whether the admission valve is currently closed.
 func (c *Cluster) Shedding() bool { return c.shedding }
-
-// medianOf returns the median of xs, averaging the middle pair for even
-// lengths. xs is scratch and may be reordered.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
-}

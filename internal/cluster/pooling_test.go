@@ -105,25 +105,14 @@ func TestFlowClassPoolingEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterTimerWheelKnob: a cluster engine gets a timer wheel for its
-// heartbeat/probe/sampler load unless the legacy allocation knob (the
-// benchmark baseline) is set, in which case the plain heap must be used so
-// knob-paired replays compare like with like.
-func TestClusterTimerWheelKnob(t *testing.T) {
+// TestClusterEnablesTimerWheel: a cluster engine gets a timer wheel for its
+// heartbeat/probe/sampler load.
+func TestClusterEnablesTimerWheel(t *testing.T) {
 	eng := sim.NewEngine()
 	if _, err := New(eng, Config{Hosts: 4, Shards: 1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !eng.WheelEnabled() {
 		t.Fatal("cluster did not enable the timer wheel")
-	}
-	sim.LegacyAlloc = true
-	defer func() { sim.LegacyAlloc = false }()
-	leng := sim.NewEngine()
-	if _, err := New(leng, Config{Hosts: 4, Shards: 1, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if leng.WheelEnabled() {
-		t.Fatal("legacy engine must not get a timer wheel")
 	}
 }

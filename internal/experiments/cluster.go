@@ -18,8 +18,8 @@ func init() {
 }
 
 // ClusterRunSpec parameterizes one cluster scenario run; it is shared by
-// the S5/S6 harnesses, the cmd/xfersched cluster mode, and
-// cmd/clusterbench so every consumer measures exactly the same system.
+// the S5/S6 harnesses, the cmd/xfersched cluster mode and the solver
+// oracle tests, so every consumer measures exactly the same system.
 type ClusterRunSpec struct {
 	Hosts    int
 	Shards   int

@@ -231,23 +231,3 @@ func TestResolveSeesDirectMutation(t *testing.T) {
 		t.Fatalf("rate = %v after new usage, want CPU-capped 10", f.rate)
 	}
 }
-
-// TestLegacyFullSolveKnob: the benchmark baseline knob forces a full solve
-// on every Resolve but computes identical allocations.
-func TestLegacyFullSolveKnob(t *testing.T) {
-	LegacyFullSolve = true
-	defer func() { LegacyFullSolve = false }()
-	n := NewNetwork()
-	r := n.AddResource("link", 100)
-	f := n.NewFlow("f", math.Inf(1))
-	f.Use(r, 1)
-	n.Resolve()
-	n.Resolve()
-	n.Resolve()
-	if got := n.Stats().FullSolves; got != 3 {
-		t.Fatalf("legacy mode ran %d solves for 3 Resolves, want 3", got)
-	}
-	if f.rate != 100 {
-		t.Fatalf("rate = %v, want 100", f.rate)
-	}
-}

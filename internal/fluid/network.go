@@ -131,13 +131,10 @@ func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
 	return f
 }
 
-// LegacyFullSolve, when set before NewNetwork, makes Resolve behave like
-// the pre-incremental solver: every call runs a from-scratch Solve with
-// freshly allocated scratch state. It exists so the benchmark harness
-// (cmd/benchreport) and the solver-equivalence tests can compare the
-// optimized and unoptimized paths within one binary. Production code never
-// sets it.
-var LegacyFullSolve bool
+// alwaysFullSolve makes every Resolve run a from-scratch Solve. Only the
+// differential oracle tests set it (export_test.go), to replay whole runs
+// through the reference solve and compare them bit for bit.
+var alwaysFullSolve bool
 
 // SolverStats counts how Resolve calls were satisfied.
 type SolverStats struct {
@@ -205,12 +202,11 @@ type Network struct {
 	snapCap     []float64
 
 	stats   SolverStats
-	legacy  bool
 	removed int // retired-resource count; keys unique negative indices
 }
 
 // NewNetwork returns an empty network.
-func NewNetwork() *Network { return &Network{legacy: LegacyFullSolve} }
+func NewNetwork() *Network { return &Network{} }
 
 // AddResource creates and registers a resource. Capacity must be
 // non-negative; zero capacity models a disabled component.
@@ -316,9 +312,10 @@ func (n *Network) Resources() []*Resource { return n.resources }
 
 const eps = 1e-12
 
-// growI32 returns buf resized to n (fresh under legacy semantics).
-func growI32(buf []int32, n int, legacy bool) []int32 {
-	if legacy || cap(buf) < n {
+// growI32 returns buf resized to n, reusing its backing array when large
+// enough.
+func growI32(buf []int32, n int) []int32 {
+	if cap(buf) < n {
 		return make([]int32, n)
 	}
 	return buf[:n]
@@ -326,11 +323,12 @@ func growI32(buf []int32, n int, legacy bool) []int32 {
 
 // rebuildPartition recomputes the connected components of the flow/resource
 // bipartite graph. It is a pure function of the structure (populations and
-// Uses), so the optimized and legacy paths always agree on the partition.
+// Uses), so the incremental and from-scratch paths always agree on the
+// partition.
 func (n *Network) rebuildPartition() {
 	nr := len(n.resources)
 	nf := len(n.flows)
-	uf := growI32(n.ufParent, nr, n.legacy)
+	uf := growI32(n.ufParent, nr)
 	for i := range uf {
 		uf[i] = int32(i)
 	}
@@ -356,8 +354,8 @@ func (n *Network) rebuildPartition() {
 
 	// Dense component ids, assigned in ascending resource-index order so
 	// the numbering is deterministic.
-	compOf := growI32(n.compOf, nr, n.legacy)
-	rootID := growI32(n.rootID, nr, n.legacy)
+	compOf := growI32(n.compOf, nr)
+	rootID := growI32(n.rootID, nr)
 	for i := range rootID {
 		rootID[i] = -1
 	}
@@ -373,7 +371,7 @@ func (n *Network) rebuildPartition() {
 	n.compOf, n.rootID = compOf, rootID
 	n.ncomp = int(next)
 
-	flowComp := growI32(n.flowComp, nf, n.legacy)
+	flowComp := growI32(n.flowComp, nf)
 	for i, f := range n.flows {
 		if len(f.Uses) == 0 {
 			flowComp[i] = -1
@@ -384,7 +382,7 @@ func (n *Network) rebuildPartition() {
 	n.flowComp = flowComp
 
 	// Counting sort (stable) groups flow and resource indices by component.
-	cnt := growI32(n.compCnt, n.ncomp+1, n.legacy) // +1: no-uses bucket
+	cnt := growI32(n.compCnt, n.ncomp+1) // +1: no-uses bucket
 	for i := range cnt {
 		cnt[i] = 0
 	}
@@ -395,13 +393,13 @@ func (n *Network) rebuildPartition() {
 			cnt[c]++
 		}
 	}
-	flowOff := growI32(n.flowOff, n.ncomp+2, n.legacy)
+	flowOff := growI32(n.flowOff, n.ncomp+2)
 	flowOff[0] = 0
 	for i := 0; i <= n.ncomp; i++ {
 		flowOff[i+1] = flowOff[i] + cnt[i]
 		cnt[i] = flowOff[i]
 	}
-	flowOrder := growI32(n.flowOrder, nf, n.legacy)
+	flowOrder := growI32(n.flowOrder, nf)
 	for i, c := range flowComp {
 		b := c
 		if b < 0 {
@@ -418,13 +416,13 @@ func (n *Network) rebuildPartition() {
 	for _, c := range compOf {
 		cnt[c]++
 	}
-	resOff := growI32(n.resOff, n.ncomp+1, n.legacy)
+	resOff := growI32(n.resOff, n.ncomp+1)
 	resOff[0] = 0
 	for i := 0; i < n.ncomp; i++ {
 		resOff[i+1] = resOff[i] + cnt[i]
 		cnt[i] = resOff[i]
 	}
-	resOrder := growI32(n.resOrder, nr, n.legacy)
+	resOrder := growI32(n.resOrder, nr)
 	for i, c := range compOf {
 		resOrder[cnt[c]] = int32(i)
 		cnt[c]++
@@ -446,18 +444,11 @@ func (n *Network) Solve() {
 	n.stats.FullSolves++
 	n.rebuildPartition()
 	nr := len(n.resources)
-	var residual, sumW []float64
-	if n.legacy {
-		residual = make([]float64, nr)
-		sumW = make([]float64, nr)
-	} else {
-		if cap(n.residual) < nr {
-			n.residual = make([]float64, nr)
-			n.sumW = make([]float64, nr)
-		}
-		residual = n.residual[:nr]
-		sumW = n.sumW[:nr]
+	if cap(n.residual) < nr {
+		n.residual = make([]float64, nr)
+		n.sumW = make([]float64, nr)
 	}
+	residual, sumW := n.residual[:nr], n.sumW[:nr]
 	for ci := 0; ci < n.ncomp; ci++ {
 		n.fill(n.flowOrder[n.flowOff[ci]:n.flowOff[ci+1]],
 			n.resOrder[n.resOff[ci]:n.resOff[ci+1]], residual, sumW)
@@ -799,7 +790,7 @@ func (n *Network) partialSolve() {
 // parameter changes, and a full Solve for structural changes (population or
 // Uses). It reports whether any solving ran.
 func (n *Network) Resolve() bool {
-	if n.legacy || !n.solved {
+	if alwaysFullSolve || !n.solved {
 		n.Solve()
 		return true
 	}

@@ -113,3 +113,17 @@ func (e *EWMA) Samples() int { return e.n }
 
 // Reset forgets everything.
 func (e *EWMA) Reset() { e.v, e.n = 0, 0 }
+
+// Median returns the median of xs, averaging the middle pair for even
+// lengths, and 0 for an empty slice. xs is scratch and may be reordered.
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}

@@ -125,3 +125,20 @@ func TestEWMA(t *testing.T) {
 		t.Fatalf("post-Reset first observation must seed, got %g", e.Value())
 	}
 }
+
+func TestMedian(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"one", []float64{7}, 7},
+		{"odd", []float64{5, 1, 3}, 3},
+		{"even", []float64{4, 1, 3, 2}, 2.5},
+	} {
+		if got := Median(c.xs); got != c.want {
+			t.Errorf("%s: Median = %g, want %g", c.name, got, c.want)
+		}
+	}
+}

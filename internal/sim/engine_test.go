@@ -245,25 +245,6 @@ func TestCancelChurnDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestLegacyAllocMatchesBehavior: the benchmark baseline knob preserves
-// the engine's observable semantics (it only changes allocation).
-func TestLegacyAllocMatchesBehavior(t *testing.T) {
-	LegacyAlloc = true
-	defer func() { LegacyAlloc = false }()
-	e := NewEngine()
-	var order []Time
-	e.Schedule(2, func() { order = append(order, e.Now()) })
-	ev := e.Schedule(1, func() { t.Error("cancelled event fired") })
-	e.Cancel(ev)
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
-	}
-	e.Run()
-	if len(order) != 1 || order[0] != 2 {
-		t.Fatalf("order = %v, want [2]", order)
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -248,8 +248,8 @@ func TestDrainCompactAfterStop(t *testing.T) {
 	}
 }
 
-// TestWheelEnableGuards: geometry validation, the LegacyAlloc no-op, and
-// idempotence of EnableTimerWheel.
+// TestWheelEnableGuards: geometry validation and idempotence of
+// EnableTimerWheel.
 func TestWheelEnableGuards(t *testing.T) {
 	e := NewEngine()
 	for _, bad := range []struct {
@@ -270,12 +270,5 @@ func TestWheelEnableGuards(t *testing.T) {
 	if len(e.wheel) != 16 || e.slotW != 1 {
 		t.Fatalf("second EnableTimerWheel changed geometry to %d × %v",
 			len(e.wheel), e.slotW)
-	}
-	LegacyAlloc = true
-	defer func() { LegacyAlloc = false }()
-	le := NewEngine()
-	le.EnableTimerWheel(1, 16)
-	if le.WheelEnabled() {
-		t.Fatal("EnableTimerWheel must be a no-op under LegacyAlloc")
 	}
 }

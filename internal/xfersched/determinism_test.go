@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"e2edt/internal/core"
-	"e2edt/internal/fluid"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
@@ -66,34 +65,6 @@ func TestDeterministicSchedule(t *testing.T) {
 	b := runTrace(t, tc)
 	if a != b {
 		t.Fatalf("schedules diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s", a, b)
-	}
-}
-
-// TestOptimizedSolverTraceBitIdentical pins the incremental-solver and
-// event-recycling optimizations to the unoptimized behavior: the same
-// seeded trace run with the legacy from-scratch solver and eager event
-// allocation must produce a bit-identical schedule fingerprint (exact
-// float bits on every start/finish time and aggregate metric). This is the
-// guarantee that lets the BENCH_PR3 speedups claim zero behavior change.
-func TestOptimizedSolverTraceBitIdentical(t *testing.T) {
-	tc := DefaultTraceConfig()
-	tc.Jobs = 10
-	tc.JobsPerMinute = 40
-	tc.MinBytes = units.GB
-	tc.MaxBytes = 5 * units.GB
-	optimized := runTrace(t, tc)
-
-	fluid.LegacyFullSolve = true
-	sim.LegacyAlloc = true
-	defer func() {
-		fluid.LegacyFullSolve = false
-		sim.LegacyAlloc = false
-	}()
-	legacy := runTrace(t, tc)
-
-	if optimized != legacy {
-		t.Fatalf("optimized solver diverged from unoptimized baseline:\n--- optimized ---\n%s--- legacy ---\n%s",
-			optimized, legacy)
 	}
 }
 

@@ -2,6 +2,7 @@ package xfersched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -39,6 +40,42 @@ type TraceConfig struct {
 	// PriorityLevels draws priorities uniformly from [0, PriorityLevels);
 	// 0 or 1 gives every job priority 0.
 	PriorityLevels int
+}
+
+// traceFieldError is a Validate failure. Field names the offending
+// TraceConfig field, so a command line can point at the flag that set it.
+type traceFieldError struct{ field, msg string }
+
+func (e *traceFieldError) Error() string { return "xfersched: " + e.field + " " + e.msg }
+func (e *traceFieldError) Field() string { return e.field }
+
+// Validate rejects configs GenerateTrace would silently reinterpret: no
+// jobs, a non-positive rate, a non-positive or inverted size range, and
+// fractions outside [0, 1]. GenerateTrace itself keeps its zero-value
+// defaults; callers that take the config from users validate first.
+func (tc TraceConfig) Validate() error {
+	bad := func(field, format string, args ...any) error {
+		return &traceFieldError{field, fmt.Sprintf(format, args...)}
+	}
+	switch {
+	case tc.Jobs < 1:
+		return bad("Jobs", "must be at least 1, got %d", tc.Jobs)
+	case !(tc.JobsPerMinute > 0) || math.IsInf(tc.JobsPerMinute, 1):
+		return bad("JobsPerMinute", "must be positive and finite, got %g", tc.JobsPerMinute)
+	case tc.MinBytes <= 0:
+		return bad("MinBytes", "must be positive, got %d", tc.MinBytes)
+	case tc.MaxBytes < tc.MinBytes:
+		return bad("MaxBytes", "%d is below MinBytes %d", tc.MaxBytes, tc.MinBytes)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"GridFTPFraction", tc.GridFTPFraction}, {"ReverseFraction", tc.ReverseFraction}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return bad(f.name, "must be in [0, 1], got %g", f.v)
+		}
+	}
+	return nil
 }
 
 // DefaultTraceConfig is a moderate mixed workload for the LAN system.

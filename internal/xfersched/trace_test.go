@@ -1,6 +1,8 @@
 package xfersched
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,4 +85,47 @@ func FuzzParseTrace(f *testing.F) {
 			t.Fatalf("round trip diverged:\n in: %+v\nout: %+v", trace, again)
 		}
 	})
+}
+
+// TestTraceConfigValidate: each out-of-range field is rejected and named;
+// the default config and boundary values pass.
+func TestTraceConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		mut   func(*TraceConfig)
+		field string // "" = valid
+	}{
+		{"default", func(*TraceConfig) {}, ""},
+		{"one job, equal sizes, fractions 0 and 1", func(tc *TraceConfig) {
+			tc.Jobs, tc.MaxBytes = 1, tc.MinBytes
+			tc.GridFTPFraction, tc.ReverseFraction = 0, 1
+		}, ""},
+		{"zero jobs", func(tc *TraceConfig) { tc.Jobs = 0 }, "Jobs"},
+		{"negative jobs", func(tc *TraceConfig) { tc.Jobs = -3 }, "Jobs"},
+		{"zero rate", func(tc *TraceConfig) { tc.JobsPerMinute = 0 }, "JobsPerMinute"},
+		{"negative rate", func(tc *TraceConfig) { tc.JobsPerMinute = -5 }, "JobsPerMinute"},
+		{"NaN rate", func(tc *TraceConfig) { tc.JobsPerMinute = math.NaN() }, "JobsPerMinute"},
+		{"infinite rate", func(tc *TraceConfig) { tc.JobsPerMinute = math.Inf(1) }, "JobsPerMinute"},
+		{"zero min", func(tc *TraceConfig) { tc.MinBytes = 0 }, "MinBytes"},
+		{"min above max", func(tc *TraceConfig) {
+			tc.MinBytes, tc.MaxBytes = 5<<30, 1<<30
+		}, "MaxBytes"},
+		{"gridftp above 1", func(tc *TraceConfig) { tc.GridFTPFraction = 1.5 }, "GridFTPFraction"},
+		{"reverse negative", func(tc *TraceConfig) { tc.ReverseFraction = -1 }, "ReverseFraction"},
+		{"reverse NaN", func(tc *TraceConfig) { tc.ReverseFraction = math.NaN() }, "ReverseFraction"},
+	} {
+		tc := DefaultTraceConfig()
+		c.mut(&tc)
+		err := tc.Validate()
+		if c.field == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		var fe interface{ Field() string }
+		if !errors.As(err, &fe) || fe.Field() != c.field {
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.field)
+		}
+	}
 }
