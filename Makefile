@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke
+.PHONY: build test race vet fmt lint loc verify bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 verify: fmt vet build race
+
+# Non-test Go lines under internal/ and cmd/ — the size measure ROADMAP
+# item 3 and CHANGES.md cite.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # One iteration of every benchmark in the tree (keeps benchmarks from
 # bit-rotting), then the repository benchmark (perfbench/, declared by
@@ -80,7 +85,8 @@ chaos-smoke:
 	$(GO) run ./cmd/xfersched -cluster -hosts 100 -shards 8 -ctenants 400 -cjobs 1200 -drop 2 -seed 7 \
 		-kill-host 7@8+8 -kill-ctrl 0@15 -partition 5,6,7@20+6 -replay-check
 
-# Gray-failure gate: the gray/hedge/shed suites under the race detector,
+# Gray-failure gate: the gray/hedge/shed suites and the peer scorer's unit
+# test under the race detector,
 # then the full S7 experiment — its acceptance checks (detection fires on a
 # sagging rail, hedged goodput ≥90% of healthy while the no-mitigation
 # ablation collapses ≤60%, bounded detection latency, bit-identical replay)
@@ -88,7 +94,7 @@ chaos-smoke:
 # hedging (exits non-zero unless every job delivers) and a cluster host
 # limp under the shed valve with the replay-hash check (CI runs this).
 gray-smoke:
-	$(GO) test -race -run 'Gray|Hedge|Suspect|Shed|Limp|Window|Validate' \
+	$(GO) test -race -run 'Gray|Hedge|Suspect|Shed|Limp|Window|Validate|Peer' \
 		./internal/faults ./internal/railmgr ./internal/rftp \
 		./internal/metrics ./internal/xfersched ./internal/cluster
 	$(GO) run ./cmd/e2ebench -run S7

@@ -58,7 +58,6 @@ import (
 	"e2edt/internal/fluid"
 	"e2edt/internal/metrics"
 	"e2edt/internal/railmgr"
-	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
 	"e2edt/internal/xfersched"
@@ -179,7 +178,7 @@ func main() {
 	if *grayFlag != "" || *hedge {
 		// Gray injection is silent: only the peer-comparison scorer (and,
 		// with -hedge, the adaptive deadline) can react to it.
-		opt.Recovery.Rails.Gray = railmgr.DefaultGrayPolicy()
+		opt.Recovery.Rails.Gray = true
 	}
 	sys, err := core.NewSystem(opt)
 	if err != nil {
@@ -190,7 +189,7 @@ func main() {
 	cfg.StreamBudget = *streams
 	cfg.RFTP.Checksum = *checksum
 	if *hedge {
-		cfg.RFTPParams.Hedge = rftp.DefaultHedgePolicy()
+		cfg.RFTPParams.Hedge = true
 	}
 	s, err := xfersched.New(sys, cfg)
 	if err != nil {

@@ -114,8 +114,8 @@ type Config struct {
 	GiveUpAfter sim.Duration
 
 	// Gray arms the host outlier scorer and the admission shed valve for
-	// limping-but-alive hosts. Zero value: fully inert.
-	Gray GrayConfig
+	// limping-but-alive hosts. Off (the zero value): fully inert.
+	Gray bool
 
 	// Seed drives workload generation and RPC drops.
 	Seed int64
@@ -144,11 +144,6 @@ func (c Config) Validate() error {
 	if c.MissedBeats < 0 {
 		return fmt.Errorf("cluster: MissedBeats must not be negative, got %d", c.MissedBeats)
 	}
-	if c.Gray.Enabled && c.Gray.SuspectBelow > 0 && c.Gray.ClearAbove > 0 &&
-		c.Gray.SuspectBelow >= c.Gray.ClearAbove {
-		return fmt.Errorf("cluster: Gray.SuspectBelow (%g) must sit below Gray.ClearAbove (%g) — the gap is the hysteresis band",
-			c.Gray.SuspectBelow, c.Gray.ClearAbove)
-	}
 	for _, d := range []struct {
 		name string
 		v    sim.Duration
@@ -158,7 +153,6 @@ func (c Config) Validate() error {
 		{"ReconcileEvery", c.ReconcileEvery}, {"HeartbeatEvery", c.HeartbeatEvery},
 		{"LeaseEvery", c.LeaseEvery}, {"LeaseTimeout", c.LeaseTimeout},
 		{"ElectStagger", c.ElectStagger}, {"GiveUpAfter", c.GiveUpAfter},
-		{"Gray.Every", c.Gray.Every},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("cluster: %s must not be negative, got %g", d.name, float64(d.v))
@@ -255,9 +249,6 @@ func (c *Config) SetDefaults() {
 	}
 	if c.GiveUpAfter <= 0 {
 		c.GiveUpAfter = 30
-	}
-	if c.Gray.Enabled {
-		c.Gray = c.Gray.withDefaults()
 	}
 }
 
@@ -386,13 +377,10 @@ type Cluster struct {
 
 	// Gray-health state. limp is physical truth (the current core-speed
 	// factor, 1 = nominal); hostSuspect is the scorer's statistical view.
-	// The rate arrays are allocated only when Cfg.Gray.Enabled.
+	// The scorer and progress marks are allocated only when Cfg.Gray.
 	limp         []float64
-	hostRate     []*metrics.EWMA
-	hostRatio    []float64
+	gray         *metrics.PeerScorer
 	hostProg     []float64
-	hostBreach   []int
-	hostClear    []int
 	hostSuspect  []bool
 	shedding     bool
 	firstHostSus sim.Time
@@ -515,20 +503,13 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	c.partSide = make([]bool, cfg.Shards)
 	c.limp = make([]float64, cfg.Hosts)
 	c.hostSuspect = make([]bool, cfg.Hosts)
-	c.hostRatio = make([]float64, cfg.Hosts)
 	c.firstHostSus = -1
 	for h := 0; h < cfg.Hosts; h++ {
 		c.limp[h] = 1
-		c.hostRatio[h] = 1
 	}
-	if cfg.Gray.Enabled {
-		c.hostRate = make([]*metrics.EWMA, cfg.Hosts)
+	if cfg.Gray {
+		c.gray = newGrayScorer(cfg.Hosts)
 		c.hostProg = make([]float64, cfg.Hosts)
-		c.hostBreach = make([]int, cfg.Hosts)
-		c.hostClear = make([]int, cfg.Hosts)
-		for h := 0; h < cfg.Hosts; h++ {
-			c.hostRate[h] = metrics.NewEWMA(cfg.Gray.Decay)
-		}
 	}
 	// A dead switch trunk strands the flows routed over it; re-route them
 	// as the ECMP tables reconverge. Access-link failures are host crashes
@@ -921,8 +902,8 @@ func (c *Cluster) Run() {
 	for _, sh := range c.shards {
 		sh.startTickers()
 	}
-	if c.Cfg.Gray.Enabled {
-		c.grayT = c.Eng.NewTicker(c.Cfg.Gray.Every, func(now sim.Time) { c.scoreHosts(now) })
+	if c.Cfg.Gray {
+		c.grayT = c.Eng.NewTicker(grayEvery, c.scoreHosts)
 	}
 	c.Eng.Run()
 	c.FSim.Sync()
@@ -938,7 +919,7 @@ func (c *Cluster) Run() {
 		c.DegradedIn, c.DegradedOut, c.PartDrops)
 	// Gray-plane summary only when the plane could have acted: a legacy run
 	// must not gain a single trace byte.
-	if c.Cfg.Gray.Enabled || c.HostLimps > 0 {
+	if c.Cfg.Gray || c.HostLimps > 0 {
 		c.Eng.Tracef("cluster", "final gray limps=%d suspects=%d clears=%d shed=%d",
 			c.HostLimps, c.HostSuspects, c.HostClears, c.Shed)
 	}

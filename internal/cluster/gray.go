@@ -7,9 +7,8 @@ package cluster
 // suspect verdict does two things: admission penalizes the host as a
 // replica source, and the shed valve holds the lowest-priority queued jobs
 // until the cohort is healthy again, so scarce healthy capacity serves the
-// work that matters most. Everything is gated on Cfg.Gray.Enabled: with the
-// zero value no ticker is armed, no counters move, and legacy traces replay
-// bit-identically.
+// work that matters most. Everything is gated on Cfg.Gray: off, no ticker is
+// armed, no counters move, and legacy traces replay bit-identically.
 
 import (
 	"math"
@@ -18,65 +17,30 @@ import (
 	"e2edt/internal/sim"
 )
 
-// GrayConfig tunes the host outlier scorer and the admission shed valve.
-type GrayConfig struct {
-	// Enabled arms the scorer ticker and the shed valve. Off (the zero
-	// value), the cluster performs no gray accounting at all.
-	Enabled bool
-	// Every is the scoring cadence (default 0.25).
-	Every sim.Duration
-	// Decay is the EWMA smoothing factor for per-host delivered-rate
-	// estimates (default 0.3).
-	Decay float64
-	// SuspectBelow marks a host suspect when its per-job delivered rate
-	// falls below this fraction of the cohort median (default 0.5).
-	SuspectBelow float64
-	// ClearAbove exonerates a suspect once its ratio recovers past this
-	// fraction (default 0.8); the gap to SuspectBelow is the hysteresis
-	// band.
-	ClearAbove float64
-	// SuspectAfter is how many consecutive breaching scores convict
-	// (default 2); ClearAfter how many clean scores exonerate (default 2).
-	SuspectAfter int
-	ClearAfter   int
-	// MinSamples is how many rate observations a host needs before it joins
-	// the scoring cohort (default 3).
-	MinSamples int
-	// ShedBelow is the admission priority floor while any host is under a
-	// gray verdict: queued jobs with priority < ShedBelow are held — shed —
+const (
+	// grayEvery is the host scoring cadence.
+	grayEvery sim.Duration = 0.25
+	// shedBelow is the admission priority floor while any host is under a
+	// gray verdict: queued jobs with priority < shedBelow are held — shed —
 	// until the cohort is healthy again, or until they have waited past
-	// GiveUpAfter (shedding defers work, it never starves it). Default 1,
-	// so the lowest service class sheds first.
-	ShedBelow int
-}
+	// GiveUpAfter (shedding defers work, it never starves it). The lowest
+	// service class sheds first.
+	shedBelow = 1
+)
 
-// withDefaults fills zero fields.
-func (g GrayConfig) withDefaults() GrayConfig {
-	if g.Every <= 0 {
-		g.Every = 0.25
-	}
-	if g.Decay <= 0 || g.Decay > 1 {
-		g.Decay = 0.3
-	}
-	if g.SuspectBelow <= 0 {
-		g.SuspectBelow = 0.5
-	}
-	if g.ClearAbove <= 0 {
-		g.ClearAbove = 0.8
-	}
-	if g.SuspectAfter <= 0 {
-		g.SuspectAfter = 2
-	}
-	if g.ClearAfter <= 0 {
-		g.ClearAfter = 2
-	}
-	if g.MinSamples <= 0 {
-		g.MinSamples = 3
-	}
-	if g.ShedBelow <= 0 {
-		g.ShedBelow = 1
-	}
-	return g
+// newGrayScorer returns the host scorer. A host is suspected below 50% of
+// the median per-job delivered rate after 2 consecutive rounds and cleared
+// above 80% after 2; it joins the cohort after 3 rate samples. Hosts are
+// never escalated and their latency is not judged.
+func newGrayScorer(hosts int) *metrics.PeerScorer {
+	return metrics.NewPeerScorer(hosts, metrics.PeerRule{
+		Decay:        0.3,
+		SuspectBelow: 0.5,
+		ClearAbove:   0.8,
+		SuspectAfter: 2,
+		ClearAfter:   2,
+		MinSamples:   3,
+	})
 }
 
 // hostProgress returns per-host landed bytes plus the in-flight progress of
@@ -106,18 +70,15 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 	if c.done {
 		return
 	}
-	g := c.Cfg.Gray
 	c.FSim.Sync()
-	dt := float64(g.Every)
+	dt := float64(grayEvery)
 	prog := c.hostProgress()
 
 	for i, hn := range c.hosts {
 		if c.hostDown[i] || c.deadDeclared[i] {
 			c.hostProg[i] = prog[i]
-			c.hostRate[i].Reset()
-			c.hostBreach[i], c.hostClear[i] = 0, 0
+			c.gray.Reset(i)
 			c.hostSuspect[i] = false
-			c.hostRatio[i] = 1
 			continue
 		}
 		delta := prog[i] - c.hostProg[i]
@@ -125,55 +86,27 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 		// An idle host with no delivery is no evidence either way; only
 		// hosts carrying (or just having finished) inbound work are judged.
 		if hn.dstActive > 0 || delta > 0 {
-			c.hostRate[i].Observe(delta / dt / math.Max(1, float64(hn.dstActive)))
+			c.gray.ObserveRate(i, delta/dt/math.Max(1, float64(hn.dstActive)))
 		}
 	}
-
-	var cohort []int
-	for i := range c.hosts {
-		if !c.hostDown[i] && !c.deadDeclared[i] && c.hostRate[i].Samples() >= g.MinSamples {
-			cohort = append(cohort, i)
-		}
-	}
-	if len(cohort) < 2 {
-		return
-	}
-	rates := make([]float64, len(cohort))
-	for k, i := range cohort {
-		rates[k] = c.hostRate[i].Value()
-	}
-	med := metrics.Median(rates)
-	if med <= 0 {
-		return
-	}
-	for _, i := range cohort {
-		ratio := c.hostRate[i].Value() / med
-		c.hostRatio[i] = ratio
-		switch {
-		case !c.hostSuspect[i] && ratio < g.SuspectBelow:
-			c.hostClear[i] = 0
-			c.hostBreach[i]++
-			if c.hostBreach[i] >= g.SuspectAfter {
-				c.hostSuspect[i] = true
-				c.hostBreach[i] = 0
-				c.HostSuspects++
-				if c.firstHostSus < 0 {
-					c.firstHostSus = now
-				}
-				c.Eng.Tracef("cluster", "host %d gray-suspect (rate ratio %.2f)", i, ratio)
+	// A round without evidence leaves the valve as it stands.
+	judged := c.gray.Score(c.hostStanding, func(i int, to metrics.Standing) {
+		ratio := c.gray.Ratio(i)
+		if to == metrics.PeerSuspect {
+			c.hostSuspect[i] = true
+			c.HostSuspects++
+			if c.firstHostSus < 0 {
+				c.firstHostSus = now
 			}
-		case c.hostSuspect[i] && ratio > g.ClearAbove:
-			c.hostBreach[i] = 0
-			c.hostClear[i]++
-			if c.hostClear[i] >= g.ClearAfter {
-				c.hostSuspect[i] = false
-				c.hostClear[i] = 0
-				c.HostClears++
-				c.Eng.Tracef("cluster", "host %d gray verdict cleared (rate ratio %.2f)", i, ratio)
-			}
-		default:
-			c.hostBreach[i], c.hostClear[i] = 0, 0
+			c.Eng.Tracef("cluster", "host %d gray-suspect (rate ratio %.2f)", i, ratio)
+			return
 		}
+		c.hostSuspect[i] = false
+		c.HostClears++
+		c.Eng.Tracef("cluster", "host %d gray verdict cleared (rate ratio %.2f)", i, ratio)
+	})
+	if !judged {
+		return
 	}
 
 	shedding := false
@@ -186,7 +119,7 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 	if shedding != c.shedding {
 		c.shedding = shedding
 		if shedding {
-			c.Eng.Tracef("cluster", "shed valve closes: priorities below %d held", g.ShedBelow)
+			c.Eng.Tracef("cluster", "shed valve closes: priorities below %d held", shedBelow)
 		} else {
 			c.Eng.Tracef("cluster", "shed valve reopens")
 		}
@@ -206,8 +139,7 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 // headroom, it never becomes starvation.
 func (s *shard) shedHeld(j *job) bool {
 	c := s.c
-	g := c.Cfg.Gray
-	if !g.Enabled || !c.shedding || j.priority >= g.ShedBelow {
+	if !c.Cfg.Gray || !c.shedding || j.priority >= shedBelow {
 		return false
 	}
 	if c.Eng.Now()-j.submit > sim.Time(c.Cfg.GiveUpAfter) {
@@ -219,6 +151,18 @@ func (s *shard) shedHeld(j *job) bool {
 		c.Eng.Tracef("cluster", "shard %d sheds job %d (priority %d)", s.id, j.id, j.priority)
 	}
 	return true
+}
+
+// hostStanding reports host i's role in a scoring round: crashed and
+// declared-dead hosts sit it out — the binary detector owns them.
+func (c *Cluster) hostStanding(i int) metrics.Standing {
+	switch {
+	case c.hostDown[i] || c.deadDeclared[i]:
+		return metrics.PeerAbsent
+	case c.hostSuspect[i]:
+		return metrics.PeerSuspect
+	}
+	return metrics.PeerTrusted
 }
 
 // SuspectHosts returns the ids of hosts currently under a gray verdict.

@@ -31,7 +31,7 @@ func limpWorkload(c *Cluster, nJobs int, size float64) {
 // limpRun builds an 8-host cluster with the given gray config, limps host 3
 // to 2% core speed over (1s, 5s), and drains the workload under a trace
 // recorder.
-func limpRun(t *testing.T, gray GrayConfig, probe func(c *Cluster)) (*Cluster, *trace.Recorder) {
+func limpRun(t *testing.T, gray bool, probe func(c *Cluster)) (*Cluster, *trace.Recorder) {
 	t.Helper()
 	eng := sim.NewEngine()
 	rec := &trace.Recorder{}
@@ -80,7 +80,7 @@ func TestLimpHostSuspectShedRecover(t *testing.T) {
 			}
 		})
 	}
-	c, rec1 := limpRun(t, GrayConfig{Enabled: true}, probe)
+	c, rec1 := limpRun(t, true, probe)
 
 	if c.HostLimps != 1 {
 		t.Fatalf("HostLimps = %d, want 1", c.HostLimps)
@@ -119,7 +119,7 @@ func TestLimpHostSuspectShedRecover(t *testing.T) {
 
 	// Bit-identical replay: the scorer, valve, and limp injection are all
 	// on the virtual clock.
-	_, rec2 := limpRun(t, GrayConfig{Enabled: true}, nil)
+	_, rec2 := limpRun(t, true, nil)
 	if len(rec1.Events) == 0 || !reflect.DeepEqual(rec1.Events, rec2.Events) {
 		t.Fatalf("gray cluster replay diverged: %d vs %d events",
 			len(rec1.Events), len(rec2.Events))
@@ -130,7 +130,7 @@ func TestLimpHostSuspectShedRecover(t *testing.T) {
 // physically, but nothing is scored, nothing is shed, and the run still
 // delivers exactly once — the legacy contract.
 func TestLimpClusterGrayDisabledInert(t *testing.T) {
-	c, rec := limpRun(t, GrayConfig{}, nil)
+	c, rec := limpRun(t, false, nil)
 	if c.HostLimps != 1 {
 		t.Fatalf("HostLimps = %d, want 1", c.HostLimps)
 	}

@@ -32,8 +32,7 @@ type ClusterRunSpec struct {
 	// Chaos, when non-nil, injects cluster-scale faults into the run.
 	Chaos *ChaosSpec
 
-	// Gray arms the host outlier scorer and the admission shed valve
-	// (cluster.GrayConfig defaults).
+	// Gray arms the host outlier scorer and the admission shed valve.
 	Gray bool
 }
 
@@ -142,7 +141,7 @@ func RunClusterPoint(spec ClusterRunSpec) ClusterRunResult {
 		Seed:    spec.Seed,
 	}
 	if spec.Gray {
-		cfg.Gray = cluster.GrayConfig{Enabled: true}
+		cfg.Gray = true
 	}
 	if spec.Topology != "" {
 		kind, err := fabric.ParseTopoKind(spec.Topology)

@@ -32,10 +32,10 @@ func grayParams(detect, hedge bool) rftp.Params {
 	p.MaxStreamRetries = 32
 	p.Rails = railmgr.DefaultPolicy()
 	if detect {
-		p.Rails.Gray = railmgr.DefaultGrayPolicy()
+		p.Rails.Gray = true
 	}
 	if hedge {
-		p.Hedge = rftp.DefaultHedgePolicy()
+		p.Hedge = true
 	}
 	return p
 }
@@ -209,7 +209,7 @@ func GrayFailure() Result {
 		return fmt.Sprintf("%.0fms", v*1e3)
 	}
 	tbl.AddRow("0%", "healthy baseline", fmt.Sprintf("%.2fs", base.elapsed),
-		units.FormatRate(base.goodput), "100%", "—", "—", "0", "0", "0 B")
+		units.FormatRate(base.goodput), "100%", "—", "—", "0", "0", units.FormatBytes(int64(base.waste)))
 	for _, sev := range severities {
 		for _, m := range modes {
 			o := outs[sev][m.name]

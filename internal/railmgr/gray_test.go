@@ -13,7 +13,7 @@ import (
 // the unit-test stand-in for the transfer's progress watchdog.
 func grayMgr(t *testing.T) (*testbed.MotivatingPair, *Manager) {
 	t.Helper()
-	tb, m := newMgr(t, Policy{Gray: DefaultGrayPolicy()})
+	tb, m := newMgr(t, Policy{Gray: true})
 	tb.Eng.NewTicker(25*sim.Millisecond, func(sim.Time) {
 		for i, l := range tb.Links {
 			m.ObserveRate(i, l.GraySag())
@@ -205,7 +205,7 @@ func TestGraySuspectStillDiesOnRealLoss(t *testing.T) {
 	}
 }
 
-// TestGrayDisabledIsInert: without Gray.Enabled the manager performs no
+// TestGrayDisabledIsInert: without Gray the manager performs no
 // gray accounting at all — a silently sagging rail is (correctly, per the
 // legacy contract) never suspected, and the transition history matches a
 // fault-free run exactly.

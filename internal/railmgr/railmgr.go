@@ -84,10 +84,11 @@ type Policy struct {
 	// MissedProbes is how many consecutive missed heartbeats declare a
 	// live rail Dead even without a link-down event (default 2).
 	MissedProbes int
-	// Gray configures the peer-comparison outlier scorer that catches
-	// degraded-but-alive rails the binary probe detector cannot see. The
-	// zero value disables it: no extra events, no extra state transitions.
-	Gray GrayPolicy
+	// Gray switches on the peer-comparison outlier scorer that catches
+	// degraded-but-alive rails the binary probe detector cannot see. Off
+	// (the zero value), the manager performs no gray accounting: no extra
+	// events, no extra state transitions.
+	Gray bool
 }
 
 // DefaultPolicy returns the tuned rail policy, enabled.
@@ -120,7 +121,6 @@ func (p Policy) withDefaults() Policy {
 	if p.MissedProbes <= 0 {
 		p.MissedProbes = d.MissedProbes
 	}
-	p.Gray = p.Gray.withDefaults()
 	return p
 }
 
@@ -165,15 +165,13 @@ type Manager struct {
 	ticker *sim.Ticker
 	stop   bool
 
-	// Gray scorer state (allocated always, driven only when Gray.Enabled).
-	grayRate  []*metrics.EWMA // per-stream-normalized delivered rate per rail
-	grayLat   []*metrics.EWMA // probe round-trip latency per rail
-	ratio     []float64       // last cohort-relative rate ratio per rail
-	breach    []int           // consecutive scoring breaches (hysteresis up)
-	clear     []int           // consecutive clean scores (hysteresis down)
-	grayDeg   []bool          // rail was Degraded by the scorer, not the link
-	probeSent []sim.Time      // departure time of the outstanding probe
-	firstSus  sim.Time        // earliest Suspect entry, -1 if never
+	// Gray scorer state (allocated always, driven only when Gray is on).
+	// The scorer sees per-stream-normalized delivered rate and probe
+	// round-trip latency per rail.
+	gray      *metrics.PeerScorer
+	grayDeg   []bool     // rail was Degraded by the scorer, not the link
+	probeSent []sim.Time // departure time of the outstanding probe
+	firstSus  sim.Time   // earliest Suspect entry, -1 if never
 }
 
 // New builds a manager over the given rails and starts its heartbeat.
@@ -190,19 +188,10 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 		echoes:    make([]int, len(links)),
 		seq:       make([]uint64, len(links)),
 		deadln:    make([]*sim.Event, len(links)),
-		grayRate:  make([]*metrics.EWMA, len(links)),
-		grayLat:   make([]*metrics.EWMA, len(links)),
-		ratio:     make([]float64, len(links)),
-		breach:    make([]int, len(links)),
-		clear:     make([]int, len(links)),
+		gray:      newGrayScorer(len(links)),
 		grayDeg:   make([]bool, len(links)),
 		probeSent: make([]sim.Time, len(links)),
 		firstSus:  -1,
-	}
-	for i := range links {
-		m.grayRate[i] = metrics.NewEWMA(pol.Gray.Decay)
-		m.grayLat[i] = metrics.NewEWMA(pol.Gray.Decay)
-		m.ratio[i] = 1
 	}
 	for i, l := range links {
 		switch f := l.Fraction(); {
@@ -292,14 +281,14 @@ func (m *Manager) onLinkEvent(i int, ev fabric.Event) {
 
 // tick is the heartbeat: probe every rail that is not Dead. Dead rails
 // wait for the link-up event; probing them would only count drops.
-func (m *Manager) tick(now sim.Time) {
+func (m *Manager) tick(sim.Time) {
 	for i := range m.links {
 		if m.states[i] != Dead && m.deadln[i] == nil {
 			m.probe(i)
 		}
 	}
-	if m.pol.Gray.Enabled {
-		m.score(now)
+	if m.pol.Gray {
+		m.gray.Score(m.grayStanding, m.grayVerdict)
 	}
 }
 
@@ -337,8 +326,8 @@ func (m *Manager) probeEcho(i int, seq uint64) {
 		m.deadln[i] = nil
 	}
 	m.missed[i] = 0
-	if m.pol.Gray.Enabled {
-		m.grayLat[i].Observe(float64(m.eng.Now() - m.probeSent[i]))
+	if m.pol.Gray {
+		m.gray.ObserveLatency(i, float64(m.eng.Now()-m.probeSent[i]))
 	}
 	if m.states[i] != Probing {
 		return
@@ -389,7 +378,7 @@ func (m *Manager) transition(i int, to State) {
 		m.eng.Cancel(m.deadln[i])
 		m.deadln[i] = nil
 	}
-	m.breach[i], m.clear[i] = 0, 0
+	m.gray.ResetCounters(i)
 	switch {
 	case to == Dead:
 		m.Deaths++
@@ -398,9 +387,7 @@ func (m *Manager) transition(i int, to State) {
 		m.Readmissions++
 		// A re-admitted rail starts with a clean statistical slate: its
 		// pre-outage rate history says nothing about the repaired path.
-		m.grayRate[i].Reset()
-		m.grayLat[i].Reset()
-		m.ratio[i] = 1
+		m.gray.Reset(i)
 		m.grayDeg[i] = false
 	case to == Suspect:
 		m.SuspectEntries++

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"e2edt/internal/pipe"
-	"e2edt/internal/railmgr"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
 	"e2edt/internal/trace"
@@ -19,10 +18,10 @@ import (
 func grayParams(detect, hedge bool) Params {
 	p := railParams()
 	if detect {
-		p.Rails.Gray = railmgr.DefaultGrayPolicy()
+		p.Rails.Gray = true
 	}
 	if hedge {
-		p.Hedge = DefaultHedgePolicy()
+		p.Hedge = true
 	}
 	return p
 }
@@ -35,12 +34,26 @@ func creditCfg() Config {
 	return Config{Streams: 6, BlockSize: 128 * units.KB, CreditsPerStream: 2}
 }
 
+// TestHedgeRequiresRails: hedging and the gray scorer both live on the
+// rail manager, so asking for either without Rails fails Start instead of
+// running silently inert.
 func TestHedgeRequiresRails(t *testing.T) {
-	p := testbed.NewMotivatingPair()
-	prm := recoveryParams()
-	prm.Hedge = DefaultHedgePolicy() // but Rails disabled
-	if _, err := Start(p.Links, p.A, DefaultConfig(), prm, pipe.Zero{}, pipe.Null{}, math.Inf(1), nil); err == nil {
-		t.Fatal("Hedge without Rails should fail Start")
+	for _, c := range []struct {
+		name string
+		set  func(*Params)
+	}{
+		{"hedge", func(p *Params) { p.Hedge = true }},
+		{"gray", func(p *Params) { p.Rails.Gray = true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := testbed.NewMotivatingPair()
+			prm := recoveryParams()
+			c.set(&prm) // but Rails disabled
+			_, err := Start(p.Links, p.A, DefaultConfig(), prm, pipe.Zero{}, pipe.Null{}, math.Inf(1), nil)
+			if err == nil {
+				t.Fatal("Start accepted the plane without Rails")
+			}
+		})
 	}
 }
 

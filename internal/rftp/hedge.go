@@ -8,68 +8,31 @@ import (
 	"e2edt/internal/sim"
 )
 
-// HedgePolicy tunes tail-tolerant hedged transfers. The mechanism targets
-// the regime where a rail is slow but alive: in-protocol recovery never
-// fires (progress is progress), failover never fires (the rail is not
-// dark), and one limping window stretches the whole session's tail. A
-// hedge re-issues the lagging credit window speculatively on the best
-// non-suspect rail and lets the two race; the ACK fold on the winning
-// side keeps delivery exactly-once, and the loser's bytes are accounted
-// as HedgeWaste — the explicit price paid for cutting the tail.
-type HedgePolicy struct {
-	// Enabled switches hedging on (requires Params.Rails.Enabled).
-	Enabled bool
-	// Quantile of recent window-completion times used as the deadline
-	// baseline (default 0.99).
-	Quantile float64
-	// Multiplier stretches the quantile into the deadline: a window is
-	// hedged once it outlives Multiplier × Q(Quantile) (default 1.5).
-	Multiplier float64
-	// MinSamples is how many window completions a rail's history needs
-	// before it may anchor a deadline (default 8) — no hedging during
-	// warm-up, when the estimate would be noise.
-	MinSamples int
-	// Window is the sample window per rail (default 32); old completions
-	// fall out, so the deadline tracks the current regime, not history.
-	Window int
-	// MaxConcurrent bounds hedges racing at once across the transfer
-	// (default 2): hedging is a scalpel, and an unbounded version would
-	// re-create the overload it is meant to dodge.
-	MaxConcurrent int
-}
-
-// DefaultHedgePolicy returns the tuned hedging policy, enabled.
-func DefaultHedgePolicy() HedgePolicy {
-	return HedgePolicy{
-		Enabled:       true,
-		Quantile:      0.99,
-		Multiplier:    1.5,
-		MinSamples:    8,
-		Window:        32,
-		MaxConcurrent: 2,
-	}
-}
-
-// withDefaults fills zero fields.
-func (h HedgePolicy) withDefaults() HedgePolicy {
-	d := DefaultHedgePolicy()
-	if h.Quantile <= 0 || h.Quantile > 1 {
-		h.Quantile = d.Quantile
-	}
-	if h.Multiplier <= 1 {
-		h.Multiplier = d.Multiplier
-	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = d.MinSamples
-	}
-	if h.Window <= 0 {
-		h.Window = d.Window
-	}
-	if h.MaxConcurrent <= 0 {
-		h.MaxConcurrent = d.MaxConcurrent
-	}
-	return h
-}
+// Hedged transfers target the regime where a rail is slow but alive:
+// in-protocol recovery never fires (progress is progress), failover never
+// fires (the rail is not dark), and one limping window stretches the whole
+// session's tail. A hedge re-issues the lagging credit window speculatively
+// on the best non-suspect rail and lets the two race; the ACK fold on the
+// winning side keeps delivery exactly-once, and the loser's bytes are
+// accounted as HedgeWaste — the explicit price paid for cutting the tail.
+const (
+	// hedgeQuantile of recent window-completion times is the deadline
+	// baseline, and hedgeMultiplier stretches it into the deadline: a
+	// window is hedged once it outlives hedgeMultiplier × Q(hedgeQuantile).
+	hedgeQuantile   = 0.99
+	hedgeMultiplier = 1.5
+	// hedgeMinSamples is how many window completions a rail's history needs
+	// before it may anchor a deadline — no hedging during warm-up, when the
+	// estimate would be noise.
+	hedgeMinSamples = 8
+	// hedgeWindow is the sample window per rail; old completions fall out,
+	// so the deadline tracks the current regime, not history.
+	hedgeWindow = 32
+	// hedgeMaxConcurrent bounds hedges racing at once across the transfer:
+	// hedging is a scalpel, and an unbounded version would re-create the
+	// overload it is meant to dodge.
+	hedgeMaxConcurrent = 2
+)
 
 // hedgeRace is one speculative window re-issue: the range [baseM, target)
 // of the original flow's progress space, racing on another rail.
@@ -95,7 +58,7 @@ func (t *Transfer) resetMarks(s *stream, now sim.Time) {
 // stays on the virtual clock.
 func (t *Transfer) observeStream(s *stream, m float64, now sim.Time) {
 	s.lastWinFresh = false
-	if !t.P.Hedge.Enabled {
+	if !t.P.Hedge {
 		return
 	}
 	w := t.window()
@@ -118,7 +81,7 @@ func (t *Transfer) observeStream(s *stream, m float64, now sim.Time) {
 // to the rail manager's gray scorer. Normalizing by the rail's live
 // stream count keeps the cohort comparison load-independent.
 func (t *Transfer) feedGrayRates(now sim.Time) {
-	if t.mgr == nil || !t.P.Rails.Gray.Enabled {
+	if t.mgr == nil || !t.P.Rails.Gray {
 		return
 	}
 	sums := make([]float64, len(t.links))
@@ -144,13 +107,12 @@ func (t *Transfer) feedGrayRates(now sim.Time) {
 }
 
 // hedgeDeadline computes the adaptive deadline for a stream on rail
-// `exclude`: Multiplier × Quantile over the window-completion history of
+// `exclude`: hedgeMultiplier × hedgeQuantile over the window-completion history of
 // usable, non-suspect rails other than the stream's own. Anchoring on
 // trusted peers couples detection to mitigation — once the scorer marks
 // a rail suspect, its inflated samples stop dragging the deadline up.
 // Returns 0 when no trusted rail has enough history (no hedging).
 func (t *Transfer) hedgeDeadline(exclude int) float64 {
-	h := t.P.Hedge
 	d := 0.0
 	for r := range t.links {
 		if r == exclude || !t.railUsable(r) {
@@ -159,14 +121,14 @@ func (t *Transfer) hedgeDeadline(exclude int) float64 {
 		if t.mgr != nil && t.mgr.Suspect(r) {
 			continue
 		}
-		if t.winQ[r].Len() < h.MinSamples {
+		if t.winQ[r].Len() < hedgeMinSamples {
 			continue
 		}
-		if q := t.winQ[r].Quantile(h.Quantile); q > d {
+		if q := t.winQ[r].Quantile(hedgeQuantile); q > d {
 			d = q
 		}
 	}
-	return h.Multiplier * d
+	return hedgeMultiplier * d
 }
 
 // evaluateHedges fires hedges for streams whose current window has blown
@@ -177,7 +139,7 @@ func (t *Transfer) evaluateHedges(now sim.Time) {
 		if s.done || s.recovering || !s.transfer.Active() || s.hedge != nil {
 			continue
 		}
-		if t.hedgeCount >= t.P.Hedge.MaxConcurrent {
+		if t.hedgeCount >= hedgeMaxConcurrent {
 			return
 		}
 		d := t.hedgeDeadline(s.rail)
@@ -283,7 +245,7 @@ func (t *Transfer) hedgeWon(s *stream, h *hedgeRace, now sim.Time) {
 	// moved m2−baseM while the hedge moved the whole window. Feeding it
 	// keeps the gray scorer converging even as hedge wins drain the sick
 	// rail of streams (and therefore of regular rate samples).
-	if t.mgr != nil && t.P.Rails.Gray.Enabled && now > h.at {
+	if t.mgr != nil && t.P.Rails.Gray && now > h.at {
 		t.mgr.ObserveRate(s.rail, math.Max(0, m2-h.baseM)/float64(now-h.at))
 	}
 	t.untrack(s.transfer)

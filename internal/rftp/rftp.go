@@ -96,14 +96,14 @@ type Params struct {
 	// ACK tracker is what makes migration resume exactly-once.
 	Rails railmgr.Policy
 
-	// Hedge, when Enabled, turns on tail-tolerant hedged transfers: a
-	// stream whose current credit window blows past an adaptive deadline
-	// (a quantile of recent window completion times on trusted rails) gets
-	// that window re-issued speculatively on the best non-suspect rail.
-	// First completion wins, the loser is cancelled, and the ACK fold
-	// keeps delivery exactly-once. Requires Rails.Enabled — hedges need
-	// somewhere else to run.
-	Hedge HedgePolicy
+	// Hedge turns on tail-tolerant hedged transfers: a stream whose
+	// current credit window blows past an adaptive deadline (a quantile of
+	// recent window completion times on trusted rails) gets that window
+	// re-issued speculatively on the best non-suspect rail. First
+	// completion wins, the loser is cancelled, and the ACK fold keeps
+	// delivery exactly-once. Requires Rails.Enabled — hedges need somewhere
+	// else to run.
+	Hedge bool
 }
 
 // recoveryEnabled reports whether in-protocol recovery is on.
@@ -387,11 +387,11 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	if p.Rails.Enabled && !p.recoveryEnabled() {
 		return nil, fmt.Errorf("rftp: Rails requires AckTimeout > 0 (the ACK tracker makes migration exactly-once)")
 	}
-	if p.Hedge.Enabled {
-		if !p.Rails.Enabled {
-			return nil, fmt.Errorf("rftp: Hedge requires Rails.Enabled (hedged windows need alternate rails)")
-		}
-		p.Hedge = p.Hedge.withDefaults()
+	if p.Hedge && !p.Rails.Enabled {
+		return nil, fmt.Errorf("rftp: Hedge requires Rails.Enabled (hedged windows need alternate rails)")
+	}
+	if p.Rails.Gray && !p.Rails.Enabled {
+		return nil, fmt.Errorf("rftp: Rails.Gray requires Rails.Enabled (the scorer runs inside the rail manager)")
 	}
 	if p.recoveryEnabled() {
 		if p.RetryBackoff <= 0 {
@@ -415,10 +415,10 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 		firstHedge: -1,
 	}
 	t.started = t.eng.Now()
-	if p.Hedge.Enabled {
+	if p.Hedge {
 		t.winQ = make([]*metrics.WindowedQuantile, len(links))
 		for i := range links {
-			t.winQ[i] = metrics.NewWindowedQuantile(p.Hedge.Window)
+			t.winQ[i] = metrics.NewWindowedQuantile(hedgeWindow)
 		}
 	}
 
@@ -761,7 +761,7 @@ func (t *Transfer) checkProgress(now sim.Time) {
 		}
 	}
 	t.feedGrayRates(now)
-	if t.P.Hedge.Enabled {
+	if t.P.Hedge {
 		t.evaluateHedges(now)
 	}
 }

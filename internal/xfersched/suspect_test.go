@@ -29,7 +29,7 @@ func suspectTransfer(t *testing.T) *rftp.Transfer {
 		ProbeBytes:     64,
 		FailbackProbes: 2,
 		MissedProbes:   2,
-		Gray:           railmgr.DefaultGrayPolicy(),
+		Gray:           true,
 	}
 	cfg := rftp.Config{Streams: 6, BlockSize: 128 * units.KB, CreditsPerStream: 2}
 	tr, err := rftp.Start(p.Links, p.A, cfg, prm, pipe.Zero{}, pipe.Null{}, math.Inf(1), nil)
