@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint loc verify bench-smoke failover-smoke placer-smoke cluster-smoke chaos-smoke gray-smoke objsim-smoke
+.PHONY: build test race vet fmt lint loc verify bench-smoke failover-smoke placer-smoke cluster-smoke solver-smoke chaos-smoke gray-smoke objsim-smoke
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,14 @@ placer-smoke:
 cluster-smoke:
 	$(GO) test -race ./internal/cluster ./internal/fabric
 	$(GO) run ./cmd/xfersched -cluster -hosts 100 -ctenants 500 -drop 5 -seed 7 -replay-check
+
+# Incremental-solver gate: the oracle, differential, churn and
+# allocation tests of the fluid solver under the race detector, then ten
+# seconds of the twin-network fuzzer, which requires Resolve to match a
+# from-scratch Solve bit for bit after every random mutation (CI runs this).
+solver-smoke:
+	$(GO) test -race -run 'Oracle|Incremental|Partial|Churn|Structural|AllocFree' ./internal/fluid
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalSolve$$' -fuzztime 10s ./internal/fluid
 
 # Cluster failure-domain gate: the chaos determinism suites under the race
 # detector, then a 100-host run through the CLI with a host crash-stop, a

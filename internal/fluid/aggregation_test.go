@@ -3,6 +3,8 @@ package fluid
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -264,6 +266,100 @@ func TestClassChurnAllocFree(t *testing.T) {
 	}
 }
 
+// TestStructuralChurnAllocFree pins flow arrivals and departures at zero
+// solver allocations: once the edge pool and walk scratch are warm, adding
+// a flow that merges two existing components, resolving, removing it and
+// resolving again allocates only the Flow itself.
+func TestStructuralChurnAllocFree(t *testing.T) {
+	n := NewNetwork()
+	var rs []*Resource
+	for i := 0; i < 8; i++ {
+		rs = append(rs, n.AddResource("r", 1e8))
+	}
+	for i := 0; i < 32; i++ {
+		n.NewFlowClass("c", 1e6, 4).Use(rs[i%8], 1)
+	}
+	// Shared, pre-built usage vectors: Use would allocate the Uses slice,
+	// which belongs to the caller, not the solver.
+	uses := [][]Usage{
+		{{Resource: rs[0], Coeff: 1}, {Resource: rs[5], Coeff: 0.5}},
+		{{Resource: rs[2], Coeff: 1}, {Resource: rs[3], Coeff: 1}, {Resource: rs[7], Coeff: 2}},
+	}
+	i := 0
+	op := func() {
+		f := n.NewFlow("g", 1e7)
+		f.Uses = uses[i%len(uses)]
+		i++
+		n.Resolve()
+		n.RemoveFlow(f)
+		n.Resolve()
+	}
+	n.Resolve()
+	for w := 0; w < 4; w++ {
+		op()
+	}
+	const runs = 200
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != runs {
+		t.Fatalf("%d add/remove cycles made %d allocations, want %d (the Flows alone)",
+			runs, got, runs)
+	}
+	if st := n.Stats(); st.FullSolves != 1 {
+		t.Fatalf("structural churn ran %d full solves, want only the first", st.FullSolves)
+	}
+}
+
+// TestRemoveResourceInUsePanics: a resource crossed by a registered flow
+// cannot be retired, whether the flow is already linked by a Resolve, still
+// waiting for its first one, or re-pointed in place before an Invalidate;
+// once its only flow leaves, it can.
+func TestRemoveResourceInUsePanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "still used by flow "+name) {
+				t.Fatalf("panic %q, want one naming flow %s", msg, name)
+			}
+		}()
+		fn()
+	}
+	n := NewNetwork()
+	r := n.AddResource("link", 100)
+	linked := n.NewFlow("linked", math.Inf(1))
+	linked.Use(r, 1)
+	n.Resolve()
+	mustPanic("linked", func() { n.RemoveResource(r) })
+
+	cpu := n.AddResource("cpu", 10)
+	pending := n.NewFlow("pending", math.Inf(1))
+	pending.Use(cpu, 1)
+	mustPanic("pending", func() { n.RemoveResource(cpu) })
+
+	n.RemoveFlow(pending)
+	n.RemoveResource(cpu)
+
+	// An in-place swap of a solved flow's resource, announced by
+	// Invalidate, frees the old resource and claims the new one at once.
+	nic := n.AddResource("nic", 50)
+	linked.Uses[0].Resource = nic
+	n.Invalidate()
+	mustPanic("linked", func() { n.RemoveResource(nic) })
+	n.RemoveResource(r)
+
+	n.RemoveFlow(linked)
+	n.RemoveResource(nic)
+	if len(n.Resources()) != 0 || len(n.Flows()) != 0 {
+		t.Fatalf("network not empty: %d resources, %d flows", len(n.Resources()), len(n.Flows()))
+	}
+}
+
 // TestPartialSolveOnlyDirtyComponent: with two disjoint bottleneck
 // subgraphs, churn in one must be solved as a partial refill that leaves
 // the clean component's rates bit-identical — the frontier test proves the
@@ -304,7 +400,7 @@ func TestPartialSolveOnlyDirtyComponent(t *testing.T) {
 		t.Fatal("clean component rates perturbed by a partial solve")
 	}
 	// The partial result must equal a from-scratch solve bit-for-bit: the
-	// fill code and partition are shared, so no tolerance is needed.
+	// fill code and component order are shared, so no tolerance is needed.
 	partial := []float64{fa1.Rate(), fa2.Rate(), fb1.Rate(), fb2.Rate()}
 	n.Solve()
 	full := []float64{fa1.Rate(), fa2.Rate(), fb1.Rate(), fb2.Rate()}

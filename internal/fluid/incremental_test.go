@@ -6,132 +6,239 @@ import (
 	"testing"
 )
 
-// twinNetworks builds two structurally identical random networks from one
-// seed: `inc` is driven through Resolve (incremental), `ref` through
-// from-scratch Solve, so every mutation can be checked differentially.
-func twinNetworks(rng *rand.Rand) (inc, ref *Network, incF, refF []*Flow, incR, refR []*Resource) {
-	inc, ref = NewNetwork(), NewNetwork()
-	nr := 3 + rng.Intn(18)
-	for i := 0; i < nr; i++ {
-		c := math.Pow(10, 6+3*rng.Float64()) // 1e6 .. 1e9
-		incR = append(incR, inc.AddResource("r", c))
-		refR = append(refR, ref.AddResource("r", c))
-	}
-	nf := 1 + rng.Intn(40)
-	for i := 0; i < nf; i++ {
-		d := math.Inf(1)
-		if rng.Intn(3) == 0 {
-			d = math.Pow(10, 4+4*rng.Float64())
-		}
-		a, b := inc.NewFlow("f", d), ref.NewFlow("f", d)
-		w := 0.5 + 2*rng.Float64()
-		a.Weight, b.Weight = w, w
-		uses := 1 + rng.Intn(6)
-		for j := 0; j < uses; j++ {
-			ri := rng.Intn(nr)
-			coeff := 0.25 + rng.Float64()
-			a.Use(incR[ri], coeff)
-			b.Use(refR[ri], coeff)
-		}
-		incF, refF = append(incF, a), append(refF, b)
-	}
-	return
+// source supplies the random choices of a twin-network run: a seeded
+// *rand.Rand in the differential test, fuzzer bytes in the fuzz target.
+type source interface {
+	Intn(n int) int
+	Float64() float64
 }
 
-func ratesMatch(t *testing.T, inc, ref *Network, seed, op int) {
+// byteSource draws choices from fuzzer input; once exhausted it yields 0.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) next() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	c := s.b[0]
+	s.b = s.b[1:]
+	return c
+}
+
+func (s *byteSource) Intn(n int) int   { return int(s.next()) % n }
+func (s *byteSource) Float64() float64 { return float64(s.next()) / 256 }
+
+// twin is two structurally identical networks mutated in lockstep: inc is
+// driven through Resolve (incremental), ref through from-scratch Solve, so
+// every mutation can be checked differentially.
+type twin struct {
+	inc, ref   *Network
+	incF, refF []*Flow
+	incR, refR []*Resource
+}
+
+func newTwin(src source) *twin {
+	tw := &twin{inc: NewNetwork(), ref: NewNetwork()}
+	nr := 3 + src.Intn(18)
+	for i := 0; i < nr; i++ {
+		tw.addResource(src)
+	}
+	nf := 1 + src.Intn(40)
+	for i := 0; i < nf; i++ {
+		tw.addFlow(src, 1+src.Intn(6))
+	}
+	return tw
+}
+
+func (tw *twin) addResource(src source) {
+	c := math.Pow(10, 6+3*src.Float64()) // 1e6 .. 1e9
+	tw.incR = append(tw.incR, tw.inc.AddResource("r", c))
+	tw.refR = append(tw.refR, tw.ref.AddResource("r", c))
+}
+
+// newFlows registers one flow on each side without recording it.
+func (tw *twin) newFlows(src source, uses int) (a, b *Flow) {
+	d := math.Inf(1)
+	if src.Intn(3) == 0 {
+		d = math.Pow(10, 4+4*src.Float64())
+	}
+	a, b = tw.inc.NewFlow("f", d), tw.ref.NewFlow("f", d)
+	w := 0.5 + 2*src.Float64()
+	a.Weight, b.Weight = w, w
+	for j := 0; j < uses; j++ {
+		tw.use(src, a, b)
+	}
+	return a, b
+}
+
+func (tw *twin) addFlow(src source, uses int) {
+	a, b := tw.newFlows(src, uses)
+	tw.incF, tw.refF = append(tw.incF, a), append(tw.refF, b)
+}
+
+// use appends one random Usage to a twin pair of flows.
+func (tw *twin) use(src source, a, b *Flow) {
+	ri := src.Intn(len(tw.incR))
+	coeff := 0.25 + src.Float64()
+	a.Use(tw.incR[ri], coeff)
+	b.Use(tw.refR[ri], coeff)
+}
+
+// step applies one random mutation to both networks. It reports whether
+// the mutation must be invisible to the incremental side, so Resolve must
+// not solve.
+func (tw *twin) step(src source) (invisible bool) {
+	switch k := src.Intn(16); {
+	case k < 5: // demand change, mostly non-binding (the fast path)
+		i := src.Intn(len(tw.incF))
+		var d float64
+		switch src.Intn(4) {
+		case 0: // binding: below the current fair share
+			d = tw.incF[i].rate * (0.1 + 0.8*src.Float64())
+		case 1: // same value: pure no-op
+			d = tw.incF[i].Demand
+		default: // far above any achievable rate
+			d = math.Pow(10, 10+2*src.Float64())
+		}
+		if d < 0 || math.IsNaN(d) {
+			d = 1
+		}
+		tw.incF[i].Demand = d // direct write: the dirty scan must see it
+		tw.refF[i].Demand = d
+	case k < 6: // weight change
+		i := src.Intn(len(tw.incF))
+		w := 0.5 + 2*src.Float64()
+		tw.incF[i].Weight = w
+		tw.refF[i].Weight = w
+	case k < 8: // capacity change, sometimes disabling the resource
+		i := src.Intn(len(tw.incR))
+		c := math.Pow(10, 6+3*src.Float64())
+		if src.Intn(8) == 0 {
+			c = 0
+		}
+		tw.incR[i].Capacity = c
+		tw.refR[i].Capacity = c
+	case k < 10 && len(tw.incF) > 1: // departure, which may split a component
+		i := src.Intn(len(tw.incF))
+		tw.inc.RemoveFlow(tw.incF[i])
+		tw.ref.RemoveFlow(tw.refF[i])
+		tw.incF = append(tw.incF[:i], tw.incF[i+1:]...)
+		tw.refF = append(tw.refF[:i], tw.refF[i+1:]...)
+	case k < 12: // arrival crossing 0-4 resources, merging their components
+		tw.addFlow(src, src.Intn(5))
+	case k < 13: // Use appended to a registered, already solved flow
+		i := src.Intn(len(tw.incF))
+		tw.use(src, tw.incF[i], tw.refF[i])
+	case k < 14: // idle resource arrival
+		tw.addResource(src)
+	case k < 15: // idle resource departure
+		used := map[*Resource]bool{}
+		for _, f := range tw.incF {
+			for _, u := range f.Uses {
+				used[u.Resource] = true
+			}
+		}
+		i := src.Intn(len(tw.incR))
+		if used[tw.incR[i]] || len(tw.incR) <= 3 {
+			return false
+		}
+		tw.inc.RemoveResource(tw.incR[i])
+		tw.ref.RemoveResource(tw.refR[i])
+		tw.incR = append(tw.incR[:i], tw.incR[i+1:]...)
+		tw.refR = append(tw.refR[:i], tw.refR[i+1:]...)
+	default: // a flow added and removed between two Resolves
+		a, b := tw.newFlows(src, 1+src.Intn(3))
+		tw.inc.RemoveFlow(a)
+		tw.ref.RemoveFlow(b)
+		return true
+	}
+	return false
+}
+
+// steps applies one mutation, or now and then a short batch for a single
+// Resolve to absorb together (a departure beside a non-binding demand
+// change, say). It reports whether every mutation had to be invisible.
+func (tw *twin) steps(src source) (invisible bool) {
+	invisible = tw.step(src)
+	if src.Intn(4) == 0 {
+		for k := 1 + src.Intn(2); k > 0; k-- {
+			invisible = tw.step(src) && invisible
+		}
+	}
+	return invisible
+}
+
+// match requires bit-identical rates and loads on the two sides.
+func (tw *twin) match(t *testing.T, seed, op int) {
 	t.Helper()
-	if len(inc.flows) != len(ref.flows) {
-		t.Fatalf("seed %d op %d: flow populations diverged", seed, op)
+	if len(tw.inc.flows) != len(tw.ref.flows) || len(tw.inc.resources) != len(tw.ref.resources) {
+		t.Fatalf("seed %d op %d: populations diverged", seed, op)
 	}
-	for i := range inc.flows {
-		a, b := inc.flows[i].rate, ref.flows[i].rate
-		if a == b { // covers +Inf == +Inf
-			continue
-		}
-		if math.Abs(a-b) > 1e-9*math.Max(1, math.Abs(b)) {
-			t.Fatalf("seed %d op %d: flow %d rate %g (incremental) vs %g (full)",
-				seed, op, i, a, b)
+	for i := range tw.inc.flows {
+		if a, b := tw.inc.flows[i].rate, tw.ref.flows[i].rate; a != b {
+			t.Fatalf("seed %d op %d: flow %d rate %g (incremental) vs %g (full)", seed, op, i, a, b)
 		}
 	}
-	for i := range inc.resources {
-		a, b := inc.resources[i].load, ref.resources[i].load
-		if math.Abs(a-b) > 1e-9*math.Max(1, math.Abs(b)) {
+	for i := range tw.inc.resources {
+		if a, b := tw.inc.resources[i].load, tw.ref.resources[i].load; a != b {
 			t.Fatalf("seed %d op %d: resource %d load %g vs %g", seed, op, i, a, b)
 		}
 	}
 }
 
+// resolveBoth solves both sides after a step and checks them. Only the
+// first Resolve of inc may be a full solve, and a step that had to be
+// invisible must not solve at all.
+func (tw *twin) resolveBoth(t *testing.T, seed, op int, invisible bool) {
+	t.Helper()
+	if solved := tw.inc.Resolve(); solved && invisible {
+		t.Fatalf("seed %d op %d: a flow added and removed before Resolve was seen", seed, op)
+	}
+	tw.ref.Solve()
+	tw.match(t, seed, op)
+	if st := tw.inc.Stats(); st.FullSolves != 1 {
+		t.Fatalf("seed %d op %d: %d full solves, want only the first (%+v)", seed, op, st.FullSolves, st)
+	}
+}
+
 // TestIncrementalMatchesFullSolve is the randomized differential test for
 // the incremental solver: across seeded topologies and mutation sequences
-// (demand changes binding and non-binding, weight changes, capacity
-// changes, flow arrivals and departures, direct field writes bypassing the
-// setters), Resolve must produce rates identical (within 1e-9) to a
-// from-scratch Solve on an identical twin network.
+// (demand changes binding and non-binding, weight and capacity changes,
+// flow arrivals that merge components and departures that split them,
+// flows with no uses, Uses appended to solved flows, idle resources added
+// and removed, flows added and removed between two Resolves, and direct
+// field writes bypassing the setters), applied one at a time or a few per
+// Resolve, Resolve must produce rates and loads bit-identical to a
+// from-scratch Solve on an identical twin network, without ever falling
+// back to a full solve.
 func TestIncrementalMatchesFullSolve(t *testing.T) {
 	for seed := 0; seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		inc, ref, incF, refF, incR, refR := twinNetworks(rng)
-		inc.Resolve()
-		ref.Solve()
-		ratesMatch(t, inc, ref, seed, -1)
+		tw := newTwin(rng)
+		tw.resolveBoth(t, seed, -1, false)
 		for op := 0; op < 120; op++ {
-			switch k := rng.Intn(10); {
-			case k < 4: // demand change, mostly non-binding (the fast path)
-				i := rng.Intn(len(incF))
-				var d float64
-				switch rng.Intn(4) {
-				case 0: // binding: below the current fair share
-					d = incF[i].rate * (0.1 + 0.8*rng.Float64())
-				case 1: // same value: pure no-op
-					d = incF[i].Demand
-				default: // far above any achievable rate
-					d = math.Pow(10, 10+2*rng.Float64())
-				}
-				if d < 0 || math.IsNaN(d) {
-					d = 1
-				}
-				incF[i].Demand = d // direct write: the dirty scan must see it
-				refF[i].Demand = d
-			case k < 5: // weight change
-				i := rng.Intn(len(incF))
-				w := 0.5 + 2*rng.Float64()
-				incF[i].Weight = w
-				refF[i].Weight = w
-			case k < 7: // capacity change
-				i := rng.Intn(len(incR))
-				c := math.Pow(10, 6+3*rng.Float64())
-				incR[i].Capacity = c
-				refR[i].Capacity = c
-			case k < 8 && len(incF) > 1: // departure
-				i := rng.Intn(len(incF))
-				inc.RemoveFlow(incF[i])
-				ref.RemoveFlow(refF[i])
-				incF = append(incF[:i], incF[i+1:]...)
-				refF = append(refF[:i], refF[i+1:]...)
-			default: // arrival
-				d := math.Inf(1)
-				if rng.Intn(2) == 0 {
-					d = math.Pow(10, 4+4*rng.Float64())
-				}
-				a, b := inc.NewFlow("g", d), ref.NewFlow("g", d)
-				ri := rng.Intn(len(incR))
-				coeff := 0.25 + rng.Float64()
-				a.Use(incR[ri], coeff)
-				b.Use(refR[ri], coeff)
-				incF, refF = append(incF, a), append(refF, b)
-			}
-			inc.Resolve()
-			ref.Solve()
-			ratesMatch(t, inc, ref, seed, op)
+			tw.resolveBoth(t, seed, op, tw.steps(rng))
 		}
-		st := inc.Stats()
-		if st.Skips == 0 && st.FastResolves == 0 {
+		if st := tw.inc.Stats(); st.Skips == 0 && st.FastResolves == 0 {
 			t.Fatalf("seed %d: incremental paths never taken (%+v)", seed, st)
 		}
-		if st.FullSolves >= 122 {
-			t.Fatalf("seed %d: every Resolve ran a full solve (%+v)", seed, st)
-		}
 	}
+}
+
+// FuzzIncrementalSolve decodes its input into a twin network and a
+// sequence of mutations, and requires the incremental side to match the
+// from-scratch side bit for bit after every one.
+func FuzzIncrementalSolve(f *testing.F) {
+	f.Add([]byte{4, 6, 1, 2, 3, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{0, 0, 200, 100, 50, 8, 3, 9, 1, 10, 2, 11, 4, 12, 5, 15, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &byteSource{data}
+		tw := newTwin(src)
+		tw.resolveBoth(t, 0, -1, false)
+		for op := 0; len(src.b) > 0 && op < 256; op++ {
+			tw.resolveBoth(t, 0, op, tw.steps(src))
+		}
+	})
 }
 
 // TestResolveSkipsWhenUnchanged: a Resolve with no state change must not

@@ -28,18 +28,21 @@
 //
 // # Bottleneck subgraphs
 //
-// The flow/resource bipartite graph is partitioned into connected components
-// (rebuilt on every structural Solve). Progressive filling is purely
+// Every resource keeps a list of the registered flows crossing it, so the
+// connected components of the flow/resource bipartite graph are found by a
+// walk rather than a global partition. Progressive filling is purely
 // component-local — a component's rates depend only on its own flows and
-// resources — so Resolve refills just the components containing a changed
-// flow or resource and proves the rest fixed-point stable by construction:
-// their inputs are unchanged and the deterministic per-component fill would
-// reproduce the stored rates bit for bit.
+// resources — so Resolve walks out from the resources a change touched
+// (flow arrivals and departures included) and refills just those
+// components. The rest are fixed-point stable by construction: their flow
+// order and inputs are unchanged, and the deterministic per-component fill
+// would reproduce the stored rates bit for bit.
 package fluid
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Resource is a capacity-constrained component: a link, a memory controller,
@@ -52,8 +55,14 @@ type Resource struct {
 
 	// load is the solved aggregate consumption, maintained by Solve.
 	load float64
+	// snapCap is Capacity as the last solve saw it (see Network.Resolve).
+	snapCap float64
 	// index is the resource's position in its network, for solver arrays.
-	index int
+	// users heads the list of linked flows crossing it, in the network's
+	// edge pool. Both are int32, so a Resource stays in its allocation
+	// size class; its visit mark lives in Network.rmark.
+	index int32
+	users int32
 }
 
 // Load returns the aggregate consumption on the resource from the most
@@ -63,7 +72,7 @@ func (r *Resource) Load() float64 { return r.load }
 // Index returns the resource's registration position in its network. It is
 // stable for the resource's lifetime, which makes it a deterministic key
 // for route signatures and flow-class pooling.
-func (r *Resource) Index() int { return r.index }
+func (r *Resource) Index() int { return int(r.index) }
 
 // Utilization returns Load/Capacity, or 0 for zero-capacity resources.
 func (r *Resource) Utilization() float64 {
@@ -101,6 +110,24 @@ type Flow struct {
 	rate       float64 // aggregate: members × memberRate
 	memberRate float64
 	frozen     bool
+
+	// Solver links, set by Network.link: edges heads the flow's chain in
+	// the edge pool, nuses is len(Uses) when it was linked, and mark is a
+	// visit epoch. They fill the struct's padding, so a Flow stays in its
+	// allocation size class; its solved parameters live in Network.params.
+	nuses int32
+	edges int32
+	mark  uint32
+}
+
+// flowParams are a flow's solver inputs other than its Uses.
+type flowParams struct {
+	demand, weight float64
+	members        int32
+}
+
+func (f *Flow) params() flowParams {
+	return flowParams{f.Demand, f.Weight, int32(f.members)}
 }
 
 // Rate returns the solved aggregate rate in flow units (bytes) per second,
@@ -138,13 +165,20 @@ var alwaysFullSolve bool
 
 // SolverStats counts how Resolve calls were satisfied.
 type SolverStats struct {
-	// FullSolves is the number of complete progressive-filling runs.
+	// FullSolves counts from-scratch solves, which relink every flow and
+	// refill every component: the first Resolve, the first after
+	// Invalidate (Sim.Refresh), every Resolve under the oracle hook, and
+	// direct Solve calls.
 	FullSolves uint64
 	// PartialSolves counts Resolve calls satisfied by refilling only the
-	// bottleneck subgraphs (connected components) containing a change.
+	// bottleneck subgraphs (connected components) a change touched:
+	// parameter and capacity writes, flow arrivals and departures, and
+	// Uses appended to a linked flow.
 	PartialSolves uint64
-	// ComponentSolves is the number of per-component fill passes, across
-	// both full and partial solves.
+	// ComponentSolves is the number of fill passes, across both full and
+	// partial solves: one per refilled component that has a flow, plus one
+	// per refilled flow that crosses no resource. Idle resources only have
+	// their load zeroed and are not counted.
 	ComponentSolves uint64
 	// FastResolves counts single-flow demand updates absorbed without a
 	// solve because the demand cap was non-binding before and after.
@@ -164,43 +198,28 @@ type Network struct {
 	residual []float64
 	sumW     []float64
 
-	// Connected-component partition of the flow/resource bipartite graph,
-	// rebuilt by every full Solve. compOf maps a resource index to a dense
-	// component id; flowComp maps a flow index (-1 for flows crossing no
-	// resource). flowOrder/resOrder group flow and resource indices by
-	// component (stable within a component), with flows that cross nothing
-	// in a trailing bucket at flowOff[ncomp]..flowOff[ncomp+1].
-	compOf    []int32
-	flowComp  []int32
-	ncomp     int
-	flowOrder []int32
-	flowOff   []int32
-	resOrder  []int32
-	resOff    []int32
-	ufParent  []int32 // union-find scratch
-	rootID    []int32 // dense component ids per union-find root
-	compCnt   []int32 // counting-sort scratch
+	// edges is the pool behind every user list and flow chain (see edge);
+	// freeEdge heads its free list. flows[:nlinked] are linked, and
+	// params[i] holds the parameters the last solve used for flows[i].
+	// Flows registered since then sit after them and are linked lazily by
+	// the next Resolve, because Use has no network to report to. rmark[i]
+	// is the visit mark of resources[i] (see nextEpoch).
+	edges    []edge
+	freeEdge int32
+	nlinked  int
+	params   []flowParams
+	rmark    []uint32
+	epoch    uint32
 
-	// Dirty-scan and partial-solve scratch.
-	dirtyF    []int32
-	dirtyR    []int32
-	compDirty []bool
-	compList  []int32
-	bucketHit []int32
+	// Seeds of the next refill: resources whose component a change
+	// touched, and touched flows that cross no resource. compF and compR
+	// are the walk's per-component scratch.
+	touched []*Resource
+	lone    []*Flow
+	compF   []int32
+	compR   []int32
 
-	// Snapshot of every solver input at the last Solve. Resolve diffs the
-	// live state against it to decide whether a re-solve is needed, which
-	// also catches direct writes to Flow.Demand/Weight and
-	// Resource.Capacity that bypass the Sim setters.
-	solved      bool
-	snapFlows   []*Flow
-	snapDemand  []float64
-	snapWeight  []float64
-	snapMembers []int32
-	snapUses    []int // len(Flow.Uses); catches Use() after a solve
-	snapRes     []*Resource
-	snapCap     []float64
-
+	solved  bool // false until the first Solve and after Invalidate
 	stats   SolverStats
 	removed int // retired-resource count; keys unique negative indices
 }
@@ -214,7 +233,7 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fluid: invalid capacity %v for %s", capacity, name))
 	}
-	r := &Resource{Name: name, Capacity: capacity, index: len(n.resources)}
+	r := &Resource{Name: name, Capacity: capacity, snapCap: capacity, index: int32(len(n.resources))}
 	n.resources = append(n.resources, r)
 	return r
 }
@@ -263,6 +282,11 @@ func (n *Network) RemoveFlow(f *Flow) {
 	if i < 0 || i >= len(n.flows) || n.flows[i] != f {
 		return // already removed, or foreign flow
 	}
+	if i < n.nlinked {
+		n.nlinked--
+		n.params = append(n.params[:i], n.params[i+1:]...)
+		n.unlink(f)
+	}
 	copy(n.flows[i:], n.flows[i+1:])
 	n.flows[len(n.flows)-1] = nil
 	n.flows = n.flows[:len(n.flows)-1]
@@ -276,31 +300,38 @@ func (n *Network) RemoveFlow(f *Flow) {
 
 // RemoveResource unregisters a resource that no registered flow crosses
 // any more — per-session state (thread limiters, for one) that would
-// otherwise accumulate forever and drag every structural solve, which
-// scans all resources, toward quadratic cost under small-job churn.
+// otherwise accumulate forever and drag the dirty scan, which visits every
+// resource, toward quadratic cost under small-job churn.
 // Accumulated usage accounting survives: the resource keeps a unique
 // (negative) index so usage reports stay deterministically ordered.
 // Removing a resource still in use is a caller bug and panics.
 func (n *Network) RemoveResource(r *Resource) {
-	i := r.index
+	i := int(r.index)
 	if i < 0 || i >= len(n.resources) || n.resources[i] != r {
 		return // already removed, or foreign resource
 	}
-	for _, f := range n.flows {
+	var user *Flow
+	if r.users != 0 {
+		user = n.edges[r.users].flow
+	}
+	for _, f := range n.flows[n.nlinked:] {
 		for _, u := range f.Uses {
 			if u.Resource == r {
-				panic(fmt.Sprintf("fluid: removing resource %s still used by flow %s", r.Name, f.Name))
+				user = f
 			}
 		}
+	}
+	if user != nil {
+		panic(fmt.Sprintf("fluid: removing resource %s still used by flow %s", r.Name, user.Name))
 	}
 	copy(n.resources[i:], n.resources[i+1:])
 	n.resources[len(n.resources)-1] = nil
 	n.resources = n.resources[:len(n.resources)-1]
 	for j := i; j < len(n.resources); j++ {
-		n.resources[j].index = j
+		n.resources[j].index = int32(j)
 	}
 	n.removed++
-	r.index = -1 - n.removed
+	r.index = int32(-1 - n.removed)
 	r.load = 0
 }
 
@@ -312,151 +343,207 @@ func (n *Network) Resources() []*Resource { return n.resources }
 
 const eps = 1e-12
 
-// growI32 returns buf resized to n, reusing its backing array when large
-// enough.
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
+// edge records that a flow crosses a resource, once per (flow, resource)
+// pair however many Usage entries the flow has there. A resource's users
+// form a doubly linked list through prev/next; a flow's edges chain through
+// nextOfFlow, which also chains the free list. Ids index Network.edges and
+// id 0 is the nil sentinel, so a zero-valued head is an empty list.
+type edge struct {
+	flow       *Flow
+	res        *Resource
+	prev, next int32
+	nextOfFlow int32
 }
 
-// rebuildPartition recomputes the connected components of the flow/resource
-// bipartite graph. It is a pure function of the structure (populations and
-// Uses), so the incremental and from-scratch paths always agree on the
-// partition.
-func (n *Network) rebuildPartition() {
-	nr := len(n.resources)
-	nf := len(n.flows)
-	uf := growI32(n.ufParent, nr)
-	for i := range uf {
-		uf[i] = int32(i)
+// nextEpoch returns a fresh visit mark and makes rmark cover every
+// resource. Marks are compared only for equality with the current epoch, so
+// a resource that inherits another's slot after a removal shifts indices
+// carries an old, harmless mark. On wraparound every mark is cleared, so a
+// stale mark can never alias the current one.
+func (n *Network) nextEpoch() uint32 {
+	if len(n.rmark) < len(n.resources) {
+		n.rmark = make([]uint32, 2*len(n.resources))
 	}
-	find := func(i int32) int32 {
-		for uf[i] != i {
-			uf[i] = uf[uf[i]] // path halving
-			i = uf[i]
+	n.epoch++
+	if n.epoch == 0 {
+		clear(n.rmark)
+		for _, f := range n.flows {
+			f.mark = 0
 		}
-		return i
+		n.epoch = 1
 	}
-	for _, f := range n.flows {
-		if len(f.Uses) == 0 {
-			continue
+	return n.epoch
+}
+
+// link adds f to the user list of every resource it crosses. f must have
+// no edges.
+func (n *Network) link(f *Flow) {
+	f.nuses = int32(len(f.Uses))
+	ep := n.nextEpoch()
+	for _, u := range f.Uses {
+		r := u.Resource
+		if n.rmark[r.index] == ep {
+			continue // a second Usage entry on the same resource
 		}
-		a := find(int32(f.Uses[0].Resource.index))
-		for _, u := range f.Uses[1:] {
-			if b := find(int32(u.Resource.index)); b != a {
-				uf[b] = a
+		n.rmark[r.index] = ep
+		id := n.freeEdge
+		if id != 0 {
+			n.freeEdge = n.edges[id].nextOfFlow
+		} else {
+			if len(n.edges) == 0 {
+				n.edges = append(n.edges, edge{}) // the nil sentinel
 			}
+			id = int32(len(n.edges))
+			n.edges = append(n.edges, edge{})
 		}
-	}
-	n.ufParent = uf
-
-	// Dense component ids, assigned in ascending resource-index order so
-	// the numbering is deterministic.
-	compOf := growI32(n.compOf, nr)
-	rootID := growI32(n.rootID, nr)
-	for i := range rootID {
-		rootID[i] = -1
-	}
-	next := int32(0)
-	for i := 0; i < nr; i++ {
-		r := find(int32(i))
-		if rootID[r] < 0 {
-			rootID[r] = next
-			next++
+		// Field by field: a whole-struct store of an edge costs a bulk
+		// write barrier while the collector runs.
+		e := &n.edges[id]
+		e.flow, e.res, e.prev, e.next, e.nextOfFlow = f, r, 0, r.users, f.edges
+		if r.users != 0 {
+			n.edges[r.users].prev = id
 		}
-		compOf[i] = rootID[r]
+		r.users, f.edges = id, id
 	}
-	n.compOf, n.rootID = compOf, rootID
-	n.ncomp = int(next)
+}
 
-	flowComp := growI32(n.flowComp, nf)
-	for i, f := range n.flows {
-		if len(f.Uses) == 0 {
-			flowComp[i] = -1
+// unlink removes f from its resources' user lists, returns its edges to the
+// free list, and seeds the next refill with every resource it crossed,
+// since f's departure may split their component.
+func (n *Network) unlink(f *Flow) {
+	for id := f.edges; id != 0; {
+		e := &n.edges[id]
+		if e.prev != 0 {
+			n.edges[e.prev].next = e.next
 		} else {
-			flowComp[i] = compOf[f.Uses[0].Resource.index]
+			e.res.users = e.next
 		}
+		if e.next != 0 {
+			n.edges[e.next].prev = e.prev
+		}
+		n.touched = append(n.touched, e.res)
+		// Only the flow pointer is cleared, so a free edge does not keep a
+		// departed flow alive; its resource pointer stays until reuse
+		// (resources outlive their flows), saving a write barrier per edge
+		// while the collector runs.
+		next := e.nextOfFlow
+		e.flow, e.nextOfFlow = nil, n.freeEdge
+		n.freeEdge = id
+		id = next
 	}
-	n.flowComp = flowComp
+	f.edges = 0
+}
 
-	// Counting sort (stable) groups flow and resource indices by component.
-	cnt := growI32(n.compCnt, n.ncomp+1) // +1: no-uses bucket
-	for i := range cnt {
-		cnt[i] = 0
+// seed queues f's component for the next refill.
+func (n *Network) seed(f *Flow) {
+	if f.edges == 0 {
+		n.lone = append(n.lone, f)
+	} else {
+		n.touched = append(n.touched, n.edges[f.edges].res)
 	}
-	for _, c := range flowComp {
-		if c < 0 {
-			cnt[n.ncomp]++
-		} else {
-			cnt[c]++
-		}
-	}
-	flowOff := growI32(n.flowOff, n.ncomp+2)
-	flowOff[0] = 0
-	for i := 0; i <= n.ncomp; i++ {
-		flowOff[i+1] = flowOff[i] + cnt[i]
-		cnt[i] = flowOff[i]
-	}
-	flowOrder := growI32(n.flowOrder, nf)
-	for i, c := range flowComp {
-		b := c
-		if b < 0 {
-			b = int32(n.ncomp)
-		}
-		flowOrder[cnt[b]] = int32(i)
-		cnt[b]++
-	}
-	n.flowOff, n.flowOrder = flowOff, flowOrder
+}
 
-	for i := range cnt[:n.ncomp] {
-		cnt[i] = 0
-	}
-	for _, c := range compOf {
-		cnt[c]++
-	}
-	resOff := growI32(n.resOff, n.ncomp+1)
-	resOff[0] = 0
-	for i := 0; i < n.ncomp; i++ {
-		resOff[i+1] = resOff[i] + cnt[i]
-		cnt[i] = resOff[i]
-	}
-	resOrder := growI32(n.resOrder, nr)
-	for i, c := range compOf {
-		resOrder[cnt[c]] = int32(i)
-		cnt[c]++
-	}
-	n.resOff, n.resOrder, n.compCnt = resOff, resOrder, cnt
+// clearSeeds empties both refill queues without keeping their pointers.
+func (n *Network) clearSeeds() {
+	clear(n.touched)
+	clear(n.lone)
+	n.touched, n.lone = n.touched[:0], n.lone[:0]
 }
 
 // Solve computes the weighted max-min fair rate for every registered flow
-// and the resulting load on every resource.
+// and the resulting load on every resource, from scratch: it relinks every
+// flow and refills every component.
 //
-// Implementation: the flow/resource graph is partitioned into connected
-// components and each component is filled independently by weighted
-// progressive filling with incremental bookkeeping. residual[i] tracks each
-// resource's remaining capacity after frozen flows; sumW[i] tracks
-// Σ coeff×weight×members over unfrozen flows crossing it. Freezing a flow
-// subtracts its contributions once, so each iteration costs O(component)
-// rather than O(resources × flows × uses).
+// Implementation: each connected component of the flow/resource graph is
+// filled independently by weighted progressive filling with incremental
+// bookkeeping. residual[i] tracks each resource's remaining capacity after
+// frozen flows; sumW[i] tracks Σ coeff×weight×members over unfrozen flows
+// crossing it. Freezing a flow subtracts its contributions once, so each
+// iteration costs O(component) rather than O(resources × flows × uses).
 func (n *Network) Solve() {
 	n.stats.FullSolves++
-	n.rebuildPartition()
+	n.unlinkAll()
+	for _, f := range n.flows {
+		n.link(f)
+		n.params = append(n.params, f.params())
+		if f.edges == 0 {
+			n.lone = append(n.lone, f)
+		}
+	}
+	n.nlinked = len(n.flows)
+	for _, r := range n.resources {
+		r.snapCap = r.Capacity
+	}
+	n.refill(n.resources)
+	n.solved = true
+}
+
+// unlinkAll empties every user list and the edge pool and forgets every
+// flow's solved parameters, so all flows count as unlinked.
+func (n *Network) unlinkAll() {
+	clear(n.edges)
+	n.edges, n.freeEdge = n.edges[:0], 0
+	n.nlinked, n.params = 0, n.params[:0]
+	for _, r := range n.resources {
+		r.users = 0
+	}
+	for _, f := range n.flows {
+		f.edges = 0
+	}
+	n.clearSeeds()
+}
+
+// refill runs fill over every component that holds one of seeds, then over
+// each queued flow that crosses no resource, and clears both seed queues.
+// A component's flow and resource indices are sorted ascending, the order a
+// global pass in registration order would visit them in, so the freeze
+// order and float summation order do not depend on how the component was
+// reached. A seed with no linked user is an idle component: its load is
+// zeroed and no fill runs.
+func (n *Network) refill(seeds []*Resource) {
 	nr := len(n.resources)
 	if cap(n.residual) < nr {
 		n.residual = make([]float64, nr)
 		n.sumW = make([]float64, nr)
 	}
 	residual, sumW := n.residual[:nr], n.sumW[:nr]
-	for ci := 0; ci < n.ncomp; ci++ {
-		n.fill(n.flowOrder[n.flowOff[ci]:n.flowOff[ci+1]],
-			n.resOrder[n.resOff[ci]:n.resOff[ci+1]], residual, sumW)
+	ep := n.nextEpoch()
+	for _, s := range seeds {
+		if s.index < 0 || n.rmark[s.index] == ep {
+			continue // retired since it was queued, or already refilled
+		}
+		n.rmark[s.index] = ep
+		cf, cr := n.compF[:0], append(n.compR[:0], s.index)
+		for k := 0; k < len(cr); k++ {
+			for id := n.resources[cr[k]].users; id != 0; id = n.edges[id].next {
+				f := n.edges[id].flow
+				if f.mark == ep {
+					continue
+				}
+				f.mark = ep
+				cf = append(cf, int32(f.index))
+				for fe := f.edges; fe != 0; fe = n.edges[fe].nextOfFlow {
+					if ri := n.edges[fe].res.index; n.rmark[ri] != ep {
+						n.rmark[ri] = ep
+						cr = append(cr, ri)
+					}
+				}
+			}
+		}
+		n.compF, n.compR = cf, cr
+		if len(cf) == 0 {
+			s.load = 0
+			continue
+		}
+		slices.Sort(cf)
+		slices.Sort(cr)
+		n.fill(cf, cr, residual, sumW)
 	}
-	if b := n.flowOrder[n.flowOff[n.ncomp]:n.flowOff[n.ncomp+1]]; len(b) > 0 {
-		n.fill(b, nil, residual, sumW)
+	for _, f := range n.lone {
+		n.compF = append(n.compF[:0], int32(f.index))
+		n.fill(n.compF, nil, residual, sumW)
 	}
-	n.snapshot()
+	n.clearSeeds()
 }
 
 // fill runs progressive filling over one component: the flows (indices into
@@ -569,20 +656,14 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 					continue
 				}
 				if residual[ri]/sumW[ri] <= tol {
-					r := n.resources[ri]
+					// Mark the resource's users, then freeze them in
+					// fidx order, which fixes the float summation order.
+					ep := n.nextEpoch()
+					for id := n.resources[ri].users; id != 0; id = n.edges[id].next {
+						n.edges[id].flow.mark = ep
+					}
 					for _, fi := range fidx {
-						f := n.flows[fi]
-						if f.frozen {
-							continue
-						}
-						uses := false
-						for _, u := range f.Uses {
-							if u.Resource == r {
-								uses = true
-								break
-							}
-						}
-						if uses {
+						if f := n.flows[fi]; !f.frozen && f.mark == ep {
 							freeze(f, f.Weight*level)
 							frozeAny = true
 						}
@@ -609,40 +690,14 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 	}
 }
 
-// snapshot records the solver inputs the allocation was computed from.
-func (n *Network) snapshot() {
-	n.snapFlows = append(n.snapFlows[:0], n.flows...)
-	n.snapRes = append(n.snapRes[:0], n.resources...)
-	if cap(n.snapDemand) < len(n.flows) {
-		n.snapDemand = make([]float64, len(n.flows))
-		n.snapWeight = make([]float64, len(n.flows))
-		n.snapMembers = make([]int32, len(n.flows))
-		n.snapUses = make([]int, len(n.flows))
-	}
-	n.snapDemand = n.snapDemand[:len(n.flows)]
-	n.snapWeight = n.snapWeight[:len(n.flows)]
-	n.snapMembers = n.snapMembers[:len(n.flows)]
-	n.snapUses = n.snapUses[:len(n.flows)]
-	for i, f := range n.flows {
-		n.snapDemand[i] = f.Demand
-		n.snapWeight[i] = f.Weight
-		n.snapMembers[i] = int32(f.members)
-		n.snapUses[i] = len(f.Uses)
-	}
-	if cap(n.snapCap) < len(n.resources) {
-		n.snapCap = make([]float64, len(n.resources))
-	}
-	n.snapCap = n.snapCap[:len(n.resources)]
-	for i, r := range n.resources {
-		n.snapCap[i] = r.Capacity
-	}
-	n.solved = true
-}
-
 // Invalidate forces the next Resolve to run a full Solve. Needed only
 // after mutations the dirty scan cannot see: editing a Usage coefficient
-// in place, or swapping a Usage's Resource.
-func (n *Network) Invalidate() { n.solved = false }
+// in place, or swapping a Usage's Resource. It drops every link, since the
+// user lists may no longer match the flows' Uses.
+func (n *Network) Invalidate() {
+	n.solved = false
+	n.unlinkAll()
+}
 
 // ResourceUtil is one resource's slice of a Utilization snapshot.
 type ResourceUtil struct {
@@ -687,136 +742,73 @@ func (n *Network) Utilization() []ResourceUtil {
 // Stats returns counters describing how Resolve calls were satisfied.
 func (n *Network) Stats() SolverStats { return n.stats }
 
-// diff classifies every change since the last snapshot. structural means
-// the partition may have moved (populations or Uses changed) and a full
-// Solve is required; otherwise n.dirtyF/n.dirtyR list the flow/resource
-// indices whose parameters changed. demandOnly reports that every dirty
-// flow changed nothing but its demand.
-func (n *Network) diff() (structural, demandOnly bool) {
-	n.dirtyF = n.dirtyF[:0]
-	n.dirtyR = n.dirtyR[:0]
-	demandOnly = true
-	if len(n.resources) != len(n.snapRes) || len(n.flows) != len(n.snapFlows) {
-		return true, false
-	}
-	for i, r := range n.resources {
-		if r != n.snapRes[i] {
-			return true, false
-		}
-		if r.Capacity != n.snapCap[i] {
-			n.dirtyR = append(n.dirtyR, int32(i))
-		}
-	}
-	for i, f := range n.flows {
-		if f != n.snapFlows[i] || len(f.Uses) != n.snapUses[i] {
-			return true, false
-		}
-		if f.Demand != n.snapDemand[i] || f.Weight != n.snapWeight[i] || int32(f.members) != n.snapMembers[i] {
-			n.dirtyF = append(n.dirtyF, int32(i))
-			if f.Weight != n.snapWeight[i] || int32(f.members) != n.snapMembers[i] {
-				demandOnly = false
-			}
-		}
-	}
-	return false, demandOnly
-}
-
-// partialSolve refills exactly the components containing a dirty flow or
-// resource (per n.dirtyF/n.dirtyR). The frontier argument for leaving every
-// other component untouched: fill is deterministic and reads only
-// component-local inputs, those inputs are unchanged (the dirty scan proved
-// it), so re-running fill there would reproduce the stored rates bit for
-// bit. Flows crossing no resource are independent and refill individually.
-func (n *Network) partialSolve() {
-	n.stats.PartialSolves++
-	if cap(n.compDirty) < n.ncomp {
-		n.compDirty = make([]bool, n.ncomp)
-	}
-	dirty := n.compDirty[:n.ncomp]
-	n.compList = n.compList[:0]
-	n.bucketHit = n.bucketHit[:0]
-	for _, fi := range n.dirtyF {
-		c := n.flowComp[fi]
-		if c < 0 {
-			n.bucketHit = append(n.bucketHit, fi)
-			continue
-		}
-		if !dirty[c] {
-			dirty[c] = true
-			n.compList = append(n.compList, c)
-		}
-	}
-	for _, ri := range n.dirtyR {
-		c := n.compOf[ri]
-		if !dirty[c] {
-			dirty[c] = true
-			n.compList = append(n.compList, c)
-		}
-	}
-	// Ascending component order, for reproducible stats and cache locality
-	// (insertion sort: the list is tiny and must not allocate).
-	for i := 1; i < len(n.compList); i++ {
-		for j := i; j > 0 && n.compList[j] < n.compList[j-1]; j-- {
-			n.compList[j], n.compList[j-1] = n.compList[j-1], n.compList[j]
-		}
-	}
-	residual := n.residual[:len(n.resources)]
-	sumW := n.sumW[:len(n.resources)]
-	for _, c := range n.compList {
-		n.fill(n.flowOrder[n.flowOff[c]:n.flowOff[c+1]],
-			n.resOrder[n.resOff[c]:n.resOff[c+1]], residual, sumW)
-		dirty[c] = false
-	}
-	if len(n.bucketHit) > 0 {
-		n.fill(n.bucketHit, nil, residual, sumW)
-	}
-	// Refresh only the snapshot entries that moved; everything else is
-	// still current.
-	for _, fi := range n.dirtyF {
-		f := n.flows[fi]
-		n.snapDemand[fi] = f.Demand
-		n.snapWeight[fi] = f.Weight
-		n.snapMembers[fi] = int32(f.members)
-	}
-	for _, ri := range n.dirtyR {
-		n.snapCap[ri] = n.resources[ri].Capacity
-	}
-}
-
-// Resolve re-solves only what changed since the last Solve: nothing on a
-// clean network, a single non-binding demand change without any solve (the
+// Resolve re-solves only what changed since the last Solve. A dirty scan
+// compares every flow's and resource's parameters against what the last
+// solve used, which also catches direct writes to Flow.Demand/Weight and
+// Resource.Capacity that bypass the Sim setters. Nothing changed: no solve.
+// A single non-binding demand change and nothing else: no solve either (the
 // solved rate sits strictly below both old and new caps, so the max-min
-// allocation is unchanged), only the dirty bottleneck subgraphs for
-// parameter changes, and a full Solve for structural changes (population or
-// Uses). It reports whether any solving ran.
+// allocation is unchanged). Otherwise only the components touched by a
+// changed flow or resource, an arrival or a departure are refilled. It
+// reports whether any solving ran.
 func (n *Network) Resolve() bool {
 	if alwaysFullSolve || !n.solved {
 		n.Solve()
 		return true
 	}
-	structural, demandOnly := n.diff()
-	if structural {
-		n.Solve()
-		return true
+	// pending: a departure, arrival, Uses edit or capacity write, any of
+	// which rules out the fast path.
+	pending := len(n.touched) > 0 || n.nlinked < len(n.flows)
+	var first *Flow // the first param-dirty flow and its old demand
+	oldDemand, ndirty, demandOnly := 0.0, 0, true
+	for i, f := range n.flows[:n.nlinked] {
+		p, old := f.params(), n.params[i]
+		if p == old && int(f.nuses) == len(f.Uses) {
+			continue
+		}
+		if ndirty++; ndirty == 1 {
+			first, oldDemand = f, old.demand
+		}
+		if p.weight != old.weight || p.members != old.members {
+			demandOnly = false
+		}
+		if int(f.nuses) != len(f.Uses) {
+			pending = true
+			n.unlink(f)
+			n.link(f)
+		}
+		n.params[i] = p
+		n.seed(f)
 	}
-	if len(n.dirtyF) == 0 && len(n.dirtyR) == 0 {
+	for _, f := range n.flows[n.nlinked:] {
+		n.link(f)
+		n.params = append(n.params, f.params())
+		n.seed(f)
+	}
+	n.nlinked = len(n.flows)
+	for _, r := range n.resources {
+		if r.Capacity != r.snapCap {
+			r.snapCap = r.Capacity
+			n.touched = append(n.touched, r)
+			pending = true
+		}
+	}
+	if len(n.touched) == 0 && len(n.lone) == 0 {
 		n.stats.Skips++
 		return false
 	}
-	if demandOnly && len(n.dirtyF) == 1 && len(n.dirtyR) == 0 {
-		fi := n.dirtyF[0]
-		f := n.flows[fi]
-		old := n.snapDemand[fi]
+	if ndirty == 1 && demandOnly && !pending {
 		// Margin keeps the fast path well clear of the solver's freeze
 		// tolerance, so a from-scratch Solve would take the exact same
 		// branches and reproduce the current rates bit for bit.
-		margin := 1e-6 * math.Max(1, f.memberRate)
-		if math.Min(old, f.Demand) > f.memberRate+margin {
-			n.snapDemand[fi] = f.Demand
+		margin := 1e-6 * math.Max(1, first.memberRate)
+		if math.Min(oldDemand, first.Demand) > first.memberRate+margin {
+			n.clearSeeds()
 			n.stats.FastResolves++
 			return false
 		}
 	}
-	n.partialSolve()
+	n.stats.PartialSolves++
+	n.refill(n.touched)
 	return true
 }

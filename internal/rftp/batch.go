@@ -277,7 +277,7 @@ func (t *BatchTransfer) deliver(i int, now sim.Time) {
 // release retires the window's per-thread limiter resources once no object
 // flow can ever charge them again. Small-object workloads open windows at
 // high rate; without this every window would leave its limiters in the
-// fluid network forever and structural solves would grow quadratic.
+// fluid network forever and the solver's dirty scan would grow quadratic.
 func (t *BatchTransfer) release() {
 	if t.released {
 		return
