@@ -315,7 +315,7 @@ func (s *System) StartRFTPOn(dir Direction, cfg rftp.Config, p rftp.Params,
 // files stream from the sender's dataset region to the receiver's output
 // region, each paying its per-file control exchange.
 func (s *System) StartRFTPSet(dir Direction, cfg rftp.Config, p rftp.Params,
-	files []rftp.FileSpec, onDone func(now sim.Time)) (*rftp.SetTransfer, error) {
+	files []rftp.FileSpec, onDone func(now sim.Time)) (*rftp.BatchTransfer, error) {
 	snd, rcv := s.ends(dir)
 	if total := rftp.TotalBytes(files); total > float64(snd.Dataset.Size) {
 		return nil, fmt.Errorf("core: file set (%d bytes) exceeds dataset size", int64(total))

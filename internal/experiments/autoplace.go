@@ -98,7 +98,7 @@ func railPlaceRun(policy numa.Policy, rec *trace.Recorder) railPlaceOutcome {
 		cfg.Placer = pl
 	}
 	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, cfg, railFailoverParams(),
+	tr, err := rftp.Start(pair.Links, pair.A, cfg, recoveryParams(true),
 		pipe.Zero{}, pipe.Null{}, size, func(sim.Time) { done = true })
 	if err != nil {
 		panic(err)

@@ -8,6 +8,7 @@ import (
 	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
 	"e2edt/internal/pipe"
+	"e2edt/internal/railmgr"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
@@ -26,16 +27,20 @@ var chaosMTBFs = []float64{0, 4, 2, 1, 0.5}
 // of one front link during a fixed mid-transfer window.
 var chaosDepths = []float64{0.75, 0.5, 0.25, 0.1}
 
-// chaosRecoveryParams tunes RFTP's in-protocol recovery for the sweep:
-// loss detection well inside the mean outage, and a retry budget deep
-// enough that even overlapping outages on all three links are waited out
-// rather than declared terminal.
-func chaosRecoveryParams() rftp.Params {
+// recoveryParams tunes RFTP's in-protocol recovery for the fault
+// scenarios (S2, S3, S4, S7): loss detection within 50 ms, well inside the
+// mean outage, and a retry budget deep enough that even overlapping
+// outages on all three links are waited out rather than declared terminal.
+// rails adds the default rail manager (probe and failback policy).
+func recoveryParams(rails bool) rftp.Params {
 	p := rftp.DefaultParams()
 	p.AckTimeout = 50 * sim.Millisecond
 	p.RetryBackoff = 20 * sim.Millisecond
 	p.RetryBackoffMax = 200 * sim.Millisecond
 	p.MaxStreamRetries = 32
+	if rails {
+		p.Rails = railmgr.DefaultPolicy()
+	}
 	return p
 }
 
@@ -59,7 +64,7 @@ func chaosRun(size float64, plan func(p *testbed.MotivatingPair) *faults.Plan) c
 	eng := pair.Eng
 	var doneAt sim.Time
 	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, rftp.DefaultConfig(), chaosRecoveryParams(),
+	tr, err := rftp.Start(pair.Links, pair.A, rftp.DefaultConfig(), recoveryParams(false),
 		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { done, doneAt = true, now })
 	if err != nil {
 		panic(err)

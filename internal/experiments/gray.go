@@ -9,7 +9,6 @@ import (
 	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
 	"e2edt/internal/pipe"
-	"e2edt/internal/railmgr"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
@@ -19,25 +18,6 @@ import (
 
 func init() {
 	register("S7", GrayFailure)
-}
-
-// grayParams tunes recovery + rail management for the gray sweep: tight
-// loss detection, the standard probe policy, and — per mode — the
-// peer-comparison scorer and the hedging plane.
-func grayParams(detect, hedge bool) rftp.Params {
-	p := rftp.DefaultParams()
-	p.AckTimeout = 50 * sim.Millisecond
-	p.RetryBackoff = 20 * sim.Millisecond
-	p.RetryBackoffMax = 200 * sim.Millisecond
-	p.MaxStreamRetries = 32
-	p.Rails = railmgr.DefaultPolicy()
-	if detect {
-		p.Rails.Gray = true
-	}
-	if hedge {
-		p.Hedge = true
-	}
-	return p
 }
 
 // grayConfig is the credit-limited shape: per-stream rate is pinned by the
@@ -73,9 +53,12 @@ func grayRun(size float64, sagAt sim.Time, severity float64, detect, hedge bool,
 	if rec != nil {
 		pair.Eng.SetTracer(rec)
 	}
+	// Per mode: the peer-comparison scorer and the hedging plane.
+	p := recoveryParams(true)
+	p.Rails.Gray, p.Hedge = detect, hedge
 	var doneAt sim.Time
 	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, grayConfig(), grayParams(detect, hedge),
+	tr, err := rftp.Start(pair.Links, pair.A, grayConfig(), p,
 		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { done, doneAt = true, now })
 	if err != nil {
 		panic(err)

@@ -9,7 +9,6 @@ import (
 	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
 	"e2edt/internal/pipe"
-	"e2edt/internal/railmgr"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
@@ -19,18 +18,6 @@ import (
 
 func init() {
 	register("S3", RailFailover)
-}
-
-// railFailoverParams tunes recovery + rail management for the scenario:
-// loss detection within 50 ms and the default probe/failback policy.
-func railFailoverParams() rftp.Params {
-	p := rftp.DefaultParams()
-	p.AckTimeout = 50 * sim.Millisecond
-	p.RetryBackoff = 20 * sim.Millisecond
-	p.RetryBackoffMax = 200 * sim.Millisecond
-	p.MaxStreamRetries = 32
-	p.Rails = railmgr.DefaultPolicy()
-	return p
 }
 
 // railOutcome is one failover run's measurements.
@@ -59,7 +46,7 @@ func railRun(size float64, w0, w1 sim.Time, rec *trace.Recorder,
 	done := false
 	cfg := rftp.DefaultConfig()
 	cfg.Streams = 6
-	tr, err := rftp.Start(pair.Links, pair.A, cfg, railFailoverParams(),
+	tr, err := rftp.Start(pair.Links, pair.A, cfg, recoveryParams(true),
 		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { done, doneAt = true, now })
 	if err != nil {
 		panic(err)
@@ -90,7 +77,7 @@ func railRun(size float64, w0, w1 sim.Time, rec *trace.Recorder,
 	}
 	// Migration must be bounded by loss detection plus the re-establish
 	// round trip — far under the retry ladder's worst case.
-	if bound := float64(railFailoverParams().AckTimeout) + 0.05; o.maxMigLat > bound {
+	if bound := float64(recoveryParams(true).AckTimeout) + 0.05; o.maxMigLat > bound {
 		panic(fmt.Sprintf("S3: migration latency %.3fs exceeds bound %.3fs", o.maxMigLat, bound))
 	}
 	if m := tr.Rails(); m != nil {
@@ -107,7 +94,7 @@ func corruptionRun(size float64, checksum bool, n int) (detected, violations int
 	cfg := rftp.DefaultConfig()
 	cfg.Checksum = checksum
 	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, cfg, railFailoverParams(),
+	tr, err := rftp.Start(pair.Links, pair.A, cfg, recoveryParams(true),
 		pipe.Zero{}, pipe.Null{}, size, func(sim.Time) { done = true })
 	if err != nil {
 		panic(err)

@@ -104,7 +104,7 @@ func TestRandomizedAutoPlacementDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: transfer never completed (kill %v rail %d restore %v)",
 				seed, killAt, rail, restore)
 		}
-		if math.Abs(got1-size)/size > 1e-6 {
+		if !near(got1, size, 1e-6) {
 			t.Fatalf("seed %d: delivered %g, want exactly %g", seed, got1, size)
 		}
 		if st1.Placements == 0 {

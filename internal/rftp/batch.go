@@ -2,15 +2,28 @@ package rftp
 
 import (
 	"fmt"
-	"math"
 
 	"e2edt/internal/fabric"
 	"e2edt/internal/fluid"
 	"e2edt/internal/host"
-	"e2edt/internal/numa"
 	"e2edt/internal/pipe"
 	"e2edt/internal/sim"
 )
+
+// FileSpec names one file in a dataset transfer (StartSet).
+type FileSpec struct {
+	Name string
+	Size int64
+}
+
+// TotalBytes sums a file list.
+func TotalBytes(files []FileSpec) float64 {
+	total := 0.0
+	for _, f := range files {
+		total += float64(f.Size)
+	}
+	return total
+}
 
 // ObjectSpec names one object inside a coalesced batch window. Unlike
 // FileSpec, a zero Size is legal: empty objects are real S3 traffic and
@@ -30,59 +43,78 @@ func TotalObjectBytes(objs []ObjectSpec) float64 {
 	return total
 }
 
-// BatchTransfer is a coalesced object window: many small objects share one
-// RFTP session and its stream credit windows, with per-object delimiting
-// instead of per-object control round trips. This is the protocol half of
-// the objstore coalescing layer and the counterpoint to SetTransfer, which
-// models the legacy per-file open/attribute exchange:
+// BatchTransfer is an item session: many files or objects share one RFTP
+// session. Items are assigned to streams round-robin and delivered one
+// after another within a stream; one session handshake (HandshakeRTTs)
+// covers them all. Two framings separate the items on a stream:
 //
-//   - One session handshake for the whole window (HandshakeRTTs), however
-//     many objects it carries.
-//   - Objects are framed back to back inside the stream: each pays
-//     DelimBytesPerObject of in-band delimiter bytes and one extra block
-//     posting, both pipelined with the data — no per-object RTT.
-//   - Per-object completion is exactly-once: OnObject(i) fires exactly one
-//     time for each object index, in the order the stream delivers them,
-//     and never after Stop.
+//   - A file set (StartSet) pays a per-file control exchange — the
+//     open/attribute round trip — before each file body. This is the usual
+//     reason datasets of small files transfer far below line rate even on
+//     a clean path.
+//   - An object window (StartBatch) frames objects back to back instead:
+//     each pays DelimBytesPerObject of in-band delimiter bytes and one
+//     extra block posting, both pipelined with the data — no per-object
+//     round trip. This is the protocol half of the objstore coalescing
+//     layer.
 //
-// The window is fail-fast (no in-protocol recovery ladder): an outer
-// scheduler restarts a stalled window from its undelivered objects, which
-// is all-or-nothing per object — partial object progress is discarded,
-// exactly as a delimited frame without its trailer would be.
+// Per-item completion is exactly-once: OnObject(i) fires exactly one time
+// for each item index, in the order the stream delivers them, and never
+// after Stop.
+//
+// The session is fail-fast (no in-protocol recovery ladder): an outer
+// scheduler restarts a stalled window from its undelivered items, which is
+// all-or-nothing per item — partial item progress is discarded, exactly as
+// a delimited frame without its trailer would be.
 type BatchTransfer struct {
 	Cfg     Config
 	P       Params
 	Objects []ObjectSpec
 
+	frame    framing
+	src, dst pipe.Stage
 	sim      *fluid.Sim
 	eng      *sim.Engine
 	started  sim.Time
 	finished sim.Time
+	streams  []*itemStream
 
-	// Completed counts fully delivered objects.
+	// Completed counts fully delivered items.
 	Completed int
 	moved     float64
-	done      []bool // exactly-once guard, by object index
+	done      []bool // exactly-once guard, by item index
 	active    map[*fluid.Transfer]struct{}
 	pending   int
 	stopped   bool
-	threads   []*host.Thread // session threads, released at teardown
 	released  bool
 
-	// OnObject fires exactly once per delivered object index.
+	// OnObject fires exactly once per delivered item index.
 	OnObject func(i int, now sim.Time)
-	// OnComplete fires when every object in the window has been delivered.
+	// OnComplete fires when every item in the session has been delivered.
 	OnComplete func(now sim.Time)
 }
 
-// batchStream carries one stream's object queue and charge template.
-type batchStream struct {
+// framing is how an item session separates items on a stream, and the
+// process and flow names its sessions trace under.
+type framing struct {
+	proc  string // endpoint process name format: role, link, stream index
+	flow  string // item flow name format: item key
+	probe string // charge-template probe flow name
+	// delimited frames items in-band (object windows); otherwise each item
+	// pays a control round trip before its body (file sets).
+	delimited bool
+}
+
+var (
+	setFraming   = framing{proc: "rftp-%s/%s/set%d", flow: "rftp-set/%s", probe: "rftp-set-probe"}
+	batchFraming = framing{proc: "rftp-%s/%s/obj%d", flow: "rftp-obj/%s", probe: "rftp-obj-probe", delimited: true}
+)
+
+// itemStream is one stream's link, endpoints and item queue.
+type itemStream struct {
 	link  *fabric.Link
-	queue []int // object indices, delivered sequentially
-	// mkFlow builds a flow carrying the per-object cost structure: the
-	// steady per-byte/per-block costs plus the object's own delimiter and
-	// framing amortized over its size.
-	mkFlow func(name string, size float64) *fluid.Flow
+	eps   endpoints
+	queue []int // item indices, delivered sequentially
 }
 
 // delimBytes returns the per-object delimiter size (length-prefixed record
@@ -94,19 +126,30 @@ func (p Params) delimBytes() float64 {
 	return 64
 }
 
-// StartBatch launches a coalesced object window over the links. Objects are
-// assigned to streams round-robin and delivered sequentially within a
-// stream. onObject (optional) observes per-object completions; onComplete
-// (optional) observes the window completing.
+// StartSet launches a multi-file transfer. Each stream processes its file
+// queue sequentially: per-file control round trip, then the file body.
+// Every file must be non-empty.
+func StartSet(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
+	src, dst pipe.Stage, files []FileSpec, onComplete func(now sim.Time)) (*BatchTransfer, error) {
+	if len(files) == 0 {
+		return nil, fmt.Errorf("rftp: empty file set")
+	}
+	items := make([]ObjectSpec, len(files))
+	for i, f := range files {
+		if f.Size <= 0 {
+			return nil, fmt.Errorf("rftp: file %q has non-positive size", f.Name)
+		}
+		items[i] = ObjectSpec{Key: f.Name, Size: f.Size}
+	}
+	return startItems(setFraming, links, senderHost, cfg, p, src, dst, items, nil, onComplete)
+}
+
+// StartBatch launches a coalesced object window over the links. Objects
+// may be empty. onObject (optional) observes per-object completions;
+// onComplete (optional) observes the window completing.
 func StartBatch(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	src, dst pipe.Stage, objects []ObjectSpec,
 	onObject func(i int, now sim.Time), onComplete func(now sim.Time)) (*BatchTransfer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(links) == 0 {
-		return nil, fmt.Errorf("rftp: no links")
-	}
 	if len(objects) == 0 {
 		return nil, fmt.Errorf("rftp: empty object window")
 	}
@@ -115,118 +158,110 @@ func StartBatch(links []*fabric.Link, senderHost *host.Host, cfg Config, p Param
 			return nil, fmt.Errorf("rftp: object %q has negative size", o.Key)
 		}
 	}
+	return startItems(batchFraming, links, senderHost, cfg, p, src, dst, objects, onObject, onComplete)
+}
+
+// startItems builds min(Streams, items) streams, queues the items on them
+// round-robin and schedules the session handshake.
+func startItems(frame framing, links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
+	src, dst pipe.Stage, items []ObjectSpec,
+	onObject func(i int, now sim.Time), onComplete func(now sim.Time)) (*BatchTransfer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(links) == 0 {
+		return nil, fmt.Errorf("rftp: no links")
+	}
 	t := &BatchTransfer{
-		Cfg: cfg, P: p, Objects: objects,
+		Cfg: cfg, P: p, Objects: items,
+		frame: frame, src: src, dst: dst,
 		sim:        links[0].Sim(),
 		eng:        links[0].Engine(),
-		done:       make([]bool, len(objects)),
+		done:       make([]bool, len(items)),
 		active:     make(map[*fluid.Transfer]struct{}),
-		pending:    len(objects),
+		pending:    len(items),
 		OnObject:   onObject,
 		OnComplete: onComplete,
 	}
 	t.started = t.eng.Now()
 
-	nstreams := cfg.Streams
-	if nstreams > len(objects) {
-		nstreams = len(objects)
-	}
-	streams := make([]*batchStream, nstreams)
-	bs := float64(cfg.BlockSize)
-	for i := range streams {
+	t.streams = make([]*itemStream, min(cfg.Streams, len(items)))
+	for i := range t.streams {
 		l := links[i%len(links)]
-		var sndNIC *host.Device
-		switch senderHost {
-		case l.A.Host:
-			sndNIC = l.A
-		case l.B.Host:
-			sndNIC = l.B
-		default:
-			return nil, fmt.Errorf("rftp: sender %s not on link %s", senderHost.Name, l.Cfg.Name)
+		sndNIC, err := senderNIC(l, senderHost)
+		if err != nil {
+			return nil, err
 		}
-		rcvNIC := l.Peer(sndNIC)
-		mkThreads := func(nic *host.Device, role string) (*host.Thread, *host.Thread, *numa.Buffer) {
-			h := nic.Host
-			var proc *host.Process
-			if cfg.Policy == numa.PolicyBind {
-				proc = h.NewProcess(fmt.Sprintf("rftp-%s/%s/obj%d", role, l.Cfg.Name, i), numa.PolicyBind, nic.Node)
-			} else {
-				proc = h.NewProcess(fmt.Sprintf("rftp-%s/%s/obj%d", role, l.Cfg.Name, i), cfg.Policy, nil)
-			}
-			net, io := proc.NewThread(), proc.NewThread()
-			var buf *numa.Buffer
-			if node := net.Node(); node != nil {
-				buf = h.M.NewBuffer("rftp-stage", node)
-			} else {
-				buf = h.M.InterleavedBuffer("rftp-stage")
-			}
-			return net, io, buf
-		}
-		sndNet, sndIO, sndBuf := mkThreads(sndNIC, "c")
-		rcvNet, rcvIO, rcvBuf := mkThreads(rcvNIC, "s")
-		t.threads = append(t.threads, sndNet, sndIO, rcvNet, rcvIO)
-
-		demand := math.Inf(1)
-		if rtt := float64(l.RTT()); rtt > 0 {
-			demand = float64(cfg.CreditsPerStream) * bs / rtt
-		}
-		st := &batchStream{link: l}
-		var mkErr error
-		st.mkFlow = func(name string, size float64) *fluid.Flow {
-			// Per-object overheads ride inside the stream, amortized over
-			// the object body: delimiter bytes on the wire, one extra block
-			// posting on each CPU. No per-object round trip — that is the
-			// whole point of coalescing.
-			extraWire := p.delimBytes() / size
-			extraCPU := p.PerBlockCycles / size
-			f := t.sim.NewFlow(name, demand)
-			if err := src.Attach(f, sndIO, sndBuf, 1, "rftp"); err != nil {
-				mkErr = err
-			}
-			sndNet.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs+extraCPU, host.CatUser)
-			sndNIC.ChargeDMA(f, sndBuf, 1, false, "rftp")
-			l.ChargeWire(f, sndNIC, 1+p.CtrlBytesPerBlock/bs+extraWire, "rftp")
-			rcvNIC.ChargeDMA(f, rcvBuf, 1, true, "rftp")
-			rcvNet.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs+extraCPU, host.CatUser)
-			if err := dst.Attach(f, rcvIO, rcvBuf, 1, "rftp"); err != nil {
-				mkErr = err
-			}
-			return f
-		}
+		st := &itemStream{link: l, eps: endpoints{
+			snd: newSide(sndNIC, fmt.Sprintf(frame.proc, "c", l.Cfg.Name, i), cfg.Policy),
+			rcv: newSide(l.Peer(sndNIC), fmt.Sprintf(frame.proc, "s", l.Cfg.Name, i), cfg.Policy),
+		}}
 		// Probe the charge template once to surface stage errors.
-		probe := st.mkFlow("rftp-obj-probe", 1)
+		probe, err := t.newFlow(st, frame.probe, 1)
 		t.sim.Network.RemoveFlow(probe)
-		if mkErr != nil {
-			return nil, fmt.Errorf("rftp: stage: %w", mkErr)
+		if err != nil {
+			return nil, err
 		}
-		streams[i] = st
+		t.streams[i] = st
 	}
-	for i := range objects {
-		st := streams[i%len(streams)]
+	for i := range items {
+		st := t.streams[i%len(t.streams)]
 		st.queue = append(st.queue, i)
 	}
 
-	// One handshake for the whole window.
+	// One handshake for the whole session.
 	handshake := sim.Duration(p.HandshakeRTTs) * sim.Duration(links[0].RTT())
 	t.eng.Schedule(handshake, func() {
 		if t.stopped {
 			return
 		}
-		for _, st := range streams {
+		for _, st := range t.streams {
 			t.next(st)
 		}
 	})
 	return t, nil
 }
 
-// next delivers the stream's next object: its body as a fluid transfer, or
-// — for an empty object — just the delimiter's serialization time.
-func (t *BatchTransfer) next(st *batchStream) {
+// newFlow builds a flow carrying an item's full cost structure on st. A
+// delimited item adds its delimiter and framing, amortized over its size:
+// delimiter bytes on the wire, one extra block posting on each CPU. No
+// per-object round trip — that is the whole point of coalescing. Item
+// sessions never charge the checksum.
+func (t *BatchTransfer) newFlow(st *itemStream, name string, size float64) (*fluid.Flow, error) {
+	var extraCPU, extraWire float64
+	if t.frame.delimited {
+		extraCPU = t.P.PerBlockCycles / size
+		extraWire = t.P.delimBytes() / size
+	}
+	f := t.sim.NewFlow(name, windowCap(t.Cfg, st.link))
+	return f, st.eps.charge(f, st.link, t.P, t.Cfg, false, t.src, t.dst, extraCPU, extraWire)
+}
+
+// next opens the stream's next item: for a file set, the per-file
+// open/attribute exchange (one control round trip) and then the body; for
+// an object window, the body right away.
+func (t *BatchTransfer) next(st *itemStream) {
 	if t.stopped || len(st.queue) == 0 {
 		return
 	}
 	i := st.queue[0]
 	st.queue = st.queue[1:]
+	if t.frame.delimited {
+		t.send(st, i)
+		return
+	}
+	st.link.Send(t.P.CtrlBytesPerBlock, func(sim.Time) {
+		st.link.Send(t.P.CtrlBytesPerBlock, func(sim.Time) { t.send(st, i) })
+	})
+}
+
+// send moves item i's body as a fluid transfer or — for an empty object —
+// just the delimiter's serialization time, then opens the stream's next
+// item.
+func (t *BatchTransfer) send(st *itemStream, i int) {
+	if t.stopped {
+		return
+	}
 	obj := t.Objects[i]
 	if obj.Size == 0 {
 		// A bare delimiter record: pipelined with the stream, so it costs
@@ -242,7 +277,8 @@ func (t *BatchTransfer) next(st *batchStream) {
 		})
 		return
 	}
-	f := st.mkFlow(fmt.Sprintf("rftp-obj/%s", obj.Key), float64(obj.Size))
+	// The probe already surfaced any stage error.
+	f, _ := t.newFlow(st, fmt.Sprintf(t.frame.flow, obj.Key), float64(obj.Size))
 	tr := &fluid.Transfer{Flow: f, Remaining: float64(obj.Size)}
 	tr.OnComplete = func(now sim.Time) {
 		delete(t.active, tr)
@@ -253,7 +289,7 @@ func (t *BatchTransfer) next(st *batchStream) {
 	t.sim.Start(tr)
 }
 
-// deliver marks object i complete, exactly once.
+// deliver marks item i complete, exactly once.
 func (t *BatchTransfer) deliver(i int, now sim.Time) {
 	if t.stopped || t.done[i] {
 		return
@@ -274,22 +310,22 @@ func (t *BatchTransfer) deliver(i int, now sim.Time) {
 	}
 }
 
-// release retires the window's per-thread limiter resources once no object
-// flow can ever charge them again. Small-object workloads open windows at
-// high rate; without this every window would leave its limiters in the
+// release retires the session's per-thread limiter resources once no item
+// flow can ever charge them again. Small-item workloads open sessions at
+// high rate; without this every session would leave its limiters in the
 // fluid network forever and the solver's dirty scan would grow quadratic.
 func (t *BatchTransfer) release() {
 	if t.released {
 		return
 	}
 	t.released = true
-	for _, th := range t.threads {
-		th.Release()
+	for _, st := range t.streams {
+		st.eps.release()
 	}
 }
 
-// Stop cancels the window: in-flight object bodies are abandoned (their
-// partial bytes are discarded — per-object delivery is all-or-nothing) and
+// Stop cancels the session: in-flight item bodies are abandoned (their
+// partial bytes are discarded — per-item delivery is all-or-nothing) and
 // no further OnObject or OnComplete callbacks fire.
 func (t *BatchTransfer) Stop() {
 	if t.stopped {
@@ -303,8 +339,8 @@ func (t *BatchTransfer) Stop() {
 	t.release()
 }
 
-// Transferred returns payload bytes moved so far: completed objects plus
-// in-flight object progress.
+// Transferred returns payload bytes moved so far: completed items plus
+// in-flight item progress.
 func (t *BatchTransfer) Transferred() float64 {
 	if t.stopped {
 		return t.moved
@@ -317,10 +353,10 @@ func (t *BatchTransfer) Transferred() float64 {
 	return sum
 }
 
-// Delivered returns the number of objects delivered so far.
+// Delivered returns the number of items delivered so far.
 func (t *BatchTransfer) Delivered() int { return t.Completed }
 
-// DeliveredIndex reports whether object i has been delivered.
+// DeliveredIndex reports whether item i has been delivered.
 func (t *BatchTransfer) DeliveredIndex(i int) bool { return t.done[i] }
 
 // Bandwidth returns the average payload rate since start.

@@ -2,7 +2,6 @@ package rftp
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"e2edt/internal/pipe"
@@ -53,7 +52,7 @@ func TestSetTransfersAllFiles(t *testing.T) {
 		t.Fatalf("completed %d of 30 files", st.Completed)
 	}
 	want := TotalBytes(files)
-	if got := st.Transferred(); math.Abs(got-want)/want > 1e-9 {
+	if got := st.Transferred(); !near(got, want, 1e-9) {
 		t.Fatalf("moved %v of %v bytes", got, want)
 	}
 	if st.Finished() != done || st.Bandwidth() <= 0 {
@@ -134,12 +133,68 @@ func TestSetProgressMidFlight(t *testing.T) {
 	if mid <= 0 {
 		t.Fatal("no progress mid-flight")
 	}
-	if mid >= TotalBytes(st.Files) {
+	if mid >= TotalObjectBytes(st.Objects) {
 		t.Fatal("progress overshot")
 	}
 	p.Eng.Run()
 	if st.Completed != 10 {
 		t.Fatalf("completed %d", st.Completed)
+	}
+}
+
+// TestSetReleasesResources: a finished set session retires its endpoint
+// threads' limiter resources, leaving the fluid network as it found it.
+func TestSetReleasesResources(t *testing.T) {
+	p := testbed.NewMotivatingPair()
+	net := p.Links[0].Sim().Network
+	before := len(net.Resources())
+	var done sim.Time
+	if _, err := StartSet(p.Links, p.A, DefaultConfig(), DefaultParams(),
+		pipe.Zero{}, pipe.Null{}, uniformSet(6, 64*units.MB), func(now sim.Time) { done = now }); err != nil {
+		t.Fatal(err)
+	}
+	p.Eng.Run()
+	if done <= 0 {
+		t.Fatal("set never completed")
+	}
+	if got := len(net.Resources()); got != before {
+		t.Fatalf("resources %d → %d after a finished set", before, got)
+	}
+	if n := len(net.Flows()); n != 0 {
+		t.Fatalf("%d flows left after a finished set", n)
+	}
+}
+
+// TestSetStop: a set stopped mid-flight leaves no flow behind, never
+// completes, and keeps only fully transferred files' bytes.
+func TestSetStop(t *testing.T) {
+	p := testbed.NewMotivatingPair()
+	net := p.Links[0].Sim().Network
+	before := len(net.Resources())
+	completed := false
+	st, err := StartSet(p.Links, p.A, DefaultConfig(), DefaultParams(),
+		pipe.Zero{}, pipe.Null{}, uniformSet(10, units.GB), func(sim.Time) { completed = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Eng.RunUntil(0.3)
+	st.Stop()
+	mid := st.Completed
+	if mid == len(st.Objects) {
+		t.Fatal("set finished before Stop")
+	}
+	p.Eng.Run()
+	if completed {
+		t.Fatal("OnComplete fired after Stop")
+	}
+	if n := len(net.Flows()); n != 0 {
+		t.Fatalf("%d flows left after Stop", n)
+	}
+	if got := len(net.Resources()); got != before {
+		t.Fatalf("resources %d → %d after Stop", before, got)
+	}
+	if st.Completed != mid || st.Transferred() != float64(mid)*float64(units.GB) {
+		t.Fatalf("progress after Stop: %d files, %.0f bytes (had %d files)", st.Completed, st.Transferred(), mid)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestGraySagDetectedAndHedged(t *testing.T) {
 	if doneAt <= 0 {
 		t.Fatal("transfer never completed under a silent sag")
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want exactly %g", got, size)
 	}
 	mgr := tr.Rails()
@@ -209,7 +209,7 @@ func TestGrayHedgeDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: transfer never completed (rail %d sev %.2f jitter %v)",
 				seed, rail, severity, jitter)
 		}
-		if math.Abs(got1-size)/size > 1e-6 {
+		if !near(got1, size, 1e-6) {
 			t.Fatalf("seed %d: delivered %g, want exactly %g", seed, got1, size)
 		}
 		if got1 != got2 || done1 != done2 {

@@ -197,7 +197,7 @@ func (t *Transfer) launchHedge(s *stream, now sim.Time, deadline float64) {
 		return
 	}
 	l := t.links[r]
-	f := t.sim.NewFlow(fmt.Sprintf("rftp-hedge/%s/s%d", l.Cfg.Name, s.idx), t.windowCap(l))
+	f := t.sim.NewFlow(fmt.Sprintf("rftp-hedge/%s/s%d", l.Cfg.Name, s.idx), windowCap(t.Cfg, l))
 	if err := t.chargeStream(f, s, r); err != nil {
 		return // endpoints exist in rail mode; a charge error means teardown races
 	}

@@ -59,7 +59,7 @@ func TestFailoverSurvivesPermanentRailDeath(t *testing.T) {
 	if failures != 0 {
 		t.Fatalf("OnFailure fired %d times; failover should have saved the transfer", failures)
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want exactly %g (zero lost bytes)", got, size)
 	}
 	if tr.Migrations < 1 {
@@ -103,7 +103,7 @@ func TestFailbackReturnsStreamsHome(t *testing.T) {
 	if doneAt <= 0 {
 		t.Fatal("transfer never completed")
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want exactly %g", got, size)
 	}
 	if tr.Migrations < 1 {
@@ -146,7 +146,7 @@ func TestRebalanceShiftsCreditsUnderDegrade(t *testing.T) {
 	if !(d[0] > base[0]) || !(d[2] > base[2]) {
 		t.Fatalf("healthy rails did not gain credit: %v -> %v", base, d)
 	}
-	if math.Abs(sumAfter-sumBefore)/sumBefore > 1e-9 {
+	if !near(sumAfter, sumBefore, 1e-9) {
 		t.Fatalf("credit pool not conserved: %g -> %g", sumBefore, sumAfter)
 	}
 	if tr.Migrations != 0 || tr.Retransmitted != 0 {
@@ -156,7 +156,7 @@ func TestRebalanceShiftsCreditsUnderDegrade(t *testing.T) {
 	p.Links[1].Degrade(1)
 	p.Eng.RunUntil(0.15)
 	for i, s := range tr.streams {
-		if math.Abs(s.transfer.Flow.Demand-base[i]) > base[i]*1e-9 {
+		if !near(s.transfer.Flow.Demand, base[i], 1e-9) {
 			t.Fatalf("demand %d not restored: %g, want %g", i, s.transfer.Flow.Demand, base[i])
 		}
 	}
@@ -217,7 +217,7 @@ func TestRandomizedFailoverDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: transfer never completed (kill %v rail %d restore %v)",
 				seed, killAt, rail, restore)
 		}
-		if math.Abs(got1-size)/size > 1e-6 {
+		if !near(got1, size, 1e-6) {
 			t.Fatalf("seed %d: delivered %g, want exactly %g", seed, got1, size)
 		}
 		if got1 != got2 || done1 != done2 {
@@ -267,7 +267,7 @@ func TestChecksumCatchesCorruption(t *testing.T) {
 	if tr.Retransmitted <= 0 {
 		t.Fatal("a caught corruption must retransmit the block")
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want exactly %g", got, size)
 	}
 }
@@ -299,7 +299,7 @@ func TestCorruptionUndetectedWithoutChecksum(t *testing.T) {
 		t.Fatal("an undetected corruption must not retransmit anything")
 	}
 	// The corrupt block still counts as delivered — that is the violation.
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want %g (corrupt bytes included)", got, size)
 	}
 }
@@ -326,7 +326,7 @@ func TestChecksumCorruptionWorksWithoutRecovery(t *testing.T) {
 	if tr.CorruptionsDetected != 1 {
 		t.Fatalf("detected = %d, want 1", tr.CorruptionsDetected)
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want exactly %g", got, size)
 	}
 }

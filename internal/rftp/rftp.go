@@ -29,6 +29,14 @@
 // offset; Degraded rails keep their streams but the credit pool shifts
 // toward healthy rails in proportion to capacity; a re-probed restored
 // rail gets its streams back (failback) with no byte delivered twice.
+//
+// Item sessions (BatchTransfer) move many files or objects over one
+// session with one handshake, items queued on streams round-robin. Two
+// framings share that implementation: a file set (StartSet) pays a control
+// round trip before each file, an object window (StartBatch) frames
+// objects back to back with in-band delimiters. Every session kind builds
+// its endpoints and charges its flows through one shared cost template, so
+// the cost structure above is written once.
 package rftp
 
 import (
@@ -168,7 +176,8 @@ type Config struct {
 	// reads every payload byte once more and spends checksum cycles on a
 	// dedicated I/O thread (RDMA already guarantees link-level integrity;
 	// this guards the storage path — and it is the only layer that can
-	// catch a silent bit flip the link CRC missed).
+	// catch a silent bit flip the link CRC missed). Only Start sessions
+	// charge it; item sessions (StartSet, StartBatch) ignore it.
 	Checksum bool
 	// Placer, when non-nil and Policy is numa.PolicyAuto, manages the
 	// session's thread pinning and staging-buffer homes at runtime: every
@@ -254,6 +263,95 @@ type side struct {
 // endpoints pairs the sender and receiver sides of a stream on one rail.
 type endpoints struct {
 	snd, rcv side
+}
+
+// senderNIC returns h's NIC on link l.
+func senderNIC(l *fabric.Link, h *host.Host) (*host.Device, error) {
+	switch h {
+	case l.A.Host:
+		return l.A, nil
+	case l.B.Host:
+		return l.B, nil
+	}
+	return nil, fmt.Errorf("rftp: sender %s not on link %s", h.Name, l.Cfg.Name)
+}
+
+// newSide builds one endpoint behind nic: a process called name (bound to
+// the NIC's node under numa.PolicyBind), its network and I/O threads, and
+// the registered staging buffer, homed where the network thread runs.
+func newSide(nic *host.Device, name string, policy numa.Policy) side {
+	h := nic.Host
+	var node *numa.Node
+	if policy == numa.PolicyBind {
+		node = nic.Node
+	}
+	proc := h.NewProcess(name, policy, node)
+	net := proc.NewThread()
+	io := proc.NewThread()
+	var buf *numa.Buffer
+	if node := net.Node(); node != nil {
+		buf = h.M.NewBuffer("rftp-stage", node)
+	} else {
+		buf = h.M.InterleavedBuffer("rftp-stage")
+	}
+	return side{nic: nic, net: net, io: io, buf: buf}
+}
+
+// charge attaches the RFTP cost structure of one stream on link l to f:
+// source load, per-byte and per-block protocol CPU on both sides, control
+// bytes on the wire, zero-copy NIC DMA, sink offload, and — with checksum —
+// one more read of every byte plus checksum cycles on each I/O thread.
+// extraCPU and extraWire add per-byte protocol cycles and wire bytes on top
+// (an object window's amortized delimiter; zero for a plain stream). It is
+// a pure function of current placement state (thread pins, buffer homes),
+// so the adaptive placer can clear f.Uses and re-run it to evaluate or
+// commit an alternative layout.
+func (ep *endpoints) charge(f *fluid.Flow, l *fabric.Link, p Params, cfg Config, checksum bool,
+	src, dst pipe.Stage, extraCPU, extraWire float64) error {
+	bs := float64(cfg.BlockSize)
+	tag := "rftp"
+	// Data loading (pipelined onto a dedicated I/O thread).
+	if err := src.Attach(f, ep.snd.io, ep.snd.buf, 1, tag); err != nil {
+		return fmt.Errorf("rftp: source: %w", err)
+	}
+	// Sender protocol processing: per-byte plus per-block costs.
+	ep.snd.net.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs+extraCPU, host.CatUser)
+	if checksum {
+		ep.snd.io.ChargeMemory(f, ep.snd.buf, 1, false, host.CatUser)
+		ep.snd.io.ChargeCPU(f, p.ChecksumCyclesPerByte, host.CatUser)
+	}
+	// Zero-copy wire path.
+	ep.snd.nic.ChargeDMA(f, ep.snd.buf, 1, false, tag)
+	l.ChargeWire(f, ep.snd.nic, 1+p.CtrlBytesPerBlock/bs+extraWire, tag)
+	ep.rcv.nic.ChargeDMA(f, ep.rcv.buf, 1, true, tag)
+	// Receiver protocol processing and offload.
+	ep.rcv.net.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs+extraCPU, host.CatUser)
+	if checksum {
+		ep.rcv.io.ChargeMemory(f, ep.rcv.buf, 1, false, host.CatUser)
+		ep.rcv.io.ChargeCPU(f, p.ChecksumCyclesPerByte, host.CatUser)
+	}
+	if err := dst.Attach(f, ep.rcv.io, ep.rcv.buf, 1, tag); err != nil {
+		return fmt.Errorf("rftp: sink: %w", err)
+	}
+	return nil
+}
+
+// release retires the four threads' limiter resources from the fluid
+// network; callers guarantee no flow can charge them again.
+func (ep *endpoints) release() {
+	ep.snd.net.Release()
+	ep.snd.io.Release()
+	ep.rcv.net.Release()
+	ep.rcv.io.Release()
+}
+
+// windowCap is the credit-limited per-stream rate on link l.
+func windowCap(cfg Config, l *fabric.Link) float64 {
+	rtt := float64(l.RTT())
+	if rtt <= 0 {
+		return math.Inf(1)
+	}
+	return float64(cfg.CreditsPerStream) * float64(cfg.BlockSize) / rtt
 }
 
 // stream is one RDMA data channel.
@@ -426,39 +524,22 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	// on rail r are built from these.
 	sndNICs := make([]*host.Device, len(links))
 	for i, l := range links {
-		switch senderHost {
-		case l.A.Host:
-			sndNICs[i] = l.A
-		case l.B.Host:
-			sndNICs[i] = l.B
-		default:
-			return nil, fmt.Errorf("rftp: sender %s not on link %s", senderHost.Name, l.Cfg.Name)
+		nic, err := senderNIC(l, senderHost)
+		if err != nil {
+			return nil, err
 		}
+		sndNICs[i] = nic
 	}
 	mkSide := func(l *fabric.Link, nic *host.Device, role string, idx int) side {
-		h := nic.Host
-		var proc *host.Process
-		if cfg.Policy == numa.PolicyBind {
-			proc = h.NewProcess(fmt.Sprintf("rftp-%s/%s", role, l.Cfg.Name), numa.PolicyBind, nic.Node)
-		} else {
-			proc = h.NewProcess(fmt.Sprintf("rftp-%s/%s", role, l.Cfg.Name), cfg.Policy, nil)
-		}
-		net := proc.NewThread()
-		io := proc.NewThread()
-		var buf *numa.Buffer
-		if node := net.Node(); node != nil {
-			buf = h.M.NewBuffer("rftp-stage", node)
-		} else {
-			buf = h.M.InterleavedBuffer("rftp-stage")
-		}
+		sd := newSide(nic, fmt.Sprintf("rftp-%s/%s", role, l.Cfg.Name), cfg.Policy)
 		if pl := t.placer(); pl != nil {
 			// Each side is one placement unit: both its threads plus the
 			// registered staging buffer move together. A migration re-copies
 			// the in-flight credit window held in the stage buffer.
 			pl.AddEntity(fmt.Sprintf("rftp-%s/%s/s%d", role, l.Cfg.Name, idx),
-				h.M, []*host.Thread{net, io}, []*numa.Buffer{buf}, t.window())
+				nic.Host.M, []*host.Thread{sd.net, sd.io}, []*numa.Buffer{sd.buf}, t.window())
 		}
-		return side{nic: nic, net: net, io: io, buf: buf}
+		return sd
 	}
 
 	perStream := size
@@ -544,7 +625,7 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 // the network, so every retransmission or migration needs a fresh one.
 func (t *Transfer) buildStream(st *stream, remaining float64) (*fluid.Transfer, error) {
 	l := t.links[st.rail]
-	f := t.sim.NewFlow(fmt.Sprintf("rftp/%s/s%d", l.Cfg.Name, st.idx), t.windowCap(l))
+	f := t.sim.NewFlow(fmt.Sprintf("rftp/%s/s%d", l.Cfg.Name, st.idx), windowCap(t.Cfg, l))
 	if err := t.chargeStream(f, st, st.rail); err != nil {
 		return nil, err
 	}
@@ -567,39 +648,9 @@ func (t *Transfer) buildStream(st *stream, remaining float64) (*fluid.Transfer, 
 }
 
 // chargeStream attaches the full RFTP cost structure for st's endpoints on
-// the given rail to f. It is a pure function of current placement state
-// (thread pins, buffer homes), so the adaptive placer can clear f.Uses and
-// re-run it to evaluate or commit an alternative layout.
+// the given rail to f (see endpoints.charge).
 func (t *Transfer) chargeStream(f *fluid.Flow, st *stream, rail int) error {
-	l := t.links[rail]
-	ep := st.eps[rail]
-	p, cfg := t.P, t.Cfg
-	bs := float64(cfg.BlockSize)
-	tag := "rftp"
-	// Data loading (pipelined onto a dedicated I/O thread).
-	if err := t.src.Attach(f, ep.snd.io, ep.snd.buf, 1, tag); err != nil {
-		return fmt.Errorf("rftp: source: %w", err)
-	}
-	// Sender protocol processing: per-byte plus per-block costs.
-	ep.snd.net.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs, host.CatUser)
-	if cfg.Checksum {
-		ep.snd.io.ChargeMemory(f, ep.snd.buf, 1, false, host.CatUser)
-		ep.snd.io.ChargeCPU(f, p.ChecksumCyclesPerByte, host.CatUser)
-	}
-	// Zero-copy wire path.
-	ep.snd.nic.ChargeDMA(f, ep.snd.buf, 1, false, tag)
-	l.ChargeWire(f, ep.snd.nic, 1+p.CtrlBytesPerBlock/bs, tag)
-	ep.rcv.nic.ChargeDMA(f, ep.rcv.buf, 1, true, tag)
-	// Receiver protocol processing and offload.
-	ep.rcv.net.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs, host.CatUser)
-	if cfg.Checksum {
-		ep.rcv.io.ChargeMemory(f, ep.rcv.buf, 1, false, host.CatUser)
-		ep.rcv.io.ChargeCPU(f, p.ChecksumCyclesPerByte, host.CatUser)
-	}
-	if err := t.dst.Attach(f, ep.rcv.io, ep.rcv.buf, 1, tag); err != nil {
-		return fmt.Errorf("rftp: sink: %w", err)
-	}
-	return nil
+	return st.eps[rail].charge(f, t.links[rail], t.P, t.Cfg, t.Cfg.Checksum, t.src, t.dst, 0, 0)
 }
 
 // placer returns the adaptive placement engine when it actually applies:
@@ -715,13 +766,9 @@ func (t *Transfer) releaseEndpoints() {
 	t.released = true
 	for _, st := range t.streams {
 		for _, ep := range st.eps {
-			if ep == nil {
-				continue
+			if ep != nil {
+				ep.release()
 			}
-			ep.snd.net.Release()
-			ep.snd.io.Release()
-			ep.rcv.net.Release()
-			ep.rcv.io.Release()
 		}
 	}
 }
@@ -974,7 +1021,7 @@ func (t *Transfer) rebalanceCredits() {
 			continue
 		}
 		scale := eff(s.rail) * float64(n) / sumFrac
-		t.sim.SetDemand(s.transfer.Flow, t.windowCap(t.links[s.rail])*scale)
+		t.sim.SetDemand(s.transfer.Flow, windowCap(t.Cfg, t.links[s.rail])*scale)
 	}
 }
 
@@ -1196,15 +1243,6 @@ func (t *Transfer) teardown() {
 			t.sim.Network.RemoveFlow(s.transfer.Flow)
 		}
 	}
-}
-
-// windowCap is the credit-limited per-stream rate.
-func (t *Transfer) windowCap(l *fabric.Link) float64 {
-	rtt := float64(l.RTT())
-	if rtt <= 0 {
-		return math.Inf(1)
-	}
-	return float64(t.Cfg.CreditsPerStream) * float64(t.Cfg.BlockSize) / rtt
 }
 
 // Transferred returns total payload bytes delivered so far. Without

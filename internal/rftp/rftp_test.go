@@ -12,6 +12,11 @@ import (
 	"e2edt/internal/units"
 )
 
+// near reports whether got is within tol of want, relative to |want|.
+func near(got, want, tol float64) bool {
+	return math.Abs(got-want) <= tol*math.Abs(want)
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Streams: 0, BlockSize: units.MB, CreditsPerStream: 4},
@@ -78,7 +83,7 @@ func TestFiniteTransferCompletes(t *testing.T) {
 	if doneAt <= 0 {
 		t.Fatal("transfer never completed")
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("transferred %v of %v", got, size)
 	}
 	if tr.Finished() != doneAt {
@@ -126,7 +131,7 @@ func TestCreditWindowLimitsWAN(t *testing.T) {
 	w.Eng.RunUntil(20)
 	got := tr.Transferred() / (20 - 2*0.095)
 	want := 64 * float64(64*units.KB) / 0.095
-	if math.Abs(got-want)/want > 0.02 {
+	if !near(got, want, 0.02) {
 		t.Fatalf("credit-limited rate = %v, want %v", got, want)
 	}
 	tr.Stop()
@@ -291,7 +296,7 @@ func TestTwoSessionsShareWANFairly(t *testing.T) {
 	}
 	w.Eng.RunFor(20)
 	b1, b2 := t1.Transferred()/20, t2.Transferred()/20
-	if math.Abs(b1-b2)/b1 > 0.01 {
+	if !near(b2, b1, 0.01) {
 		t.Fatalf("unfair sharing: %v vs %v", b1, b2)
 	}
 	total := units.ToGbps(b1 + b2)
@@ -327,7 +332,7 @@ func TestStartOffsetResumesTransfer(t *testing.T) {
 	}
 	ref.Eng.Run()
 	total := refTr.Transferred()
-	if math.Abs(total-size)/size > 1e-6 {
+	if !near(total, size, 1e-6) {
 		t.Fatalf("reference moved %v of %v", total, size)
 	}
 
@@ -359,11 +364,11 @@ func TestStartOffsetResumesTransfer(t *testing.T) {
 	}
 	secondHalf := resumed.Transferred()
 	want := size - float64(int64(firstHalf))
-	if math.Abs(secondHalf-want)/size > 1e-6 {
+	if !near(secondHalf, want, 1e-6) {
 		t.Fatalf("resumed session moved %v, want %v", secondHalf, want)
 	}
 	moved := float64(int64(firstHalf)) + secondHalf
-	if math.Abs(moved-total)/size > 1e-6 {
+	if !near(moved, total, 1e-6) {
 		t.Fatalf("interrupted run moved %v total, uninterrupted moved %v", moved, total)
 	}
 }
@@ -398,7 +403,7 @@ func TestRecoverySurvivesLinkFlap(t *testing.T) {
 	if failures != 0 {
 		t.Fatalf("OnFailure fired %d times; recovery should have handled the flap", failures)
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want exactly %g", got, size)
 	}
 	if tr.Recoveries < 1 {
@@ -441,7 +446,7 @@ func TestRecoveryTransferredMonotonicExactlyOnce(t *testing.T) {
 	})
 	p.Eng.At(3, tk.Stop)
 	p.Eng.Run()
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("final delivered %g, want %g", got, size)
 	}
 }
@@ -491,7 +496,7 @@ func TestDegradedLinkSlowsWithoutRetransmit(t *testing.T) {
 		t.Fatalf("degradation should not trigger retransmission (recoveries=%d, retx=%g)",
 			tr.Recoveries, tr.Retransmitted)
 	}
-	if got := tr.Transferred(); math.Abs(got-size)/size > 1e-6 {
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
 		t.Fatalf("delivered %g, want %g", got, size)
 	}
 }

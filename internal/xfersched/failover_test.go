@@ -88,7 +88,7 @@ func TestFailoverAbsorbedWithoutRequeue(t *testing.T) {
 
 // TestWatchdogGraceCoversMigration is the regression test for the stall
 // race near the budget boundary: a double outage keeps a job's *visible*
-// (window-hidden) progress flat for longer than StallAfter+recoveryBudget
+// (window-hidden) progress flat for longer than StallAfter+RecoveryBudget
 // — the static horizon — while every individual recovery ladder stays
 // survivable. The fixed watchdog sizes its grace off the active recovery
 // kind (a migration pays probing and re-handshakes that a plain
@@ -96,7 +96,7 @@ func TestFailoverAbsorbedWithoutRequeue(t *testing.T) {
 // declared the job stalled mid-failover and threw away the attempt.
 //
 // Timeline (virtual seconds), with AckTimeout=0.1, backoff 0.05..0.1 ×24
-// (recoveryBudget=2.45) and StallAfter=0.3 → static horizon 2.75:
+// (RecoveryBudget=2.45) and StallAfter=0.3 → static horizon 2.75:
 //
 //	0.30          all three rails die; streams park, kind=failover
 //	1.00          rails restored; streams resume ≤1.11 (backoff phase)

@@ -363,12 +363,6 @@ func (c Config) WithRecovery(r core.RecoveryOptions) Config {
 	return c
 }
 
-// recoveryBudget bounds how long an RFTP transfer with in-protocol
-// recovery may legitimately show zero delivered-byte progress: the loss
-// detection window plus every backoff it is allowed to wait out. The
-// watchdog only declares such a job stalled beyond this horizon.
-func recoveryBudget(p rftp.Params) sim.Duration { return p.RecoveryBudget() }
-
 // Validate reports config errors.
 func (c Config) Validate() error {
 	switch {
@@ -836,7 +830,7 @@ func (s *Scheduler) startAttempt(j *Job, streams int, now sim.Time) {
 			// transfer its whole retry budget before the watchdog may call
 			// the job stalled, and take exhaustion reports directly instead
 			// of waiting the budget out.
-			j.stallBudget += recoveryBudget(p)
+			j.stallBudget += p.RecoveryBudget()
 			rt.OnFailure = func(t sim.Time) {
 				if j.attempt != attempt || j.State != StateRunning {
 					return
