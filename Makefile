@@ -70,10 +70,12 @@ placer-smoke:
 
 # Cluster determinism gate: 100 hosts, 500 tenants, 5% control-plane drop,
 # fixed seed, run twice inside the CLI — exits non-zero unless both traces
-# hash bit-identically (CI runs this).
+# hash bit-identically — then the same check on a 300-host fat-tree, the
+# only drive that reaches the fat-tree builder (CI runs this).
 cluster-smoke:
 	$(GO) test -race ./internal/cluster ./internal/fabric
 	$(GO) run ./cmd/xfersched -cluster -hosts 100 -ctenants 500 -drop 5 -seed 7 -replay-check
+	$(GO) run ./cmd/xfersched -cluster -hosts 300 -topology fat-tree -ctenants 3000 -replay-check
 
 # Incremental-solver gate: the oracle, differential, churn and
 # allocation tests of the fluid solver under the race detector, then ten

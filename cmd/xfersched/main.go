@@ -163,9 +163,7 @@ func main() {
 
 	opt := core.DefaultOptions()
 	opt.DatasetSize = 2 * units.GB
-	if *recover {
-		opt.Recovery = core.DefaultRecoveryOptions()
-	}
+	opt.Recovery = *recover
 	if *killRail != "" || *grayFlag != "" || *hedge {
 		*rails = true
 	}
@@ -173,18 +171,18 @@ func main() {
 		if !*recover {
 			fatal(fmt.Errorf("-rails and -kill-rail need in-protocol recovery; drop -recover=false"))
 		}
-		opt.Recovery.Rails = railmgr.DefaultPolicy()
+		opt.Rails = railmgr.DefaultPolicy()
 	}
 	if *grayFlag != "" || *hedge {
 		// Gray injection is silent: only the peer-comparison scorer (and,
 		// with -hedge, the adaptive deadline) can react to it.
-		opt.Recovery.Rails.Gray = true
+		opt.Rails.Gray = true
 	}
 	sys, err := core.NewSystem(opt)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := xfersched.DefaultConfig().WithRecovery(opt.Recovery)
+	cfg := xfersched.DefaultConfig()
 	cfg.MaxConcurrent = *concurrent
 	cfg.StreamBudget = *streams
 	cfg.RFTP.Checksum = *checksum

@@ -1,7 +1,8 @@
 // Package cluster scales the simulation from the paper's one back-end→
 // front-end path to a datacenter: N simulated hosts — each a real NUMA
-// machine with bound worker threads and rail NICs — attached to a generated
-// multi-stage fabric topology, driven by a sharded transfer control plane.
+// machine with bound worker threads and one access NIC — attached to a
+// generated multi-stage fabric topology, driven by a sharded transfer
+// control plane.
 //
 // The control plane follows xfersched's model (admission queue ordered by
 // priority/arrival, weighted fair share per tenant) but splits ownership
@@ -37,94 +38,102 @@ import (
 	"e2edt/internal/units"
 )
 
-// Config shapes the cluster: topology, per-host hardware, transfer-path
-// coefficients, and control-plane behavior.
+// Config shapes the cluster: its size, control-plane sharding, fabric
+// family, control-RPC loss and gray-failure handling. Everything else — the
+// fabric shape, per-host hardware, transfer-path coefficients and the
+// control-plane timings — is the fixed calibration below.
 type Config struct {
 	// Hosts is the number of simulated endpoint hosts.
 	Hosts int
 	// Shards is the number of control-plane shards (K ≥ 1). Host h is owned
 	// by shard h mod K.
 	Shards int
-
-	// Topology selects the fabric family; the shape fields below default to
-	// a mildly oversubscribed datacenter pod.
-	Topology     fabric.TopoKind
-	HostsPerLeaf int     // leaf-spine ports per leaf (default 32)
-	Spines       int     // leaf-spine spine count (default 4)
-	FatTreeK     int     // fat-tree arity (default: smallest even k fitting Hosts×Rails)
-	HostGbps     float64 // access-link rate (default 10)
-	UplinkGbps   float64 // switch-stage rate (default 40)
-	HostRTT      sim.Duration
-	UplinkRTT    sim.Duration
-
-	// Rails is the number of access NICs per host; rails attach to the
-	// fabric as independent ports and jobs hash across them.
-	Rails int
-
-	// Per-host hardware (small on purpose: a thousand hosts share one
-	// solver, so each host models 2×2 cores, not 2×22).
-	NUMANodes    int
-	CoresPerNode int
-	CoreHz       float64
-	MemGBps      float64 // per-node memory bandwidth
-	InterGBps    float64 // inter-socket interconnect bandwidth
-	Workers      int     // bound worker threads per host (pooled, round-robin)
-
-	// CPUPerByte is the protocol-processing cost charged on both endpoints'
-	// workers (cycles per byte).
-	CPUPerByte float64
-	// PerJobGbps caps each transfer's rate (admission reservation; also
-	// freezes flows early, which keeps the max-min solver cheap).
-	PerJobGbps float64
-	// MaxPerHost bounds concurrently admitted jobs per host per direction.
-	MaxPerHost int
-	// NoFlowClasses disables same-route job pooling: every job gets its
-	// own fluid flow, as before flow-class aggregation. Jobs whose charged
-	// resource sets coincide exactly (same tenant, shard, ECMP path and
-	// worker pair) normally share one class flow and disaggregate through
-	// per-member rates; the knob exists for the equivalence tests.
-	NoFlowClasses bool
-
-	// Control-plane model.
-	DropPct        float64      // control-RPC drop percentage (0–100)
-	CtrlDelay      sim.Duration // one-way control message delay
-	CtrlTimeout    sim.Duration // retransmit timer for reliable RPCs
-	CtrlRetries    int          // submit retries before a job is lost
-	ReconcileEvery sim.Duration // digest/adjust reconciliation interval
-
-	// Failure-domain model.
-	//
-	// Hosts heartbeat to their owning shard every HeartbeatEvery. Beats are
-	// tiny and sprayed, so the model treats the channel as reliable and
-	// represents the detector by its latency: the owner declares a host
-	// dead once MissedBeats intervals pass without a beat.
-	HeartbeatEvery sim.Duration // host heartbeat interval (default 0.5)
-	MissedBeats    int          // missed intervals before a host is declared dead (default 3)
-	// Leadership is a lease: the leader broadcasts term-stamped leases
-	// every LeaseEvery; a follower that hears nothing for LeaseTimeout
-	// enters degraded mode (adjust clamped to 1, local weighted fair share)
-	// and runs for leader after a deterministic per-shard stagger of
-	// ElectStagger × (id+1).
-	LeaseEvery   sim.Duration // leader lease broadcast interval (default 0.5)
-	LeaseTimeout sim.Duration // lease age at which a follower degrades/runs (default 2)
-	ElectStagger sim.Duration // per-shard candidacy stagger unit (default 0.5)
-	// GiveUpAfter bounds how long a queued job waits on a declared-dead
-	// destination (or an all-dead replica set) before it is marked lost, so
-	// a permanent crash cannot wedge the run (default 30).
-	GiveUpAfter sim.Duration
-
+	// Topology selects the fabric family. A leaf-spine puts 32 hosts on
+	// each leaf under 4 spines; a fat-tree takes the smallest even arity
+	// that fits Hosts.
+	Topology fabric.TopoKind
+	// DropPct is the control-RPC drop percentage (0–100).
+	DropPct float64
 	// Gray arms the host outlier scorer and the admission shed valve for
 	// limping-but-alive hosts. Off (the zero value): fully inert.
 	Gray bool
-
 	// Seed drives workload generation and RPC drops.
 	Seed int64
 }
 
-// Validate rejects configurations that previous versions silently
-// "corrected": a zero-shard control plane, a negative or certain-loss drop
-// rate, negative model durations. SetDefaults still fills zero shape
-// fields; Validate draws the line between "unset" and "wrong".
+// The fabric shape: a mildly oversubscribed datacenter pod with one access
+// NIC per host.
+const (
+	hostsPerLeaf              = 32
+	spines                    = 4
+	hostGbps                  = 10 // access-link rate
+	uplinkGbps                = 40 // switch-stage rate
+	hostRTT      sim.Duration = 20e-6
+	uplinkRTT    sim.Duration = 10e-6
+)
+
+// Per-host hardware, small on purpose: a thousand hosts share one solver,
+// so each host models 2×2 cores, not 2×22.
+const (
+	numaNodes    = 2
+	coresPerNode = 2
+	coreHz       = 2.2e9
+	memGBps      = 25 // per-node memory bandwidth
+	interGBps    = 12 // inter-socket interconnect bandwidth
+	// workersPerHost is the number of bound worker threads per host (pooled,
+	// round-robin).
+	workersPerHost = 2
+)
+
+// The transfer path and admission.
+const (
+	// cpuPerByte is the protocol-processing cost charged on both endpoints'
+	// workers (cycles per byte).
+	cpuPerByte = 0.3
+	// perJobGbps caps each transfer's rate (admission reservation; also
+	// freezes flows early, which keeps the max-min solver cheap).
+	perJobGbps = 5
+	// maxPerHost bounds concurrently admitted jobs per host per direction.
+	maxPerHost = 2
+)
+
+// The control plane. Hosts heartbeat to their owning shard every
+// heartbeatEvery; beats are tiny and sprayed, so the model treats the
+// channel as reliable and represents the detector by its latency: the
+// owner declares a host dead once missedBeats intervals pass without a
+// beat. Leadership is a lease: the leader broadcasts term-stamped leases
+// every leaseEvery; a follower that hears nothing for leaseTimeout enters
+// degraded mode (adjust clamped to 1, local weighted fair share) and runs
+// for leader after a deterministic per-shard stagger of
+// electStagger × (id+1).
+const (
+	ctrlDelay      sim.Duration = 100e-6 // one-way control message delay
+	ctrlTimeout    sim.Duration = 10e-3  // retransmit timer for reliable RPCs
+	ctrlRetries                 = 30     // submit retries before a job is lost
+	reconcileEvery sim.Duration = 0.25   // digest/adjust reconciliation interval
+	heartbeatEvery sim.Duration = 0.5
+	missedBeats                 = 3
+	leaseEvery     sim.Duration = 0.5
+	leaseTimeout   sim.Duration = 2
+	electStagger   sim.Duration = 0.5
+	// giveUpAfter bounds how long a queued job waits on a declared-dead
+	// destination (or an all-dead replica set) before it is marked lost, so
+	// a permanent crash cannot wedge the run.
+	giveUpAfter sim.Duration = 30
+)
+
+// fatTreeK returns the smallest even fat-tree arity (at least 4) whose
+// k³/4 host capacity fits hosts.
+func fatTreeK(hosts int) int {
+	k := 4
+	for k*k*k/4 < hosts {
+		k += 2
+	}
+	return k
+}
+
+// Validate rejects a configuration the cluster cannot run: no hosts, a
+// zero-shard control plane, a negative or certain-loss drop rate.
 func (c Config) Validate() error {
 	if c.Hosts <= 0 {
 		return fmt.Errorf("cluster: Hosts must be ≥ 1, got %d", c.Hosts)
@@ -135,121 +144,7 @@ func (c Config) Validate() error {
 	if c.DropPct < 0 || c.DropPct >= 100 {
 		return fmt.Errorf("cluster: DropPct must be in [0, 100), got %g", c.DropPct)
 	}
-	if c.Rails < 0 {
-		return fmt.Errorf("cluster: Rails must not be negative, got %d", c.Rails)
-	}
-	if c.CtrlRetries < 0 {
-		return fmt.Errorf("cluster: CtrlRetries must not be negative, got %d", c.CtrlRetries)
-	}
-	if c.MissedBeats < 0 {
-		return fmt.Errorf("cluster: MissedBeats must not be negative, got %d", c.MissedBeats)
-	}
-	for _, d := range []struct {
-		name string
-		v    sim.Duration
-	}{
-		{"HostRTT", c.HostRTT}, {"UplinkRTT", c.UplinkRTT},
-		{"CtrlDelay", c.CtrlDelay}, {"CtrlTimeout", c.CtrlTimeout},
-		{"ReconcileEvery", c.ReconcileEvery}, {"HeartbeatEvery", c.HeartbeatEvery},
-		{"LeaseEvery", c.LeaseEvery}, {"LeaseTimeout", c.LeaseTimeout},
-		{"ElectStagger", c.ElectStagger}, {"GiveUpAfter", c.GiveUpAfter},
-	} {
-		if d.v < 0 {
-			return fmt.Errorf("cluster: %s must not be negative, got %g", d.name, float64(d.v))
-		}
-	}
 	return nil
-}
-
-// SetDefaults fills zero fields with the standard cluster profile. It does
-// not repair invalid values — Validate rejects those.
-func (c *Config) SetDefaults() {
-	if c.HostsPerLeaf <= 0 {
-		c.HostsPerLeaf = 32
-	}
-	if c.Spines <= 0 {
-		c.Spines = 4
-	}
-	if c.HostGbps <= 0 {
-		c.HostGbps = 10
-	}
-	if c.UplinkGbps <= 0 {
-		c.UplinkGbps = 40
-	}
-	if c.HostRTT <= 0 {
-		c.HostRTT = 20e-6
-	}
-	if c.UplinkRTT <= 0 {
-		c.UplinkRTT = 10e-6
-	}
-	if c.Rails <= 0 {
-		c.Rails = 1
-	}
-	if c.FatTreeK <= 0 {
-		ports := c.Hosts * c.Rails
-		k := 4
-		for k*k*k/4 < ports {
-			k += 2
-		}
-		c.FatTreeK = k
-	}
-	if c.NUMANodes <= 0 {
-		c.NUMANodes = 2
-	}
-	if c.CoresPerNode <= 0 {
-		c.CoresPerNode = 2
-	}
-	if c.CoreHz <= 0 {
-		c.CoreHz = 2.2e9
-	}
-	if c.MemGBps <= 0 {
-		c.MemGBps = 25
-	}
-	if c.InterGBps <= 0 {
-		c.InterGBps = 12
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.CPUPerByte <= 0 {
-		c.CPUPerByte = 0.3
-	}
-	if c.PerJobGbps <= 0 {
-		c.PerJobGbps = 5
-	}
-	if c.MaxPerHost <= 0 {
-		c.MaxPerHost = 2
-	}
-	if c.CtrlDelay <= 0 {
-		c.CtrlDelay = 100e-6
-	}
-	if c.CtrlTimeout <= 0 {
-		c.CtrlTimeout = 10e-3
-	}
-	if c.CtrlRetries <= 0 {
-		c.CtrlRetries = 30
-	}
-	if c.ReconcileEvery <= 0 {
-		c.ReconcileEvery = 0.25
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 0.5
-	}
-	if c.MissedBeats <= 0 {
-		c.MissedBeats = 3
-	}
-	if c.LeaseEvery <= 0 {
-		c.LeaseEvery = 0.5
-	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 2
-	}
-	if c.ElectStagger <= 0 {
-		c.ElectStagger = 0.5
-	}
-	if c.GiveUpAfter <= 0 {
-		c.GiveUpAfter = 30
-	}
 }
 
 // hostNode is one simulated endpoint: a NUMA host, its pooled worker
@@ -386,7 +281,24 @@ type Cluster struct {
 	firstHostSus sim.Time
 	grayT        *sim.Ticker
 
-	// Control-plane tallies (ints, not instruments: they feed the report).
+	// noFlowClasses disables same-route job pooling: every job gets its
+	// own fluid flow. Jobs whose charged resource sets coincide exactly
+	// (same tenant, shard, ECMP path and worker pair) normally share one
+	// class flow and disaggregate through per-member rates; the unpooled
+	// path is the reference the pooling equivalence test compares against.
+	noFlowClasses bool
+
+	// Tally counts what the run did; Report carries a copy.
+	Tally
+}
+
+// Tally counts a cluster run's control-plane, failure-plane, gray-plane and
+// locality outcomes. Cluster accumulates it during the run and Report
+// embeds a copy, so c.CtrlDrops and c.Report().CtrlDrops name one count.
+// The counts are plain ints, not instruments, because they feed the report
+// and the final trace lines.
+type Tally struct {
+	// Control-plane health.
 	CtrlDrops   int
 	CtrlResends int
 	JobsLost    int
@@ -394,29 +306,31 @@ type Cluster struct {
 	Adjusts     int
 	PooledJoins int // jobs that attached to an existing flow class
 
-	// Failure-plane tallies.
-	HostFails     int // crash-stop events
-	HostRestores  int // cold restarts
-	DeadDeclared  int // owner detector declarations
-	JobsRequeued  int // running jobs pulled back to a queue (all causes)
-	Reroutes      int // requeues caused by dead fabric links
-	VoidedJobs    int // completions voided because the destination had died
-	Elections     int // successful leader elections
-	Adoptions     int // orphaned-shard takeovers
-	StaleLeases   int // lease messages rejected by term/id ordering
-	StaleAdjusts  int // adjust broadcasts rejected as stale
-	DegradedIn    int // degraded-mode entries
-	DegradedOut   int // degraded-mode exits
-	PartDrops     int // control messages severed by a partition
-	CtrlFailCount int // controller crash-stops
+	// Failure-plane outcomes.
+	HostFails    int // crash-stop events
+	HostRestores int // cold restarts
+	DeadDeclared int // owner detector declarations
+	JobsRequeued int // running jobs pulled back to a queue (all causes)
+	Reroutes     int // requeues caused by dead fabric links
+	VoidedJobs   int // completions voided because the destination had died
+	Elections    int // successful leader elections
+	Adoptions    int // orphaned-shard takeovers
+	StaleLeases  int // lease messages rejected by term/id ordering
+	StaleAdjusts int // adjust broadcasts rejected as stale
+	DegradedIn   int // degraded-mode entries
+	DegradedOut  int // degraded-mode exits
+	PartDrops    int // control messages severed by a partition
+	CtrlFails    int // controller crash-stops
 
-	// Gray-plane tallies.
+	// Gray-plane outcomes.
 	HostLimps    int // limp-mode entries (LimpHost with factor < 1)
 	HostSuspects int // scorer suspect verdicts
 	HostClears   int // scorer exonerations
 	Shed         int // jobs held at least once by the shed valve
 
-	// Locality outcome histogram (index localitySame..localityCore).
+	// Locality counts admitted jobs by where their replica sat relative to
+	// the destination: on the host itself, its leaf, its pod, or across the
+	// core (index localitySame..localityCore).
 	Locality [4]int
 }
 
@@ -435,10 +349,14 @@ const (
 // New assembles hosts, fabric, and shards. The workload is attached with
 // Submit or by the Generate helper; Run drains everything.
 func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
+	return newCluster(eng, cfg, workersPerHost)
+}
+
+// newCluster is New with the per-host worker count as a parameter.
+func newCluster(eng *sim.Engine, cfg Config, workers int) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.SetDefaults()
 	c := &Cluster{
 		Cfg:         cfg,
 		Eng:         eng,
@@ -452,36 +370,29 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	// control-RPC delivery events per virtual second, all within a couple
 	// of control-plane periods of "now". Park them in a timer wheel sized
 	// to cover those periods; the heap keeps only sparse far-future events
-	// (lease grace, GiveUpAfter).
-	if slot := cfg.HeartbeatEvery / 256; slot > 0 {
-		if slot < cfg.CtrlDelay {
-			slot = cfg.CtrlDelay
-		}
-		eng.EnableTimerWheel(slot, 1024)
-	}
-	ports := make([]fabric.Endpoint, 0, cfg.Hosts*cfg.Rails)
+	// (lease grace, giveUpAfter).
+	eng.EnableTimerWheel(heartbeatEvery/256, 1024)
+	// Host h's one access NIC is fabric port h, homed on node 0.
+	ports := make([]fabric.Endpoint, 0, cfg.Hosts)
 	for i := 0; i < cfg.Hosts; i++ {
-		hn, err := c.newHost(i)
+		hn, err := c.newHost(i, workers)
 		if err != nil {
 			return nil, err
 		}
 		c.hosts = append(c.hosts, hn)
-		for r := 0; r < cfg.Rails; r++ {
-			node := hn.h.M.Node(r % cfg.NUMANodes)
-			ports = append(ports, fabric.Endpoint{Host: hn.h, Node: node})
-		}
+		ports = append(ports, fabric.Endpoint{Host: hn.h, Node: hn.h.M.Node(0)})
 	}
 	tc := fabric.TopoConfig{
 		Kind: cfg.Topology,
 		HostLink: fabric.Config{
-			Rate: units.FromGbps(cfg.HostGbps),
-			RTT:  cfg.HostRTT,
+			Rate: units.FromGbps(hostGbps),
+			RTT:  hostRTT,
 		},
-		HostsPerLeaf: cfg.HostsPerLeaf,
-		Spines:       cfg.Spines,
-		K:            cfg.FatTreeK,
-		UplinkRate:   units.FromGbps(cfg.UplinkGbps),
-		UplinkRTT:    cfg.UplinkRTT,
+		HostsPerLeaf: hostsPerLeaf,
+		Spines:       spines,
+		K:            fatTreeK(cfg.Hosts),
+		UplinkRate:   units.FromGbps(uplinkGbps),
+		UplinkRTT:    uplinkRTT,
 	}
 	topo, err := fabric.BuildTopology(c.FSim, tc, ports)
 	if err != nil {
@@ -526,16 +437,15 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 }
 
 // newHost builds endpoint host i: machine, pooled workers, counters.
-func (c *Cluster) newHost(i int) (*hostNode, error) {
-	cfg := c.Cfg
+func (c *Cluster) newHost(i, workers int) (*hostNode, error) {
 	name := fmt.Sprintf("host%04d", i)
 	m, err := numa.New(c.FSim, numa.Config{
 		Name:                  name,
-		Nodes:                 cfg.NUMANodes,
-		CoresPerNode:          cfg.CoresPerNode,
-		CoreHz:                cfg.CoreHz,
-		MemBandwidthPerNode:   cfg.MemGBps * 1e9,
-		InterconnectBandwidth: cfg.InterGBps * 1e9,
+		Nodes:                 numaNodes,
+		CoresPerNode:          coresPerNode,
+		CoreHz:                coreHz,
+		MemBandwidthPerNode:   memGBps * 1e9,
+		InterconnectBandwidth: interGBps * 1e9,
 		RemoteAccessPenalty:   1.2,
 		CoherencyWritePenalty: 1.3,
 		MemBytes:              16 * units.GB,
@@ -545,7 +455,7 @@ func (c *Cluster) newHost(i int) (*hostNode, error) {
 	}
 	hn := &hostNode{id: i, h: host.New(name, m)}
 	proc := hn.h.NewProcess("xfer", numa.PolicyBind, nil)
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		// One bound process per worker spreads workers round-robin over
 		// nodes (PolicyBind + nil node), matching the paper's
 		// numactl-per-node deployment.
@@ -563,9 +473,6 @@ func (c *Cluster) newHost(i int) (*hostNode, error) {
 	return hn, nil
 }
 
-// port returns the fabric port index for host h, rail r.
-func (c *Cluster) port(h, rail int) int { return h*c.Cfg.Rails + rail }
-
 // owner returns the shard currently owning host h. Ownership starts at
 // h mod K and moves when a dead controller's hosts are adopted.
 func (c *Cluster) owner(h int) *shard { return c.shards[c.ownerOf[h]] }
@@ -579,7 +486,7 @@ func (c *Cluster) severed(a, b int) bool {
 
 // sendCtrl delivers fn to shard `to` over the lossy control plane: severed
 // partitions and dead controllers drop the message, the seeded loss coin
-// may drop it, and survivors arrive after CtrlDelay. Reports acceptance.
+// may drop it, and survivors arrive after ctrlDelay. Reports acceptance.
 func (c *Cluster) sendCtrl(from, to *shard, fn func()) bool {
 	if !to.alive {
 		return false
@@ -592,7 +499,7 @@ func (c *Cluster) sendCtrl(from, to *shard, fn func()) bool {
 		c.CtrlDrops++
 		return false
 	}
-	c.Eng.Schedule(c.Cfg.CtrlDelay, fn)
+	c.Eng.Schedule(ctrlDelay, fn)
 	return true
 }
 
@@ -634,7 +541,7 @@ func (c *Cluster) Submit(at sim.Time, tenantID, dataset, dst int, size float64, 
 
 // submitRPC attempts delivery of j's submit message to its owning shard,
 // retrying on (seeded) drops — and on a crashed controller, which answers
-// nothing — until CtrlRetries is exhausted. Ownership is re-resolved on
+// nothing — until ctrlRetries is exhausted. Ownership is re-resolved on
 // every retry, so submissions ride out a failover if their retry budget
 // outlives the orphan window.
 func (c *Cluster) submitRPC(j *job) {
@@ -645,7 +552,7 @@ func (c *Cluster) submitRPC(j *job) {
 		if sh.alive {
 			c.CtrlDrops++
 		}
-		if j.retries >= c.Cfg.CtrlRetries {
+		if j.retries >= ctrlRetries {
 			j.state = jobLost
 			c.JobsLost++
 			if c.OnJobLost != nil {
@@ -657,10 +564,10 @@ func (c *Cluster) submitRPC(j *job) {
 		}
 		j.retries++
 		c.CtrlResends++
-		c.Eng.Schedule(c.Cfg.CtrlTimeout, func() { c.submitRPC(j) })
+		c.Eng.Schedule(ctrlTimeout, func() { c.submitRPC(j) })
 		return
 	}
-	c.Eng.Schedule(c.Cfg.CtrlDelay, func() {
+	c.Eng.Schedule(ctrlDelay, func() {
 		j.submit = c.Eng.Now()
 		// Ownership may have moved between send and delivery.
 		c.owner(j.dst).enqueue(j)
@@ -682,11 +589,10 @@ func (c *Cluster) locality(src, dst int) int {
 	if src == dst {
 		return localitySame
 	}
-	sp, dp := c.port(src, 0), c.port(dst, 0)
-	if c.Topo.SameLeaf(sp, dp) {
+	if c.Topo.SameLeaf(src, dst) {
 		return localityLeaf
 	}
-	if c.Topo.PodIndex(sp) == c.Topo.PodIndex(dp) {
+	if c.Topo.PodIndex(src) == c.Topo.PodIndex(dst) {
 		return localityPod
 	}
 	return localityCore
@@ -758,28 +664,26 @@ func (c *Cluster) start(j *job, sh *shard) {
 	src, dst := c.hosts[j.src], c.hosts[j.dst]
 	srcT, srcBuf := src.worker()
 	dstT, dstBuf := dst.worker()
-	f := c.FSim.NewFlow(fmt.Sprintf("job%06d", j.id), units.FromGbps(c.Cfg.PerJobGbps))
+	f := c.FSim.NewFlow(fmt.Sprintf("job%06d", j.id), units.FromGbps(perJobGbps))
 	j.flow = f
 	loc := c.locality(j.src, j.dst)
 	c.Locality[loc]++
 	if loc == localitySame {
 		// Replica already on the destination host: a local NUMA copy.
-		dstT.ChargeCopy(f, srcBuf, dstBuf, 1, c.Cfg.CPUPerByte, host.CatCopy)
+		dstT.ChargeCopy(f, srcBuf, dstBuf, 1, cpuPerByte, host.CatCopy)
 		j.hops = nil
 	} else {
-		rail := int(uint64(j.id) % uint64(c.Cfg.Rails))
-		sp, dp := c.port(j.src, rail), c.port(j.dst, rail)
-		hops := c.Topo.Route(sp, dp, uint64(j.id))
+		hops := c.Topo.Route(j.src, j.dst, uint64(j.id))
 		j.hops = hops
 		fabric.ChargeRoute(f, hops, 1, "wire")
-		srcT.ChargeCPU(f, c.Cfg.CPUPerByte, host.CatUser)
+		srcT.ChargeCPU(f, cpuPerByte, host.CatUser)
 		srcT.ChargeMemory(f, srcBuf, 1, false, host.CatUser)
-		c.Topo.PortLinks[sp].A.ChargeDMA(f, srcBuf, 1, false, "dma")
-		dstT.ChargeCPU(f, c.Cfg.CPUPerByte, host.CatUser)
+		c.Topo.PortLinks[j.src].A.ChargeDMA(f, srcBuf, 1, false, "dma")
+		dstT.ChargeCPU(f, cpuPerByte, host.CatUser)
 		dstT.ChargeMemory(f, dstBuf, 1, true, host.CatUser)
-		c.Topo.PortLinks[dp].A.ChargeDMA(f, dstBuf, 1, true, "dma")
+		c.Topo.PortLinks[j.dst].A.ChargeDMA(f, dstBuf, 1, true, "dma")
 	}
-	if !c.Cfg.NoFlowClasses {
+	if !c.noFlowClasses {
 		sig := classSig(sh.id, j.tenant, f.Uses)
 		ent, ok := c.classes[sig]
 		if ok && !c.FSim.Network.Registered(ent.flow) {

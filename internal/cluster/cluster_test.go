@@ -39,7 +39,6 @@ func smallCfg(hosts, shards int, seed int64) (Config, WorkloadConfig) {
 		Tenants: 5 * hosts,
 		Jobs:    10 * hosts,
 		Seed:    seed,
-		Window:  20,
 	}
 	return cfg, wcfg
 }
@@ -79,7 +78,7 @@ func TestClusterDeterminism1000Hosts(t *testing.T) {
 		t.Skip("1000-host pair skipped in short mode")
 	}
 	cfg := Config{Hosts: 1000, Shards: 8, DropPct: 5, Seed: 42}
-	wcfg := WorkloadConfig{Tenants: 2000, Jobs: 3000, Seed: 42, Window: 30}
+	wcfg := WorkloadConfig{Tenants: 2000, Jobs: 3000, Seed: 42}
 	sum1, n1, rep1 := runHashed(t, cfg, wcfg)
 	sum2, _, _ := runHashed(t, cfg, wcfg)
 	if sum1 != sum2 {
@@ -138,11 +137,11 @@ func TestClusterLocalityPrefersNearReplica(t *testing.T) {
 	c.Submit(0, 0, d, 6, float64(units.MB), 0) // same leaf as host 5
 	c.Run()
 	rep := c.Report()
-	if rep.LocalSame != 1 {
-		t.Fatalf("LocalSame = %d, want 1", rep.LocalSame)
+	if got := rep.Locality[localitySame]; got != 1 {
+		t.Fatalf("same-host locality = %d, want 1", got)
 	}
-	if rep.LocalLeaf != 1 {
-		t.Fatalf("LocalLeaf = %d, want 1 (host 6 should read from host 5's leaf)", rep.LocalLeaf)
+	if got := rep.Locality[localityLeaf]; got != 1 {
+		t.Fatalf("same-leaf locality = %d, want 1 (host 6 should read from host 5's leaf)", got)
 	}
 }
 
@@ -196,5 +195,24 @@ func TestClusterFatTreeTopology(t *testing.T) {
 	}
 	if rep.DeliveredBytes <= 0 {
 		t.Fatal("fat-tree cluster did no work")
+	}
+}
+
+// TestGenerateMinBytesAboveDefaultMax: a MinBytes above the 512 MB default
+// with MaxBytes unset must not draw sizes below MinBytes (the default
+// maximum rises to MinBytes).
+func TestGenerateMinBytesAboveDefaultMax(t *testing.T) {
+	c, err := New(sim.NewEngine(), Config{Hosts: 4, Shards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := float64(units.GB)
+	if err := Generate(c, WorkloadConfig{Tenants: 2, Jobs: 50, MinBytes: lo}); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range c.jobs {
+		if j.size < lo {
+			t.Fatalf("job %d drew %.0f bytes, below MinBytes %.0f", j.id, j.size, lo)
+		}
 	}
 }

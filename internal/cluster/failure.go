@@ -8,9 +8,9 @@ package cluster
 // timeline stays bit-replayable.
 //
 // The split between physical truth and the control plane's view is the
-// organizing idea: FailHost flips hostDown and darkens the access links at
+// organizing idea: FailHost flips hostDown and darkens the access link at
 // the fault instant (flows stall immediately — physics), while the owning
-// shard only declares the host dead after MissedBeats heartbeat intervals
+// shard only declares the host dead after missedBeats heartbeat intervals
 // (detection latency — protocol). Everything recovery does hangs off the
 // declared view, never the physical one.
 
@@ -21,7 +21,7 @@ import (
 	"e2edt/internal/fabric"
 )
 
-// FailHost crash-stops host id: its access links go dark (in-flight flows
+// FailHost crash-stops host id: its access link goes dark (in-flight flows
 // stall physically), its staging memory is lost, and it stops
 // heartbeating. Implements faults.Sink.
 func (c *Cluster) FailHost(id int) {
@@ -35,12 +35,10 @@ func (c *Cluster) FailHost(id int) {
 	c.crashedAt[id] = c.Eng.Now()
 	c.HostFails++
 	c.Eng.Tracef("cluster", "host %d crash-stops", id)
-	for r := 0; r < c.Cfg.Rails; r++ {
-		c.Topo.PortLinks[c.port(id, r)].Fail()
-	}
+	c.Topo.PortLinks[id].Fail()
 }
 
-// RestoreHost cold-restarts a crashed host: links come back, but anything
+// RestoreHost cold-restarts a crashed host: its link comes back, but anything
 // staged before the crash is gone (requeued jobs already zeroed their
 // checkpoints). The owner readmits the host when its first post-restart
 // heartbeat lands. Implements faults.Sink.
@@ -55,11 +53,9 @@ func (c *Cluster) RestoreHost(id int) {
 	c.crashedAt[id] = -1
 	c.HostRestores++
 	c.Eng.Tracef("cluster", "host %d restarts cold", id)
-	for r := 0; r < c.Cfg.Rails; r++ {
-		c.Topo.PortLinks[c.port(id, r)].Restore()
-	}
+	c.Topo.PortLinks[id].Restore()
 	if c.deadDeclared[id] {
-		c.Eng.Schedule(c.Cfg.HeartbeatEvery, func() {
+		c.Eng.Schedule(heartbeatEvery, func() {
 			if c.done || c.hostDown[id] || !c.deadDeclared[id] {
 				return
 			}
@@ -118,9 +114,9 @@ func (c *Cluster) FailController(k int) {
 	}
 	sh.alive = false
 	sh.stop()
-	c.CtrlFailCount++
+	c.CtrlFails++
 	c.Eng.Tracef("cluster", "shard controller %d crash-stops (leader=%v term=%d)", k, sh.isLeader, sh.term)
-	c.Eng.Schedule(c.Cfg.LeaseTimeout, func() { c.adoptOrphans(k) })
+	c.Eng.Schedule(leaseTimeout, func() { c.adoptOrphans(k) })
 }
 
 // adoptOrphans moves a dead controller's hosts, queue, running set, and
@@ -220,8 +216,7 @@ func (c *Cluster) rerouteAround(l *fabric.Link) {
 				i++
 				continue
 			}
-			rail := int(uint64(j.id) % uint64(c.Cfg.Rails))
-			fresh := c.Topo.Route(c.port(j.src, rail), c.port(j.dst, rail), uint64(j.id))
+			fresh := c.Topo.Route(j.src, j.dst, uint64(j.id))
 			if routeDead(fresh) {
 				i++
 				continue

@@ -161,10 +161,10 @@ func TestDestinationCrashRestartsFromZero(t *testing.T) {
 }
 
 // TestPermanentDeadDestinationGivesUp: a destination that never comes back
-// must not wedge the run — past GiveUpAfter the job is honestly lost.
+// must not wedge the run — past giveUpAfter the job is honestly lost.
 func TestPermanentDeadDestinationGivesUp(t *testing.T) {
 	eng := sim.NewEngine()
-	c, err := New(eng, Config{Hosts: 8, Shards: 2, Seed: 3, GiveUpAfter: 2})
+	c, err := New(eng, Config{Hosts: 8, Shards: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func runChaosHashed(t *testing.T, hosts, shards int, seed int64, build func(*Pla
 		t.Fatal(err)
 	}
 	if err := Generate(c, WorkloadConfig{
-		Tenants: 2 * hosts, Jobs: 5 * hosts, Seed: seed, Window: 15,
+		Tenants: 2 * hosts, Jobs: 5 * hosts, Seed: seed,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestLeaderKillElectsSuccessorAndAdopts(t *testing.T) {
 	_, c := runChaosHashed(t, 12, 3, 5, func(p *Plan) {
 		p.KillController(0, 1)
 	})
-	if c.CtrlFailCount != 1 || c.Adoptions != 1 {
-		t.Fatalf("adoption path: fails=%d adoptions=%d", c.CtrlFailCount, c.Adoptions)
+	if c.CtrlFails != 1 || c.Adoptions != 1 {
+		t.Fatalf("adoption path: fails=%d adoptions=%d", c.CtrlFails, c.Adoptions)
 	}
 	if c.Elections < 1 {
 		t.Fatalf("leader death triggered no election")
@@ -249,7 +249,7 @@ func TestPartitionDegradesAndConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Generate(c, WorkloadConfig{Tenants: 16, Jobs: 120, Seed: 7, Window: 15}); err != nil {
+	if err := Generate(c, WorkloadConfig{Tenants: 16, Jobs: 120, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	plan := &faults.Plan{}
@@ -315,9 +315,9 @@ func TestChaosDeterminism20Seeds(t *testing.T) {
 				c1.JobsLost != c2.JobsLost {
 				t.Fatalf("seed %d: failure counters diverged between identical runs", seed)
 			}
-			if c1.HostFails != 1 || c1.CtrlFailCount != 1 {
+			if c1.HostFails != 1 || c1.CtrlFails != 1 {
 				t.Fatalf("seed %d: plan not applied: fails=%d ctrl=%d",
-					seed, c1.HostFails, c1.CtrlFailCount)
+					seed, c1.HostFails, c1.CtrlFails)
 			}
 			if err := c1.VerifyExactlyOnce(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

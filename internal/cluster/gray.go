@@ -23,7 +23,7 @@ const (
 	// shedBelow is the admission priority floor while any host is under a
 	// gray verdict: queued jobs with priority < shedBelow are held — shed —
 	// until the cohort is healthy again, or until they have waited past
-	// GiveUpAfter (shedding defers work, it never starves it). The lowest
+	// giveUpAfter (shedding defers work, it never starves it). The lowest
 	// service class sheds first.
 	shedBelow = 1
 )
@@ -135,14 +135,14 @@ func (c *Cluster) scoreHosts(now sim.Time) {
 
 // shedHeld reports whether the valve holds job j this admission pass, and
 // counts each job's first shed exactly once. A job that has already waited
-// past GiveUpAfter passes the valve regardless: shedding trades latency for
+// past giveUpAfter passes the valve regardless: shedding trades latency for
 // headroom, it never becomes starvation.
 func (s *shard) shedHeld(j *job) bool {
 	c := s.c
 	if !c.Cfg.Gray || !c.shedding || j.priority >= shedBelow {
 		return false
 	}
-	if c.Eng.Now()-j.submit > sim.Time(c.Cfg.GiveUpAfter) {
+	if c.Eng.Now()-j.submit > sim.Time(giveUpAfter) {
 		return false
 	}
 	if !j.shed {

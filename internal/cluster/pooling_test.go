@@ -48,21 +48,18 @@ func TestApplyWeightEmptyTenantRace(t *testing.T) {
 }
 
 // runPooled drives a directed single-route workload — one tenant, one
-// replica host, one destination, one rail, one spine, one worker — so every
-// concurrently admitted job charges the identical resource set.
+// replica host, one destination on the same leaf, one worker per host — so
+// every concurrently admitted job charges the identical resource set.
 func runPooled(t *testing.T, noClasses bool) (string, Report, int) {
 	t.Helper()
 	eng := sim.NewEngine()
 	h := trace.NewHasher()
 	eng.SetTracer(h)
-	c, err := New(eng, Config{
-		Hosts: 4, Shards: 2, Seed: 11,
-		Spines: 1, Rails: 1, Workers: 1,
-		NoFlowClasses: noClasses,
-	})
+	c, err := newCluster(eng, Config{Hosts: 4, Shards: 2, Seed: 11}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.noFlowClasses = noClasses
 	c.AddTenants(1)
 	d := c.AddDataset([]int{0})
 	for i := 0; i < 24; i++ {
@@ -75,7 +72,7 @@ func runPooled(t *testing.T, noClasses bool) (string, Report, int) {
 // TestFlowClassPoolingEquivalence: pooling same-route jobs into flow
 // classes must not change what the cluster computes — same delivered bytes,
 // no losses, near-identical makespan — while actually engaging (the pooled
-// run joins existing classes; the knob run never does). Both modes must
+// run joins existing classes; the unpooled run never does). Both modes must
 // stay replay-deterministic.
 func TestFlowClassPoolingEquivalence(t *testing.T) {
 	sumP1, repP, joins := runPooled(t, false)
@@ -89,7 +86,7 @@ func TestFlowClassPoolingEquivalence(t *testing.T) {
 		t.Fatal("directed single-route workload never pooled a job")
 	}
 	if joinsOff != 0 {
-		t.Fatalf("NoFlowClasses run recorded %d pooled joins", joinsOff)
+		t.Fatalf("unpooled run recorded %d pooled joins", joinsOff)
 	}
 	if repP.JobsLost != 0 || repU.JobsLost != 0 {
 		t.Fatalf("lossless runs lost jobs: %d pooled, %d unpooled",

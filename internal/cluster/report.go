@@ -23,25 +23,8 @@ type Report struct {
 	Decisions                    uint64
 	DecisionP50us, DecisionP99us float64
 
-	// Control-plane health.
-	CtrlDrops, CtrlResends, JobsLost int
-	Digests, Adjusts                 int
-
-	// Failure-plane outcomes.
-	HostFails, HostRestores, DeadDeclared int
-	JobsRequeued, Reroutes, VoidedJobs    int
-	Elections, Adoptions                  int
-	StaleLeases, StaleAdjusts             int
-	DegradedIn, DegradedOut               int
-	PartDrops, CtrlFails                  int
-
-	// Gray-plane outcomes: limp-mode entries, scorer verdicts in each
-	// direction, and jobs held by the admission shed valve.
-	HostLimps, HostSuspects, HostClears, Shed int
-
-	// Locality outcomes: how many admitted jobs read a replica on the
-	// destination host / leaf / pod / across the core.
-	LocalSame, LocalLeaf, LocalPod, LocalCore int
+	// Tally is the run's outcome counts, copied from the cluster.
+	Tally
 
 	// PerShard carries per-shard admission counts (index = shard id).
 	PerShard []int
@@ -61,33 +44,7 @@ func (c *Cluster) Report() Report {
 		Decisions:      c.DecisionLat.Count(),
 		DecisionP50us:  c.DecisionLat.Quantile(0.50),
 		DecisionP99us:  c.DecisionLat.Quantile(0.99),
-		CtrlDrops:      c.CtrlDrops,
-		CtrlResends:    c.CtrlResends,
-		JobsLost:       c.JobsLost,
-		Digests:        c.Digests,
-		Adjusts:        c.Adjusts,
-		HostFails:      c.HostFails,
-		HostRestores:   c.HostRestores,
-		DeadDeclared:   c.DeadDeclared,
-		JobsRequeued:   c.JobsRequeued,
-		Reroutes:       c.Reroutes,
-		VoidedJobs:     c.VoidedJobs,
-		Elections:      c.Elections,
-		Adoptions:      c.Adoptions,
-		StaleLeases:    c.StaleLeases,
-		StaleAdjusts:   c.StaleAdjusts,
-		DegradedIn:     c.DegradedIn,
-		DegradedOut:    c.DegradedOut,
-		PartDrops:      c.PartDrops,
-		CtrlFails:      c.CtrlFailCount,
-		HostLimps:      c.HostLimps,
-		HostSuspects:   c.HostSuspects,
-		HostClears:     c.HostClears,
-		Shed:           c.Shed,
-		LocalSame:      c.Locality[localitySame],
-		LocalLeaf:      c.Locality[localityLeaf],
-		LocalPod:       c.Locality[localityPod],
-		LocalCore:      c.Locality[localityCore],
+		Tally:          c.Tally,
 	}
 	if elapsed > 0 {
 		r.AggregateGoodputGbps = units.ToGbps(delivered / elapsed)
@@ -130,6 +87,6 @@ func (r Report) Table() *metrics.Table {
 		t.AddRow("jobs shed", fmt.Sprintf("%d", r.Shed))
 	}
 	t.AddRow("locality same/leaf/pod/core", fmt.Sprintf("%d / %d / %d / %d",
-		r.LocalSame, r.LocalLeaf, r.LocalPod, r.LocalCore))
+		r.Locality[localitySame], r.Locality[localityLeaf], r.Locality[localityPod], r.Locality[localityCore]))
 	return t
 }

@@ -18,7 +18,7 @@ import (
 // term-stamped leases; every control message that carries authority (lease,
 // adjust) is accepted only if its term beats the receiver's view — higher
 // term wins, equal terms go to the lower shard id, anything else is
-// rejected as stale. A follower whose lease goes silent past LeaseTimeout
+// rejected as stale. A follower whose lease goes silent past leaseTimeout
 // clamps its adjust factors to 1 (degraded mode: local weighted fair share
 // only) and runs for leader after a deterministic stagger, so exactly one
 // successor emerges per connected component without randomness.
@@ -86,7 +86,7 @@ func (s *shard) growTenants(n int) {
 // offset by half an interval so digests land first, and a fast scan that
 // drives failure detection, lease checks, and re-admission.
 func (s *shard) startTickers() {
-	every := s.c.Cfg.ReconcileEvery
+	every := reconcileEvery
 	s.digestT = s.c.Eng.NewTicker(every, func(sim.Time) { s.pushDigest() })
 	if s.isLeader {
 		s.c.Eng.Schedule(every/2, func() {
@@ -103,9 +103,8 @@ func (s *shard) startTickers() {
 // startLeaderDuties arms the lease and reconcile tickers on a (newly)
 // leading shard.
 func (s *shard) startLeaderDuties() {
-	every := s.c.Cfg.ReconcileEvery
-	s.adjustT = s.c.Eng.NewTicker(every, func(sim.Time) { s.reconcile() })
-	s.leaseT = s.c.Eng.NewTicker(s.c.Cfg.LeaseEvery, func(sim.Time) { s.pushLease() })
+	s.adjustT = s.c.Eng.NewTicker(reconcileEvery, func(sim.Time) { s.reconcile() })
+	s.leaseT = s.c.Eng.NewTicker(leaseEvery, func(sim.Time) { s.pushLease() })
 }
 
 // stopLeaderDuties disarms them on step-down.
@@ -149,12 +148,12 @@ func (s *shard) scan() {
 }
 
 // detectDeadHosts declares owned hosts dead once their heartbeats have
-// been silent for MissedBeats intervals. The declaration — not the crash —
+// been silent for missedBeats intervals. The declaration — not the crash —
 // is what recovery keys off.
 func (s *shard) detectDeadHosts() {
 	c := s.c
 	now := c.Eng.Now()
-	wait := sim.Time(float64(c.Cfg.HeartbeatEvery) * float64(c.Cfg.MissedBeats))
+	const wait = sim.Time(heartbeatEvery * missedBeats)
 	for h := range c.hosts {
 		if c.ownerOf[h] != s.id || c.deadDeclared[h] || !c.hostDown[h] {
 			continue
@@ -164,7 +163,7 @@ func (s *shard) detectDeadHosts() {
 			c.declaredAt[h] = now
 			c.DeadDeclared++
 			c.Eng.Tracef("cluster", "shard %d declares host %d dead (%d beats missed)",
-				s.id, h, c.Cfg.MissedBeats)
+				s.id, h, missedBeats)
 		}
 	}
 }
@@ -222,16 +221,16 @@ func (s *shard) removeRunning(j *job) {
 	}
 }
 
-// checkLease notices a silent leader: past LeaseTimeout the shard enters
+// checkLease notices a silent leader: past leaseTimeout the shard enters
 // degraded mode and arms a staggered candidacy. The stagger —
-// ElectStagger × (id+1) — makes the lowest-id survivor in each connected
+// electStagger × (id+1) — makes the lowest-id survivor in each connected
 // component win deterministically; its announce cancels the rest.
 func (s *shard) checkLease() {
 	c := s.c
 	if s.isLeader {
 		return
 	}
-	if c.Eng.Now()-s.lastLease <= sim.Time(c.Cfg.LeaseTimeout) {
+	if c.Eng.Now()-s.lastLease <= sim.Time(leaseTimeout) {
 		return
 	}
 	if !s.degraded {
@@ -239,7 +238,7 @@ func (s *shard) checkLease() {
 	}
 	if !s.candidate {
 		s.candidate = true
-		delay := sim.Duration(float64(c.Cfg.ElectStagger) * float64(s.id+1))
+		delay := electStagger * sim.Duration(s.id+1)
 		c.Eng.Tracef("cluster", "shard %d lease expired (leader %d term %d); candidacy in %.2fs",
 			s.id, s.leaderID, s.term, float64(delay))
 		s.electT = c.Eng.NewTimer(delay, func(sim.Time) { s.runElection() })
@@ -254,7 +253,7 @@ func (s *shard) runElection() {
 		return
 	}
 	s.candidate = false
-	if c.Eng.Now()-s.lastLease <= sim.Time(c.Cfg.LeaseTimeout) {
+	if c.Eng.Now()-s.lastLease <= sim.Time(leaseTimeout) {
 		return // a leader spoke up in the meantime
 	}
 	s.term++
@@ -409,7 +408,7 @@ func (s *shard) pickSource(j *job) int {
 			continue
 		}
 		hn := s.c.hosts[r]
-		if hn.srcActive >= s.c.Cfg.MaxPerHost {
+		if hn.srcActive >= maxPerHost {
 			continue
 		}
 		score := s.c.locality(r, j.dst)
@@ -428,13 +427,13 @@ func (s *shard) pickSource(j *job) int {
 }
 
 // hopeless reports whether j can never run again: its destination (or its
-// entire replica set) has been declared dead for longer than GiveUpAfter.
+// entire replica set) has been declared dead for longer than giveUpAfter.
 // The grace period lets a restarted host reclaim its queue.
 func (s *shard) hopeless(j *job) bool {
 	c := s.c
 	now := c.Eng.Now()
 	if c.deadDeclared[j.dst] {
-		return now-c.declaredAt[j.dst] > sim.Time(c.Cfg.GiveUpAfter)
+		return now-c.declaredAt[j.dst] > sim.Time(giveUpAfter)
 	}
 	newest := sim.Time(-1)
 	for _, r := range c.datasets[j.dataset] {
@@ -445,7 +444,7 @@ func (s *shard) hopeless(j *job) bool {
 			newest = c.declaredAt[r]
 		}
 	}
-	return now-newest > sim.Time(c.Cfg.GiveUpAfter)
+	return now-newest > sim.Time(giveUpAfter)
 }
 
 // giveUp marks a queued job lost: its destination or every replica stayed
@@ -487,7 +486,7 @@ func (s *shard) admit() {
 			}
 			continue
 		}
-		if s.c.hosts[j.dst].dstActive >= s.c.Cfg.MaxPerHost {
+		if s.c.hosts[j.dst].dstActive >= maxPerHost {
 			kept = append(kept, j)
 			continue
 		}

@@ -8,55 +8,47 @@ import (
 	"e2edt/internal/units"
 )
 
-// WorkloadConfig shapes the synthetic multi-tenant workload.
+// WorkloadConfig shapes the synthetic multi-tenant workload. Every host
+// holds one dataset, each replicated on min(3, hosts) hosts; arrivals are
+// Poisson over workloadWindow; every job runs at priority 0.
 type WorkloadConfig struct {
-	// Tenants is the number of principals; weights cycle 1..4.
+	// Tenants is the number of principals; weights cycle 1..4. Zero selects
+	// four per host.
 	Tenants int
-	// Jobs is the total number of transfer requests.
+	// Jobs is the total number of transfer requests. Zero selects two per
+	// tenant.
 	Jobs int
-	// Datasets is the number of replicated datasets (default: one per
-	// host); Replicas is the copy count per dataset (default min(3, hosts)).
-	Datasets int
-	Replicas int
-	// MinBytes/MaxBytes bound the uniform job-size draw.
+	// MinBytes/MaxBytes bound the uniform job-size draw. Zero MinBytes
+	// selects 64 MB; zero MaxBytes selects 512 MB, or MinBytes when that is
+	// larger.
 	MinBytes, MaxBytes float64
-	// Window spreads Poisson arrivals over this many virtual seconds.
-	Window sim.Duration
-	// PriorityLevels cycles job priorities 0..n-1 (0 = default level only).
-	PriorityLevels int
 	// Seed drives every draw; the generated workload is a pure function of
 	// (config, seed).
 	Seed int64
 }
 
-// Validate rejects workload shapes that previous versions silently
-// clamped: more replicas than hosts to place them on, negative counts,
-// inverted size bounds. Zero fields are still "unset" and filled by
-// SetDefaults.
-func (w WorkloadConfig) Validate(hosts int) error {
-	if w.Replicas > hosts {
-		return fmt.Errorf("cluster: Replicas %d exceeds Hosts %d (a dataset cannot have more copies than hosts)", w.Replicas, hosts)
+const (
+	// workloadWindow spreads the Poisson arrivals over this many virtual
+	// seconds.
+	workloadWindow sim.Duration = 30
+	// maxReplicas is the copy count per dataset (fewer on smaller clusters).
+	maxReplicas = 3
+)
+
+// Validate rejects negative counts and inverted size bounds. Zero fields
+// are "unset" and filled by SetDefaults.
+func (w WorkloadConfig) Validate() error {
+	if w.Tenants < 0 {
+		return fmt.Errorf("cluster: Tenants must not be negative, got %d", w.Tenants)
 	}
-	for _, n := range []struct {
-		name string
-		v    int
-	}{
-		{"Tenants", w.Tenants}, {"Jobs", w.Jobs},
-		{"Datasets", w.Datasets}, {"Replicas", w.Replicas},
-		{"PriorityLevels", w.PriorityLevels},
-	} {
-		if n.v < 0 {
-			return fmt.Errorf("cluster: %s must not be negative, got %d", n.name, n.v)
-		}
+	if w.Jobs < 0 {
+		return fmt.Errorf("cluster: Jobs must not be negative, got %d", w.Jobs)
 	}
 	if w.MinBytes < 0 {
 		return fmt.Errorf("cluster: MinBytes must not be negative, got %g", w.MinBytes)
 	}
 	if w.MaxBytes > 0 && w.MinBytes > w.MaxBytes {
 		return fmt.Errorf("cluster: MinBytes %g exceeds MaxBytes %g", w.MinBytes, w.MaxBytes)
-	}
-	if w.Window < 0 {
-		return fmt.Errorf("cluster: Window must not be negative, got %g", float64(w.Window))
 	}
 	return nil
 }
@@ -70,71 +62,56 @@ func (w *WorkloadConfig) SetDefaults(hosts int) {
 	if w.Jobs <= 0 {
 		w.Jobs = 2 * w.Tenants
 	}
-	if w.Datasets <= 0 {
-		w.Datasets = hosts
-	}
-	if w.Replicas <= 0 {
-		w.Replicas = 3
-		if w.Replicas > hosts {
-			w.Replicas = hosts
-		}
-	}
 	if w.MinBytes <= 0 {
 		w.MinBytes = float64(64 * units.MB)
 	}
-	if w.MaxBytes < w.MinBytes {
-		w.MaxBytes = float64(512 * units.MB)
-	}
-	if w.Window <= 0 {
-		w.Window = 30
-	}
-	if w.PriorityLevels <= 0 {
-		w.PriorityLevels = 1
+	if w.MaxBytes <= 0 {
+		w.MaxBytes = max(float64(512*units.MB), w.MinBytes)
 	}
 }
 
 // Generate populates the cluster with tenants, replicated datasets, and a
 // Poisson job arrival stream. All draws come from one seeded source
 // consumed in a fixed order before the simulation starts, so the workload
-// is bit-reproducible. An invalid shape (replicas exceeding hosts,
-// negative counts) is rejected before anything is attached.
+// is bit-reproducible. An invalid shape (negative counts, inverted size
+// bounds) is rejected before anything is attached.
 func Generate(c *Cluster, wcfg WorkloadConfig) error {
-	if err := wcfg.Validate(c.Hosts()); err != nil {
+	if err := wcfg.Validate(); err != nil {
 		return err
 	}
-	wcfg.SetDefaults(c.Hosts())
+	hosts := c.Hosts()
+	wcfg.SetDefaults(hosts)
+	replicas := min(maxReplicas, hosts)
 	rng := rand.New(rand.NewSource(wcfg.Seed ^ 0x0a11ca11))
 	c.AddTenants(wcfg.Tenants)
-	hosts := c.Hosts()
-	for d := 0; d < wcfg.Datasets; d++ {
-		// Distinct replica hosts: first copy lands deterministically spread
-		// (d mod hosts), the rest draw without replacement.
-		replicas := []int{d % hosts}
-		for len(replicas) < wcfg.Replicas {
+	for d := 0; d < hosts; d++ {
+		// Dataset d: its first copy on host d, the rest on distinct hosts
+		// drawn without replacement.
+		set := []int{d}
+		for len(set) < replicas {
 			cand := rng.Intn(hosts)
 			dup := false
-			for _, r := range replicas {
+			for _, r := range set {
 				if r == cand {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				replicas = append(replicas, cand)
+				set = append(set, cand)
 			}
 		}
-		c.AddDataset(replicas)
+		c.AddDataset(set)
 	}
-	mean := float64(wcfg.Window) / float64(wcfg.Jobs)
+	mean := float64(workloadWindow) / float64(wcfg.Jobs)
 	at := sim.Time(0)
 	for i := 0; i < wcfg.Jobs; i++ {
 		at += sim.Time(rng.ExpFloat64() * mean)
 		tenant := rng.Intn(wcfg.Tenants)
-		dataset := rng.Intn(wcfg.Datasets)
+		dataset := rng.Intn(hosts)
 		dst := rng.Intn(hosts)
 		size := wcfg.MinBytes + rng.Float64()*(wcfg.MaxBytes-wcfg.MinBytes)
-		prio := i % wcfg.PriorityLevels
-		c.Submit(at, tenant, dataset, dst, size, prio)
+		c.Submit(at, tenant, dataset, dst, size, 0)
 	}
 	return nil
 }

@@ -31,90 +31,63 @@ import (
 	"e2edt/internal/units"
 )
 
-// Options configure system assembly.
+// Options configure system assembly. The SAN shape (six 50 GB LUNs per
+// back end, as in the paper), the iSER target, datamover and filesystem
+// tunings, and the recovery ladder are fixed calibrations.
 type Options struct {
 	// Policy is the NUMA policy applied throughout (targets, initiators,
 	// transfer tools). The paper's tuned configuration is PolicyBind.
 	Policy numa.Policy
-	// LUNs is the logical unit count per back end (paper: 6).
-	LUNs int
-	// LUNSize is each LUN's capacity (paper: 50 GB).
-	LUNSize int64
 	// DatasetSize is the source file's size (paper: 300 GB total).
 	DatasetSize int64
-	// TargetCfg tunes the iSER targets; zero value takes the default for
-	// the chosen policy.
-	TargetCfg iscsi.TargetConfig
-	// ISER tunes the datamover; zero value takes defaults.
-	ISER iser.Params
-	// FSOpt tunes the filesystems; zero value takes defaults.
-	FSOpt fsim.Options
 	// DeviceFactory overrides LUN construction (ablations: SSD- or
 	// HDD-backed back ends). Nil builds the paper's NUMA-pinned ramdisks.
 	DeviceFactory func(store *host.Host, lun int, policy numa.Policy) blockdev.Device
-	// Recovery enables in-protocol failure recovery across the stack:
-	// iSCSI command replay on the SAN sessions and RFTP stream
-	// re-establishment on the front-end fabric. The zero value leaves the
-	// system fail-fast, as before.
-	Recovery RecoveryOptions
-}
-
-// RecoveryOptions configure the system's in-protocol recovery ladder. When
-// Enabled, both SAN iSCSI sessions replay dropped or timed-out commands
-// (instead of hanging or failing with ErrSessionDown) and RFTP transfers
-// launched through the System fill in ACK-timeout stream recovery unless
-// the caller already set their own rftp recovery parameters.
-type RecoveryOptions struct {
-	// Enabled switches the whole ladder on.
-	Enabled bool
-	// MaxReplays bounds iSCSI command re-issues (iscsi.Session.MaxReplays).
-	MaxReplays int
-	// ReplayDelay is the pause before an iSCSI re-issue.
-	ReplayDelay sim.Duration
-	// AckTimeout is the RFTP per-stream no-progress span that declares the
-	// trailing window lost (rftp.Params.AckTimeout).
-	AckTimeout sim.Duration
-	// RetryBackoff and RetryBackoffMax bound RFTP's exponential backoff
-	// between stream recovery attempts.
-	RetryBackoff, RetryBackoffMax sim.Duration
-	// MaxStreamRetries bounds consecutive failed recovery attempts on one
-	// RFTP stream before the transfer gives up.
-	MaxStreamRetries int
-	// Rails, when Enabled, turns on multipath rail management for RFTP
-	// transfers launched through the System: failover off dead rails,
-	// credit rebalancing under degradation, and probed failback. Left
-	// disabled by default — single-path recovery alone reproduces the
-	// paper's baseline; experiments opt in explicitly.
+	// Recovery enables in-protocol failure recovery across the stack: both
+	// SAN iSCSI sessions replay dropped or timed-out commands (instead of
+	// hanging or failing with ErrSessionDown), and RFTP transfers launched
+	// through the System fill in ACK-timeout stream recovery (ApplyRFTP).
+	// Off, the system is fail-fast.
+	Recovery bool
+	// Rails, when enabled alongside Recovery, turns on multipath rail
+	// management for RFTP transfers launched through the System: failover
+	// off dead rails, credit rebalancing under degradation, and probed
+	// failback. Left disabled by default — single-path recovery alone
+	// reproduces the paper's baseline; experiments opt in explicitly.
 	Rails railmgr.Policy
 }
 
-// DefaultRecoveryOptions returns the tuned recovery ladder: fast iSCSI
-// replay on the low-latency SANs, and RFTP stream recovery that detects a
-// loss within 250 ms and retries with 50 ms..1 s backoff.
-func DefaultRecoveryOptions() RecoveryOptions {
-	return RecoveryOptions{
-		Enabled:          true,
-		MaxReplays:       8,
-		ReplayDelay:      50 * sim.Millisecond,
-		AckTimeout:       250 * sim.Millisecond,
-		RetryBackoff:     50 * sim.Millisecond,
-		RetryBackoffMax:  sim.Second,
-		MaxStreamRetries: 16,
-	}
-}
+const (
+	// luns is the logical unit count per back end, each lunSize bytes.
+	luns          = 6
+	lunSize int64 = 50 * units.GB
+)
 
-// ApplyRFTP fills recovery fields into p (only when Enabled and the caller
-// has not set its own AckTimeout), returning the adjusted params.
-func (r RecoveryOptions) ApplyRFTP(p rftp.Params) rftp.Params {
-	if !r.Enabled || p.AckTimeout > 0 {
+// The recovery ladder: fast iSCSI replay on the low-latency SANs, and RFTP
+// stream recovery that detects a loss within 250 ms and retries with
+// 50 ms..1 s backoff.
+const (
+	maxReplays                    = 8 // iSCSI command re-issues (iscsi.Session.MaxReplays)
+	replayDelay      sim.Duration = 50 * sim.Millisecond
+	ackTimeout       sim.Duration = 250 * sim.Millisecond
+	retryBackoff     sim.Duration = 50 * sim.Millisecond
+	retryBackoffMax  sim.Duration = sim.Second
+	maxStreamRetries              = 16
+)
+
+// ApplyRFTP fills the recovery ladder into p when Recovery is on and the
+// caller has not set its own AckTimeout, and copies Rails in when they are
+// enabled and p has none. It returns the adjusted params.
+func (o Options) ApplyRFTP(p rftp.Params) rftp.Params {
+	if !o.Recovery || p.AckTimeout > 0 {
 		return p
 	}
-	p.AckTimeout = r.AckTimeout
-	p.RetryBackoff = r.RetryBackoff
-	p.RetryBackoffMax = r.RetryBackoffMax
-	p.MaxStreamRetries = r.MaxStreamRetries
-	if r.Rails.Enabled && !p.Rails.Enabled {
-		p.Rails = r.Rails
+	p.AckTimeout = ackTimeout
+	p.RetryBackoff = retryBackoff
+	p.RetryBackoffMax = retryBackoffMax
+	p.MaxStreamRetries = maxStreamRetries
+	if o.Rails.Enabled && !p.Rails.Enabled {
+		p.Rails = o.Rails
 	}
 	return p
 }
@@ -123,8 +96,6 @@ func (r RecoveryOptions) ApplyRFTP(p rftp.Params) rftp.Params {
 func DefaultOptions() Options {
 	return Options{
 		Policy:      numa.PolicyBind,
-		LUNs:        6,
-		LUNSize:     50 * units.GB,
 		DatasetSize: 140 * units.GB,
 	}
 }
@@ -168,23 +139,10 @@ const (
 	Reverse
 )
 
-// NewSystem builds the system. The zero-value sub-configs in opt are
-// replaced with defaults.
+// NewSystem builds the system.
 func NewSystem(opt Options) (*System, error) {
-	if opt.LUNs <= 0 || opt.LUNSize <= 0 {
-		return nil, fmt.Errorf("core: LUNs and LUNSize must be positive")
-	}
 	if opt.DatasetSize <= 0 {
 		return nil, fmt.Errorf("core: DatasetSize must be positive")
-	}
-	if opt.TargetCfg.ThreadsPerLUN == 0 {
-		opt.TargetCfg = iscsi.DefaultTargetConfig(opt.Policy)
-	}
-	if opt.ISER.CopyCyclesPerByte == 0 {
-		opt.ISER = iser.DefaultParams()
-	}
-	if opt.FSOpt.StripeSize == 0 {
-		opt.FSOpt = fsim.DefaultOptions()
 	}
 	tb := testbed.NewLAN()
 	sys := &System{Opt: opt, TB: tb}
@@ -205,8 +163,8 @@ func NewSystem(opt Options) (*System, error) {
 }
 
 func buildSide(opt Options, tb *testbed.LAN, pl *placer.Engine, front, store *host.Host, san []*fabric.Link) (*Side, error) {
-	tgt := iscsi.NewTarget(store.Name, store, opt.TargetCfg)
-	for i := 0; i < opt.LUNs; i++ {
+	tgt := iscsi.NewTarget(store.Name, store, iscsi.DefaultTargetConfig(opt.Policy))
+	for i := 0; i < luns; i++ {
 		var dev blockdev.Device
 		if opt.DeviceFactory != nil {
 			dev = opt.DeviceFactory(store, i, opt.Policy)
@@ -218,7 +176,7 @@ func buildSide(opt Options, tb *testbed.LAN, pl *placer.Engine, front, store *ho
 				homes = store.M.Nodes
 			}
 			dev = blockdev.NewRamdisk(store.M,
-				fmt.Sprintf("%s-lun%d", store.Name, i), opt.LUNSize, homes...)
+				fmt.Sprintf("%s-lun%d", store.Name, i), lunSize, homes...)
 		}
 		tgt.AddLUN(i, dev)
 	}
@@ -227,13 +185,13 @@ func buildSide(opt Options, tb *testbed.LAN, pl *placer.Engine, front, store *ho
 	for i, l := range san {
 		portals[i] = iser.PortalFor(l, store)
 	}
-	mover := iser.NewMover(portals, initProc.NewThread(), tgt, opt.ISER)
+	mover := iser.NewMover(portals, initProc.NewThread(), tgt, iser.DefaultParams())
 	if pl != nil {
 		// Each LUN's worker pool (threads + RDMA bounce buffers) is one
 		// placement unit — the daemon the paper pins per node with numactl;
 		// the initiator thread is another. SAN command flows report through
 		// the mover so the engine can score and migrate them.
-		for i := 0; i < opt.LUNs; i++ {
+		for i := 0; i < luns; i++ {
 			ws := tgt.Workers(i)
 			threads := make([]*host.Thread, len(ws))
 			bufs := make([]*numa.Buffer, len(ws))
@@ -249,11 +207,11 @@ func buildSide(opt Options, tb *testbed.LAN, pl *placer.Engine, front, store *ho
 		mover.Placer = pl
 	}
 	sess := iscsi.NewSession(tgt, mover)
-	if opt.Recovery.Enabled {
-		sess.MaxReplays = opt.Recovery.MaxReplays
-		sess.ReplayDelay = opt.Recovery.ReplayDelay
+	if opt.Recovery {
+		sess.MaxReplays = maxReplays
+		sess.ReplayDelay = replayDelay
 	}
-	fs, err := fsim.Mount(sess, front, opt.FSOpt)
+	fs, err := fsim.Mount(sess, front, fsim.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +265,7 @@ func (s *System) StartRFTPOn(dir Direction, cfg rftp.Config, p rftp.Params,
 	}
 	src := pipe.FileReader{File: srcFile, Direct: true}
 	dst := pipe.FileWriter{File: dstFile, Direct: true}
-	return rftp.Start(s.TB.FrontLinks, snd.Front, cfg, s.Opt.Recovery.ApplyRFTP(p), src, dst, size, onDone)
+	return rftp.Start(s.TB.FrontLinks, snd.Front, cfg, s.Opt.ApplyRFTP(p), src, dst, size, onDone)
 }
 
 // StartRFTPSet transfers a dataset of individual files (manifest-style,
@@ -325,7 +283,7 @@ func (s *System) StartRFTPSet(dir Direction, cfg rftp.Config, p rftp.Params,
 	}
 	src := pipe.FileReader{File: snd.Dataset, Direct: true}
 	dst := pipe.FileWriter{File: rcv.Output, Direct: true}
-	return rftp.StartSet(s.TB.FrontLinks, snd.Front, cfg, s.Opt.Recovery.ApplyRFTP(p), src, dst, files, onDone)
+	return rftp.StartSet(s.TB.FrontLinks, snd.Front, cfg, s.Opt.ApplyRFTP(p), src, dst, files, onDone)
 }
 
 // StartRFTPBatchOn launches a coalesced object window between explicit
@@ -345,7 +303,7 @@ func (s *System) StartRFTPBatchOn(dir Direction, cfg rftp.Config, p rftp.Params,
 	}
 	src := pipe.FileReader{File: srcFile, Direct: true}
 	dst := pipe.FileWriter{File: dstFile, Direct: true}
-	return rftp.StartBatch(s.TB.FrontLinks, snd.Front, cfg, s.Opt.Recovery.ApplyRFTP(p), src, dst, objects, onObject, onDone)
+	return rftp.StartBatch(s.TB.FrontLinks, snd.Front, cfg, s.Opt.ApplyRFTP(p), src, dst, objects, onObject, onDone)
 }
 
 // StartGridFTP launches a GridFTP transfer in the given direction.

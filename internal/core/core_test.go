@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"e2edt/internal/gridftp"
 	"e2edt/internal/iscsi"
 	"e2edt/internal/numa"
+	"e2edt/internal/railmgr"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
@@ -23,15 +25,53 @@ func newSys(t *testing.T, opt Options) *System {
 
 func TestNewSystemValidation(t *testing.T) {
 	bad := []Options{
-		{LUNs: 0, LUNSize: units.GB, DatasetSize: units.GB},
-		{LUNs: 1, LUNSize: 0, DatasetSize: units.GB},
-		{LUNs: 1, LUNSize: units.GB, DatasetSize: 0},
-		// Dataset + output exceed capacity.
-		{LUNs: 2, LUNSize: units.GB, DatasetSize: 2 * units.GB},
+		{DatasetSize: 0},
+		// Dataset + output exceed the six 50 GB LUNs.
+		{DatasetSize: 160 * units.GB},
 	}
 	for i, opt := range bad {
 		if _, err := NewSystem(opt); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestApplyRFTP pins the recovery entry point every RFTP launch goes
+// through: the ladder is filled in only with Recovery on and no caller
+// AckTimeout, and Rails are copied only when enabled and the caller has
+// none.
+func TestApplyRFTP(t *testing.T) {
+	base := rftp.DefaultParams()
+	ladder := base
+	ladder.AckTimeout = ackTimeout
+	ladder.RetryBackoff = retryBackoff
+	ladder.RetryBackoffMax = retryBackoffMax
+	ladder.MaxStreamRetries = maxStreamRetries
+	own := base
+	own.AckTimeout = sim.Second
+	rails := railmgr.DefaultPolicy()
+	withRails := ladder
+	withRails.Rails = rails
+	callerRails := base
+	callerRails.Rails = railmgr.Policy{Enabled: true, MissedProbes: 5}
+	callerRailsLadder := ladder
+	callerRailsLadder.Rails = callerRails.Rails
+
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		in   rftp.Params
+		want rftp.Params
+	}{
+		{"recovery off", Options{Rails: rails}, base, base},
+		{"recovery on", Options{Recovery: true}, base, ladder},
+		{"caller AckTimeout kept", Options{Recovery: true, Rails: rails}, own, own},
+		{"rails copied", Options{Recovery: true, Rails: rails}, base, withRails},
+		{"caller rails kept", Options{Recovery: true, Rails: rails}, callerRails, callerRailsLadder},
+		{"disabled rails not copied", Options{Recovery: true, Rails: railmgr.Policy{MissedProbes: 9}}, base, ladder},
+	} {
+		if got := tc.opt.ApplyRFTP(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: ApplyRFTP = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

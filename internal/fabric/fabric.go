@@ -20,18 +20,6 @@ import (
 	"e2edt/internal/sim"
 )
 
-// Switch is a non-blocking crossbar with an aggregate backplane capacity.
-// LAN experiments route through a switch; point-to-point links pass nil.
-type Switch struct {
-	Name      string
-	Backplane *fluid.Resource
-}
-
-// NewSwitch registers a switch with the given aggregate capacity (bytes/s).
-func NewSwitch(s *fluid.Sim, name string, capacity float64) *Switch {
-	return &Switch{Name: name, Backplane: s.AddResource(name+"/backplane", capacity)}
-}
-
 // Config describes one physical link.
 type Config struct {
 	Name string
@@ -43,8 +31,6 @@ type Config struct {
 	// Rate × MTU/(MTU+HeaderBytes). Zero MTU means no framing overhead.
 	MTU         int
 	HeaderBytes int
-	// Switch, when non-nil, adds the switch backplane to both directions.
-	Switch *Switch
 }
 
 // Efficiency returns the fraction of the line rate available to payload.
@@ -184,14 +170,10 @@ func (l *Link) Peer(from *host.Device) *host.Device {
 	}
 }
 
-// ChargeWire attaches the link's directional bandwidth (adjusted for framing
-// overhead) and the switch backplane to flow f.
+// ChargeWire attaches the link's directional bandwidth, adjusted for framing
+// overhead, to flow f.
 func (l *Link) ChargeWire(f *fluid.Flow, from *host.Device, coeff float64, tag string) {
-	wire := coeff / l.Cfg.Efficiency()
-	f.UseTagged(l.Dir(from), wire, tag)
-	if l.Cfg.Switch != nil {
-		f.UseTagged(l.Cfg.Switch.Backplane, wire, tag)
-	}
+	f.UseTagged(l.Dir(from), coeff/l.Cfg.Efficiency(), tag)
 }
 
 // OneWayDelay is half the effective RTT.

@@ -28,16 +28,16 @@ func pairOfHosts(t *testing.T) (*sim.Engine, *fluid.Sim, *host.Host, *host.Host)
 	return eng, s, ha, hb
 }
 
-func roce40(sw *Switch) Config {
+func roce40() Config {
 	return Config{
 		Name: "roce0", Rate: units.FromGbps(40),
-		RTT: 0.166 * 1e-3, MTU: 9000, HeaderBytes: 90, Switch: sw,
+		RTT: 0.166 * 1e-3, MTU: 9000, HeaderBytes: 90,
 	}
 }
 
 func TestLinkEndpointsAndNICs(t *testing.T) {
 	_, s, ha, hb := pairOfHosts(t)
-	l := Connect(s, roce40(nil), ha, ha.M.Node(0), hb, hb.M.Node(1))
+	l := Connect(s, roce40(), ha, ha.M.Node(0), hb, hb.M.Node(1))
 	if l.A.Host != ha || l.B.Host != hb {
 		t.Fatal("NIC hosts wrong")
 	}
@@ -51,7 +51,7 @@ func TestLinkEndpointsAndNICs(t *testing.T) {
 
 func TestDirIsPerDirection(t *testing.T) {
 	_, s, ha, hb := pairOfHosts(t)
-	l := Connect(s, roce40(nil), ha, ha.M.Node(0), hb, hb.M.Node(0))
+	l := Connect(s, roce40(), ha, ha.M.Node(0), hb, hb.M.Node(0))
 	if l.Dir(l.A) == l.Dir(l.B) {
 		t.Fatal("directions must be independent resources")
 	}
@@ -62,7 +62,7 @@ func TestDirIsPerDirection(t *testing.T) {
 
 func TestDirForeignDevicePanics(t *testing.T) {
 	_, s, ha, hb := pairOfHosts(t)
-	l := Connect(s, roce40(nil), ha, ha.M.Node(0), hb, hb.M.Node(0))
+	l := Connect(s, roce40(), ha, ha.M.Node(0), hb, hb.M.Node(0))
 	other := ha.NewDevice("other", ha.M.Node(0))
 	defer func() {
 		if recover() == nil {
@@ -105,25 +105,6 @@ func TestFramingEfficiency(t *testing.T) {
 	s.Network.Solve()
 	if got := f.Rate(); math.Abs(got-100*want) > 1e-9 {
 		t.Fatalf("payload rate = %v, want %v", got, 100*want)
-	}
-}
-
-func TestSwitchBackplaneShared(t *testing.T) {
-	eng, s, ha, hb := pairOfHosts(t)
-	sw := NewSwitch(s, "sw", 150)
-	l1 := Connect(s, Config{Name: "l1", Rate: 100, Switch: sw}, ha, ha.M.Node(0), hb, hb.M.Node(0))
-	l2 := Connect(s, Config{Name: "l2", Rate: 100, Switch: sw}, ha, ha.M.Node(1), hb, hb.M.Node(1))
-	f1 := s.NewFlow("f1", math.Inf(1))
-	l1.ChargeWire(f1, l1.A, 1, "net")
-	f2 := s.NewFlow("f2", math.Inf(1))
-	l2.ChargeWire(f2, l2.A, 1, "net")
-	s.Start(&fluid.Transfer{Flow: f1, Remaining: math.Inf(1)})
-	s.Start(&fluid.Transfer{Flow: f2, Remaining: math.Inf(1)})
-	eng.RunUntil(1)
-	s.Sync()
-	// Two 100 B/s links through a 150 B/s backplane → 75 each.
-	if math.Abs(f1.Rate()-75) > 1e-9 || math.Abs(f2.Rate()-75) > 1e-9 {
-		t.Fatalf("backplane sharing broken: %v/%v", f1.Rate(), f2.Rate())
 	}
 }
 

@@ -87,22 +87,11 @@ type TopoConfig struct {
 	// K is the fat-tree arity (even, ≥ 2); host capacity is K³/4.
 	K int
 
-	// UplinkRate and UplinkRTT describe the first switch-to-switch stage
-	// (leaf→spine, edge→aggregation). Rate is bytes/s per link.
+	// UplinkRate and UplinkRTT describe every switch-to-switch stage
+	// (leaf→spine; edge→aggregation and aggregation→core). Rate is bytes/s
+	// per link; switch stages carry no framing overhead.
 	UplinkRate float64
 	UplinkRTT  sim.Duration
-	// CoreRate and CoreRTT describe the fat-tree's aggregation→core stage;
-	// zero values inherit the uplink stage.
-	CoreRate float64
-	CoreRTT  sim.Duration
-	// UplinkMTU/UplinkHeaderBytes set switch-stage framing (0 = none).
-	UplinkMTU         int
-	UplinkHeaderBytes int
-
-	// SwitchBackplane, when positive, adds a shared backplane resource of
-	// that capacity (bytes/s) per switch, charged by every flow traversing
-	// the switch. Zero models ideal non-blocking crossbars.
-	SwitchBackplane float64
 }
 
 // Hop is one directed traversal of a link; From identifies the direction.
@@ -121,21 +110,20 @@ type Topology struct {
 
 	// Leaves/Spines (leaf-spine) or Edges/Aggs/Cores (fat-tree) are the
 	// switch pseudo-hosts.
-	Leaves, Spines      []*host.Host
-	Edges, Aggs, Cores  []*host.Host
-	leafOf              []int     // port → leaf (or edge) index
-	up                  [][]*Link // leaf-spine: up[leaf][spine]
-	edgeAgg             [][]*Link // fat-tree: edgeAgg[globalEdge][aggSlot]
-	aggCore             [][]*Link // fat-tree: aggCore[globalAgg][coreSlot]
-	links               []*Link   // every generated link
-	half                int       // k/2 (fat-tree)
-	switchBackplaneUsed int
+	Leaves, Spines     []*host.Host
+	Edges, Aggs, Cores []*host.Host
+	leafOf             []int     // port → leaf (or edge) index
+	up                 [][]*Link // leaf-spine: up[leaf][spine]
+	edgeAgg            [][]*Link // fat-tree: edgeAgg[globalEdge][aggSlot]
+	aggCore            [][]*Link // fat-tree: aggCore[globalAgg][coreSlot]
+	links              []*Link   // every generated link
+	half               int       // k/2 (fat-tree)
 }
 
 // switchHost builds a switch pseudo-host: a minimal 1-node machine whose
 // memory system never constrains anything. Switches exist so link endpoints
-// are real DMA devices; all forwarding capacity lives in the link (and
-// optional backplane) resources.
+// are real DMA devices; all forwarding capacity lives in the link resources,
+// so every switch is an ideal non-blocking crossbar.
 func switchHost(s *fluid.Sim, name string) *host.Host {
 	return host.New(name, numa.MustNew(s, numa.Config{
 		Name: name, Nodes: 1, CoresPerNode: 1, CoreHz: 1e9,
@@ -183,12 +171,6 @@ func BuildTopology(s *fluid.Sim, cfg TopoConfig, ports []Endpoint) (*Topology, e
 	if cfg.Name == "" {
 		cfg.Name = "topo"
 	}
-	if cfg.CoreRate <= 0 {
-		cfg.CoreRate = cfg.UplinkRate
-	}
-	if cfg.CoreRTT <= 0 {
-		cfg.CoreRTT = cfg.UplinkRTT
-	}
 	t := &Topology{Kind: cfg.Kind, Cfg: cfg}
 	switch cfg.Kind {
 	case TopoLeafSpine:
@@ -199,41 +181,23 @@ func BuildTopology(s *fluid.Sim, cfg TopoConfig, ports []Endpoint) (*Topology, e
 	return t, nil
 }
 
-// backplane attaches an optional switch backplane to sw.
-func (t *Topology) backplane(s *fluid.Sim, sw *host.Host) *Switch {
-	if t.Cfg.SwitchBackplane <= 0 {
-		return nil
-	}
-	t.switchBackplaneUsed++
-	return NewSwitch(s, sw.Name, t.Cfg.SwitchBackplane)
-}
-
-// accessCfg instantiates the host-link template for port i, homed on the
-// attached switch's backplane when one exists.
-func (t *Topology) accessCfg(i int, sw *Switch) Config {
+// accessCfg instantiates the host-link template for port i.
+func (t *Topology) accessCfg(i int) Config {
 	cfg := t.Cfg.HostLink
 	cfg.Name = fmt.Sprintf("%s/h%04d", t.Cfg.Name, i)
-	cfg.Switch = sw
 	return cfg
 }
 
 // uplinkCfg builds a switch-stage link config.
-func (t *Topology) uplinkCfg(name string, rate float64, rtt sim.Duration, sw *Switch) Config {
-	return Config{
-		Name: name, Rate: rate, RTT: rtt,
-		MTU: t.Cfg.UplinkMTU, HeaderBytes: t.Cfg.UplinkHeaderBytes,
-		Switch: sw,
-	}
+func (t *Topology) uplinkCfg(name string) Config {
+	return Config{Name: name, Rate: t.Cfg.UplinkRate, RTT: t.Cfg.UplinkRTT}
 }
 
 func (t *Topology) buildLeafSpine(s *fluid.Sim, ports []Endpoint) {
 	cfg := t.Cfg
 	nLeaves := (len(ports) + cfg.HostsPerLeaf - 1) / cfg.HostsPerLeaf
-	leafBP := make([]*Switch, nLeaves)
 	for l := 0; l < nLeaves; l++ {
-		sw := switchHost(s, fmt.Sprintf("%s/leaf%03d", cfg.Name, l))
-		t.Leaves = append(t.Leaves, sw)
-		leafBP[l] = t.backplane(s, sw)
+		t.Leaves = append(t.Leaves, switchHost(s, fmt.Sprintf("%s/leaf%03d", cfg.Name, l)))
 	}
 	for sp := 0; sp < cfg.Spines; sp++ {
 		t.Spines = append(t.Spines, switchHost(s, fmt.Sprintf("%s/spine%03d", cfg.Name, sp)))
@@ -242,7 +206,7 @@ func (t *Topology) buildLeafSpine(s *fluid.Sim, ports []Endpoint) {
 	for i, ep := range ports {
 		l := i / cfg.HostsPerLeaf
 		t.leafOf[i] = l
-		link := Connect(s, t.accessCfg(i, leafBP[l]), ep.Host, ep.Node, t.Leaves[l], t.Leaves[l].M.Node(0))
+		link := Connect(s, t.accessCfg(i), ep.Host, ep.Node, t.Leaves[l], t.Leaves[l].M.Node(0))
 		t.PortLinks = append(t.PortLinks, link)
 		t.links = append(t.links, link)
 	}
@@ -250,12 +214,8 @@ func (t *Topology) buildLeafSpine(s *fluid.Sim, ports []Endpoint) {
 	for l := 0; l < nLeaves; l++ {
 		t.up[l] = make([]*Link, cfg.Spines)
 		for sp := 0; sp < cfg.Spines; sp++ {
-			var bp *Switch
-			if cfg.SwitchBackplane > 0 {
-				bp = NewSwitch(s, fmt.Sprintf("%s/l%03d-s%03d", cfg.Name, l, sp), cfg.SwitchBackplane)
-			}
 			link := Connect(s,
-				t.uplinkCfg(fmt.Sprintf("%s/l%03d-s%03d", cfg.Name, l, sp), cfg.UplinkRate, cfg.UplinkRTT, bp),
+				t.uplinkCfg(fmt.Sprintf("%s/l%03d-s%03d", cfg.Name, l, sp)),
 				t.Leaves[l], t.Leaves[l].M.Node(0), t.Spines[sp], t.Spines[sp].M.Node(0))
 			t.up[l][sp] = link
 			t.links = append(t.links, link)
@@ -268,12 +228,9 @@ func (t *Topology) buildFatTree(s *fluid.Sim, ports []Endpoint) {
 	k := cfg.K
 	half := k / 2
 	t.half = half
-	edgeBP := make([]*Switch, k*half)
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
-			sw := switchHost(s, fmt.Sprintf("%s/p%02d-edge%02d", cfg.Name, p, e))
-			t.Edges = append(t.Edges, sw)
-			edgeBP[p*half+e] = t.backplane(s, sw)
+			t.Edges = append(t.Edges, switchHost(s, fmt.Sprintf("%s/p%02d-edge%02d", cfg.Name, p, e)))
 		}
 		for a := 0; a < half; a++ {
 			t.Aggs = append(t.Aggs, switchHost(s, fmt.Sprintf("%s/p%02d-agg%02d", cfg.Name, p, a)))
@@ -286,7 +243,7 @@ func (t *Topology) buildFatTree(s *fluid.Sim, ports []Endpoint) {
 	for i, ep := range ports {
 		e := i / half // global edge index; ports fill edges sequentially
 		t.leafOf[i] = e
-		link := Connect(s, t.accessCfg(i, edgeBP[e]), ep.Host, ep.Node, t.Edges[e], t.Edges[e].M.Node(0))
+		link := Connect(s, t.accessCfg(i), ep.Host, ep.Node, t.Edges[e], t.Edges[e].M.Node(0))
 		t.PortLinks = append(t.PortLinks, link)
 		t.links = append(t.links, link)
 	}
@@ -298,7 +255,7 @@ func (t *Topology) buildFatTree(s *fluid.Sim, ports []Endpoint) {
 			t.edgeAgg[ge] = make([]*Link, half)
 			for a := 0; a < half; a++ {
 				link := Connect(s,
-					t.uplinkCfg(fmt.Sprintf("%s/p%02d-e%02d-a%02d", cfg.Name, p, e, a), cfg.UplinkRate, cfg.UplinkRTT, nil),
+					t.uplinkCfg(fmt.Sprintf("%s/p%02d-e%02d-a%02d", cfg.Name, p, e, a)),
 					t.Edges[ge], t.Edges[ge].M.Node(0),
 					t.Aggs[p*half+a], t.Aggs[p*half+a].M.Node(0))
 				t.edgeAgg[ge][a] = link
@@ -315,7 +272,7 @@ func (t *Topology) buildFatTree(s *fluid.Sim, ports []Endpoint) {
 			for m := 0; m < half; m++ {
 				core := a*half + m
 				link := Connect(s,
-					t.uplinkCfg(fmt.Sprintf("%s/p%02d-a%02d-c%03d", cfg.Name, p, a, core), cfg.CoreRate, cfg.CoreRTT, nil),
+					t.uplinkCfg(fmt.Sprintf("%s/p%02d-a%02d-c%03d", cfg.Name, p, a, core)),
 					t.Aggs[ga], t.Aggs[ga].M.Node(0),
 					t.Cores[core], t.Cores[core].M.Node(0))
 				t.aggCore[ga][m] = link
@@ -472,8 +429,8 @@ func (t *Topology) CoreLinks(core int) []*Link {
 	return out
 }
 
-// ChargeRoute attaches every hop of a route (wire bandwidth, framing,
-// backplanes) to flow f with the given coefficient and accounting tag.
+// ChargeRoute attaches every hop of a route (wire bandwidth and framing) to
+// flow f with the given coefficient and accounting tag.
 func ChargeRoute(f *fluid.Flow, hops []Hop, coeff float64, tag string) {
 	for _, h := range hops {
 		h.Link.ChargeWire(f, h.From, coeff, tag)
@@ -496,13 +453,14 @@ func RouteDelay(hops []Hop) sim.Duration {
 func (t *Topology) Oversubscription() float64 {
 	switch t.Kind {
 	case TopoFatTree:
+		// The aggregation and core stages run at one rate, so only the edge
+		// stage can be oversubscribed.
 		half := float64(t.Cfg.K) / 2
 		edge := (half * t.Cfg.HostLink.Rate) / (half * t.Cfg.UplinkRate)
-		agg := (half * t.Cfg.UplinkRate) / (half * t.Cfg.CoreRate)
-		if edge > agg {
+		if edge > 1 {
 			return edge
 		}
-		return agg
+		return 1
 	default:
 		return (float64(t.Cfg.HostsPerLeaf) * t.Cfg.HostLink.Rate) /
 			(float64(t.Cfg.Spines) * t.Cfg.UplinkRate)
@@ -516,7 +474,7 @@ func (t *Topology) BisectionBandwidth() float64 {
 	switch t.Kind {
 	case TopoFatTree:
 		n := float64(len(t.aggCore) * t.half) // k³/4 core links
-		return n * t.Cfg.CoreRate / 2
+		return n * t.Cfg.UplinkRate / 2
 	default:
 		return float64(len(t.Leaves)*len(t.Spines)) * t.Cfg.UplinkRate / 2
 	}

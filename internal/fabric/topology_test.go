@@ -123,14 +123,13 @@ func TestFatTreeCounts(t *testing.T) {
 func TestFatTreeOversubscribedStages(t *testing.T) {
 	eng := sim.NewEngine()
 	s := fluid.NewSim(eng)
-	// Hosts at 40G into 10G uplinks: edge stage 4:1. Core stage at 20G:
-	// agg ratio 10/20 = 0.5; worst stage must win.
+	// Hosts at 40G into 10G uplinks: edge stage 4:1, while the agg→core
+	// stage runs at the uplink rate (1:1); the worst stage must win.
 	cfg := TopoConfig{
 		Kind:       TopoFatTree,
 		K:          4,
 		HostLink:   Config{Rate: units.FromGbps(40), RTT: 10e-6},
 		UplinkRate: units.FromGbps(10),
-		CoreRate:   units.FromGbps(20),
 	}
 	topo, err := BuildTopology(s, cfg, testPorts(s, 8))
 	if err != nil {

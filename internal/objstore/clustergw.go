@@ -94,14 +94,14 @@ func (g *ClusterGateway) Put(at sim.Time, tenantID int, objs []PutSpec) ([]int, 
 		}
 		byDst[pl.dst] = append(byDst[pl.dst], pl)
 	}
-	limit, capBytes := g.P.coalesce(), g.P.maxWindowBytes()
+	limit := g.P.coalesce()
 	for _, dst := range order {
 		q := byDst[dst]
 		for start := 0; start < len(q); {
 			end := start + 1
 			bytes := g.puts[q[start].put].spec.Size
 			for end < len(q) && end-start < limit &&
-				bytes+g.puts[q[end].put].spec.Size <= capBytes {
+				bytes+g.puts[q[end].put].spec.Size <= maxWindowBytes {
 				bytes += g.puts[q[end].put].spec.Size
 				end++
 			}
@@ -114,7 +114,7 @@ func (g *ClusterGateway) Put(at sim.Time, tenantID int, objs []PutSpec) ([]int, 
 			// the cluster's transfer start clamps the payload to one
 			// byte-equivalent unit, so a zero-byte window completes rather
 			// than wedging.
-			g.C.Submit(at, tenantID, g.Dataset, dst, float64(bytes), g.P.Priority)
+			g.C.Submit(at, tenantID, g.Dataset, dst, float64(bytes), 0)
 			g.jobPuts[id] = window
 			g.Windows++
 			start = end

@@ -15,50 +15,34 @@ import (
 	"e2edt/internal/xfersched"
 )
 
-// Params tune the gateway's metadata cost model and its coalescing layer.
+// Params tune the gateway's coalescing layer.
 type Params struct {
-	// LookupCycles is one point metadata lookup's CPU cost (hash, index
-	// probe, permission check) — paid per object in per-object mode.
-	LookupCycles float64
-	// ScanBaseCycles + n×ScanPerEntryCycles is a batched index scan's CPU
-	// cost: one amortized scan answers a whole coalesced window's lookups.
-	ScanBaseCycles, ScanPerEntryCycles float64
-	// EntryBytes is one metadata record's footprint, charged to host memory
-	// for every record a lookup or scan touches.
-	EntryBytes float64
 	// Coalesce is the window size knob — the most adjacent same-tenant
 	// objects one rftp session carries. 1 (or 0) is the legacy worst case:
 	// every object pays its own session handshake and point lookup.
 	Coalesce int
-	// MaxWindowBytes caps a window's payload so one bulky object cannot
-	// drag a whole window's worth of small neighbors behind its transfer;
-	// 0 selects 256 MB.
-	MaxWindowBytes int64
-	// Priority is passed through to the submitted transfer jobs.
-	Priority int
 }
 
-// DefaultParams models a lean metadata path on the front-end hosts:
-// ~45 µs per point lookup at 2.2 GHz, with batched scans paying ~90 µs
-// once plus ~1 µs per entry.
-func DefaultParams() Params {
-	return Params{
-		LookupCycles:       100e3,
-		ScanBaseCycles:     200e3,
-		ScanPerEntryCycles: 2e3,
-		EntryBytes:         256,
-		Coalesce:           1,
-		MaxWindowBytes:     256 * units.MB,
-	}
-}
+// DefaultParams returns the per-object worst case (Coalesce 1).
+func DefaultParams() Params { return Params{Coalesce: 1} }
 
-// maxWindowBytes resolves the payload cap.
-func (p Params) maxWindowBytes() int64 {
-	if p.MaxWindowBytes > 0 {
-		return p.MaxWindowBytes
-	}
-	return 256 * units.MB
-}
+// The metadata cost model: a lean metadata path on the front-end hosts,
+// ~45 µs per point lookup at 2.2 GHz, with batched scans paying ~90 µs once
+// plus ~1 µs per entry.
+const (
+	// lookupCycles is one point metadata lookup's CPU cost (hash, index
+	// probe, permission check) — paid per object in per-object mode.
+	lookupCycles = 100e3
+	// scanBaseCycles + n×scanPerEntryCycles is a batched index scan's CPU
+	// cost: one amortized scan answers a whole coalesced window's lookups.
+	scanBaseCycles, scanPerEntryCycles = 200e3, 2e3
+	// entryBytes is one metadata record's footprint, charged to host memory
+	// for every record a lookup or scan touches.
+	entryBytes = 256
+	// maxWindowBytes caps a window's payload so one bulky object cannot
+	// drag a whole window's worth of small neighbors behind its transfer.
+	maxWindowBytes = 256 * units.MB
+)
 
 // coalesce resolves the window-size knob (floor 1).
 func (p Params) coalesce() int {
@@ -141,7 +125,7 @@ func NewGateway(sched *xfersched.Scheduler, p Params, dir core.Direction) *Gatew
 
 // Put schedules a burst of object PUTs arriving at virtual time at. The
 // burst is cut into coalescing windows — runs of adjacent same-tenant
-// objects, at most Coalesce objects and MaxWindowBytes payload each — and
+// objects, at most Coalesce objects and maxWindowBytes payload each — and
 // every window pays one metadata operation and one transfer job. Returns
 // the put indices, in submission order, for result inspection.
 func (g *Gateway) Put(at sim.Time, objs []PutSpec) ([]int, error) {
@@ -162,13 +146,13 @@ func (g *Gateway) Put(at sim.Time, objs []PutSpec) ([]int, error) {
 		g.puts = append(g.puts, ps)
 		pending = append(pending, ps)
 	}
-	limit, capBytes := g.P.coalesce(), g.P.maxWindowBytes()
+	limit := g.P.coalesce()
 	for start := 0; start < len(pending); {
 		end := start + 1
 		bytes := pending[start].spec.Size
 		for end < len(pending) && end-start < limit &&
 			pending[end].spec.Tenant == pending[start].spec.Tenant &&
-			bytes+pending[end].spec.Size <= capBytes {
+			bytes+pending[end].spec.Size <= maxWindowBytes {
 			bytes += pending[end].spec.Size
 			end++
 		}
@@ -186,10 +170,10 @@ func (g *Gateway) Put(at sim.Time, objs []PutSpec) ([]int, error) {
 func (g *Gateway) startWindow(window []int) {
 	var cycles float64
 	if len(window) == 1 {
-		cycles = g.P.LookupCycles
+		cycles = lookupCycles
 		g.Lookups++
 	} else {
-		cycles = g.P.ScanBaseCycles + float64(len(window))*g.P.ScanPerEntryCycles
+		cycles = scanBaseCycles + float64(len(window))*scanPerEntryCycles
 		g.Scans++
 	}
 	id := g.Windows
@@ -200,7 +184,7 @@ func (g *Gateway) startWindow(window []int) {
 		g.Index.Put(FormatKey(s.Bucket, s.Key), s.Size)
 	}
 	g.chargeMD(fmt.Sprintf("objstore-md/w%05d", id), cycles,
-		float64(len(window))*g.P.EntryBytes, func(now sim.Time) {
+		float64(len(window))*entryBytes, func(now sim.Time) {
 			g.submitWindow(id, window)
 		})
 }
@@ -238,7 +222,6 @@ func (g *Gateway) submitWindow(id int, window []int) {
 		Protocol: xfersched.ProtoRFTP,
 		Dir:      g.Dir,
 		Objects:  specs,
-		Priority: g.P.Priority,
 		OnObject: func(k int, now sim.Time) { g.delivered(window[k], now) },
 	}
 	if _, err := g.Sched.Submit(spec); err != nil {

@@ -53,7 +53,7 @@ func TotalObjectBytes(objs []ObjectSpec) float64 {
 //     reason datasets of small files transfer far below line rate even on
 //     a clean path.
 //   - An object window (StartBatch) frames objects back to back instead:
-//     each pays DelimBytesPerObject of in-band delimiter bytes and one
+//     each pays a 64-byte in-band delimiter (delimBytes) and one
 //     extra block posting, both pipelined with the data — no per-object
 //     round trip. This is the protocol half of the objstore coalescing
 //     layer.
@@ -117,14 +117,10 @@ type itemStream struct {
 	queue []int // item indices, delivered sequentially
 }
 
-// delimBytes returns the per-object delimiter size (length-prefixed record
-// header plus trailer checksum), defaulting to 64 bytes.
-func (p Params) delimBytes() float64 {
-	if p.DelimBytesPerObject > 0 {
-		return p.DelimBytesPerObject
-	}
-	return 64
-}
+// delimBytes is the in-band framing cost of one object record inside a
+// coalesced batch window: a length-prefixed record header plus a trailer
+// checksum.
+const delimBytes = 64
 
 // StartSet launches a multi-file transfer. Each stream processes its file
 // queue sequentially: per-file control round trip, then the file body.
@@ -231,7 +227,7 @@ func (t *BatchTransfer) newFlow(st *itemStream, name string, size float64) (*flu
 	var extraCPU, extraWire float64
 	if t.frame.delimited {
 		extraCPU = t.P.PerBlockCycles / size
-		extraWire = t.P.delimBytes() / size
+		extraWire = delimBytes / size
 	}
 	f := t.sim.NewFlow(name, windowCap(t.Cfg, st.link))
 	return f, st.eps.charge(f, st.link, t.P, t.Cfg, false, t.src, t.dst, extraCPU, extraWire)
@@ -269,7 +265,7 @@ func (t *BatchTransfer) send(st *itemStream, i int) {
 		// solver panics on zero-size transfers, deliberately).
 		delay := sim.Duration(0)
 		if rate := st.link.Cfg.Rate; rate > 0 {
-			delay = sim.Duration(t.P.delimBytes() / rate)
+			delay = sim.Duration(delimBytes / rate)
 		}
 		t.eng.Schedule(delay, func() {
 			t.deliver(i, t.eng.Now())

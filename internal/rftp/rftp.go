@@ -64,10 +64,6 @@ type Params struct {
 	PerBlockCycles float64
 	// CtrlBytesPerBlock is control-channel traffic per data block.
 	CtrlBytesPerBlock float64
-	// DelimBytesPerObject is the in-band framing cost of one object record
-	// inside a coalesced batch window (length prefix plus trailer); zero
-	// selects 64 bytes. Only batch windows (StartBatch) charge it.
-	DelimBytesPerObject float64
 	// HandshakeRTTs is how many round trips session setup takes.
 	HandshakeRTTs int
 	// ChecksumCyclesPerByte is the per-side cost of end-to-end integrity

@@ -129,9 +129,6 @@ type FlowOptions struct {
 	// user copy is still paid; nil only skips placement-specific charges
 	// by using the receiver kernel buffer as the destination.
 	DstBuf *numa.Buffer
-	// Tag prefixes accounting categories (defaults handled by threads'
-	// process names).
-	Tag string
 	// Extra, when non-nil, attaches additional charges to the flow
 	// (application data generation, page-cache traffic, ...).
 	Extra func(f *fluid.Flow)

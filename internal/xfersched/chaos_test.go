@@ -22,7 +22,7 @@ func chaosScenario(t *testing.T, seed int64) (*Job, []trace.Record) {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.DatasetSize = 2 * units.GB
-	opt.Recovery = core.DefaultRecoveryOptions()
+	opt.Recovery = true
 	sys, err := core.NewSystem(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +30,7 @@ func chaosScenario(t *testing.T, seed int64) (*Job, []trace.Record) {
 	rec := &trace.Recorder{}
 	sys.Engine().SetTracer(rec)
 
-	cfg := DefaultConfig().WithRecovery(opt.Recovery)
-	s, err := New(sys, cfg)
+	s, err := New(sys, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

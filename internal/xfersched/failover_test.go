@@ -11,28 +11,24 @@ import (
 	"e2edt/internal/units"
 )
 
-// railSched builds a scheduler whose system runs recovery with rail
-// management enabled, with tight test timings.
+// railSched builds a scheduler whose system runs recovery, with a tight
+// RFTP recovery ladder and rail management set in the scheduler's params.
 func railSched(t *testing.T, cfg Config) *Scheduler {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.DatasetSize = 2 * units.GB
-	opt.Recovery = core.RecoveryOptions{
-		Enabled:          true,
-		MaxReplays:       8,
-		ReplayDelay:      50 * sim.Millisecond,
-		AckTimeout:       100 * sim.Millisecond,
-		RetryBackoff:     50 * sim.Millisecond,
-		RetryBackoffMax:  100 * sim.Millisecond,
-		MaxStreamRetries: 24,
-		Rails: railmgr.Policy{
-			Enabled:        true,
-			ProbeEvery:     50 * sim.Millisecond,
-			ProbeTimeout:   10 * sim.Millisecond,
-			ProbeBytes:     64,
-			FailbackProbes: 2,
-			MissedProbes:   2,
-		},
+	opt.Recovery = true
+	cfg.RFTPParams.AckTimeout = 100 * sim.Millisecond
+	cfg.RFTPParams.RetryBackoff = 50 * sim.Millisecond
+	cfg.RFTPParams.RetryBackoffMax = 100 * sim.Millisecond
+	cfg.RFTPParams.MaxStreamRetries = 24
+	cfg.RFTPParams.Rails = railmgr.Policy{
+		Enabled:        true,
+		ProbeEvery:     50 * sim.Millisecond,
+		ProbeTimeout:   10 * sim.Millisecond,
+		ProbeBytes:     64,
+		FailbackProbes: 2,
+		MissedProbes:   2,
 	}
 	sys, err := core.NewSystem(opt)
 	if err != nil {

@@ -8,8 +8,8 @@
 // drives them through three mechanisms, all in deterministic virtual time:
 //
 //   - Admission control: at most MaxConcurrent jobs run at once and each
-//     admitted job reserves a nominal slice of the front-end fabric
-//     (PerJobBW against AggregateBW); everything else waits in a
+//     admitted job reserves a nominal slice of the front-end fabric (its
+//     payload capacity over MaxConcurrent); everything else waits in a
 //     priority + earliest-deadline + FIFO queue. Per-job SAN files are
 //     allocated at admission, so filesystem capacity is a third admission
 //     dimension.
@@ -26,7 +26,8 @@
 //   - Failure-driven retry: a watchdog samples per-job progress; a job
 //     that moves nothing for StallAfter (a failed fabric.Link, a dark SAN)
 //     is stopped, its completed bytes are folded into the job, and it is
-//     requeued with exponential backoff in virtual time. Retried attempts
+//     requeued with exponential backoff in virtual time (0.5 s doubling to
+//     8 s, at most 12 attempts). Retried attempts
 //     resume from the byte offset already moved (rftp.Params.StartOffset),
 //     so no byte is paid for twice.
 //
@@ -80,7 +81,7 @@ const (
 	StateBackoff
 	// StateDone: all bytes delivered.
 	StateDone
-	// StateLost: gave up after MaxAttempts stalls.
+	// StateLost: gave up after maxAttempts stalls.
 	StateLost
 )
 
@@ -284,12 +285,6 @@ type Tenant struct {
 type Config struct {
 	// MaxConcurrent caps simultaneously running jobs.
 	MaxConcurrent int
-	// AggregateBW caps the summed nominal bandwidth of admitted jobs
-	// (bytes/s); 0 selects the system's front-end payload capacity.
-	AggregateBW float64
-	// PerJobBW is the nominal reservation one job holds against
-	// AggregateBW; 0 selects AggregateBW/MaxConcurrent.
-	PerJobBW float64
 	// StreamBudget is the total RFTP stream count divided among running
 	// RFTP jobs; 0 selects 2 streams per front-end link.
 	StreamBudget int
@@ -297,6 +292,8 @@ type Config struct {
 	// fair-share arbiter).
 	RFTP rftp.Config
 	// RFTPParams calibrates RFTP costs (StartOffset is managed per job).
+	// When the system runs with core.Options.Recovery, each attempt fills
+	// in the recovery ladder through core.Options.ApplyRFTP.
 	RFTPParams rftp.Params
 	// GridFTP is the shape for GridFTP jobs (streams are not arbitrated:
 	// the baseline tool has no re-division knob).
@@ -313,14 +310,6 @@ type Config struct {
 	// Zero selects an automatic floor: twice the handshake span on the
 	// slowest front link plus one CheckEvery.
 	MinStallGrace sim.Duration
-	// RetryBase and RetryMax bound the exponential backoff between retry
-	// attempts (base × 2^(retries−1), capped).
-	RetryBase, RetryMax sim.Duration
-	// MaxAttempts bounds transfer attempts before a job is Lost.
-	MaxAttempts int
-	// ReferenceBW is the per-job ideal rate used for the slowdown metric;
-	// 0 selects PerJobBW.
-	ReferenceBW float64
 	// SuspectDecay scales a job's fair-share weight while any of its
 	// streams rides a rail under a gray verdict (rftp's detection plane),
 	// shifting the stream budget toward jobs running entirely on trusted
@@ -339,29 +328,17 @@ func DefaultConfig() Config {
 		GridFTP:       gridftp.DefaultConfig(),
 		CheckEvery:    250 * sim.Millisecond,
 		StallAfter:    sim.Second,
-		RetryBase:     500 * sim.Millisecond,
-		RetryMax:      8 * sim.Second,
-		MaxAttempts:   12,
 	}
 }
 
-// WithRecovery copies the system's in-protocol recovery knobs into the
-// scheduler's RFTP parameters, making the transfer layer the first line of
-// defense: a faulted stream detects the loss within AckTimeout (well below
-// StallAfter) and re-establishes itself, so the watchdog never sees the
-// job stall. The watchdog stays armed as the second line — a job whose
-// recovery is itself wedged is stalled and requeued once its recovery
-// budget (plus StallAfter) has elapsed without progress, and a transfer
-// that exhausts MaxStreamRetries reports failure immediately through
-// OnFailure rather than waiting out the watchdog. iSCSI session replay on
-// the SANs is configured separately, via core.Options.Recovery.
-func (c Config) WithRecovery(r core.RecoveryOptions) Config {
-	if !r.Enabled {
-		return c
-	}
-	c.RFTPParams = r.ApplyRFTP(c.RFTPParams)
-	return c
-}
+// The retry ladder: the backoff between attempts is
+// retryBase × 2^(retries−1), capped at retryMax, and a job is Lost once
+// maxAttempts attempts have stalled.
+const (
+	retryBase   sim.Duration = 500 * sim.Millisecond
+	retryMax    sim.Duration = 8 * sim.Second
+	maxAttempts              = 12
+)
 
 // Validate reports config errors.
 func (c Config) Validate() error {
@@ -372,10 +349,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("xfersched: CheckEvery must be positive")
 	case c.StallAfter < c.CheckEvery:
 		return fmt.Errorf("xfersched: StallAfter must be ≥ CheckEvery")
-	case c.RetryBase <= 0 || c.RetryMax < c.RetryBase:
-		return fmt.Errorf("xfersched: retry backoff bounds invalid")
-	case c.MaxAttempts <= 0:
-		return fmt.Errorf("xfersched: MaxAttempts must be positive")
 	case c.SuspectDecay < 0 || c.SuspectDecay > 1:
 		return fmt.Errorf("xfersched: SuspectDecay must be in [0, 1]")
 	case c.MinStallGrace < 0:
@@ -398,10 +371,14 @@ type Scheduler struct {
 	jobs    []*Job // every submitted job, submission order
 	byID    map[string]*Job
 
-	reserved       float64
-	pendingSubmits int
-	watchdog       *sim.Ticker
-	minGrace       sim.Duration // resolved MinStallGrace floor
+	// aggregateBW is the front-end payload capacity admitted jobs reserve
+	// against; perJobBW is one job's nominal slice of it, also the ideal
+	// rate the slowdown metric divides by.
+	aggregateBW, perJobBW float64
+	reserved              float64
+	pendingSubmits        int
+	watchdog              *sim.Ticker
+	minGrace              sim.Duration // resolved MinStallGrace floor
 
 	// WaitHist collects admission waits (seconds) for quantile reporting.
 	WaitHist *metrics.Histogram
@@ -409,30 +386,24 @@ type Scheduler struct {
 	MaxQueueLen int
 }
 
-// New builds a scheduler over sys. Zero-valued Config fields take defaults
-// derived from the system's front-end capacity.
+// New builds a scheduler over sys. A zero StreamBudget takes its default
+// from the system's front-end link count.
 func New(sys *core.System, cfg Config) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.AggregateBW <= 0 {
-		cfg.AggregateBW = sys.FrontCapacity()
-	}
-	if cfg.PerJobBW <= 0 {
-		cfg.PerJobBW = cfg.AggregateBW / float64(cfg.MaxConcurrent)
-	}
 	if cfg.StreamBudget <= 0 {
 		cfg.StreamBudget = 2 * len(sys.TB.FrontLinks)
 	}
-	if cfg.ReferenceBW <= 0 {
-		cfg.ReferenceBW = cfg.PerJobBW
-	}
+	aggregate := sys.FrontCapacity()
 	s := &Scheduler{
 		Sys: sys, Cfg: cfg,
-		eng:      sys.Engine(),
-		byTenant: make(map[string]*Tenant),
-		byID:     make(map[string]*Job),
-		WaitHist: metrics.NewHistogram(1e-3),
+		aggregateBW: aggregate,
+		perJobBW:    aggregate / float64(cfg.MaxConcurrent),
+		eng:         sys.Engine(),
+		byTenant:    make(map[string]*Tenant),
+		byID:        make(map[string]*Job),
+		WaitHist:    metrics.NewHistogram(1e-3),
 	}
 	s.minGrace = cfg.MinStallGrace
 	if s.minGrace <= 0 {
@@ -532,7 +503,7 @@ func (s *Scheduler) FailLink(l *fabric.Link, at sim.Time, dur sim.Duration) {
 
 // ApplyFaults schedules a fault-injection plan (flaps, degradation, error
 // bursts — see internal/faults) against the scheduler's engine. With
-// recovery enabled (WithRecovery + core.Options.Recovery) the transfers
+// recovery enabled (core.Options.Recovery) the transfers
 // absorb the faults in-protocol; without it, the watchdog requeues the
 // jobs the plan knocks over.
 func (s *Scheduler) ApplyFaults(p *faults.Plan) { p.Apply(s.eng) }
@@ -634,7 +605,7 @@ func (s *Scheduler) schedule(now sim.Time) {
 		if len(s.running) >= s.Cfg.MaxConcurrent {
 			break
 		}
-		if s.reserved+s.Cfg.PerJobBW > s.Cfg.AggregateBW*(1+1e-9) {
+		if s.reserved+s.perJobBW > s.aggregateBW*(1+1e-9) {
 			break
 		}
 		j := s.queue[0]
@@ -655,7 +626,7 @@ func (s *Scheduler) schedule(now sim.Time) {
 		}
 		s.queue = s.queue[1:]
 		j.State = StateRunning
-		j.reserved = s.Cfg.PerJobBW
+		j.reserved = s.perJobBW
 		s.reserved += j.reserved
 		s.running = append(s.running, j)
 		if j.FirstStart == 0 {
@@ -789,7 +760,7 @@ func (s *Scheduler) startAttempt(j *Job, streams int, now sim.Time) {
 	case j.isBatch():
 		cfg := s.Cfg.RFTP
 		cfg.Streams = streams
-		p := s.Sys.Opt.Recovery.ApplyRFTP(s.Cfg.RFTPParams)
+		p := s.Sys.Opt.ApplyRFTP(s.Cfg.RFTPParams)
 		// Resume from the undelivered object set: delivered objects are
 		// never re-sent, in-flight partials from a stalled attempt are.
 		var (
@@ -821,7 +792,7 @@ func (s *Scheduler) startAttempt(j *Job, streams int, now sim.Time) {
 	case j.Spec.Protocol == ProtoRFTP:
 		cfg := s.Cfg.RFTP
 		cfg.Streams = streams
-		p := s.Sys.Opt.Recovery.ApplyRFTP(s.Cfg.RFTPParams)
+		p := s.Sys.Opt.ApplyRFTP(s.Cfg.RFTPParams)
 		p.StartOffset = int64(j.moved)
 		var rt *rftp.Transfer
 		rt, err = s.Sys.StartRFTPOn(j.Spec.Dir, cfg, p, j.src, j.dst, float64(j.Spec.Bytes), onDone)
@@ -932,7 +903,7 @@ func (s *Scheduler) stall(j *Job, now sim.Time) {
 		s.finish(j, now)
 		return
 	}
-	if j.Retries >= s.Cfg.MaxAttempts {
+	if j.Retries >= maxAttempts {
 		j.State = StateLost
 		j.Finished = now
 		s.Sys.RemoveJobFiles(j.Spec.Dir, j.Spec.ID)
@@ -941,12 +912,12 @@ func (s *Scheduler) stall(j *Job, now sim.Time) {
 		return
 	}
 	j.State = StateBackoff
-	delay := s.Cfg.RetryBase
-	for i := 1; i < j.Retries && delay < s.Cfg.RetryMax; i++ {
+	delay := retryBase
+	for i := 1; i < j.Retries && delay < retryMax; i++ {
 		delay *= 2
 	}
-	if delay > s.Cfg.RetryMax {
-		delay = s.Cfg.RetryMax
+	if delay > retryMax {
+		delay = retryMax
 	}
 	s.eng.Tracef("xfersched", "stall %s retry=%d backoff=%gs moved=%g",
 		j.Spec.ID, j.Retries, float64(delay), j.moved)
@@ -1038,7 +1009,7 @@ func (s *Scheduler) slowdown(j *Job) float64 {
 	if j.Finished == 0 {
 		return math.NaN()
 	}
-	ideal := float64(j.Spec.Bytes) / s.Cfg.ReferenceBW
+	ideal := float64(j.Spec.Bytes) / s.perJobBW
 	if ideal <= 0 {
 		return math.NaN()
 	}

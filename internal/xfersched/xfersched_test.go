@@ -244,8 +244,6 @@ func TestJobLostAfterMaxAttempts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 1
 	cfg.StreamBudget = 1
-	cfg.MaxAttempts = 3
-	cfg.RetryMax = sim.Second
 	s := newSched(t, cfg)
 	for _, l := range s.Sys.TB.FrontLinks {
 		l.Fail()
@@ -262,8 +260,8 @@ func TestJobLostAfterMaxAttempts(t *testing.T) {
 	} else {
 		t.Fatal("scheduler never gave up")
 	}
-	if j.Retries != 3 {
-		t.Fatalf("retries %d, want MaxAttempts=3", j.Retries)
+	if j.Retries != maxAttempts {
+		t.Fatalf("retries %d, want maxAttempts=%d", j.Retries, maxAttempts)
 	}
 	if got := s.Sys.A.FS.Free(); got != freeBefore {
 		t.Fatalf("lost job leaked SAN space: free %d, want %d", got, freeBefore)
@@ -323,9 +321,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MaxConcurrent = 0 },
 		func(c *Config) { c.CheckEvery = 0 },
 		func(c *Config) { c.StallAfter = c.CheckEvery / 2 },
-		func(c *Config) { c.RetryBase = 0 },
-		func(c *Config) { c.RetryMax = c.RetryBase / 2 },
-		func(c *Config) { c.MaxAttempts = 0 },
 	}
 	for i, mut := range bad {
 		c := DefaultConfig()
