@@ -266,6 +266,9 @@ type Cluster struct {
 	deadDeclared []bool
 	declaredAt   []sim.Time
 	completions  []int // per-job completion count (exactly-once audit)
+	// undeclared counts hosts that are down but not yet declared dead, so
+	// the detector costs nothing while no host is in that state.
+	undeclared int
 
 	partitioned bool
 	partSide    []bool // per-shard partition side (true = severed group)
@@ -728,7 +731,7 @@ func (c *Cluster) start(j *job, sh *shard) {
 	if j.ckpt > 0 {
 		c.Eng.Tracef("cluster", "shard %d resumes job %d tenant %d %s→%s from %.0f/%.0f",
 			sh.id, j.id, j.tenant, src.h.Name, dst.h.Name, j.ckpt, j.size)
-	} else {
+	} else if c.Eng.Tracing() {
 		c.Eng.Tracef("cluster", "shard %d starts job %d tenant %d %s→%s (%s, loc %d)",
 			sh.id, j.id, j.tenant, src.h.Name, dst.h.Name, units.FormatBytes(int64(j.size)), loc)
 	}
@@ -771,7 +774,9 @@ func (c *Cluster) finish(j *job, now sim.Time) {
 	j.state = jobDone
 	c.completions[j.id]++
 	j.shard.jobDone(j)
-	c.Eng.Tracef("cluster", "job %d done (%s to %s)", j.id, units.FormatBytes(int64(j.size)), dst.h.Name)
+	if c.Eng.Tracing() {
+		c.Eng.Tracef("cluster", "job %d done (%s to %s)", j.id, units.FormatBytes(int64(j.size)), dst.h.Name)
+	}
 	if c.OnJobDone != nil {
 		c.OnJobDone(j.id, now)
 	}

@@ -32,6 +32,9 @@ func (c *Cluster) FailHost(id int) {
 		return
 	}
 	c.hostDown[id] = true
+	if !c.deadDeclared[id] {
+		c.undeclared++
+	}
 	c.crashedAt[id] = c.Eng.Now()
 	c.HostFails++
 	c.Eng.Tracef("cluster", "host %d crash-stops", id)
@@ -50,6 +53,9 @@ func (c *Cluster) RestoreHost(id int) {
 		return
 	}
 	c.hostDown[id] = false
+	if !c.deadDeclared[id] {
+		c.undeclared--
+	}
 	c.crashedAt[id] = -1
 	c.HostRestores++
 	c.Eng.Tracef("cluster", "host %d restarts cold", id)

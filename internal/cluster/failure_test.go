@@ -127,6 +127,47 @@ func TestSourceCrashResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCrashUndeclaredCount: the detector's count of down-but-undeclared
+// hosts matches a recount throughout a plan with a crash restored before it
+// is declared, crashes that are declared, and a host that fails again
+// before its readmission.
+func TestCrashUndeclaredCount(t *testing.T) {
+	eng := sim.NewEngine()
+	c, err := New(eng, Config{Hosts: 8, Shards: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AddTenants(1)
+	d := c.AddDataset([]int{0, 1})
+	c.Submit(0, 0, d, 4, float64(64*units.GB), 0) // outlives the plan
+	plan := &faults.Plan{}
+	plan.HostOutage(2, 0.5, 0.5) // back before the detector fires
+	plan.HostOutage(3, 0.5, 3)   // declared, restored at 3.5 ...
+	plan.HostOutage(3, 3.7, 1)   // ... and down again before readmission
+	plan.HostOutage(5, 1, 2)
+	plan.ApplyTo(eng, c)
+	for i := 1; i <= 80; i++ {
+		eng.At(sim.Time(i)*0.1, func() {
+			want := 0
+			for h := range c.hosts {
+				if c.hostDown[h] && !c.deadDeclared[h] {
+					want++
+				}
+			}
+			if c.undeclared != want {
+				t.Fatalf("t=%v: undeclared=%d, recount %d", eng.Now(), c.undeclared, want)
+			}
+		})
+	}
+	c.Run()
+	if c.HostFails != 4 || c.DeadDeclared != 2 {
+		t.Fatalf("fails=%d declared=%d, want 4 and 2", c.HostFails, c.DeadDeclared)
+	}
+	if err := c.VerifyExactlyOnce(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDestinationCrashRestartsFromZero: the destination dies mid-transfer;
 // its staging memory is gone, so the checkpoint resets and the job reruns
 // in full after the host restarts — still exactly once.

@@ -42,8 +42,8 @@ func TestApplyWeightEmptyTenantRace(t *testing.T) {
 		t.Fatal("applyWeight missed a genuine weight change")
 	}
 	want := c.tenants[0].weight * 2 // n=1: the nil-flow job is not counted
-	if f.Weight != want || math.IsNaN(f.Weight) {
-		t.Fatalf("flow weight = %v, want %v", f.Weight, want)
+	if f.Weight() != want || math.IsNaN(f.Weight()) {
+		t.Fatalf("flow weight = %v, want %v", f.Weight(), want)
 	}
 }
 

@@ -148,10 +148,13 @@ func (s *shard) scan() {
 }
 
 // detectDeadHosts declares owned hosts dead once their heartbeats have
-// been silent for missedBeats intervals. The declaration — not the crash —
-// is what recovery keys off.
+// been silent for missedBeats intervals, in ascending host order. The
+// declaration — not the crash — is what recovery keys off.
 func (s *shard) detectDeadHosts() {
 	c := s.c
+	if c.undeclared == 0 {
+		return
+	}
 	now := c.Eng.Now()
 	const wait = sim.Time(heartbeatEvery * missedBeats)
 	for h := range c.hosts {
@@ -160,6 +163,7 @@ func (s *shard) detectDeadHosts() {
 		}
 		if now-c.crashedAt[h] >= wait {
 			c.deadDeclared[h] = true
+			c.undeclared--
 			c.declaredAt[h] = now
 			c.DeadDeclared++
 			c.Eng.Tracef("cluster", "shard %d declares host %d dead (%d beats missed)",
@@ -515,9 +519,10 @@ func (s *shard) admit() {
 // rebalance recomputes flow weights for the given tenants so that each
 // tenant's aggregate share in this shard tracks weight × adjust regardless
 // of how many jobs it has running. One Reschedule propagates the batch:
-// weight writes are ordinary parameter changes to the dirty scan, so the
-// solver refills only the bottleneck subgraphs the touched flows cross
-// instead of invalidating the whole network.
+// each weight goes through the Network setter, which queues the flow on
+// the solver's dirty list without solving, so the solver refills only the
+// bottleneck subgraphs the changed flows cross instead of invalidating the
+// whole network.
 func (s *shard) rebalance(tenants []int) {
 	sort.Ints(tenants)
 	changed := false
@@ -560,8 +565,8 @@ func (s *shard) applyWeight(t int) bool {
 		if j.tenant != t || j.flow == nil {
 			continue
 		}
-		if diff := j.flow.Weight - w; diff > 1e-9 || diff < -1e-9 {
-			j.flow.Weight = w
+		if diff := j.flow.Weight() - w; diff > 1e-9 || diff < -1e-9 {
+			s.c.FSim.Network.SetWeight(j.flow, w)
 			changed = true
 		}
 	}

@@ -382,7 +382,7 @@ func (s *System) FrontHeadroom(dir Direction) float64 {
 			nic = l.B
 		}
 		r := l.Dir(nic)
-		free := r.Capacity - r.Load()
+		free := r.Capacity() - r.Load()
 		if free > 0 {
 			head += free * l.Cfg.Efficiency()
 		}

@@ -55,8 +55,8 @@ func TestDirIsPerDirection(t *testing.T) {
 	if l.Dir(l.A) == l.Dir(l.B) {
 		t.Fatal("directions must be independent resources")
 	}
-	if l.Dir(l.A).Capacity != units.FromGbps(40) {
-		t.Fatalf("direction capacity = %v, want 40 Gbps", l.Dir(l.A).Capacity)
+	if l.Dir(l.A).Capacity() != units.FromGbps(40) {
+		t.Fatalf("direction capacity = %v, want 40 Gbps", l.Dir(l.A).Capacity())
 	}
 }
 
@@ -233,7 +233,7 @@ func TestFailRestoreIdempotent(t *testing.T) {
 	l.Fail()
 	l.Fail() // no-op when already failed
 	l.Restore()
-	if l.Dir(l.A).Capacity != 100 || l.Dir(l.B).Capacity != 100 {
+	if l.Dir(l.A).Capacity() != 100 || l.Dir(l.B).Capacity() != 100 {
 		t.Fatal("capacity not restored")
 	}
 }
@@ -271,7 +271,7 @@ func TestDegradeScalesBothDirections(t *testing.T) {
 	}
 	// Degrade(1) clears the degradation.
 	l.Degrade(1)
-	if l.Dir(l.A).Capacity != 100 || l.Dir(l.B).Capacity != 100 {
+	if l.Dir(l.A).Capacity() != 100 || l.Dir(l.B).Capacity() != 100 {
 		t.Fatal("Degrade(1) did not restore full capacity")
 	}
 }
@@ -285,22 +285,22 @@ func TestDegradeFailRestoreIdempotent(t *testing.T) {
 	l.Degrade(0.25)
 	l.Degrade(0.25) // no-op repeat
 	l.Fail()
-	if l.Dir(l.A).Capacity != 0 || l.Fraction() != 0 {
+	if l.Dir(l.A).Capacity() != 0 || l.Fraction() != 0 {
 		t.Fatal("failed link must have zero capacity and fraction")
 	}
 	l.Degrade(0.5) // updates the standing fraction while dark
-	if l.Dir(l.A).Capacity != 0 {
+	if l.Dir(l.A).Capacity() != 0 {
 		t.Fatal("degrading a failed link must not raise capacity")
 	}
 	l.Restore()
-	if got := l.Dir(l.A).Capacity; got != 50 {
+	if got := l.Dir(l.A).Capacity(); got != 50 {
 		t.Fatalf("restored capacity = %v, want 50 (0.5× rate)", got)
 	}
 	if got := l.Fraction(); got != 0.5 {
 		t.Fatalf("Fraction = %v, want 0.5", got)
 	}
 	l.Degrade(1)
-	if got := l.Dir(l.A).Capacity; got != 100 {
+	if got := l.Dir(l.A).Capacity(); got != 100 {
 		t.Fatalf("cleared capacity = %v, want 100", got)
 	}
 }

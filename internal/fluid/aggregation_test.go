@@ -18,7 +18,7 @@ type use struct {
 // classSpec describes one flow class so the flat twin can materialise (and
 // later grow or shrink) the matching set of individual flows.
 type classSpec struct {
-	demand  float64 // per member, same as Flow.Demand on a class
+	demand  float64 // per member, same as Flow.Demand() on a class
 	weight  float64 // per member
 	members int
 	uses    []use
@@ -29,7 +29,7 @@ func (cs *classSpec) materialise(fn *Network, frs []*Resource) []*Flow {
 	var out []*Flow
 	for m := 0; m < cs.members; m++ {
 		f := fn.NewFlow("m", cs.demand)
-		f.Weight = cs.weight
+		fn.SetWeight(f, cs.weight)
 		for _, u := range cs.uses {
 			f.Use(frs[u.ri], u.coeff)
 		}
@@ -92,7 +92,7 @@ func TestFlowClassBasicDisaggregation(t *testing.T) {
 		t.Fatalf("singleton rate = %v, want 25", got)
 	}
 	// Demand-capped members: cap below the fair share, residual to the rest.
-	c.Demand = 10
+	n.SetDemand(c, 10)
 	n.Resolve()
 	if c.MemberRate() != 10 || c.Rate() != 30 || s.Rate() != 70 {
 		t.Fatalf("capped: member %v class %v single %v, want 10/30/70",
@@ -131,7 +131,7 @@ func TestFlowClassMatchesUnaggregated(t *testing.T) {
 		}
 		addClass := func(cs *classSpec) *Flow {
 			cf := cn.NewFlowClass("c", cs.demand, cs.members)
-			cf.Weight = cs.weight
+			cn.SetWeight(cf, cs.weight)
 			for _, u := range cs.uses {
 				cf.Use(crs[u.ri], u.coeff)
 			}
@@ -151,7 +151,7 @@ func TestFlowClassMatchesUnaggregated(t *testing.T) {
 		classesMatch(t, seed, -1, classes, flat, cn, fn)
 		for op := 0; op < 80; op++ {
 			switch k := rng.Intn(12); {
-			case k < 4: // per-member demand, direct write on both sides
+			case k < 4: // per-member demand on both sides
 				i := rng.Intn(len(classes))
 				var d float64
 				switch rng.Intn(3) {
@@ -161,23 +161,23 @@ func TestFlowClassMatchesUnaggregated(t *testing.T) {
 					d = math.Pow(10, 10+2*rng.Float64())
 				}
 				specs[i].demand = d
-				classes[i].Demand = d
+				cn.SetDemand(classes[i], d)
 				for _, ff := range flat[i] {
-					ff.Demand = d
+					fn.SetDemand(ff, d)
 				}
-			case k < 6: // per-member weight, direct write
+			case k < 6: // per-member weight
 				i := rng.Intn(len(classes))
 				w := 0.5 + 2*rng.Float64()
 				specs[i].weight = w
-				classes[i].Weight = w
+				cn.SetWeight(classes[i], w)
 				for _, ff := range flat[i] {
-					ff.Weight = w
+					fn.SetWeight(ff, w)
 				}
 			case k < 8: // capacity churn
 				i := rng.Intn(nr)
 				c := math.Pow(10, 6+3*rng.Float64())
-				crs[i].Capacity = c
-				frs[i].Capacity = c
+				cn.SetCapacity(crs[i], c)
+				fn.SetCapacity(frs[i], c)
 			case k < 10: // membership growth/shrink: a parameter change on the
 				// class side, flow arrival/departure on the flat side
 				i := rng.Intn(len(classes))
@@ -191,7 +191,7 @@ func TestFlowClassMatchesUnaggregated(t *testing.T) {
 				}
 				for len(flat[i]) < m {
 					f := fn.NewFlow("m", cs.demand)
-					f.Weight = cs.weight
+					fn.SetWeight(f, cs.weight)
 					for _, u := range cs.uses {
 						f.Use(frs[u.ri], u.coeff)
 					}
@@ -245,7 +245,7 @@ func TestClassChurnAllocFree(t *testing.T) {
 	n.Resolve()
 	// Warm the partial-solve scratch before measuring.
 	for w := 0; w < 4; w++ {
-		fs[w].Demand = 2e6
+		n.SetDemand(fs[w], 2e6)
 		n.SetMembers(fs[w], 17)
 		n.Resolve()
 	}
@@ -253,9 +253,9 @@ func TestClassChurnAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() {
 		f := fs[i%len(fs)]
 		if i%2 == 0 {
-			f.Demand = 2e6
+			n.SetDemand(f, 2e6)
 		} else {
-			f.Demand = 1e6
+			n.SetDemand(f, 1e6)
 		}
 		n.SetMembers(f, 16+i%3)
 		i++
@@ -381,7 +381,7 @@ func TestPartialSolveOnlyDirtyComponent(t *testing.T) {
 	cleanMember := fb2.MemberRate()
 	before := n.Stats()
 
-	fa2.Demand = 10 // binding change confined to component A
+	n.SetDemand(fa2, 10) // binding change confined to component A
 	if !n.Resolve() {
 		t.Fatal("binding demand change skipped the solver")
 	}

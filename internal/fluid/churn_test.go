@@ -35,9 +35,9 @@ func churnOp(n *Network, flows []*Flow) func(i int) {
 	return func(i int) {
 		f := flows[(i/2)%len(flows)]
 		if i%2 == 0 {
-			f.Demand = 1
+			n.SetDemand(f, 1)
 		} else {
-			f.Demand = 1e12
+			n.SetDemand(f, 1e12)
 		}
 		n.Resolve()
 	}

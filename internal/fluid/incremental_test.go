@@ -64,7 +64,8 @@ func (tw *twin) newFlows(src source, uses int) (a, b *Flow) {
 	}
 	a, b = tw.inc.NewFlow("f", d), tw.ref.NewFlow("f", d)
 	w := 0.5 + 2*src.Float64()
-	a.Weight, b.Weight = w, w
+	tw.inc.SetWeight(a, w)
+	tw.ref.SetWeight(b, w)
 	for j := 0; j < uses; j++ {
 		tw.use(src, a, b)
 	}
@@ -84,9 +85,31 @@ func (tw *twin) use(src source, a, b *Flow) {
 	b.Use(tw.refR[ri], coeff)
 }
 
-// step applies one random mutation to both networks. It reports whether
-// the mutation must be invisible to the incremental side, so Resolve must
-// not solve.
+// setDemand, setWeight, setMembers and setCapacity write one input on both
+// sides through the Network setters.
+func (tw *twin) setDemand(i int, d float64) {
+	tw.inc.SetDemand(tw.incF[i], d)
+	tw.ref.SetDemand(tw.refF[i], d)
+}
+
+func (tw *twin) setWeight(i int, w float64) {
+	tw.inc.SetWeight(tw.incF[i], w)
+	tw.ref.SetWeight(tw.refF[i], w)
+}
+
+func (tw *twin) setMembers(i, m int) {
+	tw.inc.SetMembers(tw.incF[i], m)
+	tw.ref.SetMembers(tw.refF[i], m)
+}
+
+func (tw *twin) setCapacity(i int, c float64) {
+	tw.inc.SetCapacity(tw.incR[i], c)
+	tw.ref.SetCapacity(tw.refR[i], c)
+}
+
+// step applies one random mutation to both networks, every one through a
+// setter or Use. It reports whether the mutation must be invisible to the
+// incremental side, so Resolve must not solve.
 func (tw *twin) step(src source) (invisible bool) {
 	switch k := src.Intn(16); {
 	case k < 5: // demand change, mostly non-binding (the fast path)
@@ -94,30 +117,44 @@ func (tw *twin) step(src source) (invisible bool) {
 		var d float64
 		switch src.Intn(4) {
 		case 0: // binding: below the current fair share
-			d = tw.incF[i].rate * (0.1 + 0.8*src.Float64())
-		case 1: // same value: pure no-op
-			d = tw.incF[i].Demand
+			d = tw.incF[i].memberRate * (0.1 + 0.8*src.Float64())
+		case 1: // A→B→A: set and restored before Resolve, a no-op
+			old := tw.incF[i].demand
+			tw.setDemand(i, math.Pow(10, 3+8*src.Float64()))
+			d, invisible = old, true
 		default: // far above any achievable rate
 			d = math.Pow(10, 10+2*src.Float64())
 		}
 		if d < 0 || math.IsNaN(d) {
 			d = 1
 		}
-		tw.incF[i].Demand = d // direct write: the dirty scan must see it
-		tw.refF[i].Demand = d
-	case k < 6: // weight change
+		tw.setDemand(i, d)
+	case k < 6: // weight or member-count change, or both set and restored
 		i := src.Intn(len(tw.incF))
-		w := 0.5 + 2*src.Float64()
-		tw.incF[i].Weight = w
-		tw.refF[i].Weight = w
+		switch src.Intn(3) {
+		case 0:
+			tw.setWeight(i, 0.5+2*src.Float64())
+		case 1:
+			tw.setMembers(i, 1+src.Intn(4))
+		default: // A→B→A on weight and members: a no-op
+			w, m := tw.incF[i].weight, tw.incF[i].Members()
+			tw.setWeight(i, 0.5+2*src.Float64())
+			tw.setMembers(i, m+1)
+			tw.setWeight(i, w)
+			tw.setMembers(i, m)
+			invisible = true
+		}
 	case k < 8: // capacity change, sometimes disabling the resource
 		i := src.Intn(len(tw.incR))
 		c := math.Pow(10, 6+3*src.Float64())
 		if src.Intn(8) == 0 {
 			c = 0
 		}
-		tw.incR[i].Capacity = c
-		tw.refR[i].Capacity = c
+		old := tw.incR[i].capacity
+		tw.setCapacity(i, c)
+		if src.Intn(4) == 0 { // restored: may refill, must not move a rate
+			tw.setCapacity(i, old)
+		}
 	case k < 10 && len(tw.incF) > 1: // departure, which may split a component
 		i := src.Intn(len(tw.incF))
 		tw.inc.RemoveFlow(tw.incF[i])
@@ -152,7 +189,7 @@ func (tw *twin) step(src source) (invisible bool) {
 		tw.ref.RemoveFlow(b)
 		return true
 	}
-	return false
+	return invisible
 }
 
 // steps applies one mutation, or now and then a short batch for a single
@@ -192,7 +229,7 @@ func (tw *twin) match(t *testing.T, seed, op int) {
 func (tw *twin) resolveBoth(t *testing.T, seed, op int, invisible bool) {
 	t.Helper()
 	if solved := tw.inc.Resolve(); solved && invisible {
-		t.Fatalf("seed %d op %d: a flow added and removed before Resolve was seen", seed, op)
+		t.Fatalf("seed %d op %d: a change undone before Resolve (a flow added and removed, or a value set and restored) was solved", seed, op)
 	}
 	tw.ref.Solve()
 	tw.match(t, seed, op)
@@ -203,14 +240,14 @@ func (tw *twin) resolveBoth(t *testing.T, seed, op int, invisible bool) {
 
 // TestIncrementalMatchesFullSolve is the randomized differential test for
 // the incremental solver: across seeded topologies and mutation sequences
-// (demand changes binding and non-binding, weight and capacity changes,
-// flow arrivals that merge components and departures that split them,
-// flows with no uses, Uses appended to solved flows, idle resources added
-// and removed, flows added and removed between two Resolves, and direct
-// field writes bypassing the setters), applied one at a time or a few per
-// Resolve, Resolve must produce rates and loads bit-identical to a
-// from-scratch Solve on an identical twin network, without ever falling
-// back to a full solve.
+// (demand changes binding and non-binding, weight, member-count and
+// capacity changes, values set and restored before a Resolve, flow
+// arrivals that merge components and departures that split them, flows
+// with no uses, Uses appended to solved flows, idle resources added and
+// removed, and flows added and removed between two Resolves), applied one
+// at a time or a few per Resolve, Resolve must produce rates and loads
+// bit-identical to a from-scratch Solve on an identical twin network,
+// without ever falling back to a full solve.
 func TestIncrementalMatchesFullSolve(t *testing.T) {
 	for seed := 0; seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -284,7 +321,7 @@ func TestResolveFastPathNonBindingDemand(t *testing.T) {
 	if got := flows[0].rate; got != 25 {
 		t.Fatalf("fair share = %v, want 25", got)
 	}
-	flows[0].Demand = 500 // still ≫ 25: non-binding
+	n.SetDemand(flows[0], 500) // still ≫ 25: non-binding
 	if n.Resolve() {
 		t.Fatal("non-binding demand change triggered a full solve")
 	}
@@ -297,7 +334,7 @@ func TestResolveFastPathNonBindingDemand(t *testing.T) {
 		}
 	}
 	// And the fast path must not have gone stale: a binding change next.
-	flows[0].Demand = 10
+	n.SetDemand(flows[0], 10)
 	if !n.Resolve() {
 		t.Fatal("binding demand change skipped the solver")
 	}
@@ -306,10 +343,10 @@ func TestResolveFastPathNonBindingDemand(t *testing.T) {
 	}
 }
 
-// TestResolveSeesDirectMutation: writes that bypass the Sim setters
-// (tcpstack writes Flow.Demand directly; tests write Resource.Capacity)
-// are caught by the snapshot scan.
-func TestResolveSeesDirectMutation(t *testing.T) {
+// TestIncrementalSettersSeen: a change made through each setter — capacity,
+// weight, and a Use appended to a linked flow — is seen by the next Resolve
+// and solved as a partial; one set and restored before it is not.
+func TestIncrementalSettersSeen(t *testing.T) {
 	n := NewNetwork()
 	r := n.AddResource("link", 100)
 	f := n.NewFlow("f", math.Inf(1))
@@ -318,23 +355,81 @@ func TestResolveSeesDirectMutation(t *testing.T) {
 	if f.rate != 100 {
 		t.Fatalf("rate = %v, want 100", f.rate)
 	}
-	r.Capacity = 40
+	n.SetCapacity(r, 40)
 	n.Resolve()
 	if f.rate != 40 {
-		t.Fatalf("rate = %v after direct capacity write, want 40", f.rate)
+		t.Fatalf("rate = %v after SetCapacity, want 40", f.rate)
 	}
-	f.Weight = 2 // weight-only change must also be seen
+	n.SetWeight(f, 2) // a weight-only change must also be seen
 	n.Resolve()
-	// Parameter writes now resolve through the bottleneck-subgraph path:
-	// the first Resolve is the full solve, the two writes are partials.
-	if st := n.Stats(); st.FullSolves+st.PartialSolves != 3 || st.Skips != 0 {
-		t.Fatalf("stats = %+v, want the 2 direct writes solved (1 full + 2 partial)", st)
+	// Setter writes resolve through the bottleneck-subgraph path: the first
+	// Resolve is the full solve, the two writes are partials.
+	if st := n.Stats(); st.FullSolves != 1 || st.PartialSolves != 2 || st.Skips != 0 {
+		t.Fatalf("stats = %+v, want the 2 setter writes solved (1 full + 2 partial)", st)
 	}
-	// A Use added after a solve changes the usage set.
+	// Set and restored before a Resolve: a skip, not a refill.
+	n.SetWeight(f, 3)
+	n.SetMembers(f, 4)
+	n.SetDemand(f, 7)
+	n.SetWeight(f, 2)
+	n.SetMembers(f, 1)
+	n.SetDemand(f, math.Inf(1))
+	if n.Resolve() {
+		t.Fatal("inputs set and restored before Resolve were solved")
+	}
+	if st := n.Stats(); st.PartialSolves != 2 || st.Skips != 1 {
+		t.Fatalf("stats = %+v, want the restore counted as a skip", st)
+	}
+	n.SetMembers(f, 4)
+	n.Resolve()
+	if f.rate != 40 || f.memberRate != 10 {
+		t.Fatalf("rate = %v (member %v) after SetMembers, want 40 (10)", f.rate, f.memberRate)
+	}
+	// A Use appended after a solve changes the usage set.
 	r2 := n.AddResource("cpu", 10)
 	f.Use(r2, 1)
 	n.Resolve()
 	if f.rate != 10 {
 		t.Fatalf("rate = %v after new usage, want CPU-capped 10", f.rate)
+	}
+	if st := n.Stats(); st.FullSolves != 1 || st.PartialSolves != 4 {
+		t.Fatalf("stats = %+v, want SetMembers and Use solved as partials", st)
+	}
+}
+
+// TestIncrementalVisitsOnlyDirty: with 100k idle flows linked, one
+// SetDemand plus Resolve visits a handful of flows and resources, not the
+// network, and allocates nothing.
+func TestIncrementalVisitsOnlyDirty(t *testing.T) {
+	const idle = 100_000
+	n := NewNetwork()
+	var flows []*Flow
+	for i := 0; i < idle; i++ {
+		f := n.NewFlow("idle", 0)
+		f.Use(n.AddResource("r", 1e9), 1)
+		flows = append(flows, f)
+	}
+	n.Resolve()
+	f := flows[idle/2]
+	i := 0
+	toggle := func() {
+		n.SetDemand(f, float64(i%2)*5) // 0 ↔ 5: binding either way
+		i++
+		n.Resolve()
+	}
+	toggle() // size the dirty list and the refill scratch
+	before := n.Stats()
+	if avg := testing.AllocsPerRun(100, toggle); avg != 0 {
+		t.Fatalf("SetDemand+Resolve allocates %v objects, want 0", avg)
+	}
+	after := n.Stats()
+	ops := after.PartialSolves - before.PartialSolves
+	if ops != 101 || after.FullSolves != 1 {
+		t.Fatalf("stats %+v -> %+v, want one partial solve per toggle", before, after)
+	}
+	// One queued change, one seed, and a component of one flow and one
+	// resource: 4 visits per Resolve.
+	if per := (after.Visited - before.Visited) / ops; per > 4 {
+		t.Fatalf("%d visits per Resolve with %d idle flows, want ≤ 4", per, idle)
 	}
 }

@@ -23,8 +23,18 @@
 // Because every member of a class crosses the same resources with the same
 // coefficients and weight, the max-min allocation splits the class rate
 // evenly — MemberRate() is the exact per-stream disaggregation. Collapsing k
-// same-path/same-weight flows into one class flow shrinks both the solver
-// population and the dirty scan from O(streams) to O(classes).
+// same-path/same-weight flows into one class flow shrinks the solver
+// population from O(streams) to O(classes).
+//
+// # Change tracking
+//
+// Solver inputs change only through setters: Network.SetDemand, SetWeight,
+// SetMembers and SetCapacity, and Flow.Use/UseTagged. The first change to a
+// solved flow queues it, with the inputs the last solve used, on the
+// network's dirty list; a capacity write seeds its resource directly. Resolve
+// walks only those queues and the flows registered since the last solve, so
+// its cost follows the change, not the size of the network. Editing a Usage
+// in place is the one change no setter sees: it needs Invalidate.
 //
 // # Bottleneck subgraphs
 //
@@ -50,13 +60,12 @@ import (
 // (bytes/s for bandwidth-like resources, core-seconds/s — i.e. 1.0 — for a
 // CPU core).
 type Resource struct {
-	Name     string
-	Capacity float64
+	Name string
 
+	// capacity is written only through Network.SetCapacity.
+	capacity float64
 	// load is the solved aggregate consumption, maintained by Solve.
 	load float64
-	// snapCap is Capacity as the last solve saw it (see Network.Resolve).
-	snapCap float64
 	// index is the resource's position in its network, for solver arrays.
 	// users heads the list of linked flows crossing it, in the network's
 	// edge pool. Both are int32, so a Resource stays in its allocation
@@ -64,6 +73,9 @@ type Resource struct {
 	index int32
 	users int32
 }
+
+// Capacity returns the resource's capacity in resource units per second.
+func (r *Resource) Capacity() float64 { return r.capacity }
 
 // Load returns the aggregate consumption on the resource from the most
 // recent Solve, in resource units per second.
@@ -76,10 +88,10 @@ func (r *Resource) Index() int { return int(r.index) }
 
 // Utilization returns Load/Capacity, or 0 for zero-capacity resources.
 func (r *Resource) Utilization() float64 {
-	if r.Capacity <= 0 {
+	if r.capacity <= 0 {
 		return 0
 	}
-	return r.load / r.Capacity
+	return r.load / r.capacity
 }
 
 // Usage binds a flow to a resource: the flow consumes Coeff×rate on
@@ -94,41 +106,43 @@ type Usage struct {
 // Flow is a fluid stream, or a class of identical member streams. Demand and
 // Weight are per member; rate is computed by Network.Solve.
 type Flow struct {
-	Name   string
-	Demand float64 // per-member upper bound on rate; math.Inf(1) if unbounded
-	Weight float64 // per-member share weight for max-min fairness; must be > 0
-	Uses   []Usage
+	Name string
+	// Uses lists what the flow consumes. Append to it with Use/UseTagged;
+	// an in-place edit is invisible to Resolve and needs Invalidate.
+	Uses []Usage
 
-	// members is the stream multiplicity (≥1). The class competes with
-	// effective weight Weight×members and Rate() aggregates all members.
-	members int
-	// attached counts member transfers bound via Sim.StartMember.
-	attached int
-	// index is the flow's position in its network, for O(1) removal.
-	index int
+	// demand is the per-member upper bound on rate (math.Inf(1) if
+	// unbounded) and weight the per-member max-min share weight (> 0).
+	// Both are written only through the Network setters.
+	demand, weight float64
+	// net is the network the flow was registered in; Use reports to it.
+	net *Network
 
 	rate       float64 // aggregate: members × memberRate
 	memberRate float64
-	frozen     bool
 
-	// Solver links, set by Network.link: edges heads the flow's chain in
-	// the edge pool, nuses is len(Uses) when it was linked, and mark is a
-	// visit epoch. They fill the struct's padding, so a Flow stays in its
-	// allocation size class; its solved parameters live in Network.params.
-	nuses int32
-	edges int32
-	mark  uint32
+	// members is the stream multiplicity (≥1). The class competes with
+	// effective weight weight×members and Rate() aggregates all members.
+	// attached counts member transfers bound via Sim.StartMember.
+	members, attached int32
+	// index is the flow's position in its network, for O(1) removal.
+	index int
+
+	// Solver state: edges heads the flow's chain in the edge pool, mark is
+	// a visit epoch, and dirty says the flow is queued in net.dirty. The
+	// member counts are int32 so that the back-pointer and these still fit
+	// a Flow in its 112-byte allocation size class.
+	edges  int32
+	mark   uint32
+	frozen bool
+	dirty  bool
 }
 
-// flowParams are a flow's solver inputs other than its Uses.
-type flowParams struct {
-	demand, weight float64
-	members        int32
-}
+// Demand returns the per-member demand cap.
+func (f *Flow) Demand() float64 { return f.demand }
 
-func (f *Flow) params() flowParams {
-	return flowParams{f.Demand, f.Weight, int32(f.members)}
-}
+// Weight returns the per-member fair-share weight.
+func (f *Flow) Weight() float64 { return f.weight }
 
 // Rate returns the solved aggregate rate in flow units (bytes) per second,
 // summed over all members of the class.
@@ -139,10 +153,11 @@ func (f *Flow) Rate() float64 { return f.rate }
 func (f *Flow) MemberRate() float64 { return f.memberRate }
 
 // Members returns the stream multiplicity of the class (1 for plain flows).
-func (f *Flow) Members() int { return f.members }
+func (f *Flow) Members() int { return int(f.members) }
 
 // Use adds a resource the flow consumes, with the given coefficient.
-// Non-positive coefficients are ignored: they denote "does not touch".
+// Non-positive coefficients are ignored: they denote "does not touch". On a
+// flow the last solve linked, the next Resolve relinks it.
 func (f *Flow) Use(r *Resource, coeff float64) *Flow {
 	return f.UseTagged(r, coeff, "")
 }
@@ -153,6 +168,9 @@ func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
 		panic("fluid: Use with nil resource")
 	}
 	if coeff > 0 {
+		if f.net != nil {
+			f.net.record(f)
+		}
 		f.Uses = append(f.Uses, Usage{Resource: r, Coeff: coeff, Tag: tag})
 	}
 	return f
@@ -171,9 +189,9 @@ type SolverStats struct {
 	// direct Solve calls.
 	FullSolves uint64
 	// PartialSolves counts Resolve calls satisfied by refilling only the
-	// bottleneck subgraphs (connected components) a change touched:
-	// parameter and capacity writes, flow arrivals and departures, and
-	// Uses appended to a linked flow.
+	// bottleneck subgraphs (connected components) a change touched: setter
+	// writes, flow arrivals and departures, and Uses appended to a linked
+	// flow.
 	PartialSolves uint64
 	// ComponentSolves is the number of fill passes, across both full and
 	// partial solves: one per refilled component that has a flow, plus one
@@ -186,6 +204,11 @@ type SolverStats struct {
 	// Skips counts Resolve calls where nothing had changed since the last
 	// Solve.
 	Skips uint64
+	// Visited is the solver's walk work: every queued flow change and
+	// arrival Resolve inspected, every refill seed, lone flow, and flow and
+	// resource of a refilled component. A Resolve adds work proportional to
+	// what changed, however large the network is.
+	Visited uint64
 }
 
 // Network is a set of resources and the flows crossing them.
@@ -199,21 +222,24 @@ type Network struct {
 	sumW     []float64
 
 	// edges is the pool behind every user list and flow chain (see edge);
-	// freeEdge heads its free list. flows[:nlinked] are linked, and
-	// params[i] holds the parameters the last solve used for flows[i].
-	// Flows registered since then sit after them and are linked lazily by
-	// the next Resolve, because Use has no network to report to. rmark[i]
-	// is the visit mark of resources[i] (see nextEpoch).
+	// freeEdge heads its free list. flows[:nlinked] are linked; flows
+	// registered since the last solve sit after them and are linked by the
+	// next Resolve, once their Uses are built. rmark[i] is the visit mark
+	// of resources[i] (see nextEpoch).
 	edges    []edge
 	freeEdge int32
 	nlinked  int
-	params   []flowParams
 	rmark    []uint32
 	epoch    uint32
 
+	// dirty queues the linked flows changed since the last solve, each with
+	// the inputs that solve used (see record).
+	dirty []change
+
 	// Seeds of the next refill: resources whose component a change
-	// touched, and touched flows that cross no resource. compF and compR
-	// are the walk's per-component scratch.
+	// touched (departures and capacity writes queue them at once), and
+	// touched flows that cross no resource. compF and compR are the walk's
+	// per-component scratch.
 	touched []*Resource
 	lone    []*Flow
 	compF   []int32
@@ -233,7 +259,7 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fluid: invalid capacity %v for %s", capacity, name))
 	}
-	r := &Resource{Name: name, Capacity: capacity, snapCap: capacity, index: int32(len(n.resources))}
+	r := &Resource{Name: name, capacity: capacity, index: int32(len(n.resources))}
 	n.resources = append(n.resources, r)
 	return r
 }
@@ -250,21 +276,80 @@ func (n *Network) NewFlowClass(name string, demand float64, members int) *Flow {
 	if demand < 0 || math.IsNaN(demand) {
 		panic(fmt.Sprintf("fluid: invalid demand %v for %s", demand, name))
 	}
-	if members < 1 {
-		panic(fmt.Sprintf("fluid: invalid member count %d for %s", members, name))
-	}
-	f := &Flow{Name: name, Demand: demand, Weight: 1, members: members, index: len(n.flows)}
+	checkMembers(members, name)
+	f := &Flow{Name: name, demand: demand, weight: 1, net: n, members: int32(members), index: len(n.flows)}
 	n.flows = append(n.flows, f)
 	return f
 }
 
-// SetMembers changes a class's stream multiplicity. The dirty scan picks the
-// change up on the next Resolve, exactly like a demand or weight write.
-func (n *Network) SetMembers(f *Flow, members int) {
-	if members < 1 {
-		panic(fmt.Sprintf("fluid: invalid member count %d for %s", members, f.Name))
+func checkMembers(members int, name string) {
+	if members < 1 || members > math.MaxInt32 {
+		panic(fmt.Sprintf("fluid: invalid member count %d for %s", members, name))
 	}
-	f.members = members
+}
+
+// change is a queued flow with the solver inputs the last solve used.
+type change struct {
+	flow           *Flow
+	demand, weight float64
+	members, nuses int32
+}
+
+// record queues f on the dirty list at its first change since the last
+// solve. A flow the last solve did not link needs no entry: the next Resolve
+// links it with whatever it holds by then.
+func (n *Network) record(f *Flow) {
+	i := f.index
+	if f.dirty || i < 0 || i >= n.nlinked || n.flows[i] != f {
+		return
+	}
+	f.dirty = true
+	n.dirty = append(n.dirty, change{f, f.demand, f.weight, f.members, int32(len(f.Uses))})
+}
+
+// SetDemand changes a flow's per-member demand cap (math.Inf(1) for none).
+// Like every Network setter it does not solve: the next Resolve sees the
+// change. Sim.SetDemand also accrues progress and reschedules.
+func (n *Network) SetDemand(f *Flow, demand float64) {
+	if demand < 0 || math.IsNaN(demand) {
+		panic(fmt.Sprintf("fluid: invalid demand %v for %s", demand, f.Name))
+	}
+	n.record(f)
+	f.demand = demand
+}
+
+// SetWeight changes a flow's per-member fair-share weight, which must be
+// positive.
+func (n *Network) SetWeight(f *Flow, weight float64) {
+	if weight <= 0 || math.IsNaN(weight) {
+		panic(fmt.Sprintf("fluid: invalid weight %v for %s", weight, f.Name))
+	}
+	n.record(f)
+	f.weight = weight
+}
+
+// SetMembers changes a class's stream multiplicity.
+func (n *Network) SetMembers(f *Flow, members int) {
+	checkMembers(members, f.Name)
+	n.record(f)
+	f.members = int32(members)
+}
+
+// SetCapacity changes a resource's capacity and queues its component for
+// the next Resolve. Rewriting the current value is no change; a write that
+// restores the value of the last solve still refills the component, which
+// reproduces the same rates.
+func (n *Network) SetCapacity(r *Resource, capacity float64) {
+	if capacity < 0 || math.IsNaN(capacity) {
+		panic(fmt.Sprintf("fluid: invalid capacity %v for %s", capacity, r.Name))
+	}
+	if capacity == r.capacity {
+		return
+	}
+	r.capacity = capacity
+	if r.index >= 0 {
+		n.touched = append(n.touched, r)
+	}
 }
 
 // Registered reports whether f is currently part of the network. A flow
@@ -284,7 +369,6 @@ func (n *Network) RemoveFlow(f *Flow) {
 	}
 	if i < n.nlinked {
 		n.nlinked--
-		n.params = append(n.params[:i], n.params[i+1:]...)
 		n.unlink(f)
 	}
 	copy(n.flows[i:], n.flows[i+1:])
@@ -300,8 +384,8 @@ func (n *Network) RemoveFlow(f *Flow) {
 
 // RemoveResource unregisters a resource that no registered flow crosses
 // any more — per-session state (thread limiters, for one) that would
-// otherwise accumulate forever and drag the dirty scan, which visits every
-// resource, toward quadratic cost under small-job churn.
+// otherwise accumulate forever, growing the solver's per-resource arrays
+// and every full solve under small-job churn.
 // Accumulated usage accounting survives: the resource keeps a unique
 // (negative) index so usage reports stay deterministically ordered.
 // Removing a resource still in use is a caller bug and panics.
@@ -378,7 +462,6 @@ func (n *Network) nextEpoch() uint32 {
 // link adds f to the user list of every resource it crosses. f must have
 // no edges.
 func (n *Network) link(f *Flow) {
-	f.nuses = int32(len(f.Uses))
 	ep := n.nextEpoch()
 	for _, u := range f.Uses {
 		r := u.Resource
@@ -465,25 +548,20 @@ func (n *Network) Solve() {
 	n.unlinkAll()
 	for _, f := range n.flows {
 		n.link(f)
-		n.params = append(n.params, f.params())
 		if f.edges == 0 {
 			n.lone = append(n.lone, f)
 		}
 	}
 	n.nlinked = len(n.flows)
-	for _, r := range n.resources {
-		r.snapCap = r.Capacity
-	}
 	n.refill(n.resources)
 	n.solved = true
 }
 
-// unlinkAll empties every user list and the edge pool and forgets every
-// flow's solved parameters, so all flows count as unlinked.
+// unlinkAll empties every user list, the edge pool and the dirty list, so
+// all flows count as unlinked.
 func (n *Network) unlinkAll() {
 	clear(n.edges)
-	n.edges, n.freeEdge = n.edges[:0], 0
-	n.nlinked, n.params = 0, n.params[:0]
+	n.edges, n.freeEdge, n.nlinked = n.edges[:0], 0, 0
 	for _, r := range n.resources {
 		r.users = 0
 	}
@@ -491,6 +569,16 @@ func (n *Network) unlinkAll() {
 		f.edges = 0
 	}
 	n.clearSeeds()
+	n.clearDirty()
+}
+
+// clearDirty empties the dirty list and lowers its flows' flags.
+func (n *Network) clearDirty() {
+	for _, c := range n.dirty {
+		c.flow.dirty = false
+	}
+	clear(n.dirty)
+	n.dirty = n.dirty[:0]
 }
 
 // refill runs fill over every component that holds one of seeds, then over
@@ -507,6 +595,7 @@ func (n *Network) refill(seeds []*Resource) {
 		n.sumW = make([]float64, nr)
 	}
 	residual, sumW := n.residual[:nr], n.sumW[:nr]
+	n.stats.Visited += uint64(len(seeds) + len(n.lone))
 	ep := n.nextEpoch()
 	for _, s := range seeds {
 		if s.index < 0 || n.rmark[s.index] == ep {
@@ -531,6 +620,7 @@ func (n *Network) refill(seeds []*Resource) {
 			}
 		}
 		n.compF, n.compR = cf, cr
+		n.stats.Visited += uint64(len(cf) + len(cr))
 		if len(cf) == 0 {
 			s.load = 0
 			continue
@@ -555,7 +645,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 	for _, ri := range ridx {
 		r := n.resources[ri]
 		r.load = 0
-		residual[ri] = r.Capacity
+		residual[ri] = r.capacity
 		sumW[ri] = 0
 	}
 	unfrozen := 0
@@ -564,15 +654,12 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		f.rate = 0
 		f.memberRate = 0
 		f.frozen = false
-		if f.Weight <= 0 {
-			panic(fmt.Sprintf("fluid: flow %s has non-positive weight %v", f.Name, f.Weight))
-		}
-		if f.Demand <= eps {
+		if f.demand <= eps {
 			f.frozen = true
 			continue
 		}
 		unfrozen++
-		ew := f.Weight * float64(f.members)
+		ew := f.weight * float64(f.members)
 		for _, u := range f.Uses {
 			sumW[u.Resource.index] += u.Coeff * ew
 		}
@@ -584,7 +671,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		f.rate = memberRate * float64(f.members)
 		f.frozen = true
 		unfrozen--
-		ew := f.Weight * float64(f.members)
+		ew := f.weight * float64(f.members)
 		for _, u := range f.Uses {
 			i := u.Resource.index
 			sumW[i] -= u.Coeff * ew
@@ -615,7 +702,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 			if f.frozen {
 				continue
 			}
-			if dl := f.Demand / f.Weight; dl < demandLambda {
+			if dl := f.demand / f.weight; dl < demandLambda {
 				demandLambda = dl
 			}
 		}
@@ -626,8 +713,8 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 			// infinite rate.
 			for _, fi := range fidx {
 				if f := n.flows[fi]; !f.frozen {
-					f.memberRate = f.Demand
-					f.rate = f.Demand * float64(f.members)
+					f.memberRate = f.demand
+					f.rate = f.demand * float64(f.members)
 					f.frozen = true
 					unfrozen--
 				}
@@ -643,8 +730,8 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		frozeAny := false
 		// Demand-capped flows freeze at their per-member demand.
 		for _, fi := range fidx {
-			if f := n.flows[fi]; !f.frozen && f.Demand/f.Weight <= tol {
-				freeze(f, f.Demand)
+			if f := n.flows[fi]; !f.frozen && f.demand/f.weight <= tol {
+				freeze(f, f.demand)
 				frozeAny = true
 			}
 		}
@@ -664,7 +751,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 					}
 					for _, fi := range fidx {
 						if f := n.flows[fi]; !f.frozen && f.mark == ep {
-							freeze(f, f.Weight*level)
+							freeze(f, f.weight*level)
 							frozeAny = true
 						}
 					}
@@ -675,7 +762,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 			// Defensive: should be unreachable, but avoid an infinite loop.
 			for _, fi := range fidx {
 				if f := n.flows[fi]; !f.frozen {
-					freeze(f, f.Weight*level)
+					freeze(f, f.weight*level)
 				}
 			}
 		}
@@ -691,9 +778,9 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 }
 
 // Invalidate forces the next Resolve to run a full Solve. Needed only
-// after mutations the dirty scan cannot see: editing a Usage coefficient
-// in place, or swapping a Usage's Resource. It drops every link, since the
-// user lists may no longer match the flows' Uses.
+// after mutations no setter sees: editing a Usage coefficient in place,
+// swapping a Usage's Resource, or truncating Uses. It drops every link,
+// since the user lists may no longer match the flows' Uses.
 func (n *Network) Invalidate() {
 	n.solved = false
 	n.unlinkAll()
@@ -725,13 +812,13 @@ func (n *Network) Utilization() []ResourceUtil {
 	for i, r := range n.resources {
 		out[i] = ResourceUtil{
 			Name:     r.Name,
-			Capacity: r.Capacity,
+			Capacity: r.capacity,
 			Load:     r.load,
 			Share:    r.Utilization(),
 		}
 	}
 	for _, f := range n.flows {
-		ed := f.Demand * float64(f.members)
+		ed := f.demand * float64(f.members)
 		for _, u := range f.Uses {
 			out[u.Resource.index].Demand += u.Coeff * ed
 		}
@@ -742,11 +829,11 @@ func (n *Network) Utilization() []ResourceUtil {
 // Stats returns counters describing how Resolve calls were satisfied.
 func (n *Network) Stats() SolverStats { return n.stats }
 
-// Resolve re-solves only what changed since the last Solve. A dirty scan
-// compares every flow's and resource's parameters against what the last
-// solve used, which also catches direct writes to Flow.Demand/Weight and
-// Resource.Capacity that bypass the Sim setters. Nothing changed: no solve.
-// A single non-binding demand change and nothing else: no solve either (the
+// Resolve re-solves only what changed since the last Solve. It walks the
+// dirty list, the flows registered since, and the resources queued by
+// departures and capacity writes — never the whole network. Nothing changed
+// (a flow set back to what the last solve used included): no solve. A
+// single non-binding demand change and nothing else: no solve either (the
 // solved rate sits strictly below both old and new caps, so the max-min
 // allocation is unchanged). Otherwise only the components touched by a
 // changed flow or resource, an arrival or a departure are refilled. It
@@ -756,53 +843,49 @@ func (n *Network) Resolve() bool {
 		n.Solve()
 		return true
 	}
-	// pending: a departure, arrival, Uses edit or capacity write, any of
+	// pending: a departure, arrival, Uses append or capacity write, any of
 	// which rules out the fast path.
 	pending := len(n.touched) > 0 || n.nlinked < len(n.flows)
-	var first *Flow // the first param-dirty flow and its old demand
-	oldDemand, ndirty, demandOnly := 0.0, 0, true
-	for i, f := range n.flows[:n.nlinked] {
-		p, old := f.params(), n.params[i]
-		if p == old && int(f.nuses) == len(f.Uses) {
-			continue
+	var first *Flow // the first changed flow and its old demand
+	oldDemand, nchanged, demandOnly := 0.0, 0, true
+	for _, c := range n.dirty {
+		f := c.flow
+		f.dirty = false
+		relink := int(c.nuses) != len(f.Uses)
+		if f.index < 0 || (!relink && f.demand == c.demand && f.weight == c.weight && f.members == c.members) {
+			continue // departed since, or set back to what the last solve used
 		}
-		if ndirty++; ndirty == 1 {
-			first, oldDemand = f, old.demand
+		if nchanged++; nchanged == 1 {
+			first, oldDemand = f, c.demand
 		}
-		if p.weight != old.weight || p.members != old.members {
+		if f.weight != c.weight || f.members != c.members {
 			demandOnly = false
 		}
-		if int(f.nuses) != len(f.Uses) {
+		if relink {
 			pending = true
 			n.unlink(f)
 			n.link(f)
 		}
-		n.params[i] = p
 		n.seed(f)
 	}
+	n.stats.Visited += uint64(len(n.dirty) + len(n.flows) - n.nlinked)
+	clear(n.dirty)
+	n.dirty = n.dirty[:0]
 	for _, f := range n.flows[n.nlinked:] {
 		n.link(f)
-		n.params = append(n.params, f.params())
 		n.seed(f)
 	}
 	n.nlinked = len(n.flows)
-	for _, r := range n.resources {
-		if r.Capacity != r.snapCap {
-			r.snapCap = r.Capacity
-			n.touched = append(n.touched, r)
-			pending = true
-		}
-	}
 	if len(n.touched) == 0 && len(n.lone) == 0 {
 		n.stats.Skips++
 		return false
 	}
-	if ndirty == 1 && demandOnly && !pending {
+	if nchanged == 1 && demandOnly && !pending {
 		// Margin keeps the fast path well clear of the solver's freeze
 		// tolerance, so a from-scratch Solve would take the exact same
 		// branches and reproduce the current rates bit for bit.
 		margin := 1e-6 * math.Max(1, first.memberRate)
-		if math.Min(oldDemand, first.Demand) > first.memberRate+margin {
+		if math.Min(oldDemand, first.demand) > first.memberRate+margin {
 			n.clearSeeds()
 			n.stats.FastResolves++
 			return false

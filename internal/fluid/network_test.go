@@ -133,10 +133,10 @@ func TestWeightedSharing(t *testing.T) {
 	n := NewNetwork()
 	r := n.AddResource("link", 90)
 	f1 := n.NewFlow("f1", math.Inf(1))
-	f1.Weight = 2
+	n.SetWeight(f1, 2)
 	f1.Use(r, 1)
 	f2 := n.NewFlow("f2", math.Inf(1))
-	f2.Weight = 1
+	n.SetWeight(f2, 1)
 	f2.Use(r, 1)
 	n.Solve()
 	if !almostEqual(f1.Rate(), 60, 1e-9) || !almostEqual(f2.Rate(), 30, 1e-9) {
@@ -240,7 +240,7 @@ func randomNetwork(seed int64) *Network {
 			demand = rng.Float64() * 500
 		}
 		f := n.NewFlow("f", demand)
-		f.Weight = 0.5 + rng.Float64()*2
+		n.SetWeight(f, 0.5+rng.Float64()*2)
 		uses := 1 + rng.Intn(nr)
 		perm := rng.Perm(nr)
 		for j := 0; j < uses; j++ {
@@ -257,8 +257,8 @@ func TestSolvePropertyFeasible(t *testing.T) {
 		n := randomNetwork(seed)
 		n.Solve()
 		for _, r := range n.Resources() {
-			if r.Load() > r.Capacity*(1+1e-6)+1e-6 {
-				t.Logf("seed %d: resource overloaded: load %v > cap %v", seed, r.Load(), r.Capacity)
+			if r.Load() > r.Capacity()*(1+1e-6)+1e-6 {
+				t.Logf("seed %d: resource overloaded: load %v > cap %v", seed, r.Load(), r.Capacity())
 				return false
 			}
 		}
@@ -267,8 +267,8 @@ func TestSolvePropertyFeasible(t *testing.T) {
 				t.Logf("seed %d: negative rate %v", seed, f.Rate())
 				return false
 			}
-			if !math.IsInf(f.Demand, 1) && f.Rate() > f.Demand*(1+1e-6)+1e-9 {
-				t.Logf("seed %d: rate %v exceeds demand %v", seed, f.Rate(), f.Demand)
+			if !math.IsInf(f.Demand(), 1) && f.Rate() > f.Demand()*(1+1e-6)+1e-9 {
+				t.Logf("seed %d: rate %v exceeds demand %v", seed, f.Rate(), f.Demand())
 				return false
 			}
 		}
@@ -286,7 +286,7 @@ func TestSolvePropertyEfficient(t *testing.T) {
 		n := randomNetwork(seed)
 		n.Solve()
 		for _, f := range n.Flows() {
-			if !math.IsInf(f.Demand, 1) && f.Rate() >= f.Demand*(1-1e-6) {
+			if !math.IsInf(f.Demand(), 1) && f.Rate() >= f.Demand()*(1-1e-6) {
 				continue // demand-satisfied
 			}
 			if len(f.Uses) == 0 {
@@ -294,7 +294,7 @@ func TestSolvePropertyEfficient(t *testing.T) {
 			}
 			saturated := false
 			for _, u := range f.Uses {
-				if u.Resource.Load() >= u.Resource.Capacity*(1-1e-6)-1e-9 {
+				if u.Resource.Load() >= u.Resource.Capacity()*(1-1e-6)-1e-9 {
 					saturated = true
 					break
 				}
@@ -365,13 +365,12 @@ func TestNonPositiveWeightPanics(t *testing.T) {
 	r := n.AddResource("link", 10)
 	f := n.NewFlow("f", math.Inf(1))
 	f.Use(r, 1)
-	f.Weight = 0
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for zero weight")
 		}
 	}()
-	n.Solve()
+	n.SetWeight(f, 0)
 }
 
 // Property: formal (weighted) max-min fairness via the bottleneck
@@ -387,14 +386,14 @@ func TestSolvePropertyBottleneckCondition(t *testing.T) {
 			if len(f.Uses) == 0 {
 				continue
 			}
-			if !math.IsInf(f.Demand, 1) && f.Rate() >= f.Demand*(1-tol) {
+			if !math.IsInf(f.Demand(), 1) && f.Rate() >= f.Demand()*(1-tol) {
 				continue // demand-satisfied
 			}
-			norm := f.Rate() / f.Weight
+			norm := f.Rate() / f.Weight()
 			hasBottleneck := false
 			for _, u := range f.Uses {
 				r := u.Resource
-				if r.Load() < r.Capacity*(1-tol)-1e-9 {
+				if r.Load() < r.Capacity()*(1-tol)-1e-9 {
 					continue // not saturated
 				}
 				dominated := false
@@ -402,7 +401,7 @@ func TestSolvePropertyBottleneckCondition(t *testing.T) {
 					if g == f || !flowUsesRes(g, r) {
 						continue
 					}
-					if g.Rate()/g.Weight > norm*(1+1e-3)+1e-9 {
+					if g.Rate()/g.Weight() > norm*(1+1e-3)+1e-9 {
 						dominated = true
 						break
 					}
@@ -413,7 +412,7 @@ func TestSolvePropertyBottleneckCondition(t *testing.T) {
 				}
 			}
 			if !hasBottleneck {
-				t.Logf("seed %d: flow rate=%v weight=%v lacks a bottleneck", seed, f.Rate(), f.Weight)
+				t.Logf("seed %d: flow rate=%v weight=%v lacks a bottleneck", seed, f.Rate(), f.Weight())
 				return false
 			}
 		}
@@ -449,7 +448,7 @@ func TestSolvePropertyRemovalRaisesFloor(t *testing.T) {
 		minNorm := func() float64 {
 			min := math.Inf(1)
 			for _, f := range n.Flows() {
-				if v := f.Rate() / f.Weight; v < min {
+				if v := f.Rate() / f.Weight(); v < min {
 					min = v
 				}
 			}
@@ -467,7 +466,7 @@ func TestSolvePropertyRemovalRaisesFloor(t *testing.T) {
 			if f == victim {
 				continue
 			}
-			if v := f.Rate() / f.Weight; v < beforeOthers {
+			if v := f.Rate() / f.Weight(); v < beforeOthers {
 				beforeOthers = v
 			}
 		}
@@ -531,7 +530,7 @@ func TestUtilizationSnapshot(t *testing.T) {
 	}
 
 	// Bounded-only demand stays finite and coefficient-weighted.
-	f2.Demand = 10
+	n.SetDemand(f2, 10)
 	n.Solve()
 	us = n.Utilization()
 	if !almostEqual(us[0].Demand, 40, 1e-9) { // 30 + 10
@@ -550,7 +549,7 @@ func TestUtilizationDoesNotResolve(t *testing.T) {
 	f := n.NewFlow("f", math.Inf(1))
 	f.Use(r, 1)
 	n.Solve()
-	f.Demand = 10 // not yet solved
+	n.SetDemand(f, 10) // not yet solved
 	if got := n.Utilization()[0].Load; !almostEqual(got, 100, 1e-9) {
 		t.Fatalf("load = %v, want the stale 100 until the next Solve", got)
 	}

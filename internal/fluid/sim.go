@@ -119,7 +119,7 @@ func (s *Sim) StartMember(t *Transfer) {
 	f := t.Flow
 	f.attached++
 	if f.attached > 1 {
-		s.Network.SetMembers(f, f.attached)
+		s.Network.SetMembers(f, int(f.attached))
 	}
 	t.member = true
 	t.active = true
@@ -153,21 +153,15 @@ func (s *Sim) RemoveResource(r *Resource) {
 
 // SetDemand changes a flow's demand cap and re-solves.
 func (s *Sim) SetDemand(f *Flow, demand float64) {
-	if demand < 0 || math.IsNaN(demand) {
-		panic(fmt.Sprintf("fluid: invalid demand %v", demand))
-	}
 	s.Sync()
-	f.Demand = demand
+	s.Network.SetDemand(f, demand)
 	s.reschedule()
 }
 
 // SetWeight changes a flow's fair-share weight and re-solves.
 func (s *Sim) SetWeight(f *Flow, weight float64) {
-	if weight <= 0 || math.IsNaN(weight) {
-		panic(fmt.Sprintf("fluid: invalid weight %v", weight))
-	}
 	s.Sync()
-	f.Weight = weight
+	s.Network.SetWeight(f, weight)
 	s.reschedule()
 }
 
@@ -181,11 +175,8 @@ func (s *Sim) SetMembers(f *Flow, members int) {
 // SetCapacity changes a resource's capacity mid-run (e.g. a thermally
 // throttled SSD) and re-solves.
 func (s *Sim) SetCapacity(r *Resource, capacity float64) {
-	if capacity < 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("fluid: invalid capacity %v", capacity))
-	}
 	s.Sync()
-	r.Capacity = capacity
+	s.Network.SetCapacity(r, capacity)
 	s.reschedule()
 	s.Engine.Tracef("fluid", "capacity %s=%g", r.Name, capacity)
 }
@@ -219,7 +210,7 @@ func (s *Sim) detach(t *Transfer) {
 		s.Network.RemoveFlow(f)
 		return
 	}
-	s.Network.SetMembers(f, f.attached)
+	s.Network.SetMembers(f, int(f.attached))
 }
 
 // rateOf returns the rate at which the transfer moves fluid: the per-member
@@ -344,18 +335,18 @@ func (s *Sim) ActiveTransfers() int { return len(s.active) }
 
 // Refresh accrues progress, forces a from-scratch re-solve and reschedules
 // the next completion event. It is the entry point for callers that edited
-// flow Uses in place (re-homed buffers, re-pinned threads): those edits are
-// invisible to the incremental dirty scan, so the network must be
-// invalidated before rates are recomputed.
+// flow Uses in place (re-homed buffers, re-pinned threads): no setter sees
+// those edits, so the network must be invalidated before rates are
+// recomputed.
 func (s *Sim) Refresh() {
 	s.Sync()
 	s.Network.Invalidate()
 	s.reschedule()
 }
 
-// Reschedule accrues progress, propagates pending parameter writes (demands,
-// weights, member counts, capacities — anything the incremental dirty scan
-// can see) and re-arms the next completion event. Unlike Refresh it does not
+// Reschedule accrues progress, resolves the changes batched through the
+// Network setters (demands, weights, member counts, capacities, appended
+// Uses) and re-arms the next completion event. Unlike Refresh it does not
 // invalidate the network, so batched fair-share weight updates resolve
 // through the bottleneck-subgraph path instead of a full solve.
 func (s *Sim) Reschedule() {

@@ -119,8 +119,8 @@ func (p *Process) NewThread() *Thread {
 // network. Call it when the thread's owning session is torn down and no
 // flow will ever charge this thread again: limiters are per-session
 // state, and a workload that opens thousands of short sessions would
-// otherwise grow the network — and the solver's dirty scan over it —
-// without bound. Accumulated CPU accounting is unaffected. Releasing a
+// otherwise grow the network — and every full solve and per-resource
+// solver array over it — without bound. Accumulated CPU accounting is unaffected. Releasing a
 // thread that a registered flow still charges panics in the network.
 func (t *Thread) Release() {
 	t.Proc.Host.Sim.RemoveResource(t.limiter)

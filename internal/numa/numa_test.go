@@ -72,7 +72,7 @@ func TestTopologyShape(t *testing.T) {
 		if len(n.Cores) != 8 {
 			t.Fatalf("node %d has %d cores", i, len(n.Cores))
 		}
-		if n.Mem == nil || n.Mem.Capacity != 25*units.GBps {
+		if n.Mem == nil || n.Mem.Capacity() != 25*units.GBps {
 			t.Fatalf("node %d memory controller misconfigured", i)
 		}
 	}

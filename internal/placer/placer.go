@@ -297,9 +297,9 @@ func (e *Engine) tick() {
 }
 
 // rebuildAll re-derives every tracked flow's coefficients from current
-// placement state and re-solves from scratch. In-place Uses edits are
-// invisible to the incremental solver's dirty scan, so the network must be
-// invalidated explicitly.
+// placement state and re-solves from scratch. Truncating Uses in place is
+// a change no fluid setter records, so the network must be invalidated
+// explicitly.
 func (e *Engine) rebuildAll() {
 	for _, tr := range e.flows {
 		tr.flow.Uses = tr.flow.Uses[:0]

@@ -309,7 +309,7 @@ func (t *BatchTransfer) deliver(i int, now sim.Time) {
 // release retires the session's per-thread limiter resources once no item
 // flow can ever charge them again. Small-item workloads open sessions at
 // high rate; without this every session would leave its limiters in the
-// fluid network forever and the solver's dirty scan would grow quadratic.
+// fluid network forever, growing every full solve without bound.
 func (t *BatchTransfer) release() {
 	if t.released {
 		return

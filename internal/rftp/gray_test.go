@@ -130,7 +130,7 @@ func TestGrayWeightDecaysCredits(t *testing.T) {
 	var base float64
 	for _, s := range tr.streams {
 		if s.rail == 1 {
-			base = s.transfer.Flow.Demand
+			base = s.transfer.Flow.Demand()
 			break
 		}
 	}
@@ -142,8 +142,8 @@ func TestGrayWeightDecaysCredits(t *testing.T) {
 		t.Fatal("sagging rail not suspected")
 	}
 	for _, s := range tr.streams {
-		if s.rail == 1 && !(s.transfer.Flow.Demand < base) {
-			t.Fatalf("suspect rail demand did not shrink: %g -> %g", base, s.transfer.Flow.Demand)
+		if s.rail == 1 && !(s.transfer.Flow.Demand() < base) {
+			t.Fatalf("suspect rail demand did not shrink: %g -> %g", base, s.transfer.Flow.Demand())
 		}
 	}
 	if tr.SuspectRailsInUse() == 0 {

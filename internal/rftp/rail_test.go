@@ -129,14 +129,14 @@ func TestRebalanceShiftsCreditsUnderDegrade(t *testing.T) {
 	p.Eng.RunUntil(0.05)
 	base := make([]float64, 3)
 	for i, s := range tr.streams {
-		base[i] = s.transfer.Flow.Demand
+		base[i] = s.transfer.Flow.Demand()
 	}
 	p.Links[1].Degrade(0.5)
 	p.Eng.RunUntil(0.1)
 	d := make([]float64, 3)
 	sumBefore, sumAfter := 0.0, 0.0
 	for i, s := range tr.streams {
-		d[i] = s.transfer.Flow.Demand
+		d[i] = s.transfer.Flow.Demand()
 		sumBefore += base[i]
 		sumAfter += d[i]
 	}
@@ -156,8 +156,8 @@ func TestRebalanceShiftsCreditsUnderDegrade(t *testing.T) {
 	p.Links[1].Degrade(1)
 	p.Eng.RunUntil(0.15)
 	for i, s := range tr.streams {
-		if !near(s.transfer.Flow.Demand, base[i], 1e-9) {
-			t.Fatalf("demand %d not restored: %g, want %g", i, s.transfer.Flow.Demand, base[i])
+		if !near(s.transfer.Flow.Demand(), base[i], 1e-9) {
+			t.Fatalf("demand %d not restored: %g, want %g", i, s.transfer.Flow.Demand(), base[i])
 		}
 	}
 	tr.Stop()

@@ -754,7 +754,7 @@ func (t *Transfer) finish(now sim.Time) {
 // adaptive placer keep their threads: the placer still holds the endpoint
 // entities and may re-derive charges from them. Without this, a small-file
 // workload opening thousands of short sessions grows the network's
-// resource list without bound and every solver dirty scan visits all of it.
+// resource list without bound and every full solve visits all of it.
 func (t *Transfer) releaseEndpoints() {
 	if t.released || t.placer() != nil {
 		return

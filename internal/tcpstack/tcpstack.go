@@ -215,7 +215,7 @@ func (c *Conn) Stream(size float64, opt FlowOptions, onDone func(now sim.Time)) 
 		if math.IsInf(cap, 1) {
 			cap = c.Link.Cfg.Rate
 		}
-		f.Demand = cap / 16
+		c.sim.Network.SetDemand(f, cap/16)
 		start := c.eng.Now()
 		tau := float64(c.Params.RampTime)
 		var tick *sim.Ticker
