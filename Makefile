@@ -38,7 +38,8 @@ loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # One iteration of every benchmark in the tree (keeps benchmarks from
-# bit-rotting), then the repository benchmark (perfbench/, declared by
+# bit-rotting; the root BenchmarkPaper runs each paper experiment once,
+# F7's sweep included, and no S* scenario), then the repository benchmark (perfbench/, declared by
 # BENCHMARK.json; a nested module the root `go test ./...` skips): its
 # self-test, and a one-second run of each workload that must end with every
 # unit correct and none failed. Catches internal API changes that would break
@@ -61,9 +62,9 @@ failover-smoke:
 	$(GO) run ./cmd/xfersched -jobs 10 -seed 11 -gridftp 0 -kill-rail roce2@1.5 -corrupt 3 -corruptseed 5 -checksum
 
 # Adaptive-placement gate: the placer and scheduler test suites under the
-# race detector, then the full S4 experiment, whose acceptance checks
-# (auto ≥ 95% of bind, beats every static policy post-kill, bit-identical
-# replay, bounded migrations) panic on violation (CI runs this).
+# race detector, then the full S4 experiment, whose claims (auto ≥ 95% of
+# bind, beats every static policy post-kill, bit-identical replay, bounded
+# migrations) make e2ebench exit non-zero when any fails (CI runs this).
 placer-smoke:
 	$(GO) test -race ./internal/placer ./internal/xfersched
 	$(GO) run ./cmd/e2ebench -run S4
@@ -97,10 +98,10 @@ chaos-smoke:
 
 # Gray-failure gate: the gray/hedge/shed suites and the peer scorer's unit
 # test under the race detector,
-# then the full S7 experiment — its acceptance checks (detection fires on a
-# sagging rail, hedged goodput ≥90% of healthy while the no-mitigation
-# ablation collapses ≤60%, bounded detection latency, bit-identical replay)
-# panic on violation — and finally two CLI drives: a single-pair sag with
+# then the full S7 experiment — its claims (detection fires on a sagging
+# rail, hedged goodput ≥90% of healthy while the no-mitigation ablation
+# collapses ≤60%, bounded detection latency, bit-identical replay) make
+# e2ebench exit non-zero when any fails — and finally two CLI drives: a single-pair sag with
 # hedging (exits non-zero unless every job delivers) and a cluster host
 # limp under the shed valve with the replay-hash check (CI runs this).
 gray-smoke:

@@ -1,270 +1,44 @@
 // Package e2edt's root benchmark harness regenerates every table and
-// figure in the paper's evaluation as a Go benchmark, reporting the
-// headline quantity of each artifact as a custom metric (Gbps, GB/s,
-// CPU %, gain %). Run with:
+// figure in the paper's evaluation as a Go benchmark, one sub-benchmark per
+// paper experiment (E*, F*, A*, T1), reporting each claim's measurement as
+// a custom metric named after the claim's quantity. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark iteration performs one full (virtual-time) run of the
-// corresponding experiment, so wall-clock ns/op measures simulator
-// performance while the custom metrics carry the reproduced results.
+// Each iteration performs one full (virtual-time) run of the experiment,
+// so wall-clock ns/op measures simulator performance while the custom
+// metrics carry the reproduced results. The S* scenario experiments are
+// checked by the experiments package's tests and by cmd/e2ebench.
 package e2edt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"e2edt/internal/core"
 	"e2edt/internal/experiments"
-	"e2edt/internal/gridftp"
-	"e2edt/internal/iperf"
-	"e2edt/internal/iscsi"
-	"e2edt/internal/numa"
-	"e2edt/internal/pipe"
 	"e2edt/internal/rftp"
-	"e2edt/internal/stream"
-	"e2edt/internal/testbed"
-	"e2edt/internal/units"
 )
 
-// BenchmarkMotivatingIperf regenerates §2.3 / E1: bi-directional iperf over
-// 3×40G RoCE, default vs NUMA-tuned (paper: 83.5 vs 91.8 Gbps).
-func BenchmarkMotivatingIperf(b *testing.B) {
-	var def, bind float64
-	for i := 0; i < b.N; i++ {
-		for _, pol := range []numa.Policy{numa.PolicyDefault, numa.PolicyBind} {
-			p := testbed.NewMotivatingPair()
-			cfg := iperf.DefaultConfig()
-			cfg.Policy = pol
-			rep := iperf.Run(p.Links, cfg)
-			if pol == numa.PolicyBind {
-				bind = units.ToGbps(rep.Aggregate)
-			} else {
-				def = units.ToGbps(rep.Aggregate)
-			}
+func BenchmarkPaper(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		if strings.HasPrefix(id, "S") {
+			continue
 		}
-	}
-	b.ReportMetric(def, "default-Gbps")
-	b.ReportMetric(bind, "tuned-Gbps")
-	b.ReportMetric((bind/def-1)*100, "gain-%")
-}
-
-// BenchmarkStreamTriad regenerates §2.3 / E2: STREAM Triad (paper: 50 GB/s).
-func BenchmarkStreamTriad(b *testing.B) {
-	var bw float64
-	for i := 0; i < b.N; i++ {
-		p := testbed.NewMotivatingPair()
-		res := stream.Run(p.A, stream.DefaultConfig(p.A))
-		bw = units.ToGBps(res.Bandwidth)
-	}
-	b.ReportMetric(bw, "Triad-GB/s")
-}
-
-// BenchmarkCostBreakdown40G regenerates Figures 3–4: CPU cost of a 40 Gbps
-// memory-to-memory transfer (paper: RFTP 122% vs TCP 642%).
-func BenchmarkCostBreakdown40G(b *testing.B) {
-	var res experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.CostBreakdown40G()
-	}
-	_ = res
-}
-
-// BenchmarkISERBandwidth regenerates Figure 7: iSER bandwidth, default vs
-// NUMA tuning (paper: read +7.6%, write +19%).
-func BenchmarkISERBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ISERBandwidth()
-	}
-}
-
-// BenchmarkISERCPU regenerates Figure 8: iSER target CPU (paper: default
-// writes ≈3× tuned CPU).
-func BenchmarkISERCPU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ISERCPU()
-	}
-}
-
-// BenchmarkEndToEndThroughput regenerates Figure 9: steady end-to-end
-// throughput (paper: RFTP 91 Gbps = 96% of the 94.8 ceiling; GridFTP 29).
-func BenchmarkEndToEndThroughput(b *testing.B) {
-	var rftpG, gridG float64
-	for i := 0; i < b.N; i++ {
-		sysR, err := core.NewSystem(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		trR, err := sysR.StartRFTP(core.Forward, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sysR.Engine().RunFor(60)
-		rftpG = units.ToGbps(trR.Transferred() / 60)
-
-		sysG, err := core.NewSystem(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		trG, err := sysG.StartGridFTP(core.Forward, gridftp.DefaultConfig(), math.Inf(1), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sysG.Engine().RunFor(60)
-		gridG = units.ToGbps(trG.Transferred() / 60)
-	}
-	b.ReportMetric(rftpG, "RFTP-Gbps")
-	b.ReportMetric(gridG, "GridFTP-Gbps")
-	b.ReportMetric(rftpG/gridG, "ratio")
-}
-
-// BenchmarkEndToEndCPU regenerates Figure 10: front-end CPU breakdown.
-func BenchmarkEndToEndCPU(b *testing.B) {
-	var rftpCPU, gridCPU float64
-	for i := 0; i < b.N; i++ {
-		sysR, _ := core.NewSystem(core.DefaultOptions())
-		sysR.StartRFTP(core.Forward, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
-		sysR.Engine().RunFor(30)
-		rftpCPU = sysR.A.Front.HostCPUReport().TotalPercent(30)
-
-		sysG, _ := core.NewSystem(core.DefaultOptions())
-		sysG.StartGridFTP(core.Forward, gridftp.DefaultConfig(), math.Inf(1), nil)
-		sysG.Engine().RunFor(30)
-		gridCPU = sysG.A.Front.HostCPUReport().TotalPercent(30)
-	}
-	b.ReportMetric(rftpCPU, "RFTP-CPU%")
-	b.ReportMetric(gridCPU, "GridFTP-CPU%")
-}
-
-// BenchmarkBiDirectional regenerates Figure 11: bi-directional gain
-// (paper: RFTP +83%, GridFTP +33%).
-func BenchmarkBiDirectional(b *testing.B) {
-	var rGain, gGain float64
-	for i := 0; i < b.N; i++ {
-		run := func(bidi bool, grid bool) float64 {
-			sys, _ := core.NewSystem(core.DefaultOptions())
-			dirs := []core.Direction{core.Forward}
-			if bidi {
-				dirs = append(dirs, core.Reverse)
-			}
-			counters := make([]func() float64, 0, 2)
-			for _, d := range dirs {
-				if grid {
-					tr, _ := sys.StartGridFTP(d, gridftp.DefaultConfig(), math.Inf(1), nil)
-					counters = append(counters, tr.Transferred)
-				} else {
-					tr, _ := sys.StartRFTP(d, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
-					counters = append(counters, tr.Transferred)
+		b.Run(id, func(b *testing.B) {
+			var res experiments.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = experiments.Run(id); err != nil {
+					b.Fatal(err)
 				}
 			}
-			sys.Engine().RunFor(30)
-			sum := 0.0
-			for _, c := range counters {
-				sum += c()
+			for _, c := range res.Claims {
+				// Metric units may not contain whitespace.
+				b.ReportMetric(c.Measured, strings.Join(strings.Fields(c.Quantity), "_"))
 			}
-			return sum / 30
-		}
-		rGain = (run(true, false)/run(false, false) - 1) * 100
-		gGain = (run(true, true)/run(false, true) - 1) * 100
-	}
-	b.ReportMetric(rGain, "RFTP-gain-%")
-	b.ReportMetric(gGain, "GridFTP-gain-%")
-}
-
-// BenchmarkBiDirectionalCPU regenerates Figure 12.
-func BenchmarkBiDirectionalCPU(b *testing.B) {
-	var cpu float64
-	for i := 0; i < b.N; i++ {
-		sys, _ := core.NewSystem(core.DefaultOptions())
-		sys.StartGridFTP(core.Forward, gridftp.DefaultConfig(), math.Inf(1), nil)
-		sys.StartGridFTP(core.Reverse, gridftp.DefaultConfig(), math.Inf(1), nil)
-		sys.Engine().RunFor(30)
-		cpu = sys.A.Front.HostCPUReport().TotalPercent(30)
-	}
-	b.ReportMetric(cpu, "GridFTP-bidi-CPU%")
-}
-
-// BenchmarkWANBandwidth regenerates Figure 13: RFTP over the ANI loop
-// (paper: 97% of raw 40 Gbps at large blocks).
-func BenchmarkWANBandwidth(b *testing.B) {
-	var peak, starved float64
-	for i := 0; i < b.N; i++ {
-		point := func(streams int, bs int64) float64 {
-			w := testbed.NewWAN()
-			cfg := rftp.DefaultConfig()
-			cfg.Streams = streams
-			cfg.BlockSize = bs
-			tr, err := rftp.Start(w.LinkSlice(), w.A, cfg, rftp.DefaultParams(),
-				pipe.Zero{}, pipe.Null{}, math.Inf(1), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w.Eng.RunFor(20)
-			return units.ToGbps(tr.Transferred() / 20)
-		}
-		starved = point(1, 64*units.KB)
-		peak = point(8, 16*units.MB)
-	}
-	b.ReportMetric(peak, "peak-Gbps")
-	b.ReportMetric(starved, "64KB-1stream-Gbps")
-	b.ReportMetric(peak/40*100, "utilization-%")
-}
-
-// BenchmarkWANCPU regenerates Figure 14: WAN sender/receiver CPU.
-func BenchmarkWANCPU(b *testing.B) {
-	var snd, rcv float64
-	for i := 0; i < b.N; i++ {
-		w := testbed.NewWAN()
-		cfg := rftp.DefaultConfig()
-		cfg.Streams = 8
-		cfg.BlockSize = 4 * units.MB
-		tr, err := rftp.Start(w.LinkSlice(), w.A, cfg, rftp.DefaultParams(),
-			pipe.Zero{}, pipe.Null{}, math.Inf(1), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.Eng.RunFor(20)
-		tr.Stop()
-		snd = w.A.HostCPUReport().TotalPercent(20)
-		rcv = w.B.HostCPUReport().TotalPercent(20)
-	}
-	b.ReportMetric(snd, "sender-CPU%")
-	b.ReportMetric(rcv, "receiver-CPU%")
-}
-
-// BenchmarkFioCeiling regenerates the §4.3 fio probe (paper: write path
-// narrowest at 94.8 Gbps).
-func BenchmarkFioCeiling(b *testing.B) {
-	var write float64
-	for i := 0; i < b.N; i++ {
-		sys, err := core.NewSystem(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := sys.MeasureCeiling(sys.B, iscsi.OpWrite, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		write = units.ToGbps(w)
-	}
-	b.ReportMetric(write, "write-ceiling-Gbps")
-}
-
-// BenchmarkSSDThermal regenerates the §4.1 ablation (paper: throttles to
-// ≈500 MB/s under sustained I/O).
-func BenchmarkSSDThermal(b *testing.B) {
-	var throttled float64
-	for i := 0; i < b.N; i++ {
-		res := experiments.SSDThermalThrottle()
-		throttled = res.Series[0].Values[res.Series[0].Len()-1]
-	}
-	b.ReportMetric(throttled, "throttled-MB/s")
-}
-
-// BenchmarkTestbedTable regenerates Table 1.
-func BenchmarkTestbedTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.TestbedTable()
+		})
 	}
 }
 

@@ -1,4 +1,6 @@
-// Command e2ebench regenerates the paper's tables and figures.
+// Command e2ebench regenerates the paper's tables and figures and checks
+// each experiment's claims — paper figures and scenario gates, each an
+// inclusive band on one measured quantity.
 //
 // Usage:
 //
@@ -6,11 +8,15 @@
 //	e2ebench -list        # list experiment IDs
 //	e2ebench -run F9,F13  # run selected experiments
 //
+// Every result prints in full; the command then exits 1 if any claim lies
+// outside its band, naming each on stderr.
+//
 // Experiment IDs follow DESIGN.md: E1 (motivating iperf), E2 (STREAM),
-// F4 (cost breakdown), T1 (testbed table), F7/F8 (iSER bandwidth/CPU),
-// F9–F12 (end-to-end uni/bi-directional), F13/F14 (WAN), A1 (SSD thermal),
-// A2 (path ceiling), S1 (multi-tenant transfer scheduler saturation),
-// S2 (fault-injection chaos sweep with in-protocol recovery).
+// F4 (cost breakdown), T1 (testbed table), F7 (iSER bandwidth and CPU,
+// Figs. 7/8), F9–F12 (end-to-end uni/bi-directional), F13/F14 (WAN),
+// A1–A6 (ablations), S1–S8 (scenarios: scheduler, chaos, rail failover,
+// adaptive placement, cluster scale and chaos, gray failure, object
+// gateway).
 package main
 
 import (
@@ -40,6 +46,7 @@ func main() {
 	if *run != "" {
 		ids = strings.Split(*run, ",")
 	}
+	var failed []string
 	for _, id := range ids {
 		res, err := experiments.Run(strings.TrimSpace(id))
 		if err != nil {
@@ -50,6 +57,10 @@ func main() {
 			fmt.Printf("### %s — %s\n\n", res.ID, res.Title)
 			for _, tb := range res.Tables {
 				fmt.Println(tb.Markdown())
+			}
+			if len(res.Claims) > 0 {
+				ct := res.ClaimTable()
+				fmt.Println(ct.Markdown())
 			}
 			for _, n := range res.Notes {
 				fmt.Printf("> %s\n", n)
@@ -63,5 +74,14 @@ func main() {
 				fmt.Println(c)
 			}
 		}
+		for _, c := range res.Failed() {
+			failed = append(failed, fmt.Sprintf("%s: %s = %v outside %s", res.ID, c.Quantity, c.Measured, c.Band()))
+		}
+	}
+	if len(failed) > 0 {
+		for _, f := range failed {
+			fmt.Fprintln(os.Stderr, "e2ebench: claim failed:", f)
+		}
+		os.Exit(1)
 	}
 }

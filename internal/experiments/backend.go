@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"e2edt/internal/blockdev"
 	"e2edt/internal/fabric"
@@ -18,8 +19,7 @@ import (
 )
 
 func init() {
-	register("F7", ISERBandwidth)
-	register("F8", ISERCPU)
+	register("F7", ISER)
 }
 
 // backendRig is the §4.2 back-end testbed: initiator + target joined by two
@@ -83,83 +83,63 @@ func fioPoint(policy numa.Policy, op iscsi.Op, blockSize int64) (float64, float6
 // fioBlockSizes is the Figure 7/8 sweep.
 var fioBlockSizes = []int64{256 * units.KB, units.MB, 4 * units.MB, 16 * units.MB}
 
-// ISERBandwidth regenerates Figure 7: iSER bandwidth, default scheduling vs
-// NUMA tuning, for reads and writes across block sizes.
-// Paper: read gain ≈7.6%; write gain up to 19% (bs ≥ 4 MB); tuned reads
-// ≈7.5% above tuned writes.
-func ISERBandwidth() Result {
-	tb := metrics.Table{
+// ISER regenerates Figures 7 and 8 from one sweep: iSER bandwidth and
+// target CPU, default scheduling vs NUMA tuning, for reads and writes
+// across block sizes.
+func ISER() Result {
+	bw := metrics.Table{
 		Title:   "iSER bandwidth: default vs NUMA-tuned (Fig. 7)",
 		Headers: []string{"op", "block", "default", "NUMA-tuned", "gain"},
 	}
+	cpu := metrics.Table{
+		Title:   "iSER target CPU: default vs NUMA-tuned (Fig. 8)",
+		Headers: []string{"op", "block", "default CPU", "NUMA-tuned CPU", "ratio"},
+	}
 	var series []metrics.Series
-	var read4, write4 float64
+	gains := map[iscsi.Op][]float64{}
+	ratios := map[iscsi.Op][]float64{}
+	tuned4 := map[iscsi.Op]float64{}
 	for _, op := range []iscsi.Op{iscsi.OpRead, iscsi.OpWrite} {
 		def := metrics.Series{Name: fmt.Sprintf("%s-default-Gbps", op)}
 		bind := metrics.Series{Name: fmt.Sprintf("%s-tuned-Gbps", op)}
 		for _, bs := range fioBlockSizes {
-			d, _ := fioPoint(numa.PolicyDefault, op, bs)
-			b, _ := fioPoint(numa.PolicyBind, op, bs)
+			d, dCPU := fioPoint(numa.PolicyDefault, op, bs)
+			b, bCPU := fioPoint(numa.PolicyBind, op, bs)
 			def.Add(float64(bs), units.ToGbps(d))
 			bind.Add(float64(bs), units.ToGbps(b))
-			tb.AddRow(op.String(), units.FormatBytes(bs),
-				units.FormatRate(d), units.FormatRate(b),
-				fmt.Sprintf("%+.1f%%", (b/d-1)*100))
+			gain := (b/d - 1) * 100
+			bw.AddRow(op.String(), units.FormatBytes(bs),
+				units.FormatRate(d), units.FormatRate(b), fmt.Sprintf("%+.1f%%", gain))
+			cpu.AddRow(op.String(), units.FormatBytes(bs),
+				fmt.Sprintf("%.0f%%", dCPU), fmt.Sprintf("%.0f%%", bCPU),
+				fmt.Sprintf("%.2f×", dCPU/bCPU))
+			gains[op] = append(gains[op], gain)
+			ratios[op] = append(ratios[op], dCPU/bCPU)
 			if bs == 4*units.MB {
-				if op == iscsi.OpRead {
-					read4 = b
-				} else {
-					write4 = b
-				}
+				tuned4[op] = b
 			}
 		}
 		series = append(series, def, bind)
 	}
+	rg, wg := gains[iscsi.OpRead], gains[iscsi.OpWrite]
+	rr, wr := ratios[iscsi.OpRead], ratios[iscsi.OpWrite]
 	return Result{
 		ID:     "F7",
-		Title:  "iSER bandwidth vs NUMA policy",
-		Tables: []metrics.Table{tb},
+		Title:  "iSER bandwidth and target CPU vs NUMA policy, Figs. 7/8",
+		Tables: []metrics.Table{bw, cpu},
 		Series: series,
-		Notes: []string{
-			"paper: read gain ≈7.6%, write gain ≈19% at bs ≥ 4MB",
-			fmt.Sprintf("paper: tuned read ≈7.5%% above tuned write; measured: %+.1f%%",
-				(read4/write4-1)*100),
-		},
-	}
-}
-
-// ISERCPU regenerates Figure 8: iSER target CPU utilization, default vs
-// NUMA-tuned. Paper: default-policy writes cost ≈3× the CPU of tuned
-// writes; reads change little.
-func ISERCPU() Result {
-	tb := metrics.Table{
-		Title:   "iSER target CPU: default vs NUMA-tuned (Fig. 8)",
-		Headers: []string{"op", "block", "default CPU", "NUMA-tuned CPU", "ratio"},
-	}
-	var ratios []float64
-	for _, op := range []iscsi.Op{iscsi.OpRead, iscsi.OpWrite} {
-		for _, bs := range fioBlockSizes {
-			_, d := fioPoint(numa.PolicyDefault, op, bs)
-			_, b := fioPoint(numa.PolicyBind, op, bs)
-			tb.AddRow(op.String(), units.FormatBytes(bs),
-				fmt.Sprintf("%.0f%%", d), fmt.Sprintf("%.0f%%", b),
-				fmt.Sprintf("%.2f×", d/b))
-			if op == iscsi.OpWrite {
-				ratios = append(ratios, d/b)
-			}
-		}
-	}
-	avg := 0.0
-	for _, r := range ratios {
-		avg += r
-	}
-	avg /= float64(len(ratios))
-	return Result{
-		ID:     "F8",
-		Title:  "iSER target CPU vs NUMA policy",
-		Tables: []metrics.Table{tb},
-		Notes: []string{
-			fmt.Sprintf("paper: default writes ≈3× tuned CPU; measured average: %.2f×", avg),
+		Claims: []Claim{
+			{"smallest read gain from tuning (%)", "+7.6%", slices.Min(rg), 0, inf},
+			{"largest read gain from tuning (%)", "+7.6%", slices.Max(rg), -inf, 15},
+			{"smallest write gain from tuning (%)", "up to +19%", slices.Min(wg), 0, inf},
+			{"write gain from tuning at 4MB (%)", "+19% at ≥ 4MB", wg[2], 12, 25},
+			{"write gain from tuning at 16MB (%)", "+19% at ≥ 4MB", wg[3], 12, 25},
+			{"tuned read over tuned write at 4MB (%)", "+7.5%",
+				(tuned4[iscsi.OpRead]/tuned4[iscsi.OpWrite] - 1) * 100, 0, 15},
+			{"write CPU default/tuned, smallest", "≈3×", slices.Min(wr), 2, 4},
+			{"write CPU default/tuned, largest", "≈3×", slices.Max(wr), 2, 4},
+			{"read CPU default/tuned, smallest", "not significant", slices.Min(rr), 1, 1.5},
+			{"read CPU default/tuned, largest", "not significant", slices.Max(rr), 1, 1.5},
 		},
 	}
 }

@@ -52,13 +52,13 @@ type chaosOutcome struct {
 	retransmitted float64
 	meanLat       float64 // mean recovery latency, seconds (0 if none)
 	maxLat        float64
-	delivered     float64
+	// exactlyOnce: the transfer completed, never failed over to an
+	// out-of-protocol path, and accounted for every payload byte once.
+	exactlyOnce bool
 }
 
 // chaosRun drives one finite RFTP transfer across a fresh 3×40G pair under
-// the given fault plan (nil = baseline) and asserts exactly-once delivery:
-// the transfer must complete, never fail over to an out-of-protocol path,
-// and account for every payload byte exactly once.
+// the given fault plan (nil = baseline) and audits exactly-once delivery.
 func chaosRun(size float64, plan func(p *testbed.MotivatingPair) *faults.Plan) chaosOutcome {
 	pair := testbed.NewMotivatingPair()
 	eng := pair.Eng
@@ -73,18 +73,12 @@ func chaosRun(size float64, plan func(p *testbed.MotivatingPair) *faults.Plan) c
 		plan(pair).Apply(eng)
 	}
 	eng.Run()
-	if !done || tr.Failed() {
-		panic(fmt.Sprintf("S2: chaos transfer did not complete (failed=%v)", tr.Failed()))
-	}
-	if d := tr.Transferred(); math.Abs(d-size) > 1 {
-		panic(fmt.Sprintf("S2: exactly-once violated: delivered %g of %g bytes", d, size))
-	}
 	out := chaosOutcome{
 		elapsed:       float64(doneAt),
 		goodput:       size / float64(doneAt),
 		recoveries:    tr.Recoveries,
 		retransmitted: tr.Retransmitted,
-		delivered:     tr.Transferred(),
+		exactlyOnce:   done && !tr.Failed() && math.Abs(tr.Transferred()-size) <= 1,
 	}
 	lats := tr.RecoveryLatencies()
 	for _, l := range lats {
@@ -102,9 +96,9 @@ func chaosRun(size float64, plan func(p *testbed.MotivatingPair) *faults.Plan) c
 // ChaosRecovery sweeps seeded fault schedules against a finite RFTP
 // transfer with in-protocol recovery enabled: first fault frequency (link
 // flaps, degradation windows and injected error-completion bursts at
-// decreasing MTBF), then degradation depth alone. Every run asserts
-// exactly-once delivery; goodput and recovery latency are the figures of
-// merit. The fault-free baseline anchors the cost of the recovery
+// decreasing MTBF), then degradation depth alone. Every run is audited
+// for exactly-once delivery; goodput and recovery latency are the figures
+// of merit. The fault-free baseline anchors the cost of the recovery
 // machinery itself (zero: the ACK tracker only acts on loss).
 func ChaosRecovery() Result {
 	size := 24 * float64(units.GB)
@@ -117,6 +111,7 @@ func ChaosRecovery() Result {
 	good := metrics.Series{Name: "goodput-Gbps"}
 	lat := metrics.Series{Name: "mean-recovery-latency-ms"}
 	var base, worst chaosOutcome
+	exactlyOnce := true
 	for _, mtbf := range chaosMTBFs {
 		var plan func(p *testbed.MotivatingPair) *faults.Plan
 		label := "∞ (baseline)"
@@ -137,6 +132,7 @@ func ChaosRecovery() Result {
 			}
 		}
 		o := chaosRun(size, plan)
+		exactlyOnce = exactlyOnce && o.exactlyOnce
 		if mtbf == 0 {
 			base = o
 		}
@@ -155,7 +151,7 @@ func ChaosRecovery() Result {
 			units.FormatBytes(int64(o.retransmitted)),
 			fmt.Sprintf("%.0fms", o.meanLat*1e3),
 			fmt.Sprintf("%.0fms", o.maxLat*1e3),
-			"yes",
+			yesNo(o.exactlyOnce),
 		)
 	}
 
@@ -164,6 +160,7 @@ func ChaosRecovery() Result {
 		Headers: []string{"fraction", "elapsed", "goodput", "recoveries", "retransmitted",
 			"exactly-once"},
 	}
+	var depthRecoveries, depthRetx float64
 	for _, f := range chaosDepths {
 		frac := f
 		o := chaosRun(size, func(p *testbed.MotivatingPair) *faults.Plan {
@@ -171,16 +168,16 @@ func ChaosRecovery() Result {
 			pl.DegradeWindow(p.Links[0], sim.Time(500*sim.Millisecond), 2*sim.Second, frac)
 			return pl
 		})
-		if o.recoveries != 0 || o.retransmitted != 0 {
-			panic(fmt.Sprintf("S2: degradation at %.2f triggered retransmission", frac))
-		}
+		exactlyOnce = exactlyOnce && o.exactlyOnce
+		depthRecoveries = math.Max(depthRecoveries, float64(o.recoveries))
+		depthRetx = math.Max(depthRetx, o.retransmitted)
 		depth.AddRow(
 			fmt.Sprintf("%.2f", frac),
 			fmt.Sprintf("%.2fs", o.elapsed),
 			units.FormatRate(o.goodput),
 			fmt.Sprintf("%d", o.recoveries),
 			units.FormatBytes(int64(o.retransmitted)),
-			"yes",
+			yesNo(o.exactlyOnce),
 		)
 	}
 
@@ -190,13 +187,17 @@ func ChaosRecovery() Result {
 		Tables: []metrics.Table{freq, depth},
 		Series: []metrics.Series{good, lat},
 		Chart:  &chart.Options{XLabel: "MTBF s (16=∞)", YLabel: "Gbps / ms", LogX: true},
+		Claims: []Claim{
+			gate("every run completes exactly once", exactlyOnce),
+			{"largest goodput step as MTBF falls", "", maxStep(good.Values), -inf, 1.01},
+			{"harshest-point goodput penalty vs baseline (%)", "", (1 - worst.goodput/base.goodput) * 100, over(10), inf},
+			{"harshest-point recoveries", "", float64(worst.recoveries), 1, inf},
+			{"degradation-only recoveries, most", "", depthRecoveries, 0, 0},
+			{"degradation-only retransmitted bytes, most", "", depthRetx, 0, 0},
+		},
 		Notes: []string{
-			"every run delivered every byte exactly once: completion required Transferred() == size with no duplicate accounting",
 			fmt.Sprintf("baseline (no faults): %.1f Gbps with 0 recoveries — the ACK tracker is free until a loss occurs",
 				units.ToGbps(base.goodput)),
-			fmt.Sprintf("at the harshest point (MTBF %.1fs): %.1f Gbps, %d recoveries, %s retransmitted",
-				chaosMTBFs[len(chaosMTBFs)-1], units.ToGbps(worst.goodput),
-				worst.recoveries, units.FormatBytes(int64(worst.retransmitted))),
 			"pure degradation windows slow the transfer but never trip loss detection: progress continues, so nothing is retransmitted",
 		},
 	}

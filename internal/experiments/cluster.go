@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"e2edt/internal/chart"
@@ -92,7 +93,10 @@ type SpineKill struct {
 // before a run silently resolves them last-writer-wins. Link-side events
 // (spine kills) target disjoint links per spine and are checked again when
 // the full plan is assembled.
-func (s *ChaosSpec) Validate() error {
+func (s *ChaosSpec) Validate() error { return s.hostPlan().Validate() }
+
+// hostPlan builds the host- and control-plane side of the timeline.
+func (s *ChaosSpec) hostPlan() *faults.Plan {
 	plan := &faults.Plan{}
 	for _, k := range s.HostKills {
 		if k.Down > 0 {
@@ -101,13 +105,16 @@ func (s *ChaosSpec) Validate() error {
 			plan.KillHost(k.Host, k.At)
 		}
 	}
-	for _, l := range s.Limps {
-		plan.LimpWindow(l.Host, l.At, l.For, l.Factor)
+	for _, k := range s.CtrlKills {
+		plan.KillController(k.Shard, k.At)
 	}
 	for _, p := range s.Partitions {
 		plan.PartitionWindow(p.Shards, p.At, p.For)
 	}
-	return plan.Validate()
+	for _, l := range s.Limps {
+		plan.LimpWindow(l.Host, l.At, l.For, l.Factor)
+	}
+	return plan
 }
 
 // ClusterRunResult is one run's outcome: the cluster report plus the
@@ -138,47 +145,29 @@ func RunClusterPoint(spec ClusterRunSpec) ClusterRunResult {
 		Hosts:   spec.Hosts,
 		Shards:  spec.Shards,
 		DropPct: spec.DropPct,
+		Gray:    spec.Gray,
 		Seed:    spec.Seed,
-	}
-	if spec.Gray {
-		cfg.Gray = true
 	}
 	if spec.Topology != "" {
 		kind, err := fabric.ParseTopoKind(spec.Topology)
 		if err != nil {
-			panic(fmt.Sprintf("S5: %v", err))
+			panic(err)
 		}
 		cfg.Topology = kind
 	}
 	c, err := cluster.New(eng, cfg)
 	if err != nil {
-		panic(fmt.Sprintf("S5: %v", err))
+		panic(err)
 	}
 	if err := cluster.Generate(c, cluster.WorkloadConfig{
 		Tenants: spec.Tenants,
 		Jobs:    spec.Jobs,
 		Seed:    spec.Seed,
 	}); err != nil {
-		panic(fmt.Sprintf("cluster workload: %v", err))
+		panic(err)
 	}
 	if spec.Chaos != nil {
-		plan := &faults.Plan{}
-		for _, k := range spec.Chaos.HostKills {
-			if k.Down > 0 {
-				plan.HostOutage(k.Host, k.At, k.Down)
-			} else {
-				plan.KillHost(k.Host, k.At)
-			}
-		}
-		for _, k := range spec.Chaos.CtrlKills {
-			plan.KillController(k.Shard, k.At)
-		}
-		for _, p := range spec.Chaos.Partitions {
-			plan.PartitionWindow(p.Shards, p.At, p.For)
-		}
-		for _, l := range spec.Chaos.Limps {
-			plan.LimpWindow(l.Host, l.At, l.For, l.Factor)
-		}
+		plan := spec.Chaos.hostPlan()
 		for _, k := range spec.Chaos.SpineKills {
 			for _, l := range c.Topo.SpineLinks(k.Spine) {
 				if k.Down > 0 {
@@ -189,7 +178,7 @@ func RunClusterPoint(spec ClusterRunSpec) ClusterRunResult {
 			}
 		}
 		if err := plan.Validate(); err != nil {
-			panic(fmt.Sprintf("chaos plan: %v", err))
+			panic(err)
 		}
 		plan.ApplyTo(eng, c)
 	}
@@ -221,8 +210,8 @@ func ClusterScale() Result {
 	}
 	var goodput metrics.Series
 	goodput.Name = "hosts-goodputGbps"
-	var prev float64
 	var sha1000 string
+	replayed := false
 	for _, hosts := range []int{100, 300, 1000} {
 		spec := ClusterRunSpec{
 			Hosts:   hosts,
@@ -237,17 +226,9 @@ func ClusterScale() Result {
 		if hosts == 1000 {
 			// Replay contract at full scale: a second run of the same seed
 			// must hash to the same trace.
-			again := RunClusterPoint(spec)
-			if again.TraceSHA != res.TraceSHA {
-				panic("S5: 1000-host replay diverged between two runs of one seed")
-			}
+			replayed = RunClusterPoint(spec).TraceSHA == res.TraceSHA
 			sha1000 = res.TraceSHA
 		}
-		if rep.AggregateGoodputGbps <= prev {
-			panic(fmt.Sprintf("S5: goodput did not grow with host count: %d hosts at %.1f Gbps after %.1f",
-				hosts, rep.AggregateGoodputGbps, prev))
-		}
-		prev = rep.AggregateGoodputGbps
 		goodput.Add(float64(hosts), rep.AggregateGoodputGbps)
 		scaleTable.AddRow(
 			fmt.Sprintf("%d", hosts),
@@ -265,6 +246,7 @@ func ClusterScale() Result {
 		Title:   "S5b — shard sweep (300 hosts, 3000 tenants, 6000 jobs)",
 		Headers: []string{"shards", "goodput Gbps", "decisions", "p50 µs", "p99 µs", "digests", "adjusts"},
 	}
+	worstP99 := 0.0
 	for _, shards := range []int{1, 2, 4, 8} {
 		res := RunClusterPoint(ClusterRunSpec{
 			Hosts:   300,
@@ -275,13 +257,7 @@ func ClusterScale() Result {
 			Seed:    seed,
 		})
 		rep := res.Report
-		// The latency bound is deliberately loose (wall-clock measurements
-		// on shared CI hardware jitter), but a pathological control plane —
-		// one shard scanning a cluster-wide queue for milliseconds — fails.
-		if rep.DecisionP99us > 100_000 {
-			panic(fmt.Sprintf("S5: decision p99 %.0f µs at %d shards — control plane unbounded",
-				rep.DecisionP99us, shards))
-		}
+		worstP99 = math.Max(worstP99, rep.DecisionP99us)
 		shardTable.AddRow(
 			fmt.Sprintf("%d", shards),
 			fmt.Sprintf("%.1f", rep.AggregateGoodputGbps),
@@ -301,9 +277,18 @@ func ClusterScale() Result {
 			XLabel: "hosts",
 			YLabel: "aggregate goodput (Gbps)",
 		},
+		Claims: []Claim{
+			{"goodput at 100 hosts (Gbps)", "", goodput.Values[0], over(0), inf},
+			{"smallest goodput step as hosts grow", "", minStep(goodput.Values), over(1), inf},
+			gate("1000-host replay trace identical", replayed),
+			// Deliberately loose (wall-clock measurements on shared CI
+			// hardware jitter), but a pathological control plane — one
+			// shard scanning a cluster-wide queue for milliseconds — fails.
+			{"worst decision p99 over the shard sweep (µs)", "", worstP99, -inf, 100_000},
+		},
 		Notes: []string{
 			"per-host load held constant (10 tenants, 20 jobs per host): goodput scales with hosts",
-			fmt.Sprintf("1000-host replay verified bit-identical (sha256 %s…)", sha1000[:16]),
+			fmt.Sprintf("1000-host trace sha256 %s…", sha1000[:16]),
 			"decision latency is wall-clock (observational); it never enters the simulation or trace",
 		},
 	}

@@ -31,10 +31,9 @@ func chaosRow(tbl *metrics.Table, name string, res ClusterRunResult, baseline Cl
 // goodput baseline and the horizon T; the chaos run then crash-stops a
 // host at 0.3 T (restarting it 8 s later) and kills the leader controller
 // at 0.6 T. A second scenario severs three shards from the control plane
-// and darkens a spine switch. Hard gates, any of which panics the
-// harness:
+// and darkens a spine switch. Its claims:
 //
-//   - every chaos run passes the exactly-once delivery audit;
+//   - every run passes the exactly-once delivery audit;
 //   - chaos goodput stays ≥ 90% of the no-fault baseline;
 //   - the leader kill produces an election and an adoption;
 //   - no shard is still degraded after the partition heals;
@@ -50,24 +49,12 @@ func ClusterChaos() Result {
 		Seed:    seed,
 	}
 	baseline := RunClusterPoint(base)
-	if baseline.ExactlyOnce != nil {
-		panic(fmt.Sprintf("S6: baseline failed delivery audit: %v", baseline.ExactlyOnce))
-	}
 	T := baseline.Report.VirtualSeconds
 
-	runPair := func(name string, spec ClusterRunSpec) ClusterRunResult {
+	// runPair runs a scenario twice and reports whether the traces match.
+	runPair := func(spec ClusterRunSpec) (ClusterRunResult, bool) {
 		r1 := RunClusterPoint(spec)
-		r2 := RunClusterPoint(spec)
-		if r1.TraceSHA != r2.TraceSHA {
-			panic(fmt.Sprintf("S6: %s replay diverged between two runs of one seed", name))
-		}
-		if r1.ExactlyOnce != nil {
-			panic(fmt.Sprintf("S6: %s failed delivery audit: %v", name, r1.ExactlyOnce))
-		}
-		if r1.DegradedAtEnd != 0 {
-			panic(fmt.Sprintf("S6: %s left %d shards degraded", name, r1.DegradedAtEnd))
-		}
-		return r1
+		return r1, RunClusterPoint(spec).TraceSHA == r1.TraceSHA
 	}
 
 	// Scenario 1: host crash at 0.3 T (8 s outage) + leader kill at 0.6 T.
@@ -76,17 +63,7 @@ func ClusterChaos() Result {
 		HostKills: []HostKill{{Host: 7, At: sim.Time(0.3 * T), Down: 8}},
 		CtrlKills: []CtrlKill{{Shard: 0, At: sim.Time(0.6 * T)}},
 	}
-	crashRes := runPair("host+leader kill", crash)
-	if crashRes.Report.Elections < 1 || crashRes.Report.Adoptions < 1 {
-		panic(fmt.Sprintf("S6: leader kill produced elections=%d adoptions=%d",
-			crashRes.Report.Elections, crashRes.Report.Adoptions))
-	}
-	if crashRes.Report.JobsRequeued < 1 {
-		panic("S6: host kill requeued nothing — recovery path never ran")
-	}
-	if ratio := crashRes.Report.AggregateGoodputGbps / baseline.Report.AggregateGoodputGbps; ratio < 0.9 {
-		panic(fmt.Sprintf("S6: chaos goodput %.0f%% of baseline, need ≥ 90%%", 100*ratio))
-	}
+	crashRes, crashReplayed := runPair(crash)
 
 	// Scenario 2: control-plane partition (shards 5–7 severed for 8 s) plus
 	// a spine switch dark for 5 s, forcing ECMP detours mid-transfer.
@@ -95,14 +72,8 @@ func ClusterChaos() Result {
 		Partitions: []PartitionSpec{{Shards: []int{5, 6, 7}, At: sim.Time(0.25 * T), For: 8}},
 		SpineKills: []SpineKill{{Spine: 1, At: sim.Time(0.4 * T), Down: 5}},
 	}
-	partRes := runPair("partition+spine kill", part)
-	if partRes.Report.DegradedIn < 1 || partRes.Report.DegradedOut != partRes.Report.DegradedIn {
-		panic(fmt.Sprintf("S6: degraded entries/exits %d/%d — partition handling broken",
-			partRes.Report.DegradedIn, partRes.Report.DegradedOut))
-	}
-	if partRes.Report.PartDrops < 1 {
-		panic("S6: partition severed no control traffic")
-	}
+	partRes, partReplayed := runPair(part)
+	cr, pr := crashRes.Report, partRes.Report
 
 	tbl := metrics.Table{
 		Title: fmt.Sprintf("S6 — failure domains (100 hosts, 8 shards, baseline horizon %.1f s)", T),
@@ -117,16 +88,28 @@ func ClusterChaos() Result {
 		ID:     "S6",
 		Title:  "Cluster chaos: crash-stop hosts, leader failover, partition-tolerant degraded mode",
 		Tables: []metrics.Table{tbl},
+		Claims: []Claim{
+			gate("no faults: exactly-once audit", baseline.ExactlyOnce == nil),
+			gate("host+leader kill: exactly-once audit", crashRes.ExactlyOnce == nil),
+			gate("host+leader kill: replay trace identical", crashReplayed),
+			{"host+leader kill: shards degraded at end", "", float64(crashRes.DegradedAtEnd), 0, 0},
+			{"host+leader kill: elections", "", float64(cr.Elections), 1, inf},
+			{"host+leader kill: adoptions", "", float64(cr.Adoptions), 1, inf},
+			{"host+leader kill: jobs requeued", "", float64(cr.JobsRequeued), 1, inf},
+			{"host+leader kill: goodput over baseline", "",
+				cr.AggregateGoodputGbps / baseline.Report.AggregateGoodputGbps, 0.9, inf},
+			gate("partition+spine kill: exactly-once audit", partRes.ExactlyOnce == nil),
+			gate("partition+spine kill: replay trace identical", partReplayed),
+			{"partition+spine kill: shards degraded at end", "", float64(partRes.DegradedAtEnd), 0, 0},
+			{"partition+spine kill: degraded entries", "", float64(pr.DegradedIn), 1, inf},
+			{"partition+spine kill: degraded exits − entries", "", float64(pr.DegradedOut - pr.DegradedIn), 0, 0},
+			{"partition+spine kill: control drops", "", float64(pr.PartDrops), 1, inf},
+		},
 		Notes: []string{
-			"every chaos run passed the exactly-once delivery audit (completions, lost jobs, byte ledgers)",
-			fmt.Sprintf("chaos replays verified bit-identical (sha256 %s… / %s…)",
+			fmt.Sprintf("chaos replay sha256 %s… / %s…",
 				crashRes.TraceSHA[:16], partRes.TraceSHA[:16]),
-			fmt.Sprintf("host kill: %d requeues, %d voided completions; leader kill: %d elections, %d adoptions",
-				crashRes.Report.JobsRequeued, crashRes.Report.VoidedJobs,
-				crashRes.Report.Elections, crashRes.Report.Adoptions),
-			fmt.Sprintf("partition: %d control drops, degraded %d/%d, %d stale leases rejected; spine kill rerouted %d jobs",
-				partRes.Report.PartDrops, partRes.Report.DegradedIn, partRes.Report.DegradedOut,
-				partRes.Report.StaleLeases, partRes.Report.Reroutes),
+			fmt.Sprintf("host kill voided %d completions; partition rejected %d stale leases; spine kill rerouted %d jobs",
+				cr.VoidedJobs, pr.StaleLeases, pr.Reroutes),
 		},
 	}
 }

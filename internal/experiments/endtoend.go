@@ -11,6 +11,7 @@ import (
 	"e2edt/internal/iscsi"
 	"e2edt/internal/metrics"
 	"e2edt/internal/rftp"
+	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
 
@@ -30,6 +31,50 @@ func mustSystem() *core.System {
 	return sys
 }
 
+// startFunc starts one unbounded transfer in direction d and returns its
+// delivered-bytes counter.
+type startFunc func(sys *core.System, d core.Direction) func() float64
+
+func startRFTP(sys *core.System, d core.Direction) func() float64 {
+	tr, err := sys.StartRFTP(d, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
+	if err != nil {
+		panic(err)
+	}
+	return tr.Transferred
+}
+
+func startGridFTP(sys *core.System, d core.Direction) func() float64 {
+	tr, err := sys.StartGridFTP(d, gridftp.DefaultConfig(), math.Inf(1), nil)
+	if err != nil {
+		panic(err)
+	}
+	return tr.Transferred
+}
+
+// sampleRun starts one transfer per direction on a fresh system, samples
+// their summed delivered bytes every sample seconds for duration seconds,
+// and returns the rate series in Gbps.
+func sampleRun(name string, duration, sample sim.Duration, start startFunc, dirs ...core.Direction) metrics.Series {
+	sys := mustSystem()
+	var counters []func() float64
+	for _, d := range dirs {
+		counters = append(counters, start(sys, d))
+	}
+	s := metrics.NewSampler(sys.Engine(), name, sample, func() float64 {
+		sum := 0.0
+		for _, c := range counters {
+			sum += c()
+		}
+		return sum
+	})
+	sys.Engine().RunFor(duration)
+	s.Stop()
+	for i := range s.Series.Values {
+		s.Series.Values[i] = units.ToGbps(s.Series.Values[i])
+	}
+	return s.Series
+}
+
 // EndToEndThroughput regenerates Figure 9: RFTP vs GridFTP end-to-end
 // throughput sampled over the paper's 25-minute window.
 // Paper: ceiling 94.8 Gbps (fio write path); RFTP 91 Gbps (96%); GridFTP
@@ -38,32 +83,8 @@ func EndToEndThroughput() Result {
 	const duration = 1500.0 // 25 minutes
 	const sample = 30.0
 
-	runTool := func(name string, start func(sys *core.System) func() float64) metrics.Series {
-		sys := mustSystem()
-		counter := start(sys)
-		s := metrics.NewSampler(sys.Engine(), name, sample, counter)
-		sys.Engine().RunFor(duration)
-		s.Stop()
-		for i := range s.Series.Values {
-			s.Series.Values[i] = units.ToGbps(s.Series.Values[i])
-		}
-		return s.Series
-	}
-
-	rftpSeries := runTool("RFTP-Gbps", func(sys *core.System) func() float64 {
-		tr, err := sys.StartRFTP(core.Forward, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
-		if err != nil {
-			panic(err)
-		}
-		return func() float64 { return tr.Transferred() }
-	})
-	gridSeries := runTool("GridFTP-Gbps", func(sys *core.System) func() float64 {
-		tr, err := sys.StartGridFTP(core.Forward, gridftp.DefaultConfig(), math.Inf(1), nil)
-		if err != nil {
-			panic(err)
-		}
-		return func() float64 { return tr.Transferred() }
-	})
+	rftpSeries := sampleRun("RFTP-Gbps", duration, sample, startRFTP, core.Forward)
+	gridSeries := sampleRun("GridFTP-Gbps", duration, sample, startGridFTP, core.Forward)
 
 	sysC := mustSystem()
 	ceiling, err := sysC.MeasureCeiling(sysC.B, iscsi.OpWrite, 5)
@@ -75,20 +96,21 @@ func EndToEndThroughput() Result {
 		Title:   "End-to-end throughput over 25 minutes (Fig. 9)",
 		Headers: []string{"tool", "steady throughput", "share of ceiling"},
 	}
+	rftpBW := units.FromGbps(rftpSeries.TailMean(0.9))
+	gridBW := units.FromGbps(gridSeries.TailMean(0.9))
 	tb.AddRow("fio write ceiling", units.FormatRate(ceiling), "100%")
-	tb.AddRow("RFTP", units.FormatRate(units.FromGbps(rftpSeries.TailMean(0.9))),
-		fmt.Sprintf("%.0f%%", units.FromGbps(rftpSeries.TailMean(0.9))/ceiling*100))
-	tb.AddRow("GridFTP", units.FormatRate(units.FromGbps(gridSeries.TailMean(0.9))),
-		fmt.Sprintf("%.0f%%", units.FromGbps(gridSeries.TailMean(0.9))/ceiling*100))
+	tb.AddRow("RFTP", units.FormatRate(rftpBW), fmt.Sprintf("%.0f%%", rftpBW/ceiling*100))
+	tb.AddRow("GridFTP", units.FormatRate(gridBW), fmt.Sprintf("%.0f%%", gridBW/ceiling*100))
 	return Result{
 		ID:     "F9",
 		Title:  "End-to-end data transfer throughput",
 		Tables: []metrics.Table{tb},
 		Series: []metrics.Series{rftpSeries, gridSeries},
 		Chart:  &chart.Options{XLabel: "seconds", YLabel: "Gbps", YMin: 1e-9, YMax: 120},
-		Notes: []string{
-			fmt.Sprintf("paper: ceiling 94.8, RFTP 91 (96%%), GridFTP 29 (30%%); measured: %.1f, %.1f, %.1f Gbps",
-				units.ToGbps(ceiling), rftpSeries.TailMean(0.9), gridSeries.TailMean(0.9)),
+		Claims: []Claim{
+			{"fio write ceiling (Gbps)", "94.8 Gbps", units.ToGbps(ceiling), 85, 105},
+			{"RFTP share of ceiling (%)", "96% (91 Gbps)", rftpBW / ceiling * 100, 90, inf},
+			{"GridFTP share of ceiling (%)", "30% (29 Gbps)", gridBW / ceiling * 100, 20, 40},
 		},
 	}
 }
@@ -118,24 +140,43 @@ func EndToEndCPU() Result {
 	trR, _ := sysR.StartRFTP(core.Forward, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
 	sysR.Engine().RunFor(window)
 	rGbps := units.ToGbps(trR.Transferred() / window)
-	cpuBreakdownRow(&tb, "RFTP sender", sysR.A.Front.HostCPUReport(), window)
-	cpuBreakdownRow(&tb, "RFTP receiver", sysR.B.Front.HostCPUReport(), window)
+	rSend, rRecv := sysR.A.Front.HostCPUReport(), sysR.B.Front.HostCPUReport()
+	cpuBreakdownRow(&tb, "RFTP sender", rSend, window)
+	cpuBreakdownRow(&tb, "RFTP receiver", rRecv, window)
 
 	sysG := mustSystem()
 	trG, _ := sysG.StartGridFTP(core.Forward, gridftp.DefaultConfig(), math.Inf(1), nil)
 	sysG.Engine().RunFor(window)
 	gGbps := units.ToGbps(trG.Transferred() / window)
-	cpuBreakdownRow(&tb, "GridFTP sender", sysG.A.Front.HostCPUReport(), window)
-	cpuBreakdownRow(&tb, "GridFTP receiver", sysG.B.Front.HostCPUReport(), window)
+	gSend, gRecv := sysG.A.Front.HostCPUReport(), sysG.B.Front.HostCPUReport()
+	cpuBreakdownRow(&tb, "GridFTP sender", gSend, window)
+	cpuBreakdownRow(&tb, "GridFTP receiver", gRecv, window)
 
 	return Result{
 		ID:     "F10",
 		Title:  "CPU utilization breakdown, RFTP vs GridFTP",
 		Tables: []metrics.Table{tb},
+		Claims: append(hostCPUClaims(window, rSend, rRecv, gSend, gRecv),
+			Claim{"GridFTP sender sys+copy share of its CPU (%)", "sys dominates (TCP stack)",
+				(gSend.Percent(host.CatSys, window) + gSend.Percent(host.CatCopy, window)) /
+					gSend.TotalPercent(window) * 100, 50, inf}),
 		Notes: []string{
 			fmt.Sprintf("at RFTP %.1f Gbps vs GridFTP %.1f Gbps", rGbps, gGbps),
-			"paper: GridFTP's sys CPU dominates (TCP stack); RFTP total stays low",
 		},
+	}
+}
+
+// hostCPUClaims checks the four front-end hosts of Figures 10/12: every
+// host shows CPU, and GridFTP's first host costs more than RFTP's.
+func hostCPUClaims(window float64, rftpA, rftpB, gridA, gridB host.CPUReport) []Claim {
+	least := inf
+	for _, r := range []host.CPUReport{rftpA, rftpB, gridA, gridB} {
+		least = math.Min(least, r.TotalPercent(window))
+	}
+	return []Claim{
+		{"least host CPU (%)", "", least, over(0), inf},
+		{"GridFTP/RFTP first-host CPU", "GridFTP high, RFTP low",
+			gridA.TotalPercent(window) / rftpA.TotalPercent(window), over(1), inf},
 	}
 }
 
@@ -147,88 +188,36 @@ func BiDirectionalThroughput() Result {
 	const duration = 3000.0 // 50 minutes
 	const sample = 60.0
 
-	type tool struct {
-		name string
-		uni  func(sys *core.System) func() float64
-		bidi func(sys *core.System) func() float64
-	}
-	mkRFTP := func(dirs ...core.Direction) func(sys *core.System) func() float64 {
-		return func(sys *core.System) func() float64 {
-			var trs []*rftp.Transfer
-			for _, d := range dirs {
-				tr, err := sys.StartRFTP(d, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
-				if err != nil {
-					panic(err)
-				}
-				trs = append(trs, tr)
-			}
-			return func() float64 {
-				sum := 0.0
-				for _, tr := range trs {
-					sum += tr.Transferred()
-				}
-				return sum
-			}
-		}
-	}
-	mkGrid := func(dirs ...core.Direction) func(sys *core.System) func() float64 {
-		return func(sys *core.System) func() float64 {
-			var trs []*gridftp.Transfer
-			for _, d := range dirs {
-				tr, err := sys.StartGridFTP(d, gridftp.DefaultConfig(), math.Inf(1), nil)
-				if err != nil {
-					panic(err)
-				}
-				trs = append(trs, tr)
-			}
-			return func() float64 {
-				sum := 0.0
-				for _, tr := range trs {
-					sum += tr.Transferred()
-				}
-				return sum
-			}
-		}
-	}
-	tools := []tool{
-		{"RFTP", mkRFTP(core.Forward), mkRFTP(core.Forward, core.Reverse)},
-		{"GridFTP", mkGrid(core.Forward), mkGrid(core.Forward, core.Reverse)},
-	}
-
 	tb := metrics.Table{
 		Title:   "Bi-directional end-to-end throughput (Fig. 11)",
 		Headers: []string{"tool", "unidirectional", "bi-directional", "gain"},
 	}
 	var series []metrics.Series
-	var notes []string
-	for _, tl := range tools {
-		run := func(label string, start func(sys *core.System) func() float64) float64 {
-			sys := mustSystem()
-			counter := start(sys)
-			s := metrics.NewSampler(sys.Engine(), label, sample, counter)
-			sys.Engine().RunFor(duration)
-			s.Stop()
-			for i := range s.Series.Values {
-				s.Series.Values[i] = units.ToGbps(s.Series.Values[i])
-			}
-			series = append(series, s.Series)
-			return units.FromGbps(s.Series.TailMean(0.9))
-		}
-		uni := run(tl.name+"-uni-Gbps", tl.uni)
-		bidi := run(tl.name+"-bidi-Gbps", tl.bidi)
+	gains := map[string]float64{}
+	for _, tl := range []struct {
+		name  string
+		start startFunc
+	}{{"RFTP", startRFTP}, {"GridFTP", startGridFTP}} {
+		uniS := sampleRun(tl.name+"-uni-Gbps", duration, sample, tl.start, core.Forward)
+		bidiS := sampleRun(tl.name+"-bidi-Gbps", duration, sample, tl.start, core.Forward, core.Reverse)
+		series = append(series, uniS, bidiS)
+		uni, bidi := units.FromGbps(uniS.TailMean(0.9)), units.FromGbps(bidiS.TailMean(0.9))
 		gain := (bidi/uni - 1) * 100
 		tb.AddRow(tl.name, units.FormatRate(uni), units.FormatRate(bidi),
 			fmt.Sprintf("%+.0f%%", gain))
-		notes = append(notes, fmt.Sprintf("%s bidirectional gain measured %+.0f%%", tl.name, gain))
+		gains[tl.name] = gain
 	}
-	notes = append(notes, "paper: RFTP +83%, GridFTP +33%")
 	return Result{
 		ID:     "F11",
 		Title:  "Bi-directional end-to-end throughput",
 		Tables: []metrics.Table{tb},
 		Series: series,
 		Chart:  &chart.Options{XLabel: "seconds", YLabel: "Gbps", YMin: 1e-9, YMax: 200},
-		Notes:  notes,
+		Claims: []Claim{
+			{"RFTP bi-directional gain (%)", "+83%", gains["RFTP"], 50, 100},
+			{"GridFTP bi-directional gain (%)", "+33%", gains["GridFTP"], 15, 50},
+			{"RFTP gain over GridFTP gain (points)", "83 vs 33", gains["RFTP"] - gains["GridFTP"], over(0), inf},
+		},
 	}
 }
 
@@ -245,23 +234,23 @@ func BiDirectionalCPU() Result {
 	sysR.StartRFTP(core.Forward, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
 	sysR.StartRFTP(core.Reverse, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
 	sysR.Engine().RunFor(window)
-	cpuBreakdownRow(&tb, "RFTP host A", sysR.A.Front.HostCPUReport(), window)
-	cpuBreakdownRow(&tb, "RFTP host B", sysR.B.Front.HostCPUReport(), window)
+	rA, rB := sysR.A.Front.HostCPUReport(), sysR.B.Front.HostCPUReport()
+	cpuBreakdownRow(&tb, "RFTP host A", rA, window)
+	cpuBreakdownRow(&tb, "RFTP host B", rB, window)
 
 	sysG := mustSystem()
 	sysG.StartGridFTP(core.Forward, gridftp.DefaultConfig(), math.Inf(1), nil)
 	sysG.StartGridFTP(core.Reverse, gridftp.DefaultConfig(), math.Inf(1), nil)
 	sysG.Engine().RunFor(window)
-	cpuBreakdownRow(&tb, "GridFTP host A", sysG.A.Front.HostCPUReport(), window)
-	cpuBreakdownRow(&tb, "GridFTP host B", sysG.B.Front.HostCPUReport(), window)
+	gA, gB := sysG.A.Front.HostCPUReport(), sysG.B.Front.HostCPUReport()
+	cpuBreakdownRow(&tb, "GridFTP host A", gA, window)
+	cpuBreakdownRow(&tb, "GridFTP host B", gB, window)
 
 	return Result{
 		ID:     "F12",
 		Title:  "CPU utilization breakdown, bi-directional",
 		Tables: []metrics.Table{tb},
-		Notes: []string{
-			"paper: GridFTP CPU roughly doubles while throughput gains only 33%",
-		},
+		Claims: hostCPUClaims(window, rA, rB, gA, gB),
 	}
 }
 
@@ -290,8 +279,9 @@ func FioCeiling() Result {
 		ID:     "A2",
 		Title:  "End-to-end path ceiling",
 		Tables: []metrics.Table{tb},
-		Notes: []string{
-			fmt.Sprintf("paper: write path narrowest at 94.8 Gbps; measured %.1f Gbps", units.ToGbps(write)),
+		Claims: []Claim{
+			{"file write path (Gbps)", "94.8 Gbps", units.ToGbps(write), 85, 105},
+			{"file read / file write bandwidth", "write path narrowest", read / write, over(1), inf},
 		},
 	}
 }

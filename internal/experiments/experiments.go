@@ -33,7 +33,9 @@ type Result struct {
 	// Chart, when non-nil, configures how Series render as an ASCII
 	// figure (cmd/e2ebench -chart).
 	Chart *chart.Options
-	// Notes document paper-vs-measured observations.
+	// Claims are the paper figures and scenario gates this run checks.
+	Claims []Claim
+	// Notes explain what the tables and claims show.
 	Notes []string
 }
 
@@ -64,6 +66,10 @@ func (r Result) String() string {
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "series %s: n=%d mean=%.2f min=%.2f max=%.2f\n",
 			s.Name, s.Len(), s.Mean(), s.Min(), s.Max())
+	}
+	if len(r.Claims) > 0 {
+		ct := r.ClaimTable()
+		b.WriteString(ct.String())
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -102,13 +108,4 @@ func Run(id string) (Result, error) {
 		return Result{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
 	return fn(), nil
-}
-
-// RunAll executes every registered experiment in ID order.
-func RunAll() []Result {
-	var out []Result
-	for _, id := range IDs() {
-		out = append(out, registry[id]())
-	}
-	return out
 }

@@ -40,11 +40,15 @@ type grayOutcome struct {
 	waste     float64
 	deaths    int
 	suspects  int
+	// exactlyOnce: the transfer completed and delivered every byte once.
+	exactlyOnce bool
+	// hedgesClosed: every launched hedge won or lost, none still racing.
+	hedgesClosed bool
 }
 
 // grayRun drives one sized transfer over the 3×40G pair with a silent
 // capacity sag of the given severity on rail 1 at sagAt (severity 0 = no
-// fault), asserting the invariants every mode must hold: completion,
+// fault), measuring the invariants every mode must hold: completion,
 // exactly-once delivery, hedge accounting closure, and a binary detector
 // that never kills the gray rail.
 func grayRun(size float64, sagAt sim.Time, severity float64, detect, hedge bool,
@@ -72,28 +76,16 @@ func grayRun(size float64, sagAt sim.Time, severity float64, detect, hedge bool,
 		pl.Apply(pair.Eng)
 	}
 	pair.Eng.Run()
-	if !done || tr.Failed() {
-		panic(fmt.Sprintf("S7: transfer did not complete (failed=%v, detect=%v hedge=%v sev=%.2f)",
-			tr.Failed(), detect, hedge, severity))
-	}
-	if d := tr.Transferred(); math.Abs(d-size) > 1 {
-		panic(fmt.Sprintf("S7: exactly-once violated: delivered %g of %g bytes", d, size))
-	}
-	if tr.HedgeWins+tr.HedgeLosses != tr.Hedges {
-		panic(fmt.Sprintf("S7: hedge accounting leak: %d wins + %d losses != %d launched",
-			tr.HedgeWins, tr.HedgeLosses, tr.Hedges))
-	}
-	if tr.ActiveHedges() != 0 {
-		panic("S7: hedges still racing after completion")
-	}
 	o := grayOutcome{
-		elapsed:   float64(doneAt),
-		goodput:   size / float64(doneAt),
-		detectLat: -1,
-		hedgeLat:  -1,
-		hedges:    tr.Hedges,
-		wins:      tr.HedgeWins,
-		waste:     tr.HedgeWaste,
+		elapsed:      float64(doneAt),
+		goodput:      size / float64(doneAt),
+		detectLat:    -1,
+		hedgeLat:     -1,
+		hedges:       tr.Hedges,
+		wins:         tr.HedgeWins,
+		waste:        tr.HedgeWaste,
+		exactlyOnce:  done && !tr.Failed() && math.Abs(tr.Transferred()-size) <= 1,
+		hedgesClosed: tr.HedgeWins+tr.HedgeLosses == tr.Hedges && tr.ActiveHedges() == 0,
 	}
 	if m := tr.Rails(); m != nil {
 		o.deaths = m.Deaths
@@ -104,9 +96,6 @@ func grayRun(size float64, sagAt sim.Time, severity float64, detect, hedge bool,
 	}
 	if at, ok := tr.FirstHedgeAt(); ok {
 		o.hedgeLat = float64(at - sagAt)
-	}
-	if o.deaths != 0 {
-		panic(fmt.Sprintf("S7: binary detector killed a gray rail (%d deaths)", o.deaths))
 	}
 	return o
 }
@@ -126,10 +115,6 @@ func GrayFailure() Result {
 	// Healthy baseline runs with the full plane armed: a healthy cohort
 	// must produce no verdicts and no hedges — the false-positive gate.
 	base := grayRun(size, sagAt, 0, true, true, nil)
-	if base.suspects != 0 || base.hedges != 0 {
-		panic(fmt.Sprintf("S7: healthy cohort produced %d suspects, %d hedges",
-			base.suspects, base.hedges))
-	}
 
 	type mode struct {
 		name          string
@@ -148,36 +133,22 @@ func GrayFailure() Result {
 		}
 	}
 
-	// Acceptance gates at the 70%-sag point.
 	full, none := outs[0.7]["detect+hedge"], outs[0.7]["none"]
-	if full.goodput < 0.90*base.goodput {
-		panic(fmt.Sprintf("S7: hedged goodput %.2f GB/s under 70%% sag below 90%% of baseline %.2f GB/s",
-			full.goodput/1e9, base.goodput/1e9))
-	}
-	if none.goodput > 0.60*base.goodput {
-		panic(fmt.Sprintf("S7: no-mitigation ablation at %.0f%% of baseline — expected collapse ≤60%%",
-			100*none.goodput/base.goodput))
-	}
-	if full.detectLat <= 0 || full.detectLat > 0.5 {
-		panic(fmt.Sprintf("S7: detection latency %.3fs outside (0, 0.5s]", full.detectLat))
-	}
-	if full.hedgeLat <= 0 || full.hedgeLat > 0.5 {
-		panic(fmt.Sprintf("S7: sag-to-mitigation latency %.3fs outside (0, 0.5s]", full.hedgeLat))
-	}
-	if full.wins == 0 {
-		panic("S7: no hedge outran the sagging rail")
-	}
-	if outs[0.7]["detect"].suspects == 0 {
-		panic("S7: detection-only mode never suspected the sagging rail")
-	}
 
 	// Determinism: the gated scenario replayed twice must trace identically.
 	rec1, rec2 := &trace.Recorder{}, &trace.Recorder{}
-	grayRun(size, sagAt, 0.7, true, true, rec1)
-	grayRun(size, sagAt, 0.7, true, true, rec2)
-	if len(rec1.Events) == 0 || !reflect.DeepEqual(rec1.Events, rec2.Events) {
-		panic(fmt.Sprintf("S7: replayed gray scenario diverged (%d vs %d events)",
-			len(rec1.Events), len(rec2.Events)))
+	runs := []grayOutcome{base,
+		grayRun(size, sagAt, 0.7, true, true, rec1), grayRun(size, sagAt, 0.7, true, true, rec2)}
+	for _, sev := range severities {
+		for _, m := range modes {
+			runs = append(runs, outs[sev][m.name])
+		}
+	}
+	exactlyOnce, hedgesClosed, deaths := true, true, 0
+	for _, o := range runs {
+		exactlyOnce = exactlyOnce && o.exactlyOnce
+		hedgesClosed = hedgesClosed && o.hedgesClosed
+		deaths += o.deaths
 	}
 
 	tbl := metrics.Table{
@@ -222,17 +193,27 @@ func GrayFailure() Result {
 		Tables: []metrics.Table{tbl},
 		Series: []metrics.Series{good},
 		Chart:  &chart.Options{XLabel: "mitigation (0=none, 1=detect, 2=detect+hedge)", YLabel: "% of healthy goodput"},
+		Claims: []Claim{
+			gate("every run completes exactly once", exactlyOnce),
+			gate("every run closes its hedge accounting", hedgesClosed),
+			{"rail deaths across all runs", "", float64(deaths), 0, 0},
+			{"healthy baseline suspects", "", float64(base.suspects), 0, 0},
+			{"healthy baseline hedges", "", float64(base.hedges), 0, 0},
+			{"70% sag, detect+hedge goodput (% of healthy)", "", good.Values[2], 90, inf},
+			{"70% sag, no mitigation goodput (% of healthy)", "", good.Values[0], -inf, 60},
+			{"smallest step up the mitigation ladder", "", minStep(good.Values), 0.99, inf},
+			{"70% sag, detection latency (s)", "", full.detectLat, over(0), 0.5},
+			{"70% sag, sag-to-first-hedge latency (s)", "", full.hedgeLat, over(0), 0.5},
+			{"70% sag, hedge wins", "", float64(full.wins), 1, inf},
+			{"70% sag, detect-only suspects", "", float64(outs[0.7]["detect"].suspects), 1, inf},
+			gate("70% sag detect+hedge replay trace identical",
+				len(rec1.Events) > 0 && reflect.DeepEqual(rec1.Events, rec2.Events)),
+		},
 		Notes: []string{
-			fmt.Sprintf("under a 70%% silent sag the no-mitigation transfer collapses to %.0f%% of healthy goodput — the sick rail's fixed-slice streams are the tail that governs completion",
-				100*none.goodput/base.goodput),
-			fmt.Sprintf("detection+hedging recovers %.0f%% of healthy: lagging windows re-issue on trusted rails, first completion wins, victims migrate off the suspect",
-				100*full.goodput/base.goodput),
-			fmt.Sprintf("detection latency %.0f ms (peer-comparison hysteresis), sag-to-first-hedge %.0f ms (adaptive p99 deadline) — both bounded, neither relies on an absolute threshold",
-				full.detectLat*1e3, full.hedgeLat*1e3),
+			"the sick rail's fixed-slice streams are the tail that governs completion; with hedging, lagging windows re-issue on trusted rails, first completion wins, victims migrate off the suspect",
+			"detection uses peer-comparison hysteresis and hedging an adaptive p99 deadline — neither relies on an absolute threshold",
 			fmt.Sprintf("hedge waste at the gate point: %s re-sent for %d wins — the price of cutting the tail, accounted and bounded",
 				units.FormatBytes(int64(full.waste)), full.wins),
-			"the binary death detector never fires on a gray rail in any cell, and the healthy baseline produces zero verdicts and zero hedges",
-			"the 70%-sag detect+hedge scenario replayed with the same schedule produces a bit-identical event trace",
 		},
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"e2edt/internal/blockdev"
 	"e2edt/internal/chart"
-	"e2edt/internal/fabric"
 	"e2edt/internal/fluid"
 	"e2edt/internal/host"
 	"e2edt/internal/iperf"
@@ -82,11 +81,14 @@ func CostBreakdown40G() Result {
 		ID:     "F4",
 		Title:  "Cost breakdown of 40 Gbps memory-to-memory transfer",
 		Tables: []metrics.Table{tb},
+		Claims: []Claim{
+			{"RFTP total CPU (%)", "122%", rftpCPU.TotalPercent(window), 90, 170},
+			{"TCP total CPU (%)", "642%", tcpCPU.TotalPercent(window), 520, 720},
+			{"TCP kernel protocol (sys) CPU (%)", "311%", tcpCPU.Percent(host.CatSys, window), 250, 370},
+			{"TCP user↔kernel copy CPU (%)", "213%", tcpCPU.Percent(host.CatCopy, window), 150, inf},
+			{"RDMA copy CPU (%)", "0% (zero copy)", rftpCPU.Percent(host.CatCopy, window), 0, 0},
+		},
 		Notes: []string{
-			fmt.Sprintf("paper: RFTP 122%% total / TCP 642%% total; measured: %.0f%% / %.0f%%",
-				rftpCPU.TotalPercent(window), tcpCPU.TotalPercent(window)),
-			fmt.Sprintf("paper: TCP sys 311%%, copy 213%%; measured: %.0f%%, %.0f%%",
-				tcpCPU.Percent(host.CatSys, window), tcpCPU.Percent(host.CatCopy, window)),
 			"RDMA copy cost is 0% by construction (zero copy); offload <1% in both cases",
 		},
 	}
@@ -165,11 +167,10 @@ func SSDThermalThrottle() Result {
 		Tables: []metrics.Table{tb},
 		Series: []metrics.Series{series},
 		Chart:  &chart.Options{XLabel: "seconds", YLabel: "MB/s"},
-		Notes: []string{
-			fmt.Sprintf("paper: ≈500 MB/s under throttling after ~100 GB; measured: %.0f MB/s (throttled=%v)",
-				throttled, ssd.Throttled()),
+		Claims: []Claim{
+			{"healthy write rate (MB/s)", "", healthy, 1200, inf},
+			{"throttled write rate (MB/s)", "≈500 MB/s after ~100 GB", throttled, 490, 510},
+			gate("device in thermal protection at the end", ssd.Throttled()),
 		},
 	}
 }
-
-var _ = fabric.Config{}

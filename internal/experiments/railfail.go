@@ -29,12 +29,12 @@ type railOutcome struct {
 	maxMigLat  float64 // seconds
 	readmits   int
 	deaths     int
+	// exactlyOnce: the transfer completed and delivered every byte once.
+	exactlyOnce bool
 }
 
 // railRun drives one 24 GB transfer over the 3×40G pair under a fault
-// plan, measuring steady-state goodput over [w0, w1] (both rails settled),
-// and asserts the robustness invariants: completion, exactly-once
-// delivery, and bounded migration latency.
+// plan, measuring steady-state goodput over [w0, w1] (both rails settled).
 func railRun(size float64, w0, w1 sim.Time, rec *trace.Recorder,
 	plan func(p *testbed.MotivatingPair) *faults.Plan) railOutcome {
 	pair := testbed.NewMotivatingPair()
@@ -58,27 +58,17 @@ func railRun(size float64, w0, w1 sim.Time, rec *trace.Recorder,
 	eng.At(w0, func() { at0 = tr.Transferred() })
 	eng.At(w1, func() { at1 = tr.Transferred() })
 	eng.Run()
-	if !done || tr.Failed() {
-		panic(fmt.Sprintf("S3: transfer did not complete (failed=%v)", tr.Failed()))
-	}
-	if d := tr.Transferred(); math.Abs(d-size) > 1 {
-		panic(fmt.Sprintf("S3: exactly-once violated: delivered %g of %g bytes", d, size))
-	}
 	o := railOutcome{
-		elapsed:    float64(doneAt),
-		windowRate: (at1 - at0) / float64(w1-w0),
-		migrations: tr.Migrations,
-		failbacks:  tr.Failbacks,
+		elapsed:     float64(doneAt),
+		windowRate:  (at1 - at0) / float64(w1-w0),
+		migrations:  tr.Migrations,
+		failbacks:   tr.Failbacks,
+		exactlyOnce: done && !tr.Failed() && math.Abs(tr.Transferred()-size) <= 1,
 	}
 	for _, l := range tr.MigrationLatencies() {
 		if float64(l) > o.maxMigLat {
 			o.maxMigLat = float64(l)
 		}
-	}
-	// Migration must be bounded by loss detection plus the re-establish
-	// round trip — far under the retry ladder's worst case.
-	if bound := float64(recoveryParams(true).AckTimeout) + 0.05; o.maxMigLat > bound {
-		panic(fmt.Sprintf("S3: migration latency %.3fs exceeds bound %.3fs", o.maxMigLat, bound))
 	}
 	if m := tr.Rails(); m != nil {
 		o.readmits = m.Readmissions
@@ -134,21 +124,6 @@ func RailFailover() Result {
 		return pl
 	})
 
-	// Acceptance: post-migration goodput within 10% of 2/3 of the
-	// three-rail steady rate.
-	want := base.windowRate * 2 / 3
-	if math.Abs(kill.windowRate-want)/want > 0.10 {
-		panic(fmt.Sprintf("S3: post-failover goodput %.2f GB/s outside 10%% of %.2f GB/s",
-			kill.windowRate/1e9, want/1e9))
-	}
-	if kill.migrations < 2 {
-		panic(fmt.Sprintf("S3: expected the dead rail's 2 streams to migrate, got %d", kill.migrations))
-	}
-	if heal.failbacks < 1 || heal.readmits < 1 {
-		panic(fmt.Sprintf("S3: repair produced no failback (failbacks=%d, readmissions=%d)",
-			heal.failbacks, heal.readmits))
-	}
-
 	// Determinism: the kill scenario replayed must produce a bit-identical
 	// event trace.
 	mkPlan := func(p *testbed.MotivatingPair) *faults.Plan {
@@ -157,11 +132,12 @@ func RailFailover() Result {
 		return pl
 	}
 	rec1, rec2 := &trace.Recorder{}, &trace.Recorder{}
-	railRun(size, w0, w1, rec1, mkPlan)
-	railRun(size, w0, w1, rec2, mkPlan)
-	if len(rec1.Events) == 0 || !reflect.DeepEqual(rec1.Events, rec2.Events) {
-		panic(fmt.Sprintf("S3: replayed kill scenario diverged (%d vs %d events)",
-			len(rec1.Events), len(rec2.Events)))
+	runs := []railOutcome{base, kill, heal,
+		railRun(size, w0, w1, rec1, mkPlan), railRun(size, w0, w1, rec2, mkPlan)}
+	exactlyOnce, maxMigLat := true, 0.0
+	for _, o := range runs {
+		exactlyOnce = exactlyOnce && o.exactlyOnce
+		maxMigLat = math.Max(maxMigLat, o.maxMigLat)
 	}
 
 	failover := metrics.Table{
@@ -186,7 +162,7 @@ func RailFailover() Result {
 			fmt.Sprintf("%.1fms", row.o.maxMigLat*1e3),
 			fmt.Sprintf("%d", row.o.deaths),
 			fmt.Sprintf("%d", row.o.readmits),
-			"yes",
+			yesNo(row.o.exactlyOnce),
 		)
 	}
 
@@ -197,22 +173,24 @@ func RailFailover() Result {
 		Headers: []string{"checksum", "injected", "detected", "violations",
 			"retransmitted", "delivered", "verdict"},
 	}
-	var undetected int
+	var claims []Claim
 	for _, on := range []bool{true, false} {
 		det, vio, retx, delivered, completed := corruptionRun(corrSize, on, nCorrupt)
-		if !completed {
-			panic("S3: corruption run did not complete")
+		mode := "checksum off: "
+		if on {
+			mode = "checksum on: "
 		}
+		claims = append(claims, gate(mode+"corruption run completes", completed))
 		verdict := "all flips caught and re-transferred"
 		if on {
-			if det != nCorrupt || vio != 0 || retx <= 0 {
-				panic(fmt.Sprintf("S3: checksum on: detected=%d violations=%d retx=%g", det, vio, retx))
-			}
+			claims = append(claims,
+				Claim{mode + "flips detected", "", float64(det), nCorrupt, nCorrupt},
+				Claim{mode + "violations delivered", "", float64(vio), 0, 0},
+				Claim{mode + "bytes retransmitted", "", retx, over(0), inf})
 		} else {
-			if det != 0 || vio < 1 {
-				panic(fmt.Sprintf("S3: checksum off: detected=%d violations=%d", det, vio))
-			}
-			undetected = vio
+			claims = append(claims,
+				Claim{mode + "flips detected", "", float64(det), 0, 0},
+				Claim{mode + "violations delivered", "", float64(vio), 1, inf})
 			verdict = "CORRUPT BYTES DELIVERED undetected"
 		}
 		integrity.AddRow(
@@ -236,14 +214,22 @@ func RailFailover() Result {
 		Tables: []metrics.Table{failover, integrity},
 		Series: []metrics.Series{good},
 		Chart:  &chart.Options{XLabel: "surviving rails", YLabel: "Gbps"},
+		Claims: append([]Claim{
+			gate("every failover run completes exactly once", exactlyOnce),
+			// Migration is bounded by loss detection plus the re-establish
+			// round trip — far under the retry ladder's worst case.
+			{"worst migration latency (ms)", "", maxMigLat * 1e3, -inf,
+				(float64(recoveryParams(true).AckTimeout) + 0.05) * 1e3},
+			{"post-kill goodput over 2/3 of baseline", "", kill.windowRate / (base.windowRate * 2 / 3), 0.9, 1.1},
+			{"kill: streams migrated", "", float64(kill.migrations), 2, inf},
+			{"repair: failbacks", "", float64(heal.failbacks), 1, inf},
+			{"repair: readmissions", "", float64(heal.readmits), 1, inf},
+			gate("kill replay trace identical", len(rec1.Events) > 0 && reflect.DeepEqual(rec1.Events, rec2.Events)),
+		}, claims...),
 		Notes: []string{
-			fmt.Sprintf("killing 1 of 3 rails settles goodput at %.1f Gbps vs %.1f Gbps baseline — within 10%% of the ideal 2/3",
-				units.ToGbps(kill.windowRate), units.ToGbps(base.windowRate)),
-			fmt.Sprintf("worst migration latency %.1f ms: loss detection (AckTimeout) dominates; the re-establish round trip is sub-millisecond on the LAN",
-				kill.maxMigLat*1e3),
+			"loss detection (AckTimeout) dominates migration latency; the re-establish round trip is sub-millisecond on the LAN",
 			"repairing the rail re-admits it only after consecutive end-to-end probe echoes; streams then fail back with zero double-delivery",
-			"the kill scenario replayed with the same schedule produces a bit-identical event trace",
-			fmt.Sprintf("with Checksum off, %d corrupt block(s) reached the receiver marked delivered — the violation counter is the only witness, which is the point of the integrity ablation", undetected),
+			"with Checksum off, corrupt blocks reach the receiver marked delivered — the violation counter is the only witness, which is the point of the integrity ablation",
 		},
 	}
 }

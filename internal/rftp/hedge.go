@@ -313,18 +313,3 @@ func (t *Transfer) HedgeLatencies() []sim.Duration {
 	copy(out, t.hedgeLat)
 	return out
 }
-
-// SuspectRailsInUse counts live streams currently bound to rails under a
-// gray verdict — the arbiter's signal to decay this transfer's share.
-func (t *Transfer) SuspectRailsInUse() int {
-	if t.mgr == nil {
-		return 0
-	}
-	n := 0
-	for _, s := range t.streams {
-		if !s.done && t.mgr.Suspect(s.rail) {
-			n++
-		}
-	}
-	return n
-}

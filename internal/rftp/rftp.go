@@ -121,20 +121,10 @@ func (p Params) RecoveryBudget() sim.Duration {
 	if p.AckTimeout <= 0 {
 		return 0
 	}
-	b := p.RetryBackoff
-	if b <= 0 {
-		b = 100 * sim.Millisecond
-	}
-	cap := p.RetryBackoffMax
-	if cap <= 0 {
-		cap = 5 * sim.Second
-	}
-	n := p.MaxStreamRetries
-	if n <= 0 {
-		n = 16
-	}
+	p = p.withRetryDefaults()
+	b, cap := p.RetryBackoff, p.RetryBackoffMax
 	d := p.AckTimeout
-	for i := 0; i < n; i++ {
+	for i := 0; i < p.MaxStreamRetries; i++ {
 		if b > cap {
 			b = cap
 		}
@@ -142,6 +132,21 @@ func (p Params) RecoveryBudget() sim.Duration {
 		b *= 2
 	}
 	return d
+}
+
+// withRetryDefaults fills the unset retry-ladder fields: 100 ms first
+// backoff, doubling to a 5 s cap, 16 same-rail retries per stream.
+func (p Params) withRetryDefaults() Params {
+	if p.RetryBackoff <= 0 {
+		p.RetryBackoff = 100 * sim.Millisecond
+	}
+	if p.RetryBackoffMax <= 0 {
+		p.RetryBackoffMax = 5 * sim.Second
+	}
+	if p.MaxStreamRetries <= 0 {
+		p.MaxStreamRetries = 16
+	}
+	return p
 }
 
 // DefaultParams matches the paper's Figure 4 profile on 2.2 GHz cores.
@@ -488,15 +493,7 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 		return nil, fmt.Errorf("rftp: Rails.Gray requires Rails.Enabled (the scorer runs inside the rail manager)")
 	}
 	if p.recoveryEnabled() {
-		if p.RetryBackoff <= 0 {
-			p.RetryBackoff = 100 * sim.Millisecond
-		}
-		if p.RetryBackoffMax <= 0 {
-			p.RetryBackoffMax = 5 * sim.Second
-		}
-		if p.MaxStreamRetries <= 0 {
-			p.MaxStreamRetries = 16
-		}
+		p = p.withRetryDefaults()
 		if p.RDMA.ReadPenalty < 1 {
 			p.RDMA = rdma.DefaultParams()
 		}

@@ -310,12 +310,6 @@ type Config struct {
 	// Zero selects an automatic floor: twice the handshake span on the
 	// slowest front link plus one CheckEvery.
 	MinStallGrace sim.Duration
-	// SuspectDecay scales a job's fair-share weight while any of its
-	// streams rides a rail under a gray verdict (rftp's detection plane),
-	// shifting the stream budget toward jobs running entirely on trusted
-	// rails. In (0, 1]; 0 disables the decay. Requires the RFTP params to
-	// run with Rails.Gray enabled to ever see a suspect.
-	SuspectDecay float64
 }
 
 // DefaultConfig returns a tuned scheduler for the Figure 5 LAN system.
@@ -349,8 +343,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("xfersched: CheckEvery must be positive")
 	case c.StallAfter < c.CheckEvery:
 		return fmt.Errorf("xfersched: StallAfter must be ≥ CheckEvery")
-	case c.SuspectDecay < 0 || c.SuspectDecay > 1:
-		return fmt.Errorf("xfersched: SuspectDecay must be in [0, 1]")
 	case c.MinStallGrace < 0:
 		return fmt.Errorf("xfersched: MinStallGrace must not be negative")
 	}
@@ -693,12 +685,6 @@ func (s *Scheduler) divideStreams(jobs []*Job, perTenant map[string]int) []int {
 	total := 0.0
 	for i, j := range jobs {
 		weights[i] = s.tenant(j.Spec.Tenant).Weight / float64(perTenant[j.Spec.Tenant])
-		// A job with streams on a gray-suspect rail is decayed, not parked:
-		// it keeps at least one stream (the min-1 floor below), but the
-		// budget tilts toward jobs running entirely on trusted rails.
-		if s.Cfg.SuspectDecay > 0 && j.rt != nil && j.rt.SuspectRailsInUse() > 0 {
-			weights[i] *= s.Cfg.SuspectDecay
-		}
 		total += weights[i]
 	}
 	alloc := make([]int, n)
