@@ -13,7 +13,8 @@
 //
 // Experiment IDs follow DESIGN.md: E1 (motivating iperf), E2 (STREAM),
 // F4 (cost breakdown), T1 (testbed table), F7 (iSER bandwidth and CPU,
-// Figs. 7/8), F9–F12 (end-to-end uni/bi-directional), F13/F14 (WAN),
+// Figs. 7/8), F9–F12 (end-to-end uni/bi-directional), F13 (WAN bandwidth
+// and CPU, Figs. 13/14),
 // A1–A6 (ablations), S1–S8 (scenarios: scheduler, chaos, rail failover,
 // adaptive placement, cluster scale and chaos, gray failure, object
 // gateway).

@@ -369,12 +369,10 @@ func newCluster(eng *sim.Engine, cfg Config, workers int) (*Cluster, error) {
 		classes:     make(map[uint64]*classEntry),
 		ctlRng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eedc0de)),
 	}
-	// Cluster runs fire tens of thousands of heartbeat, probe, digest and
-	// control-RPC delivery events per virtual second, all within a couple
-	// of control-plane periods of "now". Park them in a timer wheel sized
-	// to cover those periods; the heap keeps only sparse far-future events
-	// (lease grace, giveUpAfter).
-	eng.EnableTimerWheel(heartbeatEvery/256, 1024)
+	// Admission passes are timed on the wall clock; with the buckets
+	// reserved up to 100 ms (the S5 decision-p99 bound), how slow a pass
+	// runs cannot change what the run allocates.
+	c.DecisionLat.Reserve(100_000)
 	// Host h's one access NIC is fabric port h, homed on node 0.
 	ports := make([]fabric.Endpoint, 0, cfg.Hosts)
 	for i := 0; i < cfg.Hosts; i++ {

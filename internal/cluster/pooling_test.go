@@ -101,15 +101,3 @@ func TestFlowClassPoolingEquivalence(t *testing.T) {
 			repP.VirtualSeconds, repU.VirtualSeconds)
 	}
 }
-
-// TestClusterEnablesTimerWheel: a cluster engine gets a timer wheel for its
-// heartbeat/probe/sampler load.
-func TestClusterEnablesTimerWheel(t *testing.T) {
-	eng := sim.NewEngine()
-	if _, err := New(eng, Config{Hosts: 4, Shards: 1, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !eng.WheelEnabled() {
-		t.Fatal("cluster did not enable the timer wheel")
-	}
-}

@@ -9,7 +9,7 @@ import (
 // Every number is a claim, checked by TestClaims.
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"A1", "A2", "A3", "A4", "A5", "A6", "E1", "E2", "F10", "F11", "F12", "F13", "F14", "F4", "F7", "F9", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "T1"}
+	want := []string{"A1", "A2", "A3", "A4", "A5", "A6", "E1", "E2", "F10", "F11", "F12", "F13", "F4", "F7", "F9", "S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "T1"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v, want %v", got, want)
@@ -82,7 +82,7 @@ func TestISERCPUShape(t *testing.T) {
 
 func TestWANBandwidthShape(t *testing.T) {
 	res := result(t, "F13")
-	shape(t, res, 4)
+	shape(t, res, 4, 4, 4)
 	series(t, res, 5, 5, 5, 5)
 }
 
@@ -150,7 +150,13 @@ func TestCPUBreakdownExperimentsSmoke(t *testing.T) {
 
 func TestFioCeilingSmoke(t *testing.T) { shape(t, result(t, "A2"), 3) }
 
-func TestWANCPUSmoke(t *testing.T) { shape(t, result(t, "F14"), 4, 4) }
+func TestWANCPUSmoke(t *testing.T) {
+	for _, tb := range result(t, "F13").Tables[1:] {
+		if !strings.Contains(tb.Title, "CPU % (Fig. 14") {
+			t.Fatalf("F13 table %q is not a Fig. 14 CPU table", tb.Title)
+		}
+	}
+}
 
 func TestSchedulerSaturationShape(t *testing.T) {
 	res := result(t, "S1")

@@ -14,10 +14,9 @@ import (
 
 func init() {
 	register("F13", WANBandwidth)
-	register("F14", WANCPU)
 }
 
-// wanStreams and wanBlockSizes are the Figure 13/14 sweeps.
+// wanStreams and wanBlockSizes are the Figure 13/14 sweep.
 var (
 	wanStreams    = []int{1, 2, 4, 8}
 	wanBlockSizes = []int64{64 * units.KB, 256 * units.KB, units.MB, 4 * units.MB, 16 * units.MB}
@@ -44,41 +43,48 @@ func wanPoint(streams int, blockSize int64) (float64, float64, float64) {
 		w.B.HostCPUReport().TotalPercent(window)
 }
 
-// WANBandwidth regenerates Figure 13: RFTP payload bandwidth over the
-// 40 Gbps / 95 ms ANI loop across block sizes and stream counts.
+// WANBandwidth regenerates Figures 13 and 14 from one sweep: RFTP payload
+// bandwidth over the 40 Gbps / 95 ms ANI loop across block sizes and stream
+// counts, and the sender (14a) and receiver (14b) CPU of the same runs.
 // Paper: small blocks with few streams starve on the ≈475 MB BDP; large
-// blocks reach 97% of the raw link rate.
+// blocks reach 97% of the raw link rate; CPU falls as the block size grows
+// (fewer control messages and work-request posts per byte).
 func WANBandwidth() Result {
-	tb := metrics.Table{
-		Title:   "RFTP over 40G/95ms WAN: payload bandwidth (Fig. 13)",
-		Headers: append([]string{"streams"}, blockHeaders()...),
-	}
+	headers := append([]string{"streams"}, blockHeaders()...)
+	tb := metrics.Table{Title: "RFTP over 40G/95ms WAN: payload bandwidth (Fig. 13)", Headers: headers}
+	snd := metrics.Table{Title: "RFTP WAN sender CPU % (Fig. 14a)", Headers: headers}
+	rcv := metrics.Table{Title: "RFTP WAN receiver CPU % (Fig. 14b)", Headers: headers}
 	var series []metrics.Series
 	// Bandwidth must not fall along either axis: the smallest step ratio
 	// along block sizes (within a row) and along streams (within a column).
 	alongBlocks, alongStreams := inf, inf
 	for i, streams := range wanStreams {
 		s := metrics.Series{Name: fmt.Sprintf("streams=%d-Gbps", streams)}
-		cells := []string{fmt.Sprintf("%d", streams)}
+		label := fmt.Sprintf("%d", streams)
+		cells, sc, rc := []string{label}, []string{label}, []string{label}
 		for j, bs := range wanBlockSizes {
-			bw, _, _ := wanPoint(streams, bs)
+			bw, sCPU, rCPU := wanPoint(streams, bs)
 			g := units.ToGbps(bw)
 			s.Add(float64(bs), g)
 			cells = append(cells, fmt.Sprintf("%.2f", g))
+			sc = append(sc, fmt.Sprintf("%.0f%%", sCPU))
+			rc = append(rc, fmt.Sprintf("%.0f%%", rCPU))
 			if i > 0 {
 				alongStreams = math.Min(alongStreams, g/series[i-1].Values[j])
 			}
 		}
 		alongBlocks = math.Min(alongBlocks, minStep(s.Values))
 		tb.AddRow(cells...)
+		snd.AddRow(sc...)
+		rcv.AddRow(rc...)
 		series = append(series, s)
 	}
 	top := series[len(series)-1].Values
 	peak := top[len(top)-1]
 	return Result{
 		ID:     "F13",
-		Title:  "RFTP WAN bandwidth vs block size and streams",
-		Tables: []metrics.Table{tb},
+		Title:  "RFTP WAN bandwidth and CPU vs block size and streams (Figs. 13/14)",
+		Tables: []metrics.Table{tb, snd, rcv},
 		Series: series,
 		Chart:  &chart.Options{XLabel: "block size", YLabel: "Gbps", LogX: true},
 		Claims: []Claim{
@@ -88,38 +94,6 @@ func WANBandwidth() Result {
 		},
 		Notes: []string{
 			"credit window Credits×BlockSize/RTT limits the small-block, few-stream corner",
-		},
-	}
-}
-
-// WANCPU regenerates Figure 14: sender (a) and receiver (b) CPU during the
-// WAN sweep. Paper: CPU falls as the block size grows (fewer control
-// messages and work-request posts per byte).
-func WANCPU() Result {
-	snd := metrics.Table{
-		Title:   "RFTP WAN sender CPU %% (Fig. 14a)",
-		Headers: append([]string{"streams"}, blockHeaders()...),
-	}
-	rcv := metrics.Table{
-		Title:   "RFTP WAN receiver CPU %% (Fig. 14b)",
-		Headers: append([]string{"streams"}, blockHeaders()...),
-	}
-	for _, streams := range wanStreams {
-		sc := []string{fmt.Sprintf("%d", streams)}
-		rc := []string{fmt.Sprintf("%d", streams)}
-		for _, bs := range wanBlockSizes {
-			_, sCPU, rCPU := wanPoint(streams, bs)
-			sc = append(sc, fmt.Sprintf("%.0f%%", sCPU))
-			rc = append(rc, fmt.Sprintf("%.0f%%", rCPU))
-		}
-		snd.AddRow(sc...)
-		rcv.AddRow(rc...)
-	}
-	return Result{
-		ID:     "F14",
-		Title:  "RFTP WAN CPU vs block size and streams",
-		Tables: []metrics.Table{snd, rcv},
-		Notes: []string{
 			"per-byte CPU falls with block size (per-block posting and control-message cost amortizes)",
 		},
 	}

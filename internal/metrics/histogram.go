@@ -53,6 +53,14 @@ func (h *Histogram) edge(i int) float64 {
 	return h.unit * math.Pow(h.growth, float64(i))
 }
 
+// Reserve sizes the buckets for samples up to max, so observing them never
+// grows the bucket array. Quantiles and counts are unaffected.
+func (h *Histogram) Reserve(max float64) {
+	if n := h.bucketFor(max) + 1; n > len(h.counts) {
+		h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
+	}
+}
+
 // Observe records one sample. Negative samples are clamped to zero.
 func (h *Histogram) Observe(v float64) {
 	if v < 0 {

@@ -254,3 +254,25 @@ func TestHistogramQuantileBoundaryCumulative(t *testing.T) {
 		t.Fatalf("median %v escaped the observed range", got)
 	}
 }
+
+// TestHistogramReserve: reserved buckets leave every answer unchanged, and
+// observing up to the reserved bound does not grow the bucket array.
+func TestHistogramReserve(t *testing.T) {
+	plain, reserved := NewHistogram(0.5), NewHistogram(0.5)
+	reserved.Reserve(1e5)
+	for _, v := range []float64{0.1, 3, 47, 900, 2.5e4} {
+		plain.Observe(v)
+		reserved.Observe(v)
+	}
+	if p, r := plain.Summary(1, "us"), reserved.Summary(1, "us"); p != r {
+		t.Fatalf("summary %q with reserve, want %q", r, p)
+	}
+	if p, r := plain.Buckets(), reserved.Buckets(); p != r {
+		t.Fatalf("buckets %q with reserve, want %q", r, p)
+	}
+	n := len(reserved.counts)
+	reserved.Observe(1e5)
+	if len(reserved.counts) != n {
+		t.Fatalf("Observe at the reserved bound grew the buckets from %d to %d", n, len(reserved.counts))
+	}
+}

@@ -1362,7 +1362,7 @@ func (t *Transfer) Stop() {
 	t.releaseEndpoints()
 }
 
-// Streams returns the per-stream current rates, for diagnostics.
+// StreamRates returns the per-stream current rates, for diagnostics.
 func (t *Transfer) StreamRates() []float64 {
 	out := make([]float64, len(t.streams))
 	for i, st := range t.streams {

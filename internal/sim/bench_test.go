@@ -41,3 +41,24 @@ func BenchmarkScheduleCancelChurn(b *testing.B) {
 		evs[slot] = e.Schedule(Duration(2000+i), func() {})
 	}
 }
+
+// BenchmarkTickerStorm is the steady state of 100k periodic events with
+// intervals spread over 0.4–0.6 s; one op fires one event, which
+// reschedules itself. The rescheduling closures are built once, so the
+// loop measures the queue alone.
+func BenchmarkTickerStorm(b *testing.B) {
+	e := NewEngine()
+	fns := make([]func(), 100_000)
+	for i := range fns {
+		iv := Duration(0.4 + 0.2*float64(i%101)/100)
+		idx := i
+		fns[idx] = func() { e.Schedule(iv, fns[idx]) }
+		e.Schedule(iv, fns[idx])
+	}
+	e.RunFor(1) // warm the free list
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

@@ -9,10 +9,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -44,13 +42,9 @@ type Event struct {
 	at     Time
 	seq    uint64
 	fn     func()
-	index  int // heap index; -1 once removed, -2 while parked in the wheel
 	fired  bool
 	cancel bool
 }
-
-// wheelIndex marks an event stored in a timer-wheel slot instead of the heap.
-const wheelIndex = -2
 
 // Time reports when the event is (or was) due to fire.
 func (e *Event) Time() Time { return e.at }
@@ -61,33 +55,77 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
 
+// eventHeap is a binary min-heap ordered by (at, seq). Its methods compare
+// events directly instead of going through container/heap's interface, so
+// the per-event push and pop cost no dynamic dispatch or boxing.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, then by scheduling sequence.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// up moves h[j] toward the root until its parent is not later.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !before(ev, p) {
+			break
+		}
+		h[j] = p
+		j = i
 	}
-	return h[i].seq < h[j].seq
+	h[j] = ev
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down moves h[i] toward the leaves until no child is earlier.
+func (h eventHeap) down(i int) {
+	ev, n := h[i], len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		c := h[j]
+		if r := j + 1; r < n && before(h[r], c) {
+			j, c = r, h[r]
+		}
+		if !before(c, ev) {
+			break
+		}
+		h[i] = c
+		i = j
+	}
+	h[i] = ev
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *Event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	ev, last := old[0], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		old[0] = last
+		h.down(0)
+	}
+	return ev
+}
+
+// heapify restores the heap order over arbitrary contents.
+func (h eventHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // Tracer receives simulation trace events when installed on an engine.
@@ -105,7 +143,6 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
-	running bool
 	stopped bool
 	tracer  Tracer
 	// Processed counts events that have fired, for diagnostics.
@@ -119,28 +156,6 @@ type Engine struct {
 	// slots; Cancel marks instead of removing, and the queue is compacted
 	// once cancelled events dominate it.
 	cancelled int
-
-	// Timer wheel (EnableTimerWheel): near-future events — heartbeat,
-	// probe and sampler ticks at cluster scale — go into fixed-width ring
-	// slots with O(1) insert and cancel; the heap keeps only events beyond
-	// the wheel horizon. Slot wheelCur covers [wheelBase, wheelBase+slotW).
-	wheel         []wheelSlot
-	slotW         Duration
-	wheelBase     Time
-	wheelCur      int
-	wheelLive     int      // parked events that are not cancelled
-	wheelCount    int      // parked events including stale cancellations
-	occ           []uint64 // per-slot occupancy bitmap, for sparse scans
-	wheelPeekSlot int      // slot of the event the last peek returned
-}
-
-// wheelSlot is one ring bucket. evs[head:] holds the undrained events; the
-// live region is sorted by (at, seq) lazily, on first read, so inserts stay
-// O(1). The backing array is reused after the slot drains.
-type wheelSlot struct {
-	evs    []*Event
-	head   int
-	sorted bool
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -188,230 +203,7 @@ func (e *Engine) Tracef(subsys, format string, args ...any) {
 
 // Pending returns the number of events still queued (excluding
 // lazily-cancelled ones awaiting compaction).
-func (e *Engine) Pending() int { return len(e.queue) - e.cancelled + e.wheelLive }
-
-// EnableTimerWheel routes events due within slot×slots of the current time
-// into a timer wheel (O(1) insert and cancel) instead of the heap, which
-// keeps only sparse far-future events. Firing order is unchanged: the wheel
-// and heap are merged by (time, sequence) on every pop, so an enabled wheel
-// is observationally identical to the plain heap. Once a wheel is
-// installed, further calls are no-ops.
-func (e *Engine) EnableTimerWheel(slot Duration, slots int) {
-	if e.wheel != nil {
-		return
-	}
-	if slot <= 0 || slots < 2 {
-		panic(fmt.Sprintf("sim: invalid timer wheel geometry %v × %d", slot, slots))
-	}
-	e.wheel = make([]wheelSlot, slots)
-	e.occ = make([]uint64, (slots+63)/64)
-	e.slotW = slot
-	e.wheelBase = e.now
-	e.wheelCur = 0
-}
-
-// WheelEnabled reports whether a timer wheel is installed.
-func (e *Engine) WheelEnabled() bool { return e.wheel != nil }
-
-// advanceWheel rotates the wheel so the current slot's window contains the
-// clock. Passed slots are flushed: live events left behind by a Stop spill
-// to the heap (they fire at the then-current clock, preserving the RunUntil
-// contract), stale cancellations are reclaimed.
-func (e *Engine) advanceWheel() {
-	W := Time(e.slotW)
-	n := len(e.wheel)
-	if e.wheelCount == 0 {
-		// Empty wheel: snap the window to the clock in O(1), so a far
-		// jump in virtual time never walks slot by slot.
-		if e.now-e.wheelBase >= W {
-			e.wheelBase = e.now
-		}
-		return
-	}
-	if e.now-e.wheelBase >= W*Time(n) {
-		// The whole horizon is in the past; one sweep bounds the work.
-		for si := range e.wheel {
-			e.flushSlot(si)
-		}
-		e.wheelBase = e.now
-		return
-	}
-	for e.wheelBase+W <= e.now {
-		e.flushSlot(e.wheelCur)
-		e.wheelCur++
-		if e.wheelCur == n {
-			e.wheelCur = 0
-		}
-		e.wheelBase += W
-		if e.wheelCount == 0 {
-			if e.now-e.wheelBase >= W {
-				e.wheelBase = e.now
-			}
-			return
-		}
-	}
-}
-
-// flushSlot empties a slot whose window has passed.
-func (e *Engine) flushSlot(si int) {
-	s := &e.wheel[si]
-	for j := s.head; j < len(s.evs); j++ {
-		ev := s.evs[j]
-		s.evs[j] = nil
-		e.wheelCount--
-		if ev.cancel {
-			ev.index = -1
-			e.recycle(ev)
-			continue
-		}
-		e.wheelLive--
-		heap.Push(&e.queue, ev)
-	}
-	s.evs = s.evs[:0]
-	s.head = 0
-	s.sorted = true
-	e.occ[si>>6] &^= 1 << (uint(si) & 63)
-}
-
-// nextOccupied returns the first slot index in [lo, hi) with its occupancy
-// bit set, or -1. Word-at-a-time, so sparse wheels scan fast.
-func (e *Engine) nextOccupied(lo, hi int) int {
-	if lo >= hi {
-		return -1
-	}
-	for w := lo >> 6; w<<6 < hi; w++ {
-		word := e.occ[w]
-		if base := w << 6; base < lo {
-			word &= ^uint64(0) << (uint(lo - base))
-		}
-		if word == 0 {
-			continue
-		}
-		i := w<<6 + bits.TrailingZeros64(word)
-		if i >= hi {
-			return -1
-		}
-		return i
-	}
-	return -1
-}
-
-// sortSlot orders the live region by (at, seq). Insertion sort: slots hold
-// a handful of events and the sort must not allocate.
-func sortSlot(s *wheelSlot) {
-	evs := s.evs[s.head:]
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i
-		for j > 0 && (evs[j-1].at > ev.at || (evs[j-1].at == ev.at && evs[j-1].seq > ev.seq)) {
-			evs[j] = evs[j-1]
-			j--
-		}
-		evs[j] = ev
-	}
-	s.sorted = true
-}
-
-// slotHead returns the earliest live event in slot si, reclaiming stale
-// cancellations in passing; nil once the slot drains (its bit is cleared).
-func (e *Engine) slotHead(si int) *Event {
-	s := &e.wheel[si]
-	for s.head < len(s.evs) {
-		if !s.sorted {
-			sortSlot(s)
-		}
-		ev := s.evs[s.head]
-		if !ev.cancel {
-			return ev
-		}
-		s.evs[s.head] = nil
-		s.head++
-		e.wheelCount--
-		ev.index = -1
-		e.recycle(ev)
-	}
-	s.evs = s.evs[:0]
-	s.head = 0
-	s.sorted = true
-	e.occ[si>>6] &^= 1 << (uint(si) & 63)
-	return nil
-}
-
-// peekWheel returns the earliest live wheel event, or nil. Scanning slots
-// outward from wheelCur visits them in window (time) order, so the first
-// live head is the wheel's minimum.
-func (e *Engine) peekWheel() *Event {
-	if e.wheel == nil || e.wheelLive == 0 {
-		return nil
-	}
-	e.advanceWheel()
-	if e.wheelLive == 0 {
-		return nil
-	}
-	n := len(e.wheel)
-	for pass := 0; pass < 2; pass++ {
-		lo, hi := e.wheelCur, n
-		if pass == 1 {
-			lo, hi = 0, e.wheelCur
-		}
-		for si := e.nextOccupied(lo, hi); si >= 0; si = e.nextOccupied(si+1, hi) {
-			if ev := e.slotHead(si); ev != nil {
-				e.wheelPeekSlot = si
-				return ev
-			}
-		}
-	}
-	return nil
-}
-
-// peek returns the earliest live event across the heap and the wheel
-// without removing it, pruning cancelled entries from both structures.
-func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 && e.queue[0].cancel {
-		ev := heap.Pop(&e.queue).(*Event)
-		e.cancelled--
-		e.recycle(ev)
-	}
-	var hv *Event
-	if len(e.queue) > 0 {
-		hv = e.queue[0]
-	}
-	wv := e.peekWheel()
-	if wv == nil {
-		return hv
-	}
-	if hv == nil {
-		return wv
-	}
-	if wv.at < hv.at || (wv.at == hv.at && wv.seq < hv.seq) {
-		return wv
-	}
-	return hv
-}
-
-// take removes the event peek just returned from its structure.
-func (e *Engine) take(ev *Event) {
-	if ev.index == wheelIndex {
-		si := e.wheelPeekSlot
-		s := &e.wheel[si]
-		if s.head >= len(s.evs) || s.evs[s.head] != ev {
-			panic("sim: timer wheel out of sync")
-		}
-		s.evs[s.head] = nil
-		s.head++
-		e.wheelCount--
-		e.wheelLive--
-		ev.index = -1
-		if s.head == len(s.evs) {
-			s.evs = s.evs[:0]
-			s.head = 0
-			s.sorted = true
-			e.occ[si>>6] &^= 1 << (uint(si) & 63)
-		}
-		return
-	}
-	heap.Pop(&e.queue)
-}
+func (e *Engine) Pending() int { return len(e.queue) - e.cancelled }
 
 // fire runs a popped event's callback, advancing the clock to its time.
 func (e *Engine) fire(ev *Event) {
@@ -446,27 +238,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		panic("sim: nil event callback")
 	}
 	ev := e.alloc(t, fn)
-	if e.wheel != nil {
-		e.advanceWheel()
-		if off := t - e.wheelBase; off < Time(e.slotW)*Time(len(e.wheel)) {
-			idx := int(off / Time(e.slotW))
-			if idx < len(e.wheel) { // guard against float rounding at the horizon
-				si := e.wheelCur + idx
-				if n := len(e.wheel); si >= n {
-					si -= n
-				}
-				s := &e.wheel[si]
-				s.evs = append(s.evs, ev)
-				s.sorted = len(s.evs)-s.head <= 1
-				e.occ[si>>6] |= 1 << (uint(si) & 63)
-				ev.index = wheelIndex
-				e.wheelLive++
-				e.wheelCount++
-				return ev
-			}
-		}
-	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -479,13 +251,6 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.cancel = true
-	if ev.index == wheelIndex {
-		e.wheelLive-- // lazy: the slot entry is reclaimed when scanned over
-		return
-	}
-	if ev.index < 0 {
-		return
-	}
 	e.cancelled++
 	e.maybeCompact()
 }
@@ -506,7 +271,6 @@ func (e *Engine) maybeCompact() {
 	kept := e.queue[:0]
 	for _, ev := range e.queue {
 		if ev.cancel {
-			ev.index = -1
 			e.recycle(ev)
 		} else {
 			kept = append(kept, ev)
@@ -516,16 +280,25 @@ func (e *Engine) maybeCompact() {
 		e.queue[i] = nil
 	}
 	e.queue = kept
-	for i, ev := range e.queue {
-		ev.index = i
-	}
-	heap.Init(&e.queue)
+	e.queue.heapify()
 	e.cancelled = 0
 }
 
-// Step fires the earliest pending event — across the heap and the timer
-// wheel — and advances the clock to its time. It reports false when nothing
-// is pending. An event left behind by a stopped RunUntil (see Stop) can be
+// peek returns the earliest live event without removing it, first
+// reclaiming cancelled events that have reached the top of the heap.
+func (e *Engine) peek() *Event {
+	for len(e.queue) > 0 && e.queue[0].cancel {
+		e.recycle(e.queue.pop())
+		e.cancelled--
+	}
+	if len(e.queue) == 0 {
+		return nil
+	}
+	return e.queue[0]
+}
+
+// Step fires the earliest pending event and advances the clock to its time.
+// It reports false when nothing is pending. An event left behind by a stopped RunUntil (see Stop) can be
 // due in the past; the clock never moves backwards — such events fire at
 // the current time.
 func (e *Engine) Step() bool {
@@ -533,7 +306,7 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.take(ev)
+	e.queue.pop()
 	e.fire(ev)
 	return true
 }
@@ -561,7 +334,7 @@ func (e *Engine) RunUntil(t Time) {
 		if ev == nil || ev.at > t {
 			break
 		}
-		e.take(ev)
+		e.queue.pop()
 		e.fire(ev)
 	}
 	if t > e.now {
@@ -590,8 +363,8 @@ func (e *Engine) RunFor(d Duration) {
 // to its target time, so post-stop Now() is never stale.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Sleeper supports periodic activities: it reschedules fn every interval
-// until Stop is called.
+// Ticker runs a periodic activity: it reschedules fn every interval until
+// Stop is called.
 type Ticker struct {
 	engine   *Engine
 	interval Duration
