@@ -54,12 +54,16 @@ bench-smoke:
 		*) echo "bench-smoke: $$w did not finish correct with zero failed units"; exit 1 ;; esac; \
 	done
 
-# Two seeded rail-failover runs through the CLI: a permanent rail kill
-# plus silent corruption, with checksums on. Exercises migration,
-# rebalance and the integrity plane end to end (CI runs this).
+# Three seeded rail-failover runs through the CLI: two with a permanent
+# rail kill plus silent corruption, with checksums on, then a chaos plan
+# of flaps and error bursts under rail management, the drive that reaches
+# RFTP's link-event loss path (rail watcher → loss → migration/failback).
+# Exercises migration, rebalance and the integrity plane end to end (CI
+# runs this).
 failover-smoke:
 	$(GO) run ./cmd/xfersched -jobs 8 -seed 3 -gridftp 0 -kill-rail roce1@2 -corrupt 2 -checksum
 	$(GO) run ./cmd/xfersched -jobs 10 -seed 11 -gridftp 0 -kill-rail roce2@1.5 -corrupt 3 -corruptseed 5 -checksum
+	$(GO) run ./cmd/xfersched -jobs 8 -seed 5 -gridftp 0 -chaos 1 -rails
 
 # Adaptive-placement gate: the placer and scheduler test suites under the
 # race detector, then the full S4 experiment, whose claims (auto ≥ 95% of
@@ -113,7 +117,7 @@ gray-smoke:
 	$(GO) run ./cmd/xfersched -cluster -hosts 16 -shards 2 -ctenants 32 -cjobs 120 \
 		-gray 3@8+6:0.95 -shed -replay-check
 
-# Object-gateway gate: the objstore suites (key/multipart parsing, zero-
+# Object-gateway gate: the objstore suites (key parsing, zero-
 # length objects, coalescing windows, 20-seed determinism) plus the batch,
 # file-set and tiny-job suites under the race detector — file sets and
 # object windows are one rftp item session, so both framings' suites run —

@@ -45,7 +45,7 @@ type Options struct {
 	DeviceFactory func(store *host.Host, lun int, policy numa.Policy) blockdev.Device
 	// Recovery enables in-protocol failure recovery across the stack: both
 	// SAN iSCSI sessions replay dropped or timed-out commands (instead of
-	// hanging or failing with ErrSessionDown), and RFTP transfers launched
+	// hanging on a dropped PDU), and RFTP transfers launched
 	// through the System fill in ACK-timeout stream recovery (ApplyRFTP).
 	// Off, the system is fail-fast.
 	Recovery bool

@@ -53,8 +53,8 @@ const (
 	// going dark (Degrade).
 	EventDegraded
 	// EventErrorBurst: a transient error burst crossed the link — capacity
-	// is untouched, but reliable-connection state machines riding the link
-	// (RDMA QPs) see error completions.
+	// is untouched, but reliable connections riding the link see error
+	// completions (RFTP streams declare their window lost).
 	EventErrorBurst
 	// EventCorruption: a silent bit flip passed the link-layer CRC — the
 	// block in flight arrives corrupt with no link-level indication.
@@ -295,9 +295,9 @@ func (l *Link) Degrade(fraction float64) {
 
 // InjectErrorBurst models a transient fault burst (CRC storms, a flapping
 // transceiver) that corrupts in-flight reliable-connection traffic without
-// changing capacity: watchers — RDMA QPs riding the link — receive an
-// EventErrorBurst and surface error completions; fluid capacity is
-// untouched.
+// changing capacity: watchers receive an EventErrorBurst (RFTP's rail
+// watcher declares loss on every stream riding the link); fluid capacity
+// is untouched.
 func (l *Link) InjectErrorBurst() {
 	l.eng.Tracef("fabric", "link %s error burst", l.Cfg.Name)
 	l.notify(EventErrorBurst)

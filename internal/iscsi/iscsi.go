@@ -48,12 +48,11 @@ func (o Op) String() string {
 
 // Errors returned through Command.OnComplete.
 var (
-	ErrNoLUN       = errors.New("iscsi: no such LUN")
-	ErrOutOfRange  = errors.New("iscsi: I/O beyond end of device")
-	ErrZeroLength  = errors.New("iscsi: zero-length I/O")
-	ErrNilBuffer   = errors.New("iscsi: command without initiator buffer")
-	ErrSessionDown = errors.New("iscsi: session closed")
-	ErrTimeout     = errors.New("iscsi: command timed out")
+	ErrNoLUN      = errors.New("iscsi: no such LUN")
+	ErrOutOfRange = errors.New("iscsi: I/O beyond end of device")
+	ErrZeroLength = errors.New("iscsi: zero-length I/O")
+	ErrNilBuffer  = errors.New("iscsi: command without initiator buffer")
+	ErrTimeout    = errors.New("iscsi: command timed out")
 )
 
 // Command is one SCSI I/O request.
@@ -285,15 +284,13 @@ type Session struct {
 	Timeout sim.Duration
 	// MaxReplays, when positive, enables session recovery: a command whose
 	// PDU drops or that times out is re-issued up to MaxReplays times
-	// instead of failing terminally, and a closed session parks new
-	// submissions for Reconnect instead of failing with ErrSessionDown.
-	// Replayed data ops are offset-addressed and therefore idempotent; the
-	// completed-guard absorbs a late original response racing a replay.
+	// instead of failing terminally. Replayed data ops are offset-addressed
+	// and therefore idempotent; the completed-guard absorbs a late original
+	// response racing a replay.
 	MaxReplays int
 	// ReplayDelay is the pause before a re-issue (default 50 ms).
 	ReplayDelay sim.Duration
 
-	closed bool
 	// Inflight tracks submitted-but-incomplete commands.
 	Inflight int
 	// TimedOut counts commands failed by the initiator-side timer.
@@ -302,10 +299,6 @@ type Session struct {
 	// completed successfully after at least one replay.
 	Replays   int64
 	Recovered int64
-
-	// pending holds uncompleted commands in submission order when recovery
-	// is enabled, for replay at Reconnect.
-	pending []*Command
 }
 
 // recoveryEnabled reports whether command replay is on.
@@ -319,38 +312,6 @@ func NewSession(t *Target, m Mover) *Session {
 	return &Session{Target: t, Mover: m}
 }
 
-// Close fails subsequent submissions (or, under recovery, parks them for
-// Reconnect).
-func (s *Session) Close() { s.closed = true }
-
-// Closed reports whether the session is down.
-func (s *Session) Closed() bool { return s.closed }
-
-// Reconnect reopens a closed session and, when recovery is enabled,
-// replays every uncompleted command in submission order — both commands
-// parked while the session was down and commands that were in flight when
-// it went down. A late original response racing its replay is absorbed by
-// the completed-guard, and replayed data ops are idempotent.
-func (s *Session) Reconnect() {
-	if !s.closed {
-		return
-	}
-	s.closed = false
-	if !s.recoveryEnabled() {
-		return
-	}
-	eng := s.Target.eng
-	replay := make([]*Command, len(s.pending))
-	copy(replay, s.pending)
-	eng.Tracef("iscsi", "session reconnected: replaying %d uncompleted commands", len(replay))
-	for _, cmd := range replay {
-		if cmd.completed {
-			continue
-		}
-		s.reissue(cmd)
-	}
-}
-
 // Submit validates and issues cmd. Completion (or validation failure) is
 // reported through cmd.OnComplete.
 func (s *Session) Submit(cmd *Command) {
@@ -361,10 +322,6 @@ func (s *Session) Submit(cmd *Command) {
 	s.Inflight++
 	fail := func(err error) {
 		eng.Schedule(0, func() { s.finish(cmd, err) })
-	}
-	if s.closed && !s.recoveryEnabled() {
-		fail(ErrSessionDown)
-		return
 	}
 	st, ok := s.Target.luns[cmd.LUN]
 	if !ok {
@@ -380,14 +337,6 @@ func (s *Session) Submit(cmd *Command) {
 		return
 	case cmd.Offset < 0 || cmd.Offset+cmd.Length > st.lun.Dev.Size():
 		fail(ErrOutOfRange)
-		return
-	}
-	if s.recoveryEnabled() {
-		s.pending = append(s.pending, cmd)
-	}
-	if s.closed {
-		// Parked: replayed from pending at Reconnect.
-		eng.Tracef("iscsi", "parked %s lun=%d len=%d awaiting reconnect", cmd.Op, cmd.LUN, cmd.Length)
 		return
 	}
 	eng.Tracef("iscsi", "submit %s lun=%d len=%d", cmd.Op, cmd.LUN, cmd.Length)
@@ -436,10 +385,9 @@ func (s *Session) sendCmdPDU(st *lunState, cmd *Command) {
 }
 
 // replay schedules a re-issue of cmd after ReplayDelay, failing terminally
-// once MaxReplays is exhausted. A replay attempted while the session is
-// closed waits for Reconnect (the command stays in pending).
+// once MaxReplays is exhausted.
 func (s *Session) replay(cmd *Command) {
-	if cmd.completed || s.closed {
+	if cmd.completed {
 		return
 	}
 	if cmd.replays >= s.MaxReplays {
@@ -452,7 +400,7 @@ func (s *Session) replay(cmd *Command) {
 		delay = 50 * sim.Millisecond
 	}
 	eng.Schedule(delay, func() {
-		if cmd.completed || s.closed {
+		if cmd.completed {
 			return
 		}
 		s.reissue(cmd)
@@ -485,16 +433,8 @@ func (s *Session) finish(cmd *Command, err error) {
 		s.Target.eng.Cancel(cmd.timer)
 		cmd.timer = nil
 	}
-	if s.recoveryEnabled() {
-		for i, p := range s.pending {
-			if p == cmd {
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				break
-			}
-		}
-		if err == nil && cmd.replays > 0 {
-			s.Recovered++
-		}
+	if err == nil && cmd.replays > 0 {
+		s.Recovered++
 	}
 	cmd.Done = s.Target.eng.Now()
 	if cmd.OnComplete != nil {

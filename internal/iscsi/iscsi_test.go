@@ -121,18 +121,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestClosedSession(t *testing.T) {
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	r.sess.Close()
-	var got error
-	r.sess.Submit(&Command{Op: OpRead, LUN: 0, Length: units.MB, Buffer: r.buf,
-		OnComplete: func(_ sim.Time, err error) { got = err }})
-	r.eng.Run()
-	if got != ErrSessionDown {
-		t.Fatalf("err = %v, want ErrSessionDown", got)
-	}
-}
-
 func TestQueueingBeyondWorkers(t *testing.T) {
 	cfg := DefaultTargetConfig(numa.PolicyBind)
 	cfg.ThreadsPerLUN = 2
@@ -363,34 +351,6 @@ func TestReplayExhaustionFailsTerminally(t *testing.T) {
 	}
 	if sess.Replays != 3 {
 		t.Fatalf("replays = %d, want 3", sess.Replays)
-	}
-}
-
-func TestReconnectReplaysParkedCommands(t *testing.T) {
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	r.sess.MaxReplays = 4
-	r.sess.Close()
-	results := map[int]error{}
-	for i := 0; i < 3; i++ {
-		i := i
-		r.sess.Submit(&Command{Op: OpWrite, LUN: 0, Length: units.MB, Buffer: r.buf,
-			OnComplete: func(_ sim.Time, err error) { results[i] = err }})
-	}
-	r.eng.Schedule(0.2, r.sess.Reconnect)
-	r.eng.Run()
-	if len(results) != 3 {
-		t.Fatalf("completed %d of 3 parked commands", len(results))
-	}
-	for i, err := range results {
-		if err != nil {
-			t.Fatalf("parked command %d: %v", i, err)
-		}
-	}
-	if r.sess.Inflight != 0 {
-		t.Fatalf("Inflight = %d", r.sess.Inflight)
-	}
-	if !(!r.sess.Closed()) {
-		t.Fatal("session should be open after Reconnect")
 	}
 }
 

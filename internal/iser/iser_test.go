@@ -105,7 +105,7 @@ func TestMoverValidation(t *testing.T) {
 		func() { NewMover(r.mover.Portals, r.mover.InitThread, nil, DefaultParams()) },
 		func() {
 			p := DefaultParams()
-			p.RDMA.ReadPenalty = 0.5
+			p.ReadPenalty = 0.5
 			NewMover(r.mover.Portals, r.mover.InitThread, r.target, p)
 		},
 	}
@@ -309,25 +309,6 @@ func TestSendPDUReportsDropOnDarkLink(t *testing.T) {
 	r.eng.Run()
 	if delivered || !dropped {
 		t.Fatalf("delivered=%v dropped=%v, want drop report on dark link", delivered, dropped)
-	}
-}
-
-func TestSessionDownPropagatesThroughIser(t *testing.T) {
-	// iscsi.ErrSessionDown must surface at the initiator through the real
-	// iser mover, not just the in-package fakes.
-	r := newBackend(t, numa.PolicyBind, 1)
-	r.sess.Close()
-	var got error
-	called := false
-	buf := r.init.M.NewBuffer("b", r.init.M.Node(0))
-	r.sess.Submit(&iscsi.Command{Op: iscsi.OpRead, LUN: 0, Length: units.MB, Buffer: buf,
-		OnComplete: func(_ sim.Time, err error) { got, called = err, true }})
-	r.eng.Run()
-	if !called {
-		t.Fatal("OnComplete never fired on a closed session")
-	}
-	if got != iscsi.ErrSessionDown {
-		t.Fatalf("err = %v, want iscsi.ErrSessionDown", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"e2edt/internal/sim"
 )
@@ -170,14 +171,16 @@ func (t *Table) AddRow(cells ...string) {
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
+	// Widths count runes, as %-*s pads by runes: cells such as "1.2×" or
+	// "45 µs" hold more bytes than they print.
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}

@@ -196,6 +196,23 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTableMultiByteCellsAlign: columns are as wide as their widest cell
+// in printed runes, not bytes, so a cell holding ×, µ or — gets no extra
+// padding and every column starts where its header does.
+func TestTableMultiByteCellsAlign(t *testing.T) {
+	tb := Table{Headers: []string{"ratio", "lat", "note"}}
+	tb.AddRow("1.2×", "45 µs", "a")
+	tb.AddRow("10.25", "—", "b")
+	want := "" +
+		"ratio  lat    note\n" +
+		"-----  -----  ----\n" +
+		"1.2×   45 µs  a   \n" +
+		"10.25  —      b   \n"
+	if got := tb.String(); got != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestTableShortRowPadded(t *testing.T) {
 	tb := Table{Headers: []string{"a", "b", "c"}}
 	tb.AddRow("only")

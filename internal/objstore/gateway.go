@@ -77,8 +77,6 @@ type Gateway struct {
 	P     Params
 	Dir   core.Direction
 
-	// Index is the metadata table; every PUT inserts its record.
-	Index Index
 	// Metrics collects objects_done / bytes_done / windows counters under
 	// the "objstore." namespace.
 	Metrics *metrics.Registry
@@ -179,10 +177,6 @@ func (g *Gateway) startWindow(window []int) {
 	id := g.Windows
 	g.Windows++
 	g.windows.Add(1)
-	for _, pi := range window {
-		s := g.puts[pi].spec
-		g.Index.Put(FormatKey(s.Bucket, s.Key), s.Size)
-	}
 	g.chargeMD(fmt.Sprintf("objstore-md/w%05d", id), cycles,
 		float64(len(window))*entryBytes, func(now sim.Time) {
 			g.submitWindow(id, window)

@@ -1,9 +1,8 @@
 // Package objstore is an S3-style object gateway over the transfer stack:
-// buckets and keys, multipart upload state machines, a metadata index whose
-// lookup and scan costs are charged to host CPU and memory through the
-// fluid model, and a coalescing transfer mapper that lays small objects
-// onto rftp batch windows (single-pair mode) or cluster jobs (cluster
-// mode).
+// bucket and key naming, metadata lookups and scans whose costs are
+// charged to host CPU and memory through the fluid model, and a coalescing
+// transfer mapper that lays small objects onto rftp batch windows
+// (single-pair mode) or cluster jobs (cluster mode).
 //
 // The package exists for the small-file regime the paper's tool ignores:
 // millions of tiny objects from thousands of tenants, where per-transfer

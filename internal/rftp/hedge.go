@@ -267,7 +267,6 @@ func (t *Transfer) hedgeWon(s *stream, h *hedgeRace, now sim.Time) {
 	s.faultAt = h.at
 	from := s.rail
 	s.rail = h.rail
-	s.qp = t.newQP(s)
 	t.eng.Tracef("rftp", "stream %d leaving %s for hedge winner %s",
 		s.idx, t.links[from].Cfg.Name, t.links[s.rail].Cfg.Name)
 	t.attemptResume(s)

@@ -117,6 +117,55 @@ func TestFailbackReturnsStreamsHome(t *testing.T) {
 	}
 }
 
+// TestRemigrationAfterSecondRailDeath: stream 0 fails over from rail 0 to
+// rail 1; when rail 1 dies too, the rail watcher declares it lost at the
+// instant of the kill and it migrates again, with rail 1's own stream,
+// onto rail 2. Delivery stays exactly-once throughout.
+func TestRemigrationAfterSecondRailDeath(t *testing.T) {
+	p := testbed.NewMotivatingPair()
+	size := 12 * float64(units.GB)
+	var doneAt sim.Time
+	tr, err := Start(p.Links, p.A, DefaultConfig(), railParams(),
+		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { doneAt = now })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := tr.streams[0]
+	p.Eng.At(0.2, func() { p.Links[0].Fail() })
+	p.Eng.At(0.39, func() {
+		if s0.rail != 1 || s0.recovering {
+			t.Errorf("before the second kill: stream 0 on rail %d (recovering %v), want flowing on 1",
+				s0.rail, s0.recovering)
+		}
+	})
+	p.Eng.At(0.4, func() {
+		p.Links[1].Fail()
+		if s0.rail != 2 || !s0.recovering || s0.faultAt != 0.4 {
+			t.Errorf("at the second kill: stream 0 on rail %d (recovering %v, fault at %v), want migrating to 2 at 0.4",
+				s0.rail, s0.recovering, s0.faultAt)
+		}
+	})
+	last := -1.0
+	tk := p.Eng.NewTicker(0.01, func(sim.Time) {
+		got := tr.Transferred()
+		if got < last || got > size*(1+1e-9) {
+			t.Fatalf("Transferred %g after %g (size %g): not monotonic exactly-once", got, last, size)
+		}
+		last = got
+	})
+	p.Eng.At(5, tk.Stop)
+	p.Eng.Run()
+	if doneAt <= 0 {
+		t.Fatal("transfer never completed on the last surviving rail")
+	}
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
+		t.Fatalf("delivered %g, want exactly %g", got, size)
+	}
+	if tr.Migrations != 3 {
+		t.Fatalf("migrations = %d, want 3 (stream 0 twice, stream 1 once)", tr.Migrations)
+	}
+}
+
 // TestRebalanceShiftsCreditsUnderDegrade: degrading one rail moves credit
 // window toward healthy rails, conserving the pool, without migrating.
 func TestRebalanceShiftsCreditsUnderDegrade(t *testing.T) {
@@ -346,7 +395,7 @@ func TestRecoveryGraceTracksKind(t *testing.T) {
 	var during sim.Duration
 	var kind RecoveryKind
 	p.Eng.At(0.1, func() { p.Links[0].Fail() })
-	// Sample just after the QP error path declares the loss and migrates:
+	// Sample just after the rail watcher declares the loss and migrates:
 	// failover is synchronous on link failure, so catch it mid-resume by
 	// killing all rails (no usable target parks the streams).
 	p.Eng.At(0.1001, func() {

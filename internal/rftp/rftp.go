@@ -51,7 +51,6 @@ import (
 	"e2edt/internal/pipe"
 	"e2edt/internal/placer"
 	"e2edt/internal/railmgr"
-	"e2edt/internal/rdma"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
@@ -73,8 +72,6 @@ type Params struct {
 	// only the tail, Size−StartOffset bytes, as when a retry picks up a
 	// partially-completed transfer. Open-ended (+Inf) transfers ignore it.
 	StartOffset int64
-	// RDMA parameterizes the verbs layer.
-	RDMA rdma.Params
 
 	// AckTimeout, when positive, enables in-protocol recovery: each stream
 	// tracks ACK progress and, after AckTimeout without any, declares its
@@ -157,7 +154,6 @@ func DefaultParams() Params {
 		CtrlBytesPerBlock:     128,
 		HandshakeRTTs:         2,
 		ChecksumCyclesPerByte: 0.4,
-		RDMA:                  rdma.DefaultParams(),
 	}
 }
 
@@ -365,10 +361,6 @@ type stream struct {
 	// built in legacy mode.
 	eps      []*endpoints
 	transfer *fluid.Transfer
-	// qp is the stream's reliable connection when recovery is enabled; its
-	// error completions trigger immediate loss declaration. Migration
-	// abandons it for a fresh QP on the target rail.
-	qp *rdma.QP
 	// perStream is this stream's share of the session; acked counts bytes
 	// definitely delivered, remaining = perStream − acked.
 	perStream float64
@@ -494,9 +486,6 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	}
 	if p.recoveryEnabled() {
 		p = p.withRetryDefaults()
-		if p.RDMA.ReadPenalty < 1 {
-			p.RDMA = rdma.DefaultParams()
-		}
 	}
 	t := &Transfer{
 		Cfg: cfg, P: p, Size: size, Sender: senderHost,
@@ -565,22 +554,33 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 		t.streams = append(t.streams, st)
 	}
 
-	// Integrity plane: watch every rail for silent corruption. With
-	// Checksum on, a hit is detected at offload and re-transferred; with
-	// it off, the corrupt block is delivered and only counted.
+	// Rail watcher. Silent corruption is detected at offload and
+	// re-transferred with Checksum on; with it off, the corrupt block is
+	// delivered and only counted. With recovery on, a link failure or error
+	// burst breaks every reliable connection riding the rail, so each
+	// stream bound there declares its window lost at once (in stream order;
+	// declareLoss skips recovering and done streams) instead of waiting out
+	// AckTimeout.
 	for i := range links {
 		i := i
 		links[i].Watch(func(ev fabric.Event) {
-			if ev.Kind == fabric.EventCorruption {
+			switch ev.Kind {
+			case fabric.EventCorruption:
 				t.corrupted(i)
+			case fabric.EventDown, fabric.EventErrorBurst:
+				if !t.P.recoveryEnabled() {
+					return
+				}
+				for _, s := range t.streams {
+					if s.rail == i {
+						t.declareLoss(s, t.eng.Now())
+					}
+				}
 			}
 		})
 	}
 
 	if p.recoveryEnabled() {
-		for _, st := range t.streams {
-			st.qp = t.newQP(st)
-		}
 		t.ticker = t.eng.NewTicker(p.AckTimeout/2, t.checkProgress)
 	}
 	if p.Rails.Enabled {
@@ -664,20 +664,6 @@ func (t *Transfer) untrack(tr *fluid.Transfer) {
 	if pl := t.placer(); pl != nil {
 		pl.Untrack(tr.Flow)
 	}
-}
-
-// newQP creates the stream's reliable connection on its current rail. The
-// error hook is identity-guarded: a QP abandoned by a migration keeps
-// watching its old link, and its late error completions must not disturb
-// the stream's new life on another rail.
-func (t *Transfer) newQP(s *stream) *rdma.QP {
-	q := rdma.NewQP(t.links[s.rail], t.P.RDMA)
-	q.OnError = func(now sim.Time, _ rdma.Status) {
-		if s.qp == q {
-			t.declareLoss(s, now)
-		}
-	}
-	return q
 }
 
 // window is the per-stream credit window in bytes: bytes that may be in
@@ -896,7 +882,6 @@ func (t *Transfer) migrateStream(s *stream, now sim.Time) {
 	from := s.rail
 	s.rail = target
 	s.kind = KindFailover
-	s.qp = t.newQP(s)
 	t.eng.Tracef("rftp", "stream %d failing over %s -> %s (offset %g)",
 		s.idx, t.links[from].Cfg.Name, t.links[target].Cfg.Name, s.acked)
 	t.attemptResume(s)
@@ -925,7 +910,6 @@ func (t *Transfer) moveStream(s *stream, target int, now sim.Time) {
 	s.faultAt = now
 	from := s.rail
 	s.rail = target
-	s.qp = t.newQP(s)
 	t.eng.Tracef("rftp", "stream %d failing back %s -> %s (offset %g, clean)",
 		s.idx, t.links[from].Cfg.Name, t.links[target].Cfg.Name, s.acked)
 	t.attemptResume(s)
@@ -938,7 +922,7 @@ func (t *Transfer) onRailTransition(rail int, from, to railmgr.State, now sim.Ti
 	}
 	switch {
 	case to == railmgr.Dead:
-		// The QP error path normally beats this (watcher order), but any
+		// The rail watcher normally beats this (watcher order), but any
 		// stream still bound here — e.g. parked mid-backoff — must leave.
 		for _, s := range t.streams {
 			if s.rail != rail || s.done {
@@ -951,7 +935,6 @@ func (t *Transfer) onRailTransition(rail int, from, to railmgr.State, now sim.Ti
 			if tgt, ok := t.pickRail(s); ok {
 				s.rail = tgt
 				s.kind = KindFailover
-				s.qp = t.newQP(s)
 				t.eng.Tracef("rftp", "stream %d retargeted to %s mid-recovery",
 					s.idx, t.links[tgt].Cfg.Name)
 			}
@@ -975,7 +958,6 @@ func (t *Transfer) failback(now sim.Time) {
 		}
 		if s.recovering {
 			s.rail = home
-			s.qp = t.newQP(s)
 			t.eng.Tracef("rftp", "stream %d retargeted home to %s mid-recovery",
 				s.idx, t.links[home].Cfg.Name)
 			continue
@@ -1126,7 +1108,6 @@ func (t *Transfer) attemptResume(s *stream) {
 		if tgt, ok := t.pickRail(s); ok {
 			s.rail = tgt
 			s.kind = KindFailover
-			s.qp = t.newQP(s)
 		}
 	}
 	l := t.links[s.rail]
@@ -1146,9 +1127,6 @@ func (t *Transfer) attemptResume(s *stream) {
 func (t *Transfer) resume(s *stream, now sim.Time) {
 	if t.failed || t.stopped || s.done {
 		return
-	}
-	if s.qp != nil {
-		s.qp.Reset()
 	}
 	tr, err := t.buildStream(s, s.remaining)
 	if err != nil {

@@ -501,6 +501,88 @@ func TestDegradedLinkSlowsWithoutRetransmit(t *testing.T) {
 	}
 }
 
+// TestLinkEventDeclaresLossAtOnce: with recovery on and no rail manager,
+// an error burst or a link failure is reported by the rail watcher, so the
+// stream riding that rail declares its window lost at the event itself
+// rather than after AckTimeout of stalled progress.
+func TestLinkEventDeclaresLossAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(l *fabric.Link)
+	}{
+		{"burst", (*fabric.Link).InjectErrorBurst},
+		{"down", (*fabric.Link).Fail},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testbed.NewMotivatingPair()
+			size := 6 * float64(units.GB)
+			var doneAt sim.Time
+			tr, err := Start(p.Links, p.A, DefaultConfig(), recoveryParams(),
+				pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { doneAt = now })
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Eng.At(0.2, func() {
+				tc.inject(p.Links[2])
+				s := tr.streams[2]
+				if !s.recovering || s.kind != KindRetransmit || tr.Retransmitted <= 0 {
+					t.Errorf("after %s: stream 2 recovering=%v kind=%v retx=%g, want loss declared at once",
+						tc.name, s.recovering, s.kind, tr.Retransmitted)
+				}
+				for _, o := range tr.streams[:2] {
+					if o.recovering {
+						t.Errorf("stream %d on a healthy rail declared lost", o.idx)
+					}
+				}
+			})
+			p.Eng.At(0.3, func() {
+				if tc.name == "down" {
+					p.Links[2].Restore()
+				}
+			})
+			p.Eng.Run()
+			if doneAt <= 0 {
+				t.Fatal("transfer never completed")
+			}
+			if got := tr.Transferred(); !near(got, size, 1e-6) {
+				t.Fatalf("delivered %g, want exactly %g", got, size)
+			}
+			if tr.Recoveries < 1 {
+				t.Fatalf("recoveries = %d, want ≥1", tr.Recoveries)
+			}
+		})
+	}
+}
+
+// TestLinkEventsIgnoredWithoutRecovery: with recovery off nothing watches
+// for loss, so error bursts and a flap only stall the stream; no recovery,
+// retransmission or migration is counted and every byte still arrives.
+func TestLinkEventsIgnoredWithoutRecovery(t *testing.T) {
+	p := testbed.NewMotivatingPair()
+	size := 6 * float64(units.GB)
+	var doneAt sim.Time
+	tr, err := Start(p.Links, p.A, DefaultConfig(), DefaultParams(),
+		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { doneAt = now })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Eng.At(0.1, func() { p.Links[0].InjectErrorBurst() })
+	p.Eng.At(0.2, func() { p.Links[1].Fail() })
+	p.Eng.At(0.25, func() { p.Links[2].InjectErrorBurst() })
+	p.Eng.At(0.3, func() { p.Links[1].Restore() })
+	p.Eng.Run()
+	if doneAt <= 0 {
+		t.Fatal("transfer never completed after the flap healed")
+	}
+	if tr.Recoveries != 0 || tr.Retransmitted != 0 || tr.Migrations != 0 {
+		t.Fatalf("recovery off: recoveries=%d retx=%g migrations=%d, want all 0",
+			tr.Recoveries, tr.Retransmitted, tr.Migrations)
+	}
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
+		t.Fatalf("delivered %g, want exactly %g", got, size)
+	}
+}
+
 func TestRecoveryDeterministic(t *testing.T) {
 	run := func() (sim.Time, int, float64) {
 		p := testbed.NewMotivatingPair()
