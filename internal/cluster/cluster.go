@@ -26,7 +26,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"e2edt/internal/fabric"
@@ -196,14 +195,10 @@ type job struct {
 
 	state   jobState
 	retries int
-	src     int // chosen replica at admission
-	flow    *fluid.Flow
-	xfer    *fluid.Transfer
-	hops    []fabric.Hop // charged route (nil for host-local copies)
+	src     int             // chosen replica at admission
+	xfer    *fluid.Transfer // the running transfer (nil unless running)
+	hops    []fabric.Hop    // charged route (nil for host-local copies)
 	shard   *shard
-	// class is the flow-class pool entry the job joined (nil when the job
-	// runs on a private flow: pooling disabled or a signature collision).
-	class *classEntry
 
 	// ckpt is the resume offset: bytes already acked at the destination.
 	// A source crash preserves it (resume-from-acked-offset); a destination
@@ -246,12 +241,6 @@ type Cluster struct {
 	jobs     []*job
 	datasets [][]int // dataset → replica host ids
 
-	// classes pools jobs whose charged resource sets coincide exactly into
-	// one fluid flow class per (shard, tenant, route) signature, so the
-	// solver sees O(classes) flows instead of O(jobs). Lookups are keyed
-	// only — never iterated — so the map cannot leak nondeterminism.
-	classes map[uint64]*classEntry
-
 	ctlRng *rand.Rand // control-plane drops; drawn in event order only
 
 	remaining int  // jobs not yet done or lost
@@ -284,13 +273,6 @@ type Cluster struct {
 	firstHostSus sim.Time
 	grayT        *sim.Ticker
 
-	// noFlowClasses disables same-route job pooling: every job gets its
-	// own fluid flow. Jobs whose charged resource sets coincide exactly
-	// (same tenant, shard, ECMP path and worker pair) normally share one
-	// class flow and disaggregate through per-member rates; the unpooled
-	// path is the reference the pooling equivalence test compares against.
-	noFlowClasses bool
-
 	// Tally counts what the run did; Report carries a copy.
 	Tally
 }
@@ -307,7 +289,6 @@ type Tally struct {
 	JobsLost    int
 	Digests     int
 	Adjusts     int
-	PooledJoins int // jobs that attached to an existing flow class
 
 	// Failure-plane outcomes.
 	HostFails    int // crash-stop events
@@ -366,7 +347,6 @@ func newCluster(eng *sim.Engine, cfg Config, workers int) (*Cluster, error) {
 		FSim:        fluid.NewSim(eng),
 		Registry:    metrics.NewRegistry(),
 		DecisionLat: metrics.NewHistogram(0.5),
-		classes:     make(map[uint64]*classEntry),
 		ctlRng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eedc0de)),
 	}
 	// Admission passes are timed on the wall clock; with the buckets
@@ -599,65 +579,6 @@ func (c *Cluster) locality(src, dst int) int {
 	return localityCore
 }
 
-// classEntry is one pooled flow class: jobs whose charged resource sets
-// coincide exactly attach as member streams of a single fluid flow and the
-// solver disaggregates per-member rates for free.
-type classEntry struct {
-	sig  uint64
-	flow *fluid.Flow
-	jobs int
-}
-
-// classSig hashes the pooling key: owning shard, tenant (fair-share weights
-// are per-tenant per-shard, so members must share both) and the exact
-// charged resource set. FNV-1a over deterministic resource indices, so the
-// signature is identical across replays.
-func classSig(shard, tenant int, uses []fluid.Usage) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	mix(uint64(shard))
-	mix(uint64(tenant))
-	for _, u := range uses {
-		mix(uint64(u.Resource.Index()))
-		mix(math.Float64bits(u.Coeff))
-	}
-	return h
-}
-
-// sameUses reports whether two charged resource sets are identical — the
-// collision check behind the signature hash.
-func sameUses(a, b []fluid.Usage) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Resource != b[i].Resource || a[i].Coeff != b[i].Coeff || a[i].Tag != b[i].Tag {
-			return false
-		}
-	}
-	return true
-}
-
-// releaseClass drops a job's hold on its pool entry once the fluid side has
-// detached its member transfer; the entry dies with its last member.
-func (c *Cluster) releaseClass(j *job) {
-	if j.class == nil {
-		return
-	}
-	j.class.jobs--
-	if j.class.jobs <= 0 && c.classes[j.class.sig] == j.class {
-		// Identity check: a stale entry (flow detached before this release
-		// ran) may already have been displaced by a fresh class under the
-		// same signature — that one must survive this delete.
-		delete(c.classes, j.class.sig)
-	}
-	j.class = nil
-}
-
 // start activates an admitted job: builds the flow over the chosen route
 // and charges both endpoints' CPU/memory plus every fabric hop. A job with
 // a checkpoint resumes: only size−ckpt bytes cross the wire again.
@@ -666,7 +587,6 @@ func (c *Cluster) start(j *job, sh *shard) {
 	srcT, srcBuf := src.worker()
 	dstT, dstBuf := dst.worker()
 	f := c.FSim.NewFlow(fmt.Sprintf("job%06d", j.id), units.FromGbps(perJobGbps))
-	j.flow = f
 	loc := c.locality(j.src, j.dst)
 	c.Locality[loc]++
 	if loc == localitySame {
@@ -683,36 +603,6 @@ func (c *Cluster) start(j *job, sh *shard) {
 		dstT.ChargeCPU(f, cpuPerByte, host.CatUser)
 		dstT.ChargeMemory(f, dstBuf, 1, true, host.CatUser)
 		c.Topo.PortLinks[j.dst].A.ChargeDMA(f, dstBuf, 1, true, "dma")
-	}
-	if !c.noFlowClasses {
-		sig := classSig(sh.id, j.tenant, f.Uses)
-		ent, ok := c.classes[sig]
-		if ok && !c.FSim.Network.Registered(ent.flow) {
-			// The entry's flow already detached: its last member completed
-			// in this very event and the finish callback that would retire
-			// the entry is still pending behind us in the callback queue.
-			// Joining would attach this job to a flow the solver no longer
-			// sees — rate zero forever. Found a fresh class instead; the
-			// pending releaseClass only deletes its own entry.
-			ok = false
-		}
-		if ok {
-			if sameUses(ent.flow.Uses, f.Uses) {
-				// Another job already runs this exact resource path:
-				// discard the freshly built twin and join its class.
-				c.FSim.Network.RemoveFlow(f)
-				f = ent.flow
-				j.flow = f
-				ent.jobs++
-				j.class = ent
-				c.PooledJoins++
-			}
-			// Signature collision with different uses: run unpooled.
-		} else {
-			ent := &classEntry{sig: sig, flow: f, jobs: 1}
-			c.classes[sig] = ent
-			j.class = ent
-		}
 	}
 	src.srcActive++
 	dst.dstActive++
@@ -738,11 +628,7 @@ func (c *Cluster) start(j *job, sh *shard) {
 		Remaining:  remaining,
 		OnComplete: func(now sim.Time) { c.finish(j, now) },
 	}
-	if j.class != nil {
-		c.FSim.StartMember(j.xfer)
-	} else {
-		c.FSim.Start(j.xfer)
-	}
+	c.FSim.Start(j.xfer)
 }
 
 // finish handles transfer completion: accounting, fair-share bookkeeping,
@@ -756,8 +642,7 @@ func (c *Cluster) finish(j *job, now sim.Time) {
 		src.srcActive--
 		dst.dstActive--
 		j.ckpt = 0
-		c.releaseClass(j)
-		j.xfer, j.flow, j.hops = nil, nil, nil
+		j.xfer, j.hops = nil, nil
 		c.VoidedJobs++
 		c.JobsRequeued++
 		c.Eng.Tracef("cluster", "job %d completion voided: %s died before commit", j.id, dst.h.Name)
@@ -768,7 +653,6 @@ func (c *Cluster) finish(j *job, now sim.Time) {
 	src.srcActive--
 	dst.dstActive--
 	dst.delivered.Add(j.size)
-	c.releaseClass(j)
 	j.state = jobDone
 	c.completions[j.id]++
 	j.shard.jobDone(j)
@@ -824,12 +708,8 @@ func (c *Cluster) Run() {
 		c.HostFails, c.HostRestores, c.DeadDeclared, c.JobsRequeued, c.Reroutes,
 		c.VoidedJobs, c.Elections, c.Adoptions, c.StaleLeases, c.StaleAdjusts,
 		c.DegradedIn, c.DegradedOut, c.PartDrops)
-	// Gray-plane summary only when the plane could have acted: a legacy run
-	// must not gain a single trace byte.
-	if c.Cfg.Gray || c.HostLimps > 0 {
-		c.Eng.Tracef("cluster", "final gray limps=%d suspects=%d clears=%d shed=%d",
-			c.HostLimps, c.HostSuspects, c.HostClears, c.Shed)
-	}
+	c.Eng.Tracef("cluster", "final gray limps=%d suspects=%d clears=%d shed=%d",
+		c.HostLimps, c.HostSuspects, c.HostClears, c.Shed)
 }
 
 // HostForKey deterministically routes an object key onto a host: FNV-1a

@@ -204,8 +204,7 @@ func (s *shard) requeue(j *job, dstLost bool, why string) {
 		j.ckpt += j.xfer.Transferred()
 	}
 	c.FSim.Cancel(j.xfer)
-	c.releaseClass(j)
-	j.xfer, j.flow, j.hops = nil, nil, nil
+	j.xfer, j.hops = nil, nil
 	c.hosts[j.src].srcActive--
 	c.hosts[j.dst].dstActive--
 	s.removeRunning(j)
@@ -542,17 +541,15 @@ func (s *shard) rebalance(tenants []int) {
 }
 
 // applyWeight sets weight×adjust/runningJobs on every running flow of
-// tenant t, reporting whether anything moved. Pooled jobs share a class
-// flow whose per-member weight is exactly the per-job share, so writing the
-// same w to each member's flow is idempotent. A tenant whose last job
+// tenant t, reporting whether anything moved. A tenant whose last job
 // completed in this same reconcile tick has no running jobs even though its
 // digest just arrived — the n==0 guard keeps that race from dividing by
-// zero — and a job mid-requeue can sit in the running set with a nil flow,
+// zero — and a job mid-requeue can sit in the running set with no transfer,
 // which must not be dereferenced or counted toward the split.
 func (s *shard) applyWeight(t int) bool {
 	n := 0
 	for _, j := range s.running {
-		if j.tenant == t && j.flow != nil {
+		if j.tenant == t && j.xfer != nil {
 			n++
 		}
 	}
@@ -562,11 +559,12 @@ func (s *shard) applyWeight(t int) bool {
 	w := s.c.tenants[t].weight * s.adjust[t] / float64(n)
 	changed := false
 	for _, j := range s.running {
-		if j.tenant != t || j.flow == nil {
+		if j.tenant != t || j.xfer == nil {
 			continue
 		}
-		if diff := j.flow.Weight() - w; diff > 1e-9 || diff < -1e-9 {
-			s.c.FSim.Network.SetWeight(j.flow, w)
+		f := j.xfer.Flow
+		if diff := f.Weight() - w; diff > 1e-9 || diff < -1e-9 {
+			s.c.FSim.Network.SetWeight(f, w)
 			changed = true
 		}
 	}

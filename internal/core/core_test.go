@@ -53,7 +53,7 @@ func TestApplyRFTP(t *testing.T) {
 	withRails := ladder
 	withRails.Rails = rails
 	callerRails := base
-	callerRails.Rails = railmgr.Policy{Enabled: true, MissedProbes: 5}
+	callerRails.Rails = railmgr.Policy{Enabled: true, Gray: true}
 	callerRailsLadder := ladder
 	callerRailsLadder.Rails = callerRails.Rails
 
@@ -68,7 +68,7 @@ func TestApplyRFTP(t *testing.T) {
 		{"caller AckTimeout kept", Options{Recovery: true, Rails: rails}, own, own},
 		{"rails copied", Options{Recovery: true, Rails: rails}, base, withRails},
 		{"caller rails kept", Options{Recovery: true, Rails: rails}, callerRails, callerRailsLadder},
-		{"disabled rails not copied", Options{Recovery: true, Rails: railmgr.Policy{MissedProbes: 9}}, base, ladder},
+		{"disabled rails not copied", Options{Recovery: true, Rails: railmgr.Policy{Gray: true}}, base, ladder},
 	} {
 		if got := tc.opt.ApplyRFTP(tc.in); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: ApplyRFTP = %+v, want %+v", tc.name, got, tc.want)

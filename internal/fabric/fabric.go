@@ -363,7 +363,7 @@ func (l *Link) LatencyFactor() float64 { return l.latInflate }
 // every-th control message is dropped (Send reports false), deterministic
 // and counter-driven so replays are bit-identical. Zero disables. The
 // point of "every-th" rather than consecutive loss: a probe miss here and
-// there never accumulates into the MissedProbes run a binary death
+// there never accumulates into the missed-probe run a binary death
 // detector needs, so the rail stays nominally healthy while retries eat
 // goodput.
 func (l *Link) SetSilentLoss(every int) {

@@ -41,8 +41,7 @@ func BenchmarkSolve64Flows(b *testing.B) {
 }
 
 // benchChurnSim builds a Sim carrying nFlows concurrent open-ended
-// transfers across a 64-resource mesh, the topology shape of the class
-// churn test (churn_test.go).
+// transfers across a 64-resource mesh.
 func benchChurnSim(nFlows int) (*sim.Engine, *Sim, []*Flow) {
 	eng := sim.NewEngine()
 	s := NewSim(eng)

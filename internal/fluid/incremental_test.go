@@ -85,8 +85,8 @@ func (tw *twin) use(src source, a, b *Flow) {
 	b.Use(tw.refR[ri], coeff)
 }
 
-// setDemand, setWeight, setMembers and setCapacity write one input on both
-// sides through the Network setters.
+// setDemand, setWeight and setCapacity write one input on both sides
+// through the Network setters.
 func (tw *twin) setDemand(i int, d float64) {
 	tw.inc.SetDemand(tw.incF[i], d)
 	tw.ref.SetDemand(tw.refF[i], d)
@@ -95,11 +95,6 @@ func (tw *twin) setDemand(i int, d float64) {
 func (tw *twin) setWeight(i int, w float64) {
 	tw.inc.SetWeight(tw.incF[i], w)
 	tw.ref.SetWeight(tw.refF[i], w)
-}
-
-func (tw *twin) setMembers(i, m int) {
-	tw.inc.SetMembers(tw.incF[i], m)
-	tw.ref.SetMembers(tw.refF[i], m)
 }
 
 func (tw *twin) setCapacity(i int, c float64) {
@@ -117,7 +112,7 @@ func (tw *twin) step(src source) (invisible bool) {
 		var d float64
 		switch src.Intn(4) {
 		case 0: // binding: below the current fair share
-			d = tw.incF[i].memberRate * (0.1 + 0.8*src.Float64())
+			d = tw.incF[i].rate * (0.1 + 0.8*src.Float64())
 		case 1: // A→B→A: set and restored before Resolve, a no-op
 			old := tw.incF[i].demand
 			tw.setDemand(i, math.Pow(10, 3+8*src.Float64()))
@@ -129,19 +124,14 @@ func (tw *twin) step(src source) (invisible bool) {
 			d = 1
 		}
 		tw.setDemand(i, d)
-	case k < 6: // weight or member-count change, or both set and restored
+	case k < 6: // weight change, or one set and restored
 		i := src.Intn(len(tw.incF))
-		switch src.Intn(3) {
-		case 0:
+		if src.Intn(2) == 0 {
 			tw.setWeight(i, 0.5+2*src.Float64())
-		case 1:
-			tw.setMembers(i, 1+src.Intn(4))
-		default: // A→B→A on weight and members: a no-op
-			w, m := tw.incF[i].weight, tw.incF[i].Members()
+		} else { // A→B→A on weight: a no-op
+			w := tw.incF[i].weight
 			tw.setWeight(i, 0.5+2*src.Float64())
-			tw.setMembers(i, m+1)
 			tw.setWeight(i, w)
-			tw.setMembers(i, m)
 			invisible = true
 		}
 	case k < 8: // capacity change, sometimes disabling the resource
@@ -240,8 +230,7 @@ func (tw *twin) resolveBoth(t *testing.T, seed, op int, invisible bool) {
 
 // TestIncrementalMatchesFullSolve is the randomized differential test for
 // the incremental solver: across seeded topologies and mutation sequences
-// (demand changes binding and non-binding, weight, member-count and
-// capacity changes, values set and restored before a Resolve, flow
+// (demand changes binding and non-binding, weight and capacity changes, values set and restored before a Resolve, flow
 // arrivals that merge components and departures that split them, flows
 // with no uses, Uses appended to solved flows, idle resources added and
 // removed, and flows added and removed between two Resolves), applied one
@@ -344,7 +333,7 @@ func TestResolveFastPathNonBindingDemand(t *testing.T) {
 }
 
 // TestIncrementalSettersSeen: a change made through each setter — capacity,
-// weight, and a Use appended to a linked flow — is seen by the next Resolve
+// weight, demand, and a Use appended to a linked flow — is seen by the next Resolve
 // and solved as a partial; one set and restored before it is not.
 func TestIncrementalSettersSeen(t *testing.T) {
 	n := NewNetwork()
@@ -369,10 +358,8 @@ func TestIncrementalSettersSeen(t *testing.T) {
 	}
 	// Set and restored before a Resolve: a skip, not a refill.
 	n.SetWeight(f, 3)
-	n.SetMembers(f, 4)
 	n.SetDemand(f, 7)
 	n.SetWeight(f, 2)
-	n.SetMembers(f, 1)
 	n.SetDemand(f, math.Inf(1))
 	if n.Resolve() {
 		t.Fatal("inputs set and restored before Resolve were solved")
@@ -380,10 +367,10 @@ func TestIncrementalSettersSeen(t *testing.T) {
 	if st := n.Stats(); st.PartialSolves != 2 || st.Skips != 1 {
 		t.Fatalf("stats = %+v, want the restore counted as a skip", st)
 	}
-	n.SetMembers(f, 4)
+	n.SetDemand(f, 25) // binding: below the capacity-bound 40
 	n.Resolve()
-	if f.rate != 40 || f.memberRate != 10 {
-		t.Fatalf("rate = %v (member %v) after SetMembers, want 40 (10)", f.rate, f.memberRate)
+	if f.rate != 25 {
+		t.Fatalf("rate = %v after SetDemand, want 25", f.rate)
 	}
 	// A Use appended after a solve changes the usage set.
 	r2 := n.AddResource("cpu", 10)
@@ -393,7 +380,7 @@ func TestIncrementalSettersSeen(t *testing.T) {
 		t.Fatalf("rate = %v after new usage, want CPU-capped 10", f.rate)
 	}
 	if st := n.Stats(); st.FullSolves != 1 || st.PartialSolves != 4 {
-		t.Fatalf("stats = %+v, want SetMembers and Use solved as partials", st)
+		t.Fatalf("stats = %+v, want SetDemand and Use solved as partials", st)
 	}
 }
 

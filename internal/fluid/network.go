@@ -15,26 +15,15 @@
 // the weighted max-min fair allocation, the standard fluid approximation for
 // bandwidth sharing in networks and memory systems.
 //
-// # Flow classes
-//
-// A flow may stand for k identical member streams (NewFlowClass, SetMembers):
-// Demand and Weight are per member, the class competes with effective weight
-// Weight×members, and the solved aggregate Rate() is members×MemberRate().
-// Because every member of a class crosses the same resources with the same
-// coefficients and weight, the max-min allocation splits the class rate
-// evenly — MemberRate() is the exact per-stream disaggregation. Collapsing k
-// same-path/same-weight flows into one class flow shrinks the solver
-// population from O(streams) to O(classes).
-//
 // # Change tracking
 //
-// Solver inputs change only through setters: Network.SetDemand, SetWeight,
-// SetMembers and SetCapacity, and Flow.Use/UseTagged. The first change to a
-// solved flow queues it, with the inputs the last solve used, on the
-// network's dirty list; a capacity write seeds its resource directly. Resolve
-// walks only those queues and the flows registered since the last solve, so
-// its cost follows the change, not the size of the network. Editing a Usage
-// in place is the one change no setter sees: it needs Invalidate.
+// Solver inputs change only through setters: Network.SetDemand, SetWeight
+// and SetCapacity, and Flow.Use/UseTagged. The first change to a solved flow
+// queues it, with the inputs the last solve used, on the network's dirty
+// list; a capacity write seeds its resource directly. Resolve walks only
+// those queues and the flows registered since the last solve, so its cost
+// follows the change, not the size of the network. Editing a Usage in place
+// is the one change no setter sees: it needs Invalidate.
 //
 // # Bottleneck subgraphs
 //
@@ -81,11 +70,6 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 // recent Solve, in resource units per second.
 func (r *Resource) Load() float64 { return r.load }
 
-// Index returns the resource's registration position in its network. It is
-// stable for the resource's lifetime, which makes it a deterministic key
-// for route signatures and flow-class pooling.
-func (r *Resource) Index() int { return int(r.index) }
-
 // Utilization returns Load/Capacity, or 0 for zero-capacity resources.
 func (r *Resource) Utilization() float64 {
 	if r.capacity <= 0 {
@@ -103,57 +87,39 @@ type Usage struct {
 	Tag      string
 }
 
-// Flow is a fluid stream, or a class of identical member streams. Demand and
-// Weight are per member; rate is computed by Network.Solve.
+// Flow is a fluid stream; its rate is computed by Network.Solve.
 type Flow struct {
 	Name string
 	// Uses lists what the flow consumes. Append to it with Use/UseTagged;
 	// an in-place edit is invisible to Resolve and needs Invalidate.
 	Uses []Usage
 
-	// demand is the per-member upper bound on rate (math.Inf(1) if
-	// unbounded) and weight the per-member max-min share weight (> 0).
-	// Both are written only through the Network setters.
+	// demand is the upper bound on rate (math.Inf(1) if unbounded) and
+	// weight the max-min share weight (> 0). Both are written only through
+	// the Network setters.
 	demand, weight float64
 	// net is the network the flow was registered in; Use reports to it.
-	net *Network
-
-	rate       float64 // aggregate: members × memberRate
-	memberRate float64
-
-	// members is the stream multiplicity (≥1). The class competes with
-	// effective weight weight×members and Rate() aggregates all members.
-	// attached counts member transfers bound via Sim.StartMember.
-	members, attached int32
+	net  *Network
+	rate float64
 	// index is the flow's position in its network, for O(1) removal.
 	index int
 
 	// Solver state: edges heads the flow's chain in the edge pool, mark is
-	// a visit epoch, and dirty says the flow is queued in net.dirty. The
-	// member counts are int32 so that the back-pointer and these still fit
-	// a Flow in its 112-byte allocation size class.
+	// a visit epoch, and dirty says the flow is queued in net.dirty.
 	edges  int32
 	mark   uint32
 	frozen bool
 	dirty  bool
 }
 
-// Demand returns the per-member demand cap.
+// Demand returns the demand cap.
 func (f *Flow) Demand() float64 { return f.demand }
 
-// Weight returns the per-member fair-share weight.
+// Weight returns the fair-share weight.
 func (f *Flow) Weight() float64 { return f.weight }
 
-// Rate returns the solved aggregate rate in flow units (bytes) per second,
-// summed over all members of the class.
+// Rate returns the solved rate in flow units (bytes) per second.
 func (f *Flow) Rate() float64 { return f.rate }
-
-// MemberRate returns the solved rate of one member stream. For a plain flow
-// (members==1) it equals Rate().
-func (f *Flow) MemberRate() float64 { return f.memberRate }
-
-// Members returns the stream multiplicity of the class (1 for plain flows).
-func (f *Flow) Members() int { return int(f.members) }
 
 // Use adds a resource the flow consumes, with the given coefficient.
 // Non-positive coefficients are ignored: they denote "does not touch". On a
@@ -267,32 +233,19 @@ func (n *Network) AddResource(name string, capacity float64) *Resource {
 // NewFlow creates and registers a flow with the given demand cap. Use
 // math.Inf(1) for an unbounded flow. The default weight is 1.
 func (n *Network) NewFlow(name string, demand float64) *Flow {
-	return n.NewFlowClass(name, demand, 1)
-}
-
-// NewFlowClass creates and registers a flow standing for members identical
-// streams. demand is the per-member demand cap.
-func (n *Network) NewFlowClass(name string, demand float64, members int) *Flow {
 	if demand < 0 || math.IsNaN(demand) {
 		panic(fmt.Sprintf("fluid: invalid demand %v for %s", demand, name))
 	}
-	checkMembers(members, name)
-	f := &Flow{Name: name, demand: demand, weight: 1, net: n, members: int32(members), index: len(n.flows)}
+	f := &Flow{Name: name, demand: demand, weight: 1, net: n, index: len(n.flows)}
 	n.flows = append(n.flows, f)
 	return f
-}
-
-func checkMembers(members int, name string) {
-	if members < 1 || members > math.MaxInt32 {
-		panic(fmt.Sprintf("fluid: invalid member count %d for %s", members, name))
-	}
 }
 
 // change is a queued flow with the solver inputs the last solve used.
 type change struct {
 	flow           *Flow
 	demand, weight float64
-	members, nuses int32
+	nuses          int
 }
 
 // record queues f on the dirty list at its first change since the last
@@ -304,10 +257,10 @@ func (n *Network) record(f *Flow) {
 		return
 	}
 	f.dirty = true
-	n.dirty = append(n.dirty, change{f, f.demand, f.weight, f.members, int32(len(f.Uses))})
+	n.dirty = append(n.dirty, change{f, f.demand, f.weight, len(f.Uses)})
 }
 
-// SetDemand changes a flow's per-member demand cap (math.Inf(1) for none).
+// SetDemand changes a flow's demand cap (math.Inf(1) for none).
 // Like every Network setter it does not solve: the next Resolve sees the
 // change. Sim.SetDemand also accrues progress and reschedules.
 func (n *Network) SetDemand(f *Flow, demand float64) {
@@ -318,21 +271,13 @@ func (n *Network) SetDemand(f *Flow, demand float64) {
 	f.demand = demand
 }
 
-// SetWeight changes a flow's per-member fair-share weight, which must be
-// positive.
+// SetWeight changes a flow's fair-share weight, which must be positive.
 func (n *Network) SetWeight(f *Flow, weight float64) {
 	if weight <= 0 || math.IsNaN(weight) {
 		panic(fmt.Sprintf("fluid: invalid weight %v for %s", weight, f.Name))
 	}
 	n.record(f)
 	f.weight = weight
-}
-
-// SetMembers changes a class's stream multiplicity.
-func (n *Network) SetMembers(f *Flow, members int) {
-	checkMembers(members, f.Name)
-	n.record(f)
-	f.members = int32(members)
 }
 
 // SetCapacity changes a resource's capacity and queues its component for
@@ -350,15 +295,6 @@ func (n *Network) SetCapacity(r *Resource, capacity float64) {
 	if r.index >= 0 {
 		n.touched = append(n.touched, r)
 	}
-}
-
-// Registered reports whether f is currently part of the network. A flow
-// detached by its last member's completion stays false until re-created;
-// callers pooling jobs onto shared flows must check before joining, because
-// an unregistered flow is invisible to the solver and never earns a rate.
-func (n *Network) Registered(f *Flow) bool {
-	i := f.index
-	return i >= 0 && i < len(n.flows) && n.flows[i] == f
 }
 
 // RemoveFlow unregisters a flow. Its last solved rate becomes zero.
@@ -379,7 +315,6 @@ func (n *Network) RemoveFlow(f *Flow) {
 	}
 	f.index = -1
 	f.rate = 0
-	f.memberRate = 0
 }
 
 // RemoveResource unregisters a resource that no registered flow crosses
@@ -540,7 +475,7 @@ func (n *Network) clearSeeds() {
 // Implementation: each connected component of the flow/resource graph is
 // filled independently by weighted progressive filling with incremental
 // bookkeeping. residual[i] tracks each resource's remaining capacity after
-// frozen flows; sumW[i] tracks Σ coeff×weight×members over unfrozen flows
+// frozen flows; sumW[i] tracks Σ coeff×weight over unfrozen flows
 // crossing it. Freezing a flow subtracts its contributions once, so each
 // iteration costs O(component) rather than O(resources × flows × uses).
 func (n *Network) Solve() {
@@ -652,29 +587,25 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 	for _, fi := range fidx {
 		f := n.flows[fi]
 		f.rate = 0
-		f.memberRate = 0
 		f.frozen = false
 		if f.demand <= eps {
 			f.frozen = true
 			continue
 		}
 		unfrozen++
-		ew := f.weight * float64(f.members)
 		for _, u := range f.Uses {
-			sumW[u.Resource.index] += u.Coeff * ew
+			sumW[u.Resource.index] += u.Coeff * f.weight
 		}
 	}
 
-	// freeze fixes a flow's per-member rate and retires its contributions.
-	freeze := func(f *Flow, memberRate float64) {
-		f.memberRate = memberRate
-		f.rate = memberRate * float64(f.members)
+	// freeze fixes a flow's rate and retires its contributions.
+	freeze := func(f *Flow, rate float64) {
+		f.rate = rate
 		f.frozen = true
 		unfrozen--
-		ew := f.weight * float64(f.members)
 		for _, u := range f.Uses {
 			i := u.Resource.index
-			sumW[i] -= u.Coeff * ew
+			sumW[i] -= u.Coeff * f.weight
 			residual[i] -= u.Coeff * f.rate
 			if residual[i] < 0 {
 				residual[i] = 0
@@ -685,7 +616,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		}
 	}
 
-	// level is the water level λ: every unfrozen member runs at Weight×λ.
+	// level is the water level λ: every unfrozen flow runs at Weight×λ.
 	level := 0.0
 	for unfrozen > 0 {
 		lambda := math.Inf(1)
@@ -713,8 +644,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 			// infinite rate.
 			for _, fi := range fidx {
 				if f := n.flows[fi]; !f.frozen {
-					f.memberRate = f.demand
-					f.rate = f.demand * float64(f.members)
+					f.rate = f.demand
 					f.frozen = true
 					unfrozen--
 				}
@@ -728,7 +658,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		tol := level + eps*math.Max(1, level)
 
 		frozeAny := false
-		// Demand-capped flows freeze at their per-member demand.
+		// Demand-capped flows freeze at their demand.
 		for _, fi := range fidx {
 			if f := n.flows[fi]; !f.frozen && f.demand/f.weight <= tol {
 				freeze(f, f.demand)
@@ -737,7 +667,7 @@ func (n *Network) fill(fidx, ridx []int32, residual, sumW []float64) {
 		}
 		if lambda <= demandLambda+eps {
 			// Saturated resources freeze every unfrozen flow crossing
-			// them at Weight×λ per member.
+			// them at Weight×λ.
 			for _, ri := range ridx {
 				if sumW[ri] <= eps {
 					continue
@@ -791,7 +721,7 @@ type ResourceUtil struct {
 	Name     string
 	Capacity float64 // resource units per second
 	Load     float64 // solved aggregate consumption
-	Demand   float64 // offered load Σ coeff×members×flow.Demand; +Inf if any user is unbounded
+	Demand   float64 // offered load Σ coeff×flow.Demand; +Inf if any user is unbounded
 	Share    float64 // Load/Capacity; 0 for zero-capacity resources
 }
 
@@ -818,9 +748,8 @@ func (n *Network) Utilization() []ResourceUtil {
 		}
 	}
 	for _, f := range n.flows {
-		ed := f.demand * float64(f.members)
 		for _, u := range f.Uses {
-			out[u.Resource.index].Demand += u.Coeff * ed
+			out[u.Resource.index].Demand += u.Coeff * f.demand
 		}
 	}
 	return out
@@ -851,14 +780,14 @@ func (n *Network) Resolve() bool {
 	for _, c := range n.dirty {
 		f := c.flow
 		f.dirty = false
-		relink := int(c.nuses) != len(f.Uses)
-		if f.index < 0 || (!relink && f.demand == c.demand && f.weight == c.weight && f.members == c.members) {
+		relink := c.nuses != len(f.Uses)
+		if f.index < 0 || (!relink && f.demand == c.demand && f.weight == c.weight) {
 			continue // departed since, or set back to what the last solve used
 		}
 		if nchanged++; nchanged == 1 {
 			first, oldDemand = f, c.demand
 		}
-		if f.weight != c.weight || f.members != c.members {
+		if f.weight != c.weight {
 			demandOnly = false
 		}
 		if relink {
@@ -884,8 +813,8 @@ func (n *Network) Resolve() bool {
 		// Margin keeps the fast path well clear of the solver's freeze
 		// tolerance, so a from-scratch Solve would take the exact same
 		// branches and reproduce the current rates bit for bit.
-		margin := 1e-6 * math.Max(1, first.memberRate)
-		if math.Min(oldDemand, first.demand) > first.memberRate+margin {
+		margin := 1e-6 * math.Max(1, first.rate)
+		if math.Min(oldDemand, first.demand) > first.rate+margin {
 			n.clearSeeds()
 			n.stats.FastResolves++
 			return false

@@ -22,9 +22,6 @@ type Transfer struct {
 	started     sim.Time
 	finished    sim.Time
 	active      bool
-	// member marks a transfer started with StartMember: it is one member
-	// stream of a flow class and progresses at MemberRate, not Rate.
-	member bool
 	// usageBase is the transferred count at the last ResetUsage, so that
 	// accounting can be cleared without disturbing progress.
 	usageBase float64
@@ -100,44 +97,9 @@ func (s *Sim) Start(t *Transfer) {
 	s.Engine.Tracef("fluid", "start %s remaining=%g rate=%g", t.Flow.Name, t.Remaining, t.Flow.rate)
 }
 
-// StartMember activates a transfer as one member stream of the transfer's
-// flow class: the class's member count tracks the number of attached member
-// transfers, and the transfer progresses at the per-member disaggregated
-// rate. When the last member finishes (or is cancelled) the flow is removed
-// from the network, exactly like a plain Start'ed flow.
-func (s *Sim) StartMember(t *Transfer) {
-	if t.Flow == nil {
-		panic("fluid: transfer without flow")
-	}
-	if t.active {
-		panic(fmt.Sprintf("fluid: transfer %s started twice", t.Flow.Name))
-	}
-	if t.Remaining <= 0 && !math.IsInf(t.Remaining, 1) {
-		panic(fmt.Sprintf("fluid: transfer %s with non-positive size", t.Flow.Name))
-	}
-	s.Sync()
-	f := t.Flow
-	f.attached++
-	if f.attached > 1 {
-		s.Network.SetMembers(f, int(f.attached))
-	}
-	t.member = true
-	t.active = true
-	t.started = s.Engine.Now()
-	s.active = append(s.active, t)
-	s.reschedule()
-	s.Engine.Tracef("fluid", "start-member %s n=%d remaining=%g rate=%g",
-		f.Name, f.members, t.Remaining, f.memberRate)
-}
-
 // NewFlow registers a flow in the simulator's network.
 func (s *Sim) NewFlow(name string, demand float64) *Flow {
 	return s.Network.NewFlow(name, demand)
-}
-
-// NewFlowClass registers a flow class of members identical streams.
-func (s *Sim) NewFlowClass(name string, demand float64, members int) *Flow {
-	return s.Network.NewFlowClass(name, demand, members)
 }
 
 // AddResource registers a resource in the simulator's network.
@@ -165,13 +127,6 @@ func (s *Sim) SetWeight(f *Flow, weight float64) {
 	s.reschedule()
 }
 
-// SetMembers changes a class's stream multiplicity and re-solves.
-func (s *Sim) SetMembers(f *Flow, members int) {
-	s.Sync()
-	s.Network.SetMembers(f, members)
-	s.reschedule()
-}
-
 // SetCapacity changes a resource's capacity mid-run (e.g. a thermally
 // throttled SSD) and re-solves.
 func (s *Sim) SetCapacity(r *Resource, capacity float64) {
@@ -191,35 +146,9 @@ func (s *Sim) Cancel(t *Transfer) {
 	t.active = false
 	t.finished = s.Engine.Now()
 	s.removeActive(t)
-	s.detach(t)
+	s.Network.RemoveFlow(t.Flow)
 	s.reschedule()
 	s.Engine.Tracef("fluid", "cancel %s transferred=%g", t.Flow.Name, t.transferred)
-}
-
-// detach releases a finished transfer's hold on its flow: member transfers
-// shrink the class (removing the flow when the last member leaves), plain
-// transfers remove the flow outright.
-func (s *Sim) detach(t *Transfer) {
-	f := t.Flow
-	if !t.member {
-		s.Network.RemoveFlow(f)
-		return
-	}
-	f.attached--
-	if f.attached <= 0 {
-		s.Network.RemoveFlow(f)
-		return
-	}
-	s.Network.SetMembers(f, int(f.attached))
-}
-
-// rateOf returns the rate at which the transfer moves fluid: the per-member
-// rate for member transfers, the aggregate class rate otherwise.
-func (s *Sim) rateOf(t *Transfer) float64 {
-	if t.member {
-		return t.Flow.memberRate
-	}
-	return t.Flow.rate
 }
 
 // removeActive drops t from the ordered active list.
@@ -242,7 +171,7 @@ func (s *Sim) Sync() {
 	}
 	if dt > 0 {
 		for _, t := range s.active {
-			moved := s.rateOf(t) * dt
+			moved := t.Flow.rate * dt
 			t.transferred += moved
 			if !math.IsInf(t.Remaining, 1) {
 				t.Remaining -= moved
@@ -345,10 +274,10 @@ func (s *Sim) Refresh() {
 }
 
 // Reschedule accrues progress, resolves the changes batched through the
-// Network setters (demands, weights, member counts, capacities, appended
-// Uses) and re-arms the next completion event. Unlike Refresh it does not
-// invalidate the network, so batched fair-share weight updates resolve
-// through the bottleneck-subgraph path instead of a full solve.
+// Network setters (demands, weights, capacities, appended Uses) and re-arms
+// the next completion event. Unlike Refresh it does not invalidate the
+// network, so batched fair-share weight updates resolve through the
+// bottleneck-subgraph path instead of a full solve.
 func (s *Sim) Reschedule() {
 	s.Sync()
 	s.reschedule()
@@ -368,7 +297,7 @@ func (s *Sim) reschedule() {
 		if math.IsInf(t.Remaining, 1) {
 			continue
 		}
-		r := s.rateOf(t)
+		r := t.Flow.rate
 		if r <= 0 {
 			continue // stalled; a future topology change will wake it
 		}
@@ -403,7 +332,7 @@ func (s *Sim) complete() {
 		var nearest *Transfer
 		best := math.Inf(1)
 		for _, t := range s.active {
-			r := s.rateOf(t)
+			r := t.Flow.rate
 			if math.IsInf(t.Remaining, 1) || r <= 0 {
 				continue
 			}
@@ -424,7 +353,7 @@ func (s *Sim) complete() {
 		t.active = false
 		t.finished = s.Engine.Now()
 		s.removeActive(t)
-		s.detach(t)
+		s.Network.RemoveFlow(t.Flow)
 		s.Engine.Tracef("fluid", "complete %s transferred=%g", t.Flow.Name, t.transferred)
 	}
 	s.reschedule()

@@ -15,7 +15,7 @@ import (
 // modeled here — the cluster abstraction has no per-host thread model —
 // so cluster mode measures the coalescing layer's control-plane effect
 // alone: jobs submitted ≪ objects stored, admission passes and ctrl RPCs
-// amortized across each window (see PooledJoins in the cluster report).
+// amortized across each window.
 type ClusterGateway struct {
 	C *cluster.Cluster
 	P Params

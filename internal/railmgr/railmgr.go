@@ -9,7 +9,7 @@
 //     window (rebalance) — it still makes progress, just slower;
 //   - a restored rail is not trusted on the link-up edge alone: it is
 //     re-probed end to end (Probing) and only re-admitted after
-//     FailbackProbes consecutive echoes, which dampens flapping optics.
+//     failbackProbes consecutive echoes, which dampens flapping optics.
 //
 // The manager is deterministic: watchers fire synchronously inside link
 // transitions, probes ride the same virtual clock as everything else, and
@@ -66,24 +66,28 @@ func (s State) String() string {
 // Usable reports whether a rail in this state may carry streams.
 func (s State) Usable() bool { return s == Healthy || s == Degraded || s == Suspect }
 
-// Policy tunes the manager.
+// The heartbeat timings, fixed for every manager.
+const (
+	// probeEvery is the heartbeat period on live rails.
+	probeEvery = 100 * sim.Millisecond
+	// probeTimeout is how long one echo may take before it counts as
+	// missed; it is clamped to at least twice the rail's RTT.
+	probeTimeout = 25 * sim.Millisecond
+	// probeBytes is the probe message size.
+	probeBytes = 64
+	// failbackProbes is how many consecutive echoes a restored rail must
+	// return before re-admission.
+	failbackProbes = 2
+	// missedProbes is how many consecutive missed heartbeats declare a live
+	// rail Dead even without a link-down event.
+	missedProbes = 2
+)
+
+// Policy switches the manager and its gray scorer on.
 type Policy struct {
 	// Enabled switches rail management on (the zero value disables it, so
 	// embedding configs keep their legacy fixed-NIC behavior).
 	Enabled bool
-	// ProbeEvery is the heartbeat period on live rails (default 100 ms).
-	ProbeEvery sim.Duration
-	// ProbeTimeout is how long one echo may take before it counts as
-	// missed; it is clamped to at least twice the rail's RTT (default 25 ms).
-	ProbeTimeout sim.Duration
-	// ProbeBytes is the probe message size (default 64).
-	ProbeBytes float64
-	// FailbackProbes is how many consecutive echoes a restored rail must
-	// return before re-admission (default 2).
-	FailbackProbes int
-	// MissedProbes is how many consecutive missed heartbeats declare a
-	// live rail Dead even without a link-down event (default 2).
-	MissedProbes int
 	// Gray switches on the peer-comparison outlier scorer that catches
 	// degraded-but-alive rails the binary probe detector cannot see. Off
 	// (the zero value), the manager performs no gray accounting: no extra
@@ -91,47 +95,14 @@ type Policy struct {
 	Gray bool
 }
 
-// DefaultPolicy returns the tuned rail policy, enabled.
-func DefaultPolicy() Policy {
-	return Policy{
-		Enabled:        true,
-		ProbeEvery:     100 * sim.Millisecond,
-		ProbeTimeout:   25 * sim.Millisecond,
-		ProbeBytes:     64,
-		FailbackProbes: 2,
-		MissedProbes:   2,
-	}
-}
+// DefaultPolicy returns the rail policy, enabled.
+func DefaultPolicy() Policy { return Policy{Enabled: true} }
 
-// withDefaults fills zero fields.
-func (p Policy) withDefaults() Policy {
-	d := DefaultPolicy()
-	if p.ProbeEvery <= 0 {
-		p.ProbeEvery = d.ProbeEvery
-	}
-	if p.ProbeTimeout <= 0 {
-		p.ProbeTimeout = d.ProbeTimeout
-	}
-	if p.ProbeBytes <= 0 {
-		p.ProbeBytes = d.ProbeBytes
-	}
-	if p.FailbackProbes <= 0 {
-		p.FailbackProbes = d.FailbackProbes
-	}
-	if p.MissedProbes <= 0 {
-		p.MissedProbes = d.MissedProbes
-	}
-	return p
-}
-
-// ProbeBudget returns the worst-case re-admission latency the policy
-// allows a restored rail: one heartbeat period to notice it, plus the
-// consecutive verification echoes. Watchdogs above the transfer add this
-// to their grace window while a failover is in flight.
-func (p Policy) ProbeBudget() sim.Duration {
-	p = p.withDefaults()
-	return p.ProbeEvery + sim.Duration(p.FailbackProbes)*p.ProbeTimeout
-}
+// ProbeBudget is the worst-case re-admission latency a restored rail is
+// allowed: one heartbeat period to notice it, plus the consecutive
+// verification echoes. Watchdogs above the transfer add this to their grace
+// window while a failover is in flight.
+const ProbeBudget = probeEvery + failbackProbes*probeTimeout
 
 // Transition records one state change for reports and tests.
 type Transition struct {
@@ -180,7 +151,6 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 	if len(links) == 0 {
 		panic("railmgr: no rails")
 	}
-	pol = pol.withDefaults()
 	m := &Manager{
 		pol: pol, eng: eng, links: links,
 		states:    make([]State, len(links)),
@@ -205,7 +175,7 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 		i, l := i, l
 		l.Watch(func(ev fabric.Event) { m.onLinkEvent(i, ev) })
 	}
-	m.ticker = eng.NewTicker(pol.ProbeEvery, m.tick)
+	m.ticker = eng.NewTicker(probeEvery, m.tick)
 	return m
 }
 
@@ -300,7 +270,7 @@ func (m *Manager) probe(i int) {
 	m.seq[i]++
 	seq := m.seq[i]
 	l := m.links[i]
-	timeout := m.pol.ProbeTimeout
+	timeout := probeTimeout
 	if min := 2 * l.RTT(); timeout < min {
 		timeout = min
 	}
@@ -309,8 +279,8 @@ func (m *Manager) probe(i int) {
 		m.deadln[i] = nil
 		m.probeMissed(i, seq)
 	})
-	l.Send(m.pol.ProbeBytes, func(sim.Time) {
-		l.Send(m.pol.ProbeBytes, func(sim.Time) { m.probeEcho(i, seq) })
+	l.Send(probeBytes, func(sim.Time) {
+		l.Send(probeBytes, func(sim.Time) { m.probeEcho(i, seq) })
 	})
 	// A synchronous drop needs no special casing: the armed deadline
 	// expires and counts the miss.
@@ -333,7 +303,7 @@ func (m *Manager) probeEcho(i int, seq uint64) {
 		return
 	}
 	m.echoes[i]++
-	if m.echoes[i] < m.pol.FailbackProbes {
+	if m.echoes[i] < failbackProbes {
 		m.probe(i) // chain the next verification echo immediately
 		return
 	}
@@ -355,7 +325,7 @@ func (m *Manager) probeMissed(i int, seq uint64) {
 		// A Suspect rail is still subject to the binary detector: real
 		// missed heartbeats kill it like any other live rail.
 		m.missed[i]++
-		if m.missed[i] >= m.pol.MissedProbes {
+		if m.missed[i] >= missedProbes {
 			m.transition(i, Dead)
 		}
 	case Probing:

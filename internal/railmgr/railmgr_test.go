@@ -145,9 +145,7 @@ func TestUsableRails(t *testing.T) {
 // deadline restarts the verification count, so a half-alive rail is not
 // re-admitted on a single lucky echo.
 func TestFailbackRequiresConsecutiveEchoes(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.FailbackProbes = 3
-	tb, m := newMgr(t, pol)
+	tb, m := newMgr(t, DefaultPolicy())
 	l := tb.Links[0]
 	l.Fail()
 	l.Restore()
@@ -155,14 +153,14 @@ func TestFailbackRequiresConsecutiveEchoes(t *testing.T) {
 		t.Fatalf("state = %v, want probing", m.State(0))
 	}
 	// One echo round trip is ~RTT; after the first echo the rail must
-	// still be probing (needs 3).
+	// still be probing (needs failbackProbes = 2).
 	run(tb, l.RTT()+sim.Microsecond)
 	if m.State(0) != Probing {
 		t.Fatalf("after one echo: %v, want still probing", m.State(0))
 	}
-	run(tb, 3*l.RTT())
+	run(tb, l.RTT())
 	if m.State(0) != Healthy {
-		t.Fatalf("after three echoes: %v, want healthy", m.State(0))
+		t.Fatalf("after two echoes: %v, want healthy", m.State(0))
 	}
 	if m.Readmissions != 1 {
 		t.Fatalf("Readmissions = %d, want 1", m.Readmissions)
@@ -171,11 +169,9 @@ func TestFailbackRequiresConsecutiveEchoes(t *testing.T) {
 
 // TestHeartbeatDeclaresDeath drives the belt-and-braces path directly: a
 // rail whose probes go unanswered (without a link-down edge) is declared
-// Dead after MissedProbes consecutive misses.
+// Dead after missedProbes (2) consecutive misses.
 func TestHeartbeatDeclaresDeath(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.MissedProbes = 2
-	tb, m := newMgr(t, pol)
+	tb, m := newMgr(t, DefaultPolicy())
 	m.probeMissed(0, m.seq[0])
 	if m.State(0) != Healthy {
 		t.Fatalf("one miss flipped the rail: %v", m.State(0))

@@ -83,7 +83,6 @@ type BatchTransfer struct {
 	Completed int
 	moved     float64
 	done      []bool // exactly-once guard, by item index
-	active    map[*fluid.Transfer]struct{}
 	pending   int
 	stopped   bool
 	released  bool
@@ -115,6 +114,9 @@ type itemStream struct {
 	link  *fabric.Link
 	eps   endpoints
 	queue []int // item indices, delivered sequentially
+	// cur is the item body in flight, nil between bodies: a stream carries
+	// one item at a time.
+	cur *fluid.Transfer
 }
 
 // delimBytes is the in-band framing cost of one object record inside a
@@ -174,7 +176,6 @@ func startItems(frame framing, links []*fabric.Link, senderHost *host.Host, cfg 
 		sim:        links[0].Sim(),
 		eng:        links[0].Engine(),
 		done:       make([]bool, len(items)),
-		active:     make(map[*fluid.Transfer]struct{}),
 		pending:    len(items),
 		OnObject:   onObject,
 		OnComplete: onComplete,
@@ -275,14 +276,13 @@ func (t *BatchTransfer) send(st *itemStream, i int) {
 	}
 	// The probe already surfaced any stage error.
 	f, _ := t.newFlow(st, fmt.Sprintf(t.frame.flow, obj.Key), float64(obj.Size))
-	tr := &fluid.Transfer{Flow: f, Remaining: float64(obj.Size)}
-	tr.OnComplete = func(now sim.Time) {
-		delete(t.active, tr)
+	st.cur = &fluid.Transfer{Flow: f, Remaining: float64(obj.Size)}
+	st.cur.OnComplete = func(now sim.Time) {
+		st.cur = nil
 		t.deliver(i, now)
 		t.next(st)
 	}
-	t.active[tr] = struct{}{}
-	t.sim.Start(tr)
+	t.sim.Start(st.cur)
 }
 
 // deliver marks item i complete, exactly once.
@@ -320,18 +320,20 @@ func (t *BatchTransfer) release() {
 	}
 }
 
-// Stop cancels the session: in-flight item bodies are abandoned (their
-// partial bytes are discarded — per-item delivery is all-or-nothing) and
-// no further OnObject or OnComplete callbacks fire.
+// Stop cancels the session: in-flight item bodies are abandoned in stream
+// order (their partial bytes are discarded — per-item delivery is
+// all-or-nothing) and no further OnObject or OnComplete callbacks fire.
 func (t *BatchTransfer) Stop() {
 	if t.stopped {
 		return
 	}
 	t.stopped = true
-	for tr := range t.active {
-		t.sim.Cancel(tr)
+	for _, st := range t.streams {
+		if st.cur != nil {
+			t.sim.Cancel(st.cur)
+			st.cur = nil
+		}
 	}
-	t.active = nil
 	t.release()
 }
 
@@ -343,8 +345,10 @@ func (t *BatchTransfer) Transferred() float64 {
 	}
 	t.sim.Sync()
 	sum := t.moved
-	for tr := range t.active {
-		sum += tr.Transferred()
+	for _, st := range t.streams {
+		if st.cur != nil {
+			sum += st.cur.Transferred()
+		}
 	}
 	return sum
 }

@@ -2,11 +2,14 @@ package rftp
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"e2edt/internal/pipe"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
+	"e2edt/internal/trace"
 	"e2edt/internal/units"
 )
 
@@ -178,5 +181,38 @@ func TestBatchBeatsPerObjectSessions(t *testing.T) {
 	if perObject < 5*coalesced {
 		t.Fatalf("coalescing gain %.1f× < 5× (coalesced %.4fs, per-object %.4fs)",
 			perObject/coalesced, coalesced, perObject)
+	}
+}
+
+// TestBatchStopCancelsInStreamOrder: stopping a three-stream object window
+// with a body in flight on every stream cancels them in stream order, the
+// same on every run, so the trace of a stopped window replays bit for bit.
+func TestBatchStopCancelsInStreamOrder(t *testing.T) {
+	want := []string{"rftp-obj/b/obj-0000", "rftp-obj/b/obj-0001", "rftp-obj/b/obj-0002"}
+	for run := 0; run < 20; run++ {
+		p := testbed.NewMotivatingPair()
+		rec := &trace.Recorder{}
+		p.Eng.SetTracer(rec)
+		cfg := DefaultConfig()
+		cfg.Streams = 3
+		tr, err := StartBatch(p.Links, p.A, cfg, DefaultParams(),
+			pipe.Zero{}, pipe.Null{}, smallObjects(6, 64*units.MB), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Eng.RunFor(5 * sim.Millisecond)
+		if tr.Delivered() != 0 {
+			t.Fatalf("run %d: %d objects delivered before Stop, want all three bodies in flight", run, tr.Delivered())
+		}
+		tr.Stop()
+		var got []string
+		for _, ev := range rec.Events {
+			if ev.Subsys == "fluid" && strings.HasPrefix(ev.Msg, "cancel ") {
+				got = append(got, strings.Fields(ev.Msg)[1])
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: cancelled %v, want %v", run, got, want)
+		}
 	}
 }

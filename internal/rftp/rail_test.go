@@ -14,17 +14,10 @@ import (
 	"e2edt/internal/units"
 )
 
-// railParams enables recovery plus rail management with tight test timings.
+// railParams enables recovery plus rail management.
 func railParams() Params {
 	p := recoveryParams()
-	p.Rails = railmgr.Policy{
-		Enabled:        true,
-		ProbeEvery:     20 * sim.Millisecond,
-		ProbeTimeout:   5 * sim.Millisecond,
-		ProbeBytes:     64,
-		FailbackProbes: 2,
-		MissedProbes:   2,
-	}
+	p.Rails = railmgr.DefaultPolicy()
 	return p
 }
 

@@ -1310,7 +1310,7 @@ func (t *Transfer) RecoveryGrace() sim.Duration {
 	default: // KindFailover, KindFailback
 		g := t.P.RecoveryBudget() + t.SetupBudget()
 		if t.mgr != nil {
-			g += t.P.Rails.ProbeBudget()
+			g += railmgr.ProbeBudget
 		}
 		return g
 	}

@@ -22,14 +22,7 @@ func railSched(t *testing.T, cfg Config) *Scheduler {
 	cfg.RFTPParams.RetryBackoff = 50 * sim.Millisecond
 	cfg.RFTPParams.RetryBackoffMax = 100 * sim.Millisecond
 	cfg.RFTPParams.MaxStreamRetries = 24
-	cfg.RFTPParams.Rails = railmgr.Policy{
-		Enabled:        true,
-		ProbeEvery:     50 * sim.Millisecond,
-		ProbeTimeout:   10 * sim.Millisecond,
-		ProbeBytes:     64,
-		FailbackProbes: 2,
-		MissedProbes:   2,
-	}
+	cfg.RFTPParams.Rails = railmgr.DefaultPolicy()
 	sys, err := core.NewSystem(opt)
 	if err != nil {
 		t.Fatal(err)
