@@ -282,10 +282,7 @@ func main() {
 	done := s.RunToCompletion(sim.Duration(*limit))
 
 	r := s.Report()
-	tables := []*metrics.Table{r.SummaryTable(), r.TenantTable()}
-	if gt := r.GrayTable(); gt != nil {
-		tables = append(tables, gt)
-	}
+	tables := []*metrics.Table{r.SummaryTable(), r.TenantTable(), r.GrayTable()}
 	if *verbose {
 		tables = append(tables, s.JobTable())
 	}

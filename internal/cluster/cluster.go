@@ -161,9 +161,7 @@ type hostNode struct {
 
 	srcActive, dstActive int
 
-	delivered *metrics.Counter // bytes landed on this host
-	srcJobs   *metrics.Counter
-	dstJobs   *metrics.Counter
+	delivered float64 // bytes landed on this host
 }
 
 // worker returns the next pooled worker round-robin.
@@ -216,11 +214,6 @@ type Cluster struct {
 	Eng  *sim.Engine
 	FSim *fluid.Sim
 	Topo *fabric.Topology
-
-	// Registry aggregates every host's namespaced instruments plus
-	// cluster-level ones; per-host counters are registered under
-	// "host%04d/" so a thousand hosts never collide.
-	Registry *metrics.Registry
 
 	// DecisionLat records wall-clock admission-pass latency in microseconds.
 	// It never feeds back into the simulation or the trace.
@@ -345,7 +338,6 @@ func newCluster(eng *sim.Engine, cfg Config, workers int) (*Cluster, error) {
 		Cfg:         cfg,
 		Eng:         eng,
 		FSim:        fluid.NewSim(eng),
-		Registry:    metrics.NewRegistry(),
 		DecisionLat: metrics.NewHistogram(0.5),
 		ctlRng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eedc0de)),
 	}
@@ -447,10 +439,6 @@ func (c *Cluster) newHost(i, workers int) (*hostNode, error) {
 		hn.workers = append(hn.workers, t)
 		hn.bufs = append(hn.bufs, m.NewBuffer(fmt.Sprintf("%s/w%d", name, w), t.Node()))
 	}
-	ns := c.Registry.Namespace(name)
-	hn.delivered = ns.MustCounter("delivered_bytes")
-	hn.srcJobs = ns.MustCounter("src_jobs")
-	hn.dstJobs = ns.MustCounter("dst_jobs")
 	return hn, nil
 }
 
@@ -606,8 +594,6 @@ func (c *Cluster) start(j *job, sh *shard) {
 	}
 	src.srcActive++
 	dst.dstActive++
-	src.srcJobs.Add(1)
-	dst.dstJobs.Add(1)
 	j.state = jobRunning
 	j.shard = sh
 	remaining := j.size - j.ckpt
@@ -652,7 +638,7 @@ func (c *Cluster) finish(j *job, now sim.Time) {
 	}
 	src.srcActive--
 	dst.dstActive--
-	dst.delivered.Add(j.size)
+	dst.delivered += j.size
 	j.state = jobDone
 	c.completions[j.id]++
 	j.shard.jobDone(j)
@@ -702,7 +688,7 @@ func (c *Cluster) Run() {
 	// trace, so replay verification covers accounting — including the whole
 	// failure plane — not just event order.
 	c.Eng.Tracef("cluster", "final delivered=%.0f drops=%d resends=%d lost=%d digests=%d adjusts=%d loc=%v",
-		c.Registry.SumCounters("delivered_bytes"), c.CtrlDrops, c.CtrlResends,
+		c.deliveredBytes(), c.CtrlDrops, c.CtrlResends,
 		c.JobsLost, c.Digests, c.Adjusts, c.Locality)
 	c.Eng.Tracef("cluster", "final failures hostfail=%d restore=%d declared=%d requeued=%d rerouted=%d voided=%d elections=%d adoptions=%d stale=%d/%d degraded=%d/%d partdrops=%d",
 		c.HostFails, c.HostRestores, c.DeadDeclared, c.JobsRequeued, c.Reroutes,

@@ -275,7 +275,7 @@ func (c *Cluster) VerifyExactlyOnce() error {
 	if c.remaining != 0 {
 		return fmt.Errorf("cluster: %d jobs unaccounted for after run", c.remaining)
 	}
-	delivered := c.Registry.SumCounters("delivered_bytes")
+	delivered := c.deliveredBytes()
 	// Tolerance is relative: the two ledgers sum in different orders, and
 	// float accumulation over tens of thousands of multi-hundred-MB jobs
 	// legitimately drifts by a few ulps of the total.
@@ -291,17 +291,6 @@ func (c *Cluster) DegradedShards() int {
 	n := 0
 	for _, sh := range c.shards {
 		if sh.alive && sh.degraded {
-			n++
-		}
-	}
-	return n
-}
-
-// AliveShards counts controllers still running.
-func (c *Cluster) AliveShards() int {
-	n := 0
-	for _, sh := range c.shards {
-		if sh.alive {
 			n++
 		}
 	}

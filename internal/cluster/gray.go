@@ -50,7 +50,7 @@ func newGrayScorer(hosts int) *metrics.PeerScorer {
 func (c *Cluster) hostProgress() []float64 {
 	prog := make([]float64, len(c.hosts))
 	for i, hn := range c.hosts {
-		prog[i] = hn.delivered.Value()
+		prog[i] = hn.delivered
 	}
 	for _, sh := range c.shards {
 		for _, j := range sh.running {

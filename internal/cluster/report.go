@@ -13,8 +13,7 @@ type Report struct {
 
 	// VirtualSeconds is the virtual time at which the last job retired.
 	VirtualSeconds float64
-	// DeliveredBytes sums every host's delivered counter through the merged
-	// registry.
+	// DeliveredBytes sums the bytes landed on every host, in host order.
 	DeliveredBytes float64
 	// AggregateGoodputGbps is delivered payload over the active window.
 	AggregateGoodputGbps float64
@@ -33,7 +32,7 @@ type Report struct {
 // Report assembles the summary after Run.
 func (c *Cluster) Report() Report {
 	elapsed := float64(c.Eng.Now())
-	delivered := c.Registry.SumCounters("delivered_bytes")
+	delivered := c.deliveredBytes()
 	r := Report{
 		Hosts:          c.Hosts(),
 		Shards:         len(c.shards),
@@ -55,6 +54,16 @@ func (c *Cluster) Report() Report {
 	return r
 }
 
+// deliveredBytes sums the bytes landed on every host, in host order, so
+// the total is the same float on every run.
+func (c *Cluster) deliveredBytes() float64 {
+	total := 0.0
+	for _, hn := range c.hosts {
+		total += hn.delivered
+	}
+	return total
+}
+
 // Table renders the report as a metrics table for CLI/experiment output.
 func (r Report) Table() *metrics.Table {
 	t := &metrics.Table{
@@ -70,22 +79,18 @@ func (r Report) Table() *metrics.Table {
 	t.AddRow("ctrl drops / resends", fmt.Sprintf("%d / %d", r.CtrlDrops, r.CtrlResends))
 	t.AddRow("jobs lost", fmt.Sprintf("%d", r.JobsLost))
 	t.AddRow("digests / adjusts", fmt.Sprintf("%d / %d", r.Digests, r.Adjusts))
-	if r.HostFails+r.CtrlFails+r.PartDrops+r.Reroutes > 0 {
-		t.AddRow("host fails / restores", fmt.Sprintf("%d / %d", r.HostFails, r.HostRestores))
-		t.AddRow("dead declared", fmt.Sprintf("%d", r.DeadDeclared))
-		t.AddRow("requeued / rerouted / voided", fmt.Sprintf("%d / %d / %d",
-			r.JobsRequeued, r.Reroutes, r.VoidedJobs))
-		t.AddRow("ctrl fails / adoptions", fmt.Sprintf("%d / %d", r.CtrlFails, r.Adoptions))
-		t.AddRow("elections", fmt.Sprintf("%d", r.Elections))
-		t.AddRow("stale leases / adjusts", fmt.Sprintf("%d / %d", r.StaleLeases, r.StaleAdjusts))
-		t.AddRow("degraded in / out", fmt.Sprintf("%d / %d", r.DegradedIn, r.DegradedOut))
-		t.AddRow("partition drops", fmt.Sprintf("%d", r.PartDrops))
-	}
-	if r.HostLimps+r.HostSuspects+r.Shed > 0 {
-		t.AddRow("host limps", fmt.Sprintf("%d", r.HostLimps))
-		t.AddRow("gray suspects / clears", fmt.Sprintf("%d / %d", r.HostSuspects, r.HostClears))
-		t.AddRow("jobs shed", fmt.Sprintf("%d", r.Shed))
-	}
+	t.AddRow("host fails / restores", fmt.Sprintf("%d / %d", r.HostFails, r.HostRestores))
+	t.AddRow("dead declared", fmt.Sprintf("%d", r.DeadDeclared))
+	t.AddRow("requeued / rerouted / voided", fmt.Sprintf("%d / %d / %d",
+		r.JobsRequeued, r.Reroutes, r.VoidedJobs))
+	t.AddRow("ctrl fails / adoptions", fmt.Sprintf("%d / %d", r.CtrlFails, r.Adoptions))
+	t.AddRow("elections", fmt.Sprintf("%d", r.Elections))
+	t.AddRow("stale leases / adjusts", fmt.Sprintf("%d / %d", r.StaleLeases, r.StaleAdjusts))
+	t.AddRow("degraded in / out", fmt.Sprintf("%d / %d", r.DegradedIn, r.DegradedOut))
+	t.AddRow("partition drops", fmt.Sprintf("%d", r.PartDrops))
+	t.AddRow("host limps", fmt.Sprintf("%d", r.HostLimps))
+	t.AddRow("gray suspects / clears", fmt.Sprintf("%d / %d", r.HostSuspects, r.HostClears))
+	t.AddRow("jobs shed", fmt.Sprintf("%d", r.Shed))
 	t.AddRow("locality same/leaf/pod/core", fmt.Sprintf("%d / %d / %d / %d",
 		r.Locality[localitySame], r.Locality[localityLeaf], r.Locality[localityPod], r.Locality[localityCore]))
 	return t

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"e2edt/internal/faults"
 	"e2edt/internal/fio"
@@ -79,15 +78,15 @@ type railPlaceOutcome struct {
 // a 24 GB, 6-stream transfer) under the given NUMA policy and measures
 // goodput over the post-failover window [w0, w1]. PolicyAuto wires an
 // adaptive placer over the pair's shared fluid simulation.
-func railPlaceRun(policy numa.Policy, rec *trace.Recorder) railPlaceOutcome {
+func railPlaceRun(policy numa.Policy, tracer sim.Tracer) railPlaceOutcome {
 	size := 24 * float64(units.GB)
 	killAt := sim.Time(500 * sim.Millisecond)
 	w0, w1 := sim.Time(1.0), sim.Time(1.5)
 
 	pair := testbed.NewMotivatingPair()
 	eng := pair.Eng
-	if rec != nil {
-		eng.SetTracer(rec)
+	if tracer != nil {
+		eng.SetTracer(tracer)
 	}
 	cfg := rftp.DefaultConfig()
 	cfg.Streams = 6
@@ -161,8 +160,8 @@ func AutoPlacement() Result {
 	// Determinism: the auto rail-kill scenario replayed must produce a
 	// bit-identical event trace — every placement and migration decision
 	// lands at the same virtual time with the same outcome.
-	rec1, rec2 := &trace.Recorder{}, &trace.Recorder{}
-	replays := []railPlaceOutcome{railPlaceRun(numa.PolicyAuto, rec1), railPlaceRun(numa.PolicyAuto, rec2)}
+	h1, h2 := trace.NewHasher(), trace.NewHasher()
+	replays := []railPlaceOutcome{railPlaceRun(numa.PolicyAuto, h1), railPlaceRun(numa.PolicyAuto, h2)}
 
 	exactlyOnce, bestStatic := true, 0.0
 	for _, o := range railStatics {
@@ -208,7 +207,7 @@ func AutoPlacement() Result {
 			{"rail-kill auto placements", "", float64(railAuto.placements), 1, inf},
 			{"rail-kill auto migrations", "", float64(railAuto.migrations), -inf, autoMigrationBound},
 			gate("every rail-kill run completes exactly once", exactlyOnce),
-			gate("auto rail-kill replay trace identical", len(rec1.Events) > 0 && reflect.DeepEqual(rec1.Events, rec2.Events)),
+			gate("auto rail-kill replay trace identical", sameTrace(h1, h2)),
 		},
 		Notes: []string{
 			"static pinning stacks both surviving rails' threads on one node; the placer re-balances them",

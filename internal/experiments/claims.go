@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"e2edt/internal/metrics"
+	"e2edt/internal/trace"
 )
 
 // Claim is one paper figure or scenario gate, declared next to the
@@ -71,6 +72,10 @@ func gate(quantity string, ok bool) Claim {
 	}
 	return c
 }
+
+// sameTrace is the replay gate: two runs of one seed traced something and
+// hashed to the same digest.
+func sameTrace(a, b *trace.Hasher) bool { return a.Events() > 0 && a.Sum() == b.Sum() }
 
 // minStep is the smallest ratio of consecutive values: the series never
 // falls by more than a factor f when minStep(v) ≥ f.

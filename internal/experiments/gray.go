@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"e2edt/internal/chart"
 	"e2edt/internal/faults"
@@ -52,10 +51,10 @@ type grayOutcome struct {
 // exactly-once delivery, hedge accounting closure, and a binary detector
 // that never kills the gray rail.
 func grayRun(size float64, sagAt sim.Time, severity float64, detect, hedge bool,
-	rec *trace.Recorder) grayOutcome {
+	tracer sim.Tracer) grayOutcome {
 	pair := testbed.NewMotivatingPair()
-	if rec != nil {
-		pair.Eng.SetTracer(rec)
+	if tracer != nil {
+		pair.Eng.SetTracer(tracer)
 	}
 	// Per mode: the peer-comparison scorer and the hedging plane.
 	p := recoveryParams(true)
@@ -136,9 +135,9 @@ func GrayFailure() Result {
 	full, none := outs[0.7]["detect+hedge"], outs[0.7]["none"]
 
 	// Determinism: the gated scenario replayed twice must trace identically.
-	rec1, rec2 := &trace.Recorder{}, &trace.Recorder{}
+	h1, h2 := trace.NewHasher(), trace.NewHasher()
 	runs := []grayOutcome{base,
-		grayRun(size, sagAt, 0.7, true, true, rec1), grayRun(size, sagAt, 0.7, true, true, rec2)}
+		grayRun(size, sagAt, 0.7, true, true, h1), grayRun(size, sagAt, 0.7, true, true, h2)}
 	for _, sev := range severities {
 		for _, m := range modes {
 			runs = append(runs, outs[sev][m.name])
@@ -206,8 +205,7 @@ func GrayFailure() Result {
 			{"70% sag, sag-to-first-hedge latency (s)", "", full.hedgeLat, over(0), 0.5},
 			{"70% sag, hedge wins", "", float64(full.wins), 1, inf},
 			{"70% sag, detect-only suspects", "", float64(outs[0.7]["detect"].suspects), 1, inf},
-			gate("70% sag detect+hedge replay trace identical",
-				len(rec1.Events) > 0 && reflect.DeepEqual(rec1.Events, rec2.Events)),
+			gate("70% sag detect+hedge replay trace identical", sameTrace(h1, h2)),
 		},
 		Notes: []string{
 			"the sick rail's fixed-slice streams are the tail that governs completion; with hedging, lagging windows re-issue on trusted rails, first completion wins, victims migrate off the suspect",

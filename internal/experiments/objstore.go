@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 
 	"e2edt/internal/chart"
 	"e2edt/internal/cluster"
@@ -48,8 +47,8 @@ type s8Outcome struct {
 
 // s8Run drives one single-pair gateway cell: a burst of PUTs at t=1s,
 // coalescing knob set to k, run to completion under the exactly-once audit.
-func s8Run(objects, k int, rec *trace.Recorder) s8Outcome {
-	sys, sched := lanScheduler(rec)
+func s8Run(objects, k int, tracer sim.Tracer) s8Outcome {
+	sys, sched := lanScheduler(tracer)
 	defer sched.Close()
 	p := objstore.DefaultParams()
 	p.Coalesce = k
@@ -159,9 +158,9 @@ func ObjectGateway() Result {
 
 	per, co := outs[1], outs[256]
 
-	// Replay: the gated cell twice under a recording tracer, bit-identical.
-	rec1, rec2 := &trace.Recorder{}, &trace.Recorder{}
-	runs := []s8Outcome{s8Run(objects, 256, rec1), s8Run(objects, 256, rec2)}
+	// Replay: the gated cell twice under a hashing tracer, bit-identical.
+	h1, h2 := trace.NewHasher(), trace.NewHasher()
+	runs := []s8Outcome{s8Run(objects, 256, h1), s8Run(objects, 256, h2)}
 	for _, k := range ks {
 		runs = append(runs, outs[k])
 	}
@@ -221,7 +220,7 @@ func ObjectGateway() Result {
 			{"K=256 windows, under objects/8", "", float64(co.windows), -inf, objects/8 - 1},
 			{"K=256 index scans", "", float64(co.scans), 1, inf},
 			{"per-object over K=256 front CPU", "", per.cpu / co.cpu, over(1), inf},
-			gate("K=256 replay trace identical", len(rec1.Events) > 0 && reflect.DeepEqual(rec1.Events, rec2.Events)),
+			gate("K=256 replay trace identical", sameTrace(h1, h2)),
 			gate("cluster cells pass the exactly-once audit", clAuditPer && clAuditCo),
 			{"cluster K=1 objects delivered", "", float64(clDonePer), 512, 512},
 			{"cluster K=64 objects delivered", "", float64(clDoneCo), 512, 512},

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"e2edt/internal/chart"
 	"e2edt/internal/faults"
@@ -35,12 +34,12 @@ type railOutcome struct {
 
 // railRun drives one 24 GB transfer over the 3×40G pair under a fault
 // plan, measuring steady-state goodput over [w0, w1] (both rails settled).
-func railRun(size float64, w0, w1 sim.Time, rec *trace.Recorder,
+func railRun(size float64, w0, w1 sim.Time, tracer sim.Tracer,
 	plan func(p *testbed.MotivatingPair) *faults.Plan) railOutcome {
 	pair := testbed.NewMotivatingPair()
 	eng := pair.Eng
-	if rec != nil {
-		eng.SetTracer(rec)
+	if tracer != nil {
+		eng.SetTracer(tracer)
 	}
 	var doneAt sim.Time
 	done := false
@@ -131,9 +130,9 @@ func RailFailover() Result {
 		pl.PermanentFail(p.Links[1], killAt)
 		return pl
 	}
-	rec1, rec2 := &trace.Recorder{}, &trace.Recorder{}
+	h1, h2 := trace.NewHasher(), trace.NewHasher()
 	runs := []railOutcome{base, kill, heal,
-		railRun(size, w0, w1, rec1, mkPlan), railRun(size, w0, w1, rec2, mkPlan)}
+		railRun(size, w0, w1, h1, mkPlan), railRun(size, w0, w1, h2, mkPlan)}
 	exactlyOnce, maxMigLat := true, 0.0
 	for _, o := range runs {
 		exactlyOnce = exactlyOnce && o.exactlyOnce
@@ -224,7 +223,7 @@ func RailFailover() Result {
 			{"kill: streams migrated", "", float64(kill.migrations), 2, inf},
 			{"repair: failbacks", "", float64(heal.failbacks), 1, inf},
 			{"repair: readmissions", "", float64(heal.readmits), 1, inf},
-			gate("kill replay trace identical", len(rec1.Events) > 0 && reflect.DeepEqual(rec1.Events, rec2.Events)),
+			gate("kill replay trace identical", sameTrace(h1, h2)),
 		}, claims...),
 		Notes: []string{
 			"loss detection (AckTimeout) dominates migration latency; the re-establish round trip is sub-millisecond on the LAN",

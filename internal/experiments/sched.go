@@ -7,7 +7,6 @@ import (
 	"e2edt/internal/core"
 	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
-	"e2edt/internal/trace"
 	"e2edt/internal/units"
 	"e2edt/internal/xfersched"
 )
@@ -22,16 +21,16 @@ func init() {
 var schedLoads = []float64{30, 60, 120, 240, 480}
 
 // lanScheduler builds the Figure 5 LAN system over a 2 GB dataset and a
-// default transfer scheduler on it, tracing into rec when non-nil.
-func lanScheduler(rec *trace.Recorder) (*core.System, *xfersched.Scheduler) {
+// default transfer scheduler on it, tracing into tracer when non-nil.
+func lanScheduler(tracer sim.Tracer) (*core.System, *xfersched.Scheduler) {
 	opt := core.DefaultOptions()
 	opt.DatasetSize = 2 * units.GB
 	sys, err := core.NewSystem(opt)
 	if err != nil {
 		panic(err)
 	}
-	if rec != nil {
-		sys.Engine().SetTracer(rec)
+	if tracer != nil {
+		sys.Engine().SetTracer(tracer)
 	}
 	s, err := xfersched.New(sys, xfersched.DefaultConfig())
 	if err != nil {

@@ -285,9 +285,6 @@ func (t *Topology) buildFatTree(s *fluid.Sim, ports []Endpoint) {
 // Ports returns the number of attached endpoint ports.
 func (t *Topology) Ports() int { return len(t.PortLinks) }
 
-// Links returns every generated link (access + switch stages).
-func (t *Topology) Links() []*Link { return t.links }
-
 // LinkCount returns the total number of generated links.
 func (t *Topology) LinkCount() int { return len(t.links) }
 
@@ -435,15 +432,6 @@ func ChargeRoute(f *fluid.Flow, hops []Hop, coeff float64, tag string) {
 	for _, h := range hops {
 		h.Link.ChargeWire(f, h.From, coeff, tag)
 	}
-}
-
-// RouteDelay sums the one-way propagation delay along a route.
-func RouteDelay(hops []Hop) sim.Duration {
-	var d sim.Duration
-	for _, h := range hops {
-		d += h.Link.OneWayDelay()
-	}
-	return d
 }
 
 // Oversubscription returns the worst stage's downlink:uplink capacity

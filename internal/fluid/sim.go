@@ -19,7 +19,6 @@ type Transfer struct {
 	OnComplete func(now sim.Time)
 
 	transferred float64
-	started     sim.Time
 	finished    sim.Time
 	active      bool
 	// usageBase is the transferred count at the last ResetUsage, so that
@@ -33,9 +32,6 @@ func (t *Transfer) Transferred() float64 { return t.transferred }
 
 // Active reports whether the transfer is currently in flight.
 func (t *Transfer) Active() bool { return t.active }
-
-// Started returns the virtual time the transfer was started.
-func (t *Transfer) Started() sim.Time { return t.started }
 
 // Finished returns the virtual time the transfer completed (zero if still
 // active).
@@ -91,7 +87,6 @@ func (s *Sim) Start(t *Transfer) {
 	}
 	s.Sync()
 	t.active = true
-	t.started = s.Engine.Now()
 	s.active = append(s.active, t)
 	s.reschedule()
 	s.Engine.Tracef("fluid", "start %s remaining=%g rate=%g", t.Flow.Name, t.Remaining, t.Flow.rate)
@@ -117,13 +112,6 @@ func (s *Sim) RemoveResource(r *Resource) {
 func (s *Sim) SetDemand(f *Flow, demand float64) {
 	s.Sync()
 	s.Network.SetDemand(f, demand)
-	s.reschedule()
-}
-
-// SetWeight changes a flow's fair-share weight and re-solves.
-func (s *Sim) SetWeight(f *Flow, weight float64) {
-	s.Sync()
-	s.Network.SetWeight(f, weight)
 	s.reschedule()
 }
 

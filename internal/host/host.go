@@ -126,13 +126,6 @@ func (t *Thread) Release() {
 	t.Proc.Host.Sim.RemoveResource(t.limiter)
 }
 
-// Release retires the limiters of every thread in the process.
-func (p *Process) Release() {
-	for _, t := range p.Threads {
-		t.Release()
-	}
-}
-
 // Pin binds the thread to a specific core (sched_setaffinity); nil unpins
 // it back to the migrating-scheduler model. Pinning only changes where
 // future ChargeCPU calls land — flows already charged keep their old

@@ -84,9 +84,6 @@ type Command struct {
 	timer *sim.Event
 }
 
-// Replays returns how many times the command was re-issued.
-func (c *Command) Replays() int { return c.replays }
-
 // LUN is a logical unit backed by a block device.
 type LUN struct {
 	ID  int

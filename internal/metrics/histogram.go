@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // Histogram collects samples into logarithmic buckets for quantile
 // estimation — used for per-command latency distributions in the fio
@@ -127,50 +123,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.Max()
-}
-
-// Summary renders "p50/p95/p99 min/mean/max" in the given unit scale.
-func (h *Histogram) Summary(scale float64, unit string) string {
-	if h.total == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("p50=%.3g%s p95=%.3g%s p99=%.3g%s min=%.3g%s mean=%.3g%s max=%.3g%s n=%d",
-		h.Quantile(0.50)*scale, unit,
-		h.Quantile(0.95)*scale, unit,
-		h.Quantile(0.99)*scale, unit,
-		h.Min()*scale, unit, h.Mean()*scale, unit, h.Max()*scale, unit, h.total)
-}
-
-// Merge adds other's samples into h. Both histograms must share the same
-// resolution and growth (they do when created by NewHistogram with the
-// same resolution).
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.total == 0 {
-		return
-	}
-	if other.unit != h.unit || other.growth != h.growth {
-		panic("metrics: merging incompatible histograms")
-	}
-	for len(h.counts) < len(other.counts) {
-		h.counts = append(h.counts, 0)
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	h.min = math.Min(h.min, other.min)
-	h.max = math.Max(h.max, other.max)
-}
-
-// Buckets renders a compact text distribution (for debugging), listing
-// non-empty buckets sorted by edge.
-func (h *Histogram) Buckets() string {
-	var parts []string
-	for i, c := range h.counts {
-		if c > 0 {
-			parts = append(parts, fmt.Sprintf("≤%.3g:%d", h.edge(i), c))
-		}
-	}
-	return strings.Join(parts, " ")
 }

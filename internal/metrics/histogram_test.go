@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -14,9 +15,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty quantile should be 0")
-	}
-	if h.Summary(1, "s") != "no samples" {
-		t.Fatal("empty summary wrong")
 	}
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		h.Observe(v)
@@ -95,39 +93,6 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(1e-3), NewHistogram(1e-3)
-	for i := 1; i <= 10; i++ {
-		a.Observe(float64(i))
-	}
-	for i := 11; i <= 20; i++ {
-		b.Observe(float64(i))
-	}
-	a.Merge(b)
-	if a.Count() != 20 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Max() != 20 || a.Min() != 1 {
-		t.Fatal("merged extremes wrong")
-	}
-	if med := a.Quantile(0.5); med < 9 || med > 12 {
-		t.Fatalf("merged median = %v", med)
-	}
-	a.Merge(nil) // no-op
-	a.Merge(NewHistogram(1e-3))
-}
-
-func TestHistogramMergeIncompatiblePanics(t *testing.T) {
-	a, b := NewHistogram(1e-3), NewHistogram(1e-6)
-	b.Observe(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestHistogramInvalidResolutionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -135,18 +100,6 @@ func TestHistogramInvalidResolutionPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram(0)
-}
-
-func TestHistogramSummaryAndBuckets(t *testing.T) {
-	h := NewHistogram(1e-3)
-	h.Observe(0.05)
-	h.Observe(0.10)
-	if s := h.Summary(1e3, "ms"); s == "" || s == "no samples" {
-		t.Fatalf("summary = %q", s)
-	}
-	if h.Buckets() == "" {
-		t.Fatal("buckets empty")
-	}
 }
 
 func TestHistogramSingleSample(t *testing.T) {
@@ -214,20 +167,6 @@ func TestHistogramZeroSample(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeEmpty(t *testing.T) {
-	a, b := NewHistogram(1e-3), NewHistogram(1e-3)
-	a.Observe(1)
-	a.Merge(b)   // empty other: no-op
-	a.Merge(nil) // nil other: no-op
-	if a.Count() != 1 || a.Min() != 1 || a.Max() != 1 {
-		t.Fatal("merging empty changed the histogram")
-	}
-	b.Merge(a)
-	if b.Count() != 1 || b.Quantile(0.5) != 1 {
-		t.Fatal("merging into empty lost the sample")
-	}
-}
-
 // TestHistogramQuantileBoundaryCumulative pins the cumulative-walk rounding
 // at exact rank boundaries: with an even split across two well-separated
 // buckets, the median rank ⌈q·n⌉ falls in the LOWER bucket — an off-by-one
@@ -264,11 +203,29 @@ func TestHistogramReserve(t *testing.T) {
 		plain.Observe(v)
 		reserved.Observe(v)
 	}
-	if p, r := plain.Summary(1, "us"), reserved.Summary(1, "us"); p != r {
-		t.Fatalf("summary %q with reserve, want %q", r, p)
+	if p, r := plain.Count(), reserved.Count(); p != r {
+		t.Fatalf("count %d with reserve, want %d", r, p)
 	}
-	if p, r := plain.Buckets(), reserved.Buckets(); p != r {
-		t.Fatalf("buckets %q with reserve, want %q", r, p)
+	if p, r := [3]float64{plain.Min(), plain.Mean(), plain.Max()},
+		[3]float64{reserved.Min(), reserved.Mean(), reserved.Max()}; p != r {
+		t.Fatalf("min/mean/max %v with reserve, want %v", r, p)
+	}
+	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+		if p, r := plain.Quantile(q), reserved.Quantile(q); p != r {
+			t.Fatalf("Quantile(%v) = %v with reserve, want %v", q, r, p)
+		}
+	}
+	nonZero := func(h *Histogram) map[int]uint64 {
+		m := make(map[int]uint64)
+		for i, c := range h.counts {
+			if c > 0 {
+				m[i] = c
+			}
+		}
+		return m
+	}
+	if p, r := nonZero(plain), nonZero(reserved); !reflect.DeepEqual(p, r) {
+		t.Fatalf("buckets %v with reserve, want %v", r, p)
 	}
 	n := len(reserved.counts)
 	reserved.Observe(1e5)

@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"unicode/utf8"
 
@@ -69,21 +68,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() float64 {
-	n := len(s.Values)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	sum := 0.0
-	for _, v := range s.Values {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n))
 }
 
 // TailMean returns the mean of the last fraction of samples (e.g. 0.8 skips
@@ -232,14 +216,4 @@ func (t *Table) Markdown() string {
 		row(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic output.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

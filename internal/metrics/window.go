@@ -42,9 +42,6 @@ func (w *WindowedQuantile) Observe(v float64) {
 // Len returns the number of samples currently in the window.
 func (w *WindowedQuantile) Len() int { return w.n }
 
-// Window returns the ring capacity.
-func (w *WindowedQuantile) Window() int { return len(w.buf) }
-
 // Quantile returns the q-quantile (q in [0, 1], clamped) of the samples
 // in the window: q=0 is the minimum, q=1 the maximum. An empty window
 // returns 0 — callers gate on Len() before trusting the estimate.

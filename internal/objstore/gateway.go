@@ -7,7 +7,6 @@ import (
 	"e2edt/internal/core"
 	"e2edt/internal/fluid"
 	"e2edt/internal/host"
-	"e2edt/internal/metrics"
 	"e2edt/internal/numa"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
@@ -77,10 +76,6 @@ type Gateway struct {
 	P     Params
 	Dir   core.Direction
 
-	// Metrics collects objects_done / bytes_done / windows counters under
-	// the "objstore." namespace.
-	Metrics *metrics.Registry
-
 	eng   *sim.Engine
 	fl    *fluid.Sim
 	mdTh  *host.Thread
@@ -93,7 +88,8 @@ type Gateway struct {
 	// coalescing batches the metadata path too.
 	Windows, Lookups, Scans int
 
-	objectsDone, bytesDone, windows *metrics.Counter
+	objectsDone int     // objects landed
+	bytesDone   float64 // their payload bytes
 }
 
 // NewGateway builds a gateway over an existing scheduler. The metadata
@@ -107,18 +103,13 @@ func NewGateway(sched *xfersched.Scheduler, p Params, dir core.Direction) *Gatew
 		front = sys.TB.Receiver
 	}
 	proc := front.NewProcess("objstore-md", numa.PolicyDefault, nil)
-	g := &Gateway{
+	return &Gateway{
 		Sys: sys, Sched: sched, P: p, Dir: dir,
-		Metrics: metrics.NewRegistry().Namespace("objstore"),
-		eng:     sys.Engine(),
-		fl:      sys.TB.Sim,
-		mdTh:    proc.NewThread(),
-		mdBuf:   front.M.InterleavedBuffer("objstore-md"),
+		eng:   sys.Engine(),
+		fl:    sys.TB.Sim,
+		mdTh:  proc.NewThread(),
+		mdBuf: front.M.InterleavedBuffer("objstore-md"),
 	}
-	g.objectsDone = g.Metrics.MustCounter("objects_done")
-	g.bytesDone = g.Metrics.MustCounter("bytes_done")
-	g.windows = g.Metrics.MustCounter("windows")
-	return g
 }
 
 // Put schedules a burst of object PUTs arriving at virtual time at. The
@@ -176,7 +167,6 @@ func (g *Gateway) startWindow(window []int) {
 	}
 	id := g.Windows
 	g.Windows++
-	g.windows.Add(1)
 	g.chargeMD(fmt.Sprintf("objstore-md/w%05d", id), cycles,
 		float64(len(window))*entryBytes, func(now sim.Time) {
 			g.submitWindow(id, window)
@@ -228,8 +218,8 @@ func (g *Gateway) delivered(pi int, now sim.Time) {
 	ps := g.puts[pi]
 	ps.completions++
 	ps.doneAt = now
-	g.objectsDone.Add(1)
-	g.bytesDone.Add(float64(ps.spec.Size))
+	g.objectsDone++
+	g.bytesDone += float64(ps.spec.Size)
 }
 
 // AllDone reports whether every PUT's window has cleared both its metadata
@@ -267,7 +257,7 @@ func (g *Gateway) AuditExactlyOnce() error {
 
 // ObjectsDone returns delivered object and byte totals.
 func (g *Gateway) ObjectsDone() (objects int, bytes float64) {
-	return int(g.objectsDone.Value()), g.bytesDone.Value()
+	return g.objectsDone, g.bytesDone
 }
 
 // DoneAt returns put i's delivery time (zero if still in flight).

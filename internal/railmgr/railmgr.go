@@ -18,8 +18,6 @@
 package railmgr
 
 import (
-	"fmt"
-
 	"e2edt/internal/fabric"
 	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
@@ -196,9 +194,6 @@ func (m *Manager) UsableRails() []int {
 	return out
 }
 
-// Rails returns the number of managed rails.
-func (m *Manager) Rails() int { return len(m.links) }
-
 // Stop halts the heartbeat and cancels pending probe deadlines.
 func (m *Manager) Stop() {
 	if m.stop {
@@ -371,14 +366,4 @@ func (m *Manager) transition(i int, to State) {
 	if m.OnTransition != nil {
 		m.OnTransition(i, from, to, now)
 	}
-}
-
-// History renders the transition log, one line per change (for reports).
-func (m *Manager) History() string {
-	out := ""
-	for _, tr := range m.Transitions {
-		out += fmt.Sprintf("%10.4fs  rail %d (%s): %s -> %s\n",
-			float64(tr.At), tr.Rail, m.links[tr.Rail].Cfg.Name, tr.From, tr.To)
-	}
-	return out
 }

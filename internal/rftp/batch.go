@@ -356,9 +356,6 @@ func (t *BatchTransfer) Transferred() float64 {
 // Delivered returns the number of items delivered so far.
 func (t *BatchTransfer) Delivered() int { return t.Completed }
 
-// DeliveredIndex reports whether item i has been delivered.
-func (t *BatchTransfer) DeliveredIndex(i int) bool { return t.done[i] }
-
 // Bandwidth returns the average payload rate since start.
 func (t *BatchTransfer) Bandwidth() float64 {
 	end := t.eng.Now()

@@ -81,7 +81,7 @@ func (t *Transfer) observeStream(s *stream, m float64, now sim.Time) {
 // to the rail manager's gray scorer. Normalizing by the rail's live
 // stream count keeps the cohort comparison load-independent.
 func (t *Transfer) feedGrayRates(now sim.Time) {
-	if t.mgr == nil || !t.P.Rails.Gray {
+	if !t.P.Rails.Gray {
 		return
 	}
 	sums := make([]float64, len(t.links))
@@ -118,7 +118,7 @@ func (t *Transfer) hedgeDeadline(exclude int) float64 {
 		if r == exclude || !t.railUsable(r) {
 			continue
 		}
-		if t.mgr != nil && t.mgr.Suspect(r) {
+		if t.mgr.Suspect(r) {
 			continue
 		}
 		if t.winQ[r].Len() < hedgeMinSamples {
@@ -172,7 +172,7 @@ func (t *Transfer) pickHedgeRail(s *stream) (int, bool) {
 		if r == s.rail || !t.railUsable(r) {
 			continue
 		}
-		if t.mgr != nil && t.mgr.Suspect(r) {
+		if t.mgr.Suspect(r) {
 			continue
 		}
 		if !found || loads[r] < loads[best] {
@@ -245,7 +245,7 @@ func (t *Transfer) hedgeWon(s *stream, h *hedgeRace, now sim.Time) {
 	// moved m2−baseM while the hedge moved the whole window. Feeding it
 	// keeps the gray scorer converging even as hedge wins drain the sick
 	// rail of streams (and therefore of regular rate samples).
-	if t.mgr != nil && t.P.Rails.Gray && now > h.at {
+	if t.P.Rails.Gray && now > h.at {
 		t.mgr.ObserveRate(s.rail, math.Max(0, m2-h.baseM)/float64(now-h.at))
 	}
 	t.untrack(s.transfer)

@@ -606,9 +606,7 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 			st.lastProgressAt = t.eng.Now()
 			t.resetMarks(st, t.eng.Now())
 		}
-		if t.mgr != nil {
-			t.rebalanceCredits()
-		}
+		t.rebalanceCredits()
 	})
 	return t, nil
 }
@@ -835,13 +833,13 @@ func (t *Transfer) declareLoss(s *stream, now sim.Time) {
 }
 
 // railUsable reports whether rail r may accept streams right now: alive at
-// the link layer and, once the manager has classified it, admitted by the
-// manager (a restored-but-unprobed rail is not).
+// the link layer and admitted by the rail manager (a restored-but-unprobed
+// rail is not). Only rail mode picks rails, so the manager exists.
 func (t *Transfer) railUsable(r int) bool {
 	if t.links[r].Fraction() == 0 {
 		return false
 	}
-	return t.mgr == nil || t.mgr.State(r).Usable()
+	return t.mgr.State(r).Usable()
 }
 
 // pickRail chooses a failover target for s: the usable rail carrying the
@@ -1166,9 +1164,7 @@ func (t *Transfer) resume(s *stream, now sim.Time) {
 	// s.kind deliberately survives the resume: it is cleared only once the
 	// new attempt makes window-clearing (visible) progress, so outer
 	// watchdogs keep their kind-scaled grace through the recovery's tail.
-	if t.mgr != nil {
-		t.rebalanceCredits()
-	}
+	t.rebalanceCredits()
 }
 
 // fail gives up after exhausted recovery: tear down and report once.

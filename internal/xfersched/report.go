@@ -218,12 +218,8 @@ func (s *Scheduler) JobTable() *metrics.Table {
 	return t
 }
 
-// GrayTable renders the gray/tail-tolerance aggregates, or nil when the
-// run saw no verdicts and no hedges (keeps legacy output byte-stable).
+// GrayTable renders the gray/tail-tolerance aggregates.
 func (r Report) GrayTable() *metrics.Table {
-	if r.TotalHedges == 0 && r.TotalSuspects == 0 {
-		return nil
-	}
 	t := &metrics.Table{
 		Title:   "Gray failures & tail tolerance",
 		Headers: []string{"suspect verdicts", "hedges", "hedge wins", "hedge waste"},

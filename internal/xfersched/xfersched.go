@@ -190,10 +190,6 @@ func (j *Job) workDone() bool {
 	return float64(j.Spec.Bytes)-j.moved < 1
 }
 
-// ObjectsDone returns how many of a batch job's objects have been
-// delivered (zero for plain jobs).
-func (j *Job) ObjectsDone() int { return j.objDoneCount }
-
 // Moved returns bytes delivered so far across all attempts.
 func (j *Job) Moved() float64 { return j.moved }
 
@@ -502,9 +498,6 @@ func (s *Scheduler) ApplyFaults(p *faults.Plan) { p.Apply(s.eng) }
 
 // Jobs returns every submitted job in submission order.
 func (s *Scheduler) Jobs() []*Job { return s.jobs }
-
-// QueueLen returns the current backlog depth.
-func (s *Scheduler) QueueLen() int { return len(s.queue) }
 
 // Running returns the number of in-flight jobs.
 func (s *Scheduler) Running() int { return len(s.running) }
