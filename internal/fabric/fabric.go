@@ -13,6 +13,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
 	"e2edt/internal/fluid"
 	"e2edt/internal/host"
@@ -114,7 +115,12 @@ type Link struct {
 	// counter, not a coin), so replays are bit-identical.
 	lossEvery int
 	sends     int64
-	watchers  []func(Event)
+	// watchers are the registered callbacks in registration order; an
+	// unwatched entry has a nil fn until notify finishes and compacts it.
+	// notifying is notify's nesting depth, watchSeq the last watcher id.
+	watchers  []watcher
+	notifying int
+	watchSeq  uint64
 	// Drops counts control messages dropped because the link was dark.
 	Drops int64
 	// SilentDrops counts control messages eaten by injected silent loss.
@@ -217,22 +223,58 @@ func (l *Link) Send(size float64, fn func(now sim.Time)) bool {
 	return true
 }
 
+// watcher is one Watch registration.
+type watcher struct {
+	id uint64
+	fn func(Event)
+}
+
 // Watch registers fn to receive link state transitions (failures, repairs,
 // degradation changes, error bursts). Watchers fire synchronously, in
 // registration order, inside the transition call — deterministic under the
-// single-threaded simulation.
-func (l *Link) Watch(fn func(Event)) {
+// single-threaded simulation. The returned func unregisters fn; it may be
+// called from inside a callback, and more than once. A session watcher must
+// be unregistered when the session ends, or the link keeps it reachable.
+func (l *Link) Watch(fn func(Event)) (unwatch func()) {
 	if fn == nil {
 		panic("fabric: nil link watcher")
 	}
-	l.watchers = append(l.watchers, fn)
+	l.watchSeq++
+	id := l.watchSeq
+	l.watchers = append(l.watchers, watcher{id, fn})
+	return func() { l.unwatch(id) }
 }
 
-// notify delivers a transition to every watcher.
+// unwatch drops the watcher with the given id. Inside notify it only clears
+// the entry, so the loop's indices stay valid and a removed watcher is not
+// called again; notify compacts once the outermost delivery ends.
+func (l *Link) unwatch(id uint64) {
+	for i := range l.watchers {
+		if w := &l.watchers[i]; w.id == id {
+			if l.notifying > 0 {
+				w.fn = nil
+			} else {
+				l.watchers = slices.Delete(l.watchers, i, i+1)
+			}
+			return
+		}
+	}
+}
+
+// Watchers returns the number of registered watchers.
+func (l *Link) Watchers() int { return len(l.watchers) }
+
+// notify delivers a transition to every watcher registered before it began.
 func (l *Link) notify(kind EventKind) {
 	ev := Event{Kind: kind, Fraction: l.Fraction()}
-	for _, fn := range l.watchers {
-		fn(ev)
+	l.notifying++
+	for i, n := 0, len(l.watchers); i < n; i++ {
+		if fn := l.watchers[i].fn; fn != nil {
+			fn(ev)
+		}
+	}
+	if l.notifying--; l.notifying == 0 {
+		l.watchers = slices.DeleteFunc(l.watchers, func(w watcher) bool { return w.fn == nil })
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"e2edt/internal/fluid"
@@ -360,6 +361,55 @@ func TestWatchDeliversTransitions(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("event[%d] = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestUnwatchInsideCallback: a watcher that unregisters itself, or a later
+// watcher, during delivery is safe; the removed ones hear nothing more and
+// the rest keep their registration order.
+func TestUnwatchInsideCallback(t *testing.T) {
+	_, s, ha, hb := pairOfHosts(t)
+	l := Connect(s, Config{Name: "l", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
+	var got []string
+	var unwatchA, unwatchC func()
+	unwatchA = l.Watch(func(Event) { got = append(got, "a"); unwatchA() })
+	l.Watch(func(Event) { got = append(got, "b"); unwatchC() })
+	unwatchC = l.Watch(func(Event) { got = append(got, "c") })
+	l.Watch(func(Event) { got = append(got, "d") })
+	l.InjectErrorBurst()
+	l.InjectErrorBurst()
+	if want := "a b d b d"; strings.Join(got, " ") != want {
+		t.Fatalf("deliveries %q, want %q", strings.Join(got, " "), want)
+	}
+	if l.Watchers() != 2 {
+		t.Fatalf("%d watchers left, want 2", l.Watchers())
+	}
+	unwatchA() // a second call is a no-op
+	if l.Watchers() != 2 {
+		t.Fatalf("repeated unwatch removed another watcher: %d left", l.Watchers())
+	}
+}
+
+// TestWatchUnwatchCyclesDoNotGrow: sessions that watch a link and unwatch
+// at teardown leave its watcher list at its standing size.
+func TestWatchUnwatchCyclesDoNotGrow(t *testing.T) {
+	_, s, ha, hb := pairOfHosts(t)
+	l := Connect(s, Config{Name: "l", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
+	standing, heard := 0, 0
+	l.Watch(func(Event) { standing++ })
+	for i := 0; i < 1000; i++ {
+		unwatch := l.Watch(func(Event) { heard++ })
+		if i%2 == 1 {
+			l.InjectErrorBurst() // heard, then unwatched
+			unwatch()
+		} else {
+			unwatch()
+			l.InjectErrorBurst() // unwatched first: not heard
+		}
+	}
+	if l.Watchers() != 1 || cap(l.watchers) > 4 || standing != 1000 || heard != 500 {
+		t.Fatalf("after 1000 cycles: %d watchers, capacity %d, %d standing and %d session deliveries",
+			l.Watchers(), cap(l.watchers), standing, heard)
 	}
 }
 

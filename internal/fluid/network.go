@@ -23,7 +23,9 @@
 // list; a capacity write seeds its resource directly. Resolve walks only
 // those queues and the flows registered since the last solve, so its cost
 // follows the change, not the size of the network. Editing a Usage in place
-// is the one change no setter sees: it needs Invalidate.
+// is the one change no setter sees: it needs Invalidate. UseTagged merges a
+// repeated (resource, tag) charge into the flow's existing entry, but never
+// into an entry the last solve linked, so a merge is never such an edit.
 //
 // # Bottleneck subgraphs
 //
@@ -61,6 +63,11 @@ type Resource struct {
 	// size class; its visit mark lives in Network.rmark.
 	index int32
 	users int32
+	// hint holds the Uses positions of the last two entries appended for
+	// this resource, by whichever flow. UseTagged checks an entry's content
+	// before merging into it, so a stale hint can only miss. It fills the
+	// Resource's 48-byte size class.
+	hint [2]int32
 }
 
 // Capacity returns the resource's capacity in resource units per second.
@@ -80,7 +87,8 @@ func (r *Resource) Utilization() float64 {
 
 // Usage binds a flow to a resource: the flow consumes Coeff×rate on
 // Resource. Tag labels the consumption for accounting (e.g. "sys", "copy",
-// "user") and may be empty.
+// "user"). An empty tag makes the entry a solver-only constraint (a thread's
+// one-core limiter, for one): it shapes rates but is not accounted.
 type Usage struct {
 	Resource *Resource
 	Coeff    float64
@@ -90,8 +98,10 @@ type Usage struct {
 // Flow is a fluid stream; its rate is computed by Network.Solve.
 type Flow struct {
 	Name string
-	// Uses lists what the flow consumes. Append to it with Use/UseTagged;
-	// an in-place edit is invisible to Resolve and needs Invalidate.
+	// Uses lists what the flow consumes, one entry per distinct (resource,
+	// tag) pair as far as UseTagged can merge them. Add to it with
+	// Use/UseTagged; an in-place edit is invisible to Resolve and needs
+	// Invalidate.
 	Uses []Usage
 
 	// demand is the upper bound on rate (math.Inf(1) if unbounded) and
@@ -105,11 +115,13 @@ type Flow struct {
 	index int
 
 	// Solver state: edges heads the flow's chain in the edge pool, mark is
-	// a visit epoch, and dirty says the flow is queued in net.dirty.
+	// a visit epoch, dirty says the flow is queued in net.dirty, and linked
+	// is how many Uses entries the last link saw (0 while unlinked).
 	edges  int32
 	mark   uint32
 	frozen bool
 	dirty  bool
+	linked int32
 }
 
 // Demand returns the demand cap.
@@ -129,16 +141,31 @@ func (f *Flow) Use(r *Resource, coeff float64) *Flow {
 }
 
 // UseTagged adds a resource consumption labelled with an accounting tag.
+// A charge to a (resource, tag) pair the flow already holds adds coeff into
+// that entry, so a flow built from many small charges carries one entry per
+// distinct pair, not one per charge. Only entries appended since the last
+// solve linked the flow are merged into; r's hint finds them in O(1), and a
+// pair it misses gets a second entry, which costs space but not accuracy.
 func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
 	if r == nil {
 		panic("fluid: Use with nil resource")
 	}
-	if coeff > 0 {
-		if f.net != nil {
-			f.net.record(f)
-		}
-		f.Uses = append(f.Uses, Usage{Resource: r, Coeff: coeff, Tag: tag})
+	if coeff <= 0 {
+		return f
 	}
+	if f.net != nil {
+		f.net.record(f)
+	}
+	for _, s := range r.hint {
+		if s >= f.linked && int(s) < len(f.Uses) {
+			if u := &f.Uses[s]; u.Resource == r && u.Tag == tag {
+				u.Coeff += coeff
+				return f
+			}
+		}
+	}
+	r.hint[0], r.hint[1] = int32(len(f.Uses)), r.hint[0]
+	f.Uses = append(f.Uses, Usage{Resource: r, Coeff: coeff, Tag: tag})
 	return f
 }
 
@@ -241,11 +268,10 @@ func (n *Network) NewFlow(name string, demand float64) *Flow {
 	return f
 }
 
-// change is a queued flow with the solver inputs the last solve used.
+// change is a queued flow with the demand and weight the last solve used.
 type change struct {
 	flow           *Flow
 	demand, weight float64
-	nuses          int
 }
 
 // record queues f on the dirty list at its first change since the last
@@ -257,7 +283,7 @@ func (n *Network) record(f *Flow) {
 		return
 	}
 	f.dirty = true
-	n.dirty = append(n.dirty, change{f, f.demand, f.weight, len(f.Uses)})
+	n.dirty = append(n.dirty, change{f, f.demand, f.weight})
 }
 
 // SetDemand changes a flow's demand cap (math.Inf(1) for none).
@@ -423,6 +449,7 @@ func (n *Network) link(f *Flow) {
 		}
 		r.users, f.edges = id, id
 	}
+	f.linked = int32(len(f.Uses))
 }
 
 // unlink removes f from its resources' user lists, returns its edges to the
@@ -449,7 +476,7 @@ func (n *Network) unlink(f *Flow) {
 		n.freeEdge = id
 		id = next
 	}
-	f.edges = 0
+	f.edges, f.linked = 0, 0
 }
 
 // seed queues f's component for the next refill.
@@ -501,7 +528,7 @@ func (n *Network) unlinkAll() {
 		r.users = 0
 	}
 	for _, f := range n.flows {
-		f.edges = 0
+		f.edges, f.linked = 0, 0
 	}
 	n.clearSeeds()
 	n.clearDirty()
@@ -780,7 +807,7 @@ func (n *Network) Resolve() bool {
 	for _, c := range n.dirty {
 		f := c.flow
 		f.dirty = false
-		relink := c.nuses != len(f.Uses)
+		relink := int(f.linked) != len(f.Uses)
 		if f.index < 0 || (!relink && f.demand == c.demand && f.weight == c.weight) {
 			continue // departed since, or set back to what the last solve used
 		}

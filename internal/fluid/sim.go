@@ -173,21 +173,28 @@ func (s *Sim) Sync() {
 }
 
 // fold moves a finished (or reset) transfer's consumption into the usage
-// map: usage per bucket = coeff × bytes moved since the last fold.
+// map: usage per bucket = coeff × bytes moved since the last fold. Untagged
+// entries are solver-only and have no bucket.
 func (s *Sim) fold(t *Transfer) {
 	moved := t.transferred - t.usageBase
 	if moved <= 0 {
 		return
 	}
 	for _, u := range t.Flow.Uses {
-		s.usage[AccountKey{u.Resource, u.Tag}] += u.Coeff * moved
+		if u.Tag != "" {
+			s.usage[AccountKey{u.Resource, u.Tag}] += u.Coeff * moved
+		}
 	}
 	t.usageBase = t.transferred
 }
 
 // Usage returns accumulated resource-units for a resource/tag bucket,
-// including the lazy contribution of still-active transfers.
+// including the lazy contribution of still-active transfers. The empty tag
+// is not accounted and reads 0.
 func (s *Sim) Usage(r *Resource, tag string) float64 {
+	if tag == "" {
+		return 0
+	}
 	total := s.usage[AccountKey{r, tag}]
 	for _, t := range s.active {
 		moved := t.transferred - t.usageBase
@@ -204,7 +211,8 @@ func (s *Sim) Usage(r *Resource, tag string) float64 {
 }
 
 // UsageByTag sums accumulated consumption per tag across a set of resources
-// (pass nil for all resources), including active transfers.
+// (pass nil for all resources), including active transfers. Untagged
+// consumption is not accounted and has no key.
 func (s *Sim) UsageByTag(filter func(*Resource) bool) map[string]float64 {
 	out := make(map[string]float64)
 	// Sum the folded map in a stable order so reports are reproducible.
@@ -229,7 +237,7 @@ func (s *Sim) UsageByTag(filter func(*Resource) bool) map[string]float64 {
 			continue
 		}
 		for _, u := range t.Flow.Uses {
-			if filter == nil || filter(u.Resource) {
+			if u.Tag != "" && (filter == nil || filter(u.Resource)) {
 				out[u.Tag] += u.Coeff * moved
 			}
 		}

@@ -34,8 +34,7 @@ type Host struct {
 	M    *numa.Machine
 	Sim  *fluid.Sim
 
-	processes []*Process
-	devices   []*Device
+	devices []*Device
 	// physCores identifies this host's physical core resources, so that
 	// CPU accounting can exclude per-thread virtual limiter resources.
 	physCores map[*fluid.Resource]bool
@@ -68,7 +67,14 @@ type Process struct {
 	// Node is the bound node under PolicyBind (nil otherwise).
 	Node    *numa.Node
 	Threads []*Thread
+
+	// tags caches the "name:category" accounting tags built so far, so a
+	// charge does not concatenate one.
+	tags []catTag
 }
+
+// catTag pairs a CPU accounting category with its process's tag.
+type catTag struct{ cat, tag string }
 
 // NewProcess creates a process. Under PolicyBind with a nil node, nodes are
 // assigned round-robin (one target process per node, as the paper's
@@ -78,13 +84,8 @@ func (h *Host) NewProcess(name string, policy numa.Policy, node *numa.Node) *Pro
 		node = h.M.Nodes[h.nextNode%len(h.M.Nodes)]
 		h.nextNode++
 	}
-	p := &Process{Host: h, Name: name, Policy: policy, Node: node}
-	h.processes = append(h.processes, p)
-	return p
+	return &Process{Host: h, Name: name, Policy: policy, Node: node}
 }
-
-// Processes returns the host's processes.
-func (h *Host) Processes() []*Process { return h.processes }
 
 // Thread is a schedulable execution context. A bound thread is pinned to a
 // specific core; an unbound thread migrates across all cores (charged as a
@@ -144,13 +145,25 @@ func (t *Thread) Node() *numa.Node {
 	return nil
 }
 
-// tag composes the accounting tag "process:category".
-func (p *Process) tag(category string) string { return p.Name + ":" + category }
+// tag returns the accounting tag "process:category", built once per
+// category.
+func (p *Process) tag(category string) string {
+	for _, c := range p.tags {
+		if c.cat == category {
+			return c.tag
+		}
+	}
+	tag := p.Name + ":" + category
+	p.tags = append(p.tags, catTag{category, tag})
+	return tag
+}
 
 // ChargeCPU attaches cyclesPerByte of CPU work in the given category to
 // flow f. The work lands on the thread's pinned core, or is spread across
 // every core for an unbound thread; either way the per-thread limiter caps
-// the flow at one core's throughput for this work component.
+// the flow at one core's throughput for this work component. The limiter
+// charge is untagged: it constrains the solver, and CPU reports read only
+// physical cores.
 func (t *Thread) ChargeCPU(f *fluid.Flow, cyclesPerByte float64, category string) {
 	if cyclesPerByte <= 0 {
 		return
@@ -158,7 +171,7 @@ func (t *Thread) ChargeCPU(f *fluid.Flow, cyclesPerByte float64, category string
 	h := t.Proc.Host
 	coeff := cyclesPerByte / h.M.Cfg.CoreHz // core-seconds per byte
 	tag := t.Proc.tag(category)
-	f.UseTagged(t.limiter, coeff, "limiter")
+	f.Use(t.limiter, coeff)
 	if t.Core != nil {
 		f.UseTagged(t.Core.Res, coeff, tag)
 		return

@@ -284,7 +284,9 @@ func TestHostCPUReportAggregates(t *testing.T) {
 	if math.Abs(rep.ByCategory[CatUser]-5) > 1e-6 || math.Abs(rep.ByCategory[CatSys]-5) > 1e-6 {
 		t.Fatalf("host report wrong: %v", rep.ByCategory)
 	}
-	if len(h.Processes()) != 2 {
-		t.Fatal("processes not registered")
+	for _, p := range []*Process{p1, p2} {
+		if rep := p.CPUReport(); math.Abs(rep.Total-5) > 1e-6 {
+			t.Fatalf("process %s total = %v, want 5", p.Name, rep.Total)
+		}
 	}
 }

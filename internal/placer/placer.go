@@ -299,13 +299,14 @@ func (e *Engine) tick() {
 // rebuildAll re-derives every tracked flow's coefficients from current
 // placement state and re-solves from scratch. Truncating Uses in place is
 // a change no fluid setter records, so the network must be invalidated
-// explicitly.
+// explicitly. Invalidating first unlinks every flow, so the rebuild merges
+// repeated charges exactly as the first build did.
 func (e *Engine) rebuildAll() {
+	e.Sim.Network.Invalidate()
 	for _, tr := range e.flows {
 		tr.flow.Uses = tr.flow.Uses[:0]
 		tr.rebuild(tr.flow)
 	}
-	e.Sim.Network.Invalidate()
 	e.Sim.Network.Resolve()
 }
 

@@ -259,3 +259,29 @@ func TestDecisionsReplayBitIdentically(t *testing.T) {
 		t.Fatalf("replay diverged: %d vs %d events", len(a), len(b))
 	}
 }
+
+// A rebuild with placement unchanged reproduces the first build's Uses
+// entry for entry, merged duplicates included, even though the flow was
+// linked by a solve in between: rebuildAll unlinks before it re-charges,
+// so no entry is held back from merging.
+func TestRebuildAllReproducesMergedUses(t *testing.T) {
+	r := newRig(t)
+	twice := func(f *fluid.Flow) {
+		r.rebuild(f)
+		r.rebuild(f) // every (resource, tag) pair again: all merge
+	}
+	f := r.s.NewFlow("twice", math.Inf(1))
+	twice(f)
+	first := append([]fluid.Usage(nil), f.Uses...)
+	once := append([]fluid.Usage(nil), r.f.Uses...)
+	if len(first) != len(once) {
+		t.Fatalf("doubled charges built %d entries, single build %d", len(first), len(once))
+	}
+	e := New(r.s, testEngineConfig())
+	e.Track(f, twice)
+	r.s.Refresh()
+	e.rebuildAll()
+	if !reflect.DeepEqual(f.Uses, first) {
+		t.Fatalf("rebuild changed Uses:\n got %v\nwant %v", f.Uses, first)
+	}
+}

@@ -133,6 +133,8 @@ type Manager struct {
 	deadln []*sim.Event // pending probe-timeout events, one per rail
 	ticker *sim.Ticker
 	stop   bool
+	// unwatch unregisters the per-rail link watchers New installs.
+	unwatch []func()
 
 	// Gray scorer state (allocated always, driven only when Gray is on).
 	// The scorer sees per-stream-normalized delivered rate and probe
@@ -160,6 +162,7 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 		grayDeg:   make([]bool, len(links)),
 		probeSent: make([]sim.Time, len(links)),
 		firstSus:  -1,
+		unwatch:   make([]func(), len(links)),
 	}
 	for i, l := range links {
 		switch f := l.Fraction(); {
@@ -170,8 +173,7 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 		default:
 			m.states[i] = Healthy
 		}
-		i, l := i, l
-		l.Watch(func(ev fabric.Event) { m.onLinkEvent(i, ev) })
+		m.unwatch[i] = l.Watch(func(ev fabric.Event) { m.onLinkEvent(i, ev) })
 	}
 	m.ticker = eng.NewTicker(probeEvery, m.tick)
 	return m
@@ -194,13 +196,19 @@ func (m *Manager) UsableRails() []int {
 	return out
 }
 
-// Stop halts the heartbeat and cancels pending probe deadlines.
+// Stop halts the heartbeat, cancels pending probe deadlines and unregisters
+// the link watchers, so the links no longer keep the manager, and through
+// OnTransition its owner, reachable.
 func (m *Manager) Stop() {
 	if m.stop {
 		return
 	}
 	m.stop = true
 	m.ticker.Stop()
+	for _, unwatch := range m.unwatch {
+		unwatch()
+	}
+	m.unwatch = nil
 	for i := range m.deadln {
 		if m.deadln[i] != nil {
 			m.eng.Cancel(m.deadln[i])

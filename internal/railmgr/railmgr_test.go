@@ -212,3 +212,36 @@ func TestDeterministicHistory(t *testing.T) {
 		}
 	}
 }
+
+// TestStoppedManagerHearsNoLinkEvents: Stop unregisters the manager's link
+// watchers, so the links stop delivering to it (and stop keeping it, and
+// through OnTransition its owner, reachable); a later failure records no
+// transition.
+func TestStoppedManagerHearsNoLinkEvents(t *testing.T) {
+	tb := testbed.NewMotivatingPair()
+	before := make([]int, len(tb.Links))
+	for i, l := range tb.Links {
+		before[i] = l.Watchers()
+	}
+	m := New(tb.Eng, tb.Links, Policy{Enabled: true})
+	for i, l := range tb.Links {
+		if l.Watchers() != before[i]+1 {
+			t.Fatalf("rail %d: %d watchers with a manager, want %d", i, l.Watchers(), before[i]+1)
+		}
+	}
+	m.OnTransition = func(rail int, from, to State, now sim.Time) {
+		t.Fatalf("stopped manager saw rail %d go %v → %v", rail, from, to)
+	}
+	m.Stop()
+	for i, l := range tb.Links {
+		if l.Watchers() != before[i] {
+			t.Fatalf("rail %d: %d watchers after Stop, want %d", i, l.Watchers(), before[i])
+		}
+	}
+	tb.Links[0].Fail()
+	tb.Links[1].Degrade(0.5)
+	run(tb, sim.Second)
+	if len(m.Transitions) != 0 || m.State(0) != Healthy {
+		t.Fatalf("transitions after Stop: %v", m.Transitions)
+	}
+}

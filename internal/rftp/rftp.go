@@ -446,6 +446,7 @@ type Transfer struct {
 	firstHedge   sim.Time
 	hedgeCount   int // hedges currently racing
 	ticker       *sim.Ticker
+	unwatch      []func() // the rail watchers' unregister funcs
 	failed       bool
 	stopped      bool
 	released     bool
@@ -561,9 +562,10 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	// stream bound there declares its window lost at once (in stream order;
 	// declareLoss skips recovering and done streams) instead of waiting out
 	// AckTimeout.
+	t.unwatch = make([]func(), len(links))
 	for i := range links {
 		i := i
-		links[i].Watch(func(ev fabric.Event) {
+		t.unwatch[i] = links[i].Watch(func(ev fabric.Event) {
 			switch ev.Kind {
 			case fabric.EventCorruption:
 				t.corrupted(i)
@@ -729,14 +731,20 @@ func (t *Transfer) finish(now sim.Time) {
 	}
 }
 
-// releaseEndpoints retires the session's per-thread limiter resources from
-// the fluid network once no flow can ever charge them again (after finish,
-// fail or Stop — all stream flows are gone by then). Sessions under the
+// releaseEndpoints unregisters the session's rail watchers and retires its
+// per-thread limiter resources from the fluid network once no flow can
+// ever charge them again (after finish, fail or Stop — all stream flows
+// are gone by then). The watchers go in every mode: each link would
+// otherwise keep the finished session reachable. Sessions under the
 // adaptive placer keep their threads: the placer still holds the endpoint
 // entities and may re-derive charges from them. Without this, a small-file
 // workload opening thousands of short sessions grows the network's
-// resource list without bound and every full solve visits all of it.
+// resource list and the links' watcher lists without bound.
 func (t *Transfer) releaseEndpoints() {
+	for _, unwatch := range t.unwatch {
+		unwatch()
+	}
+	t.unwatch = nil
 	if t.released || t.placer() != nil {
 		return
 	}

@@ -68,8 +68,8 @@ func TestCPUBreakdownShape(t *testing.T) {
 	c := r.boundConn(DefaultParams())
 	c.Stream(math.Inf(1), FlowOptions{}, nil)
 	r.eng.RunUntil(10)
-	snd := r.ha.Processes()[0].CPUReport()
-	rcv := r.hb.Processes()[0].CPUReport()
+	snd := c.SendThr.Proc.CPUReport()
+	rcv := c.RecvThr.Proc.CPUReport()
 	for _, rep := range []host.CPUReport{snd, rcv} {
 		if !(rep.ByCategory[host.CatSys] > rep.ByCategory[host.CatCopy]) {
 			t.Fatalf("sys (%v) should exceed copy (%v)", rep.ByCategory[host.CatSys], rep.ByCategory[host.CatCopy])

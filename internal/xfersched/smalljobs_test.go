@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"e2edt/internal/core"
+	"e2edt/internal/fabric"
+	"e2edt/internal/railmgr"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
@@ -133,5 +135,64 @@ func TestExplicitGraceFloor(t *testing.T) {
 	cfg.MinStallGrace = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative MinStallGrace accepted")
+	}
+}
+
+// TestTinyJobsLeaveNothingBehind: a finished job leaves nothing registered.
+// After 50 and after 200 tiny jobs the fluid network holds the same
+// resources and the links the same watchers, in the default single-link
+// mode and with rail management on (whose per-session manager watches every
+// rail), so a long flood's footprint does not grow with the job count.
+func TestTinyJobsLeaveNothingBehind(t *testing.T) {
+	leftovers := func(t *testing.T, opt core.Options, n int) (resources, watchers int) {
+		t.Helper()
+		opt.DatasetSize = 2 * units.GB
+		sys, err := core.NewSystem(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.MaxConcurrent = 8
+		s, err := New(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := 0; i < n; i++ {
+			s.SubmitAt(sim.Time(sim.Duration(i)*500*sim.Microsecond), JobSpec{
+				ID: fmt.Sprintf("tiny-%03d", i), Tenant: fmt.Sprintf("t%d", i%4),
+				Protocol: ProtoRFTP, Bytes: 24 << 10, Files: 1,
+			})
+		}
+		if !s.RunToCompletion(60 * sim.Second) {
+			t.Fatalf("%d-job flood did not drain", n)
+		}
+		for _, j := range s.Jobs() {
+			if j.State != StateDone {
+				t.Fatalf("job %s ended %v", j.Spec.ID, j.State)
+			}
+		}
+		tb := sys.TB
+		for _, links := range [][]*fabric.Link{tb.FrontLinks, tb.SrcSAN, tb.DstSAN} {
+			for _, l := range links {
+				watchers += l.Watchers()
+			}
+		}
+		return len(tb.Sim.Network.Resources()), watchers
+	}
+	rails := core.DefaultOptions()
+	rails.Recovery = true
+	rails.Rails = railmgr.Policy{Enabled: true}
+	for _, mode := range []struct {
+		name string
+		opt  core.Options
+	}{{"single-link", core.DefaultOptions()}, {"rails", rails}} {
+		t.Run(mode.name, func(t *testing.T) {
+			r50, w50 := leftovers(t, mode.opt, 50)
+			r200, w200 := leftovers(t, mode.opt, 200)
+			if r50 != r200 || w50 != w200 {
+				t.Fatalf("after 50 jobs %d resources and %d watchers, after 200 %d and %d", r50, w50, r200, w200)
+			}
+		})
 	}
 }
