@@ -92,13 +92,17 @@ solver-smoke:
 
 # Cluster failure-domain gate: the chaos determinism suites under the race
 # detector, then a 100-host run through the CLI with a host crash-stop, a
-# leader-controller kill and a control-plane partition — the process exits
-# non-zero unless delivery is exactly-once, no shard stays degraded, and a
-# second same-seed run hashes bit-identically (CI runs this).
+# leader-controller kill and a control-plane partition, and a 100-host
+# fat-tree run with a core switch dark for 5 s (the only drive that reaches
+# the cluster's spine sink) — each process exits non-zero unless delivery
+# is exactly-once, no shard stays degraded, and a second same-seed run
+# hashes bit-identically (CI runs this).
 chaos-smoke:
 	$(GO) test -race -run 'Chaos|Lease|Crash|Partition|GivesUp|LeaderKill' ./internal/cluster ./internal/faults
 	$(GO) run ./cmd/xfersched -cluster -hosts 100 -shards 8 -ctenants 400 -cjobs 1200 -drop 2 -seed 7 \
 		-kill-host 7@8+8 -kill-ctrl 0@15 -partition 5,6,7@20+6 -replay-check
+	$(GO) run ./cmd/xfersched -cluster -hosts 100 -shards 4 -topology fat-tree -ctenants 400 -cjobs 1200 -drop 2 -seed 7 \
+		-kill-spine 2@5+5 -replay-check
 
 # Gray-failure gate: the gray/hedge/shed suites and the peer scorer's unit
 # test under the race detector,

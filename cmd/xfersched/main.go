@@ -37,14 +37,17 @@
 //	xfersched -cluster -partition 5,6,7@20+6             # shards 5-7 severed 20s..26s
 //	xfersched -cluster -kill-spine 1@10+5 -replay-check  # spine 1 dark 10s..15s
 //
-// With -chaos (or -fail) the injected fault schedule is echoed alongside
-// the outcome tables, so a report records exactly what the run survived.
+// The targeted fault flags (-kill-rail, -gray, -kill-host, -kill-ctrl,
+// -partition, -kill-spine) all read target@seconds[+window][:severity].
+// Whatever schedule a run injects is echoed alongside the outcome tables,
+// so a report records exactly what the run survived.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -105,7 +108,7 @@ func main() {
 	replayCheck := flag.Bool("replay-check", false, "cluster mode: run the scenario twice and fail unless the traces hash identically")
 	killHost := flag.String("kill-host", "", "cluster mode: crash-stop a host, as id@seconds[+downtime] (e.g. 7@8+8; no +downtime = never restarts)")
 	killCtrl := flag.String("kill-ctrl", "", "cluster mode: permanently crash-stop a shard controller, as shard@seconds (e.g. 0@15)")
-	killSpine := flag.String("kill-spine", "", "cluster mode: fail every trunk of a spine switch, as spine@seconds[+downtime]")
+	killSpine := flag.String("kill-spine", "", "cluster mode: take a top-stage switch dark (a spine on leaf-spine, a core on fat-tree), as id@seconds[+downtime]")
 	partition := flag.String("partition", "", "cluster mode: sever shards from the control plane, as ids@seconds+window (e.g. 5,6,7@20+6)")
 	flag.Parse()
 
@@ -214,19 +217,8 @@ func main() {
 	if *failAt > 0 {
 		plan.FailWindow(sys.TB.FrontLinks[0], sim.Time(*failAt), sim.Duration(*failFor))
 	}
-	if *killRail != "" {
-		link, at, err := parseRailAt("-kill-rail", *killRail, sys.TB.FrontLinks)
-		if err != nil {
-			fatal(err)
-		}
-		plan.PermanentFail(link, at)
-	}
-	if *grayFlag != "" {
-		link, at, severity, err := parseGrayRail(*grayFlag, sys.TB.FrontLinks)
-		if err != nil {
-			fatal(err)
-		}
-		plan.SlowRail(link, at, severity)
+	if err := addRailFaults(plan, *killRail, *grayFlag, sys.TB.FrontLinks); err != nil {
+		badFlag(err)
 	}
 	if *corrupt > 0 {
 		rng := rand.New(rand.NewSource(*corruptSeed))
@@ -235,12 +227,6 @@ func main() {
 			at := sim.Time(0.2 + rng.Float64()*2)
 			plan.Corrupt(link, at)
 		}
-	}
-	// Reject a contradictory flag-built schedule (e.g. a gray sag scheduled
-	// inside a -fail outage window) with the validator's own error text
-	// before anything runs.
-	if err := plan.Validate(); err != nil {
-		fatal(err)
 	}
 	if *chaos > 0 {
 		chaosPlan := faults.Chaos(faults.ChaosConfig{
@@ -257,6 +243,12 @@ func main() {
 		for _, ev := range chaosPlan.Events {
 			plan.Add(ev)
 		}
+	}
+	// Reject a contradictory schedule (e.g. a gray sag inside a -fail or
+	// -chaos outage window) with the validator's own error text before
+	// anything runs.
+	if err := plan.Validate(); err != nil {
+		fatal(err)
 	}
 	if !plan.Empty() {
 		s.ApplyFaults(plan)
@@ -297,14 +289,7 @@ func main() {
 		}
 	}
 	if !plan.Empty() {
-		if *md {
-			fmt.Println("#### Injected fault schedule")
-			fmt.Println()
-			fmt.Println(plan.MarkdownTable())
-		} else {
-			fmt.Println("Injected fault schedule:")
-			fmt.Println(plan.String())
-		}
+		printPlan(plan, *md)
 	}
 	if !done {
 		fmt.Fprintf(os.Stderr, "xfersched: virtual-time budget %.0fs exhausted with jobs unfinished\n", *limit)
@@ -345,7 +330,8 @@ type clusterFlags struct {
 // process fails unless both traces hash identically — the determinism
 // contract the CI smoke asserts.
 func runCluster(f clusterFlags) {
-	if _, err := fabric.ParseTopoKind(f.topology); err != nil {
+	kind, err := fabric.ParseTopoKind(f.topology)
+	if err != nil {
 		fatal(err)
 	}
 	if f.tenants <= 0 {
@@ -357,49 +343,31 @@ func runCluster(f clusterFlags) {
 	// Reject invalid shapes before the run starts, with the model's own
 	// error text: the CLI surfaces what cluster.Config.Validate rejects
 	// rather than silently repairing it.
-	if err := (cluster.Config{
-		Hosts: f.hosts, Shards: f.shards, DropPct: f.drop, Seed: f.seed,
-	}).Validate(); err != nil {
+	cfg := cluster.Config{
+		Hosts: f.hosts, Shards: f.shards, DropPct: f.drop, Topology: kind, Seed: f.seed,
+		Gray: f.gray != "" || f.shed,
+	}
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	chaos, err := parseChaos(f)
+	chaos, err := clusterPlan(f, cfg.TopSwitches())
 	if err != nil {
+		badFlag(err)
+	}
+	// Each flag passed its own checks; reject a contradictory timeline (a
+	// crash-stop inside a limp window) with the validator's own text.
+	if err := chaos.Validate(); err != nil {
 		fatal(err)
 	}
-	spec := experiments.ClusterRunSpec{
-		Hosts:    f.hosts,
-		Shards:   f.shards,
-		Tenants:  f.tenants,
-		Jobs:     f.jobs,
-		DropPct:  f.drop,
-		Topology: f.topology,
-		Seed:     f.seed,
-		Chaos:    chaos,
-		Gray:     f.gray != "" || f.shed,
-	}
+	spec := experiments.ClusterRunSpec{Config: cfg, Tenants: f.tenants, Jobs: f.jobs, Chaos: chaos}
 	res := experiments.RunClusterPoint(spec)
 	// Echo the schedule and topology the run used, in the -chaos/-rails
 	// fault-plan style: a report records exactly what was simulated.
 	fmt.Printf("cluster: %s\n", res.Topology)
 	fmt.Printf("schedule: %d shards, %d tenants, %d jobs, drop %.1f%%, seed %d\n",
 		f.shards, f.tenants, f.jobs, f.drop, f.seed)
-	if chaos != nil {
-		for _, k := range chaos.HostKills {
-			fmt.Printf("chaos: host %d crash-stops at %.1fs (down %.1fs; 0 = forever)\n", k.Host, float64(k.At), float64(k.Down))
-		}
-		for _, k := range chaos.CtrlKills {
-			fmt.Printf("chaos: shard controller %d crash-stops at %.1fs\n", k.Shard, float64(k.At))
-		}
-		for _, p := range chaos.Partitions {
-			fmt.Printf("chaos: shards %v severed at %.1fs for %.1fs\n", p.Shards, float64(p.At), float64(p.For))
-		}
-		for _, k := range chaos.SpineKills {
-			fmt.Printf("chaos: spine %d dark at %.1fs (down %.1fs; 0 = forever)\n", k.Spine, float64(k.At), float64(k.Down))
-		}
-		for _, l := range chaos.Limps {
-			fmt.Printf("gray: host %d limps to %.0f%% core speed at %.1fs for %.1fs (heartbeats stay alive)\n",
-				l.Host, l.Factor*100, float64(l.At), float64(l.For))
-		}
+	if !chaos.Empty() {
+		printPlan(chaos, f.md)
 	}
 	if spec.Gray {
 		fmt.Println("gray: host outlier scorer and admission shed valve armed")
@@ -419,7 +387,7 @@ func runCluster(f clusterFlags) {
 		fmt.Fprintf(os.Stderr, "xfersched: %d shards still degraded at end of run\n", res.DegradedAtEnd)
 		os.Exit(1)
 	}
-	if chaos != nil {
+	if !chaos.Empty() {
 		fmt.Println("delivery audit: OK (every done job completed exactly once; byte ledgers agree)")
 	}
 	if f.replayCheck {
@@ -432,72 +400,63 @@ func runCluster(f clusterFlags) {
 	}
 }
 
-// parseChaos assembles the cluster-mode fault timeline from the CLI knobs.
-func parseChaos(f clusterFlags) (*experiments.ChaosSpec, error) {
-	if f.killHost == "" && f.killCtrl == "" && f.killSpine == "" && f.partition == "" && f.gray == "" {
-		return nil, nil
-	}
-	spec := &experiments.ChaosSpec{}
-	if f.gray != "" {
-		limpStr, sevStr, found := strings.Cut(f.gray, ":")
-		if !found {
-			return nil, fmt.Errorf("bad -gray %q: cluster mode wants id@seconds+window:severity, e.g. 3@8+6:0.95", f.gray)
-		}
-		id, at, down, err := parseAtDown("-gray", limpStr)
+// addRailFaults adds the single-pair rail faults, -kill-rail
+// name@seconds and -gray name@seconds:severity.
+func addRailFaults(plan *faults.Plan, killRail, gray string, links []*fabric.Link) error {
+	if killRail != "" {
+		a, err := parseFault("-kill-rail", "name@seconds, e.g. roce1@5", "", "", killRail)
+		link, err := a.rail(err, links)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if down == 0 {
-			return nil, fmt.Errorf("bad -gray %q: a limp needs a recovery window, e.g. 3@8+6:0.95", f.gray)
-		}
-		if id >= f.hosts {
-			return nil, fmt.Errorf("-gray %d: the run has hosts 0..%d", id, f.hosts-1)
-		}
-		sev, err := strconv.ParseFloat(sevStr, 64)
-		if err != nil || sev <= 0 || sev >= 1 {
-			return nil, fmt.Errorf("bad -gray severity %q: want a fraction in (0, 1) — the host must limp, not die", sevStr)
-		}
-		spec.Limps = append(spec.Limps, experiments.LimpSpec{
-			Host: id, At: at, For: down, Factor: 1 - sev,
-		})
+		plan.PermanentFail(link, sim.Time(a.at))
 	}
+	if gray != "" {
+		a, err := parseFault("-gray", "name@seconds:severity, e.g. roce1@5:0.7", ":", ":", gray)
+		link, err := a.rail(err, links)
+		if err == nil && (a.severity <= 0 || a.severity >= 1) {
+			err = fmt.Errorf("bad -gray severity %q: want a fraction in (0, 1) — the sag must be partial, or it is not gray", a.sevStr)
+		}
+		if err != nil {
+			return err
+		}
+		plan.SlowRail(link, sim.Time(a.at), a.severity)
+	}
+	return nil
+}
+
+// clusterPlan builds the cluster-mode fault timeline from the CLI knobs:
+// host kills first, then controller kills, partitions, limps and spine
+// outages, which fixes the order of same-instant ties.
+func clusterPlan(f clusterFlags, topSwitches int) (*faults.Plan, error) {
+	plan := &faults.Plan{}
+	const idForm = "id@seconds[+downtime], e.g. 7@8+8"
 	if f.killHost != "" {
-		id, at, down, err := parseAtDown("-kill-host", f.killHost)
+		a, err := parseFault("-kill-host", idForm, "+", "", f.killHost)
+		id, err := a.index(err, f.hosts, "hosts")
 		if err != nil {
 			return nil, err
 		}
-		if id >= f.hosts {
-			return nil, fmt.Errorf("-kill-host %d: the run has hosts 0..%d", id, f.hosts-1)
-		}
-		spec.HostKills = append(spec.HostKills, experiments.HostKill{Host: id, At: at, Down: down})
+		plan.HostOutage(id, sim.Time(a.at), sim.Duration(a.window))
 	}
 	if f.killCtrl != "" {
-		id, at, down, err := parseAtDown("-kill-ctrl", f.killCtrl)
+		a, err := parseFault("-kill-ctrl", idForm, "+", "", f.killCtrl)
+		if err == nil && a.hasWindow {
+			err = fmt.Errorf("-kill-ctrl: controller crashes are permanent; drop the +downtime")
+		}
+		id, err := a.index(err, f.shards, "shards")
 		if err != nil {
 			return nil, err
 		}
-		if down != 0 {
-			return nil, fmt.Errorf("-kill-ctrl: controller crashes are permanent; drop the +downtime")
-		}
-		if id >= f.shards {
-			return nil, fmt.Errorf("-kill-ctrl %d: the run has shards 0..%d", id, f.shards-1)
-		}
-		spec.CtrlKills = append(spec.CtrlKills, experiments.CtrlKill{Shard: id, At: at})
-	}
-	if f.killSpine != "" {
-		id, at, down, err := parseAtDown("-kill-spine", f.killSpine)
-		if err != nil {
-			return nil, err
-		}
-		spec.SpineKills = append(spec.SpineKills, experiments.SpineKill{Spine: id, At: at, Down: down})
+		plan.KillController(id, sim.Time(a.at))
 	}
 	if f.partition != "" {
-		idsStr, spanStr, found := strings.Cut(f.partition, "@")
-		if !found {
-			return nil, fmt.Errorf("bad -partition %q: want ids@seconds+window, e.g. 5,6,7@20+6", f.partition)
+		a, err := parseFault("-partition", "ids@seconds+window, e.g. 5,6,7@20+6", "+", "", f.partition)
+		if err != nil {
+			return nil, err
 		}
 		var ids []int
-		for _, s := range strings.Split(idsStr, ",") {
+		for _, s := range strings.Split(a.target, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
 				return nil, fmt.Errorf("bad -partition shard id %q", s)
@@ -507,50 +466,133 @@ func parseChaos(f clusterFlags) (*experiments.ChaosSpec, error) {
 			}
 			ids = append(ids, id)
 		}
-		atStr, forStr, found := strings.Cut(spanStr, "+")
-		if !found {
+		if !a.hasWindow {
 			return nil, fmt.Errorf("bad -partition %q: a partition needs a heal window, e.g. @20+6", f.partition)
 		}
-		at, err1 := strconv.ParseFloat(atStr, 64)
-		dur, err2 := strconv.ParseFloat(forStr, 64)
-		if err1 != nil || err2 != nil || at < 0 || dur <= 0 {
-			return nil, fmt.Errorf("bad -partition window %q: want seconds+window, both positive", spanStr)
+		if a.at < 0 || a.window <= 0 {
+			return nil, fmt.Errorf("bad -partition window %q: want seconds+window, both positive", a.atStr+"+"+a.winStr)
 		}
-		spec.Partitions = append(spec.Partitions, experiments.PartitionSpec{
-			Shards: ids, At: sim.Time(at), For: sim.Duration(dur),
-		})
+		plan.PartitionWindow(ids, sim.Time(a.at), sim.Duration(a.window))
 	}
-	// Reject contradictory timelines (a crash-stop inside a limp window,
-	// overlapping outages) with the validator's own error text.
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	if f.gray != "" {
+		a, err := parseFault("-gray", "id@seconds+window:severity, e.g. 3@8+6:0.95", "+:", ":", f.gray)
+		if err == nil && !a.hasWindow {
+			err = fmt.Errorf("bad -gray %q: a limp needs a recovery window, e.g. 3@8+6:0.95", f.gray)
+		}
+		id, err := a.index(err, f.hosts, "hosts")
+		if err == nil && (a.severity <= 0 || a.severity >= 1) {
+			err = fmt.Errorf("bad -gray severity %q: want a fraction in (0, 1) — the host must limp, not die", a.sevStr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		plan.LimpWindow(id, sim.Time(a.at), sim.Duration(a.window), 1-a.severity)
 	}
-	return spec, nil
+	if f.killSpine != "" {
+		a, err := parseFault("-kill-spine", idForm, "+", "", f.killSpine)
+		id, err := a.index(err, topSwitches, "top-stage switches")
+		if err != nil {
+			return nil, err
+		}
+		plan.SpineOutage(id, sim.Time(a.at), sim.Duration(a.window))
+	}
+	return plan, nil
 }
 
-// parseAtDown reads "id@seconds" or "id@seconds+downtime".
-func parseAtDown(flagName, s string) (id int, at sim.Time, down sim.Duration, err error) {
-	idStr, rest, found := strings.Cut(s, "@")
-	if !found {
-		return 0, 0, 0, fmt.Errorf("bad %s %q: want id@seconds[+downtime], e.g. 7@8+8", flagName, s)
+// faultArg is one fault flag value, target@seconds[+window][:severity],
+// cut into its parts; each flag range-checks the parts it takes.
+type faultArg struct {
+	flag, target          string
+	at, window, severity  float64
+	hasWindow             bool
+	atStr, winStr, sevStr string // the numbers as given, for error text
+}
+
+// parseFault reads a fault flag's value as target@seconds[+window][:severity].
+// takes lists the optional parts the flag accepts ("+" window, ":"
+// severity) and needs those it requires. A value without a target, with a
+// part the flag does not take or lacking one it needs, or with a number
+// that does not parse to a finite value is refused with form, the flag's
+// accepted shape and an example.
+func parseFault(flag, form, takes, needs, s string) (faultArg, error) {
+	a := faultArg{flag: flag}
+	bad := fmt.Errorf("bad %s %q: want %s", flag, s, form)
+	target, rest, ok := strings.Cut(s, "@")
+	if !ok || target == "" {
+		return a, bad
 	}
-	id, err = strconv.Atoi(idStr)
-	if err != nil || id < 0 {
-		return 0, 0, 0, fmt.Errorf("bad %s id %q", flagName, idStr)
+	a.target = target
+	rest, a.sevStr, ok = strings.Cut(rest, ":")
+	a.atStr, a.winStr, a.hasWindow = strings.Cut(rest, "+")
+	fits := func(part string, has bool) bool {
+		return has && strings.Contains(takes, part) || !has && !strings.Contains(needs, part)
 	}
-	atStr, downStr, hasDown := strings.Cut(rest, "+")
-	atF, err := strconv.ParseFloat(atStr, 64)
-	if err != nil || atF < 0 {
-		return 0, 0, 0, fmt.Errorf("bad %s time %q: want a non-negative virtual second", flagName, atStr)
+	num := func(s string, v *float64) bool {
+		var err error
+		*v, err = strconv.ParseFloat(s, 64)
+		return err == nil && !math.IsNaN(*v) && !math.IsInf(*v, 0)
 	}
-	var downF float64
-	if hasDown {
-		downF, err = strconv.ParseFloat(downStr, 64)
-		if err != nil || downF <= 0 {
-			return 0, 0, 0, fmt.Errorf("bad %s downtime %q: want a positive duration", flagName, downStr)
+	if !fits("+", a.hasWindow) || !fits(":", ok) || !num(a.atStr, &a.at) ||
+		a.hasWindow && !num(a.winStr, &a.window) || ok && !num(a.sevStr, &a.severity) {
+		return a, bad
+	}
+	return a, nil
+}
+
+// index reads a cluster flag's target as an id in [0, n) of noun (hosts,
+// shards, switches), checking its time is a non-negative virtual second
+// and any window a positive duration. err, from an earlier check, is
+// returned as is.
+func (a faultArg) index(err error, n int, noun string) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	id, err := strconv.Atoi(a.target)
+	switch {
+	case err != nil || id < 0:
+		return 0, fmt.Errorf("bad %s id %q", a.flag, a.target)
+	case id >= n:
+		return 0, fmt.Errorf("%s %d: the run has %s 0..%d", a.flag, id, noun, n-1)
+	case a.at < 0:
+		return 0, fmt.Errorf("bad %s time %q: want a non-negative virtual second", a.flag, a.atStr)
+	case a.hasWindow && a.window <= 0:
+		return 0, fmt.Errorf("bad %s downtime %q: want a positive duration", a.flag, a.winStr)
+	}
+	return id, nil
+}
+
+// rail resolves a single-pair flag's target among the front rails,
+// checking its time is a positive virtual second. err, from parseFault,
+// is returned as is.
+func (a faultArg) rail(err error, links []*fabric.Link) (*fabric.Link, error) {
+	if err != nil {
+		return nil, err
+	}
+	if a.at <= 0 {
+		return nil, fmt.Errorf("bad %s time %q: want a positive virtual second", a.flag, a.atStr)
+	}
+	var names []string
+	for _, l := range links {
+		if l.Cfg.Name == a.target {
+			return l, nil
 		}
+		names = append(names, l.Cfg.Name)
 	}
-	return id, sim.Time(atF), sim.Duration(downF), nil
+	return nil, fmt.Errorf("%s: no front rail named %q (have %s)",
+		a.flag, a.target, strings.Join(names, ", "))
+}
+
+// printPlan echoes the injected fault schedule, so a report records
+// exactly what the run survived.
+func printPlan(plan *faults.Plan, md bool) {
+	if md {
+		fmt.Println("#### Injected fault schedule")
+		fmt.Println()
+		fmt.Println(plan.MarkdownTable())
+	} else {
+		fmt.Println("Injected fault schedule:")
+		fmt.Println(plan.String())
+	}
 }
 
 // utilzTable renders the fluid utilization snapshot, dropping never-loaded
@@ -572,46 +614,6 @@ func utilzTable(us []fluid.ResourceUtil) *metrics.Table {
 			fmt.Sprintf("%.3g", u.Demand), fmt.Sprintf("%.3f", u.Share), sat)
 	}
 	return t
-}
-
-// parseRailAt reads "name@seconds" (e.g. "roce1@5") and resolves the
-// named link among the front rails.
-func parseRailAt(flagName, s string, links []*fabric.Link) (*fabric.Link, sim.Time, error) {
-	name, atStr, found := strings.Cut(s, "@")
-	if !found {
-		return nil, 0, fmt.Errorf("bad %s %q: want name@seconds, e.g. roce1@5", flagName, s)
-	}
-	at, err := strconv.ParseFloat(atStr, 64)
-	if err != nil || at <= 0 {
-		return nil, 0, fmt.Errorf("bad %s time %q: want a positive virtual second", flagName, atStr)
-	}
-	var names []string
-	for _, l := range links {
-		if l.Cfg.Name == name {
-			return l, sim.Time(at), nil
-		}
-		names = append(names, l.Cfg.Name)
-	}
-	return nil, 0, fmt.Errorf("%s: no front rail named %q (have %s)",
-		flagName, name, strings.Join(names, ", "))
-}
-
-// parseGrayRail reads "name@seconds:severity" (e.g. "roce1@5:0.7") and
-// resolves the named link among the front rails.
-func parseGrayRail(s string, links []*fabric.Link) (*fabric.Link, sim.Time, float64, error) {
-	spec, sevStr, found := strings.Cut(s, ":")
-	if !found {
-		return nil, 0, 0, fmt.Errorf("bad -gray %q: want name@seconds:severity, e.g. roce1@5:0.7", s)
-	}
-	link, at, err := parseRailAt("-gray", spec, links)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	sev, err := strconv.ParseFloat(sevStr, 64)
-	if err != nil || sev <= 0 || sev >= 1 {
-		return nil, 0, 0, fmt.Errorf("bad -gray severity %q: want a fraction in (0, 1) — the sag must be partial, or it is not gray", sevStr)
-	}
-	return link, at, sev, nil
 }
 
 // parseTenants reads "name:weight,name:weight" (weight defaults to 1).
@@ -648,4 +650,11 @@ var traceFlags = map[string]string{
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "xfersched:", err)
 	os.Exit(1)
+}
+
+// badFlag reports a malformed or out-of-range flag value and exits 2, as
+// the flag package does for a value it cannot parse.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, "xfersched:", err)
+	os.Exit(2)
 }

@@ -131,6 +131,17 @@ func fatTreeK(hosts int) int {
 	return k
 }
 
+// TopSwitches returns how many top-stage switches the configured fabric
+// has — spines on leaf-spine, cores on fat-tree: the range of switch
+// indices FailSpine and RestoreSpine accept.
+func (c Config) TopSwitches() int {
+	if c.Topology == fabric.TopoFatTree {
+		half := fatTreeK(c.Hosts) / 2
+		return half * half
+	}
+	return spines
+}
+
 // Validate rejects a configuration the cluster cannot run: no hosts, a
 // zero-shard control plane, a negative or certain-loss drop rate.
 func (c Config) Validate() error {

@@ -2,10 +2,10 @@ package cluster
 
 // Cluster-scale failure domains: crash-stop hosts (with optional cold
 // restart), crash-stop shard controllers with deterministic successor
-// adoption, control-plane partitions, and ECMP re-routing around dead
-// fabric trunks. Cluster implements faults.Sink, so one faults.Plan can
-// schedule link faults and cluster faults together and the whole chaos
-// timeline stays bit-replayable.
+// adoption, control-plane partitions, top-stage switch outages, and ECMP
+// re-routing around dead fabric trunks. Cluster implements faults.Sink, so
+// one faults.Plan can schedule link faults and cluster faults together and
+// the whole chaos timeline stays bit-replayable.
 //
 // The split between physical truth and the control plane's view is the
 // organizing idea: FailHost flips hostDown and darkens the access link at
@@ -204,6 +204,28 @@ func (c *Cluster) HealPartition() {
 	}
 	c.partitioned = false
 	c.Eng.Tracef("cluster", "control plane partition healed")
+}
+
+// FailSpine takes top-stage switch i dark: every trunk to spine i on a
+// leaf-spine fabric, to core i on a fat-tree. Each trunk's failure reroutes
+// the jobs crossing it. Implements faults.Sink.
+func (c *Cluster) FailSpine(i int) { c.eachTrunk(i, (*fabric.Link).Fail) }
+
+// RestoreSpine repairs top-stage switch i's trunks. Implements faults.Sink.
+func (c *Cluster) RestoreSpine(i int) { c.eachTrunk(i, (*fabric.Link).Restore) }
+
+// eachTrunk applies fn to every link into top-stage switch i.
+func (c *Cluster) eachTrunk(i int, fn func(*fabric.Link)) {
+	if n := c.Cfg.TopSwitches(); i < 0 || i >= n {
+		panic(fmt.Sprintf("cluster: top-stage switch %d out of range [0,%d)", i, n))
+	}
+	trunks := c.Topo.SpineLinks
+	if c.Cfg.Topology == fabric.TopoFatTree {
+		trunks = c.Topo.CoreLinks
+	}
+	for _, l := range trunks(i) {
+		fn(l)
+	}
 }
 
 // rerouteAround pulls running jobs off a freshly dead fabric link and

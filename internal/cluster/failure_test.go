@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"e2edt/internal/fabric"
 	"e2edt/internal/faults"
 	"e2edt/internal/sim"
 	"e2edt/internal/trace"
@@ -214,7 +215,7 @@ func TestPermanentDeadDestinationGivesUp(t *testing.T) {
 	j := c.Submit(0, 0, d, 4, float64(units.GB), 0)
 
 	plan := &faults.Plan{}
-	plan.KillHost(4, 0.2)
+	plan.HostOutage(4, 0.2, 0)
 	plan.ApplyTo(eng, c)
 	c.Run()
 
@@ -364,5 +365,38 @@ func TestChaosDeterminism20Seeds(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		})
+	}
+}
+
+// TestFatTreeCoreKillReroutes: on a fat-tree, a spine outage takes a core
+// switch dark — the top stage — and the jobs crossing its trunks reroute.
+// TopSwitches counts exactly the switches the topology built.
+func TestFatTreeCoreKillReroutes(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{Hosts: 54, Shards: 2, Topology: fabric.TopoFatTree, Seed: 7}
+	c, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfg.TopSwitches(), len(c.Topo.Cores); got != want {
+		t.Fatalf("TopSwitches = %d, fat-tree built %d cores", got, want)
+	}
+	if err := Generate(c, WorkloadConfig{Tenants: 108, Jobs: 540, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	plan := &faults.Plan{}
+	plan.SpineOutage(0, 1, 2)
+	plan.ApplyTo(eng, c)
+	c.Run()
+	if c.Report().Reroutes < 1 {
+		t.Fatal("core switch outage rerouted no job")
+	}
+	for _, l := range c.Topo.CoreLinks(0) {
+		if l.Failed() {
+			t.Fatalf("trunk %s still dark after the restore", l.Cfg.Name)
+		}
+	}
+	if err := c.VerifyExactlyOnce(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"e2edt/internal/iser"
 	"e2edt/internal/metrics"
 	"e2edt/internal/numa"
-	"e2edt/internal/pipe"
 	"e2edt/internal/placer"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
@@ -66,61 +65,6 @@ func fioAutoPoint(op iscsi.Op, blockSize int64) (float64, placer.Stats) {
 	return res[0].Bandwidth(), pl.Stats()
 }
 
-// railPlaceOutcome is one rail-kill placement run's measurements.
-type railPlaceOutcome struct {
-	windowRate  float64 // post-kill steady goodput, bytes/s
-	placements  int
-	migrations  int
-	exactlyOnce bool // completed and delivered every byte once
-}
-
-// railPlaceRun drives the S3 kill scenario (rail 1 of 3 dies at 0.5s under
-// a 24 GB, 6-stream transfer) under the given NUMA policy and measures
-// goodput over the post-failover window [w0, w1]. PolicyAuto wires an
-// adaptive placer over the pair's shared fluid simulation.
-func railPlaceRun(policy numa.Policy, tracer sim.Tracer) railPlaceOutcome {
-	size := 24 * float64(units.GB)
-	killAt := sim.Time(500 * sim.Millisecond)
-	w0, w1 := sim.Time(1.0), sim.Time(1.5)
-
-	pair := testbed.NewMotivatingPair()
-	eng := pair.Eng
-	if tracer != nil {
-		eng.SetTracer(tracer)
-	}
-	cfg := rftp.DefaultConfig()
-	cfg.Streams = 6
-	cfg.Checksum = true
-	cfg.Policy = policy
-	var pl *placer.Engine
-	if policy == numa.PolicyAuto {
-		pl = placer.New(pair.A.Sim, placer.DefaultConfig())
-		cfg.Placer = pl
-	}
-	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, cfg, recoveryParams(true),
-		pipe.Zero{}, pipe.Null{}, size, func(sim.Time) { done = true })
-	if err != nil {
-		panic(err)
-	}
-	plan := &faults.Plan{}
-	plan.PermanentFail(pair.Links[1], killAt)
-	plan.Apply(eng)
-	var at0, at1 float64
-	eng.At(w0, func() { at0 = tr.Transferred() })
-	eng.At(w1, func() { at1 = tr.Transferred() })
-	eng.Run()
-	o := railPlaceOutcome{
-		windowRate:  (at1 - at0) / float64(w1-w0),
-		exactlyOnce: done && !tr.Failed() && math.Abs(tr.Transferred()-size) <= 1,
-	}
-	if pl != nil {
-		o.placements = pl.Placements()
-		o.migrations = pl.Migrations()
-	}
-	return o
-}
-
 // AutoPlacement is the adaptive placement scenario (S4): starting from the
 // default spread layout, the placer must rediscover the paper's hand-tuned
 // binding online — ≥95% of PolicyBind throughput on the motivating iperf
@@ -149,26 +93,50 @@ func AutoPlacement() Result {
 	fioAuto, fioStats := fioAutoPoint(iscsi.OpRead, bs)
 
 	// Leg 3 — rail kill: static policies pin (or spread) once and live with
-	// it; the placer re-balances onto the survivors.
-	railStatics := map[string]railPlaceOutcome{
-		"default":    railPlaceRun(numa.PolicyDefault, nil),
-		"bind":       railPlaceRun(numa.PolicyBind, nil),
-		"interleave": railPlaceRun(numa.PolicyInterleave, nil),
+	// it; the placer re-balances onto the survivors. Each run is the S3 kill
+	// scenario (rail 1 of 3 dies at 0.5s under a 24 GB, 6-stream transfer),
+	// measured over the post-failover window [1.0s, 1.5s]. PolicyAuto wires
+	// an adaptive placer over the pair's shared fluid simulation.
+	railPlaceRun := func(policy numa.Policy, tracer sim.Tracer) (pairRun, *placer.Engine) {
+		cfg := rftp.DefaultConfig()
+		cfg.Streams = 6
+		cfg.Checksum = true
+		cfg.Policy = policy
+		var pl *placer.Engine
+		o := runPairFaults(pairSpec{
+			size: 24 * float64(units.GB), cfg: cfg, params: recoveryParams(true),
+			tracer: tracer, w0: 1.0, w1: 1.5,
+			wire: func(p *testbed.MotivatingPair, cfg *rftp.Config) {
+				if policy == numa.PolicyAuto {
+					pl = placer.New(p.A.Sim, placer.DefaultConfig())
+					cfg.Placer = pl
+				}
+			},
+			plan: func(p *testbed.MotivatingPair, plan *faults.Plan) {
+				plan.PermanentFail(p.Links[1], sim.Time(500*sim.Millisecond))
+			},
+		})
+		return o, pl
 	}
-	railAuto := railPlaceRun(numa.PolicyAuto, nil)
+	railStatics := map[string]pairRun{}
+	for _, policy := range []numa.Policy{numa.PolicyDefault, numa.PolicyBind, numa.PolicyInterleave} {
+		railStatics[policy.String()], _ = railPlaceRun(policy, nil)
+	}
+	railAuto, railPlacer := railPlaceRun(numa.PolicyAuto, nil)
 
 	// Determinism: the auto rail-kill scenario replayed must produce a
 	// bit-identical event trace — every placement and migration decision
 	// lands at the same virtual time with the same outcome.
 	h1, h2 := trace.NewHasher(), trace.NewHasher()
-	replays := []railPlaceOutcome{railPlaceRun(numa.PolicyAuto, h1), railPlaceRun(numa.PolicyAuto, h2)}
+	replay1, _ := railPlaceRun(numa.PolicyAuto, h1)
+	replay2, _ := railPlaceRun(numa.PolicyAuto, h2)
 
 	exactlyOnce, bestStatic := true, 0.0
 	for _, o := range railStatics {
 		bestStatic = math.Max(bestStatic, o.windowRate)
 		exactlyOnce = exactlyOnce && o.exactlyOnce
 	}
-	for _, o := range append(replays, railAuto) {
+	for _, o := range []pairRun{replay1, replay2, railAuto} {
 		exactlyOnce = exactlyOnce && o.exactlyOnce
 	}
 
@@ -190,7 +158,7 @@ func AutoPlacement() Result {
 		rail.AddRow(name, units.FormatRate(o.windowRate), "-", "-")
 	}
 	rail.AddRow("auto", units.FormatRate(railAuto.windowRate),
-		fmt.Sprintf("%d", railAuto.placements), fmt.Sprintf("%d", railAuto.migrations))
+		fmt.Sprintf("%d", railPlacer.Placements()), fmt.Sprintf("%d", railPlacer.Migrations()))
 
 	return Result{
 		ID:     "S4",
@@ -204,8 +172,8 @@ func AutoPlacement() Result {
 			{"fio auto placements", "", float64(fioStats.Placements), 1, inf},
 			{"fio auto migrations", "", float64(fioStats.Migrations), -inf, autoMigrationBound},
 			{"post-kill auto over best static goodput", "", railAuto.windowRate / bestStatic, over(1), inf},
-			{"rail-kill auto placements", "", float64(railAuto.placements), 1, inf},
-			{"rail-kill auto migrations", "", float64(railAuto.migrations), -inf, autoMigrationBound},
+			{"rail-kill auto placements", "", float64(railPlacer.Placements()), 1, inf},
+			{"rail-kill auto migrations", "", float64(railPlacer.Migrations()), -inf, autoMigrationBound},
 			gate("every rail-kill run completes exactly once", exactlyOnce),
 			gate("auto rail-kill replay trace identical", sameTrace(h1, h2)),
 		},

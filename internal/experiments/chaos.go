@@ -44,53 +44,84 @@ func recoveryParams(rails bool) rftp.Params {
 	return p
 }
 
-// chaosOutcome is one chaos run's measurements.
-type chaosOutcome struct {
-	elapsed       float64 // seconds from start to completion
-	goodput       float64 // bytes/s over the whole run
-	recoveries    int
-	retransmitted float64
-	meanLat       float64 // mean recovery latency, seconds (0 if none)
-	maxLat        float64
+// pairSpec is one single-pair fault run: a finite RFTP transfer over a
+// fresh 3×40G pair (the §2.3 rig) under a fault plan.
+type pairSpec struct {
+	size   float64
+	cfg    rftp.Config
+	params rftp.Params
+	tracer sim.Tracer // nil: untraced
+	// w0, w1 bound the goodput sampling window; w1 == 0 samples nothing.
+	w0, w1 sim.Time
+	// wire, when set, adjusts the config against the pair before Start.
+	wire func(p *testbed.MotivatingPair, cfg *rftp.Config)
+	// plan, when set, schedules the run's faults over the pair.
+	plan func(p *testbed.MotivatingPair, plan *faults.Plan)
+}
+
+// pairRun is one single-pair fault run's outcome; the transfer carries
+// the recovery, migration, hedge and integrity counters.
+type pairRun struct {
+	tr         *rftp.Transfer
+	doneAt     sim.Time // completion time (0: never completed)
+	goodput    float64  // size over doneAt, bytes/s
+	windowRate float64  // goodput over [w0, w1], bytes/s
 	// exactlyOnce: the transfer completed, never failed over to an
 	// out-of-protocol path, and accounted for every payload byte once.
 	exactlyOnce bool
 }
 
-// chaosRun drives one finite RFTP transfer across a fresh 3×40G pair under
-// the given fault plan (nil = baseline) and audits exactly-once delivery.
-func chaosRun(size float64, plan func(p *testbed.MotivatingPair) *faults.Plan) chaosOutcome {
+// runPairFaults drives one single-pair fault run. The plan is applied
+// after Start, and the window samples are scheduled after the plan, so
+// same-instant ties resolve in that order.
+func runPairFaults(s pairSpec) pairRun {
 	pair := testbed.NewMotivatingPair()
 	eng := pair.Eng
-	var doneAt sim.Time
+	if s.tracer != nil {
+		eng.SetTracer(s.tracer)
+	}
+	cfg := s.cfg
+	if s.wire != nil {
+		s.wire(pair, &cfg)
+	}
+	var r pairRun
 	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, rftp.DefaultConfig(), recoveryParams(false),
-		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { done, doneAt = true, now })
+	tr, err := rftp.Start(pair.Links, pair.A, cfg, s.params,
+		pipe.Zero{}, pipe.Null{}, s.size, func(now sim.Time) { done, r.doneAt = true, now })
 	if err != nil {
 		panic(err)
 	}
-	if plan != nil {
-		plan(pair).Apply(eng)
+	r.tr = tr
+	if s.plan != nil {
+		plan := &faults.Plan{}
+		s.plan(pair, plan)
+		plan.Apply(eng)
+	}
+	var at0, at1 float64
+	if s.w1 > 0 {
+		eng.At(s.w0, func() { at0 = tr.Transferred() })
+		eng.At(s.w1, func() { at1 = tr.Transferred() })
 	}
 	eng.Run()
-	out := chaosOutcome{
-		elapsed:       float64(doneAt),
-		goodput:       size / float64(doneAt),
-		recoveries:    tr.Recoveries,
-		retransmitted: tr.Retransmitted,
-		exactlyOnce:   done && !tr.Failed() && math.Abs(tr.Transferred()-size) <= 1,
+	if s.w1 > 0 {
+		r.windowRate = (at1 - at0) / float64(s.w1-s.w0)
 	}
-	lats := tr.RecoveryLatencies()
+	r.goodput = s.size / float64(r.doneAt)
+	r.exactlyOnce = done && !tr.Failed() && math.Abs(tr.Transferred()-s.size) <= 1
+	return r
+}
+
+// meanMax returns the mean and the largest of latency samples, in
+// seconds (0, 0 for none).
+func meanMax(lats []sim.Duration) (mean, max float64) {
 	for _, l := range lats {
-		out.meanLat += float64(l)
-		if float64(l) > out.maxLat {
-			out.maxLat = float64(l)
-		}
+		mean += float64(l)
+		max = math.Max(max, float64(l))
 	}
 	if len(lats) > 0 {
-		out.meanLat /= float64(len(lats))
+		mean /= float64(len(lats))
 	}
-	return out
+	return mean, max
 }
 
 // ChaosRecovery sweeps seeded fault schedules against a finite RFTP
@@ -110,16 +141,20 @@ func ChaosRecovery() Result {
 	}
 	good := metrics.Series{Name: "goodput-Gbps"}
 	lat := metrics.Series{Name: "mean-recovery-latency-ms"}
-	var base, worst chaosOutcome
+	run := func(plan func(p *testbed.MotivatingPair, plan *faults.Plan)) pairRun {
+		return runPairFaults(pairSpec{size: size, cfg: rftp.DefaultConfig(),
+			params: recoveryParams(false), plan: plan})
+	}
+	var base, worst pairRun
 	exactlyOnce := true
 	for _, mtbf := range chaosMTBFs {
-		var plan func(p *testbed.MotivatingPair) *faults.Plan
+		var plan func(p *testbed.MotivatingPair, plan *faults.Plan)
 		label := "∞ (baseline)"
 		if mtbf > 0 {
 			label = fmt.Sprintf("%.1fs", mtbf)
 			m := mtbf
-			plan = func(p *testbed.MotivatingPair) *faults.Plan {
-				return faults.Chaos(faults.ChaosConfig{
+			plan = func(p *testbed.MotivatingPair, plan *faults.Plan) {
+				*plan = *faults.Chaos(faults.ChaosConfig{
 					Seed:          42,
 					Horizon:       20 * sim.Second,
 					Start:         sim.Time(200 * sim.Millisecond),
@@ -131,7 +166,7 @@ func ChaosRecovery() Result {
 				}, p.Links...)
 			}
 		}
-		o := chaosRun(size, plan)
+		o := run(plan)
 		exactlyOnce = exactlyOnce && o.exactlyOnce
 		if mtbf == 0 {
 			base = o
@@ -141,16 +176,17 @@ func ChaosRecovery() Result {
 		if x == 0 {
 			x = 16 // chart stand-in for the fault-free point
 		}
+		meanLat, maxLat := meanMax(o.tr.RecoveryLatencies())
 		good.Add(x, units.ToGbps(o.goodput))
-		lat.Add(x, o.meanLat*1e3)
+		lat.Add(x, meanLat*1e3)
 		freq.AddRow(
 			label,
-			fmt.Sprintf("%.2fs", o.elapsed),
+			fmt.Sprintf("%.2fs", float64(o.doneAt)),
 			units.FormatRate(o.goodput),
-			fmt.Sprintf("%d", o.recoveries),
-			units.FormatBytes(int64(o.retransmitted)),
-			fmt.Sprintf("%.0fms", o.meanLat*1e3),
-			fmt.Sprintf("%.0fms", o.maxLat*1e3),
+			fmt.Sprintf("%d", o.tr.Recoveries),
+			units.FormatBytes(int64(o.tr.Retransmitted)),
+			fmt.Sprintf("%.0fms", meanLat*1e3),
+			fmt.Sprintf("%.0fms", maxLat*1e3),
 			yesNo(o.exactlyOnce),
 		)
 	}
@@ -163,20 +199,18 @@ func ChaosRecovery() Result {
 	var depthRecoveries, depthRetx float64
 	for _, f := range chaosDepths {
 		frac := f
-		o := chaosRun(size, func(p *testbed.MotivatingPair) *faults.Plan {
-			pl := &faults.Plan{}
-			pl.DegradeWindow(p.Links[0], sim.Time(500*sim.Millisecond), 2*sim.Second, frac)
-			return pl
+		o := run(func(p *testbed.MotivatingPair, plan *faults.Plan) {
+			plan.DegradeWindow(p.Links[0], sim.Time(500*sim.Millisecond), 2*sim.Second, frac)
 		})
 		exactlyOnce = exactlyOnce && o.exactlyOnce
-		depthRecoveries = math.Max(depthRecoveries, float64(o.recoveries))
-		depthRetx = math.Max(depthRetx, o.retransmitted)
+		depthRecoveries = math.Max(depthRecoveries, float64(o.tr.Recoveries))
+		depthRetx = math.Max(depthRetx, o.tr.Retransmitted)
 		depth.AddRow(
 			fmt.Sprintf("%.2f", frac),
-			fmt.Sprintf("%.2fs", o.elapsed),
+			fmt.Sprintf("%.2fs", float64(o.doneAt)),
 			units.FormatRate(o.goodput),
-			fmt.Sprintf("%d", o.recoveries),
-			units.FormatBytes(int64(o.retransmitted)),
+			fmt.Sprintf("%d", o.tr.Recoveries),
+			units.FormatBytes(int64(o.tr.Retransmitted)),
 			yesNo(o.exactlyOnce),
 		)
 	}
@@ -191,7 +225,7 @@ func ChaosRecovery() Result {
 			gate("every run completes exactly once", exactlyOnce),
 			{"largest goodput step as MTBF falls", "", maxStep(good.Values), -inf, 1.01},
 			{"harshest-point goodput penalty vs baseline (%)", "", (1 - worst.goodput/base.goodput) * 100, over(10), inf},
-			{"harshest-point recoveries", "", float64(worst.recoveries), 1, inf},
+			{"harshest-point recoveries", "", float64(worst.tr.Recoveries), 1, inf},
 			{"degradation-only recoveries, most", "", depthRecoveries, 0, 0},
 			{"degradation-only retransmitted bytes, most", "", depthRetx, 0, 0},
 		},

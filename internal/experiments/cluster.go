@@ -7,7 +7,6 @@ import (
 
 	"e2edt/internal/chart"
 	"e2edt/internal/cluster"
-	"e2edt/internal/fabric"
 	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
@@ -18,103 +17,17 @@ func init() {
 	register("S5", ClusterScale)
 }
 
-// ClusterRunSpec parameterizes one cluster scenario run; it is shared by
-// the S5/S6 harnesses, the cmd/xfersched cluster mode and the solver
-// oracle tests, so every consumer measures exactly the same system.
+// ClusterRunSpec parameterizes one cluster scenario run: the cluster, its
+// generated workload (seeded by the cluster's seed) and its faults. It is
+// shared by the S5/S6 harnesses, the cmd/xfersched cluster mode and the
+// solver oracle tests, so every consumer measures exactly the same system.
 type ClusterRunSpec struct {
-	Hosts    int
-	Shards   int
-	Tenants  int
-	Jobs     int
-	DropPct  float64
-	Topology string // "leaf-spine" (default) or "fat-tree"
-	Seed     int64
+	cluster.Config
+	Tenants int
+	Jobs    int
 
-	// Chaos, when non-nil, injects cluster-scale faults into the run.
-	Chaos *ChaosSpec
-
-	// Gray arms the host outlier scorer and the admission shed valve.
-	Gray bool
-}
-
-// ChaosSpec schedules cluster-scale faults: crash-stop hosts (optionally
-// restarting), crash-stop shard controllers, control-plane partitions, and
-// spine-switch outages. Everything is virtual-time-stamped, so the fault
-// timeline is part of the deterministic replay.
-type ChaosSpec struct {
-	HostKills  []HostKill
-	CtrlKills  []CtrlKill
-	Partitions []PartitionSpec
-	SpineKills []SpineKill
-	Limps      []LimpSpec
-}
-
-// LimpSpec puts a host into gray limp mode at At — cores slowed to Factor
-// of nominal speed with heartbeats intact — recovering after For.
-type LimpSpec struct {
-	Host   int
-	At     sim.Time
-	For    sim.Duration
-	Factor float64
-}
-
-// HostKill crash-stops a host at At; Down > 0 cold-restarts it after that
-// long, Down == 0 leaves it dead.
-type HostKill struct {
-	Host int
-	At   sim.Time
-	Down sim.Duration
-}
-
-// CtrlKill permanently crash-stops a shard controller at At.
-type CtrlKill struct {
-	Shard int
-	At    sim.Time
-}
-
-// PartitionSpec severs the listed shards from the rest of the control
-// plane at At, healing after For.
-type PartitionSpec struct {
-	Shards []int
-	At     sim.Time
-	For    sim.Duration
-}
-
-// SpineKill fails every trunk of one spine switch at At; Down > 0 repairs
-// them after that long, Down == 0 leaves the spine dark.
-type SpineKill struct {
-	Spine int
-	At    sim.Time
-	Down  sim.Duration
-}
-
-// Validate rejects contradictory host-side chaos timelines — overlapping
-// outage or limp windows, or a crash-stop scheduled inside a limp window —
-// before a run silently resolves them last-writer-wins. Link-side events
-// (spine kills) target disjoint links per spine and are checked again when
-// the full plan is assembled.
-func (s *ChaosSpec) Validate() error { return s.hostPlan().Validate() }
-
-// hostPlan builds the host- and control-plane side of the timeline.
-func (s *ChaosSpec) hostPlan() *faults.Plan {
-	plan := &faults.Plan{}
-	for _, k := range s.HostKills {
-		if k.Down > 0 {
-			plan.HostOutage(k.Host, k.At, k.Down)
-		} else {
-			plan.KillHost(k.Host, k.At)
-		}
-	}
-	for _, k := range s.CtrlKills {
-		plan.KillController(k.Shard, k.At)
-	}
-	for _, p := range s.Partitions {
-		plan.PartitionWindow(p.Shards, p.At, p.For)
-	}
-	for _, l := range s.Limps {
-		plan.LimpWindow(l.Host, l.At, l.For, l.Factor)
-	}
-	return plan
+	// Chaos, when non-empty, injects cluster-scale faults into the run.
+	Chaos *faults.Plan
 }
 
 // ClusterRunResult is one run's outcome: the cluster report plus the
@@ -141,21 +54,7 @@ func RunClusterPoint(spec ClusterRunSpec) ClusterRunResult {
 	eng := sim.NewEngine()
 	h := trace.NewHasher()
 	eng.SetTracer(h)
-	cfg := cluster.Config{
-		Hosts:   spec.Hosts,
-		Shards:  spec.Shards,
-		DropPct: spec.DropPct,
-		Gray:    spec.Gray,
-		Seed:    spec.Seed,
-	}
-	if spec.Topology != "" {
-		kind, err := fabric.ParseTopoKind(spec.Topology)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Topology = kind
-	}
-	c, err := cluster.New(eng, cfg)
+	c, err := cluster.New(eng, spec.Config)
 	if err != nil {
 		panic(err)
 	}
@@ -166,22 +65,7 @@ func RunClusterPoint(spec ClusterRunSpec) ClusterRunResult {
 	}); err != nil {
 		panic(err)
 	}
-	if spec.Chaos != nil {
-		plan := spec.Chaos.hostPlan()
-		for _, k := range spec.Chaos.SpineKills {
-			for _, l := range c.Topo.SpineLinks(k.Spine) {
-				if k.Down > 0 {
-					plan.FailWindow(l, k.At, k.Down)
-				} else {
-					plan.PermanentFail(l, k.At)
-				}
-			}
-		}
-		if err := plan.Validate(); err != nil {
-			panic(err)
-		}
-		plan.ApplyTo(eng, c)
-	}
+	spec.Chaos.ApplyTo(eng, c)
 	t0 := time.Now()
 	c.Run()
 	return ClusterRunResult{
@@ -214,12 +98,9 @@ func ClusterScale() Result {
 	replayed := false
 	for _, hosts := range []int{100, 300, 1000} {
 		spec := ClusterRunSpec{
-			Hosts:   hosts,
-			Shards:  8,
+			Config:  cluster.Config{Hosts: hosts, Shards: 8, DropPct: 5, Seed: seed},
 			Tenants: 10 * hosts,
 			Jobs:    20 * hosts,
-			DropPct: 5,
-			Seed:    seed,
 		}
 		res := RunClusterPoint(spec)
 		rep := res.Report
@@ -249,12 +130,9 @@ func ClusterScale() Result {
 	worstP99 := 0.0
 	for _, shards := range []int{1, 2, 4, 8} {
 		res := RunClusterPoint(ClusterRunSpec{
-			Hosts:   300,
-			Shards:  shards,
+			Config:  cluster.Config{Hosts: 300, Shards: shards, DropPct: 5, Seed: seed},
 			Tenants: 3000,
 			Jobs:    6000,
-			DropPct: 5,
-			Seed:    seed,
 		})
 		rep := res.Report
 		worstP99 = math.Max(worstP99, rep.DecisionP99us)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"e2edt/internal/cluster"
+	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
 )
@@ -41,12 +43,9 @@ func chaosRow(tbl *metrics.Table, name string, res ClusterRunResult, baseline Cl
 func ClusterChaos() Result {
 	const seed = 4242
 	base := ClusterRunSpec{
-		Hosts:   100,
-		Shards:  8,
+		Config:  cluster.Config{Hosts: 100, Shards: 8, DropPct: 2, Seed: seed},
 		Tenants: 400,
 		Jobs:    1200,
-		DropPct: 2,
-		Seed:    seed,
 	}
 	baseline := RunClusterPoint(base)
 	T := baseline.Report.VirtualSeconds
@@ -59,19 +58,17 @@ func ClusterChaos() Result {
 
 	// Scenario 1: host crash at 0.3 T (8 s outage) + leader kill at 0.6 T.
 	crash := base
-	crash.Chaos = &ChaosSpec{
-		HostKills: []HostKill{{Host: 7, At: sim.Time(0.3 * T), Down: 8}},
-		CtrlKills: []CtrlKill{{Shard: 0, At: sim.Time(0.6 * T)}},
-	}
+	crash.Chaos = &faults.Plan{}
+	crash.Chaos.HostOutage(7, sim.Time(0.3*T), 8)
+	crash.Chaos.KillController(0, sim.Time(0.6*T))
 	crashRes, crashReplayed := runPair(crash)
 
 	// Scenario 2: control-plane partition (shards 5–7 severed for 8 s) plus
 	// a spine switch dark for 5 s, forcing ECMP detours mid-transfer.
 	part := base
-	part.Chaos = &ChaosSpec{
-		Partitions: []PartitionSpec{{Shards: []int{5, 6, 7}, At: sim.Time(0.25 * T), For: 8}},
-		SpineKills: []SpineKill{{Spine: 1, At: sim.Time(0.4 * T), Down: 5}},
-	}
+	part.Chaos = &faults.Plan{}
+	part.Chaos.PartitionWindow([]int{5, 6, 7}, sim.Time(0.25*T), 8)
+	part.Chaos.SpineOutage(1, sim.Time(0.4*T), 5)
 	partRes, partReplayed := runPair(part)
 	cr, pr := crashRes.Report, partRes.Report
 

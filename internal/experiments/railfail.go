@@ -7,7 +7,6 @@ import (
 	"e2edt/internal/chart"
 	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
-	"e2edt/internal/pipe"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
@@ -17,84 +16,6 @@ import (
 
 func init() {
 	register("S3", RailFailover)
-}
-
-// railOutcome is one failover run's measurements.
-type railOutcome struct {
-	elapsed    float64
-	windowRate float64 // goodput over the steady-state window, bytes/s
-	migrations int
-	failbacks  int
-	maxMigLat  float64 // seconds
-	readmits   int
-	deaths     int
-	// exactlyOnce: the transfer completed and delivered every byte once.
-	exactlyOnce bool
-}
-
-// railRun drives one 24 GB transfer over the 3×40G pair under a fault
-// plan, measuring steady-state goodput over [w0, w1] (both rails settled).
-func railRun(size float64, w0, w1 sim.Time, tracer sim.Tracer,
-	plan func(p *testbed.MotivatingPair) *faults.Plan) railOutcome {
-	pair := testbed.NewMotivatingPair()
-	eng := pair.Eng
-	if tracer != nil {
-		eng.SetTracer(tracer)
-	}
-	var doneAt sim.Time
-	done := false
-	cfg := rftp.DefaultConfig()
-	cfg.Streams = 6
-	tr, err := rftp.Start(pair.Links, pair.A, cfg, recoveryParams(true),
-		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { done, doneAt = true, now })
-	if err != nil {
-		panic(err)
-	}
-	if plan != nil {
-		plan(pair).Apply(eng)
-	}
-	var at0, at1 float64
-	eng.At(w0, func() { at0 = tr.Transferred() })
-	eng.At(w1, func() { at1 = tr.Transferred() })
-	eng.Run()
-	o := railOutcome{
-		elapsed:     float64(doneAt),
-		windowRate:  (at1 - at0) / float64(w1-w0),
-		migrations:  tr.Migrations,
-		failbacks:   tr.Failbacks,
-		exactlyOnce: done && !tr.Failed() && math.Abs(tr.Transferred()-size) <= 1,
-	}
-	for _, l := range tr.MigrationLatencies() {
-		if float64(l) > o.maxMigLat {
-			o.maxMigLat = float64(l)
-		}
-	}
-	if m := tr.Rails(); m != nil {
-		o.readmits = m.Readmissions
-		o.deaths = m.Deaths
-	}
-	return o
-}
-
-// corruptionRun drives one transfer with n seeded silent corruptions and
-// reports what the integrity plane saw.
-func corruptionRun(size float64, checksum bool, n int) (detected, violations int, retx, delivered float64, completed bool) {
-	pair := testbed.NewMotivatingPair()
-	cfg := rftp.DefaultConfig()
-	cfg.Checksum = checksum
-	done := false
-	tr, err := rftp.Start(pair.Links, pair.A, cfg, recoveryParams(true),
-		pipe.Zero{}, pipe.Null{}, size, func(sim.Time) { done = true })
-	if err != nil {
-		panic(err)
-	}
-	pl := &faults.Plan{}
-	for i := 0; i < n; i++ {
-		pl.Corrupt(pair.Links[i%len(pair.Links)], sim.Time(0.2+0.15*float64(i)))
-	}
-	pl.Apply(pair.Eng)
-	pair.Eng.Run()
-	return tr.CorruptionsDetected, tr.IntegrityViolations, tr.Retransmitted, tr.Transferred(), done
 }
 
 // RailFailover is the multipath robustness scenario: one of three rails
@@ -111,32 +32,28 @@ func RailFailover() Result {
 	// Steady-state window: after migration has settled, before completion.
 	w0, w1 := sim.Time(1.0), sim.Time(1.5)
 
-	base := railRun(size, w0, w1, nil, nil)
-	kill := railRun(size, w0, w1, nil, func(p *testbed.MotivatingPair) *faults.Plan {
-		pl := &faults.Plan{}
-		pl.PermanentFail(p.Links[1], killAt)
-		return pl
-	})
-	heal := railRun(size, w0, w1, nil, func(p *testbed.MotivatingPair) *faults.Plan {
-		pl := &faults.Plan{}
-		pl.FailWindow(p.Links[1], killAt, sim.Duration(1.5*float64(sim.Second)))
-		return pl
+	cfg := rftp.DefaultConfig()
+	cfg.Streams = 6
+	run := func(tracer sim.Tracer, plan func(p *testbed.MotivatingPair, plan *faults.Plan)) pairRun {
+		return runPairFaults(pairSpec{size: size, cfg: cfg, params: recoveryParams(true),
+			tracer: tracer, w0: w0, w1: w1, plan: plan})
+	}
+	killPlan := func(p *testbed.MotivatingPair, plan *faults.Plan) { plan.PermanentFail(p.Links[1], killAt) }
+	base := run(nil, nil)
+	kill := run(nil, killPlan)
+	heal := run(nil, func(p *testbed.MotivatingPair, plan *faults.Plan) {
+		plan.FailWindow(p.Links[1], killAt, sim.Duration(1.5*float64(sim.Second)))
 	})
 
 	// Determinism: the kill scenario replayed must produce a bit-identical
 	// event trace.
-	mkPlan := func(p *testbed.MotivatingPair) *faults.Plan {
-		pl := &faults.Plan{}
-		pl.PermanentFail(p.Links[1], killAt)
-		return pl
-	}
 	h1, h2 := trace.NewHasher(), trace.NewHasher()
-	runs := []railOutcome{base, kill, heal,
-		railRun(size, w0, w1, h1, mkPlan), railRun(size, w0, w1, h2, mkPlan)}
+	runs := []pairRun{base, kill, heal, run(h1, killPlan), run(h2, killPlan)}
 	exactlyOnce, maxMigLat := true, 0.0
 	for _, o := range runs {
 		exactlyOnce = exactlyOnce && o.exactlyOnce
-		maxMigLat = math.Max(maxMigLat, o.maxMigLat)
+		_, migLat := meanMax(o.tr.MigrationLatencies())
+		maxMigLat = math.Max(maxMigLat, migLat)
 	}
 
 	failover := metrics.Table{
@@ -146,21 +63,22 @@ func RailFailover() Result {
 	}
 	for _, row := range []struct {
 		name string
-		o    railOutcome
+		o    pairRun
 	}{
 		{"baseline (no faults)", base},
 		{"kill (permanent)", kill},
 		{"kill + repair at 2.0s", heal},
 	} {
+		_, migLat := meanMax(row.o.tr.MigrationLatencies())
 		failover.AddRow(
 			row.name,
-			fmt.Sprintf("%.2fs", row.o.elapsed),
+			fmt.Sprintf("%.2fs", float64(row.o.doneAt)),
 			units.FormatRate(row.o.windowRate),
-			fmt.Sprintf("%d", row.o.migrations),
-			fmt.Sprintf("%d", row.o.failbacks),
-			fmt.Sprintf("%.1fms", row.o.maxMigLat*1e3),
-			fmt.Sprintf("%d", row.o.deaths),
-			fmt.Sprintf("%d", row.o.readmits),
+			fmt.Sprintf("%d", row.o.tr.Migrations),
+			fmt.Sprintf("%d", row.o.tr.Failbacks),
+			fmt.Sprintf("%.1fms", migLat*1e3),
+			fmt.Sprintf("%d", row.o.tr.Rails().Deaths),
+			fmt.Sprintf("%d", row.o.tr.Rails().Readmissions),
 			yesNo(row.o.exactlyOnce),
 		)
 	}
@@ -173,8 +91,17 @@ func RailFailover() Result {
 			"retransmitted", "delivered", "verdict"},
 	}
 	var claims []Claim
+	corrupt := func(p *testbed.MotivatingPair, plan *faults.Plan) {
+		for i := 0; i < nCorrupt; i++ {
+			plan.Corrupt(p.Links[i%len(p.Links)], sim.Time(0.2+0.15*float64(i)))
+		}
+	}
 	for _, on := range []bool{true, false} {
-		det, vio, retx, delivered, completed := corruptionRun(corrSize, on, nCorrupt)
+		cfg := rftp.DefaultConfig()
+		cfg.Checksum = on
+		o := runPairFaults(pairSpec{size: corrSize, cfg: cfg, params: recoveryParams(true), plan: corrupt})
+		det, vio, retx := o.tr.CorruptionsDetected, o.tr.IntegrityViolations, o.tr.Retransmitted
+		completed := o.doneAt > 0
 		mode := "checksum off: "
 		if on {
 			mode = "checksum on: "
@@ -198,7 +125,7 @@ func RailFailover() Result {
 			fmt.Sprintf("%d", det),
 			fmt.Sprintf("%d", vio),
 			units.FormatBytes(int64(retx)),
-			units.FormatBytes(int64(delivered)),
+			units.FormatBytes(int64(o.tr.Transferred())),
 			verdict,
 		)
 	}
@@ -220,9 +147,9 @@ func RailFailover() Result {
 			{"worst migration latency (ms)", "", maxMigLat * 1e3, -inf,
 				(float64(recoveryParams(true).AckTimeout) + 0.05) * 1e3},
 			{"post-kill goodput over 2/3 of baseline", "", kill.windowRate / (base.windowRate * 2 / 3), 0.9, 1.1},
-			{"kill: streams migrated", "", float64(kill.migrations), 2, inf},
-			{"repair: failbacks", "", float64(heal.failbacks), 1, inf},
-			{"repair: readmissions", "", float64(heal.readmits), 1, inf},
+			{"kill: streams migrated", "", float64(kill.tr.Migrations), 2, inf},
+			{"repair: failbacks", "", float64(heal.tr.Failbacks), 1, inf},
+			{"repair: readmissions", "", float64(heal.tr.Rails().Readmissions), 1, inf},
 			gate("kill replay trace identical", sameTrace(h1, h2)),
 		}, claims...),
 		Notes: []string{

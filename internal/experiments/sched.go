@@ -5,6 +5,7 @@ import (
 
 	"e2edt/internal/chart"
 	"e2edt/internal/core"
+	"e2edt/internal/faults"
 	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
@@ -54,7 +55,9 @@ func schedRun(jobsPerMin float64, jobs int, failAt sim.Time, failFor sim.Duratio
 	s.WithTenantWeights(tc.Tenants)
 	s.SubmitTrace(xfersched.GenerateTrace(tc))
 	if failAt > 0 {
-		s.FailLink(sys.TB.FrontLinks[0], failAt, failFor)
+		outage := &faults.Plan{}
+		outage.FailWindow(sys.TB.FrontLinks[0], failAt, failFor)
+		s.ApplyFaults(outage)
 	}
 	drained := s.RunToCompletion(2 * 3600 * sim.Second)
 	return s.Report(), drained

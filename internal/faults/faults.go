@@ -8,21 +8,23 @@
 //
 // Beyond link faults, a plan can schedule cluster-scale failure domains:
 // crash-stop host failures (with optional cold restart), shard-controller
-// crashes, and control-plane partitions. Those events have no fabric.Link
-// target; they are delivered to a Sink — implemented by internal/cluster —
-// through ApplyTo, keeping the whole failure schedule in one replayable
-// data structure.
+// crashes, control-plane partitions, host limps and top-stage switch
+// outages. Those events have no fabric.Link target; they are delivered to a
+// Sink — implemented by internal/cluster — through ApplyTo, keeping the
+// whole failure schedule in one replayable data structure.
 //
 // Two ways to build a plan: compose windows by hand (FailWindow,
-// DegradeWindow, Burst, HostOutage, KillController, PartitionWindow) for
-// acceptance tests, or draw a link-fault schedule from a seeded generator
-// (Chaos) for sweep experiments.
+// DegradeWindow, Burst, HostOutage, KillController, PartitionWindow,
+// SpineOutage) for acceptance tests and scenarios, or draw a link-fault
+// schedule from a seeded generator (Chaos) for sweep experiments. Either
+// way, ApplyTo runs Validate first: a contradictory plan never runs.
 package faults
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,6 +81,11 @@ const (
 	// core runs at Fraction × speed. The host stays alive, heartbeats and
 	// all — it just limps. Fraction 1 clears it. Delivered to a Sink.
 	LimpHost
+	// SpineFail takes a top-stage switch dark: every trunk to it fails at
+	// once, so the fabric's ECMP routes around it. Delivered to a Sink.
+	SpineFail
+	// SpineRestore repairs a dark top-stage switch's trunks.
+	SpineRestore
 )
 
 // String names the kind for traces and report tables.
@@ -110,6 +117,10 @@ func (k Kind) String() string {
 		return "silent-loss"
 	case LimpHost:
 		return "limp-host"
+	case SpineFail:
+		return "spine-fail"
+	case SpineRestore:
+		return "spine-restore"
 	default:
 		return "error-burst"
 	}
@@ -121,28 +132,20 @@ type Event struct {
 	At sim.Time
 	// Kind selects the action.
 	Kind Kind
-	// Link is the target link (link kinds only; nil for cluster kinds).
+	// Link is the target link of a link kind; nil marks a cluster kind,
+	// which needs a Sink.
 	Link *fabric.Link
 	// Fraction is the capacity fraction for LinkDegrade (ignored
 	// otherwise); Degrade(1) clears a standing degradation.
 	Fraction float64
-	// Host is the target host id (HostFail/HostRestore/LimpHost) or shard
-	// id (CtrlFail).
+	// Host is the target host id (HostFail/HostRestore/LimpHost), shard
+	// id (CtrlFail) or top-stage switch index (SpineFail/SpineRestore).
 	Host int
 	// Shards lists the shard ids severed from the rest by PartitionStart.
 	Shards []int
 	// Every is the SilentLoss cadence: every Every-th control message is
 	// dropped (0 clears the injection).
 	Every int
-}
-
-// clusterKind reports whether the event needs a Sink rather than a Link.
-func (ev Event) clusterKind() bool {
-	switch ev.Kind {
-	case HostFail, HostRestore, CtrlFail, PartitionStart, PartitionHeal, LimpHost:
-		return true
-	}
-	return false
 }
 
 // target names the event's subject for logs and tables.
@@ -156,6 +159,8 @@ func (ev Event) target() string {
 		return fmt.Sprintf("shards %v", ev.Shards)
 	case PartitionHeal:
 		return "control plane"
+	case SpineFail, SpineRestore:
+		return fmt.Sprintf("spine %d", ev.Host)
 	}
 	return "link " + ev.Link.Cfg.Name
 }
@@ -177,6 +182,10 @@ type Sink interface {
 	// LimpHost inflates host id's service time: cores run at factor ×
 	// speed (factor 1 restores full speed). The host stays alive.
 	LimpHost(id int, factor float64)
+	// FailSpine takes top-stage switch i dark (every trunk to it fails).
+	FailSpine(i int)
+	// RestoreSpine repairs top-stage switch i's trunks.
+	RestoreSpine(i int)
 }
 
 // Plan is an ordered fault schedule.
@@ -228,17 +237,13 @@ func (p *Plan) PermanentFail(l *fabric.Link, at sim.Time) {
 	p.Add(Event{At: at, Kind: LinkFail, Link: l})
 }
 
-// KillHost schedules a crash-stop failure of host id that is never
-// repaired within the plan.
-func (p *Plan) KillHost(id int, at sim.Time) {
-	p.Add(Event{At: at, Kind: HostFail, Host: id})
-}
-
 // HostOutage schedules a crash-stop failure of host id at from, followed by
-// a cold restart after down.
+// a cold restart after down; down == 0 never restarts it.
 func (p *Plan) HostOutage(id int, from sim.Time, down sim.Duration) {
 	p.Add(Event{At: from, Kind: HostFail, Host: id})
-	p.Add(Event{At: from + sim.Time(down), Kind: HostRestore, Host: id})
+	if down > 0 {
+		p.Add(Event{At: from + sim.Time(down), Kind: HostRestore, Host: id})
+	}
 }
 
 // KillController schedules a permanent crash-stop of shard controller k.
@@ -301,6 +306,15 @@ func (p *Plan) SilentLossWindow(l *fabric.Link, from sim.Time, window sim.Durati
 	p.Add(Event{At: from + sim.Time(window), Kind: SilentLoss, Link: l, Every: 0})
 }
 
+// SpineOutage schedules top-stage switch i dark at from; down > 0 repairs
+// it after that long, down == 0 leaves it dark for the rest of the run.
+func (p *Plan) SpineOutage(i int, from sim.Time, down sim.Duration) {
+	p.Add(Event{At: from, Kind: SpineFail, Host: i})
+	if down > 0 {
+		p.Add(Event{At: from + sim.Time(down), Kind: SpineRestore, Host: i})
+	}
+}
+
 // LimpWindow schedules CPU/memory service-time inflation on host id over
 // [from, from+window): cores run at factor × speed, then recover. factor
 // must be in (0, 1).
@@ -313,21 +327,27 @@ func (p *Plan) LimpWindow(id int, from sim.Time, window sim.Duration, factor flo
 }
 
 // Apply schedules every event on the engine. Call before Run; events in
-// the past panic (the engine refuses to schedule before now). Plans that
-// contain cluster-scale events (host/controller/partition) need ApplyTo.
+// the past panic (the engine refuses to schedule before now), and so does
+// a plan Validate rejects. Plans that contain cluster-scale events
+// (host/controller/partition/limp/spine) need ApplyTo.
 func (p *Plan) Apply(eng *sim.Engine) { p.ApplyTo(eng, nil) }
 
-// ApplyTo schedules every event on the engine, delivering cluster-scale
-// events to sink. A plan with cluster events and a nil sink panics: the
-// schedule names failure domains nobody models.
+// ApplyTo validates the plan and schedules every event on the engine,
+// delivering cluster-scale events to sink. It panics with Validate's error
+// on a contradictory plan — callers holding outside input validate it
+// themselves first, for a clean error — and on a plan with cluster events
+// and a nil sink: the schedule names failure domains nobody models.
 func (p *Plan) ApplyTo(eng *sim.Engine, sink Sink) {
 	if p.Empty() {
 		return
 	}
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	p.sortEvents()
 	for _, ev := range p.Events {
 		ev := ev
-		if ev.clusterKind() && sink == nil {
+		if ev.Link == nil && sink == nil {
 			panic(fmt.Sprintf("faults: plan schedules %s for %s but no Sink was given; use ApplyTo", ev.Kind, ev.target()))
 		}
 		eng.At(ev.At, func() {
@@ -368,6 +388,10 @@ func (p *Plan) ApplyTo(eng *sim.Engine, sink Sink) {
 				sink.HealPartition()
 			case LimpHost:
 				sink.LimpHost(ev.Host, ev.Fraction)
+			case SpineFail:
+				sink.FailSpine(ev.Host)
+			case SpineRestore:
+				sink.RestoreSpine(ev.Host)
 			}
 		})
 	}
@@ -437,7 +461,11 @@ type ChaosConfig struct {
 // Chaos draws a fault schedule from cfg over the given links. Each fault
 // picks a link uniformly; interarrival times and window lengths are
 // exponential. Windows are clamped so every injected outage is repaired
-// within the horizon (the plan always ends with every link healthy).
+// within the horizon (the plan always ends with every link healthy). A
+// drawn fault that would make the plan fail Validate — a flap inside an
+// outage, a degrade edge or burst on a dark link — is dropped after its
+// draws are taken, so the plan is valid and every later draw is the one
+// the seed would give without the check.
 func Chaos(cfg ChaosConfig, links ...*fabric.Link) *Plan {
 	if len(links) == 0 {
 		panic("faults: Chaos needs at least one link")
@@ -460,6 +488,7 @@ func Chaos(cfg ChaosConfig, links ...*fabric.Link) *Plan {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := &Plan{}
+	state := make([]chaosLink, len(links))
 	end := cfg.Start + sim.Time(cfg.Horizon)
 	at := cfg.Start
 	for {
@@ -467,7 +496,8 @@ func Chaos(cfg ChaosConfig, links ...*fabric.Link) *Plan {
 		if at >= end {
 			break
 		}
-		l := links[rng.Intn(len(links))]
+		li := rng.Intn(len(links))
+		l, st := links[li], &state[li]
 		window := sim.Duration(rng.ExpFloat64() * float64(cfg.MeanOutage))
 		if minW := sim.Duration(float64(cfg.MeanOutage) / 10); window < minW {
 			window = minW
@@ -475,11 +505,25 @@ func Chaos(cfg ChaosConfig, links ...*fabric.Link) *Plan {
 		if at+sim.Time(window) > end {
 			window = sim.Duration(end - at)
 		}
+		until := at + sim.Time(window)
+		dark := func(t sim.Time) bool { return t > st.outFrom && t < st.outTo }
 		switch pick := rng.Float64() * wSum; {
 		case pick < cfg.FlapWeight:
-			p.FailWindow(l, at, window)
+			// An outage starts at or after the last one ends and covers no
+			// degrade recovery edge; one at until was added first, so it
+			// fires before the restore, on a dark link.
+			st.recoveries = slices.DeleteFunc(st.recoveries, func(t sim.Time) bool { return t <= at })
+			if at >= st.outTo && !slices.ContainsFunc(st.recoveries, func(t sim.Time) bool { return t <= until }) {
+				st.outFrom, st.outTo = at, until
+				p.FailWindow(l, at, window)
+			}
+		case dark(at):
+			// A degrade, burst or corruption on a dark link is dropped.
 		case pick < cfg.FlapWeight+cfg.DegradeWeight:
-			p.DegradeWindow(l, at, window, cfg.DegradeFraction)
+			if !dark(until) {
+				st.recoveries = append(st.recoveries, until)
+				p.DegradeWindow(l, at, window, cfg.DegradeFraction)
+			}
 		case pick < cfg.FlapWeight+cfg.DegradeWeight+cfg.BurstWeight:
 			p.Burst(l, at)
 		default:
@@ -488,4 +532,13 @@ func Chaos(cfg ChaosConfig, links ...*fabric.Link) *Plan {
 	}
 	p.sortEvents()
 	return p
+}
+
+// chaosLink is what Chaos keeps about one link's accepted faults to apply
+// Validate's rules draw by draw. Draw times only grow and accepted outages
+// never overlap, so only the latest outage can contain a new event, and
+// only a degrade window's recovery edge can lie ahead of the draw time.
+type chaosLink struct {
+	outFrom, outTo sim.Time   // the latest outage window
+	recoveries     []sim.Time // degrade recovery edges, pruned at each flap
 }

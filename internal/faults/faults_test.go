@@ -120,7 +120,7 @@ func TestPlanRendering(t *testing.T) {
 	if !strings.Contains(md, "| 2.0000 | degrade | link wan | 0.5 |") {
 		t.Fatalf("markdown table malformed:\n%s", md)
 	}
-	p.KillHost(3, 4)
+	p.HostOutage(3, 4, 0)
 	p.KillController(1, 5)
 	p.PartitionWindow([]int{2, 3}, 6, 2)
 	md = p.MarkdownTable()
@@ -153,11 +153,14 @@ func (r *recordingSink) HealPartition() { r.got = append(r.got, "heal") }
 func (r *recordingSink) LimpHost(id int, factor float64) {
 	r.got = append(r.got, sinkEvent("limp-host", id))
 }
+func (r *recordingSink) FailSpine(i int)    { r.got = append(r.got, sinkEvent("fail-spine", i)) }
+func (r *recordingSink) RestoreSpine(i int) { r.got = append(r.got, sinkEvent("restore-spine", i)) }
 
 func sinkEvent(what string, n int) string { return what + ":" + string(rune('0'+n)) }
 
-// TestApplyToDeliversClusterEvents: host/controller/partition events reach
-// the sink at their scheduled times, interleaved correctly with link events.
+// TestApplyToDeliversClusterEvents: host/controller/partition/spine events
+// reach the sink at their scheduled times, interleaved correctly with link
+// events.
 func TestApplyToDeliversClusterEvents(t *testing.T) {
 	eng, l := testLink("roce")
 	p := &Plan{}
@@ -165,11 +168,14 @@ func TestApplyToDeliversClusterEvents(t *testing.T) {
 	p.FailWindow(l, 2, 1) // link fail @2, restore @3
 	p.KillController(1, 5)
 	p.PartitionWindow([]int{3}, 6, 2) // partition @6, heal @8
+	p.SpineOutage(1, 7, 2)            // spine dark @7, repaired @9
+	p.SpineOutage(0, 10, 0)           // spine dark @10 for good
 	sink := &recordingSink{}
 	p.ApplyTo(eng, sink)
 	eng.Run()
 	want := []string{
-		"fail-host:2", "restore-host:2", "fail-ctrl:1", "partition:1", "heal",
+		"fail-host:2", "restore-host:2", "fail-ctrl:1", "partition:1",
+		"fail-spine:1", "heal", "restore-spine:1", "fail-spine:0",
 	}
 	if !reflect.DeepEqual(sink.got, want) {
 		t.Fatalf("sink deliveries = %v, want %v", sink.got, want)
@@ -184,13 +190,58 @@ func TestApplyToDeliversClusterEvents(t *testing.T) {
 func TestApplyPanicsOnClusterEventsWithoutSink(t *testing.T) {
 	eng, _ := testLink("roce")
 	p := &Plan{}
-	p.KillHost(0, 1)
+	p.HostOutage(0, 1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Apply with cluster events and no sink did not panic")
 		}
 	}()
 	p.Apply(eng)
+}
+
+// TestApplyPanicsOnInvalidPlan: ApplyTo enforces Validate, panicking with
+// the validator's own error before anything is scheduled.
+func TestApplyPanicsOnInvalidPlan(t *testing.T) {
+	eng, l := testLink("roce")
+	p := &Plan{}
+	p.FailWindow(l, 1, 4)
+	p.FailWindow(l, 2, 1) // second outage inside the first
+	want := p.Validate()
+	if want == nil {
+		t.Fatal("overlapping outages validated")
+	}
+	pending := eng.Pending()
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || err.Error() != want.Error() {
+			t.Fatalf("ApplyTo panic = %v, want the validator's %q", err, want)
+		}
+		if got := eng.Pending() - pending; got != 0 {
+			t.Fatalf("%d events scheduled before the panic", got)
+		}
+	}()
+	p.Apply(eng)
+}
+
+// TestChaosPlansValidate: every plan the generator draws passes Validate,
+// across the S2 fault mix on three links, 200 seeds and four fault rates.
+// Overlapping draws (a flap inside an outage, a degrade edge on a dark
+// link) are dropped rather than silently cut short at run time.
+func TestChaosPlansValidate(t *testing.T) {
+	_, a := testLink("roce0")
+	_, b := testLink("roce1")
+	_, c := testLink("roce2")
+	for seed := int64(1); seed <= 200; seed++ {
+		for _, mtbf := range []sim.Duration{0.5, 1, 2, 4} {
+			p := Chaos(ChaosConfig{
+				Seed: seed, Horizon: 20, Start: 0.2, MeanBetween: mtbf, MeanOutage: 0.3,
+				FlapWeight: 3, DegradeWeight: 1, BurstWeight: 1,
+			}, a, b, c)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("seed %d, MTBF %gs: %v", seed, float64(mtbf), err)
+			}
+		}
+	}
 }
 
 // TestPermanentFailNeverRestores: the plan ends with the link still dark,

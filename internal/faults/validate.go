@@ -18,7 +18,8 @@ import (
 //   - degrading, gray-sagging, jittering or loss-injecting a link strictly
 //     inside one of its outage windows (the link is dark; the injection is
 //     dead code until the restore rewrites it);
-//   - two outage windows overlapping on one host, or two limp windows;
+//   - two outage windows overlapping on one host, on one top-stage
+//     switch, or two limp windows on one host;
 //   - crash-stopping a host strictly inside one of its LimpHost windows
 //     (the limp's recovery edge would fire on a corpse);
 //   - opening a control-plane partition while one is already open.
@@ -36,41 +37,47 @@ func (p *Plan) Validate() error {
 
 	inf := sim.Time(math.Inf(1))
 	type window struct{ from, to sim.Time }
-	linkOut := map[*fabric.Link]*window{} // open outage per link
-	hostOut := map[int]*window{}          // open outage per host
-	hostLimp := map[int]*window{}         // open limp per host
+	// target keys an outage: its link, or its host or top-stage switch id
+	// under the kind that opens it.
+	type target struct {
+		link *fabric.Link
+		kind Kind
+		id   int
+	}
+	outage := func(ev Event) target {
+		switch ev.Kind {
+		case HostFail, HostRestore, LimpHost:
+			return target{kind: HostFail, id: ev.Host}
+		case SpineFail, SpineRestore:
+			return target{kind: SpineFail, id: ev.Host}
+		}
+		return target{link: ev.Link}
+	}
+	out := map[target]*window{}   // open outage per link, host or switch
+	hostLimp := map[int]*window{} // open limp per host
 	var partOpen *window
 
 	for _, ev := range evs {
 		switch ev.Kind {
-		case LinkFail:
-			if w := linkOut[ev.Link]; w != nil && ev.At < w.to {
-				return fmt.Errorf("faults: link %s fails at %gs inside an outage window [%gs, %gs)",
-					ev.Link.Cfg.Name, float64(ev.At), float64(w.from), float64(w.to))
+		case LinkFail, HostFail, SpineFail:
+			key := outage(ev)
+			if w := out[key]; w != nil && ev.At < w.to {
+				return fmt.Errorf("faults: %s fails at %gs inside an outage window [%gs, %gs)",
+					ev.target(), float64(ev.At), float64(w.from), float64(w.to))
 			}
-			linkOut[ev.Link] = &window{from: ev.At, to: inf}
-		case LinkRestore:
-			if w := linkOut[ev.Link]; w != nil && w.to == inf {
-				w.to = ev.At
-			}
-		case LinkDegrade, GraySlow, GrayJitter, SilentLoss, ErrorBurst, Corrupt:
-			if w := linkOut[ev.Link]; w != nil && ev.At > w.from && ev.At < w.to {
-				return fmt.Errorf("faults: %s on link %s at %gs falls inside an outage window [%gs, %gs) — the link is dark",
-					ev.Kind, ev.Link.Cfg.Name, float64(ev.At), float64(w.from), float64(w.to))
-			}
-		case HostFail:
-			if w := hostOut[ev.Host]; w != nil && ev.At < w.to {
-				return fmt.Errorf("faults: host %d fails at %gs inside an outage window [%gs, %gs)",
-					ev.Host, float64(ev.At), float64(w.from), float64(w.to))
-			}
-			if w := hostLimp[ev.Host]; w != nil && ev.At > w.from && ev.At < w.to {
+			if w := hostLimp[ev.Host]; ev.Kind == HostFail && w != nil && ev.At > w.from && ev.At < w.to {
 				return fmt.Errorf("faults: host %d crash-stops at %gs inside a limp window [%gs, %gs) — killing a host whose limp is scheduled to recover",
 					ev.Host, float64(ev.At), float64(w.from), float64(w.to))
 			}
-			hostOut[ev.Host] = &window{from: ev.At, to: inf}
-		case HostRestore:
-			if w := hostOut[ev.Host]; w != nil && w.to == inf {
+			out[key] = &window{from: ev.At, to: inf}
+		case LinkRestore, HostRestore, SpineRestore:
+			if w := out[outage(ev)]; w != nil && w.to == inf {
 				w.to = ev.At
+			}
+		case LinkDegrade, GraySlow, GrayJitter, SilentLoss, ErrorBurst, Corrupt:
+			if w := out[outage(ev)]; w != nil && ev.At > w.from && ev.At < w.to {
+				return fmt.Errorf("faults: %s on link %s at %gs falls inside an outage window [%gs, %gs) — the link is dark",
+					ev.Kind, ev.Link.Cfg.Name, float64(ev.At), float64(w.from), float64(w.to))
 			}
 		case LimpHost:
 			if ev.Fraction >= 1 { // recovery edge closes the open limp
@@ -83,7 +90,7 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("faults: host %d limps at %gs inside a limp window [%gs, %gs)",
 					ev.Host, float64(ev.At), float64(w.from), float64(w.to))
 			}
-			if w := hostOut[ev.Host]; w != nil && ev.At > w.from && ev.At < w.to {
+			if w := out[outage(ev)]; w != nil && ev.At > w.from && ev.At < w.to {
 				return fmt.Errorf("faults: host %d limps at %gs inside an outage window [%gs, %gs) — the host is down",
 					ev.Host, float64(ev.At), float64(w.from), float64(w.to))
 			}

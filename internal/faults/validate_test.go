@@ -37,7 +37,7 @@ func TestValidateAcceptsConsistentPlans(t *testing.T) {
 	p.SlowRailWindow(l, 7, 1, 0.7)
 	p.HostOutage(2, 1, 3)
 	p.LimpWindow(2, 5, 2, 0.3)
-	p.KillHost(2, 8) // after the limp recovered
+	p.HostOutage(2, 8, 0) // after the limp recovered
 	p.PartitionWindow([]int{1}, 1, 2)
 	p.PartitionWindow([]int{2}, 4, 2)
 	wantValid(t, p)
@@ -69,19 +69,19 @@ func TestValidateRejectsDegradeOnDarkLink(t *testing.T) {
 func TestValidateRejectsKillInsideLimpWindow(t *testing.T) {
 	p := &Plan{}
 	p.LimpWindow(3, 1, 10, 0.3)
-	p.KillHost(3, 5)
+	p.HostOutage(3, 5, 0)
 	wantInvalid(t, p, "inside a limp window")
 
 	// The other host is untouched by the limp — killing it is fine.
 	p2 := &Plan{}
 	p2.LimpWindow(3, 1, 10, 0.3)
-	p2.KillHost(4, 5)
+	p2.HostOutage(4, 5, 0)
 	wantValid(t, p2)
 }
 
 func TestValidateRejectsLimpOnDeadHost(t *testing.T) {
 	p := &Plan{}
-	p.KillHost(3, 1)
+	p.HostOutage(3, 1, 0)
 	p.LimpWindow(3, 5, 2, 0.3)
 	wantInvalid(t, p, "the host is down")
 }
@@ -96,6 +96,16 @@ func TestValidateRejectsOverlappingHostWindows(t *testing.T) {
 	p2.LimpWindow(1, 1, 5, 0.5)
 	p2.LimpWindow(1, 3, 1, 0.3)
 	wantInvalid(t, p2, "inside a limp window")
+}
+
+func TestValidateRejectsOverlappingSpineWindows(t *testing.T) {
+	p := &Plan{}
+	p.SpineOutage(1, 2, 4)
+	p.SpineOutage(0, 3, 1) // another spine: fine
+	p.SpineOutage(1, 6, 1) // boundary-touching: fine
+	wantValid(t, p)
+	p.SpineOutage(1, 4, 0) // permanent kill inside [2, 6)
+	wantInvalid(t, p, "spine 1 fails at 4s inside an outage window")
 }
 
 func TestValidateRejectsNestedPartitions(t *testing.T) {

@@ -191,8 +191,9 @@ type SolverStats struct {
 	// per refilled flow that crosses no resource. Idle resources only have
 	// their load zeroed and are not counted.
 	ComponentSolves uint64
-	// FastResolves counts single-flow demand updates absorbed without a
-	// solve because the demand cap was non-binding before and after.
+	// FastResolves is always 0: Resolve has no path that absorbs a change
+	// without refilling. It stays only because the repository benchmark
+	// reports it.
 	FastResolves uint64
 	// Skips counts Resolve calls where nothing had changed since the last
 	// Solve.
@@ -788,22 +789,14 @@ func (n *Network) Stats() SolverStats { return n.stats }
 // Resolve re-solves only what changed since the last Solve. It walks the
 // dirty list, the flows registered since, and the resources queued by
 // departures and capacity writes — never the whole network. Nothing changed
-// (a flow set back to what the last solve used included): no solve. A
-// single non-binding demand change and nothing else: no solve either (the
-// solved rate sits strictly below both old and new caps, so the max-min
-// allocation is unchanged). Otherwise only the components touched by a
-// changed flow or resource, an arrival or a departure are refilled. It
-// reports whether any solving ran.
+// (a flow set back to what the last solve used included): no solve.
+// Otherwise only the components touched by a changed flow or resource, an
+// arrival or a departure are refilled. It reports whether any solving ran.
 func (n *Network) Resolve() bool {
 	if alwaysFullSolve || !n.solved {
 		n.Solve()
 		return true
 	}
-	// pending: a departure, arrival, Uses append or capacity write, any of
-	// which rules out the fast path.
-	pending := len(n.touched) > 0 || n.nlinked < len(n.flows)
-	var first *Flow // the first changed flow and its old demand
-	oldDemand, nchanged, demandOnly := 0.0, 0, true
 	for _, c := range n.dirty {
 		f := c.flow
 		f.dirty = false
@@ -811,14 +804,7 @@ func (n *Network) Resolve() bool {
 		if f.index < 0 || (!relink && f.demand == c.demand && f.weight == c.weight) {
 			continue // departed since, or set back to what the last solve used
 		}
-		if nchanged++; nchanged == 1 {
-			first, oldDemand = f, c.demand
-		}
-		if f.weight != c.weight {
-			demandOnly = false
-		}
 		if relink {
-			pending = true
 			n.unlink(f)
 			n.link(f)
 		}
@@ -835,17 +821,6 @@ func (n *Network) Resolve() bool {
 	if len(n.touched) == 0 && len(n.lone) == 0 {
 		n.stats.Skips++
 		return false
-	}
-	if nchanged == 1 && demandOnly && !pending {
-		// Margin keeps the fast path well clear of the solver's freeze
-		// tolerance, so a from-scratch Solve would take the exact same
-		// branches and reproduce the current rates bit for bit.
-		margin := 1e-6 * math.Max(1, first.rate)
-		if math.Min(oldDemand, first.demand) > first.rate+margin {
-			n.clearSeeds()
-			n.stats.FastResolves++
-			return false
-		}
 	}
 	n.stats.PartialSolves++
 	n.refill(n.touched)

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"e2edt/internal/cluster"
 	"e2edt/internal/core"
 	"e2edt/internal/experiments"
+	"e2edt/internal/faults"
 	"e2edt/internal/fluid"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
@@ -16,8 +18,8 @@ import (
 )
 
 // The solver oracle: whole runs replayed with every Resolve forced through
-// the from-scratch Solve must match the shipped incremental solver (skips,
-// non-binding fast path, partial refills) bit for bit. This is what lets
+// the from-scratch Solve must match the shipped incremental solver (skips
+// and partial refills) bit for bit. This is what lets
 // the incremental paths claim zero behaviour change.
 
 // withFullSolve runs fn with the reference-solve hook on.
@@ -71,7 +73,9 @@ func schedulerFingerprint(t *testing.T) string {
 	tc.MaxBytes = 5 * units.GB
 	s.WithTenantWeights(tc.Tenants)
 	s.SubmitTrace(xfersched.GenerateTrace(tc))
-	s.FailLink(sys.TB.FrontLinks[0], 5, 8*sim.Second)
+	outage := &faults.Plan{}
+	outage.FailWindow(sys.TB.FrontLinks[0], 5, 8*sim.Second)
+	s.ApplyFaults(outage)
 	if !s.RunToCompletion(1200 * sim.Second) {
 		t.Fatal("trace did not finish")
 	}
@@ -105,7 +109,8 @@ func TestOracleExperiments(t *testing.T) {
 		return fmt.Sprintf("%x", sha256.Sum256([]byte(res.String()+res.RenderChart())))
 	}
 	s5 := experiments.ClusterRunSpec{
-		Hosts: 100, Shards: 4, Tenants: 200, Jobs: 1000, DropPct: 5, Seed: 42,
+		Config:  cluster.Config{Hosts: 100, Shards: 4, DropPct: 5, Seed: 42},
+		Tenants: 200, Jobs: 1000,
 	}
 	for _, c := range []struct {
 		name string

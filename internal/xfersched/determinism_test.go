@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"e2edt/internal/core"
+	"e2edt/internal/faults"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
@@ -45,7 +46,9 @@ func runTrace(t *testing.T, tc TraceConfig) string {
 	defer s.Close()
 	s.WithTenantWeights(tc.Tenants)
 	s.SubmitTrace(GenerateTrace(tc))
-	s.FailLink(sys.TB.FrontLinks[0], 5, 8*sim.Second)
+	outage := &faults.Plan{}
+	outage.FailWindow(sys.TB.FrontLinks[0], 5, 8*sim.Second)
+	s.ApplyFaults(outage)
 	if !s.RunToCompletion(1200 * sim.Second) {
 		t.Fatal("trace did not finish")
 	}

@@ -42,7 +42,6 @@ import (
 	"sort"
 
 	"e2edt/internal/core"
-	"e2edt/internal/fabric"
 	"e2edt/internal/faults"
 	"e2edt/internal/fsim"
 	"e2edt/internal/gridftp"
@@ -480,13 +479,6 @@ func (s *Scheduler) SubmitAt(at sim.Time, spec JobSpec) {
 			panic(err)
 		}
 	})
-}
-
-// FailLink schedules a failure window on a link: down at `at`, restored
-// after `dur`. Jobs crossing it stall and retry.
-func (s *Scheduler) FailLink(l *fabric.Link, at sim.Time, dur sim.Duration) {
-	s.eng.At(at, l.Fail)
-	s.eng.At(at+sim.Time(dur), l.Restore)
 }
 
 // ApplyFaults schedules a fault-injection plan (flaps, degradation, error

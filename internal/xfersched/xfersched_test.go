@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"e2edt/internal/core"
+	"e2edt/internal/faults"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
@@ -217,7 +218,9 @@ func TestLinkFailureRetry(t *testing.T) {
 		}
 	}
 	link := s.Sys.TB.FrontLinks[0]
-	s.FailLink(link, 2, 10*sim.Second)
+	outage := &faults.Plan{}
+	outage.FailWindow(link, 2, 10*sim.Second)
+	s.ApplyFaults(outage)
 	if !s.RunToCompletion(600 * sim.Second) {
 		t.Fatal("jobs did not finish after link restore")
 	}
