@@ -122,15 +122,16 @@ gray-smoke:
 		-gray 3@8+6:0.95 -shed -replay-check
 
 # Object-gateway gate: the objstore suites (key parsing, zero-
-# length objects, coalescing windows, 20-seed determinism) plus the batch,
-# file-set and tiny-job suites under the race detector — file sets and
-# object windows are one rftp item session, so both framings' suites run —
-# then objsim drives both modes with the replay-hash check — per-object
-# worst case, coalesced, and the sharded cluster under lossy control (CI
-# runs this).
+# length objects, coalescing windows, leak check, 20-seed determinism) plus
+# the batch, file-set, framing, leak and tiny-job suites under the race
+# detector — file sets and object windows are segments of the one rftp
+# session engine, so both framings' suites run, and the object-window
+# rail-kill test runs through the scheduler — then objsim drives both modes
+# with the replay-hash check — per-object worst case, coalesced, and the
+# sharded cluster under lossy control (CI runs this).
 objsim-smoke:
 	$(GO) test -race ./internal/objstore
-	$(GO) test -race -run 'Batch|Set|Files|TotalBytes|TinyJobs|ZeroLength|Grace' ./internal/rftp ./internal/xfersched
+	$(GO) test -race -run 'Batch|Set|Files|Framing|NothingBehind|TotalBytes|TinyJobs|ZeroLength|Grace' ./internal/rftp ./internal/xfersched
 	$(GO) run ./cmd/objsim -coalesce 1 -objects 256 -replay-check
 	$(GO) run ./cmd/objsim -coalesce 64 -replay-check
 	$(GO) run ./cmd/objsim -cluster -objects 512 -coalesce 64 -replay-check

@@ -214,10 +214,7 @@ func main() {
 	}
 
 	plan := &faults.Plan{}
-	if *failAt > 0 {
-		plan.FailWindow(sys.TB.FrontLinks[0], sim.Time(*failAt), sim.Duration(*failFor))
-	}
-	if err := addRailFaults(plan, *killRail, *grayFlag, sys.TB.FrontLinks); err != nil {
+	if err := addLinkFaults(plan, *failAt, *failFor, *killRail, *grayFlag, sys.TB.FrontLinks); err != nil {
 		badFlag(err)
 	}
 	if *corrupt > 0 {
@@ -400,9 +397,19 @@ func runCluster(f clusterFlags) {
 	}
 }
 
-// addRailFaults adds the single-pair rail faults, -kill-rail
-// name@seconds and -gray name@seconds:severity.
-func addRailFaults(plan *faults.Plan, killRail, gray string, links []*fabric.Link) error {
+// addLinkFaults adds the single-pair link faults: the -fail/-failfor
+// window on front link 0 (failAt 0 = none), -kill-rail name@seconds and
+// -gray name@seconds:severity.
+func addLinkFaults(plan *faults.Plan, failAt, failFor float64, killRail, gray string, links []*fabric.Link) error {
+	if failAt < 0 || math.IsNaN(failAt) || math.IsInf(failAt, 0) {
+		return fmt.Errorf("bad -fail %g: want a virtual second, or 0 for no failure", failAt)
+	}
+	if failAt > 0 {
+		if !(failFor > 0) || math.IsInf(failFor, 1) {
+			return fmt.Errorf("bad -failfor %g: want a positive window in virtual seconds", failFor)
+		}
+		plan.FailWindow(links[0], sim.Time(failAt), sim.Duration(failFor))
+	}
 	if killRail != "" {
 		a, err := parseFault("-kill-rail", "name@seconds, e.g. roce1@5", "", "", killRail)
 		link, err := a.rail(err, links)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -71,19 +73,55 @@ func TestFaultFlagRejections(t *testing.T) {
 	}
 
 	links := testbed.NewMotivatingPair().Links
-	for _, tc := range []struct{ killRail, gray, want string }{
-		{"roce1", "", `bad -kill-rail "roce1": want name@seconds, e.g. roce1@5`},
-		{"roce1@5+1", "", `bad -kill-rail "roce1@5+1": want`},
-		{"roce1@NaN", "", `bad -kill-rail "roce1@NaN": want`},
-		{"roce1@0", "", `bad -kill-rail time "0": want a positive virtual second`},
-		{"roce9@5", "", `-kill-rail: no front rail named "roce9"`},
-		{"", "roce1@5", `bad -gray "roce1@5": want name@seconds:severity`},
-		{"", "roce1@5+1:0.5", `bad -gray "roce1@5+1:0.5": want`},
-		{"", "roce1@5:0", `bad -gray severity "0": want a fraction in (0, 1)`},
+	for _, tc := range []struct {
+		failAt, failFor float64
+		killRail, gray  string
+		want            string
+	}{
+		{-1, 2, "", "", `bad -fail -1: want a virtual second, or 0 for no failure`},
+		{math.NaN(), 2, "", "", `bad -fail NaN: want a virtual second`},
+		{math.Inf(1), 2, "", "", `bad -fail +Inf: want a virtual second`},
+		{1, 0, "", "", `bad -failfor 0: want a positive window in virtual seconds`},
+		{1, -2, "", "", `bad -failfor -2: want a positive window`},
+		{1, math.NaN(), "", "", `bad -failfor NaN: want a positive window`},
+		{1, math.Inf(1), "", "", `bad -failfor +Inf: want a positive window`},
+		{1, 2, "roce1", "", `bad -kill-rail "roce1": want name@seconds, e.g. roce1@5`},
+		{1, 2, "roce1@5+1", "", `bad -kill-rail "roce1@5+1": want`},
+		{1, 2, "roce1@NaN", "", `bad -kill-rail "roce1@NaN": want`},
+		{1, 2, "roce1@0", "", `bad -kill-rail time "0": want a positive virtual second`},
+		{1, 2, "roce9@5", "", `-kill-rail: no front rail named "roce9"`},
+		{1, 2, "", "roce1@5", `bad -gray "roce1@5": want name@seconds:severity`},
+		{1, 2, "", "roce1@5+1:0.5", `bad -gray "roce1@5+1:0.5": want`},
+		{1, 2, "", "roce1@5:0", `bad -gray severity "0": want a fraction in (0, 1)`},
 	} {
-		if err := addRailFaults(&faults.Plan{}, tc.killRail, tc.gray, links); err == nil ||
+		if err := addLinkFaults(&faults.Plan{}, tc.failAt, tc.failFor, tc.killRail, tc.gray, links); err == nil ||
 			!strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("-kill-rail %q -gray %q: error %v, want it to contain %q", tc.killRail, tc.gray, err, tc.want)
+			t.Fatalf("-fail %g -failfor %g -kill-rail %q -gray %q: error %v, want it to contain %q",
+				tc.failAt, tc.failFor, tc.killRail, tc.gray, err, tc.want)
+		}
+	}
+}
+
+// TestFaultFractionsRounded: a severity's surviving fraction is echoed
+// rounded, for a single-pair rail sag and a cluster host limp alike.
+func TestFaultFractionsRounded(t *testing.T) {
+	plan := &faults.Plan{}
+	if err := addLinkFaults(plan, 0, 0, "", "roce1@5:0.7", testbed.NewMotivatingPair().Links); err != nil {
+		t.Fatal(err)
+	}
+	limps, err := clusterPlan(clusterFlags{hosts: 16, shards: 4, gray: "3@8+6:0.95"}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		plan *faults.Plan
+		want float64
+	}{{plan, 0.3}, {limps, 0.05}} {
+		if got := c.plan.Events[0].Fraction; got != c.want {
+			t.Fatalf("fraction %v, want %v", got, c.want)
+		}
+		if s := c.plan.String(); !strings.Contains(s, fmt.Sprintf("fraction=%v", c.want)) {
+			t.Fatalf("schedule echo %q lacks fraction=%v", s, c.want)
 		}
 	}
 }

@@ -268,32 +268,16 @@ func (s *System) StartRFTPOn(dir Direction, cfg rftp.Config, p rftp.Params,
 	return rftp.Start(s.TB.FrontLinks, snd.Front, cfg, s.Opt.ApplyRFTP(p), src, dst, size, onDone)
 }
 
-// StartRFTPSet transfers a dataset of individual files (manifest-style,
-// as the paper's tool moves file collections) in the given direction:
-// files stream from the sender's dataset region to the receiver's output
-// region, each paying its per-file control exchange.
-func (s *System) StartRFTPSet(dir Direction, cfg rftp.Config, p rftp.Params,
-	files []rftp.FileSpec, onDone func(now sim.Time)) (*rftp.BatchTransfer, error) {
-	snd, rcv := s.ends(dir)
-	if total := rftp.TotalBytes(files); total > float64(snd.Dataset.Size) {
-		return nil, fmt.Errorf("core: file set (%d bytes) exceeds dataset size", int64(total))
-	}
-	if s.Placer != nil && cfg.Placer == nil {
-		cfg.Placer = s.Placer
-	}
-	src := pipe.FileReader{File: snd.Dataset, Direct: true}
-	dst := pipe.FileWriter{File: rcv.Output, Direct: true}
-	return rftp.StartSet(s.TB.FrontLinks, snd.Front, cfg, s.Opt.ApplyRFTP(p), src, dst, files, onDone)
-}
-
 // StartRFTPBatchOn launches a coalesced object window between explicit
 // files: many small objects share one session and its stream credit
 // windows, delimited in-band instead of paying per-object control round
-// trips (contrast StartRFTPSet). onObject observes exactly-once per-object
-// completions; zero-size objects are legal and complete like any other.
+// trips. onObject observes exactly-once per-object completions; zero-size
+// objects are legal and complete like any other. The window is an
+// rftp.Transfer like any other session, so recovery, rails, hedging and
+// checksums apply to it.
 func (s *System) StartRFTPBatchOn(dir Direction, cfg rftp.Config, p rftp.Params,
 	srcFile, dstFile *fsim.File, objects []rftp.ObjectSpec,
-	onObject func(i int, now sim.Time), onDone func(now sim.Time)) (*rftp.BatchTransfer, error) {
+	onObject func(i int, now sim.Time), onDone func(now sim.Time)) (*rftp.Transfer, error) {
 	if srcFile == nil || dstFile == nil {
 		return nil, fmt.Errorf("core: transfer needs source and destination files")
 	}

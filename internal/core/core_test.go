@@ -338,35 +338,3 @@ func TestSANLinkFailureStallsEverything(t *testing.T) {
 		t.Fatal("transfer did not resume after SAN repair")
 	}
 }
-
-func TestRFTPSetEndToEnd(t *testing.T) {
-	sys := newSys(t, DefaultOptions())
-	files := make([]rftp.FileSpec, 24)
-	for i := range files {
-		files[i] = rftp.FileSpec{Name: "f", Size: units.GB}
-	}
-	var done sim.Time
-	st, err := sys.StartRFTPSet(Forward, rftp.DefaultConfig(), rftp.DefaultParams(),
-		files, func(now sim.Time) { done = now })
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Engine().Run()
-	if done <= 0 || st.Completed != 24 {
-		t.Fatalf("set incomplete: done=%v files=%d", done, st.Completed)
-	}
-	// 24 GB end-to-end: near the continuous-transfer rate (per-file
-	// overhead is sub-millisecond on the LAN).
-	g := units.ToGbps(st.Bandwidth())
-	if g < 85 {
-		t.Fatalf("set transfer = %.1f Gbps, want near continuous rate", g)
-	}
-}
-
-func TestRFTPSetTooLarge(t *testing.T) {
-	sys := newSys(t, DefaultOptions())
-	if _, err := sys.StartRFTPSet(Forward, rftp.DefaultConfig(), rftp.DefaultParams(),
-		[]rftp.FileSpec{{Name: "huge", Size: 500 * units.GB}}, nil); err == nil {
-		t.Fatal("oversized set should fail")
-	}
-}

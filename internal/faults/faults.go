@@ -270,10 +270,15 @@ func (p *Plan) SlowRail(l *fabric.Link, at sim.Time, severity float64) {
 }
 
 // surviving converts a sag severity into the surviving-capacity fraction,
-// rounded so 1-0.7 reads 0.3 (not 0.30000000000000004) in echoed schedules
-// and trace lines.
+// rounded (see round9).
 func surviving(severity float64) float64 {
-	return math.Round((1-severity)*1e9) / 1e9
+	return round9(1 - severity)
+}
+
+// round9 rounds a capacity fraction to 1e-9, so 1-0.7 reads 0.3 (not
+// 0.30000000000000004) in echoed schedules and trace lines.
+func round9(f float64) float64 {
+	return math.Round(f*1e9) / 1e9
 }
 
 // SlowRailWindow schedules a gray rate sag of the given severity over
@@ -317,12 +322,12 @@ func (p *Plan) SpineOutage(i int, from sim.Time, down sim.Duration) {
 
 // LimpWindow schedules CPU/memory service-time inflation on host id over
 // [from, from+window): cores run at factor × speed, then recover. factor
-// must be in (0, 1).
+// must be in (0, 1); it is rounded like SlowRail's surviving fraction.
 func (p *Plan) LimpWindow(id int, from sim.Time, window sim.Duration, factor float64) {
 	if factor <= 0 || factor >= 1 {
 		panic(fmt.Sprintf("faults: LimpWindow factor %v outside (0, 1)", factor))
 	}
-	p.Add(Event{At: from, Kind: LimpHost, Host: id, Fraction: factor})
+	p.Add(Event{At: from, Kind: LimpHost, Host: id, Fraction: round9(factor)})
 	p.Add(Event{At: from + sim.Time(window), Kind: LimpHost, Host: id, Fraction: 1})
 }
 

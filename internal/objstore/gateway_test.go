@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"e2edt/internal/core"
+	"e2edt/internal/railmgr"
 	"e2edt/internal/sim"
 	"e2edt/internal/trace"
 	"e2edt/internal/units"
@@ -218,5 +219,57 @@ func TestGatewayDeterminism20Seeds(t *testing.T) {
 	}
 	if len(sums) < 2 {
 		t.Fatal("all seeds produced identical traces — workload seed is dead")
+	}
+}
+
+// TestCoalescedBurstLeavesNothingBehind: after a coalesced burst drains,
+// the front links hold no watchers and the fluid network is back to the
+// flows, resources and active transfers it had before the burst, with and
+// without rail management: each window is an rftp session that watches
+// its rails, and it must unwatch them when it completes.
+func TestCoalescedBurstLeavesNothingBehind(t *testing.T) {
+	rails := core.DefaultOptions()
+	rails.Recovery = true
+	rails.Rails = railmgr.Policy{Enabled: true}
+	for _, mode := range []struct {
+		name string
+		opt  core.Options
+	}{{"single-link", core.DefaultOptions()}, {"rails", rails}} {
+		t.Run(mode.name, func(t *testing.T) {
+			mode.opt.DatasetSize = 2 * units.GB
+			sys, err := core.NewSystem(mode.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := xfersched.New(sys, xfersched.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sched.Close()
+			p := DefaultParams()
+			p.Coalesce = 64
+			g := NewGateway(sched, p, core.Forward)
+			fl := sys.TB.Sim
+			flows, resources := len(fl.Network.Flows()), len(fl.Network.Resources())
+			w := DefaultWorkload()
+			w.Objects = 300
+			if _, err := g.Put(sim.Time(sim.Millisecond), w.Generate()); err != nil {
+				t.Fatal(err)
+			}
+			if !g.RunToCompletion(300 * sim.Second) {
+				t.Fatal("gateway did not drain")
+			}
+			if err := g.AuditExactlyOnce(); err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range sys.TB.FrontLinks {
+				if n := l.Watchers(); n != 0 {
+					t.Fatalf("%s keeps %d watchers", l.Cfg.Name, n)
+				}
+			}
+			if f, r, a := len(fl.Network.Flows()), len(fl.Network.Resources()), fl.ActiveTransfers(); f != flows || r != resources || a != 0 {
+				t.Fatalf("flows %d → %d, resources %d → %d, %d transfers active", flows, f, resources, r, a)
+			}
+		})
 	}
 }

@@ -48,8 +48,8 @@ func TestSetTransfersAllFiles(t *testing.T) {
 	if done <= 0 {
 		t.Fatal("set never completed")
 	}
-	if st.Completed != 30 {
-		t.Fatalf("completed %d of 30 files", st.Completed)
+	if st.Delivered() != 30 {
+		t.Fatalf("completed %d of 30 files", st.Delivered())
 	}
 	want := TotalBytes(files)
 	if got := st.Transferred(); !near(got, want, 1e-9) {
@@ -92,8 +92,8 @@ func TestSmallFilesLatencyBound(t *testing.T) {
 	if g := units.ToGbps(st.Bandwidth()); g > 1 {
 		t.Fatalf("small-file WAN set = %.2f Gbps, should be latency-bound", g)
 	}
-	if st.Completed != 50 {
-		t.Fatalf("completed %d of 50", st.Completed)
+	if st.Delivered() != 50 {
+		t.Fatalf("completed %d of 50", st.Delivered())
 	}
 }
 
@@ -133,12 +133,12 @@ func TestSetProgressMidFlight(t *testing.T) {
 	if mid <= 0 {
 		t.Fatal("no progress mid-flight")
 	}
-	if mid >= TotalObjectBytes(st.Objects) {
+	if mid >= st.Size {
 		t.Fatal("progress overshot")
 	}
 	p.Eng.Run()
-	if st.Completed != 10 {
-		t.Fatalf("completed %d", st.Completed)
+	if st.Delivered() != 10 {
+		t.Fatalf("completed %d", st.Delivered())
 	}
 }
 
@@ -179,8 +179,8 @@ func TestSetStop(t *testing.T) {
 	}
 	p.Eng.RunUntil(0.3)
 	st.Stop()
-	mid := st.Completed
-	if mid == len(st.Objects) {
+	mid := st.Delivered()
+	if mid == 10 {
 		t.Fatal("set finished before Stop")
 	}
 	p.Eng.Run()
@@ -193,8 +193,8 @@ func TestSetStop(t *testing.T) {
 	if got := len(net.Resources()); got != before {
 		t.Fatalf("resources %d → %d after Stop", before, got)
 	}
-	if st.Completed != mid || st.Transferred() != float64(mid)*float64(units.GB) {
-		t.Fatalf("progress after Stop: %d files, %.0f bytes (had %d files)", st.Completed, st.Transferred(), mid)
+	if st.Delivered() != mid || st.Transferred() != float64(mid)*float64(units.GB) {
+		t.Fatalf("progress after Stop: %d files, %.0f bytes (had %d files)", st.Delivered(), st.Transferred(), mid)
 	}
 }
 
@@ -204,5 +204,40 @@ func TestTotalBytes(t *testing.T) {
 	}
 	if TotalBytes(uniformSet(3, 7)) != 21 {
 		t.Fatal("TotalBytes wrong")
+	}
+}
+
+// TestItemSessionsLeaveNothingBehind: a drained file set or object window
+// leaves the links without watchers and the fluid network with the flows,
+// resources and active transfers it had before, with or without rail
+// management (whose manager also watches every rail).
+func TestItemSessionsLeaveNothingBehind(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		prm  Params
+	}{{"plain", DefaultParams()}, {"rails", railParams()}} {
+		for _, fr := range framings[1:] {
+			t.Run(mode.name+"/"+fr.name, func(t *testing.T) {
+				p := testbed.NewMotivatingPair()
+				net := p.Sim.Network
+				flows, resources := len(net.Flows()), len(net.Resources())
+				tr, err := fr.start(p, DefaultConfig(), mode.prm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Eng.Run()
+				if tr.Delivered() != fr.items {
+					t.Fatalf("delivered %d of %d items", tr.Delivered(), fr.items)
+				}
+				for _, l := range p.Links {
+					if n := l.Watchers(); n != 0 {
+						t.Fatalf("%s keeps %d watchers", l.Cfg.Name, n)
+					}
+				}
+				if f, r, a := len(net.Flows()), len(net.Resources()), p.Sim.ActiveTransfers(); f != flows || r != resources || a != 0 {
+					t.Fatalf("flows %d → %d, resources %d → %d, %d transfers active", flows, f, resources, r, a)
+				}
+			})
+		}
 	}
 }

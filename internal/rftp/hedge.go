@@ -248,10 +248,7 @@ func (t *Transfer) hedgeWon(s *stream, h *hedgeRace, now sim.Time) {
 	if t.P.Rails.Gray && now > h.at {
 		t.mgr.ObserveRate(s.rail, math.Max(0, m2-h.baseM)/float64(now-h.at))
 	}
-	t.untrack(s.transfer)
-	if s.transfer.Active() {
-		t.sim.Cancel(s.transfer)
-	}
+	t.retire(s.transfer)
 	s.acked += h.target
 	if !math.IsInf(s.remaining, 1) {
 		s.remaining -= h.target
@@ -259,7 +256,7 @@ func (t *Transfer) hedgeWon(s *stream, h *hedgeRace, now sim.Time) {
 	t.eng.Tracef("rftp", "stream %d hedge won on %s after %v: offset %g, %g to go",
 		s.idx, t.links[h.rail].Cfg.Name, sim.Duration(now-h.at), s.acked, s.remaining)
 	if s.remaining <= 0.5 {
-		t.streamDone(s, now)
+		t.segmentDone(s, now)
 		return
 	}
 	s.recovering = true
@@ -286,10 +283,7 @@ func (t *Transfer) hedgeLost(s *stream) {
 	t.HedgeLosses++
 	t.sim.Sync()
 	t.HedgeWaste += h.tr.Transferred()
-	t.untrack(h.tr)
-	if h.tr.Active() {
-		t.sim.Cancel(h.tr)
-	}
+	t.retire(h.tr)
 	t.eng.Tracef("rftp", "stream %d hedge on %s cancelled (%g duplicate bytes)",
 		s.idx, t.links[h.rail].Cfg.Name, h.tr.Transferred())
 }

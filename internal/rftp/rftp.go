@@ -30,13 +30,14 @@
 // toward healthy rails in proportion to capacity; a re-probed restored
 // rail gets its streams back (failback) with no byte delivered twice.
 //
-// Item sessions (BatchTransfer) move many files or objects over one
-// session with one handshake, items queued on streams round-robin. Two
-// framings share that implementation: a file set (StartSet) pays a control
-// round trip before each file, an object window (StartBatch) frames
-// objects back to back with in-band delimiters. Every session kind builds
-// its endpoints and charges its flows through one shared cost template, so
-// the cost structure above is written once.
+// A session's work is a list of segments queued on its streams, each one
+// stream's fluid flow at a time. A plain payload (Start) is one segment per
+// stream; an item session moves many files (StartSet) or objects
+// (StartBatch) with one handshake, one segment per item, and fires
+// OnObject exactly once per item. Recovery, rail failover, hedging and the
+// checksum act on a stream's current segment and resume it at its acked
+// offset, so every framing gets them from the same code, and every session
+// charges its flows through one shared cost template.
 package rftp
 
 import (
@@ -173,8 +174,8 @@ type Config struct {
 	// reads every payload byte once more and spends checksum cycles on a
 	// dedicated I/O thread (RDMA already guarantees link-level integrity;
 	// this guards the storage path — and it is the only layer that can
-	// catch a silent bit flip the link CRC missed). Only Start sessions
-	// charge it; item sessions (StartSet, StartBatch) ignore it.
+	// catch a silent bit flip the link CRC missed). Every framing charges
+	// it.
 	Checksum bool
 	// Placer, when non-nil and Policy is numa.PolicyAuto, manages the
 	// session's thread pinning and staging-buffer homes at runtime: every
@@ -359,13 +360,20 @@ type stream struct {
 	rail int
 	// eps holds the stream's per-rail endpoints; only the home rail is
 	// built in legacy mode.
-	eps      []*endpoints
+	eps []*endpoints
+	// transfer is the current segment's flow; nil until an item stream
+	// opens its first item.
 	transfer *fluid.Transfer
-	// perStream is this stream's share of the session; acked counts bytes
-	// definitely delivered, remaining = perStream − acked.
-	perStream float64
+	// The current segment: item is its index in an item session (unused
+	// for a payload), seg its length — the stream's share of a payload, or
+	// the item's size. acked counts its bytes definitely delivered,
+	// remaining = seg − acked, and base the bytes of the stream's earlier,
+	// fully delivered segments.
+	item      int
+	seg       float64
 	acked     float64
 	remaining float64
+	base      float64
 	// retries counts consecutive failed recovery attempts (reset on a
 	// successful resume); lastMoved/lastProgressAt drive stall detection.
 	retries        int
@@ -401,6 +409,11 @@ type Transfer struct {
 	Size   float64 // bytes this session moves (size − Params.StartOffset); +Inf for open-ended
 	Sender *host.Host
 
+	frame framing
+	items []ObjectSpec // an item session's items; nil for a payload
+	// delivered counts an item session's fully delivered items.
+	delivered int
+
 	streams  []*stream
 	links    []*fabric.Link
 	mgr      *railmgr.Manager
@@ -411,8 +424,12 @@ type Transfer struct {
 	finished sim.Time
 	done     int
 	// OnComplete fires when every stream has drained and the session has
-	// closed (finite transfers only).
+	// closed (finite transfers only). An item session completes at its last
+	// delivery, with no close exchange.
 	OnComplete func(now sim.Time)
+	// OnObject fires exactly once per delivered item index of an item
+	// session, in the order the streams deliver them, and never after Stop.
+	OnObject func(i int, now sim.Time)
 	// OnFailure fires once if in-protocol recovery is exhausted
 	// (MaxStreamRetries consecutive failed attempts on some stream); the
 	// transfer is torn down first, so an outer scheduler may requeue.
@@ -458,12 +475,6 @@ type Transfer struct {
 // trips before data flows.
 func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	src, dst pipe.Stage, size float64, onComplete func(now sim.Time)) (*Transfer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(links) == 0 {
-		return nil, fmt.Errorf("rftp: no links")
-	}
 	if size <= 0 && !math.IsInf(size, 1) {
 		return nil, fmt.Errorf("rftp: size must be positive or +Inf")
 	}
@@ -475,6 +486,22 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 			return nil, fmt.Errorf("rftp: StartOffset %d beyond size %g", p.StartOffset, size)
 		}
 		size -= float64(p.StartOffset)
+	}
+	return start(payload, nil, links, senderHost, cfg, p, src, dst, size, nil, onComplete)
+}
+
+// start builds a session of the given framing: a payload of size bytes
+// (items nil), or the items, whose sizes sum to size.
+func start(frame framing, items []ObjectSpec, links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
+	src, dst pipe.Stage, size float64, onObject func(i int, now sim.Time), onComplete func(now sim.Time)) (*Transfer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(links) == 0 {
+		return nil, fmt.Errorf("rftp: no links")
+	}
+	if items != nil && p.StartOffset != 0 {
+		return nil, fmt.Errorf("rftp: an item session resumes by item; StartOffset must be zero")
 	}
 	if p.Rails.Enabled && !p.recoveryEnabled() {
 		return nil, fmt.Errorf("rftp: Rails requires AckTimeout > 0 (the ACK tracker makes migration exactly-once)")
@@ -490,9 +517,11 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	}
 	t := &Transfer{
 		Cfg: cfg, P: p, Size: size, Sender: senderHost,
+		frame: frame, items: items,
 		links: links, src: src, dst: dst,
 		sim: links[0].Sim(), eng: links[0].Engine(),
 		OnComplete: onComplete,
+		OnObject:   onObject,
 		firstHedge: -1,
 	}
 	t.started = t.eng.Now()
@@ -514,7 +543,11 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 		sndNICs[i] = nic
 	}
 	mkSide := func(l *fabric.Link, nic *host.Device, role string, idx int) side {
-		sd := newSide(nic, fmt.Sprintf("rftp-%s/%s", role, l.Cfg.Name), cfg.Policy)
+		name := fmt.Sprintf("rftp-%s/%s", role, l.Cfg.Name)
+		if frame.tag != "" {
+			name = fmt.Sprintf("rftp-%s/%s/%s%d", role, l.Cfg.Name, frame.tag, idx)
+		}
+		sd := newSide(nic, name, cfg.Policy)
 		if pl := t.placer(); pl != nil {
 			// Each side is one placement unit: both its threads plus the
 			// registered staging buffer move together. A migration re-copies
@@ -525,14 +558,18 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 		return sd
 	}
 
-	perStream := size
-	if !math.IsInf(size, 1) {
+	// A payload splits evenly across the streams; an item session runs at
+	// most one stream per item, stream i taking items i, i+n, i+2n, ….
+	n, perStream := cfg.Streams, size
+	if items != nil {
+		n = min(n, len(items))
+	} else if !math.IsInf(size, 1) {
 		perStream = size / float64(cfg.Streams)
 	}
-	for i := 0; i < cfg.Streams; i++ {
+	for i := 0; i < n; i++ {
 		st := &stream{
 			idx: i, rail: i % len(links),
-			perStream: perStream, remaining: perStream,
+			seg: perStream, remaining: perStream,
 			eps: make([]*endpoints, len(links)),
 		}
 		// Rail mode pre-builds endpoints on every rail, deterministically
@@ -547,11 +584,20 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 				rcv: mkSide(links[r], links[r].Peer(sndNICs[r]), "s", i),
 			}
 		}
-		tr, err := t.buildStream(st, perStream)
-		if err != nil {
-			return nil, err
+		if items != nil {
+			// Item streams build each item's flow when it opens, after the
+			// handshake; until then the stream waits like a recovering one.
+			st.item = i
+			st.seg = float64(items[i].Size)
+			st.remaining = st.seg
+			st.recovering = true
+		} else {
+			tr, err := t.buildStream(st, perStream)
+			if err != nil {
+				return nil, err
+			}
+			st.transfer = tr
 		}
-		st.transfer = tr
 		t.streams = append(t.streams, st)
 	}
 
@@ -597,8 +643,12 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 			return
 		}
 		t.eng.Tracef("rftp", "session up: %d streams, bs=%d, credits=%d",
-			cfg.Streams, cfg.BlockSize, cfg.CreditsPerStream)
+			len(t.streams), cfg.BlockSize, cfg.CreditsPerStream)
 		for _, st := range t.streams {
+			if st.transfer == nil {
+				t.open(st)
+				continue
+			}
 			// A stream that lost its link pre-handshake is already in the
 			// recovery path and starts (or restarted) there.
 			if st.recovering || st.done || st.transfer.Active() {
@@ -613,19 +663,51 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config, p Params,
 	return t, nil
 }
 
+// open starts stream s's current item. A file pays its open/attribute
+// exchange first — the two control sends a recovery pays to re-establish a
+// stream, and with the same handling of a dropped message. An empty object
+// is a bare delimiter record: pipelined with the stream, it costs
+// serialization time but no round trip and no fluid flow (the solver
+// rejects zero-size transfers). Any other object's body starts at once.
+// The stream stays recovering, with no recovery kind, until its flow runs.
+func (t *Transfer) open(s *stream) {
+	switch {
+	case t.frame.ctrl:
+		t.attemptResume(s)
+	case s.seg == 0:
+		delay := sim.Duration(0)
+		if rate := t.links[s.rail].Cfg.Rate; rate > 0 {
+			delay = sim.Duration(delimBytes / rate)
+		}
+		t.eng.Schedule(delay, func() {
+			if !t.stopped && !t.failed {
+				t.segmentDone(s, t.eng.Now())
+			}
+		})
+	default:
+		t.resume(s, t.eng.Now())
+	}
+}
+
 // buildStream recreates the stream's fully-charged fluid flow for a given
 // residual size on its current rail; fluid.Cancel removes the flow from
 // the network, so every retransmission or migration needs a fresh one.
 func (t *Transfer) buildStream(st *stream, remaining float64) (*fluid.Transfer, error) {
 	l := t.links[st.rail]
-	f := t.sim.NewFlow(fmt.Sprintf("rftp/%s/s%d", l.Cfg.Name, st.idx), windowCap(t.Cfg, l))
+	var name string
+	if t.items == nil {
+		name = fmt.Sprintf("rftp/%s/s%d", l.Cfg.Name, st.idx)
+	} else {
+		name = "rftp-" + t.frame.tag + "/" + t.items[st.item].Key
+	}
+	f := t.sim.NewFlow(name, windowCap(t.Cfg, l))
 	if err := t.chargeStream(f, st, st.rail); err != nil {
 		return nil, err
 	}
 	tr := &fluid.Transfer{
 		Flow:       f,
 		Remaining:  remaining,
-		OnComplete: func(now sim.Time) { t.streamDone(st, now) },
+		OnComplete: func(now sim.Time) { t.segmentDone(st, now) },
 	}
 	st.flowSize = remaining
 	if pl := t.placer(); pl != nil {
@@ -641,9 +723,17 @@ func (t *Transfer) buildStream(st *stream, remaining float64) (*fluid.Transfer, 
 }
 
 // chargeStream attaches the full RFTP cost structure for st's endpoints on
-// the given rail to f (see endpoints.charge).
+// the given rail to f (see endpoints.charge). An object adds its delimiter
+// and framing, amortized over its size: delimiter bytes on the wire, one
+// extra block posting on each CPU — no per-object round trip, which is the
+// whole point of coalescing.
 func (t *Transfer) chargeStream(f *fluid.Flow, st *stream, rail int) error {
-	return st.eps[rail].charge(f, t.links[rail], t.P, t.Cfg, t.Cfg.Checksum, t.src, t.dst, 0, 0)
+	var extraCPU, extraWire float64
+	if t.frame.delimited {
+		extraCPU = t.P.PerBlockCycles / st.seg
+		extraWire = delimBytes / st.seg
+	}
+	return st.eps[rail].charge(f, t.links[rail], t.P, t.Cfg, t.Cfg.Checksum, t.src, t.dst, extraCPU, extraWire)
 }
 
 // placer returns the adaptive placement engine when it actually applies:
@@ -655,15 +745,23 @@ func (t *Transfer) placer() *placer.Engine {
 	return t.Cfg.Placer
 }
 
-// untrack hands a stream's flow back from the placer before the transfer
-// is cancelled or after it completes. Safe on never-tracked flows.
-func (t *Transfer) untrack(tr *fluid.Transfer) {
+// retire takes a stream or hedge flow out of play: handed back from the
+// placer, then cancelled if in flight, or removed from the network if it
+// was built but never started (a session that loses a rail before its
+// handshake holds such flows). Safe on nil, never-tracked and completed
+// transfers.
+func (t *Transfer) retire(tr *fluid.Transfer) {
 	if tr == nil {
 		return
 	}
 	if pl := t.placer(); pl != nil {
 		pl.Untrack(tr.Flow)
 	}
+	if tr.Active() {
+		t.sim.Cancel(tr)
+		return
+	}
+	t.sim.Network.RemoveFlow(tr.Flow)
 }
 
 // window is the per-stream credit window in bytes: bytes that may be in
@@ -673,21 +771,47 @@ func (t *Transfer) window() float64 {
 	return float64(t.Cfg.CreditsPerStream) * float64(t.Cfg.BlockSize)
 }
 
-// streamDone marks a stream fully delivered; the last one closes the
-// session with a control round trip.
-func (t *Transfer) streamDone(s *stream, _ sim.Time) {
+// segmentDone marks stream s's current segment fully delivered. An item
+// session delivers the segment's item and opens the stream's next one; a
+// stream with nothing left is done, and the last one ends the session: a
+// payload with a close control round trip, an item session at once.
+func (t *Transfer) segmentDone(s *stream, now sim.Time) {
 	if s.hedge != nil {
 		t.hedgeLost(s) // full delivery subsumes any racing hedge
 	}
-	t.untrack(s.transfer)
-	s.done = true
+	t.retire(s.transfer)
 	s.kind = KindNone
-	s.acked = s.perStream
-	s.remaining = 0
-	t.done++
-	if t.done == len(t.streams) {
-		t.closeSession(t.links[s.rail])
+	if t.items != nil {
+		t.delivered++
+		if t.OnObject != nil {
+			t.OnObject(s.item, now)
+		}
+		if t.stopped || t.failed {
+			return
+		}
+		if next := s.item + len(t.streams); next < len(t.items) {
+			s.base += s.seg
+			s.item, s.seg = next, float64(t.items[next].Size)
+			s.acked, s.remaining = 0, s.seg
+			s.transfer = nil
+			s.recovering = true
+			t.open(s)
+			return
+		}
 	}
+	s.done = true
+	s.acked = s.seg
+	s.remaining = 0
+	s.transfer = nil // a finished session keeps no flow reachable
+	t.done++
+	if t.done < len(t.streams) {
+		return
+	}
+	if t.items != nil {
+		t.finish(now)
+		return
+	}
+	t.closeSession(t.links[s.rail])
 }
 
 // closeSession runs the close control exchange. With recovery enabled a
@@ -817,10 +941,7 @@ func (t *Transfer) declareLoss(s *stream, now sim.Time) {
 	s.faultAt = now
 	t.sim.Sync()
 	m := s.transfer.Transferred()
-	t.untrack(s.transfer)
-	if s.transfer.Active() {
-		t.sim.Cancel(s.transfer)
-	}
+	t.retire(s.transfer)
 	goodAcked := math.Max(0, m-t.window())
 	lost := m - goodAcked
 	s.acked += goodAcked
@@ -903,10 +1024,7 @@ func (t *Transfer) moveStream(s *stream, target int, now sim.Time) {
 	}
 	t.sim.Sync()
 	m := s.transfer.Transferred()
-	t.untrack(s.transfer)
-	if s.transfer.Active() {
-		t.sim.Cancel(s.transfer)
-	}
+	t.retire(s.transfer)
 	s.acked += m
 	if !math.IsInf(s.remaining, 1) {
 		s.remaining -= m
@@ -1038,10 +1156,7 @@ func (t *Transfer) corrupted(r int) {
 	}
 	t.sim.Sync()
 	m := victim.transfer.Transferred()
-	t.untrack(victim.transfer)
-	if victim.transfer.Active() {
-		t.sim.Cancel(victim.transfer)
-	}
+	t.retire(victim.transfer)
 	bs := math.Min(float64(t.Cfg.BlockSize), m)
 	good := m - bs // everything before the corrupt block is fine
 	victim.acked += good
@@ -1088,6 +1203,11 @@ func (t *Transfer) scheduleRecovery(s *stream) {
 	if s.retries >= t.P.MaxStreamRetries {
 		t.fail(t.eng.Now())
 		return
+	}
+	if s.kind == KindNone {
+		// An item's opening exchange was dropped: retransmit it.
+		s.kind = KindRetransmit
+		s.faultAt = t.eng.Now()
 	}
 	backoff := t.P.RetryBackoff
 	for i := 0; i < s.retries && backoff < t.P.RetryBackoffMax; i++ {
@@ -1148,6 +1268,7 @@ func (t *Transfer) resume(s *stream, now sim.Time) {
 	t.resetMarks(s, now)
 	lat := sim.Duration(now - s.faultAt)
 	switch s.kind {
+	case KindNone: // an item opening, not a recovery
 	case KindFailover:
 		t.Migrations++
 		t.migrationLat = append(t.migrationLat, lat)
@@ -1207,16 +1328,7 @@ func (t *Transfer) teardown() {
 		if s.hedge != nil {
 			t.hedgeLost(s)
 		}
-		t.untrack(s.transfer)
-		if s.transfer.Active() {
-			t.sim.Cancel(s.transfer)
-		} else if s.transfer != nil {
-			// A session stopped mid-handshake holds built-but-never-started
-			// stream transfers: their flows are registered but not active, so
-			// Cancel above never detaches them. Remove them directly (no-op
-			// for flows already detached by completion or loss declaration).
-			t.sim.Network.RemoveFlow(s.transfer.Flow)
-		}
+		t.retire(s.transfer)
 	}
 }
 
@@ -1227,27 +1339,33 @@ func (t *Transfer) teardown() {
 // the unacked credit window — never bytes that a later loss declaration
 // could retransmit. It is monotonic across retransmissions, migrations and
 // failbacks, so an outer scheduler may persist it as a resume offset
-// (Params.StartOffset).
+// (Params.StartOffset). A stopped or failed item session counts whole
+// items only: a partial item is a frame without its trailer.
 func (t *Transfer) Transferred() float64 {
 	t.sim.Sync()
+	wholeItems := t.items != nil && (t.stopped || t.failed)
 	sum := 0.0
 	w := t.window()
 	for _, st := range t.streams {
-		if !t.P.recoveryEnabled() {
-			if st.done {
-				sum += st.acked
-			} else {
-				sum += st.acked + st.transfer.Transferred()
+		sum += st.base
+		switch {
+		case st.done:
+			sum += st.acked
+		case wholeItems:
+		case !t.P.recoveryEnabled() && st.transfer != nil:
+			sum += st.acked + st.transfer.Transferred()
+		default:
+			sum += st.acked
+			if !st.recovering && st.transfer.Active() {
+				sum += math.Max(0, st.transfer.Transferred()-w)
 			}
-			continue
-		}
-		sum += st.acked
-		if !st.done && !st.recovering && st.transfer.Active() {
-			sum += math.Max(0, st.transfer.Transferred()-w)
 		}
 	}
 	return sum
 }
+
+// Delivered returns how many items an item session has delivered.
+func (t *Transfer) Delivered() int { return t.delivered }
 
 // Bandwidth returns the average payload rate since the transfer started.
 func (t *Transfer) Bandwidth() float64 {
@@ -1348,7 +1466,9 @@ func (t *Transfer) Stop() {
 func (t *Transfer) StreamRates() []float64 {
 	out := make([]float64, len(t.streams))
 	for i, st := range t.streams {
-		out[i] = st.transfer.Flow.Rate()
+		if st.transfer != nil {
+			out[i] = st.transfer.Flow.Rate()
+		}
 	}
 	return out
 }

@@ -554,6 +554,34 @@ func TestLinkEventDeclaresLossAtOnce(t *testing.T) {
 	}
 }
 
+// TestLossBeforeHandshakeLeavesNoFlow: a rail that fails before the
+// session handshake breaks a stream whose flow is built but not yet
+// started. The retransmission runs on a fresh flow, and the unstarted one
+// must leave the network with it: a stale flow still charging the
+// endpoint threads would make releasing them at completion panic.
+func TestLossBeforeHandshakeLeavesNoFlow(t *testing.T) {
+	p := testbed.NewMotivatingPair()
+	net := p.Sim.Network
+	flows, resources := len(net.Flows()), len(net.Resources())
+	size := 4 * float64(units.GB)
+	tr, err := Start(p.Links, p.A, DefaultConfig(), recoveryParams(), pipe.Zero{}, pipe.Null{}, size, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Links[0].Fail()
+	p.Eng.At(0.05, p.Links[0].Restore)
+	p.Eng.Run()
+	if tr.Finished() <= 0 || tr.Recoveries < 1 {
+		t.Fatalf("finished at %v with %d recoveries, want completion after ≥1 recovery", tr.Finished(), tr.Recoveries)
+	}
+	if got := tr.Transferred(); !near(got, size, 1e-6) {
+		t.Fatalf("delivered %g, want exactly %g", got, size)
+	}
+	if f, r := len(net.Flows()), len(net.Resources()); f != flows || r != resources {
+		t.Fatalf("flows %d → %d, resources %d → %d", flows, f, resources, r)
+	}
+}
+
 // TestLinkEventsIgnoredWithoutRecovery: with recovery off nothing watches
 // for loss, so error bursts and a flap only stall the stream; no recovery,
 // retransmission or migration is counted and every byte still arrives.

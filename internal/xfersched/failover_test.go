@@ -1,12 +1,14 @@
 package xfersched
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"e2edt/internal/core"
 	"e2edt/internal/railmgr"
+	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
@@ -137,5 +139,46 @@ func TestWatchdogGraceCoversMigration(t *testing.T) {
 	}
 	if math.Abs(j.Moved()-float64(j.Spec.Bytes)) > 1 {
 		t.Fatalf("moved %v of %d", j.Moved(), j.Spec.Bytes)
+	}
+}
+
+// TestBatchWindowSurvivesRailKill: an object window runs under recovery
+// and rail management, and one of its rails dies mid-window, never to
+// return. The window is an rftp session like any other, so its streams
+// fail over in-protocol: every object is delivered exactly once and the
+// scheduler never requeues the job.
+func TestBatchWindowSurvivesRailKill(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxConcurrent = 1
+	s := railSched(t, cfg)
+	objs := make([]rftp.ObjectSpec, 48)
+	for i := range objs {
+		objs[i] = rftp.ObjectSpec{Key: fmt.Sprintf("b/obj-%02d", i), Size: 256 * units.MB}
+	}
+	counts := make([]int, len(objs))
+	j, err := s.Submit(JobSpec{
+		ID: "window", Tenant: "a", Protocol: ProtoRFTP, Objects: objs,
+		OnObject: func(i int, _ sim.Time) { counts[i]++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.eng.At(0.2, s.Sys.TB.FrontLinks[1].Fail) // never restored
+	if !s.RunToCompletion(60 * sim.Second) {
+		t.Fatal("window did not complete after the rail kill")
+	}
+	if j.State != StateDone {
+		t.Fatalf("state %v, want done", j.State)
+	}
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("object %d delivered %d times", i, c)
+		}
+	}
+	if j.Retries != 0 {
+		t.Fatalf("scheduler requeued the window %d times; the failover should have been absorbed in-protocol", j.Retries)
+	}
+	if j.Migrations() < 1 {
+		t.Fatalf("migrations = %d, want ≥1", j.Migrations())
 	}
 }

@@ -119,10 +119,12 @@ type JobSpec struct {
 	// Objects, when non-empty, makes this a coalesced object-batch job
 	// (RFTP only): the window moves every object over one session with
 	// in-band delimiting and exactly-once per-object completion. Bytes is
-	// derived from the object sizes; zero-size objects are legal. Batch
-	// jobs hold a fixed stream count (like GridFTP jobs, they are not
-	// rebalanced — a restart would discard partial-object progress), and
-	// retries resume from the undelivered object set.
+	// derived from the object sizes; zero-size objects are legal. The
+	// window is an rftp.Transfer like a plain RFTP job's, so in-protocol
+	// recovery, rail failover and the OnFailure fast path apply to it.
+	// Batch jobs hold a fixed stream count (like GridFTP jobs, they are not
+	// rebalanced — a restart re-handshakes the window), and retries resume
+	// from the undelivered object set.
 	Objects []rftp.ObjectSpec
 	// OnObject observes per-object completions of a batch job, exactly
 	// once per object index across all attempts.
@@ -180,13 +182,10 @@ type Job struct {
 func (j *Job) isBatch() bool { return len(j.Spec.Objects) > 0 }
 
 // workDone reports whether the job's payload is fully delivered: every
-// object for a batch job, every byte otherwise. The byte test alone would
-// misread a batch of zero-size objects as finished before it ran.
+// object of a batch job and every byte. The byte test alone would misread
+// a batch of zero-size objects as finished before it ran.
 func (j *Job) workDone() bool {
-	if j.isBatch() {
-		return j.objDoneCount == len(j.Spec.Objects)
-	}
-	return float64(j.Spec.Bytes)-j.moved < 1
+	return j.objDoneCount == len(j.Spec.Objects) && float64(j.Spec.Bytes)-j.moved < 1
 }
 
 // Moved returns bytes delivered so far across all attempts.
@@ -460,9 +459,6 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.tenant(spec.Tenant)
 	j := &Job{Spec: spec, State: StateQueued, Submitted: s.eng.Now()}
-	if j.isBatch() {
-		j.objDone = make([]bool, len(spec.Objects))
-	}
 	s.jobs = append(s.jobs, j)
 	s.byID[spec.ID] = j
 	s.insertQueued(j)
@@ -727,46 +723,19 @@ func (s *Scheduler) startAttempt(j *Job, streams int, now sim.Time) {
 	if j.stallBudget < s.minGrace {
 		j.stallBudget = s.minGrace
 	}
-	switch {
-	case j.isBatch():
+	switch j.Spec.Protocol {
+	case ProtoRFTP:
 		cfg := s.Cfg.RFTP
 		cfg.Streams = streams
 		p := s.Sys.Opt.ApplyRFTP(s.Cfg.RFTPParams)
-		// Resume from the undelivered object set: delivered objects are
-		// never re-sent, in-flight partials from a stalled attempt are.
-		var (
-			objs []rftp.ObjectSpec
-			idx  []int
-		)
-		for g, o := range j.Spec.Objects {
-			if !j.objDone[g] {
-				objs = append(objs, o)
-				idx = append(idx, g)
-			}
-		}
-		onObject := func(i int, t sim.Time) {
-			if j.attempt != attempt {
-				return
-			}
-			g := idx[i]
-			if j.objDone[g] {
-				return
-			}
-			j.objDone[g] = true
-			j.objDoneCount++
-			j.moved += float64(j.Spec.Objects[g].Size)
-			if j.Spec.OnObject != nil {
-				j.Spec.OnObject(g, t)
-			}
-		}
-		h, err = s.Sys.StartRFTPBatchOn(j.Spec.Dir, cfg, p, j.src, j.dst, objs, onObject, onDone)
-	case j.Spec.Protocol == ProtoRFTP:
-		cfg := s.Cfg.RFTP
-		cfg.Streams = streams
-		p := s.Sys.Opt.ApplyRFTP(s.Cfg.RFTPParams)
-		p.StartOffset = int64(j.moved)
 		var rt *rftp.Transfer
-		rt, err = s.Sys.StartRFTPOn(j.Spec.Dir, cfg, p, j.src, j.dst, float64(j.Spec.Bytes), onDone)
+		if j.isBatch() {
+			objs, onObject := j.pendingObjects(attempt)
+			rt, err = s.Sys.StartRFTPBatchOn(j.Spec.Dir, cfg, p, j.src, j.dst, objs, onObject, onDone)
+		} else {
+			p.StartOffset = int64(j.moved)
+			rt, err = s.Sys.StartRFTPOn(j.Spec.Dir, cfg, p, j.src, j.dst, float64(j.Spec.Bytes), onDone)
+		}
 		if err == nil {
 			// In-protocol recovery is the first line of defense: give the
 			// transfer its whole retry budget before the watchdog may call
@@ -784,7 +753,7 @@ func (s *Scheduler) startAttempt(j *Job, streams int, now sim.Time) {
 			j.rt = rt
 			h = rt
 		}
-	case j.Spec.Protocol == ProtoGridFTP:
+	case ProtoGridFTP:
 		h, err = s.Sys.StartGridFTPOn(j.Spec.Dir, s.Cfg.GridFTP, j.src, j.dst, remaining, onDone)
 	default:
 		err = fmt.Errorf("xfersched: unknown protocol %d", j.Spec.Protocol)
@@ -795,6 +764,41 @@ func (s *Scheduler) startAttempt(j *Job, streams int, now sim.Time) {
 	j.handle = h
 	s.eng.Tracef("xfersched", "start %s attempt=%d streams=%d remaining=%g",
 		j.Spec.ID, attempt, streams, remaining)
+}
+
+// pendingObjects lists a batch job's undelivered objects for one attempt,
+// with the callback that folds the attempt's deliveries into the job's
+// ledger: delivered objects are never re-sent, a stalled attempt's
+// in-flight partials are.
+func (j *Job) pendingObjects(attempt int) ([]rftp.ObjectSpec, func(i int, now sim.Time)) {
+	if j.objDone == nil {
+		j.objDone = make([]bool, len(j.Spec.Objects))
+	}
+	var (
+		objs []rftp.ObjectSpec
+		idx  []int
+	)
+	for g, o := range j.Spec.Objects {
+		if !j.objDone[g] {
+			objs = append(objs, o)
+			idx = append(idx, g)
+		}
+	}
+	return objs, func(i int, now sim.Time) {
+		if j.attempt != attempt {
+			return
+		}
+		g := idx[i]
+		if j.objDone[g] {
+			return
+		}
+		j.objDone[g] = true
+		j.objDoneCount++
+		j.moved += float64(j.Spec.Objects[g].Size)
+		if j.Spec.OnObject != nil {
+			j.Spec.OnObject(g, now)
+		}
+	}
 }
 
 // restart checkpoints a running transfer and relaunches it with a new
@@ -817,14 +821,11 @@ func (s *Scheduler) check(now sim.Time) {
 		if j.State != StateRunning || j.handle == nil {
 			continue
 		}
-		cur := j.handle.Transferred()
-		if j.isBatch() {
-			// Delivered objects are progress even when they carry no
-			// bytes (zero-length objects): weight each delivery past the
-			// one-byte noise threshold below, or a window of empty
-			// objects would wedge the watchdog.
-			cur += 2 * float64(j.objDoneCount)
-		}
+		// Delivered objects are progress even when they carry no bytes
+		// (zero-length objects): weight each delivery past the one-byte
+		// noise threshold below, or a window of empty objects would wedge
+		// the watchdog.
+		cur := j.handle.Transferred() + 2*float64(j.objDoneCount)
 		if cur > j.lastProgress+1 {
 			j.lastProgress = cur
 			j.lastProgressAt = now
