@@ -82,12 +82,12 @@ cluster-smoke:
 	$(GO) run ./cmd/xfersched -cluster -hosts 100 -ctenants 500 -drop 5 -seed 7 -replay-check
 	$(GO) run ./cmd/xfersched -cluster -hosts 300 -topology fat-tree -ctenants 3000 -replay-check
 
-# Incremental-solver gate: the oracle, differential, churn and
-# allocation tests of the fluid solver under the race detector, then ten
+# Incremental-solver gate: the oracle, differential, churn, allocation and
+# account tests of the fluid solver under the race detector, then ten
 # seconds of the twin-network fuzzer, which requires Resolve to match a
 # from-scratch Solve bit for bit after every random mutation (CI runs this).
 solver-smoke:
-	$(GO) test -race -run 'Oracle|Incremental|Partial|Churn|Structural|AllocFree' ./internal/fluid
+	$(GO) test -race -run 'Oracle|Incremental|Partial|Churn|Structural|AllocFree|Account' ./internal/fluid
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalSolve$$' -fuzztime 10s ./internal/fluid
 
 # Cluster failure-domain gate: the chaos determinism suites under the race

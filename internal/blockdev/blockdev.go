@@ -27,7 +27,7 @@ type Device interface {
 	// AttachIO charges device-internal costs (media bandwidth) for
 	// streaming I/O at the given block size onto flow f, scaled by share
 	// (bytes of device traffic per flow-byte; 1 for a dedicated flow).
-	AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64, tag string)
+	AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64)
 	// MemoryBuffer returns the NUMA buffer backing a memory device, or
 	// nil for media devices.
 	MemoryBuffer() *numa.Buffer
@@ -68,7 +68,7 @@ func (r *Ramdisk) Size() int64 { return r.size }
 
 // AttachIO implements Device: a ramdisk adds no media constraint beyond
 // the memory controllers already charged via MemoryBuffer.
-func (r *Ramdisk) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64, tag string) {}
+func (r *Ramdisk) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64) {}
 
 // MemoryBuffer implements Device.
 func (r *Ramdisk) MemoryBuffer() *numa.Buffer { return r.buf }
@@ -116,16 +116,20 @@ func DefaultSSDConfig(name string, size int64) SSDConfig {
 // beyond the thermal budget drops the media rate to ThrottledBandwidth
 // until the device has idled for CooldownSeconds.
 type SSD struct {
-	cfg       SSDConfig
-	sim       *fluid.Sim
-	readRes   *fluid.Resource
-	writeRes  *fluid.Resource
-	heat      float64 // bytes of recent I/O, decays during idle
-	throttled bool
-	idleSecs  float64
-	lastRead  float64
-	lastWrite float64
-	ticker    *sim.Ticker
+	cfg      SSDConfig
+	sim      *fluid.Sim
+	readRes  *fluid.Resource
+	writeRes *fluid.Resource
+	// readMedia and writeMedia account the bytes each media direction
+	// moved; the governor reads them.
+	readMedia  fluid.Account
+	writeMedia fluid.Account
+	heat       float64 // bytes of recent I/O, decays during idle
+	throttled  bool
+	idleSecs   float64
+	lastRead   float64
+	lastWrite  float64
+	ticker     *sim.Ticker
 }
 
 // NewSSD registers a flash device with the simulator. The governor samples
@@ -147,8 +151,8 @@ func NewSSD(s *fluid.Sim, cfg SSDConfig) *SSD {
 // govern updates thermal state from the last second of media activity.
 func (d *SSD) govern() {
 	d.sim.Sync()
-	r := d.sim.Usage(d.readRes, "media")
-	w := d.sim.Usage(d.writeRes, "media")
+	r := d.sim.Used(&d.readMedia)
+	w := d.sim.Used(&d.writeMedia)
 	delta := (r - d.lastRead) + (w - d.lastWrite)
 	d.lastRead, d.lastWrite = r, w
 	d.heat += delta
@@ -186,16 +190,16 @@ func (d *SSD) Name() string { return d.cfg.Name }
 func (d *SSD) Size() int64 { return d.cfg.Size }
 
 // AttachIO implements Device.
-func (d *SSD) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64, tag string) {
+func (d *SSD) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64) {
 	if share <= 0 {
 		return
 	}
 	eff := blockEfficiency(blockSize, d.cfg.PageBytes)
-	res := d.readRes
 	if write {
-		res = d.writeRes
+		f.UseTagged(d.writeRes, share/eff, &d.writeMedia)
+	} else {
+		f.UseTagged(d.readRes, share/eff, &d.readMedia)
 	}
-	f.UseTagged(res, share/eff, "media")
 }
 
 // MemoryBuffer implements Device: flash is not host memory.
@@ -246,7 +250,7 @@ func (d *HDD) Size() int64 { return d.cfg.Size }
 
 // AttachIO implements Device: effective rate for block size B is
 // B / (B/rate + seek), expressed as an inflated media coefficient.
-func (d *HDD) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64, tag string) {
+func (d *HDD) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64) {
 	if share <= 0 {
 		return
 	}
@@ -255,7 +259,7 @@ func (d *HDD) AttachIO(f *fluid.Flow, write bool, blockSize int64, share float64
 	}
 	xfer := float64(blockSize) / d.cfg.SequentialBandwidth
 	eff := xfer / (xfer + float64(d.cfg.SeekTime))
-	f.UseTagged(d.res, share/eff, "media")
+	f.Use(d.res, share/eff)
 }
 
 // MemoryBuffer implements Device.

@@ -61,7 +61,7 @@ func TestRamdiskAttachIONoMediaCharge(t *testing.T) {
 	_, s, m := testSim(t)
 	r := NewRamdisk(m, "lun", units.GB, m.Node(0))
 	f := s.NewFlow("f", 10)
-	r.AttachIO(f, false, 4*units.MB, 1, "io")
+	r.AttachIO(f, false, 4*units.MB, 1)
 	if len(f.Uses) != 0 {
 		t.Fatal("ramdisk should not add media resources")
 	}
@@ -71,7 +71,7 @@ func TestSSDHealthyBandwidth(t *testing.T) {
 	eng, s, _ := testSim(t)
 	d := NewSSD(s, DefaultSSDConfig("ssd0", units.TB))
 	f := s.NewFlow("f", math.Inf(1))
-	d.AttachIO(f, false, 4*units.MB, 1, "io")
+	d.AttachIO(f, false, 4*units.MB, 1)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(5)
 	s.Sync()
@@ -89,7 +89,7 @@ func TestSSDThermalThrottleKicksIn(t *testing.T) {
 	cfg := DefaultSSDConfig("ssd0", units.TB)
 	d := NewSSD(s, cfg)
 	f := s.NewFlow("f", math.Inf(1))
-	d.AttachIO(f, true, 4*units.MB, 1, "io")
+	d.AttachIO(f, true, 4*units.MB, 1)
 	tr := &fluid.Transfer{Flow: f, Remaining: math.Inf(1)}
 	s.Start(tr)
 	// 100 GB at 1.3 GB/s ≈ 77 s to exhaust the thermal budget.
@@ -113,7 +113,7 @@ func TestSSDRecoversAfterCooldown(t *testing.T) {
 	cfg.CooldownSeconds = 10
 	d := NewSSD(s, cfg)
 	f := s.NewFlow("f", math.Inf(1))
-	d.AttachIO(f, true, 4*units.MB, 1, "io")
+	d.AttachIO(f, true, 4*units.MB, 1)
 	// Write ~110 GB then stop. The budget (100 GB) runs out after ≈77 s at
 	// 1.3 GB/s; the remaining ~10 GB drain at 500 MB/s until ≈97 s.
 	tr := &fluid.Transfer{Flow: f, Remaining: 110 * float64(units.GB)}
@@ -133,7 +133,7 @@ func TestSSDSmallBlocksLessEfficient(t *testing.T) {
 	eng, s, _ := testSim(t)
 	d := NewSSD(s, DefaultSSDConfig("ssd0", units.TB))
 	small := s.NewFlow("small", math.Inf(1))
-	d.AttachIO(small, false, 8*units.KB, 1, "io")
+	d.AttachIO(small, false, 8*units.KB, 1)
 	s.Start(&fluid.Transfer{Flow: small, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
 	s.Sync()
@@ -148,7 +148,7 @@ func TestHDDSeekBoundSmallBlocks(t *testing.T) {
 	d := NewHDD(s, DefaultHDDConfig("hdd0", 4*units.TB))
 	// 64 KB blocks: transfer 0.44 ms vs seek 8 ms → ~5% efficiency.
 	f := s.NewFlow("f", math.Inf(1))
-	d.AttachIO(f, false, 64*units.KB, 1, "io")
+	d.AttachIO(f, false, 64*units.KB, 1)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
 	s.Sync()
@@ -167,7 +167,7 @@ func TestHDDSequentialLargeBlocks(t *testing.T) {
 	eng, s, _ := testSim(t)
 	d := NewHDD(s, DefaultHDDConfig("hdd0", 4*units.TB))
 	f := s.NewFlow("f", math.Inf(1))
-	d.AttachIO(f, false, 256*units.MB, 1, "io")
+	d.AttachIO(f, false, 256*units.MB, 1)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
 	s.Sync()

@@ -595,13 +595,13 @@ func (c *Cluster) start(j *job, sh *shard) {
 	} else {
 		hops := c.Topo.Route(j.src, j.dst, uint64(j.id))
 		j.hops = hops
-		fabric.ChargeRoute(f, hops, 1, "wire")
+		fabric.ChargeRoute(f, hops, 1)
 		srcT.ChargeCPU(f, cpuPerByte, host.CatUser)
-		srcT.ChargeMemory(f, srcBuf, 1, false, host.CatUser)
-		c.Topo.PortLinks[j.src].A.ChargeDMA(f, srcBuf, 1, false, "dma")
+		srcT.ChargeMemory(f, srcBuf, 1, false)
+		c.Topo.PortLinks[j.src].A.ChargeDMA(f, srcBuf, 1, false)
 		dstT.ChargeCPU(f, cpuPerByte, host.CatUser)
-		dstT.ChargeMemory(f, dstBuf, 1, true, host.CatUser)
-		c.Topo.PortLinks[j.dst].A.ChargeDMA(f, dstBuf, 1, true, "dma")
+		dstT.ChargeMemory(f, dstBuf, 1, true)
+		c.Topo.PortLinks[j.dst].A.ChargeDMA(f, dstBuf, 1, true)
 	}
 	src.srcActive++
 	dst.dstActive++

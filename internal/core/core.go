@@ -253,7 +253,8 @@ func (s *System) StartRFTP(dir Direction, cfg rftp.Config, p rftp.Params,
 // StartRFTPOn launches an RFTP transfer between explicit files (created
 // with CreateJobFiles, or any files on the matching sides). Any number of
 // transfers may run concurrently on a live System — they contend for the
-// shared fabric, SAN and CPU resources with independent accounting.
+// shared fabric, SAN and CPU resources, and each keeps its own progress;
+// CPU is accounted per host and category (host.Host.HostCPUReport).
 func (s *System) StartRFTPOn(dir Direction, cfg rftp.Config, p rftp.Params,
 	srcFile, dstFile *fsim.File, size float64, onDone func(now sim.Time)) (*rftp.Transfer, error) {
 	if srcFile == nil || dstFile == nil {
@@ -392,7 +393,7 @@ func (s *System) MeasureCeiling(side *Side, op iscsi.Op, duration sim.Duration) 
 		buf = side.Front.M.InterleavedBuffer("ceiling")
 	}
 	err := file.AttachStream(fl, op, fsim.IOOptions{
-		Thread: th, Buffer: buf, Direct: true, Tag: "ceiling",
+		Thread: th, Buffer: buf, Direct: true,
 	}, 1)
 	if err != nil {
 		return 0, err

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"e2edt/internal/fluid"
 	"e2edt/internal/gridftp"
 	"e2edt/internal/rftp"
 )
@@ -47,9 +49,10 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestByteConservation checks that the bytes RFTP reports match the bytes
-// that crossed the front-end wire (adjusted for control overhead) and the
-// bytes written into the destination SAN.
+// TestByteConservation checks that every RFTP stream flow charges the
+// front-end wire exactly its payload plus control and framing overhead, and
+// that the receiving side's writes reach the destination SAN's store
+// memory.
 func TestByteConservation(t *testing.T) {
 	sys, err := NewSystem(DefaultOptions())
 	if err != nil {
@@ -68,23 +71,42 @@ func TestByteConservation(t *testing.T) {
 	s := sys.TB.Sim
 	s.Sync()
 
-	// Wire bytes on the three front links (sender→receiver direction),
-	// tagged "rftp": payload × (1 + ctrl/block) / framing efficiency.
-	wire := 0.0
-	for _, l := range sys.TB.FrontLinks {
-		wire += s.Usage(l.Dir(l.A), "rftp")
-	}
+	// Each RFTP stream flow crosses its front link (sender→receiver
+	// direction) at payload × (1 + ctrl/block) / framing efficiency, so
+	// the wire carries exactly that per payload byte.
 	p := rftp.DefaultParams()
-	expect := payload * (1 + p.CtrlBytesPerBlock/float64(cfg.BlockSize)) / (9000.0 / 9090.0)
-	if math.Abs(wire-expect)/expect > 1e-6 {
-		t.Fatalf("wire bytes %v, want %v", wire, expect)
+	expect := (1 + p.CtrlBytesPerBlock/float64(cfg.BlockSize)) / (9000.0 / 9090.0)
+	front := make(map[*fluid.Resource]bool)
+	for _, l := range sys.TB.FrontLinks {
+		front[l.Dir(l.A)] = true
 	}
-
-	// Destination store memory must have absorbed at least one write per
-	// payload byte (file write; bounce is cache-discounted).
-	dstMem := 0.0
+	stores := make(map[*fluid.Resource]bool)
 	for _, n := range sys.B.Store.M.Nodes {
-		dstMem += s.Usage(n.Mem, "dst-store-lun0:io")
+		stores[n.Mem] = true
+	}
+	streams, dstMem := 0, 0.0
+	for _, f := range s.Network.Flows() {
+		if !strings.HasPrefix(f.Name, "rftp/") {
+			continue
+		}
+		streams++
+		wire := 0.0
+		for _, u := range f.Uses {
+			if front[u.Resource] {
+				wire += u.Coeff
+			}
+			// The receiving side writes the destination SAN, whose
+			// target copies into its store memory.
+			if stores[u.Resource] {
+				dstMem += u.Coeff
+			}
+		}
+		if math.Abs(wire-expect)/expect > 1e-6 {
+			t.Fatalf("stream %s crosses the wire at %v per payload byte, want %v", f.Name, wire, expect)
+		}
+	}
+	if streams == 0 {
+		t.Fatal("no RFTP stream flow registered")
 	}
 	if dstMem <= 0 {
 		t.Fatal("destination store saw no I/O traffic")

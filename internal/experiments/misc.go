@@ -139,7 +139,7 @@ func SSDThermalThrottle() Result {
 	s := fluid.NewSim(eng)
 	ssd := blockdev.NewSSD(s, blockdev.DefaultSSDConfig("fusion-io", units.TB))
 	f := s.NewFlow("sustained-write", math.Inf(1))
-	ssd.AttachIO(f, true, 4*units.MB, 1, "io")
+	ssd.AttachIO(f, true, 4*units.MB, 1)
 	tr := &fluid.Transfer{Flow: f, Remaining: math.Inf(1)}
 	s.Start(tr)
 	sampler := metrics.NewSampler(eng, "ssd-write-MBps", 5, func() float64 {

@@ -178,8 +178,8 @@ func (l *Link) Peer(from *host.Device) *host.Device {
 
 // ChargeWire attaches the link's directional bandwidth, adjusted for framing
 // overhead, to flow f.
-func (l *Link) ChargeWire(f *fluid.Flow, from *host.Device, coeff float64, tag string) {
-	f.UseTagged(l.Dir(from), coeff/l.Cfg.Efficiency(), tag)
+func (l *Link) ChargeWire(f *fluid.Flow, from *host.Device, coeff float64) {
+	f.Use(l.Dir(from), coeff/l.Cfg.Efficiency())
 }
 
 // OneWayDelay is half the effective RTT.

@@ -77,9 +77,9 @@ func TestFullDuplexIndependence(t *testing.T) {
 	eng, s, ha, hb := pairOfHosts(t)
 	l := Connect(s, Config{Name: "l", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
 	fwd := s.NewFlow("fwd", math.Inf(1))
-	l.ChargeWire(fwd, l.A, 1, "net")
+	l.ChargeWire(fwd, l.A, 1)
 	rev := s.NewFlow("rev", math.Inf(1))
-	l.ChargeWire(rev, l.B, 1, "net")
+	l.ChargeWire(rev, l.B, 1)
 	s.Start(&fluid.Transfer{Flow: fwd, Remaining: math.Inf(1)})
 	s.Start(&fluid.Transfer{Flow: rev, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
@@ -102,7 +102,7 @@ func TestFramingEfficiency(t *testing.T) {
 	_, s, ha, hb := pairOfHosts(t)
 	l := Connect(s, Config{Name: "l", Rate: 100, MTU: 9000, HeaderBytes: 90}, ha, ha.M.Node(0), hb, hb.M.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	l.ChargeWire(f, l.A, 1, "net")
+	l.ChargeWire(f, l.A, 1)
 	s.Network.Solve()
 	if got := f.Rate(); math.Abs(got-100*want) > 1e-9 {
 		t.Fatalf("payload rate = %v, want %v", got, 100*want)
@@ -166,9 +166,9 @@ func TestDMAPlusWireComposition(t *testing.T) {
 	src := ha.M.NewBuffer("src", ha.M.Node(1)) // remote to NIC
 	dst := hb.M.NewBuffer("dst", hb.M.Node(0)) // local to NIC
 	f := s.NewFlow("xfer", math.Inf(1))
-	l.A.ChargeDMA(f, src, 1, false, "dma")
-	l.ChargeWire(f, l.A, 1, "net")
-	l.B.ChargeDMA(f, dst, 1, true, "dma")
+	l.A.ChargeDMA(f, src, 1, false)
+	l.ChargeWire(f, l.A, 1)
+	l.B.ChargeDMA(f, dst, 1, true)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
 	s.Sync()
@@ -186,7 +186,7 @@ func TestFailStallsFlows(t *testing.T) {
 	eng, s, ha, hb := pairOfHosts(t)
 	l := Connect(s, Config{Name: "l", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	l.ChargeWire(f, l.A, 1, "net")
+	l.ChargeWire(f, l.A, 1)
 	tr := &fluid.Transfer{Flow: f, Remaining: math.Inf(1)}
 	s.Start(tr)
 	eng.RunUntil(1)
@@ -243,9 +243,9 @@ func TestDegradeScalesBothDirections(t *testing.T) {
 	eng, s, ha, hb := pairOfHosts(t)
 	l := Connect(s, Config{Name: "l", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
 	fwd := s.NewFlow("fwd", math.Inf(1))
-	l.ChargeWire(fwd, l.A, 1, "net")
+	l.ChargeWire(fwd, l.A, 1)
 	rev := s.NewFlow("rev", math.Inf(1))
-	l.ChargeWire(rev, l.B, 1, "net")
+	l.ChargeWire(rev, l.B, 1)
 	s.Start(&fluid.Transfer{Flow: fwd, Remaining: math.Inf(1)})
 	s.Start(&fluid.Transfer{Flow: rev, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
@@ -417,7 +417,7 @@ func TestErrorBurstLeavesCapacityUntouched(t *testing.T) {
 	eng, s, ha, hb := pairOfHosts(t)
 	l := Connect(s, Config{Name: "l", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	l.ChargeWire(f, l.A, 1, "net")
+	l.ChargeWire(f, l.A, 1)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
 	l.InjectErrorBurst()
@@ -435,9 +435,9 @@ func TestPartialFabricFailure(t *testing.T) {
 	l1 := Connect(s, Config{Name: "l1", Rate: 100}, ha, ha.M.Node(0), hb, hb.M.Node(0))
 	l2 := Connect(s, Config{Name: "l2", Rate: 100}, ha, ha.M.Node(1), hb, hb.M.Node(1))
 	f1 := s.NewFlow("f1", math.Inf(1))
-	l1.ChargeWire(f1, l1.A, 1, "net")
+	l1.ChargeWire(f1, l1.A, 1)
 	f2 := s.NewFlow("f2", math.Inf(1))
-	l2.ChargeWire(f2, l2.A, 1, "net")
+	l2.ChargeWire(f2, l2.A, 1)
 	s.Start(&fluid.Transfer{Flow: f1, Remaining: math.Inf(1)})
 	s.Start(&fluid.Transfer{Flow: f2, Remaining: math.Inf(1)})
 	eng.RunUntil(1)

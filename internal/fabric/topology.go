@@ -427,10 +427,10 @@ func (t *Topology) CoreLinks(core int) []*Link {
 }
 
 // ChargeRoute attaches every hop of a route (wire bandwidth and framing) to
-// flow f with the given coefficient and accounting tag.
-func ChargeRoute(f *fluid.Flow, hops []Hop, coeff float64, tag string) {
+// flow f with the given coefficient.
+func ChargeRoute(f *fluid.Flow, hops []Hop, coeff float64) {
 	for _, h := range hops {
-		h.Link.ChargeWire(f, h.From, coeff, tag)
+		h.Link.ChargeWire(f, h.From, coeff)
 	}
 }
 

@@ -24,8 +24,9 @@
 // those queues and the flows registered since the last solve, so its cost
 // follows the change, not the size of the network. Editing a Usage in place
 // is the one change no setter sees: it needs Invalidate. UseTagged merges a
-// repeated (resource, tag) charge into the flow's existing entry, but never
-// into an entry the last solve linked, so a merge is never such an edit.
+// repeated (resource, account) charge into the flow's existing entry, but
+// never into an entry the last solve linked, so a merge is never such an
+// edit.
 //
 // # Bottleneck subgraphs
 //
@@ -86,20 +87,21 @@ func (r *Resource) Utilization() float64 {
 }
 
 // Usage binds a flow to a resource: the flow consumes Coeff×rate on
-// Resource. Tag labels the consumption for accounting (e.g. "sys", "copy",
-// "user"). An empty tag makes the entry a solver-only constraint (a thread's
-// one-core limiter, for one): it shapes rates but is not accounted.
+// Resource. A non-nil Acct accumulates that consumption for whoever reads
+// it (a host's CPU category on a physical core, an SSD's media). A nil Acct
+// makes the entry a solver-only constraint: memory, interconnect, DMA,
+// wire and thread-limiter charges shape rates but are not accounted.
 type Usage struct {
 	Resource *Resource
 	Coeff    float64
-	Tag      string
+	Acct     *Account
 }
 
 // Flow is a fluid stream; its rate is computed by Network.Solve.
 type Flow struct {
 	Name string
 	// Uses lists what the flow consumes, one entry per distinct (resource,
-	// tag) pair as far as UseTagged can merge them. Add to it with
+	// account) pair as far as UseTagged can merge them. Add to it with
 	// Use/UseTagged; an in-place edit is invisible to Resolve and needs
 	// Invalidate.
 	Uses []Usage
@@ -137,16 +139,17 @@ func (f *Flow) Rate() float64 { return f.rate }
 // Non-positive coefficients are ignored: they denote "does not touch". On a
 // flow the last solve linked, the next Resolve relinks it.
 func (f *Flow) Use(r *Resource, coeff float64) *Flow {
-	return f.UseTagged(r, coeff, "")
+	return f.UseTagged(r, coeff, nil)
 }
 
-// UseTagged adds a resource consumption labelled with an accounting tag.
-// A charge to a (resource, tag) pair the flow already holds adds coeff into
-// that entry, so a flow built from many small charges carries one entry per
-// distinct pair, not one per charge. Only entries appended since the last
-// solve linked the flow are merged into; r's hint finds them in O(1), and a
-// pair it misses gets a second entry, which costs space but not accuracy.
-func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
+// UseTagged adds a resource consumption charged to acct (nil: unaccounted).
+// A charge to a (resource, account) pair the flow already holds adds coeff
+// into that entry, so a flow built from many small charges carries one
+// entry per distinct pair, not one per charge. Only entries appended since
+// the last solve linked the flow are merged into; r's hint finds them in
+// O(1), and a pair it misses gets a second entry, which costs space but not
+// accuracy.
+func (f *Flow) UseTagged(r *Resource, coeff float64, acct *Account) *Flow {
 	if r == nil {
 		panic("fluid: Use with nil resource")
 	}
@@ -158,14 +161,14 @@ func (f *Flow) UseTagged(r *Resource, coeff float64, tag string) *Flow {
 	}
 	for _, s := range r.hint {
 		if s >= f.linked && int(s) < len(f.Uses) {
-			if u := &f.Uses[s]; u.Resource == r && u.Tag == tag {
+			if u := &f.Uses[s]; u.Resource == r && u.Acct == acct {
 				u.Coeff += coeff
 				return f
 			}
 		}
 	}
 	r.hint[0], r.hint[1] = int32(len(f.Uses)), r.hint[0]
-	f.Uses = append(f.Uses, Usage{Resource: r, Coeff: coeff, Tag: tag})
+	f.Uses = append(f.Uses, Usage{Resource: r, Coeff: coeff, Acct: acct})
 	return f
 }
 
@@ -239,9 +242,8 @@ type Network struct {
 	compF   []int32
 	compR   []int32
 
-	solved  bool // false until the first Solve and after Invalidate
-	stats   SolverStats
-	removed int // retired-resource count; keys unique negative indices
+	solved bool // false until the first Solve and after Invalidate
+	stats  SolverStats
 }
 
 // NewNetwork returns an empty network.
@@ -348,8 +350,7 @@ func (n *Network) RemoveFlow(f *Flow) {
 // any more — per-session state (thread limiters, for one) that would
 // otherwise accumulate forever, growing the solver's per-resource arrays
 // and every full solve under small-job churn.
-// Accumulated usage accounting survives: the resource keeps a unique
-// (negative) index so usage reports stay deterministically ordered.
+// Accounts charged through it are untouched.
 // Removing a resource still in use is a caller bug and panics.
 func (n *Network) RemoveResource(r *Resource) {
 	i := int(r.index)
@@ -376,8 +377,7 @@ func (n *Network) RemoveResource(r *Resource) {
 	for j := i; j < len(n.resources); j++ {
 		n.resources[j].index = int32(j)
 	}
-	n.removed++
-	r.index = int32(-1 - n.removed)
+	r.index = -1
 	r.load = 0
 }
 

@@ -3,7 +3,7 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"e2edt/internal/sim"
 )
@@ -21,9 +21,6 @@ type Transfer struct {
 	transferred float64
 	finished    sim.Time
 	active      bool
-	// usageBase is the transferred count at the last ResetUsage, so that
-	// accounting can be cleared without disturbing progress.
-	usageBase float64
 }
 
 // Transferred returns the units moved so far (accurate as of the last
@@ -37,16 +34,19 @@ func (t *Transfer) Active() bool { return t.active }
 // active).
 func (t *Transfer) Finished() sim.Time { return t.finished }
 
-// AccountKey identifies a consumption bucket for resource accounting.
-type AccountKey struct {
-	Resource *Resource
-	Tag      string
+// Account accumulates the resource-units charged to it: Σ Coeff × units
+// moved over every Usage that names it. The reader of a consumption figure
+// owns its account (a host's CPU category, an SSD's media direction) and
+// reads it with Sim.Used. The zero value is an empty account.
+type Account struct {
+	// folded holds what finished and cancelled transfers consumed.
+	folded float64
 }
 
 // Sim couples a fluid Network with a discrete-event engine: it starts and
 // completes transfers, keeps flow rates max-min fair as the flow population
-// changes, and integrates per-resource, per-tag consumption for CPU and
-// bandwidth accounting.
+// changes, and folds each transfer's consumption into the Accounts its
+// Uses name when the transfer ends.
 type Sim struct {
 	Engine  *sim.Engine
 	Network *Network
@@ -56,21 +56,11 @@ type Sim struct {
 	active     []*Transfer
 	lastSync   sim.Time
 	completion *sim.Event
-
-	// usage holds resource-units consumed by finished transfers, folded
-	// once at completion (usage per bucket = Σ coeff × bytes moved).
-	// Active transfers contribute lazily through their progress, so the
-	// per-event hot path never touches this map.
-	usage map[AccountKey]float64
 }
 
 // NewSim returns a simulator over a fresh network.
 func NewSim(eng *sim.Engine) *Sim {
-	return &Sim{
-		Engine:  eng,
-		Network: NewNetwork(),
-		usage:   make(map[AccountKey]float64),
-	}
+	return &Sim{Engine: eng, Network: NewNetwork()}
 }
 
 // Start activates a transfer. The transfer's flow must already be registered
@@ -103,7 +93,8 @@ func (s *Sim) AddResource(name string, capacity float64) *Resource {
 }
 
 // RemoveResource retires a resource no registered flow crosses any more.
-// Accumulated usage accounting for it is preserved.
+// Accounts charged through it keep what they hold: an account belongs to
+// its reader, not to the resource.
 func (s *Sim) RemoveResource(r *Resource) {
 	s.Network.RemoveResource(r)
 }
@@ -139,18 +130,17 @@ func (s *Sim) Cancel(t *Transfer) {
 	s.Engine.Tracef("fluid", "cancel %s transferred=%g", t.Flow.Name, t.transferred)
 }
 
-// removeActive drops t from the ordered active list.
+// removeActive drops t from the ordered active list. slices.Delete zeroes
+// the vacated tail slot, so a finished transfer (and whatever its
+// OnComplete closure holds) is not kept reachable by the backing array.
 func (s *Sim) removeActive(t *Transfer) {
-	for i, a := range s.active {
-		if a == t {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.active, t); i >= 0 {
+		s.active = slices.Delete(s.active, i, i+1)
 	}
 }
 
-// Sync accrues progress and accounting up to the current virtual time.
-// It must be called before reading Transferred or Usage mid-run.
+// Sync accrues progress up to the current virtual time. It must be called
+// before reading Transferred or Used mid-run.
 func (s *Sim) Sync() {
 	now := s.Engine.Now()
 	dt := float64(now - s.lastSync)
@@ -172,87 +162,36 @@ func (s *Sim) Sync() {
 	s.lastSync = now
 }
 
-// fold moves a finished (or reset) transfer's consumption into the usage
-// map: usage per bucket = coeff × bytes moved since the last fold. Untagged
-// entries are solver-only and have no bucket.
+// fold adds a finished or cancelled transfer's consumption, Coeff × units
+// moved, into the account of every accounted Use. Unaccounted entries are
+// solver-only constraints.
 func (s *Sim) fold(t *Transfer) {
-	moved := t.transferred - t.usageBase
-	if moved <= 0 {
+	if t.transferred <= 0 {
 		return
 	}
 	for _, u := range t.Flow.Uses {
-		if u.Tag != "" {
-			s.usage[AccountKey{u.Resource, u.Tag}] += u.Coeff * moved
+		if u.Acct != nil {
+			u.Acct.folded += u.Coeff * t.transferred
 		}
 	}
-	t.usageBase = t.transferred
 }
 
-// Usage returns accumulated resource-units for a resource/tag bucket,
-// including the lazy contribution of still-active transfers. The empty tag
-// is not accounted and reads 0.
-func (s *Sim) Usage(r *Resource, tag string) float64 {
-	if tag == "" {
-		return 0
-	}
-	total := s.usage[AccountKey{r, tag}]
+// Used returns the resource-units charged to a non-nil account: what
+// ended transfers folded into it plus the progress of active ones, which
+// contribute lazily so the per-event hot path never touches an account.
+func (s *Sim) Used(a *Account) float64 {
+	total := a.folded
 	for _, t := range s.active {
-		moved := t.transferred - t.usageBase
-		if moved <= 0 {
+		if t.transferred <= 0 {
 			continue
 		}
 		for _, u := range t.Flow.Uses {
-			if u.Resource == r && u.Tag == tag {
-				total += u.Coeff * moved
+			if u.Acct == a {
+				total += u.Coeff * t.transferred
 			}
 		}
 	}
 	return total
-}
-
-// UsageByTag sums accumulated consumption per tag across a set of resources
-// (pass nil for all resources), including active transfers. Untagged
-// consumption is not accounted and has no key.
-func (s *Sim) UsageByTag(filter func(*Resource) bool) map[string]float64 {
-	out := make(map[string]float64)
-	// Sum the folded map in a stable order so reports are reproducible.
-	keys := make([]AccountKey, 0, len(s.usage))
-	for k := range s.usage {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Resource.index != keys[j].Resource.index {
-			return keys[i].Resource.index < keys[j].Resource.index
-		}
-		return keys[i].Tag < keys[j].Tag
-	})
-	for _, k := range keys {
-		if filter == nil || filter(k.Resource) {
-			out[k.Tag] += s.usage[k]
-		}
-	}
-	for _, t := range s.active {
-		moved := t.transferred - t.usageBase
-		if moved <= 0 {
-			continue
-		}
-		for _, u := range t.Flow.Uses {
-			if u.Tag != "" && (filter == nil || filter(u.Resource)) {
-				out[u.Tag] += u.Coeff * moved
-			}
-		}
-	}
-	return out
-}
-
-// ResetUsage clears accumulated accounting (after a warm-up period, for
-// example). Progress on transfers is unaffected.
-func (s *Sim) ResetUsage() {
-	s.Sync()
-	s.usage = make(map[AccountKey]float64)
-	for _, t := range s.active {
-		t.usageBase = t.transferred
-	}
 }
 
 // ActiveTransfers returns the number of in-flight transfers.

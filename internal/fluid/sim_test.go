@@ -115,57 +115,81 @@ func TestOpenEndedTransferNeverCompletes(t *testing.T) {
 	}
 }
 
-func TestUsageAccounting(t *testing.T) {
-	eng, s := newTestSim()
-	link := s.AddResource("link", 100)
-	cpu := s.AddResource("cpu", 1)
-	f := s.NewFlow("f", math.Inf(1))
-	f.UseTagged(link, 1, "net")
-	f.UseTagged(cpu, 0.001, "sys") // 0.001 core-sec per byte → cap 1000 B/s
-	tr := &Transfer{Flow: f, Remaining: 1000}
-	s.Start(tr)
-	eng.Run()
-	// Link is the bottleneck: rate 100 B/s, duration 10s.
-	if got := s.Usage(link, "net"); !almostEqual(got, 1000, 1e-9) {
-		t.Fatalf("link usage = %v, want 1000 bytes", got)
-	}
-	// CPU: 0.001 × 100 B/s × 10 s = 1 core-second.
-	if got := s.Usage(cpu, "sys"); !almostEqual(got, 1, 1e-9) {
-		t.Fatalf("cpu usage = %v, want 1 core-second", got)
+// TestAccountReads: an account reads coeff × units moved by every transfer
+// charging it — at completion, after Cancel, and mid-flight (folded and
+// lazy parts alike) — and an unaccounted charge on the same resource adds
+// nothing to it.
+func TestAccountReads(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		size   float64 // transfer size; +Inf for open-ended
+		cancel bool    // cancel at t=5
+		readAt sim.Time
+		want   float64 // units moved by readAt
+	}{
+		{name: "completion", size: 1000, readAt: 20, want: 1000},
+		{name: "cancel", size: 1000, cancel: true, readAt: 20, want: 500},
+		{name: "mid-flight", size: math.Inf(1), readAt: 5, want: 500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, s := newTestSim()
+			link := s.AddResource("link", 100) // the bottleneck: 100 units/s
+			cpu := s.AddResource("cpu", 1)
+			var net, sys, unused Account
+			f := s.NewFlow("f", math.Inf(1))
+			f.UseTagged(link, 1, &net)
+			f.UseTagged(cpu, 0.001, &sys)
+			f.Use(cpu, 0.002) // unaccounted: shapes the rate, charges nobody
+			tr := &Transfer{Flow: f, Remaining: c.size}
+			s.Start(tr)
+			if c.cancel {
+				eng.Schedule(5, func() { s.Cancel(tr) })
+			}
+			eng.RunUntil(c.readAt)
+			s.Sync()
+			if got := tr.Transferred(); !almostEqual(got, c.want, 1e-9) {
+				t.Fatalf("transferred %v, want %v", got, c.want)
+			}
+			if got := s.Used(&net); !almostEqual(got, c.want, 1e-9) {
+				t.Fatalf("net account = %v, want %v", got, c.want)
+			}
+			if got := s.Used(&sys); !almostEqual(got, 0.001*c.want, 1e-9) {
+				t.Fatalf("sys account = %v, want %v (the unaccounted cpu charge must not reach it)", got, 0.001*c.want)
+			}
+			if got := s.Used(&unused); got != 0 {
+				t.Fatalf("an account no Use names reads %v", got)
+			}
+			if tr.Active() && net.folded != 0 {
+				t.Fatalf("an active transfer folded %v into its account", net.folded)
+			}
+		})
 	}
 }
 
-func TestUsageByTagFilter(t *testing.T) {
-	eng, s := newTestSim()
-	a := s.AddResource("a", 100)
-	b := s.AddResource("b", 100)
-	f := s.NewFlow("f", math.Inf(1))
-	f.UseTagged(a, 1, "x")
-	f.UseTagged(b, 1, "x")
-	s.Start(&Transfer{Flow: f, Remaining: 100})
-	eng.Run()
-	all := s.UsageByTag(nil)
-	if !almostEqual(all["x"], 200, 1e-9) {
-		t.Fatalf("total tag x = %v, want 200", all["x"])
-	}
-	onlyA := s.UsageByTag(func(r *Resource) bool { return r == a })
-	if !almostEqual(onlyA["x"], 100, 1e-9) {
-		t.Fatalf("filtered tag x = %v, want 100", onlyA["x"])
-	}
-}
-
-func TestResetUsage(t *testing.T) {
+// TestRemoveActiveClearsTailSlots: completing and cancelling transfers from
+// the middle of the active list leaves no finished transfer in the list's
+// spare capacity, where it (and its OnComplete closure) would stay
+// reachable.
+func TestRemoveActiveClearsTailSlots(t *testing.T) {
 	eng, s := newTestSim()
 	link := s.AddResource("link", 100)
-	f := s.NewFlow("f", math.Inf(1))
-	f.UseTagged(link, 1, "net")
-	s.Start(&Transfer{Flow: f, Remaining: math.Inf(1)})
-	eng.RunUntil(5)
-	s.ResetUsage()
-	eng.RunUntil(10)
-	s.Sync()
-	if got := s.Usage(link, "net"); !almostEqual(got, 500, 1e-9) {
-		t.Fatalf("usage after reset = %v, want 500", got)
+	var trs []*Transfer
+	for _, size := range []float64{math.Inf(1), 10, math.Inf(1), math.Inf(1), math.Inf(1)} {
+		f := s.NewFlow("f", math.Inf(1))
+		f.Use(link, 1)
+		tr := &Transfer{Flow: f, Remaining: size}
+		s.Start(tr)
+		trs = append(trs, tr)
+	}
+	eng.RunUntil(1) // trs[1] completes
+	s.Cancel(trs[3])
+	if trs[1].Active() || trs[3].Active() || s.ActiveTransfers() != 3 {
+		t.Fatalf("%d active, want 3 after one completion and one cancel", s.ActiveTransfers())
+	}
+	for i, tr := range s.active[len(s.active):cap(s.active)] {
+		if tr != nil {
+			t.Fatalf("slot %d past the active list still holds %s", len(s.active)+i, tr.Flow.Name)
+		}
 	}
 }
 
@@ -261,16 +285,17 @@ func TestManySmallTransfersConserveBytes(t *testing.T) {
 	eng, s := newTestSim()
 	link := s.AddResource("link", 1000)
 	total := 0.0
+	var net Account
 	const n = 50
 	for i := 0; i < n; i++ {
 		f := s.NewFlow("f", math.Inf(1))
-		f.UseTagged(link, 1, "net")
+		f.UseTagged(link, 1, &net)
 		size := float64(10 * (i + 1))
 		total += size
 		s.Start(&Transfer{Flow: f, Remaining: size})
 	}
 	eng.Run()
-	if got := s.Usage(link, "net"); !almostEqual(got, total, 1e-6) {
+	if got := s.Used(&net); !almostEqual(got, total, 1e-6) {
 		t.Fatalf("accounted bytes %v, want %v", got, total)
 	}
 }

@@ -191,8 +191,6 @@ type IOOptions struct {
 	Buffer *numa.Buffer
 	// Direct selects O_DIRECT (no page-cache copy).
 	Direct bool
-	// Tag labels accounting.
-	Tag string
 }
 
 func (o IOOptions) validate() error {
@@ -255,7 +253,7 @@ func (f *File) io(op iscsi.Op, off, length int64, o IOOptions, done func(sim.Tim
 		f.fs.Sess.Submit(&iscsi.Command{
 			Op: op, LUN: p.lun.ID,
 			Offset: 0, Length: p.length,
-			Buffer: o.Buffer, Tag: o.Tag, Charge: charge,
+			Buffer: o.Buffer, Charge: charge,
 			OnComplete: func(now sim.Time, err error) {
 				if err != nil && firstErr == nil {
 					firstErr = err
@@ -319,13 +317,13 @@ func (f *File) AttachStream(fl *fluid.Flow, op iscsi.Op, o IOOptions, share floa
 	}
 	per := share / float64(len(f.fs.luns))
 	for _, l := range f.fs.luns {
-		sm.AttachPath(fl, op, l.ID, o.Buffer, per, o.Tag)
+		sm.AttachPath(fl, op, l.ID, o.Buffer, per)
 	}
 	o.Thread.ChargeCPU(fl, share*f.fs.Opt.FSCyclesPerByte, host.CatIO)
 	if op == iscsi.OpWrite && f.fs.Opt.JournalEveryBytes > 0 {
 		// Journal amplification: extra SAN writes to LUN 0.
 		amp := share * float64(f.fs.Opt.JournalBytes) / float64(f.fs.Opt.JournalEveryBytes)
-		sm.AttachPath(fl, iscsi.OpWrite, f.fs.luns[0].ID, o.Buffer, amp, "journal")
+		sm.AttachPath(fl, iscsi.OpWrite, f.fs.luns[0].ID, o.Buffer, amp)
 	}
 	if !o.Direct {
 		f.fs.pageCacheCharge(fl, o.Thread, o.Buffer, op == iscsi.OpWrite, share)

@@ -56,7 +56,6 @@ func (r *rig) ioOpts(direct bool) IOOptions {
 		Thread: r.proc.NewThread(),
 		Buffer: r.init.M.NewBuffer("app", r.init.M.Node(0)),
 		Direct: direct,
-		Tag:    "t",
 	}
 }
 
@@ -259,20 +258,24 @@ func TestAttachStreamWriteJournalAmplification(t *testing.T) {
 	r := newRig(t, 2)
 	f, _ := r.fs.Create("data", 10*units.GB)
 	fl := r.s.NewFlow("stream", math.Inf(1))
-	o := r.ioOpts(true)
-	o.Tag = "data"
-	if err := f.AttachStream(fl, iscsi.OpWrite, o, 1); err != nil {
+	if err := f.AttachStream(fl, iscsi.OpWrite, r.ioOpts(true), 1); err != nil {
 		t.Fatal(err)
 	}
-	// Journal adds a small extra wire component tagged "journal".
-	found := false
-	for _, u := range fl.Uses {
-		if u.Tag == "journal" {
-			found = true
-		}
+	// Journal amplification adds extra LUN-0 writes: the stream charges
+	// more than the same stream with journaling off.
+	r.fs.Opt.JournalEveryBytes = 0
+	plain := r.s.NewFlow("plain", math.Inf(1))
+	if err := f.AttachStream(plain, iscsi.OpWrite, r.ioOpts(true), 1); err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatal("journal amplification missing from stream charges")
+	sum := func(fl *fluid.Flow) (c float64) {
+		for _, u := range fl.Uses {
+			c += u.Coeff
+		}
+		return c
+	}
+	if sum(fl) <= sum(plain) {
+		t.Fatalf("journaled stream charges %v, unjournaled %v: amplification missing", sum(fl), sum(plain))
 	}
 }
 

@@ -153,10 +153,10 @@ func Start(links []*fabric.Link, senderHost *host.Host, cfg Config,
 			Extra: func(f *fluid.Flow) {
 				// The same threads pay the I/O costs: the per-thread core
 				// limiter then serializes I/O against socket work.
-				if err := src.Attach(f, sndThr, sndBuf, 1, "gridftp"); err != nil {
+				if err := src.Attach(f, sndThr, sndBuf, 1); err != nil {
 					stageErr = err
 				}
-				if err := dst.Attach(f, rcvThr, rcvBuf, 1, "gridftp"); err != nil {
+				if err := dst.Attach(f, rcvThr, rcvBuf, 1); err != nil {
 					stageErr = err
 				}
 				sndThr.ChargeCPU(f, cfg.SyscallCyclesPerBlock/bs, host.CatSys)

@@ -4,14 +4,17 @@
 //
 // CPU consumption is expressed in core-seconds: "122% CPU" in the paper
 // means 1.22 core-seconds consumed per second of wall time. A thread charges
-// cycles-per-byte coefficients onto the fluid flow that carries its data;
-// utilization reports then fall out of the fluid simulator's usage
-// accounting.
+// cycles-per-byte coefficients onto the fluid flow that carries its data.
+// Each host keeps one fluid.Account per CPU category, and a charge to a
+// physical core names its category's account; HostCPUReport reads those
+// accounts. Memory, interconnect, DMA and thread-limiter charges constrain
+// rates but are not accounted.
 package host
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"e2edt/internal/fluid"
@@ -35,28 +38,36 @@ type Host struct {
 	Sim  *fluid.Sim
 
 	devices []*Device
-	// physCores identifies this host's physical core resources, so that
-	// CPU accounting can exclude per-thread virtual limiter resources.
-	physCores map[*fluid.Resource]bool
-	nextCore  []int // per-node round-robin pin counter
-	nextNode  int   // round-robin node assignment for bound processes
+	// cpu holds one account per CPU category charged so far, in first-
+	// charge order: at most one per Cat* constant, however many processes
+	// and threads come and go.
+	cpu      []*cpuAccount
+	nextCore []int // per-node round-robin pin counter
+	nextNode int   // round-robin node assignment for bound processes
+}
+
+// cpuAccount is the core-seconds one category consumed on a host's
+// physical cores.
+type cpuAccount struct {
+	cat  string
+	acct fluid.Account
 }
 
 // New wraps a NUMA machine in a host.
 func New(name string, m *numa.Machine) *Host {
-	h := &Host{
-		Name:      name,
-		M:         m,
-		Sim:       m.Sim,
-		physCores: make(map[*fluid.Resource]bool),
-		nextCore:  make([]int, len(m.Nodes)),
-	}
-	for _, n := range m.Nodes {
-		for _, c := range n.Cores {
-			h.physCores[c.Res] = true
+	return &Host{Name: name, M: m, Sim: m.Sim, nextCore: make([]int, len(m.Nodes))}
+}
+
+// account returns the category's account, created on its first charge.
+func (h *Host) account(category string) *fluid.Account {
+	for _, c := range h.cpu {
+		if c.cat == category {
+			return &c.acct
 		}
 	}
-	return h
+	c := &cpuAccount{cat: category}
+	h.cpu = append(h.cpu, c)
+	return &c.acct
 }
 
 // Process is a named group of threads sharing a placement policy.
@@ -67,14 +78,7 @@ type Process struct {
 	// Node is the bound node under PolicyBind (nil otherwise).
 	Node    *numa.Node
 	Threads []*Thread
-
-	// tags caches the "name:category" accounting tags built so far, so a
-	// charge does not concatenate one.
-	tags []catTag
 }
-
-// catTag pairs a CPU accounting category with its process's tag.
-type catTag struct{ cat, tag string }
 
 // NewProcess creates a process. Under PolicyBind with a nil node, nodes are
 // assigned round-robin (one target process per node, as the paper's
@@ -105,8 +109,7 @@ type Thread struct {
 func (p *Process) NewThread() *Thread {
 	h := p.Host
 	t := &Thread{Proc: p, ID: len(p.Threads)}
-	t.limiter = h.Sim.AddResource(
-		fmt.Sprintf("%s/%s/t%d/limit", h.Name, p.Name, t.ID), 1)
+	t.limiter = h.Sim.AddResource(h.Name+"/"+p.Name+"/t"+strconv.Itoa(t.ID)+"/limit", 1)
 	if p.Policy == numa.PolicyBind && p.Node != nil {
 		idx := h.nextCore[p.Node.ID] % len(p.Node.Cores)
 		h.nextCore[p.Node.ID]++
@@ -121,8 +124,9 @@ func (p *Process) NewThread() *Thread {
 // flow will ever charge this thread again: limiters are per-session
 // state, and a workload that opens thousands of short sessions would
 // otherwise grow the network — and every full solve and per-resource
-// solver array over it — without bound. Accumulated CPU accounting is unaffected. Releasing a
-// thread that a registered flow still charges panics in the network.
+// solver array over it — without bound. The host's CPU accounts are
+// unaffected. Releasing a thread that a registered flow still charges
+// panics in the network.
 func (t *Thread) Release() {
 	t.Proc.Host.Sim.RemoveResource(t.limiter)
 }
@@ -145,35 +149,22 @@ func (t *Thread) Node() *numa.Node {
 	return nil
 }
 
-// tag returns the accounting tag "process:category", built once per
-// category.
-func (p *Process) tag(category string) string {
-	for _, c := range p.tags {
-		if c.cat == category {
-			return c.tag
-		}
-	}
-	tag := p.Name + ":" + category
-	p.tags = append(p.tags, catTag{category, tag})
-	return tag
-}
-
 // ChargeCPU attaches cyclesPerByte of CPU work in the given category to
 // flow f. The work lands on the thread's pinned core, or is spread across
 // every core for an unbound thread; either way the per-thread limiter caps
-// the flow at one core's throughput for this work component. The limiter
-// charge is untagged: it constrains the solver, and CPU reports read only
-// physical cores.
+// the flow at one core's throughput for this work component. The core
+// charges name the host's account for the category; the limiter charge is
+// unaccounted, since it constrains the solver and is no physical core.
 func (t *Thread) ChargeCPU(f *fluid.Flow, cyclesPerByte float64, category string) {
 	if cyclesPerByte <= 0 {
 		return
 	}
 	h := t.Proc.Host
 	coeff := cyclesPerByte / h.M.Cfg.CoreHz // core-seconds per byte
-	tag := t.Proc.tag(category)
+	acct := h.account(category)
 	f.Use(t.limiter, coeff)
 	if t.Core != nil {
-		f.UseTagged(t.Core.Res, coeff, tag)
+		f.UseTagged(t.Core.Res, coeff, acct)
 		return
 	}
 	cores := 0
@@ -183,7 +174,7 @@ func (t *Thread) ChargeCPU(f *fluid.Flow, cyclesPerByte float64, category string
 	per := coeff / float64(cores)
 	for _, n := range h.M.Nodes {
 		for _, c := range n.Cores {
-			f.UseTagged(c.Res, per, tag)
+			f.UseTagged(c.Res, per, acct)
 		}
 	}
 }
@@ -204,28 +195,27 @@ func (t *Thread) MemoryPenalty(buf *numa.Buffer, write bool) float64 {
 
 // ChargeMemory attaches memory-controller and interconnect charges for this
 // thread touching buf.
-func (t *Thread) ChargeMemory(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool, category string) {
-	t.ChargeMemoryScaled(f, buf, bytesPerUnit, write, 1, category)
+func (t *Thread) ChargeMemory(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool) {
+	t.ChargeMemoryScaled(f, buf, bytesPerUnit, write, 1)
 }
 
 // ChargeMemoryScaled is ChargeMemory with a memory-controller discount for
 // cache-resident buffers (see numa.Access.MemScale).
-func (t *Thread) ChargeMemoryScaled(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool, memScale float64, category string) {
+func (t *Thread) ChargeMemoryScaled(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool, memScale float64) {
 	t.Proc.Host.M.Charge(f, numa.Access{
 		Buffer:       buf,
 		From:         t.Node(),
 		BytesPerUnit: bytesPerUnit,
 		Write:        write,
 		MemScale:     memScale,
-		Tag:          t.Proc.tag(category),
 	})
 }
 
 // ChargeCopy models memcpy-style data movement: read src, write dst, plus
 // CPU cycles (already penalty-adjusted for the placement of both buffers).
 func (t *Thread) ChargeCopy(f *fluid.Flow, src, dst *numa.Buffer, bytesPerUnit, cyclesPerByte float64, category string) {
-	t.ChargeMemory(f, src, bytesPerUnit, false, category)
-	t.ChargeMemory(f, dst, bytesPerUnit, true, category)
+	t.ChargeMemory(f, src, bytesPerUnit, false)
+	t.ChargeMemory(f, dst, bytesPerUnit, true)
 	penalty := (t.MemoryPenalty(src, false) + t.MemoryPenalty(dst, true)) / 2
 	t.ChargeCPU(f, cyclesPerByte*bytesPerUnit*penalty, category)
 }
@@ -253,28 +243,20 @@ func (h *Host) Devices() []*Device { return h.devices }
 
 // ChargeDMA attaches DMA traffic between the device and buf to flow f.
 // write=true means the device writes into memory (receive path).
-func (d *Device) ChargeDMA(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool, tag string) {
-	d.ChargeDMAScaled(f, buf, bytesPerUnit, write, 1, tag)
+func (d *Device) ChargeDMA(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool) {
+	d.ChargeDMAScaled(f, buf, bytesPerUnit, write, 1)
 }
 
 // ChargeDMAScaled is ChargeDMA with a memory-controller discount for
 // cache-resident buffers (DDIO: NIC DMA served from the last-level cache).
-func (d *Device) ChargeDMAScaled(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool, memScale float64, tag string) {
+func (d *Device) ChargeDMAScaled(f *fluid.Flow, buf *numa.Buffer, bytesPerUnit float64, write bool, memScale float64) {
 	d.Host.M.Charge(f, numa.Access{
 		Buffer:       buf,
 		From:         d.Node,
 		BytesPerUnit: bytesPerUnit,
 		Write:        write,
 		MemScale:     memScale,
-		Tag:          tag,
 	})
-}
-
-// CPUUsage returns core-seconds consumed on this host's physical cores,
-// keyed by "process:category" tag, as accumulated by the fluid simulator.
-func (h *Host) CPUUsage() map[string]float64 {
-	h.Sim.Sync()
-	return h.Sim.UsageByTag(func(r *fluid.Resource) bool { return h.physCores[r] })
 }
 
 // CPUReport summarizes consumption per category (core-seconds).
@@ -328,44 +310,16 @@ func (r CPUReport) String() string {
 	return b.String()
 }
 
-// sortedTags returns the map's keys in sorted order, so category sums
-// accumulate deterministically (map iteration order would perturb the
-// last float bit between otherwise identical runs).
-func sortedTags(m map[string]float64) []string {
-	tags := make([]string, 0, len(m))
-	for t := range m {
-		tags = append(tags, t)
-	}
-	sort.Strings(tags)
-	return tags
-}
-
-// CPUReport aggregates usage for one process across categories.
-func (p *Process) CPUReport() CPUReport {
-	rep := CPUReport{ByCategory: make(map[string]float64)}
-	usage := p.Host.CPUUsage()
-	prefix := p.Name + ":"
-	for _, tag := range sortedTags(usage) {
-		if strings.HasPrefix(tag, prefix) {
-			cat := strings.TrimPrefix(tag, prefix)
-			rep.ByCategory[cat] += usage[tag]
-			rep.Total += usage[tag]
-		}
-	}
-	return rep
-}
-
-// HostCPUReport aggregates usage for all processes on the host by category.
+// HostCPUReport reads the host's CPU accounts: core-seconds per category
+// on its physical cores, over all processes that ran there.
 func (h *Host) HostCPUReport() CPUReport {
+	h.Sim.Sync()
 	rep := CPUReport{ByCategory: make(map[string]float64)}
-	usage := h.CPUUsage()
-	for _, tag := range sortedTags(usage) {
-		cat := tag
-		if i := strings.LastIndex(tag, ":"); i >= 0 {
-			cat = tag[i+1:]
+	for _, c := range h.cpu {
+		if v := h.Sim.Used(&c.acct); v > 0 {
+			rep.ByCategory[c.cat] = v
+			rep.Total += v
 		}
-		rep.ByCategory[cat] += usage[tag]
-		rep.Total += usage[tag]
 	}
 	return rep
 }

@@ -137,7 +137,7 @@ func TestCPUUsageAccounting(t *testing.T) {
 	th.ChargeCPU(f, 2, CatUser) // saturates one core
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(10)
-	rep := p.CPUReport()
+	rep := h.HostCPUReport()
 	// One core fully busy for 10s → 10 core-seconds of "user".
 	if got := rep.ByCategory[CatUser]; math.Abs(got-10) > 1e-6 {
 		t.Fatalf("user core-seconds = %v, want 10", got)
@@ -161,10 +161,11 @@ func TestLimiterExcludedFromAccounting(t *testing.T) {
 	th.ChargeCPU(f, 2, CatSys)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(10)
-	rep := p.CPUReport()
-	// Limiter consumption must not appear; only physical core seconds.
-	if got := rep.ByCategory["limiter"]; got != 0 {
-		t.Fatalf("limiter leaked into accounting: %v", got)
+	rep := h.HostCPUReport()
+	// Limiter consumption must not appear (it would double the total);
+	// only physical core seconds.
+	if len(rep.ByCategory) != 1 || math.Abs(rep.Total-10) > 1e-6 {
+		t.Fatalf("report %v total %v, want only sys at 10", rep.ByCategory, rep.Total)
 	}
 	if got := rep.ByCategory[CatSys]; math.Abs(got-10) > 1e-6 {
 		t.Fatalf("sys core-seconds = %v, want 10", got)
@@ -219,7 +220,7 @@ func TestChargeCopyMovesTraffic(t *testing.T) {
 	if got := f.Rate(); math.Abs(got-4*units.GBps) > 1 {
 		t.Fatalf("copy rate = %v, want 4 GB/s (CPU-bound)", got)
 	}
-	rep := p.CPUReport()
+	rep := h.HostCPUReport()
 	if rep.ByCategory[CatCopy] <= 0 {
 		t.Fatal("copy category not accounted")
 	}
@@ -230,7 +231,7 @@ func TestDeviceDMA(t *testing.T) {
 	dev := h.NewDevice("nic0", h.M.Node(0))
 	remoteBuf := h.M.NewBuffer("b", h.M.Node(1))
 	f := s.NewFlow("f", math.Inf(1))
-	dev.ChargeDMA(f, remoteBuf, 1, false, "dma")
+	dev.ChargeDMA(f, remoteBuf, 1, false)
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
 	eng.RunUntil(1)
 	s.Sync()
@@ -284,9 +285,18 @@ func TestHostCPUReportAggregates(t *testing.T) {
 	if math.Abs(rep.ByCategory[CatUser]-5) > 1e-6 || math.Abs(rep.ByCategory[CatSys]-5) > 1e-6 {
 		t.Fatalf("host report wrong: %v", rep.ByCategory)
 	}
-	for _, p := range []*Process{p1, p2} {
-		if rep := p.CPUReport(); math.Abs(rep.Total-5) > 1e-6 {
-			t.Fatalf("process %s total = %v, want 5", p.Name, rep.Total)
-		}
+	if math.Abs(rep.Total-10) > 1e-6 {
+		t.Fatalf("host total = %v, want 10", rep.Total)
+	}
+}
+
+// TestThreadLimiterName: the limiter resource is named host/process/tN/limit,
+// the name solver traces and utilization reports print.
+func TestThreadLimiterName(t *testing.T) {
+	_, _, h := testMachine(t)
+	p := h.NewProcess("app", numa.PolicyDefault, nil)
+	p.NewThread()
+	if got := p.NewThread().limiter.Name; got != "h/app/t1/limit" {
+		t.Fatalf("limiter name %q, want h/app/t1/limit", got)
 	}
 }

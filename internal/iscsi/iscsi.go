@@ -63,7 +63,8 @@ type Command struct {
 	Length int64
 	// Buffer is the initiator-side data buffer.
 	Buffer *numa.Buffer
-	// Tag labels accounting for this command's data movement.
+	// Tag names the command's data flow (the mover's flow name ends in
+	// it, so trace digests hash it); empty means the mover's default.
 	Tag string
 	// Charge, when non-nil, attaches additional initiator-side costs to
 	// the command's data flow (page-cache copies, filesystem CPU, ...).
@@ -103,7 +104,7 @@ type Worker struct {
 // Long-running pipelines (RFTP/GridFTP over the SAN) use this to avoid
 // millions of per-block events while charging identical resources.
 type StreamMover interface {
-	AttachPath(f *fluid.Flow, op Op, lunID int, initBuf *numa.Buffer, share float64, tag string)
+	AttachPath(f *fluid.Flow, op Op, lunID int, initBuf *numa.Buffer, share float64)
 }
 
 // Mover is the data-plane transport (implemented by the iser package).

@@ -146,13 +146,13 @@ func (m *Mover) bounceScale() float64 {
 func (m *Mover) workerCopy(f *fluid.Flow, w *iscsi.Worker, store *numa.Buffer, toBounce bool, share, cycles float64) {
 	bouncePen := w.Thread.MemoryPenalty(w.Bounce, false)
 	if toBounce {
-		w.Thread.ChargeMemory(f, store, share, false, host.CatIO)
-		w.Thread.ChargeMemoryScaled(f, w.Bounce, share, true, m.bounceScale(), host.CatIO)
+		w.Thread.ChargeMemory(f, store, share, false)
+		w.Thread.ChargeMemoryScaled(f, w.Bounce, share, true, m.bounceScale())
 		pen := (w.Thread.MemoryPenalty(store, false) + bouncePen) / 2
 		w.Thread.ChargeCPU(f, share*cycles*pen, host.CatIO)
 	} else {
-		w.Thread.ChargeMemoryScaled(f, w.Bounce, share, false, m.bounceScale(), host.CatIO)
-		w.Thread.ChargeMemory(f, store, share, true, host.CatIO)
+		w.Thread.ChargeMemoryScaled(f, w.Bounce, share, false, m.bounceScale())
+		w.Thread.ChargeMemory(f, store, share, true)
 		pen := (bouncePen + w.Thread.MemoryPenalty(store, true)) / 2
 		w.Thread.ChargeCPU(f, share*cycles*pen, host.CatIO)
 	}
@@ -163,7 +163,7 @@ func (m *Mover) workerCopy(f *fluid.Flow, w *iscsi.Worker, store *numa.Buffer, t
 // traffic per flow-byte. The steady-state load is spread across the LUN's
 // worker pool (each worker's bounce buffer and thread takes 1/n), and each
 // worker routes through its NUMA-affine portal as in Move.
-func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.Buffer, share float64, tag string) {
+func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.Buffer, share float64) {
 	if share <= 0 {
 		return
 	}
@@ -187,22 +187,22 @@ func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.
 			if mem != nil {
 				m.workerCopy(f, w, mem, true, per, m.P.CopyCyclesPerByte*contention)
 			} else {
-				lun.Dev.AttachIO(f, false, 0, per, host.CatIO)
-				w.Thread.ChargeMemoryScaled(f, w.Bounce, per, true, m.bounceScale(), host.CatIO)
+				lun.Dev.AttachIO(f, false, 0, per)
+				w.Thread.ChargeMemoryScaled(f, w.Bounce, per, true, m.bounceScale())
 				w.Thread.ChargeCPU(f, per*m.P.MediaCyclesPerByte*contention, host.CatIO)
 			}
-			p.TgtNIC.ChargeDMAScaled(f, w.Bounce, per, false, m.bounceScale(), tag)
-			p.Link.ChargeWire(f, p.TgtNIC, per, tag)
-			p.InitNIC.ChargeDMA(f, initBuf, per, true, tag)
+			p.TgtNIC.ChargeDMAScaled(f, w.Bounce, per, false, m.bounceScale())
+			p.Link.ChargeWire(f, p.TgtNIC, per)
+			p.InitNIC.ChargeDMA(f, initBuf, per, true)
 		case iscsi.OpWrite:
-			p.InitNIC.ChargeDMA(f, initBuf, per, false, tag)
-			p.Link.ChargeWire(f, p.InitNIC, per*m.P.ReadPenalty, tag)
-			p.TgtNIC.ChargeDMAScaled(f, w.Bounce, per, true, m.bounceScale(), tag)
+			p.InitNIC.ChargeDMA(f, initBuf, per, false)
+			p.Link.ChargeWire(f, p.InitNIC, per*m.P.ReadPenalty)
+			p.TgtNIC.ChargeDMAScaled(f, w.Bounce, per, true, m.bounceScale())
 			if mem != nil {
 				m.workerCopy(f, w, mem, false, per, m.P.CopyCyclesPerByte*contention)
 			} else {
-				lun.Dev.AttachIO(f, true, 0, per, host.CatIO)
-				w.Thread.ChargeMemoryScaled(f, w.Bounce, per, false, m.bounceScale(), host.CatIO)
+				lun.Dev.AttachIO(f, true, 0, per)
+				w.Thread.ChargeMemoryScaled(f, w.Bounce, per, false, m.bounceScale())
 				w.Thread.ChargeCPU(f, per*m.P.MediaCyclesPerByte*contention, host.CatIO)
 			}
 		default:
@@ -304,10 +304,6 @@ func (m *Mover) Move(cmd *iscsi.Command, lun *iscsi.LUN, w *iscsi.Worker, onDone
 // wire, initiator kernel handling, and any caller-attached charges. It is
 // a pure function of current placement state, re-runnable by the placer.
 func (m *Mover) chargeMove(f *fluid.Flow, cmd *iscsi.Command, lun *iscsi.LUN, w *iscsi.Worker, p Portal) {
-	tag := cmd.Tag
-	if tag == "" {
-		tag = "iser"
-	}
 	contention := m.Target.ContentionMultiplier()
 	mem := lun.Dev.MemoryBuffer()
 	switch cmd.Op {
@@ -316,25 +312,25 @@ func (m *Mover) chargeMove(f *fluid.Flow, cmd *iscsi.Command, lun *iscsi.LUN, w 
 		if mem != nil {
 			m.workerCopy(f, w, mem, true, 1, m.P.CopyCyclesPerByte*contention)
 		} else {
-			lun.Dev.AttachIO(f, false, cmd.Length, 1, host.CatIO)
-			w.Thread.ChargeMemoryScaled(f, w.Bounce, 1, true, m.bounceScale(), host.CatIO)
+			lun.Dev.AttachIO(f, false, cmd.Length, 1)
+			w.Thread.ChargeMemoryScaled(f, w.Bounce, 1, true, m.bounceScale())
 			w.Thread.ChargeCPU(f, m.P.MediaCyclesPerByte*contention, host.CatIO)
 		}
 		// RDMA WRITE bounce → initiator buffer.
-		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, 1, false, m.bounceScale(), tag)
-		p.Link.ChargeWire(f, p.TgtNIC, 1, tag)
-		p.InitNIC.ChargeDMA(f, cmd.Buffer, 1, true, tag)
+		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, 1, false, m.bounceScale())
+		p.Link.ChargeWire(f, p.TgtNIC, 1)
+		p.InitNIC.ChargeDMA(f, cmd.Buffer, 1, true)
 	case iscsi.OpWrite:
 		// RDMA READ initiator buffer → bounce (read penalty on the wire).
-		p.InitNIC.ChargeDMA(f, cmd.Buffer, 1, false, tag)
-		p.Link.ChargeWire(f, p.InitNIC, m.P.ReadPenalty, tag)
-		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, 1, true, m.bounceScale(), tag)
+		p.InitNIC.ChargeDMA(f, cmd.Buffer, 1, false)
+		p.Link.ChargeWire(f, p.InitNIC, m.P.ReadPenalty)
+		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, 1, true, m.bounceScale())
 		// Bounce → backing store (coherency-sensitive write).
 		if mem != nil {
 			m.workerCopy(f, w, mem, false, 1, m.P.CopyCyclesPerByte*contention)
 		} else {
-			lun.Dev.AttachIO(f, true, cmd.Length, 1, host.CatIO)
-			w.Thread.ChargeMemoryScaled(f, w.Bounce, 1, false, m.bounceScale(), host.CatIO)
+			lun.Dev.AttachIO(f, true, cmd.Length, 1)
+			w.Thread.ChargeMemoryScaled(f, w.Bounce, 1, false, m.bounceScale())
 			w.Thread.ChargeCPU(f, m.P.MediaCyclesPerByte*contention, host.CatIO)
 		}
 	default:

@@ -2,6 +2,7 @@ package iser
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"e2edt/internal/blockdev"
@@ -205,6 +206,30 @@ func TestWriteSlowerThanRead(t *testing.T) {
 	}
 }
 
+// commandWire runs the rig to completion and returns, per link, the
+// target→initiator wire coefficients summed over the distinct command flows
+// named by tag that were in flight.
+func (r *backendRig) commandWire(tag string) []float64 {
+	seen := make(map[*fluid.Flow]bool)
+	wire := make([]float64, len(r.links))
+	for r.eng.Step() {
+		for _, f := range r.s.Network.Flows() {
+			if seen[f] || !strings.HasSuffix(f.Name, "/"+tag) {
+				continue
+			}
+			seen[f] = true
+			for _, u := range f.Uses {
+				for i, l := range r.links {
+					if u.Resource == l.Dir(l.B) {
+						wire[i] += u.Coeff
+					}
+				}
+			}
+		}
+	}
+	return wire
+}
+
 func TestAffinityRouting(t *testing.T) {
 	r := newBackend(t, numa.PolicyBind, 2)
 	// LUN 1 lives on node 1; its workers are bound there; traffic should
@@ -214,10 +239,8 @@ func TestAffinityRouting(t *testing.T) {
 		Op: iscsi.OpRead, LUN: 1, Length: 16 * units.MB, Buffer: buf, Tag: "aff",
 		OnComplete: func(sim.Time, error) {},
 	})
-	r.eng.Run()
-	r.s.Sync()
-	ib0 := r.s.Usage(r.links[0].Dir(r.links[0].B), "aff")
-	ib1 := r.s.Usage(r.links[1].Dir(r.links[1].B), "aff")
+	wire := r.commandWire("aff")
+	ib0, ib1 := wire[0], wire[1]
 	if ib1 == 0 {
 		t.Fatal("node-1 LUN should use the node-1 link")
 	}
@@ -235,10 +258,8 @@ func TestRoundRobinWithoutAffinity(t *testing.T) {
 			OnComplete: func(sim.Time, error) {},
 		})
 	}
-	r.eng.Run()
-	r.s.Sync()
-	ib0 := r.s.Usage(r.links[0].Dir(r.links[0].B), "rr")
-	ib1 := r.s.Usage(r.links[1].Dir(r.links[1].B), "rr")
+	wire := r.commandWire("rr")
+	ib0, ib1 := wire[0], wire[1]
 	if ib0 == 0 || ib1 == 0 {
 		t.Fatalf("round-robin should use both links (ib0=%v ib1=%v)", ib0, ib1)
 	}
@@ -384,7 +405,7 @@ func TestAttachPathOverMediaDevice(t *testing.T) {
 	buf := hi.M.NewBuffer("app", hi.M.Node(0))
 	for _, op := range []iscsi.Op{iscsi.OpRead, iscsi.OpWrite} {
 		f := s.NewFlow("stream", math.Inf(1))
-		mv.AttachPath(f, op, 0, buf, 1, "media-test")
+		mv.AttachPath(f, op, 0, buf, 1)
 		tr := &fluid.Transfer{Flow: f, Remaining: math.Inf(1)}
 		s.Start(tr)
 		eng.RunFor(2)
@@ -404,7 +425,7 @@ func TestAttachPathValidation(t *testing.T) {
 	buf := r.init.M.NewBuffer("b", r.init.M.Node(0))
 	f := r.s.NewFlow("f", 1)
 	// Zero share is a no-op.
-	r.mover.AttachPath(f, iscsi.OpRead, 0, buf, 0, "x")
+	r.mover.AttachPath(f, iscsi.OpRead, 0, buf, 0)
 	if len(f.Uses) != 0 {
 		t.Fatal("zero share should attach nothing")
 	}
@@ -413,7 +434,7 @@ func TestAttachPathValidation(t *testing.T) {
 			t.Fatal("expected panic for unknown LUN")
 		}
 	}()
-	r.mover.AttachPath(f, iscsi.OpRead, 9, buf, 1, "x")
+	r.mover.AttachPath(f, iscsi.OpRead, 9, buf, 1)
 }
 
 func TestAttachPathUnknownOpPanics(t *testing.T) {
@@ -425,7 +446,7 @@ func TestAttachPathUnknownOpPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	r.mover.AttachPath(f, iscsi.Op(7), 0, buf, 1, "x")
+	r.mover.AttachPath(f, iscsi.Op(7), 0, buf, 1)
 }
 
 func TestMoveOverMediaDevice(t *testing.T) {

@@ -306,8 +306,6 @@ type Access struct {
 	// charges are not discounted: cross-socket transfers traverse the
 	// interconnect even cache-to-cache.
 	MemScale float64
-	// Tag labels the consumption for accounting.
-	Tag string
 }
 
 // Charge attaches the memory-controller and interconnect coefficients for
@@ -330,11 +328,11 @@ func (m *Machine) Charge(f *fluid.Flow, a Access) {
 			return
 		}
 		extra := remoteShare * m.Cfg.CoherencySnoopBytesPerByte
-		f.UseTagged(m.Link(other, home), extra, a.Tag)
-		f.UseTagged(m.Link(home, other), extra, a.Tag)
+		f.Use(m.Link(other, home), extra)
+		f.Use(m.Link(home, other), extra)
 	}
 	for _, home := range a.Buffer.Homes {
-		f.UseTagged(home.Mem, share*memScale, a.Tag)
+		f.Use(home.Mem, share*memScale)
 		switch {
 		case a.From == nil:
 			// Accessing agent spread across all nodes: a fraction
@@ -352,17 +350,17 @@ func (m *Machine) Charge(f *fluid.Flow, a Access) {
 				// Reads travel home→other, writes other→home; charge the
 				// direction of payload movement.
 				if a.Write {
-					f.UseTagged(m.Link(other, home), per, a.Tag)
+					f.Use(m.Link(other, home), per)
 				} else {
-					f.UseTagged(m.Link(home, other), per, a.Tag)
+					f.Use(m.Link(home, other), per)
 				}
 				snoop(home, other, per)
 			}
 		case a.From != home:
 			if a.Write {
-				f.UseTagged(m.Link(a.From, home), share, a.Tag)
+				f.Use(m.Link(a.From, home), share)
 			} else {
-				f.UseTagged(m.Link(home, a.From), share, a.Tag)
+				f.Use(m.Link(home, a.From), share)
 			}
 			snoop(home, a.From, share)
 		}

@@ -134,7 +134,7 @@ func TestLocalAccessChargesOnlyHomeController(t *testing.T) {
 	s, m := newMachine(t)
 	buf := m.NewBuffer("b", m.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 1, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 1})
 	s.Network.Solve()
 	// Only node 0's controller limits: rate = 25 GB/s.
 	if got := f.Rate(); got != 25*units.GBps {
@@ -153,7 +153,7 @@ func TestRemoteReadCrossesInterconnect(t *testing.T) {
 	buf := m.NewBuffer("b", m.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
 	// Reader on node 1 pulls from node 0: payload flows 0→1.
-	m.Charge(f, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1})
 	s.Network.Solve()
 	// QPI (16 GB/s) is the bottleneck, not the 25 GB/s controller.
 	if got := f.Rate(); got != 16*units.GBps {
@@ -171,7 +171,7 @@ func TestRemoteWriteDirection(t *testing.T) {
 	s, m := newMachine(t)
 	buf := m.NewBuffer("b", m.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	m.Charge(f, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, Write: true, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, Write: true})
 	s.Network.Solve()
 	if m.Link(m.Node(1), m.Node(0)).Load() == 0 {
 		t.Fatal("write should charge writer→home link")
@@ -185,7 +185,7 @@ func TestInterleavedBufferSplitsLoad(t *testing.T) {
 	s, m := newMachine(t)
 	buf := m.InterleavedBuffer("b")
 	f := s.NewFlow("f", math.Inf(1))
-	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 1, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 1})
 	s.Network.Solve()
 	// Half the traffic hits each controller; half crosses QPI. Bottleneck:
 	// QPI carries 0.5×rate ≤ 16 GB/s → rate ≤ 32 GB/s; controllers carry
@@ -203,7 +203,7 @@ func TestUnpinnedAccessorSpreadsTraffic(t *testing.T) {
 	s, m := newMachine(t)
 	buf := m.NewBuffer("b", m.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	m.Charge(f, Access{Buffer: buf, From: nil, BytesPerUnit: 1, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: nil, BytesPerUnit: 1})
 	s.Network.Solve()
 	// Half the accesses come from node 1 → cross QPI at 0.5 coefficient.
 	// Controller: 1×rate ≤ 25 GB/s; QPI: 0.5×rate ≤ 16 → rate ≤ 32.
@@ -250,7 +250,7 @@ func TestZeroBytesPerUnitIsNoop(t *testing.T) {
 	s, m := newMachine(t)
 	buf := m.NewBuffer("b", m.Node(0))
 	f := s.NewFlow("f", 10)
-	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 0, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 0})
 	if len(f.Uses) != 0 {
 		t.Fatal("zero-traffic access should not attach usages")
 	}
@@ -280,7 +280,7 @@ func TestChargeConservesTraffic(t *testing.T) {
 		}
 		bpu := 0.1 + float64(bytesRaw%100)/10
 		f := s.NewFlow("f", 1)
-		m.Charge(f, Access{Buffer: buf, From: from, BytesPerUnit: bpu, Tag: "x"})
+		m.Charge(f, Access{Buffer: buf, From: from, BytesPerUnit: bpu})
 		total := 0.0
 		for _, u := range f.Uses {
 			if u.Resource == m.Node(0).Mem || u.Resource == m.Node(1).Mem {
@@ -358,7 +358,7 @@ func TestFourNodeMachine(t *testing.T) {
 	// toward the three remote homes.
 	buf := m.InterleavedBuffer("b")
 	f := s.NewFlow("f", math.Inf(1))
-	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 1, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(0), BytesPerUnit: 1})
 	s.Network.Solve()
 	total := 0.0
 	for _, u := range f.Uses {
@@ -377,7 +377,7 @@ func TestMemScaleDiscountsControllerOnly(t *testing.T) {
 	s, m := newMachine(t)
 	buf := m.NewBuffer("b", m.Node(0))
 	f := s.NewFlow("f", 1)
-	m.Charge(f, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, MemScale: 0.25, Tag: "x"})
+	m.Charge(f, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, MemScale: 0.25})
 	var mem, qpi float64
 	for _, u := range f.Uses {
 		switch u.Resource {
@@ -405,7 +405,7 @@ func TestSnoopTrafficOnRemoteWrites(t *testing.T) {
 	}
 	buf := m.NewBuffer("b", m.Node(0))
 	write := s.NewFlow("w", 1)
-	m.Charge(write, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, Write: true, Tag: "x"})
+	m.Charge(write, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, Write: true})
 	// Data: writer→home. Snoop: both directions.
 	var fwd, rev float64
 	for _, u := range write.Uses {
@@ -424,7 +424,7 @@ func TestSnoopTrafficOnRemoteWrites(t *testing.T) {
 	}
 	// Reads generate no snoop traffic.
 	read := s.NewFlow("r", 1)
-	m.Charge(read, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1, Tag: "x"})
+	m.Charge(read, Access{Buffer: buf, From: m.Node(1), BytesPerUnit: 1})
 	for _, u := range read.Uses {
 		if u.Resource == m.Link(m.Node(1), m.Node(0)) {
 			t.Fatal("read should not charge writer→home direction")

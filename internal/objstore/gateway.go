@@ -185,7 +185,7 @@ func (g *Gateway) chargeMD(name string, cycles, bytes float64, done func(now sim
 	f := g.fl.NewFlow(name, math.Inf(1))
 	g.mdTh.ChargeCPU(f, 1, host.CatSys)
 	if bytes > 0 {
-		g.mdTh.ChargeMemory(f, g.mdBuf, bytes/cycles, false, host.CatSys)
+		g.mdTh.ChargeMemory(f, g.mdBuf, bytes/cycles, false)
 	}
 	tr := &fluid.Transfer{Flow: f, Remaining: cycles, OnComplete: done}
 	g.fl.Start(tr)

@@ -24,7 +24,7 @@ type Stage interface {
 	// Attach charges the stage's per-byte costs onto f. th is the thread
 	// performing the load/offload, buf the protocol's staging buffer,
 	// share the stage bytes per flow byte.
-	Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64, tag string) error
+	Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64) error
 }
 
 // Null discards data (/dev/null): offloading costs are negligible (<1%
@@ -32,7 +32,7 @@ type Stage interface {
 type Null struct{}
 
 // Attach implements Stage.
-func (Null) Attach(*fluid.Flow, *host.Thread, *numa.Buffer, float64, string) error { return nil }
+func (Null) Attach(*fluid.Flow, *host.Thread, *numa.Buffer, float64) error { return nil }
 
 // Zero sources data from /dev/zero: the kernel fills the staging buffer
 // with zeros — a CPU memset plus a memory write per byte (≈70% of one core
@@ -47,12 +47,12 @@ type Zero struct {
 const DefaultZeroCycles = 0.32
 
 // Attach implements Stage.
-func (z Zero) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64, tag string) error {
+func (z Zero) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64) error {
 	cy := z.CyclesPerByte
 	if cy == 0 {
 		cy = DefaultZeroCycles
 	}
-	th.ChargeMemory(f, buf, share, true, host.CatLoad)
+	th.ChargeMemory(f, buf, share, true)
 	th.ChargeCPU(f, share*cy*th.MemoryPenalty(buf, true), host.CatLoad)
 	return nil
 }
@@ -66,7 +66,7 @@ type Memory struct {
 }
 
 // Attach implements Stage.
-func (m Memory) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64, tag string) error {
+func (m Memory) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64) error {
 	if m.TouchCyclesPerByte > 0 {
 		th.ChargeCPU(f, share*m.TouchCyclesPerByte, host.CatUser)
 	}
@@ -81,9 +81,9 @@ type FileReader struct {
 }
 
 // Attach implements Stage.
-func (r FileReader) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64, tag string) error {
+func (r FileReader) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64) error {
 	return r.File.AttachStream(f, iscsi.OpRead, fsim.IOOptions{
-		Thread: th, Buffer: buf, Direct: r.Direct, Tag: tag,
+		Thread: th, Buffer: buf, Direct: r.Direct,
 	}, share)
 }
 
@@ -94,8 +94,8 @@ type FileWriter struct {
 }
 
 // Attach implements Stage.
-func (w FileWriter) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64, tag string) error {
+func (w FileWriter) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64) error {
 	return w.File.AttachStream(f, iscsi.OpWrite, fsim.IOOptions{
-		Thread: th, Buffer: buf, Direct: w.Direct, Tag: tag,
+		Thread: th, Buffer: buf, Direct: w.Direct,
 	}, share)
 }

@@ -25,7 +25,7 @@ func TestNullIsFree(t *testing.T) {
 	th := proc.NewThread()
 	buf := h.M.NewBuffer("b", h.M.Node(0))
 	f := s.NewFlow("f", 10)
-	if err := (Null{}).Attach(f, th, buf, 1, "x"); err != nil {
+	if err := (Null{}).Attach(f, th, buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Uses) != 0 {
@@ -39,7 +39,7 @@ func TestZeroChargesCPUAndMemory(t *testing.T) {
 	th := proc.NewThread()
 	buf := h.M.NewBuffer("b", h.M.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	if err := (Zero{}).Attach(f, th, buf, 1, "x"); err != nil {
+	if err := (Zero{}).Attach(f, th, buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
@@ -50,7 +50,7 @@ func TestZeroChargesCPUAndMemory(t *testing.T) {
 	if got := f.Rate(); math.Abs(got-want)/want > 0.01 {
 		t.Fatalf("zero-fill rate = %v, want %v", got, want)
 	}
-	rep := proc.CPUReport()
+	rep := h.HostCPUReport()
 	if rep.ByCategory[host.CatLoad] <= 0 {
 		t.Fatal("zero-fill CPU not charged as load")
 	}
@@ -65,7 +65,7 @@ func TestZeroCustomCycles(t *testing.T) {
 	th := proc.NewThread()
 	buf := h.M.NewBuffer("b", h.M.Node(0))
 	f := s.NewFlow("f", math.Inf(1))
-	if err := (Zero{CyclesPerByte: 1.1}).Attach(f, th, buf, 1, "x"); err != nil {
+	if err := (Zero{CyclesPerByte: 1.1}).Attach(f, th, buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Start(&fluid.Transfer{Flow: f, Remaining: math.Inf(1)})
@@ -83,14 +83,14 @@ func TestMemoryTouchCost(t *testing.T) {
 	th := proc.NewThread()
 	buf := h.M.NewBuffer("b", h.M.Node(0))
 	free := s.NewFlow("free", 10)
-	if err := (Memory{}).Attach(free, th, buf, 1, "x"); err != nil {
+	if err := (Memory{}).Attach(free, th, buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(free.Uses) != 0 {
 		t.Fatal("zero-touch Memory should attach nothing")
 	}
 	costly := s.NewFlow("c", 10)
-	if err := (Memory{TouchCyclesPerByte: 0.1}).Attach(costly, th, buf, 1, "x"); err != nil {
+	if err := (Memory{TouchCyclesPerByte: 0.1}).Attach(costly, th, buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(costly.Uses) == 0 {

@@ -484,8 +484,8 @@ func (e *Engine) chargeMigration(en *Entity, n *numa.Node, before placement) {
 	}
 	src := &numa.Buffer{Name: "placer/old/" + en.Name, Homes: srcs}
 	dst := &numa.Buffer{Name: "placer/new/" + en.Name, Homes: []*numa.Node{n}}
-	en.M.Charge(f, numa.Access{Buffer: src, From: n, BytesPerUnit: 1, Tag: "placer:copy"})
-	en.M.Charge(f, numa.Access{Buffer: dst, From: n, BytesPerUnit: 1, Write: true, Tag: "placer:copy"})
+	en.M.Charge(f, numa.Access{Buffer: src, From: n, BytesPerUnit: 1})
+	en.M.Charge(f, numa.Access{Buffer: dst, From: n, BytesPerUnit: 1, Write: true})
 	t := &fluid.Transfer{Flow: f, Remaining: en.MigrateBytes}
 	name := en.Name
 	t.OnComplete = func(now sim.Time) {

@@ -69,8 +69,8 @@ func newRig(t *testing.T) *rig {
 // constraint is the memory/interconnect path, which placement changes.
 func (r *rig) rebuild(f *fluid.Flow) {
 	r.thr.ChargeCPU(f, 0.1, "proto")
-	r.thr.ChargeMemory(f, r.buf, 1, false, "read")
-	r.dev[r.via].ChargeDMA(f, r.buf, 1, true, "dma")
+	r.thr.ChargeMemory(f, r.buf, 1, false)
+	r.dev[r.via].ChargeDMA(f, r.buf, 1, true)
 }
 
 func (r *rig) engine(cfg Config) *Engine {

@@ -307,28 +307,27 @@ func newSide(nic *host.Device, name string, policy numa.Policy) side {
 func (ep *endpoints) charge(f *fluid.Flow, l *fabric.Link, p Params, cfg Config, checksum bool,
 	src, dst pipe.Stage, extraCPU, extraWire float64) error {
 	bs := float64(cfg.BlockSize)
-	tag := "rftp"
 	// Data loading (pipelined onto a dedicated I/O thread).
-	if err := src.Attach(f, ep.snd.io, ep.snd.buf, 1, tag); err != nil {
+	if err := src.Attach(f, ep.snd.io, ep.snd.buf, 1); err != nil {
 		return fmt.Errorf("rftp: source: %w", err)
 	}
 	// Sender protocol processing: per-byte plus per-block costs.
 	ep.snd.net.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs+extraCPU, host.CatUser)
 	if checksum {
-		ep.snd.io.ChargeMemory(f, ep.snd.buf, 1, false, host.CatUser)
+		ep.snd.io.ChargeMemory(f, ep.snd.buf, 1, false)
 		ep.snd.io.ChargeCPU(f, p.ChecksumCyclesPerByte, host.CatUser)
 	}
 	// Zero-copy wire path.
-	ep.snd.nic.ChargeDMA(f, ep.snd.buf, 1, false, tag)
-	l.ChargeWire(f, ep.snd.nic, 1+p.CtrlBytesPerBlock/bs+extraWire, tag)
-	ep.rcv.nic.ChargeDMA(f, ep.rcv.buf, 1, true, tag)
+	ep.snd.nic.ChargeDMA(f, ep.snd.buf, 1, false)
+	l.ChargeWire(f, ep.snd.nic, 1+p.CtrlBytesPerBlock/bs+extraWire)
+	ep.rcv.nic.ChargeDMA(f, ep.rcv.buf, 1, true)
 	// Receiver protocol processing and offload.
 	ep.rcv.net.ChargeCPU(f, p.ProtoCyclesPerByte+p.PerBlockCycles/bs+extraCPU, host.CatUser)
 	if checksum {
-		ep.rcv.io.ChargeMemory(f, ep.rcv.buf, 1, false, host.CatUser)
+		ep.rcv.io.ChargeMemory(f, ep.rcv.buf, 1, false)
 		ep.rcv.io.ChargeCPU(f, p.ChecksumCyclesPerByte, host.CatUser)
 	}
-	if err := dst.Attach(f, ep.rcv.io, ep.rcv.buf, 1, tag); err != nil {
+	if err := dst.Attach(f, ep.rcv.io, ep.rcv.buf, 1); err != nil {
 		return fmt.Errorf("rftp: sink: %w", err)
 	}
 	return nil

@@ -129,8 +129,8 @@ func Run(h *host.Host, cfg Config) Result {
 		f := s.NewFlow(fmt.Sprintf("stream/%s/t%d", cfg.Kernel, i), 1e30)
 		rs := cfg.Kernel.readShare()
 		// Flow units are bytes of memory traffic.
-		th.ChargeMemory(f, arrays, rs, false, host.CatUser)
-		th.ChargeMemory(f, arrays, 1-rs, true, host.CatUser)
+		th.ChargeMemory(f, arrays, rs, false)
+		th.ChargeMemory(f, arrays, 1-rs, true)
 		penalty := rs*th.MemoryPenalty(arrays, false) + (1-rs)*th.MemoryPenalty(arrays, true)
 		th.ChargeCPU(f, cfg.ComputeCyclesPerByte*penalty, host.CatUser)
 		tr := &fluid.Transfer{Flow: f, Remaining: 1e30}

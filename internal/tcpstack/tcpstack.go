@@ -170,7 +170,7 @@ func (c *Conn) charge(f *fluid.Flow, opt FlowOptions) {
 	src := opt.SrcBuf
 	if src == nil {
 		// Cache-resident source: only the kernel buffer write is paid.
-		c.SendThr.ChargeMemory(f, c.kbufS, 1, true, host.CatCopy)
+		c.SendThr.ChargeMemory(f, c.kbufS, 1, true)
 		c.SendThr.ChargeCPU(f, c.Params.CopyCyclesPerByte*c.SendThr.MemoryPenalty(c.kbufS, true), host.CatCopy)
 	} else {
 		c.SendThr.ChargeCopy(f, src, c.kbufS, 1, c.Params.CopyCyclesPerByte, host.CatCopy)
@@ -178,14 +178,14 @@ func (c *Conn) charge(f *fluid.Flow, opt FlowOptions) {
 	c.SendThr.ChargeCPU(f, c.Params.SysCyclesPerByte*c.SendThr.MemoryPenalty(c.kbufS, false), host.CatSys)
 	c.SendThr.ChargeCPU(f, c.Params.IRQCyclesPerByte, host.CatIRQ)
 	c.SendThr.ChargeCPU(f, c.Params.UserCyclesPerByte, host.CatUser)
-	c.SrcNIC.ChargeDMA(f, c.kbufS, 1, false, "dma")
+	c.SrcNIC.ChargeDMA(f, c.kbufS, 1, false)
 
 	// Wire.
-	c.Link.ChargeWire(f, c.SrcNIC, 1, "net")
+	c.Link.ChargeWire(f, c.SrcNIC, 1)
 
 	// Receiver side: DMA in, protocol, kernel→user copy.
 	dstNIC := c.Link.Peer(c.SrcNIC)
-	dstNIC.ChargeDMA(f, c.kbufR, 1, true, "dma")
+	dstNIC.ChargeDMA(f, c.kbufR, 1, true)
 	c.RecvThr.ChargeCPU(f, c.Params.SysCyclesPerByte*c.RecvThr.MemoryPenalty(c.kbufR, false), host.CatSys)
 	c.RecvThr.ChargeCPU(f, c.Params.IRQCyclesPerByte, host.CatIRQ)
 	c.RecvThr.ChargeCPU(f, c.Params.UserCyclesPerByte, host.CatUser)
@@ -193,7 +193,7 @@ func (c *Conn) charge(f *fluid.Flow, opt FlowOptions) {
 	if dst == nil {
 		// Discarding sink: kernel→user copy still reads the kernel buffer
 		// and touches a (cache-resident) user buffer.
-		c.RecvThr.ChargeMemory(f, c.kbufR, 1, false, host.CatCopy)
+		c.RecvThr.ChargeMemory(f, c.kbufR, 1, false)
 		c.RecvThr.ChargeCPU(f, c.Params.CopyCyclesPerByte*c.RecvThr.MemoryPenalty(c.kbufR, false), host.CatCopy)
 	} else {
 		c.RecvThr.ChargeCopy(f, c.kbufR, dst, 1, c.Params.CopyCyclesPerByte, host.CatCopy)

@@ -68,8 +68,9 @@ func TestCPUBreakdownShape(t *testing.T) {
 	c := r.boundConn(DefaultParams())
 	c.Stream(math.Inf(1), FlowOptions{}, nil)
 	r.eng.RunUntil(10)
-	snd := c.SendThr.Proc.CPUReport()
-	rcv := c.RecvThr.Proc.CPUReport()
+	// Each process is alone on its host, so the host report is its own.
+	snd := r.ha.HostCPUReport()
+	rcv := r.hb.HostCPUReport()
 	for _, rep := range []host.CPUReport{snd, rcv} {
 		if !(rep.ByCategory[host.CatSys] > rep.ByCategory[host.CatCopy]) {
 			t.Fatalf("sys (%v) should exceed copy (%v)", rep.ByCategory[host.CatSys], rep.ByCategory[host.CatCopy])
@@ -104,8 +105,8 @@ func TestFigure4CPURatios(t *testing.T) {
 	if gbps < 38 {
 		t.Fatalf("aggregate = %.1f Gbps, want ≈39 (link-limited)", gbps)
 	}
-	snd := ps.CPUReport()
-	rcv := pr.CPUReport()
+	snd := r.ha.HostCPUReport()
+	rcv := r.hb.HostCPUReport()
 	sysPct := (snd.ByCategory[host.CatSys] + rcv.ByCategory[host.CatSys]) / 10 * 100
 	copyPct := (snd.ByCategory[host.CatCopy] + rcv.ByCategory[host.CatCopy]) / 10 * 100
 	// Scale expectation to the achieved rate. The calibration compromises
@@ -237,16 +238,18 @@ func TestCacheResidentSourceCheaperThanMemorySource(t *testing.T) {
 func TestThreeCopiesPerByteOnSender(t *testing.T) {
 	// With an application source buffer, each payload byte should touch
 	// the sender's memory controllers ~3×: app read, kernel write, DMA
-	// read (all node-local here).
+	// read (all node-local here). Memory traffic per byte is the sum of
+	// the stream's coefficients on that controller.
 	r := newRig(t, lanCfg())
 	c := r.boundConn(DefaultParams())
 	src := r.ha.M.NewBuffer("src", r.ha.M.Node(0))
 	tr := c.Stream(math.Inf(1), FlowOptions{SrcBuf: src}, nil)
-	r.eng.RunUntil(5)
-	r.s.Sync()
-	bytes := tr.Transferred()
-	memLoad := r.s.Usage(r.ha.M.Node(0).Mem, "snd:copy") + r.s.Usage(r.ha.M.Node(0).Mem, "dma")
-	ratio := memLoad / bytes
+	ratio := 0.0
+	for _, u := range tr.Flow.Uses {
+		if u.Resource == r.ha.M.Node(0).Mem {
+			ratio += u.Coeff
+		}
+	}
 	if ratio < 2.9 || ratio > 3.1 {
 		t.Fatalf("sender memory traffic ratio = %.2f, want ≈3", ratio)
 	}
