@@ -33,7 +33,7 @@ fmt:
 verify: fmt vet build race
 
 # Non-test Go lines under internal/ and cmd/ — the size measure ROADMAP
-# item 3 and CHANGES.md cite.
+# item 5 and CHANGES.md cite.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
@@ -126,12 +126,15 @@ gray-smoke:
 # the batch, file-set, framing, leak and tiny-job suites under the race
 # detector — file sets and object windows are segments of the one rftp
 # session engine, so both framings' suites run, and the object-window
-# rail-kill test runs through the scheduler — then objsim drives both modes
-# with the replay-hash check — per-object worst case, coalesced, and the
-# sharded cluster under lossy control (CI runs this).
+# rail-kill test runs through the scheduler — and the test that pins the
+# replay digests of the three objsim drives below, also under the race
+# detector; then objsim drives both modes with the replay-hash check —
+# per-object worst case, coalesced, and the sharded cluster under lossy
+# control (CI runs this).
 objsim-smoke:
 	$(GO) test -race ./internal/objstore
 	$(GO) test -race -run 'Batch|Set|Files|Framing|NothingBehind|TotalBytes|TinyJobs|ZeroLength|Grace' ./internal/rftp ./internal/xfersched
+	$(GO) test -race -run 'ObjstorePointDigests' ./internal/experiments
 	$(GO) run ./cmd/objsim -coalesce 1 -objects 256 -replay-check
 	$(GO) run ./cmd/objsim -coalesce 64 -replay-check
 	$(GO) run ./cmd/objsim -cluster -objects 512 -coalesce 64 -replay-check

@@ -11,8 +11,11 @@
 //	objsim -cluster -hosts 16 -shards 4  # cluster mode
 //	objsim -replay-check                 # run twice, demand identical traces
 //
-// Exit status is non-zero when the exactly-once audit fails, when the
-// burst does not drain, or when -replay-check finds diverging traces.
+// Each run goes through experiments.RunObjstorePoint, the harness
+// experiment S8 uses. Exit status is 2 for a malformed flag, and non-zero
+// when the cluster rejects its shape, when the exactly-once audit fails,
+// when the burst does not drain, or when -replay-check finds diverging
+// traces.
 package main
 
 import (
@@ -21,12 +24,9 @@ import (
 	"os"
 
 	"e2edt/internal/cluster"
-	"e2edt/internal/core"
+	"e2edt/internal/experiments"
 	"e2edt/internal/objstore"
-	"e2edt/internal/sim"
-	"e2edt/internal/trace"
 	"e2edt/internal/units"
-	"e2edt/internal/xfersched"
 )
 
 type config struct {
@@ -41,118 +41,33 @@ type config struct {
 	drop     int
 }
 
-// outcome is one run's measurements plus its trace fingerprint.
-type outcome struct {
-	objects  int
-	bytes    float64
-	windows  int
-	lookups  int
-	scans    int
-	elapsed  float64
-	traceSHA string
-	events   uint64
-}
-
-func workload(cfg config) objstore.Workload {
+// spec maps the flags onto one object-gateway run.
+func (cfg config) spec() experiments.ObjstoreRunSpec {
 	w := objstore.DefaultWorkload()
 	w.Objects = cfg.objects
 	w.Tenants = cfg.tenants
 	w.MinBytes = cfg.objBytes
 	w.MaxBytes = cfg.objBytes
 	w.Seed = cfg.seed
-	return w
-}
-
-// runSingle drives one single-pair gateway burst and audits it.
-func runSingle(cfg config) (outcome, error) {
-	opt := core.DefaultOptions()
-	opt.DatasetSize = 2 * units.GB
-	sys, err := core.NewSystem(opt)
-	if err != nil {
-		return outcome{}, err
-	}
-	h := trace.NewHasher()
-	sys.Engine().SetTracer(h)
-	sched, err := xfersched.New(sys, xfersched.DefaultConfig())
-	if err != nil {
-		return outcome{}, err
-	}
-	defer sched.Close()
-	p := objstore.DefaultParams()
-	p.Coalesce = cfg.coalesce
-	g := objstore.NewGateway(sched, p, core.Forward)
-
-	start := sim.Time(sim.Second)
-	idx, err := g.Put(start, workload(cfg).Generate())
-	if err != nil {
-		return outcome{}, err
-	}
-	if !g.RunToCompletion(3600 * sim.Second) {
-		return outcome{}, fmt.Errorf("burst did not drain within an hour of virtual time")
-	}
-	if err := g.AuditExactlyOnce(); err != nil {
-		return outcome{}, err
-	}
-	var last sim.Time
-	for _, i := range idx {
-		if at := g.DoneAt(i); at > last {
-			last = at
-		}
-	}
-	n, bytes := g.ObjectsDone()
-	return outcome{
-		objects: n, bytes: bytes,
-		windows: g.Windows, lookups: g.Lookups, scans: g.Scans,
-		elapsed:  float64(last - start),
-		traceSHA: h.Sum(), events: h.Events(),
-	}, nil
-}
-
-// runCluster drives the burst through the sharded cluster gateway.
-func runCluster(cfg config) (outcome, error) {
-	eng := sim.NewEngine()
-	h := trace.NewHasher()
-	eng.SetTracer(h)
-	c, err := cluster.New(eng, cluster.Config{
-		Hosts: cfg.hosts, Shards: cfg.shards, DropPct: float64(cfg.drop), Seed: cfg.seed,
-	})
-	if err != nil {
-		return outcome{}, err
-	}
-	c.AddTenants(cfg.tenants)
-	p := objstore.DefaultParams()
-	p.Coalesce = cfg.coalesce
-	g := objstore.NewClusterGateway(c, p)
-
-	all := workload(cfg).Generate()
-	per := len(all) / cfg.tenants
-	for tenant := 0; tenant < cfg.tenants; tenant++ {
-		at := sim.Time(sim.Duration(1+tenant) * sim.Second)
-		lo, hi := tenant*per, (tenant+1)*per
-		if tenant == cfg.tenants-1 {
-			hi = len(all)
-		}
-		if _, err := g.Put(at, tenant, all[lo:hi]); err != nil {
-			return outcome{}, err
-		}
-	}
-	c.Run()
-	if err := g.AuditExactlyOnce(); err != nil {
-		return outcome{}, err
-	}
-	n, bytes := g.ObjectsDone()
-	return outcome{
-		objects: n, bytes: bytes, windows: g.Windows,
-		elapsed:  float64(eng.Now()),
-		traceSHA: h.Sum(), events: h.Events(),
-	}, nil
-}
-
-func run(cfg config) (outcome, error) {
+	spec := experiments.ObjstoreRunSpec{Workload: w, Coalesce: cfg.coalesce}
 	if cfg.cluster {
-		return runCluster(cfg)
+		spec.Cluster = &cluster.Config{
+			Hosts: cfg.hosts, Shards: cfg.shards, DropPct: float64(cfg.drop), Seed: cfg.seed,
+		}
 	}
-	return runSingle(cfg)
+	return spec
+}
+
+// run drives the burst and turns a failed drain or audit into an error.
+func run(spec experiments.ObjstoreRunSpec) (experiments.ObjstoreRunResult, error) {
+	r, err := experiments.RunObjstorePoint(spec)
+	if err != nil {
+		return r, err
+	}
+	if !r.Drained {
+		return r, fmt.Errorf("burst did not drain within an hour of virtual time")
+	}
+	return r, r.Audit
 }
 
 func main() {
@@ -175,8 +90,8 @@ func main() {
 			cfg.tenants = 4
 		}
 	}
-	if cfg.objects <= 0 || cfg.objBytes < 0 || cfg.coalesce < 0 || cfg.tenants < 1 {
-		fmt.Fprintln(os.Stderr, "objsim: -objects and -tenants must be positive, -objbytes and -coalesce non-negative")
+	if cfg.objects <= 0 || cfg.objBytes < 0 || cfg.coalesce < 1 || cfg.tenants < 1 {
+		fmt.Fprintln(os.Stderr, "objsim: -objects, -tenants and -coalesce must be positive, -objbytes non-negative")
 		os.Exit(2)
 	}
 
@@ -187,30 +102,31 @@ func main() {
 	fmt.Printf("objsim: %s, %d×%s PUTs, %d tenant(s), coalesce K=%d, seed %d\n",
 		mode, cfg.objects, units.FormatBytes(cfg.objBytes), cfg.tenants, cfg.coalesce, cfg.seed)
 
-	o, err := run(cfg)
+	spec := cfg.spec()
+	o, err := run(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "objsim: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("  delivered %d objects (%s) in %.3fs virtual — %s, %d window(s)\n",
-		o.objects, units.FormatBytes(int64(o.bytes)), o.elapsed,
-		units.FormatRate(o.bytes/o.elapsed), o.windows)
+		o.Objects, units.FormatBytes(int64(o.Bytes)), o.Elapsed,
+		units.FormatRate(o.Bytes/o.Elapsed), o.Windows)
 	if !cfg.cluster {
-		fmt.Printf("  metadata path: %d point lookup(s), %d batched scan(s)\n", o.lookups, o.scans)
+		fmt.Printf("  metadata path: %d point lookup(s), %d batched scan(s)\n", o.Lookups, o.Scans)
 	}
-	fmt.Printf("  exactly-once audit: ok; trace %d events, sha256 %s\n", o.events, o.traceSHA[:16])
+	fmt.Printf("  exactly-once audit: ok; trace %d events, sha256 %s\n", o.TraceEvents, o.TraceSHA[:16])
 
 	if *replay {
-		o2, err := run(cfg)
+		o2, err := run(spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "objsim: replay: %v\n", err)
 			os.Exit(1)
 		}
-		if o2.traceSHA != o.traceSHA || o2.events != o.events {
+		if o2.TraceSHA != o.TraceSHA || o2.TraceEvents != o.TraceEvents {
 			fmt.Fprintf(os.Stderr, "objsim: replay diverged: %d events sha %s vs %d events sha %s\n",
-				o.events, o.traceSHA[:16], o2.events, o2.traceSHA[:16])
+				o.TraceEvents, o.TraceSHA[:16], o2.TraceEvents, o2.TraceSHA[:16])
 			os.Exit(1)
 		}
-		fmt.Printf("  replay: bit-identical (%d events, equal digests)\n", o2.events)
+		fmt.Printf("  replay: bit-identical (%d events, equal digests)\n", o2.TraceEvents)
 	}
 }

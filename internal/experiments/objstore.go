@@ -32,60 +32,125 @@ func s8Workload(objects int) objstore.Workload {
 	return w
 }
 
-// s8Outcome is one single-pair cell's measurements.
-type s8Outcome struct {
-	elapsed float64
-	goodput float64 // payload bytes/s over the burst's makespan
-	cpu     float64 // sender front-end core-seconds, all processes
-	windows int
-	lookups int
-	scans   int
-	// clean: the burst drained and passed the exactly-once audit.
-	clean     bool
-	delivered int // objects done
+// ObjstoreRunSpec is one object-gateway run: a seeded PUT burst through
+// the coalescing layer with window size Coalesce, over the single-pair
+// gateway or, when Cluster is set, the sharded cluster gateway.
+type ObjstoreRunSpec struct {
+	Workload objstore.Workload
+	Coalesce int
+	// Cluster, when non-nil, runs the burst over a cluster of this shape,
+	// one slice of it per tenant; nil runs the single pair.
+	Cluster *cluster.Config
 }
 
-// s8Run drives one single-pair gateway cell: a burst of PUTs at t=1s,
-// coalescing knob set to k, run to completion under the exactly-once audit.
-func s8Run(objects, k int, tracer sim.Tracer) s8Outcome {
-	sys, sched := lanScheduler(tracer)
-	defer sched.Close()
-	p := objstore.DefaultParams()
-	p.Coalesce = k
-	g := objstore.NewGateway(sched, p, core.Forward)
+// ObjstoreRunResult is one run's outcome and its replay digest.
+type ObjstoreRunResult struct {
+	// Objects and Bytes are the delivered totals, each PUT counted once.
+	Objects int
+	Bytes   float64
+	// Windows counts transfer windows (cluster jobs in cluster mode);
+	// Lookups and Scans count single-pair metadata operations.
+	Windows, Lookups, Scans int
+	// Elapsed is virtual seconds from the burst to its last delivery in
+	// single-pair mode, and to the drained cluster in cluster mode.
+	Elapsed float64
+	// FrontCPU is the sending front end's core-seconds, all processes
+	// (single pair only).
+	FrontCPU float64
+	// Drained reports that every window finished within the horizon.
+	Drained bool
+	// Audit is the exactly-once audit: nil iff every PUT completed once.
+	Audit       error
+	TraceSHA    string
+	TraceEvents uint64
+}
 
-	w := s8Workload(objects)
-	start := sim.Time(sim.Second)
-	idx, err := g.Put(start, w.Generate())
+// goodput is payload bytes per virtual second over the run.
+func (r ObjstoreRunResult) goodput() float64 { return r.Bytes / r.Elapsed }
+
+// clean reports whether the burst drained and passed the audit.
+func (r ObjstoreRunResult) clean() bool { return r.Drained && r.Audit == nil }
+
+// objstoreHorizon bounds a single-pair burst's virtual run time.
+const objstoreHorizon = 3600 * sim.Second
+
+// RunObjstorePoint builds, runs and audits one object-gateway burst under
+// a hashing tracer. Single pair: the burst arrives at 1 s on the LAN
+// testbed's scheduler. Cluster: tenant i puts its slice of the burst at
+// (1+i) s, the last tenant taking the remainder. Two calls with one spec
+// return equal TraceSHA values. The error reports a spec the gateway or
+// the cluster rejects; a failed drain or audit is in the result.
+func RunObjstorePoint(spec ObjstoreRunSpec) (ObjstoreRunResult, error) {
+	h := trace.NewHasher()
+	p := objstore.DefaultParams()
+	p.Coalesce = spec.Coalesce
+	all := spec.Workload.Generate()
+	var r ObjstoreRunResult
+	if spec.Cluster == nil {
+		sys, sched := lanScheduler(h)
+		defer sched.Close()
+		g := objstore.NewGateway(sched, p, core.Forward)
+		start := sim.Time(sim.Second)
+		idx, err := g.Put(start, all)
+		if err != nil {
+			return r, err
+		}
+		r.Drained = g.RunToCompletion(objstoreHorizon)
+		r.Audit = g.AuditExactlyOnce()
+		var last sim.Time
+		for _, i := range idx {
+			last = max(last, g.DoneAt(i))
+		}
+		r.Objects, r.Bytes = g.ObjectsDone()
+		r.Windows, r.Lookups, r.Scans = g.Windows, g.Lookups, g.Scans
+		r.Elapsed = float64(last - start)
+		r.FrontCPU = sys.TB.Sender.HostCPUReport().Total
+	} else {
+		eng := sim.NewEngine()
+		eng.SetTracer(h)
+		c, err := cluster.New(eng, *spec.Cluster)
+		if err != nil {
+			return r, err
+		}
+		tenants := max(spec.Workload.Tenants, 1)
+		c.AddTenants(tenants)
+		g := objstore.NewClusterGateway(c, p)
+		per := len(all) / tenants
+		for tenant := 0; tenant < tenants; tenant++ {
+			at := sim.Time(sim.Duration(1+tenant) * sim.Second)
+			lo, hi := tenant*per, (tenant+1)*per
+			if tenant == tenants-1 {
+				hi = len(all)
+			}
+			if _, err := g.Put(at, tenant, all[lo:hi]); err != nil {
+				return r, err
+			}
+		}
+		// Run returns once the event queue is empty.
+		c.Run()
+		r.Drained = true
+		r.Audit = g.AuditExactlyOnce()
+		r.Objects, r.Bytes = g.ObjectsDone()
+		r.Windows = g.Windows
+		r.Elapsed = float64(eng.Now())
+	}
+	r.TraceSHA, r.TraceEvents = h.Sum(), h.Events()
+	return r, nil
+}
+
+// s8Point runs one of S8's fixed specs, which every gateway accepts.
+func s8Point(spec ObjstoreRunSpec) ObjstoreRunResult {
+	r, err := RunObjstorePoint(spec)
 	if err != nil {
 		panic(err)
 	}
-	drained := g.RunToCompletion(600 * sim.Second)
-	clean := drained && g.AuditExactlyOnce() == nil
-	var last sim.Time
-	for _, i := range idx {
-		if at := g.DoneAt(i); at > last {
-			last = at
-		}
-	}
-	n, bytes := g.ObjectsDone()
-	elapsed := float64(last - start)
-	return s8Outcome{
-		elapsed:   elapsed,
-		goodput:   bytes / elapsed,
-		cpu:       sys.TB.Sender.HostCPUReport().Total,
-		windows:   g.Windows,
-		lookups:   g.Lookups,
-		scans:     g.Scans,
-		clean:     clean,
-		delivered: n,
-	}
+	return r
 }
 
 // s8Baseline moves the same payload as one large file through the same
 // scheduler — the bulk-transfer regime the paper's testbed was tuned for,
 // and the yardstick the small-file cells are measured against.
-func s8Baseline(bytes float64) s8Outcome {
+func s8Baseline(bytes float64) ObjstoreRunResult {
 	sys, sched := lanScheduler(nil)
 	defer sched.Close()
 	j, err := sched.Submit(xfersched.JobSpec{
@@ -95,42 +160,13 @@ func s8Baseline(bytes float64) s8Outcome {
 	if err != nil {
 		panic(err)
 	}
-	drained := sched.RunToCompletion(600 * sim.Second)
-	elapsed := float64(j.Finished - j.Submitted)
-	return s8Outcome{
-		elapsed: elapsed,
-		goodput: bytes / elapsed,
-		cpu:     sys.TB.Sender.HostCPUReport().Total,
-		windows: 1,
-		clean:   drained,
+	return ObjstoreRunResult{
+		Bytes:    bytes,
+		Windows:  1,
+		Drained:  sched.RunToCompletion(600 * sim.Second),
+		Elapsed:  float64(j.Finished - j.Submitted),
+		FrontCPU: sys.TB.Sender.HostCPUReport().Total,
 	}
-}
-
-// s8Cluster runs the burst through the 16-host cluster gateway and returns
-// submitted jobs, delivered objects and whether the exactly-once audit held.
-func s8Cluster(objects, k int) (jobs, done int, audited bool) {
-	eng := sim.NewEngine()
-	c, err := cluster.New(eng, cluster.Config{Hosts: 16, Shards: 4, DropPct: 5, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	c.AddTenants(4)
-	p := objstore.DefaultParams()
-	p.Coalesce = k
-	g := objstore.NewClusterGateway(c, p)
-	w := s8Workload(objects)
-	w.Tenants = 4
-	all := w.Generate()
-	per := len(all) / 4
-	for tenant := 0; tenant < 4; tenant++ {
-		at := sim.Time(sim.Duration(1+tenant) * sim.Second)
-		if _, err := g.Put(at, tenant, all[tenant*per:(tenant+1)*per]); err != nil {
-			panic(err)
-		}
-	}
-	c.Run()
-	done, _ = g.ObjectsDone()
-	return g.Windows, done, g.AuditExactlyOnce() == nil
 }
 
 // ObjectGateway is the small-file regime: the bulk-transfer testbed meets
@@ -151,29 +187,29 @@ func ObjectGateway() Result {
 	}
 	base := s8Baseline(totalBytes)
 
-	outs := make(map[int]s8Outcome)
+	outs := make(map[int]ObjstoreRunResult)
 	for _, k := range ks {
-		outs[k] = s8Run(objects, k, nil)
+		outs[k] = s8Point(ObjstoreRunSpec{Workload: s8Workload(objects), Coalesce: k})
 	}
 
 	per, co := outs[1], outs[256]
 
-	// Replay: the gated cell twice under a hashing tracer, bit-identical.
-	h1, h2 := trace.NewHasher(), trace.NewHasher()
-	runs := []s8Outcome{s8Run(objects, 256, h1), s8Run(objects, 256, h2)}
+	// Replay: the gated cell once more, bit-identical.
+	replay := s8Point(ObjstoreRunSpec{Workload: s8Workload(objects), Coalesce: 256})
+	clean, fewest := base.clean() && replay.clean(), objects
 	for _, k := range ks {
-		runs = append(runs, outs[k])
-	}
-	clean, fewest := base.clean, objects
-	for _, o := range runs {
-		clean = clean && o.clean
-		fewest = min(fewest, o.delivered)
+		clean = clean && outs[k].clean()
+		fewest = min(fewest, outs[k].Objects)
 	}
 
-	// Cluster mode: same burst over 16 hosts; coalescing must collapse the
-	// job count well below the object count while the audit still holds.
-	clJobsPer, clDonePer, clAuditPer := s8Cluster(512, 1)
-	clJobsCo, clDoneCo, clAuditCo := s8Cluster(512, 64)
+	// Cluster mode: same burst from 4 tenants over 16 hosts; coalescing
+	// must collapse the job count well below the object count while the
+	// audit still holds.
+	clWork := s8Workload(512)
+	clWork.Tenants = 4
+	clCfg := &cluster.Config{Hosts: 16, Shards: 4, DropPct: 5, Seed: 1}
+	clPer := s8Point(ObjstoreRunSpec{Workload: clWork, Coalesce: 1, Cluster: clCfg})
+	clCo := s8Point(ObjstoreRunSpec{Workload: clWork, Coalesce: 64, Cluster: clCfg})
 
 	tbl := metrics.Table{
 		Title: fmt.Sprintf("Object gateway, single pair: %d×24 KB PUTs (%s) vs one bulk file",
@@ -181,27 +217,27 @@ func ObjectGateway() Result {
 		Headers: []string{"cell", "windows", "lookups", "scans", "elapsed", "goodput", "vs bulk", "front CPU"},
 	}
 	tbl.AddRow("bulk file", "1", "—", "—",
-		fmt.Sprintf("%.3fs", base.elapsed), units.FormatRate(base.goodput), "100%",
-		fmt.Sprintf("%.3fs", base.cpu))
+		fmt.Sprintf("%.3fs", base.Elapsed), units.FormatRate(base.goodput()), "100%",
+		fmt.Sprintf("%.3fs", base.FrontCPU))
 	for _, k := range ks {
 		o := outs[k]
 		tbl.AddRow(fmt.Sprintf("objects, K=%d", k),
-			fmt.Sprintf("%d", o.windows), fmt.Sprintf("%d", o.lookups), fmt.Sprintf("%d", o.scans),
-			fmt.Sprintf("%.3fs", o.elapsed), units.FormatRate(o.goodput),
-			fmt.Sprintf("%.1f%%", 100*o.goodput/base.goodput),
-			fmt.Sprintf("%.3fs", o.cpu))
+			fmt.Sprintf("%d", o.Windows), fmt.Sprintf("%d", o.Lookups), fmt.Sprintf("%d", o.Scans),
+			fmt.Sprintf("%.3fs", o.Elapsed), units.FormatRate(o.goodput()),
+			fmt.Sprintf("%.1f%%", 100*o.goodput()/base.goodput()),
+			fmt.Sprintf("%.3fs", o.FrontCPU))
 	}
 
 	clTbl := metrics.Table{
 		Title:   "Object gateway, 16-host cluster: 512×24 KB PUTs from 4 tenants (5% control drop)",
 		Headers: []string{"cell", "jobs", "objects", "delivered"},
 	}
-	clTbl.AddRow("per-object (K=1)", fmt.Sprintf("%d", clJobsPer), "512", fmt.Sprintf("%d", clDonePer))
-	clTbl.AddRow("coalesced (K=64)", fmt.Sprintf("%d", clJobsCo), "512", fmt.Sprintf("%d", clDoneCo))
+	clTbl.AddRow("per-object (K=1)", fmt.Sprintf("%d", clPer.Windows), "512", fmt.Sprintf("%d", clPer.Objects))
+	clTbl.AddRow("coalesced (K=64)", fmt.Sprintf("%d", clCo.Windows), "512", fmt.Sprintf("%d", clCo.Objects))
 
 	good := metrics.Series{Name: "goodput-vs-coalesce-K"}
 	for i, k := range ks {
-		good.Add(float64(i), outs[k].goodput/1e9)
+		good.Add(float64(i), outs[k].goodput()/1e9)
 	}
 
 	return Result{
@@ -213,19 +249,19 @@ func ObjectGateway() Result {
 		Claims: []Claim{
 			gate("every cell drains and passes the exactly-once audit", clean),
 			{"objects delivered, fewest of any cell", "", float64(fewest), objects, objects},
-			{"K=256 goodput over per-object", "", co.goodput / per.goodput, 5, inf},
-			{"per-object windows", "", float64(per.windows), objects, objects},
-			{"per-object point lookups", "", float64(per.lookups), objects, objects},
-			{"per-object index scans", "", float64(per.scans), 0, 0},
-			{"K=256 windows, under objects/8", "", float64(co.windows), -inf, objects/8 - 1},
-			{"K=256 index scans", "", float64(co.scans), 1, inf},
-			{"per-object over K=256 front CPU", "", per.cpu / co.cpu, over(1), inf},
-			gate("K=256 replay trace identical", sameTrace(h1, h2)),
-			gate("cluster cells pass the exactly-once audit", clAuditPer && clAuditCo),
-			{"cluster K=1 objects delivered", "", float64(clDonePer), 512, 512},
-			{"cluster K=64 objects delivered", "", float64(clDoneCo), 512, 512},
-			{"cluster K=1 jobs", "", float64(clJobsPer), 512, 512},
-			{"cluster K=1 over K=64 jobs", "", float64(clJobsPer) / float64(clJobsCo), 4, inf},
+			{"K=256 goodput over per-object", "", co.goodput() / per.goodput(), 5, inf},
+			{"per-object windows", "", float64(per.Windows), objects, objects},
+			{"per-object point lookups", "", float64(per.Lookups), objects, objects},
+			{"per-object index scans", "", float64(per.Scans), 0, 0},
+			{"K=256 windows, under objects/8", "", float64(co.Windows), -inf, objects/8 - 1},
+			{"K=256 index scans", "", float64(co.Scans), 1, inf},
+			{"per-object over K=256 front CPU", "", per.FrontCPU / co.FrontCPU, over(1), inf},
+			gate("K=256 replay trace identical", co.TraceEvents > 0 && co.TraceSHA == replay.TraceSHA),
+			gate("cluster cells pass the exactly-once audit", clPer.Audit == nil && clCo.Audit == nil),
+			{"cluster K=1 objects delivered", "", float64(clPer.Objects), 512, 512},
+			{"cluster K=64 objects delivered", "", float64(clCo.Objects), 512, 512},
+			{"cluster K=1 jobs", "", float64(clPer.Windows), 512, 512},
+			{"cluster K=1 over K=64 jobs", "", float64(clPer.Windows) / float64(clCo.Windows), 4, inf},
 		},
 		Notes: []string{
 			"every 24 KB PUT pays a session handshake (~0.33 ms) and a point metadata lookup in per-object mode, so the wire idles while the control plane grinds",

@@ -1,20 +1,20 @@
 // Package fsim is an XFS-like filesystem layer mounted on the LUNs a SAN
 // session exports, matching the paper's front-end setup (§4.3): the
-// initiator formats the iSER block devices with XFS and applications reach
-// them through POSIX interfaces.
+// initiator formats the iSER block devices with XFS, and the long-running
+// RFTP and GridFTP pipelines reach them as file streams.
 //
-// The model captures the filesystem properties the paper's comparison
-// turns on:
+// A stream is one fluid flow that AttachStream charges with the full
+// steady-state cost of reading or writing the file. The model captures the
+// filesystem properties the paper's comparison turns on:
 //
-//   - striping: files spread across all LUNs in stripe-sized extents, so
-//     parallel I/O exercises every LUN, link and NUMA node (XFS allocation
-//     groups);
+//   - spreading: each stream is spread evenly over all LUNs, so parallel
+//     I/O exercises every LUN, link and NUMA node (XFS allocation groups);
 //   - direct I/O versus the page cache: buffered I/O pays an extra memory
 //     copy per byte on the front-end host — the "I/O cache effect" that
 //     costs GridFTP dearly — while O_DIRECT hands application buffers
 //     straight to the SAN;
-//   - metadata/journal overhead: writes periodically emit small journal
-//     commands and all I/O pays a small per-byte filesystem CPU cost.
+//   - metadata/journal overhead: the journal is a write amplification on
+//     LUN 0, and all I/O pays a small per-byte filesystem CPU cost.
 package fsim
 
 import (
@@ -25,25 +25,20 @@ import (
 	"e2edt/internal/host"
 	"e2edt/internal/iscsi"
 	"e2edt/internal/numa"
-	"e2edt/internal/sim"
 	"e2edt/internal/units"
 )
 
 // Errors returned by filesystem operations.
 var (
-	ErrNoSpace   = errors.New("fsim: no space left on device")
-	ErrExists    = errors.New("fsim: file exists")
-	ErrNotFound  = errors.New("fsim: file not found")
-	ErrBadRange  = errors.New("fsim: I/O beyond end of file")
-	ErrStreaming = errors.New("fsim: session mover does not support streaming")
+	ErrNoSpace  = errors.New("fsim: no space left on device")
+	ErrExists   = errors.New("fsim: file exists")
+	ErrNotFound = errors.New("fsim: file not found")
 )
 
 // Options tune the filesystem model.
 type Options struct {
-	// StripeSize is the per-LUN extent size (XFS stripe unit).
-	StripeSize int64
-	// JournalEveryBytes emits one journal write per this many data bytes
-	// written (buffered or direct).
+	// JournalEveryBytes is the data written (buffered or direct) per
+	// JournalBytes of journal traffic.
 	JournalEveryBytes int64
 	// JournalBytes is the size of each journal write.
 	JournalBytes int64
@@ -56,7 +51,6 @@ type Options struct {
 // DefaultOptions returns XFS-like settings.
 func DefaultOptions() Options {
 	return Options{
-		StripeSize:             4 * units.MB,
 		JournalEveryBytes:      256 * units.MB,
 		JournalBytes:           units.MB,
 		FSCyclesPerByte:        0.03,
@@ -64,7 +58,7 @@ func DefaultOptions() Options {
 	}
 }
 
-// FS is a mounted filesystem striped over a session's LUNs.
+// FS is a mounted filesystem spread over a session's LUNs.
 type FS struct {
 	Sess *iscsi.Session
 	// Host is the front-end host the filesystem is mounted on.
@@ -75,23 +69,15 @@ type FS struct {
 	files map[string]*File
 	used  int64
 	total int64
-	eng   *sim.Engine
-	// journalDebt accumulates written bytes until a journal flush is due.
-	journalDebt int64
-	// JournalWrites counts emitted journal commands.
-	JournalWrites int64
 }
 
 // Mount builds a filesystem over every LUN the session's target exports.
 func Mount(sess *iscsi.Session, h *host.Host, opt Options) (*FS, error) {
-	if opt.StripeSize <= 0 {
-		return nil, fmt.Errorf("fsim: StripeSize must be positive")
-	}
 	luns := sess.Target.LUNs()
 	if len(luns) == 0 {
 		return nil, fmt.Errorf("fsim: target exports no LUNs")
 	}
-	// Deterministic stripe order.
+	// Ascending LUN IDs: the lowest (LUN 0) carries the journal.
 	for i := 0; i < len(luns); i++ {
 		for j := i + 1; j < len(luns); j++ {
 			if luns[j].ID < luns[i].ID {
@@ -108,17 +94,16 @@ func Mount(sess *iscsi.Session, h *host.Host, opt Options) (*FS, error) {
 		luns:  luns,
 		files: make(map[string]*File),
 		total: total,
-		eng:   h.Sim.Engine,
 	}, nil
 }
 
 // Free returns unallocated bytes.
 func (fs *FS) Free() int64 { return fs.total - fs.used }
 
-// LUNCount returns the stripe width.
+// LUNCount returns how many LUNs every stream spreads over.
 func (fs *FS) LUNCount() int { return len(fs.luns) }
 
-// File is a fixed-size file striped across the filesystem's LUNs.
+// File is a fixed-size file spread across the filesystem's LUNs.
 type File struct {
 	Name string
 	Size int64
@@ -142,15 +127,6 @@ func (fs *FS) Create(name string, size int64) (*File, error) {
 	return f, nil
 }
 
-// Open looks up an existing file.
-func (fs *FS) Open(name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return f, nil
-}
-
 // Remove frees a file.
 func (fs *FS) Remove(name string) error {
 	f, ok := fs.files[name]
@@ -160,12 +136,6 @@ func (fs *FS) Remove(name string) error {
 	fs.used -= f.Size
 	delete(fs.files, name)
 	return nil
-}
-
-// lunFor maps a file offset to its stripe LUN.
-func (fs *FS) lunFor(off int64) *iscsi.LUN {
-	stripe := off / fs.Opt.StripeSize
-	return fs.luns[int(stripe)%len(fs.luns)]
 }
 
 // pageCacheCharge attaches the buffered-I/O page-cache copy: one extra
@@ -183,7 +153,7 @@ func (fs *FS) pageCacheCharge(f *fluid.Flow, th *host.Thread, appBuf *numa.Buffe
 	}
 }
 
-// IOOptions control one I/O request or stream.
+// IOOptions control one stream.
 type IOOptions struct {
 	// Thread is the application thread performing the I/O.
 	Thread *host.Thread
@@ -200,121 +170,15 @@ func (o IOOptions) validate() error {
 	return nil
 }
 
-// ReadAt issues a read of [off, off+length) and calls done on completion.
-func (f *File) ReadAt(off, length int64, o IOOptions, done func(now sim.Time, err error)) {
-	f.io(iscsi.OpRead, off, length, o, done)
-}
-
-// WriteAt issues a write of [off, off+length); journal traffic is added
-// according to the filesystem options.
-func (f *File) WriteAt(off, length int64, o IOOptions, done func(now sim.Time, err error)) {
-	f.io(iscsi.OpWrite, off, length, o, done)
-}
-
-// io splits the request along stripe boundaries and fans it out.
-func (f *File) io(op iscsi.Op, off, length int64, o IOOptions, done func(sim.Time, error)) {
-	fail := func(err error) {
-		f.fs.eng.Schedule(0, func() { done(f.fs.eng.Now(), err) })
-	}
-	if err := o.validate(); err != nil {
-		fail(err)
-		return
-	}
-	if length <= 0 || off < 0 || off+length > f.Size {
-		fail(ErrBadRange)
-		return
-	}
-	total := length
-	type piece struct {
-		lun    *iscsi.LUN
-		length int64
-	}
-	var pieces []piece
-	for length > 0 {
-		stripeEnd := (off/f.fs.Opt.StripeSize + 1) * f.fs.Opt.StripeSize
-		n := stripeEnd - off
-		if n > length {
-			n = length
-		}
-		pieces = append(pieces, piece{f.fs.lunFor(off), n})
-		off += n
-		length -= n
-	}
-	remaining := len(pieces)
-	var firstErr error
-	for _, p := range pieces {
-		p := p
-		charge := func(fl *fluid.Flow) {
-			o.Thread.ChargeCPU(fl, f.fs.Opt.FSCyclesPerByte, host.CatIO)
-			if !o.Direct {
-				f.fs.pageCacheCharge(fl, o.Thread, o.Buffer, op == iscsi.OpWrite, 1)
-			}
-		}
-		f.fs.Sess.Submit(&iscsi.Command{
-			Op: op, LUN: p.lun.ID,
-			Offset: 0, Length: p.length,
-			Buffer: o.Buffer, Charge: charge,
-			OnComplete: func(now sim.Time, err error) {
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				remaining--
-				if remaining == 0 {
-					done(now, firstErr)
-				}
-			},
-		})
-	}
-	if op == iscsi.OpWrite {
-		f.fs.maybeJournal(o, total)
-	}
-}
-
-// maybeJournal emits one small journal write per JournalEveryBytes of data
-// written (metadata and log traffic).
-func (fs *FS) maybeJournal(o IOOptions, written int64) {
-	if fs.Opt.JournalEveryBytes <= 0 || fs.Opt.JournalBytes <= 0 {
-		return
-	}
-	fs.journalDebt += written
-	for fs.journalDebt >= fs.Opt.JournalEveryBytes {
-		fs.journalDebt -= fs.Opt.JournalEveryBytes
-		fs.JournalWrites++
-		fs.Sess.Submit(&iscsi.Command{
-			Op: iscsi.OpWrite, LUN: fs.luns[0].ID,
-			Offset: 0, Length: fs.Opt.JournalBytes,
-			Buffer: o.Buffer, Tag: "journal",
-			OnComplete: func(sim.Time, error) {},
-		})
-	}
-}
-
-// Sync flushes the journal: a small write to LUN 0.
-func (fs *FS) Sync(o IOOptions, done func(now sim.Time, err error)) {
-	if err := o.validate(); err != nil {
-		fs.eng.Schedule(0, func() { done(fs.eng.Now(), err) })
-		return
-	}
-	fs.Sess.Submit(&iscsi.Command{
-		Op: iscsi.OpWrite, LUN: fs.luns[0].ID,
-		Offset: 0, Length: fs.Opt.JournalBytes,
-		Buffer: o.Buffer, Tag: "journal",
-		OnComplete: done,
-	})
-}
-
 // AttachStream charges the full steady-state cost of streaming this file
 // (read or write) onto flow fl: the SAN path spread across all LUNs, the
 // filesystem CPU, journal write amplification, and — for buffered I/O —
-// the page-cache copy. The session's mover must support streaming.
+// the page-cache copy.
 func (f *File) AttachStream(fl *fluid.Flow, op iscsi.Op, o IOOptions, share float64) error {
 	if err := o.validate(); err != nil {
 		return err
 	}
-	sm, ok := f.fs.Sess.Mover.(iscsi.StreamMover)
-	if !ok {
-		return ErrStreaming
-	}
+	sm := f.fs.Sess.Mover
 	per := share / float64(len(f.fs.luns))
 	for _, l := range f.fs.luns {
 		sm.AttachPath(fl, op, l.ID, o.Buffer, per)

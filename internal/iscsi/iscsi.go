@@ -98,15 +98,6 @@ type Worker struct {
 	busy   bool
 }
 
-// StreamMover is implemented by movers that support continuous streaming:
-// instead of per-command events, the full data-path cost for `share` bytes
-// of payload per flow-byte is attached to an externally managed fluid flow.
-// Long-running pipelines (RFTP/GridFTP over the SAN) use this to avoid
-// millions of per-block events while charging identical resources.
-type StreamMover interface {
-	AttachPath(f *fluid.Flow, op Op, lunID int, initBuf *numa.Buffer, share float64)
-}
-
 // Mover is the data-plane transport (implemented by the iser package).
 type Mover interface {
 	// SendPDU delivers a control PDU of the given size to the other side
@@ -117,6 +108,12 @@ type Mover interface {
 	// Move transfers cmd's data using worker w's bounce buffer and
 	// thread. It must invoke onDone when the last byte is placed.
 	Move(cmd *Command, lun *LUN, w *Worker, onDone func(now sim.Time))
+	// AttachPath charges the full data-path cost of share bytes of
+	// payload per flow-byte to an externally managed fluid flow, instead
+	// of per-command events. Long-running pipelines (RFTP/GridFTP over
+	// the SAN) stream this way to avoid millions of per-block events
+	// while charging identical resources.
+	AttachPath(f *fluid.Flow, op Op, lunID int, initBuf *numa.Buffer, share float64)
 }
 
 // TargetConfig tunes the target's threading and NUMA policy.

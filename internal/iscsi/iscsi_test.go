@@ -29,6 +29,8 @@ func (f *fakeMover) Move(cmd *Command, lun *LUN, w *Worker, onDone func(sim.Time
 	f.eng.Schedule(sim.Duration(float64(cmd.Length)/f.byteSec), func() { onDone(f.eng.Now()) })
 }
 
+func (*fakeMover) AttachPath(*fluid.Flow, Op, int, *numa.Buffer, float64) {}
+
 type rig struct {
 	eng    *sim.Engine
 	s      *fluid.Sim
@@ -259,7 +261,8 @@ func (d dropMover) SendPDU(_ float64, _ bool, fn func(sim.Time, bool)) {
 		fn(d.eng.Now(), false)
 	}
 }
-func (dropMover) Move(*Command, *LUN, *Worker, func(sim.Time)) {}
+func (dropMover) Move(*Command, *LUN, *Worker, func(sim.Time))           {}
+func (dropMover) AttachPath(*fluid.Flow, Op, int, *numa.Buffer, float64) {}
 
 func TestTimeoutDoesNotDoubleComplete(t *testing.T) {
 	// Response arrives before the timer: exactly one completion, and the

@@ -120,10 +120,7 @@ func NewMover(portals []Portal, initThread *host.Thread, target *iscsi.Target, p
 	}
 }
 
-var (
-	_ iscsi.Mover       = (*Mover)(nil)
-	_ iscsi.StreamMover = (*Mover)(nil)
-)
+var _ iscsi.Mover = (*Mover)(nil)
 
 // bounceScale returns the effective DRAM factor for bounce buffers.
 func (m *Mover) bounceScale() float64 {
@@ -158,9 +155,8 @@ func (m *Mover) workerCopy(f *fluid.Flow, w *iscsi.Worker, store *numa.Buffer, t
 	}
 }
 
-// AttachPath implements iscsi.StreamMover: it charges the full iSER data
-// path for a continuous stream onto flow f, with `share` bytes of LUN
-// traffic per flow-byte. The steady-state load is spread across the LUN's
+// AttachPath charges the full iSER data path for a continuous stream onto
+// flow f, with `share` bytes of LUN traffic per flow-byte. The steady-state load is spread across the LUN's
 // worker pool (each worker's bounce buffer and thread takes 1/n), and each
 // worker routes through its NUMA-affine portal as in Move.
 func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.Buffer, share float64) {

@@ -1,8 +1,6 @@
 package objstore
 
 import (
-	"fmt"
-
 	"e2edt/internal/cluster"
 	"e2edt/internal/sim"
 )
@@ -24,7 +22,7 @@ type ClusterGateway struct {
 	// the first few hosts, like a gateway ingest tier).
 	Dataset int
 
-	puts    []*putState
+	ledger
 	jobPuts map[int][]int // cluster job id → put indices (keyed only)
 	// Windows counts cluster jobs submitted; JobsLost counts windows the
 	// control plane abandoned (their puts never complete, and the audit
@@ -58,28 +56,12 @@ func NewClusterGateway(c *cluster.Cluster, p Params) *ClusterGateway {
 // object hashes to a destination host; windows are runs of adjacent
 // objects within one destination's queue, at most Coalesce objects and
 // MaxWindowBytes payload each; every window is one cluster job. Returns
-// the put indices in submission order.
+// the put indices in submission order. A batch with any invalid PUT is
+// rejected whole.
 func (g *ClusterGateway) Put(at sim.Time, tenantID int, objs []PutSpec) ([]int, error) {
-	type placed struct {
-		put int
-		dst int
-	}
-	idx := make([]int, 0, len(objs))
-	pending := make([]placed, 0, len(objs))
-	for _, o := range objs {
-		if err := ValidateBucket(o.Bucket); err != nil {
-			return nil, err
-		}
-		if err := ValidateKey(o.Key); err != nil {
-			return nil, err
-		}
-		if o.Size < 0 {
-			return nil, fmt.Errorf("objstore: object %s has negative size", FormatKey(o.Bucket, o.Key))
-		}
-		pi := len(g.puts)
-		g.puts = append(g.puts, &putState{spec: o})
-		idx = append(idx, pi)
-		pending = append(pending, placed{put: pi, dst: g.C.HostForKey(FormatKey(o.Bucket, o.Key))})
+	idx, err := g.record(objs)
+	if err != nil {
+		return nil, err
 	}
 	// The route (destination host) is the coalescing unit: consistent
 	// hashing interleaves destinations in the submission stream, so windows
@@ -87,27 +69,24 @@ func (g *ClusterGateway) Put(at sim.Time, tenantID int, objs []PutSpec) ([]int, 
 	// arrival order — not over runs in raw key order, which would almost
 	// never coalesce at realistic host counts.
 	order := make([]int, 0, 16)
-	byDst := make(map[int][]placed)
-	for _, pl := range pending {
-		if _, ok := byDst[pl.dst]; !ok {
-			order = append(order, pl.dst)
+	byDst := make(map[int][]int) // destination host → put indices
+	for i, o := range objs {
+		dst := g.C.HostForKey(FormatKey(o.Bucket, o.Key))
+		if _, ok := byDst[dst]; !ok {
+			order = append(order, dst)
 		}
-		byDst[pl.dst] = append(byDst[pl.dst], pl)
+		byDst[dst] = append(byDst[dst], idx[i])
 	}
 	limit := g.P.coalesce()
 	for _, dst := range order {
 		q := byDst[dst]
 		for start := 0; start < len(q); {
 			end := start + 1
-			bytes := g.puts[q[start].put].spec.Size
+			bytes := g.puts[q[start]].spec.Size
 			for end < len(q) && end-start < limit &&
-				bytes+g.puts[q[end].put].spec.Size <= maxWindowBytes {
-				bytes += g.puts[q[end].put].spec.Size
+				bytes+g.puts[q[end]].spec.Size <= maxWindowBytes {
+				bytes += g.puts[q[end]].spec.Size
 				end++
-			}
-			window := make([]int, 0, end-start)
-			for _, pl := range q[start:end] {
-				window = append(window, pl.put)
 			}
 			id := g.C.NextJobID()
 			// A window of empty objects still moves its delimiter records;
@@ -115,7 +94,7 @@ func (g *ClusterGateway) Put(at sim.Time, tenantID int, objs []PutSpec) ([]int, 
 			// byte-equivalent unit, so a zero-byte window completes rather
 			// than wedging.
 			g.C.Submit(at, tenantID, g.Dataset, dst, float64(bytes), 0)
-			g.jobPuts[id] = window
+			g.jobPuts[id] = q[start:end]
 			g.Windows++
 			start = end
 		}
@@ -127,25 +106,13 @@ func (g *ClusterGateway) Put(at sim.Time, tenantID int, objs []PutSpec) ([]int, 
 // (the cluster fires this only on committed, non-voided completions).
 func (g *ClusterGateway) jobDone(id int, now sim.Time) {
 	for _, pi := range g.jobPuts[id] {
-		g.puts[pi].completions++
-		g.puts[pi].doneAt = now
+		g.complete(pi, now)
 	}
 }
 
 // jobLost records a window the control plane abandoned.
 func (g *ClusterGateway) jobLost(id int, now sim.Time) {
 	g.JobsLost++
-}
-
-// ObjectsDone returns delivered object and byte totals.
-func (g *ClusterGateway) ObjectsDone() (objects int, bytes float64) {
-	for _, ps := range g.puts {
-		if ps.completions > 0 {
-			objects++
-			bytes += float64(ps.spec.Size)
-		}
-	}
-	return objects, bytes
 }
 
 // AuditExactlyOnce verifies the gateway ledger after Run: every PUT
@@ -155,14 +122,5 @@ func (g *ClusterGateway) AuditExactlyOnce() error {
 	if err := g.C.VerifyExactlyOnce(); err != nil {
 		return err
 	}
-	for i, ps := range g.puts {
-		if ps.completions != 1 {
-			return fmt.Errorf("objstore: put %d (%s) completed %d times, want exactly 1",
-				i, FormatKey(ps.spec.Bucket, ps.spec.Key), ps.completions)
-		}
-	}
-	return nil
+	return g.audit()
 }
-
-// DoneAt returns put i's delivery time (zero if still in flight).
-func (g *ClusterGateway) DoneAt(i int) sim.Time { return g.puts[i].doneAt }

@@ -58,14 +58,6 @@ type PutSpec struct {
 	Size        int64
 }
 
-// putState tracks one PUT through the gateway: completions counts delivery
-// callbacks (the exactly-once audit asserts it lands on exactly 1).
-type putState struct {
-	spec        PutSpec
-	completions int
-	doneAt      sim.Time
-}
-
 // Gateway is the single-pair object gateway: PUTs arrive, pay their
 // metadata cost on the sender front end's CPU through the fluid model, and
 // their payloads are coalesced into rftp batch windows submitted as
@@ -81,15 +73,12 @@ type Gateway struct {
 	mdTh  *host.Thread
 	mdBuf *numa.Buffer
 
-	puts           []*putState
+	ledger
 	pendingWindows int // windows still in their metadata phase
 	// Windows counts transfer windows submitted; Lookups and Scans count
 	// metadata operations (point vs amortized), the S8 evidence that
 	// coalescing batches the metadata path too.
 	Windows, Lookups, Scans int
-
-	objectsDone int     // objects landed
-	bytesDone   float64 // their payload bytes
 }
 
 // NewGateway builds a gateway over an existing scheduler. The metadata
@@ -116,33 +105,21 @@ func NewGateway(sched *xfersched.Scheduler, p Params, dir core.Direction) *Gatew
 // burst is cut into coalescing windows — runs of adjacent same-tenant
 // objects, at most Coalesce objects and maxWindowBytes payload each — and
 // every window pays one metadata operation and one transfer job. Returns
-// the put indices, in submission order, for result inspection.
+// the put indices, in submission order, for result inspection. A batch
+// with any invalid PUT is rejected whole.
 func (g *Gateway) Put(at sim.Time, objs []PutSpec) ([]int, error) {
-	idx := make([]int, 0, len(objs))
-	pending := make([]*putState, 0, len(objs))
-	for _, o := range objs {
-		if err := ValidateBucket(o.Bucket); err != nil {
-			return nil, err
-		}
-		if err := ValidateKey(o.Key); err != nil {
-			return nil, err
-		}
-		if o.Size < 0 {
-			return nil, fmt.Errorf("objstore: object %s has negative size", FormatKey(o.Bucket, o.Key))
-		}
-		ps := &putState{spec: o}
-		idx = append(idx, len(g.puts))
-		g.puts = append(g.puts, ps)
-		pending = append(pending, ps)
+	idx, err := g.record(objs)
+	if err != nil {
+		return nil, err
 	}
 	limit := g.P.coalesce()
-	for start := 0; start < len(pending); {
+	for start := 0; start < len(objs); {
 		end := start + 1
-		bytes := pending[start].spec.Size
-		for end < len(pending) && end-start < limit &&
-			pending[end].spec.Tenant == pending[start].spec.Tenant &&
-			bytes+pending[end].spec.Size <= maxWindowBytes {
-			bytes += pending[end].spec.Size
+		bytes := objs[start].Size
+		for end < len(objs) && end-start < limit &&
+			objs[end].Tenant == objs[start].Tenant &&
+			bytes+objs[end].Size <= maxWindowBytes {
+			bytes += objs[end].Size
 			end++
 		}
 		window := idx[start:end]
@@ -206,20 +183,11 @@ func (g *Gateway) submitWindow(id int, window []int) {
 		Protocol: xfersched.ProtoRFTP,
 		Dir:      g.Dir,
 		Objects:  specs,
-		OnObject: func(k int, now sim.Time) { g.delivered(window[k], now) },
+		OnObject: func(k int, now sim.Time) { g.complete(window[k], now) },
 	}
 	if _, err := g.Sched.Submit(spec); err != nil {
 		panic(fmt.Sprintf("objstore: submit window %d: %v", id, err))
 	}
-}
-
-// delivered records one object's completion.
-func (g *Gateway) delivered(pi int, now sim.Time) {
-	ps := g.puts[pi]
-	ps.completions++
-	ps.doneAt = now
-	g.objectsDone++
-	g.bytesDone += float64(ps.spec.Size)
 }
 
 // AllDone reports whether every PUT's window has cleared both its metadata
@@ -245,20 +213,4 @@ func (g *Gateway) RunToCompletion(limit sim.Duration) bool {
 // AuditExactlyOnce verifies the gateway's delivery ledger: every PUT
 // completed exactly once — no lost object, no duplicate completion
 // callback across windows, retries and attempts.
-func (g *Gateway) AuditExactlyOnce() error {
-	for i, ps := range g.puts {
-		if ps.completions != 1 {
-			return fmt.Errorf("objstore: put %d (%s) completed %d times, want exactly 1",
-				i, FormatKey(ps.spec.Bucket, ps.spec.Key), ps.completions)
-		}
-	}
-	return nil
-}
-
-// ObjectsDone returns delivered object and byte totals.
-func (g *Gateway) ObjectsDone() (objects int, bytes float64) {
-	return g.objectsDone, g.bytesDone
-}
-
-// DoneAt returns put i's delivery time (zero if still in flight).
-func (g *Gateway) DoneAt(i int) sim.Time { return g.puts[i].doneAt }
+func (g *Gateway) AuditExactlyOnce() error { return g.audit() }
