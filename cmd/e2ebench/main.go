@@ -23,66 +23,78 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"e2edt/internal/experiments"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	run := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	charts := flag.Bool("chart", false, "render ASCII charts for experiments with series")
-	md := flag.Bool("md", false, "emit tables as markdown (for EXPERIMENTS.md-style reports)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs the selected experiments and prints each result;
+// it returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("e2ebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	ids := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	charts := fs.Bool("chart", false, "render ASCII charts for experiments with series")
+	md := fs.Bool("md", false, "emit tables as markdown (for EXPERIMENTS.md-style reports)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 
-	ids := experiments.IDs()
-	if *run != "" {
-		ids = strings.Split(*run, ",")
+	selected := experiments.IDs()
+	if *ids != "" {
+		selected = strings.Split(*ids, ",")
 	}
 	var failed []string
-	for _, id := range ids {
+	for _, id := range selected {
 		res, err := experiments.Run(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if *md {
-			fmt.Printf("### %s — %s\n\n", res.ID, res.Title)
+			fmt.Fprintf(stdout, "### %s — %s\n\n", res.ID, res.Title)
 			for _, tb := range res.Tables {
-				fmt.Println(tb.Markdown())
+				fmt.Fprintln(stdout, tb.Markdown())
 			}
 			if len(res.Claims) > 0 {
 				ct := res.ClaimTable()
-				fmt.Println(ct.Markdown())
+				fmt.Fprintln(stdout, ct.Markdown())
 			}
 			for _, n := range res.Notes {
-				fmt.Printf("> %s\n", n)
+				fmt.Fprintf(stdout, "> %s\n", n)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		} else {
-			fmt.Println(res)
+			fmt.Fprintln(stdout, res)
 		}
 		if *charts {
 			if c := res.RenderChart(); c != "" {
-				fmt.Println(c)
+				fmt.Fprintln(stdout, c)
 			}
 		}
 		for _, c := range res.Failed() {
 			failed = append(failed, fmt.Sprintf("%s: %s = %v outside %s", res.ID, c.Quantity, c.Measured, c.Band()))
 		}
 	}
-	if len(failed) > 0 {
-		for _, f := range failed {
-			fmt.Fprintln(os.Stderr, "e2ebench: claim failed:", f)
-		}
-		os.Exit(1)
+	for _, f := range failed {
+		fmt.Fprintln(stderr, "e2ebench: claim failed:", f)
 	}
+	if len(failed) > 0 {
+		return 1
+	}
+	return 0
 }

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"e2edt/internal/cluster"
@@ -58,8 +59,8 @@ func (cfg config) spec() experiments.ObjstoreRunSpec {
 	return spec
 }
 
-// run drives the burst and turns a failed drain or audit into an error.
-func run(spec experiments.ObjstoreRunSpec) (experiments.ObjstoreRunResult, error) {
+// burst drives the run and turns a failed drain or audit into an error.
+func burst(spec experiments.ObjstoreRunSpec) (experiments.ObjstoreRunResult, error) {
 	r, err := experiments.RunObjstorePoint(spec)
 	if err != nil {
 		return r, err
@@ -70,19 +71,29 @@ func run(spec experiments.ObjstoreRunSpec) (experiments.ObjstoreRunResult, error
 	return r, r.Audit
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args into one burst, drives it and prints its outcome; it
+// returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	var cfg config
-	flag.BoolVar(&cfg.cluster, "cluster", false, "cluster mode: sharded control plane over -hosts hosts")
-	flag.IntVar(&cfg.objects, "objects", 1024, "PUT count")
-	flag.Int64Var(&cfg.objBytes, "objbytes", 24<<10, "object size in bytes")
-	flag.IntVar(&cfg.tenants, "tenants", 0, "tenant count (default 1 single-pair, 4 cluster)")
-	flag.IntVar(&cfg.coalesce, "coalesce", 64, "coalescing window: max objects per rftp stream window (1 = per-object)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "workload and cluster seed")
-	flag.IntVar(&cfg.hosts, "hosts", 16, "cluster mode: host count")
-	flag.IntVar(&cfg.shards, "shards", 4, "cluster mode: control-plane shards")
-	flag.IntVar(&cfg.drop, "drop", 5, "cluster mode: control RPC drop percentage")
-	replay := flag.Bool("replay-check", false, "run the scenario twice and demand bit-identical traces")
-	flag.Parse()
+	fs := flag.NewFlagSet("objsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&cfg.cluster, "cluster", false, "cluster mode: sharded control plane over -hosts hosts")
+	fs.IntVar(&cfg.objects, "objects", 1024, "PUT count")
+	fs.Int64Var(&cfg.objBytes, "objbytes", 24<<10, "object size in bytes")
+	fs.IntVar(&cfg.tenants, "tenants", 0, "tenant count (default 1 single-pair, 4 cluster)")
+	fs.IntVar(&cfg.coalesce, "coalesce", 64, "coalescing window: max objects per rftp stream window (1 = per-object)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "workload and cluster seed")
+	fs.IntVar(&cfg.hosts, "hosts", 16, "cluster mode: host count")
+	fs.IntVar(&cfg.shards, "shards", 4, "cluster mode: control-plane shards")
+	fs.IntVar(&cfg.drop, "drop", 5, "cluster mode: control RPC drop percentage")
+	replay := fs.Bool("replay-check", false, "run the scenario twice and demand bit-identical traces")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if cfg.tenants == 0 {
 		cfg.tenants = 1
@@ -91,42 +102,43 @@ func main() {
 		}
 	}
 	if cfg.objects <= 0 || cfg.objBytes < 0 || cfg.coalesce < 1 || cfg.tenants < 1 {
-		fmt.Fprintln(os.Stderr, "objsim: -objects, -tenants and -coalesce must be positive, -objbytes non-negative")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "objsim: -objects, -tenants and -coalesce must be positive, -objbytes non-negative")
+		return 2
 	}
 
 	mode := "single-pair"
 	if cfg.cluster {
 		mode = fmt.Sprintf("cluster (%d hosts, %d shards, %d%% drop)", cfg.hosts, cfg.shards, cfg.drop)
 	}
-	fmt.Printf("objsim: %s, %d×%s PUTs, %d tenant(s), coalesce K=%d, seed %d\n",
+	fmt.Fprintf(stdout, "objsim: %s, %d×%s PUTs, %d tenant(s), coalesce K=%d, seed %d\n",
 		mode, cfg.objects, units.FormatBytes(cfg.objBytes), cfg.tenants, cfg.coalesce, cfg.seed)
 
 	spec := cfg.spec()
-	o, err := run(spec)
+	o, err := burst(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "objsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "objsim: %v\n", err)
+		return 1
 	}
-	fmt.Printf("  delivered %d objects (%s) in %.3fs virtual — %s, %d window(s)\n",
+	fmt.Fprintf(stdout, "  delivered %d objects (%s) in %.3fs virtual — %s, %d window(s)\n",
 		o.Objects, units.FormatBytes(int64(o.Bytes)), o.Elapsed,
 		units.FormatRate(o.Bytes/o.Elapsed), o.Windows)
 	if !cfg.cluster {
-		fmt.Printf("  metadata path: %d point lookup(s), %d batched scan(s)\n", o.Lookups, o.Scans)
+		fmt.Fprintf(stdout, "  metadata path: %d point lookup(s), %d batched scan(s)\n", o.Lookups, o.Scans)
 	}
-	fmt.Printf("  exactly-once audit: ok; trace %d events, sha256 %s\n", o.TraceEvents, o.TraceSHA[:16])
+	fmt.Fprintf(stdout, "  exactly-once audit: ok; trace %d events, sha256 %s\n", o.TraceEvents, o.TraceSHA[:16])
 
 	if *replay {
-		o2, err := run(spec)
+		o2, err := burst(spec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "objsim: replay: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "objsim: replay: %v\n", err)
+			return 1
 		}
 		if o2.TraceSHA != o.TraceSHA || o2.TraceEvents != o.TraceEvents {
-			fmt.Fprintf(os.Stderr, "objsim: replay diverged: %d events sha %s vs %d events sha %s\n",
+			fmt.Fprintf(stderr, "objsim: replay diverged: %d events sha %s vs %d events sha %s\n",
 				o.TraceEvents, o.TraceSHA[:16], o2.TraceEvents, o2.TraceSHA[:16])
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("  replay: bit-identical (%d events, equal digests)\n", o2.TraceEvents)
+		fmt.Fprintf(stdout, "  replay: bit-identical (%d events, equal digests)\n", o2.TraceEvents)
 	}
+	return 0
 }

@@ -7,118 +7,91 @@
 //	rftp -wan -streams 4 -bs 1MB  # memory-to-memory over the 95 ms loop
 //	rftp -size 300GB              # finite transfer, report completion time
 //	rftp -policy default          # without NUMA tuning
+//
+// Each run goes through experiments.RunTransferPoint, the harness F13
+// uses.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
 	"os"
 
-	"e2edt/internal/core"
+	"e2edt/internal/experiments"
 	"e2edt/internal/numa"
-	"e2edt/internal/pipe"
 	"e2edt/internal/rftp"
 	"e2edt/internal/sim"
-	"e2edt/internal/testbed"
 	"e2edt/internal/trace"
 	"e2edt/internal/units"
 )
 
-func main() {
-	log.SetFlags(0)
-	wan := flag.Bool("wan", false, "run memory-to-memory over the ANI 40G/95ms loop")
-	streams := flag.Int("streams", 3, "parallel RDMA streams")
-	bs := flag.String("bs", "4MB", "block size")
-	credits := flag.Int("credits", 64, "outstanding blocks per stream")
-	policy := flag.String("policy", "bind", "NUMA policy: bind or default")
-	size := flag.String("size", "", "transfer size (e.g. 300GB); empty = 60 s open-ended run")
-	duration := flag.Float64("t", 60, "open-ended run duration in simulated seconds")
-	traceOut := flag.Bool("trace", false, "log simulation trace events to stderr")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run parses args into one transfer, runs it and prints its report; it
+// returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rftp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wan := fs.Bool("wan", false, "run memory-to-memory over the ANI 40G/95ms loop")
+	streams := fs.Int("streams", 3, "parallel RDMA streams")
+	bs := fs.String("bs", "4MB", "block size")
+	credits := fs.Int("credits", 64, "outstanding blocks per stream")
+	policy := fs.String("policy", "bind", "NUMA policy: bind or default")
+	size := fs.String("size", "", "transfer size (e.g. 300GB); empty = 60 s open-ended run")
+	duration := fs.Float64("t", 60, "open-ended run duration in simulated seconds")
+	traceOut := fs.Bool("trace", false, "log simulation trace events to stderr")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	spec := experiments.TransferRunSpec{WAN: *wan, Size: math.Inf(1), Window: sim.Duration(*duration)}
 	blockSize, err := units.ParseBlockSize(*bs)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	cfg := rftp.Config{
+	spec.Config = rftp.Config{
 		Streams:          *streams,
 		BlockSize:        blockSize,
 		CreditsPerStream: *credits,
 		Policy:           numa.PolicyBind,
 	}
 	if *policy == "default" {
-		cfg.Policy = numa.PolicyDefault
+		spec.Config.Policy = numa.PolicyDefault
 	}
-	bytes := math.Inf(1)
 	if *size != "" {
 		n, err := units.ParseBlockSize(*size)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		bytes = float64(n)
+		spec.Size = float64(n)
 	}
-
+	label := "LAN end-to-end (SAN → SAN)"
+	if *traceOut {
+		spec.Tracer = trace.NewLogger(stderr, "rftp", "fabric")
+	}
 	if *wan {
-		runWAN(cfg, bytes, *duration, *traceOut)
-		return
+		label = "WAN memory-to-memory"
+		if *traceOut {
+			spec.Tracer = trace.NewLogger(stderr)
+		}
 	}
-	runLAN(cfg, bytes, *duration, *traceOut)
-}
 
-func runWAN(cfg rftp.Config, size, duration float64, traceOut bool) {
-	w := testbed.NewWAN()
-	if traceOut {
-		w.Eng.SetTracer(trace.NewLogger(os.Stderr))
-	}
-	var doneAt sim.Time
-	tr, err := rftp.Start(w.LinkSlice(), w.A, cfg, rftp.DefaultParams(),
-		pipe.Zero{}, pipe.Null{}, size, func(now sim.Time) { doneAt = now })
+	r, err := experiments.RunTransferPoint(spec)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	if math.IsInf(size, 1) {
-		w.Eng.RunFor(sim.Duration(duration))
-	} else {
-		w.Eng.Run()
+	fmt.Fprintf(stdout, "%s: moved %s at %s\n", label,
+		units.FormatBytes(int64(r.Moved)), units.FormatRate(r.Rate))
+	if r.DoneAt > 0 {
+		fmt.Fprintf(stdout, "completed at t=%.2fs (simulated)\n", float64(r.DoneAt))
 	}
-	report("WAN memory-to-memory", tr.Transferred(), tr.Bandwidth(), doneAt)
-	fmt.Printf("sender CPU: %.0f%%  receiver CPU: %.0f%%\n",
-		w.A.HostCPUReport().TotalPercent(float64(w.Eng.Now())),
-		w.B.HostCPUReport().TotalPercent(float64(w.Eng.Now())))
-}
-
-func runLAN(cfg rftp.Config, size, duration float64, traceOut bool) {
-	sys, err := core.NewSystem(core.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if traceOut {
-		sys.Engine().SetTracer(trace.NewLogger(os.Stderr, "rftp", "fabric"))
-	}
-	var doneAt sim.Time
-	tr, err := sys.StartRFTP(core.Forward, cfg, rftp.DefaultParams(), size,
-		func(now sim.Time) { doneAt = now })
-	if err != nil {
-		log.Fatal(err)
-	}
-	if math.IsInf(size, 1) {
-		sys.Engine().RunFor(sim.Duration(duration))
-	} else {
-		sys.Engine().Run()
-	}
-	report("LAN end-to-end (SAN → SAN)", tr.Transferred(), tr.Bandwidth(), doneAt)
-	el := float64(sys.Engine().Now())
-	fmt.Printf("sender CPU: %.0f%%  receiver CPU: %.0f%%\n",
-		sys.A.Front.HostCPUReport().TotalPercent(el),
-		sys.B.Front.HostCPUReport().TotalPercent(el))
-}
-
-func report(label string, bytes, bw float64, doneAt sim.Time) {
-	fmt.Printf("%s: moved %s at %s\n", label,
-		units.FormatBytes(int64(bytes)), units.FormatRate(bw))
-	if doneAt > 0 {
-		fmt.Printf("completed at t=%.2fs (simulated)\n", float64(doneAt))
-	}
+	fmt.Fprintf(stdout, "sender CPU: %.0f%%  receiver CPU: %.0f%%\n", r.SenderCPU, r.ReceiverCPU)
+	return 0
 }

@@ -41,12 +41,17 @@
 // -partition, -kill-spine) all read target@seconds[+window][:severity].
 // Whatever schedule a run injects is echoed alongside the outcome tables,
 // so a report records exactly what the run survived.
+//
+// A single-pair run goes through experiments.RunSchedPoint, the harness S1
+// uses, with its two-hour virtual-time budget; a cluster run goes through
+// experiments.RunClusterPoint, the harness S5 and S6 use.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -54,7 +59,6 @@ import (
 	"strings"
 
 	"e2edt/internal/cluster"
-	"e2edt/internal/core"
 	"e2edt/internal/experiments"
 	"e2edt/internal/fabric"
 	"e2edt/internal/faults"
@@ -66,81 +70,94 @@ import (
 	"e2edt/internal/xfersched"
 )
 
-func main() {
-	jobs := flag.Int("jobs", 24, "trace length (number of jobs)")
-	rate := flag.Float64("rate", 30, "offered load in jobs per minute")
-	seed := flag.Int64("seed", 1, "trace PRNG seed")
-	minSize := flag.String("min", "2GB", "minimum job size")
-	maxSize := flag.String("max", "12GB", "maximum job size")
-	gridftp := flag.Float64("gridftp", 0.2, "fraction of jobs using the GridFTP baseline")
-	reverse := flag.Float64("reverse", 0.25, "fraction of jobs flowing B→A")
-	tenants := flag.String("tenants", "astro:2,bio:1,climate:1", "tenant:weight list")
-	concurrent := flag.Int("concurrent", 4, "admission cap on running jobs")
-	streams := flag.Int("streams", 6, "total RFTP stream budget across running jobs")
-	failAt := flag.Float64("fail", 0, "fail front link 0 at this virtual second (0 = no failure)")
-	failFor := flag.Float64("failfor", 10, "failure window length in virtual seconds")
-	chaos := flag.Float64("chaos", 0, "mean seconds between injected faults on the front fabric (0 = off)")
-	chaosSeed := flag.Int64("chaosseed", 42, "fault-schedule PRNG seed")
-	outage := flag.Float64("outage", 0.3, "mean fault window length in virtual seconds")
-	degrade := flag.Float64("degrade", 0.5, "surviving capacity fraction for chaos degradation windows")
-	horizon := flag.Float64("horizon", 30, "chaos fault-injection horizon in virtual seconds")
-	recover := flag.Bool("recover", true, "enable in-protocol recovery (RDMA/RFTP/iSER); the watchdog stays as second line of defense")
-	rails := flag.Bool("rails", false, "enable rail health management: failover, credit rebalance and failback (requires -recover)")
-	killRail := flag.String("kill-rail", "", "permanently kill a front rail, as name@seconds (e.g. roce1@5); implies -rails")
-	grayFlag := flag.String("gray", "", "gray failure: name@seconds:severity silently sags a front rail (e.g. roce1@5:0.7); cluster mode: id@seconds+window:severity limps a host's cores (e.g. 3@8+6:0.95). Arms the outlier scorer")
-	hedge := flag.Bool("hedge", false, "arm tail-tolerant hedged windows: lagging streams re-issue on the best trusted rail, first completion wins (implies -rails with gray detection)")
-	shed := flag.Bool("shed", false, "cluster mode: arm the gray host scorer and the admission shed valve (low-priority jobs held while a host is under a verdict)")
-	corrupt := flag.Int("corrupt", 0, "inject this many seeded silent bit flips across the front rails")
-	corruptSeed := flag.Int64("corruptseed", 7, "corruption-schedule PRNG seed")
-	checksum := flag.Bool("checksum", false, "enable RFTP end-to-end block checksums (the only layer that catches silent corruption)")
-	traceFile := flag.String("trace", "", "replay a job trace file (see xfersched.ParseTrace) instead of generating one")
-	limit := flag.Float64("limit", 7200, "virtual-time budget in seconds")
-	md := flag.Bool("md", false, "emit tables as markdown")
-	utilz := flag.Bool("utilz", false, "dump the end-of-run fluid resource utilization snapshot (loaded resources only)")
-	verbose := flag.Bool("v", false, "include the per-job table")
-	clusterMode := flag.Bool("cluster", false, "run the datacenter cluster fabric instead of the single Figure 5 pair")
-	hosts := flag.Int("hosts", 100, "cluster mode: number of simulated hosts")
-	shards := flag.Int("shards", 4, "cluster mode: control-plane shard count")
-	drop := flag.Float64("drop", 0, "cluster mode: control-RPC drop percentage (0-100)")
-	topology := flag.String("topology", "leaf-spine", "cluster mode: fabric topology (leaf-spine|fat-tree)")
-	ctenants := flag.Int("ctenants", 0, "cluster mode: tenant count (default 10 per host)")
-	cjobs := flag.Int("cjobs", 0, "cluster mode: job count (default 2 per tenant)")
-	replayCheck := flag.Bool("replay-check", false, "cluster mode: run the scenario twice and fail unless the traces hash identically")
-	killHost := flag.String("kill-host", "", "cluster mode: crash-stop a host, as id@seconds[+downtime] (e.g. 7@8+8; no +downtime = never restarts)")
-	killCtrl := flag.String("kill-ctrl", "", "cluster mode: permanently crash-stop a shard controller, as shard@seconds (e.g. 0@15)")
-	killSpine := flag.String("kill-spine", "", "cluster mode: take a top-stage switch dark (a spine on leaf-spine, a core on fat-tree), as id@seconds[+downtime]")
-	partition := flag.String("partition", "", "cluster mode: sever shards from the control plane, as ids@seconds+window (e.g. 5,6,7@20+6)")
-	flag.Parse()
+// The -chaos schedule's shape besides its rate and seed.
+const (
+	chaosOutage  sim.Duration = 0.3 // mean fault window
+	chaosDegrade              = 0.5 // surviving capacity in a degradation window
+	chaosHorizon sim.Duration = 30  // faults start within this span
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args into one single-pair or cluster run, drives it through
+// its experiments harness and prints the outcome; it returns the process
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xfersched", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jobs := fs.Int("jobs", 24, "trace length (number of jobs)")
+	rate := fs.Float64("rate", 30, "offered load in jobs per minute")
+	seed := fs.Int64("seed", 1, "trace PRNG seed")
+	minSize := fs.String("min", "2GB", "minimum job size")
+	maxSize := fs.String("max", "12GB", "maximum job size")
+	gridftp := fs.Float64("gridftp", 0.2, "fraction of jobs using the GridFTP baseline")
+	reverse := fs.Float64("reverse", 0.25, "fraction of jobs flowing B→A")
+	tenants := fs.String("tenants", "astro:2,bio:1,climate:1", "tenant:weight list")
+	concurrent := fs.Int("concurrent", 4, "admission cap on running jobs")
+	streams := fs.Int("streams", 6, "total RFTP stream budget across running jobs")
+	failAt := fs.Float64("fail", 0, "fail front link 0 at this virtual second (0 = no failure)")
+	failFor := fs.Float64("failfor", 10, "failure window length in virtual seconds")
+	chaos := fs.Float64("chaos", 0, "mean seconds between injected faults on the front fabric (0 = off)")
+	chaosSeed := fs.Int64("chaosseed", 42, "fault-schedule PRNG seed")
+	recover := fs.Bool("recover", true, "enable in-protocol recovery (RDMA/RFTP/iSER); the watchdog stays as second line of defense")
+	rails := fs.Bool("rails", false, "enable rail health management: failover, credit rebalance and failback (requires -recover)")
+	killRail := fs.String("kill-rail", "", "permanently kill a front rail, as name@seconds (e.g. roce1@5); implies -rails")
+	grayFlag := fs.String("gray", "", "gray failure: name@seconds:severity silently sags a front rail (e.g. roce1@5:0.7); cluster mode: id@seconds+window:severity limps a host's cores (e.g. 3@8+6:0.95). Arms the outlier scorer")
+	hedge := fs.Bool("hedge", false, "arm tail-tolerant hedged windows: lagging streams re-issue on the best trusted rail, first completion wins (implies -rails with gray detection)")
+	shed := fs.Bool("shed", false, "cluster mode: arm the gray host scorer and the admission shed valve (low-priority jobs held while a host is under a verdict)")
+	corrupt := fs.Int("corrupt", 0, "inject this many seeded silent bit flips across the front rails")
+	corruptSeed := fs.Int64("corruptseed", 7, "corruption-schedule PRNG seed")
+	checksum := fs.Bool("checksum", false, "enable RFTP end-to-end block checksums (the only layer that catches silent corruption)")
+	traceFile := fs.String("trace", "", "replay a job trace file (see xfersched.ParseTrace) instead of generating one")
+	md := fs.Bool("md", false, "emit tables as markdown")
+	utilz := fs.Bool("utilz", false, "dump the busiest fluid resource utilization snapshot (loaded resources only)")
+	verbose := fs.Bool("v", false, "include the per-job table")
+	clusterMode := fs.Bool("cluster", false, "run the datacenter cluster fabric instead of the single Figure 5 pair")
+	hosts := fs.Int("hosts", 100, "cluster mode: number of simulated hosts")
+	shards := fs.Int("shards", 4, "cluster mode: control-plane shard count")
+	drop := fs.Float64("drop", 0, "cluster mode: control-RPC drop percentage (0-100)")
+	topology := fs.String("topology", "leaf-spine", "cluster mode: fabric topology (leaf-spine|fat-tree)")
+	ctenants := fs.Int("ctenants", 0, "cluster mode: tenant count (default 10 per host)")
+	cjobs := fs.Int("cjobs", 0, "cluster mode: job count (default 2 per tenant)")
+	replayCheck := fs.Bool("replay-check", false, "cluster mode: run the scenario twice and fail unless the traces hash identically")
+	killHost := fs.String("kill-host", "", "cluster mode: crash-stop a host, as id@seconds[+downtime] (e.g. 7@8+8; no +downtime = never restarts)")
+	killCtrl := fs.String("kill-ctrl", "", "cluster mode: permanently crash-stop a shard controller, as shard@seconds (e.g. 0@15)")
+	killSpine := fs.String("kill-spine", "", "cluster mode: take a top-stage switch dark (a spine on leaf-spine, a core on fat-tree), as id@seconds[+downtime]")
+	partition := fs.String("partition", "", "cluster mode: sever shards from the control plane, as ids@seconds+window (e.g. 5,6,7@20+6)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *clusterMode {
 		if *hedge {
-			fatal(fmt.Errorf("-hedge is a single-pair flag: cluster transfers hedge at the host level via -shed"))
+			return fail(stderr, 1, fmt.Errorf("-hedge is a single-pair flag: cluster transfers hedge at the host level via -shed"))
 		}
-		runCluster(clusterFlags{
+		return runCluster(clusterFlags{
 			hosts: *hosts, shards: *shards, drop: *drop, topology: *topology,
 			tenants: *ctenants, jobs: *cjobs, seed: *seed,
 			replayCheck: *replayCheck, md: *md,
 			killHost: *killHost, killCtrl: *killCtrl,
 			killSpine: *killSpine, partition: *partition,
 			gray: *grayFlag, shed: *shed,
-		})
-		return
+		}, stdout, stderr)
 	}
 	if *shed {
-		fatal(fmt.Errorf("-shed is a cluster-mode flag: admission shedding needs the sharded control plane (add -cluster)"))
+		return fail(stderr, 1, fmt.Errorf("-shed is a cluster-mode flag: admission shedding needs the sharded control plane (add -cluster)"))
 	}
 
 	minB, err := units.ParseBlockSize(*minSize)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, 1, err)
 	}
 	maxB, err := units.ParseBlockSize(*maxSize)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, 1, err)
 	}
 	tList, err := parseTenants(*tenants)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, 1, err)
 	}
 	tc := xfersched.TraceConfig{
 		Seed:            *seed,
@@ -153,155 +170,117 @@ func main() {
 		ReverseFraction: *reverse,
 		PriorityLevels:  2,
 	}
+	spec := experiments.NewSchedRunSpec()
+	spec.Tenants = tList
 	if *traceFile == "" {
 		if err := tc.Validate(); err != nil {
 			var fe interface{ Field() string }
 			if errors.As(err, &fe) {
 				err = fmt.Errorf("%w (flag -%s)", err, traceFlags[fe.Field()])
 			}
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-	}
-
-	opt := core.DefaultOptions()
-	opt.DatasetSize = 2 * units.GB
-	opt.Recovery = *recover
-	if *killRail != "" || *grayFlag != "" || *hedge {
-		*rails = true
-	}
-	if *rails {
-		if !*recover {
-			fatal(fmt.Errorf("-rails and -kill-rail need in-protocol recovery; drop -recover=false"))
-		}
-		opt.Rails = railmgr.DefaultPolicy()
-	}
-	if *grayFlag != "" || *hedge {
-		// Gray injection is silent: only the peer-comparison scorer (and,
-		// with -hedge, the adaptive deadline) can react to it.
-		opt.Rails.Gray = true
-	}
-	sys, err := core.NewSystem(opt)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := xfersched.DefaultConfig()
-	cfg.MaxConcurrent = *concurrent
-	cfg.StreamBudget = *streams
-	cfg.RFTP.Checksum = *checksum
-	if *hedge {
-		cfg.RFTPParams.Hedge = true
-	}
-	s, err := xfersched.New(sys, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer s.Close()
-
-	s.WithTenantWeights(tList)
-	if *traceFile != "" {
+		spec.Trace = xfersched.GenerateTrace(tc)
+	} else {
 		text, err := os.ReadFile(*traceFile)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, 1, err)
 		}
-		trace, err := xfersched.ParseTrace(string(text))
-		if err != nil {
-			fatal(err)
+		if spec.Trace, err = xfersched.ParseTrace(string(text)); err != nil {
+			return fail(stderr, 1, err)
 		}
-		s.SubmitTrace(trace)
-	} else {
-		s.SubmitTrace(xfersched.GenerateTrace(tc))
 	}
 
-	plan := &faults.Plan{}
-	if err := addLinkFaults(plan, *failAt, *failFor, *killRail, *grayFlag, sys.TB.FrontLinks); err != nil {
-		badFlag(err)
+	gray := *grayFlag != "" || *hedge
+	spec.Options.Recovery = *recover
+	if *rails || *killRail != "" || gray {
+		if !*recover {
+			return fail(stderr, 1, fmt.Errorf("-rails and -kill-rail need in-protocol recovery; drop -recover=false"))
+		}
+		spec.Options.Rails = railmgr.DefaultPolicy()
+		// Gray injection is silent: only the peer-comparison scorer (and,
+		// with -hedge, the adaptive deadline) can react to it.
+		spec.Options.Rails.Gray = gray
 	}
-	if *corrupt > 0 {
+	spec.Config.MaxConcurrent = *concurrent
+	spec.Config.StreamBudget = *streams
+	spec.Config.RFTP.Checksum = *checksum
+	spec.Config.RFTPParams.Hedge = *hedge
+	spec.Sample = *utilz
+	spec.Plan = func(links []*fabric.Link, plan *faults.Plan) error {
+		if err := addLinkFaults(plan, *failAt, *failFor, *killRail, *grayFlag, links); err != nil {
+			return flagError{err}
+		}
 		rng := rand.New(rand.NewSource(*corruptSeed))
 		for i := 0; i < *corrupt; i++ {
-			link := sys.TB.FrontLinks[rng.Intn(len(sys.TB.FrontLinks))]
-			at := sim.Time(0.2 + rng.Float64()*2)
-			plan.Corrupt(link, at)
+			link := links[rng.Intn(len(links))]
+			plan.Corrupt(link, sim.Time(0.2+rng.Float64()*2))
 		}
-	}
-	if *chaos > 0 {
-		chaosPlan := faults.Chaos(faults.ChaosConfig{
-			Seed:            *chaosSeed,
-			Horizon:         sim.Duration(*horizon),
-			Start:           sim.Time(100 * sim.Millisecond),
-			MeanBetween:     sim.Duration(*chaos),
-			MeanOutage:      sim.Duration(*outage),
-			DegradeFraction: *degrade,
-			FlapWeight:      3,
-			DegradeWeight:   1,
-			BurstWeight:     1,
-		}, sys.TB.FrontLinks...)
-		for _, ev := range chaosPlan.Events {
-			plan.Add(ev)
+		if *chaos > 0 {
+			plan.Events = append(plan.Events, faults.Chaos(faults.ChaosConfig{
+				Seed:            *chaosSeed,
+				Horizon:         chaosHorizon,
+				Start:           sim.Time(100 * sim.Millisecond),
+				MeanBetween:     sim.Duration(*chaos),
+				MeanOutage:      chaosOutage,
+				DegradeFraction: chaosDegrade,
+				FlapWeight:      3,
+				DegradeWeight:   1,
+				BurstWeight:     1,
+			}, links...).Events...)
 		}
+		return nil
 	}
-	// Reject a contradictory schedule (e.g. a gray sag inside a -fail or
-	// -chaos outage window) with the validator's own error text before
-	// anything runs.
-	if err := plan.Validate(); err != nil {
-		fatal(err)
-	}
-	if !plan.Empty() {
-		s.ApplyFaults(plan)
-	}
-	// -utilz samples the solver state on a coarse cadence and keeps the
-	// busiest snapshot: at end of run every flow has completed and the
-	// loads all read zero, which is the one state nobody is debugging.
-	var peak []fluid.ResourceUtil
-	if *utilz {
-		peakLoad := -1.0
-		sampler := sys.Engine().NewTicker(100*sim.Millisecond, func(sim.Time) {
-			us := sys.TB.Sim.Network.Utilization()
-			total := 0.0
-			for _, u := range us {
-				total += u.Share
-			}
-			if total > peakLoad {
-				peakLoad, peak = total, us
-			}
-		})
-		defer sampler.Stop()
-	}
-	done := s.RunToCompletion(sim.Duration(*limit))
 
-	r := s.Report()
+	// A contradictory schedule (e.g. a gray sag inside a -fail or -chaos
+	// outage window) comes back with the validator's own error text before
+	// anything runs.
+	res, err := experiments.RunSchedPoint(spec)
+	if err != nil {
+		var fe flagError
+		if errors.As(err, &fe) {
+			return fail(stderr, 2, err)
+		}
+		return fail(stderr, 1, err)
+	}
+	r := res.Report
 	tables := []*metrics.Table{r.SummaryTable(), r.TenantTable(), r.GrayTable()}
 	if *verbose {
-		tables = append(tables, s.JobTable())
+		tables = append(tables, res.Jobs)
 	}
 	if *utilz {
-		tables = append(tables, utilzTable(peak))
+		tables = append(tables, utilzTable(res.Busiest))
 	}
 	for _, tb := range tables {
 		if *md {
-			fmt.Println(tb.Markdown())
+			fmt.Fprintln(stdout, tb.Markdown())
 		} else {
-			fmt.Println(tb)
+			fmt.Fprintln(stdout, tb)
 		}
 	}
-	if !plan.Empty() {
-		printPlan(plan, *md)
+	if !res.Plan.Empty() {
+		printPlan(stdout, res.Plan, *md)
 	}
-	if !done {
-		fmt.Fprintf(os.Stderr, "xfersched: virtual-time budget %.0fs exhausted with jobs unfinished\n", *limit)
-		os.Exit(1)
+	if !res.Drained {
+		fmt.Fprintf(stderr, "xfersched: virtual-time budget %.0fs exhausted with jobs unfinished\n", float64(experiments.SchedHorizon))
+		return 1
 	}
 	// A gray run is audited like the cluster chaos runs: the silent sag must
 	// cost performance, never deliveries.
-	if *grayFlag != "" || *hedge {
+	if gray {
 		if r.Lost > 0 {
-			fmt.Fprintf(os.Stderr, "xfersched: delivery audit FAILED: gray run lost %d jobs\n", r.Lost)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "xfersched: delivery audit FAILED: gray run lost %d jobs\n", r.Lost)
+			return 1
 		}
-		fmt.Println("delivery audit: OK (every job completed despite the gray schedule)")
+		fmt.Fprintln(stdout, "delivery audit: OK (every job completed despite the gray schedule)")
 	}
+	return 0
 }
+
+// flagError marks a fault flag the plan hook rejects: exit status 2, as
+// the flag package gives a value it cannot parse.
+type flagError struct{ error }
 
 // clusterFlags carries the cluster-mode CLI knobs.
 type clusterFlags struct {
@@ -324,12 +303,12 @@ type clusterFlags struct {
 
 // runCluster drives the sharded-control-plane fabric scenario and prints
 // the cluster report. With -replay-check the scenario runs twice and the
-// process fails unless both traces hash identically — the determinism
+// run fails unless both traces hash identically — the determinism
 // contract the CI smoke asserts.
-func runCluster(f clusterFlags) {
+func runCluster(f clusterFlags, stdout, stderr io.Writer) int {
 	kind, err := fabric.ParseTopoKind(f.topology)
 	if err != nil {
-		fatal(err)
+		return fail(stderr, 1, err)
 	}
 	if f.tenants <= 0 {
 		f.tenants = 10 * f.hosts
@@ -345,56 +324,57 @@ func runCluster(f clusterFlags) {
 		Gray: f.gray != "" || f.shed,
 	}
 	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		return fail(stderr, 1, err)
 	}
 	chaos, err := clusterPlan(f, cfg.TopSwitches())
 	if err != nil {
-		badFlag(err)
+		return fail(stderr, 2, err)
 	}
 	// Each flag passed its own checks; reject a contradictory timeline (a
 	// crash-stop inside a limp window) with the validator's own text.
 	if err := chaos.Validate(); err != nil {
-		fatal(err)
+		return fail(stderr, 1, err)
 	}
 	spec := experiments.ClusterRunSpec{Config: cfg, Tenants: f.tenants, Jobs: f.jobs, Chaos: chaos}
 	res := experiments.RunClusterPoint(spec)
 	// Echo the schedule and topology the run used, in the -chaos/-rails
 	// fault-plan style: a report records exactly what was simulated.
-	fmt.Printf("cluster: %s\n", res.Topology)
-	fmt.Printf("schedule: %d shards, %d tenants, %d jobs, drop %.1f%%, seed %d\n",
+	fmt.Fprintf(stdout, "cluster: %s\n", res.Topology)
+	fmt.Fprintf(stdout, "schedule: %d shards, %d tenants, %d jobs, drop %.1f%%, seed %d\n",
 		f.shards, f.tenants, f.jobs, f.drop, f.seed)
 	if !chaos.Empty() {
-		printPlan(chaos, f.md)
+		printPlan(stdout, chaos, f.md)
 	}
 	if spec.Gray {
-		fmt.Println("gray: host outlier scorer and admission shed valve armed")
+		fmt.Fprintln(stdout, "gray: host outlier scorer and admission shed valve armed")
 	}
 	tb := res.Report.Table()
 	if f.md {
-		fmt.Println(tb.Markdown())
+		fmt.Fprintln(stdout, tb.Markdown())
 	} else {
-		fmt.Println(tb)
+		fmt.Fprintln(stdout, tb)
 	}
-	fmt.Printf("replay sha256: %s (%d events, %.1fs wall)\n", res.TraceSHA, res.TraceEvents, res.WallSeconds)
+	fmt.Fprintf(stdout, "replay sha256: %s (%d events, %.1fs wall)\n", res.TraceSHA, res.TraceEvents, res.WallSeconds)
 	if res.ExactlyOnce != nil {
-		fmt.Fprintf(os.Stderr, "xfersched: delivery audit FAILED: %v\n", res.ExactlyOnce)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xfersched: delivery audit FAILED: %v\n", res.ExactlyOnce)
+		return 1
 	}
 	if res.DegradedAtEnd != 0 {
-		fmt.Fprintf(os.Stderr, "xfersched: %d shards still degraded at end of run\n", res.DegradedAtEnd)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xfersched: %d shards still degraded at end of run\n", res.DegradedAtEnd)
+		return 1
 	}
 	if !chaos.Empty() {
-		fmt.Println("delivery audit: OK (every done job completed exactly once; byte ledgers agree)")
+		fmt.Fprintln(stdout, "delivery audit: OK (every done job completed exactly once; byte ledgers agree)")
 	}
 	if f.replayCheck {
 		again := experiments.RunClusterPoint(spec)
 		if again.TraceSHA != res.TraceSHA {
-			fmt.Fprintf(os.Stderr, "xfersched: replay check FAILED: %s vs %s\n", res.TraceSHA, again.TraceSHA)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "xfersched: replay check FAILED: %s vs %s\n", res.TraceSHA, again.TraceSHA)
+			return 1
 		}
-		fmt.Printf("replay check: OK (second run bit-identical, %d events)\n", again.TraceEvents)
+		fmt.Fprintf(stdout, "replay check: OK (second run bit-identical, %d events)\n", again.TraceEvents)
 	}
+	return 0
 }
 
 // addLinkFaults adds the single-pair link faults: the -fail/-failfor
@@ -591,14 +571,14 @@ func (a faultArg) rail(err error, links []*fabric.Link) (*fabric.Link, error) {
 
 // printPlan echoes the injected fault schedule, so a report records
 // exactly what the run survived.
-func printPlan(plan *faults.Plan, md bool) {
+func printPlan(w io.Writer, plan *faults.Plan, md bool) {
 	if md {
-		fmt.Println("#### Injected fault schedule")
-		fmt.Println()
-		fmt.Println(plan.MarkdownTable())
+		fmt.Fprintln(w, "#### Injected fault schedule")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, plan.MarkdownTable())
 	} else {
-		fmt.Println("Injected fault schedule:")
-		fmt.Println(plan.String())
+		fmt.Fprintln(w, "Injected fault schedule:")
+		fmt.Fprintln(w, plan.String())
 	}
 }
 
@@ -654,14 +634,10 @@ var traceFlags = map[string]string{
 	"GridFTPFraction": "gridftp", "ReverseFraction": "reverse",
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xfersched:", err)
-	os.Exit(1)
-}
-
-// badFlag reports a malformed or out-of-range flag value and exits 2, as
-// the flag package does for a value it cannot parse.
-func badFlag(err error) {
-	fmt.Fprintln(os.Stderr, "xfersched:", err)
-	os.Exit(2)
+// fail reports err on stderr and returns status: 1 for a run that cannot
+// proceed, 2 for a malformed or out-of-range flag value, as the flag
+// package exits for a value it cannot parse.
+func fail(stderr io.Writer, status int, err error) int {
+	fmt.Fprintln(stderr, "xfersched:", err)
+	return status
 }

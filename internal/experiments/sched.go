@@ -5,7 +5,9 @@ import (
 
 	"e2edt/internal/chart"
 	"e2edt/internal/core"
+	"e2edt/internal/fabric"
 	"e2edt/internal/faults"
+	"e2edt/internal/fluid"
 	"e2edt/internal/metrics"
 	"e2edt/internal/sim"
 	"e2edt/internal/units"
@@ -21,46 +23,139 @@ func init() {
 // crosses from underload well into overload.
 var schedLoads = []float64{30, 60, 120, 240, 480}
 
-// lanScheduler builds the Figure 5 LAN system over a 2 GB dataset and a
-// default transfer scheduler on it, tracing into tracer when non-nil.
-func lanScheduler(tracer sim.Tracer) (*core.System, *xfersched.Scheduler) {
+// SchedRunSpec is one single-pair scheduler run: the Figure 5 LAN system
+// built from Options, a transfer scheduler with Config over it, a job
+// trace and a fault schedule over the front links. It is shared by S1
+// and cmd/xfersched's single-pair mode, so both measure the same system.
+type SchedRunSpec struct {
+	Options core.Options
+	Config  xfersched.Config
+	// Tenants are the scheduler's fair-share weights.
+	Tenants []xfersched.TraceTenant
+	// Trace is the job submission schedule, generated
+	// (xfersched.GenerateTrace) or parsed (xfersched.ParseTrace).
+	Trace []xfersched.TimedJob
+	// Plan, when set, schedules the run's faults over the front links. Its
+	// error, and a plan Validate rejects, abort the run before it starts.
+	Plan func(links []*fabric.Link, plan *faults.Plan) error
+	// Sample keeps the busiest of the fluid utilisation snapshots taken
+	// every 100 ms: at the end of a run every flow has completed and each
+	// load reads zero.
+	Sample bool
+}
+
+// SchedRunResult is one scheduler run's outcome.
+type SchedRunResult struct {
+	Report xfersched.Report
+	Jobs   *metrics.Table // the per-job outcome table
+	// Drained reports that every job reached a terminal state within
+	// SchedHorizon.
+	Drained bool
+	// Plan is the fault schedule the run injected.
+	Plan *faults.Plan
+	// Busiest is the busiest utilisation snapshot (Sample only).
+	Busiest []fluid.ResourceUtil
+}
+
+// SchedHorizon bounds a scheduler run's virtual time.
+const SchedHorizon = 2 * 3600 * sim.Second
+
+// NewSchedRunSpec returns the default scheduler over the LAN system with
+// a 2 GB dataset, with no jobs and no faults.
+func NewSchedRunSpec() SchedRunSpec {
 	opt := core.DefaultOptions()
 	opt.DatasetSize = 2 * units.GB
-	sys, err := core.NewSystem(opt)
+	return SchedRunSpec{Options: opt, Config: xfersched.DefaultConfig()}
+}
+
+// build constructs the spec's system and scheduler, tracing into tracer
+// when non-nil.
+func (spec SchedRunSpec) build(tracer sim.Tracer) (*core.System, *xfersched.Scheduler, error) {
+	sys, err := core.NewSystem(spec.Options)
 	if err != nil {
-		panic(err)
+		return nil, nil, err
 	}
 	if tracer != nil {
 		sys.Engine().SetTracer(tracer)
 	}
-	s, err := xfersched.New(sys, xfersched.DefaultConfig())
+	s, err := xfersched.New(sys, spec.Config)
+	return sys, s, err
+}
+
+// lanScheduler builds the default spec's system and scheduler.
+func lanScheduler(tracer sim.Tracer) (*core.System, *xfersched.Scheduler) {
+	sys, s, err := NewSchedRunSpec().build(tracer)
 	if err != nil {
 		panic(err)
 	}
 	return sys, s
 }
 
-// schedRun replays one generated trace through a fresh scheduler and
-// returns its report and whether it drained within two virtual hours.
-// failAt > 0 injects a front-link outage window.
-func schedRun(jobsPerMin float64, jobs int, failAt sim.Time, failFor sim.Duration) (xfersched.Report, bool) {
-	sys, s := lanScheduler(nil)
+// RunSchedPoint replays one trace through a fresh scheduler under the
+// spec's faults until every job is terminal or SchedHorizon passes. The
+// error reports a system or scheduler the spec's options reject, the Plan
+// hook's error, or the plan's Validate error; nothing has run then.
+func RunSchedPoint(spec SchedRunSpec) (SchedRunResult, error) {
+	var r SchedRunResult
+	sys, s, err := spec.build(nil)
+	if err != nil {
+		return r, err
+	}
 	defer s.Close()
+	s.WithTenantWeights(spec.Tenants)
+	s.SubmitTrace(spec.Trace)
+	r.Plan = &faults.Plan{}
+	if spec.Plan != nil {
+		if err := spec.Plan(sys.TB.FrontLinks, r.Plan); err != nil {
+			return r, err
+		}
+		if err := r.Plan.Validate(); err != nil {
+			return r, err
+		}
+		s.ApplyFaults(r.Plan)
+	}
+	if spec.Sample {
+		peak := -1.0
+		sampler := sys.Engine().NewTicker(100*sim.Millisecond, func(sim.Time) {
+			us := sys.TB.Sim.Network.Utilization()
+			total := 0.0
+			for _, u := range us {
+				total += u.Share
+			}
+			if total > peak {
+				peak, r.Busiest = total, us
+			}
+		})
+		defer sampler.Stop()
+	}
+	r.Drained = s.RunToCompletion(SchedHorizon)
+	r.Report, r.Jobs = s.Report(), s.JobTable()
+	return r, nil
+}
+
+// schedRun replays one generated trace through the default scheduler and
+// returns its report and whether it drained. failAt > 0 injects a
+// front-link outage window.
+func schedRun(jobsPerMin float64, jobs int, failAt sim.Time, failFor sim.Duration) (xfersched.Report, bool) {
 	tc := xfersched.DefaultTraceConfig()
 	tc.Jobs = jobs
 	tc.JobsPerMinute = jobsPerMin
 	tc.MinBytes = 2 * units.GB
 	tc.MaxBytes = 6 * units.GB
 	tc.GridFTPFraction = 0.2
-	s.WithTenantWeights(tc.Tenants)
-	s.SubmitTrace(xfersched.GenerateTrace(tc))
+	spec := NewSchedRunSpec()
+	spec.Tenants, spec.Trace = tc.Tenants, xfersched.GenerateTrace(tc)
 	if failAt > 0 {
-		outage := &faults.Plan{}
-		outage.FailWindow(sys.TB.FrontLinks[0], failAt, failFor)
-		s.ApplyFaults(outage)
+		spec.Plan = func(links []*fabric.Link, plan *faults.Plan) error {
+			plan.FailWindow(links[0], failAt, failFor)
+			return nil
+		}
 	}
-	drained := s.RunToCompletion(2 * 3600 * sim.Second)
-	return s.Report(), drained
+	r, err := RunSchedPoint(spec)
+	if err != nil {
+		panic(err)
+	}
+	return r.Report, r.Drained
 }
 
 // SchedulerSaturation sweeps offered load through the multi-tenant

@@ -5,9 +5,12 @@ import (
 	"math"
 
 	"e2edt/internal/chart"
+	"e2edt/internal/core"
+	"e2edt/internal/host"
 	"e2edt/internal/metrics"
 	"e2edt/internal/pipe"
 	"e2edt/internal/rftp"
+	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
 	"e2edt/internal/units"
 )
@@ -22,25 +25,93 @@ var (
 	wanBlockSizes = []int64{64 * units.KB, 256 * units.KB, units.MB, 4 * units.MB, 16 * units.MB}
 )
 
-// wanPoint runs one RFTP configuration over the ANI loop and returns
-// (payload bytes/s, sender CPU %, receiver CPU %).
+// TransferRunSpec is one RFTP transfer: memory to memory over the ANI WAN
+// loop, or SAN to SAN across the Figure 5 LAN system. It is shared by F13
+// and cmd/rftp.
+type TransferRunSpec struct {
+	Config rftp.Config
+	// WAN selects the WAN loop; false runs the LAN system with default
+	// options.
+	WAN bool
+	// Size is the payload in bytes; +Inf runs open-ended for Window.
+	Size   float64
+	Window sim.Duration
+	// Tracer, when non-nil, receives the run's trace events.
+	Tracer sim.Tracer
+}
+
+// TransferRunResult is one transfer's outcome.
+type TransferRunResult struct {
+	// Moved is the payload delivered, Rate the transfer's bandwidth over
+	// its active span (rftp.Transfer.Bandwidth), both in bytes (per s).
+	Moved, Rate float64
+	// DoneAt is the completion time (zero for an open-ended run).
+	DoneAt sim.Time
+	// SenderCPU and ReceiverCPU are the front ends' CPU percent over the
+	// run's virtual time.
+	SenderCPU, ReceiverCPU float64
+}
+
+// RunTransferPoint runs one transfer: a finite one to completion, an
+// open-ended one for Window, after which it is stopped. The error reports
+// a config the system or RFTP rejects.
+func RunTransferPoint(spec TransferRunSpec) (TransferRunResult, error) {
+	var (
+		r        TransferRunResult
+		eng      *sim.Engine
+		snd, rcv *host.Host
+		start    func(done func(sim.Time)) (*rftp.Transfer, error)
+	)
+	if spec.WAN {
+		w := testbed.NewWAN()
+		eng, snd, rcv = w.Eng, w.A, w.B
+		start = func(done func(sim.Time)) (*rftp.Transfer, error) {
+			return rftp.Start(w.LinkSlice(), w.A, spec.Config, rftp.DefaultParams(),
+				pipe.Zero{}, pipe.Null{}, spec.Size, done)
+		}
+	} else {
+		sys, err := core.NewSystem(core.DefaultOptions())
+		if err != nil {
+			return r, err
+		}
+		eng, snd, rcv = sys.Engine(), sys.A.Front, sys.B.Front
+		start = func(done func(sim.Time)) (*rftp.Transfer, error) {
+			return sys.StartRFTP(core.Forward, spec.Config, rftp.DefaultParams(), spec.Size, done)
+		}
+	}
+	if spec.Tracer != nil {
+		eng.SetTracer(spec.Tracer)
+	}
+	tr, err := start(func(now sim.Time) { r.DoneAt = now })
+	if err != nil {
+		return r, err
+	}
+	if math.IsInf(spec.Size, 1) {
+		eng.RunFor(spec.Window)
+		r.Moved, r.Rate = tr.Transferred(), tr.Bandwidth()
+		tr.Stop()
+	} else {
+		eng.Run()
+		r.Moved, r.Rate = tr.Transferred(), tr.Bandwidth()
+	}
+	el := float64(eng.Now())
+	r.SenderCPU = snd.HostCPUReport().TotalPercent(el)
+	r.ReceiverCPU = rcv.HostCPUReport().TotalPercent(el)
+	return r, nil
+}
+
+// wanPoint runs one RFTP configuration over the ANI loop for 20 s and
+// returns (payload bytes/s, sender CPU %, receiver CPU %).
 func wanPoint(streams int, blockSize int64) (float64, float64, float64) {
 	const window = 20.0
-	w := testbed.NewWAN()
 	cfg := rftp.DefaultConfig()
 	cfg.Streams = streams
 	cfg.BlockSize = blockSize
-	tr, err := rftp.Start(w.LinkSlice(), w.A, cfg, rftp.DefaultParams(),
-		pipe.Zero{}, pipe.Null{}, math.Inf(1), nil)
+	r, err := RunTransferPoint(TransferRunSpec{Config: cfg, WAN: true, Size: math.Inf(1), Window: window})
 	if err != nil {
 		panic(err)
 	}
-	w.Eng.RunFor(window)
-	bw := tr.Transferred() / window
-	tr.Stop()
-	return bw,
-		w.A.HostCPUReport().TotalPercent(window),
-		w.B.HostCPUReport().TotalPercent(window)
+	return r.Moved / window, r.SenderCPU, r.ReceiverCPU
 }
 
 // WANBandwidth regenerates Figures 13 and 14 from one sweep: RFTP payload

@@ -110,11 +110,6 @@ type Link struct {
 	// latInflate scales the link's propagation delay (1 = nominal): a gray
 	// failure's latency inflation. Like graySag it is invisible to watchers.
 	latInflate float64
-	// lossEvery, when positive, silently drops every lossEvery-th control
-	// message: a sub-detection-threshold loss rate. Deterministic (a
-	// counter, not a coin), so replays are bit-identical.
-	lossEvery int
-	sends     int64
 	// watchers are the registered callbacks in registration order; an
 	// unwatched entry has a nil fn until notify finishes and compacts it.
 	// notifying is notify's nesting depth, watchSeq the last watcher id.
@@ -123,8 +118,6 @@ type Link struct {
 	watchSeq  uint64
 	// Drops counts control messages dropped because the link was dark.
 	Drops int64
-	// SilentDrops counts control messages eaten by injected silent loss.
-	SilentDrops int64
 }
 
 // Connect creates a link between a NIC on host ha (PCIe slot on node na) and
@@ -210,14 +203,6 @@ func (l *Link) Send(size float64, fn func(now sim.Time)) bool {
 		l.Drops++
 		l.eng.Tracef("fabric", "link %s dropped %g-byte control message", l.Cfg.Name, size)
 		return false
-	}
-	if l.lossEvery > 0 {
-		l.sends++
-		if l.sends%int64(l.lossEvery) == 0 {
-			l.SilentDrops++
-			l.eng.Tracef("fabric", "link %s silently lost %g-byte control message", l.Cfg.Name, size)
-			return false
-		}
 	}
 	l.eng.Schedule(l.MessageDelay(size), func() { fn(l.eng.Now()) })
 	return true
@@ -400,31 +385,6 @@ func (l *Link) InflateLatency(factor float64) {
 
 // LatencyFactor returns the injected latency inflation (1 = nominal).
 func (l *Link) LatencyFactor() float64 { return l.latInflate }
-
-// SetSilentLoss injects a sub-detection-threshold loss rate: every
-// every-th control message is dropped (Send reports false), deterministic
-// and counter-driven so replays are bit-identical. Zero disables. The
-// point of "every-th" rather than consecutive loss: a probe miss here and
-// there never accumulates into the missed-probe run a binary death
-// detector needs, so the rail stays nominally healthy while retries eat
-// goodput.
-func (l *Link) SetSilentLoss(every int) {
-	if every < 0 {
-		panic(fmt.Sprintf("fabric: SetSilentLoss every %d negative", every))
-	}
-	if l.lossEvery == every {
-		return
-	}
-	l.lossEvery = every
-	if every == 0 {
-		l.eng.Tracef("fabric", "link %s silent loss cleared", l.Cfg.Name)
-	} else {
-		l.eng.Tracef("fabric", "link %s silent loss: dropping every %dth control message", l.Cfg.Name, every)
-	}
-}
-
-// SilentLossEvery returns the injected loss cadence (0 = none).
-func (l *Link) SilentLossEvery() int { return l.lossEvery }
 
 // Failed reports whether the link is currently down.
 func (l *Link) Failed() bool { return l.failed }

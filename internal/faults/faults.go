@@ -14,8 +14,8 @@
 // whole failure schedule in one replayable data structure.
 //
 // Two ways to build a plan: compose windows by hand (FailWindow,
-// DegradeWindow, Burst, HostOutage, KillController, PartitionWindow,
-// SpineOutage) for acceptance tests and scenarios, or draw a link-fault
+// DegradeWindow, Corrupt, PermanentFail, SlowRail, HostOutage,
+// KillController, PartitionWindow, LimpWindow, SpineOutage) for acceptance tests and scenarios, or draw a link-fault
 // schedule from a seeded generator (Chaos) for sweep experiments. Either
 // way, ApplyTo runs Validate first: a contradictory plan never runs.
 package faults
@@ -69,14 +69,6 @@ const (
 	// Fraction × rate with no watcher notification and no flap — the rail
 	// limps, absolute health probes keep passing. Fraction 1 clears it.
 	GraySlow
-	// GrayJitter inflates a link's latency distribution by Fraction (a
-	// factor >= 1) with no notification; Fraction 1 clears it. Credit- and
-	// window-limited protocols sag, capacity-limited flows do not.
-	GrayJitter
-	// SilentLoss drops every Every-th control message on a link — a loss
-	// rate deliberately below the consecutive-miss threshold binary death
-	// detectors need. Every 0 clears it.
-	SilentLoss
 	// LimpHost inflates a cluster host's CPU/memory service time: every
 	// core runs at Fraction × speed. The host stays alive, heartbeats and
 	// all — it just limps. Fraction 1 clears it. Delivered to a Sink.
@@ -111,10 +103,6 @@ func (k Kind) String() string {
 		return "heal"
 	case GraySlow:
 		return "gray-slow"
-	case GrayJitter:
-		return "gray-jitter"
-	case SilentLoss:
-		return "silent-loss"
 	case LimpHost:
 		return "limp-host"
 	case SpineFail:
@@ -143,9 +131,6 @@ type Event struct {
 	Host int
 	// Shards lists the shard ids severed from the rest by PartitionStart.
 	Shards []int
-	// Every is the SilentLoss cadence: every Every-th control message is
-	// dropped (0 clears the injection).
-	Every int
 }
 
 // target names the event's subject for logs and tables.
@@ -163,6 +148,11 @@ func (ev Event) target() string {
 		return fmt.Sprintf("spine %d", ev.Host)
 	}
 	return "link " + ev.Link.Cfg.Name
+}
+
+// hasFraction reports whether the event's kind reads Fraction.
+func (ev Event) hasFraction() bool {
+	return ev.Kind == LinkDegrade || ev.Kind == GraySlow || ev.Kind == LimpHost
 }
 
 // Sink receives cluster-scale fault events from ApplyTo. It is implemented
@@ -218,11 +208,6 @@ func (p *Plan) DegradeWindow(l *fabric.Link, from sim.Time, window sim.Duration,
 	p.Add(Event{At: from + sim.Time(window), Kind: LinkDegrade, Link: l, Fraction: 1})
 }
 
-// Burst schedules one RDMA error burst.
-func (p *Plan) Burst(l *fabric.Link, at sim.Time) {
-	p.Add(Event{At: at, Kind: ErrorBurst, Link: l})
-}
-
 // Corrupt schedules one silent bit flip.
 func (p *Plan) Corrupt(l *fabric.Link, at sim.Time) {
 	p.Add(Event{At: at, Kind: Corrupt, Link: l})
@@ -266,49 +251,13 @@ func (p *Plan) SlowRail(l *fabric.Link, at sim.Time, severity float64) {
 	if severity <= 0 || severity >= 1 {
 		panic(fmt.Sprintf("faults: SlowRail severity %v outside (0, 1)", severity))
 	}
-	p.Add(Event{At: at, Kind: GraySlow, Link: l, Fraction: surviving(severity)})
-}
-
-// surviving converts a sag severity into the surviving-capacity fraction,
-// rounded (see round9).
-func surviving(severity float64) float64 {
-	return round9(1 - severity)
+	p.Add(Event{At: at, Kind: GraySlow, Link: l, Fraction: round9(1 - severity)})
 }
 
 // round9 rounds a capacity fraction to 1e-9, so 1-0.7 reads 0.3 (not
 // 0.30000000000000004) in echoed schedules and trace lines.
 func round9(f float64) float64 {
 	return math.Round(f*1e9) / 1e9
-}
-
-// SlowRailWindow schedules a gray rate sag of the given severity over
-// [from, from+window), silently recovering afterwards.
-func (p *Plan) SlowRailWindow(l *fabric.Link, from sim.Time, window sim.Duration, severity float64) {
-	if severity <= 0 || severity >= 1 {
-		panic(fmt.Sprintf("faults: SlowRailWindow severity %v outside (0, 1)", severity))
-	}
-	p.Add(Event{At: from, Kind: GraySlow, Link: l, Fraction: surviving(severity)})
-	p.Add(Event{At: from + sim.Time(window), Kind: GraySlow, Link: l, Fraction: 1})
-}
-
-// JitterWindow schedules gray latency inflation by factor (>= 1) over
-// [from, from+window), silently recovering afterwards.
-func (p *Plan) JitterWindow(l *fabric.Link, from sim.Time, window sim.Duration, factor float64) {
-	if factor < 1 {
-		panic(fmt.Sprintf("faults: JitterWindow factor %v below 1", factor))
-	}
-	p.Add(Event{At: from, Kind: GrayJitter, Link: l, Fraction: factor})
-	p.Add(Event{At: from + sim.Time(window), Kind: GrayJitter, Link: l, Fraction: 1})
-}
-
-// SilentLossWindow schedules a sub-threshold loss regime — every every-th
-// control message dropped — over [from, from+window).
-func (p *Plan) SilentLossWindow(l *fabric.Link, from sim.Time, window sim.Duration, every int) {
-	if every < 2 {
-		panic(fmt.Sprintf("faults: SilentLossWindow every %d must be >= 2", every))
-	}
-	p.Add(Event{At: from, Kind: SilentLoss, Link: l, Every: every})
-	p.Add(Event{At: from + sim.Time(window), Kind: SilentLoss, Link: l, Every: 0})
 }
 
 // SpineOutage schedules top-stage switch i dark at from; down > 0 repairs
@@ -356,12 +305,9 @@ func (p *Plan) ApplyTo(eng *sim.Engine, sink Sink) {
 			panic(fmt.Sprintf("faults: plan schedules %s for %s but no Sink was given; use ApplyTo", ev.Kind, ev.target()))
 		}
 		eng.At(ev.At, func() {
-			switch ev.Kind {
-			case LinkDegrade, GraySlow, GrayJitter, LimpHost:
+			if ev.hasFraction() {
 				eng.Tracef("faults", "%s %s (fraction=%g)", ev.Kind, ev.target(), ev.Fraction)
-			case SilentLoss:
-				eng.Tracef("faults", "%s %s (every=%d)", ev.Kind, ev.target(), ev.Every)
-			default:
+			} else {
 				eng.Tracef("faults", "%s %s", ev.Kind, ev.target())
 			}
 			switch ev.Kind {
@@ -377,10 +323,6 @@ func (p *Plan) ApplyTo(eng *sim.Engine, sink Sink) {
 				ev.Link.InjectCorruption()
 			case GraySlow:
 				ev.Link.GrayDegrade(ev.Fraction)
-			case GrayJitter:
-				ev.Link.InflateLatency(ev.Fraction)
-			case SilentLoss:
-				ev.Link.SetSilentLoss(ev.Every)
 			case HostFail:
 				sink.FailHost(ev.Host)
 			case HostRestore:
@@ -410,11 +352,8 @@ func (p *Plan) String() string {
 	var b strings.Builder
 	for _, ev := range p.Events {
 		fmt.Fprintf(&b, "%12.4fs  %-12s  %s", float64(ev.At), ev.Kind, ev.target())
-		switch ev.Kind {
-		case LinkDegrade, GraySlow, GrayJitter, LimpHost:
+		if ev.hasFraction() {
 			fmt.Fprintf(&b, "  fraction=%g", ev.Fraction)
-		case SilentLoss:
-			fmt.Fprintf(&b, "  every=%d", ev.Every)
 		}
 		b.WriteByte('\n')
 	}
@@ -430,11 +369,8 @@ func (p *Plan) MarkdownTable() string {
 	b.WriteString("| t (s) | action | target | fraction |\n|---|---|---|---|\n")
 	for _, ev := range p.Events {
 		frac := "—"
-		switch ev.Kind {
-		case LinkDegrade, GraySlow, GrayJitter, LimpHost:
+		if ev.hasFraction() {
 			frac = fmt.Sprintf("%g", ev.Fraction)
-		case SilentLoss:
-			frac = fmt.Sprintf("every %d", ev.Every)
 		}
 		fmt.Fprintf(&b, "| %.4f | %s | %s | %s |\n", float64(ev.At), ev.Kind, ev.target(), frac)
 	}
@@ -530,7 +466,7 @@ func Chaos(cfg ChaosConfig, links ...*fabric.Link) *Plan {
 				p.DegradeWindow(l, at, window, cfg.DegradeFraction)
 			}
 		case pick < cfg.FlapWeight+cfg.DegradeWeight+cfg.BurstWeight:
-			p.Burst(l, at)
+			p.Add(Event{At: at, Kind: ErrorBurst, Link: l})
 		default:
 			p.Corrupt(l, at)
 		}

@@ -36,7 +36,7 @@ func TestApplyDrivesLinkTransitions(t *testing.T) {
 	p := &Plan{}
 	p.FailWindow(l, 1, 2)
 	p.DegradeWindow(l, 5, 1, 0.25)
-	p.Burst(l, 7)
+	p.Add(Event{At: 7, Kind: ErrorBurst, Link: l})
 	p.Apply(eng)
 
 	var got []string

@@ -15,8 +15,8 @@ import (
 //
 //   - two outage windows overlapping on one link (a LinkFail before the
 //     previous outage's LinkRestore);
-//   - degrading, gray-sagging, jittering or loss-injecting a link strictly
-//     inside one of its outage windows (the link is dark; the injection is
+//   - degrading, gray-sagging, error-bursting or corrupting a link
+//     strictly inside one of its outage windows (the link is dark; the injection is
 //     dead code until the restore rewrites it);
 //   - two outage windows overlapping on one host, on one top-stage
 //     switch, or two limp windows on one host;
@@ -74,7 +74,7 @@ func (p *Plan) Validate() error {
 			if w := out[outage(ev)]; w != nil && w.to == inf {
 				w.to = ev.At
 			}
-		case LinkDegrade, GraySlow, GrayJitter, SilentLoss, ErrorBurst, Corrupt:
+		case LinkDegrade, GraySlow, ErrorBurst, Corrupt:
 			if w := out[outage(ev)]; w != nil && ev.At > w.from && ev.At < w.to {
 				return fmt.Errorf("faults: %s on link %s at %gs falls inside an outage window [%gs, %gs) — the link is dark",
 					ev.Kind, ev.Link.Cfg.Name, float64(ev.At), float64(w.from), float64(w.to))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"e2edt/internal/fabric"
-	"e2edt/internal/sim"
 )
 
 func wantInvalid(t *testing.T, p *Plan, frag string) {
@@ -34,7 +33,7 @@ func TestValidateAcceptsConsistentPlans(t *testing.T) {
 	p.FailWindow(l, 1, 2)
 	p.FailWindow(l, 3, 1) // boundary-touching: restore @3, fail @3
 	p.DegradeWindow(l, 5, 1, 0.5)
-	p.SlowRailWindow(l, 7, 1, 0.7)
+	p.SlowRail(l, 7, 0.7)
 	p.HostOutage(2, 1, 3)
 	p.LimpWindow(2, 5, 2, 0.3)
 	p.HostOutage(2, 8, 0) // after the limp recovered
@@ -124,31 +123,20 @@ func TestValidateIgnoresInsertionOrder(t *testing.T) {
 	wantValid(t, p)
 }
 
-// TestGrayInjectionIsSilent pins the defining property of the gray kinds:
-// capacity/latency change, but no watcher hears about it.
+// TestGrayInjectionIsSilent pins the defining property of a gray sag:
+// capacity changes, but no watcher hears about it.
 func TestGrayInjectionIsSilent(t *testing.T) {
 	eng, l := testLink("roce")
 	events := 0
 	l.Watch(func(fabric.Event) { events++ })
 	p := &Plan{}
-	p.SlowRailWindow(l, 1, 2, 0.7)
-	p.JitterWindow(l, 1, 2, 8)
-	p.SilentLossWindow(l, 1, 2, 5)
+	p.SlowRail(l, 1, 0.7)
+	p.Add(Event{At: 3, Kind: GraySlow, Link: l, Fraction: 1})
 	wantValid(t, p)
 	p.Apply(eng)
-	nominal := l.RTT()
 	eng.At(2, func() {
 		if got := l.GraySag(); math.Abs(got-0.3) > 1e-12 {
 			t.Errorf("gray sag not applied: %g", got)
-		}
-		if got := l.LatencyFactor(); got != 8 {
-			t.Errorf("latency inflation not applied: %g", got)
-		}
-		if got := l.RTT(); got != sim.Duration(8*float64(nominal)) {
-			t.Errorf("RTT not inflated: %v vs nominal %v", got, nominal)
-		}
-		if got := l.SilentLossEvery(); got != 5 {
-			t.Errorf("silent loss not applied: %d", got)
 		}
 		if l.Fraction() != 1 {
 			t.Errorf("gray sag leaked into Fraction: %g", l.Fraction())
@@ -158,30 +146,7 @@ func TestGrayInjectionIsSilent(t *testing.T) {
 	if events != 0 {
 		t.Fatalf("gray injection notified %d watcher events; gray failures must be silent", events)
 	}
-	if l.GraySag() != 1 || l.LatencyFactor() != 1 || l.SilentLossEvery() != 0 {
-		t.Fatalf("gray windows did not recover: sag=%g lat=%g loss=%d",
-			l.GraySag(), l.LatencyFactor(), l.SilentLossEvery())
-	}
-}
-
-// TestSilentLossDropsDeterministically: every 3rd Send vanishes, counted,
-// and the cadence is a counter — two runs drop the same messages.
-func TestSilentLossDropsDeterministically(t *testing.T) {
-	_, l := testLink("roce")
-	l.SetSilentLoss(3)
-	delivered := 0
-	for i := 0; i < 9; i++ {
-		if l.Send(64, func(sim.Time) {}) {
-			delivered++
-		}
-	}
-	if delivered != 6 {
-		t.Fatalf("delivered %d of 9 with every=3, want 6", delivered)
-	}
-	if l.SilentDrops != 3 {
-		t.Fatalf("SilentDrops = %d, want 3", l.SilentDrops)
-	}
-	if l.Drops != 0 {
-		t.Fatalf("silent losses leaked into the dark-link Drops counter: %d", l.Drops)
+	if l.GraySag() != 1 {
+		t.Fatalf("gray sag did not recover: sag=%g", l.GraySag())
 	}
 }

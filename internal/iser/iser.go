@@ -155,6 +155,45 @@ func (m *Mover) workerCopy(f *fluid.Flow, w *iscsi.Worker, store *numa.Buffer, t
 	}
 }
 
+// chargeWorker attaches one worker's part of the iSER data path onto f,
+// share bytes of LUN traffic per flow-byte routed through portal p. A read
+// charges, in order, the worker copy (or media read) from the backing
+// store into the bounce buffer, the target NIC's RDMA WRITE out of the
+// bounce buffer, the wire, and the initiator NIC's DMA into initBuf; a
+// write charges the same steps in reverse, with the RDMA READ's penalty on
+// the wire and a coherency-sensitive copy into the store. length is the
+// block size the device's AttachIO sees (0 for a continuous stream).
+func (m *Mover) chargeWorker(f *fluid.Flow, op iscsi.Op, lun *iscsi.LUN, w *iscsi.Worker, p Portal,
+	initBuf *numa.Buffer, length int64, share, contention float64) {
+	mem := lun.Dev.MemoryBuffer()
+	switch op {
+	case iscsi.OpRead:
+		if mem != nil {
+			m.workerCopy(f, w, mem, true, share, m.P.CopyCyclesPerByte*contention)
+		} else {
+			lun.Dev.AttachIO(f, false, length, share)
+			w.Thread.ChargeMemoryScaled(f, w.Bounce, share, true, m.bounceScale())
+			w.Thread.ChargeCPU(f, share*m.P.MediaCyclesPerByte*contention, host.CatIO)
+		}
+		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, share, false, m.bounceScale())
+		p.Link.ChargeWire(f, p.TgtNIC, share)
+		p.InitNIC.ChargeDMA(f, initBuf, share, true)
+	case iscsi.OpWrite:
+		p.InitNIC.ChargeDMA(f, initBuf, share, false)
+		p.Link.ChargeWire(f, p.InitNIC, share*m.P.ReadPenalty)
+		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, share, true, m.bounceScale())
+		if mem != nil {
+			m.workerCopy(f, w, mem, false, share, m.P.CopyCyclesPerByte*contention)
+		} else {
+			lun.Dev.AttachIO(f, true, length, share)
+			w.Thread.ChargeMemoryScaled(f, w.Bounce, share, false, m.bounceScale())
+			w.Thread.ChargeCPU(f, share*m.P.MediaCyclesPerByte*contention, host.CatIO)
+		}
+	default:
+		panic(fmt.Sprintf("iser: unknown op %v", op))
+	}
+}
+
 // AttachPath charges the full iSER data path for a continuous stream onto
 // flow f, with `share` bytes of LUN traffic per flow-byte. The steady-state load is spread across the LUN's
 // worker pool (each worker's bounce buffer and thread takes 1/n), and each
@@ -169,7 +208,6 @@ func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.
 		panic(fmt.Sprintf("iser: AttachPath on unknown LUN %d", lunID))
 	}
 	contention := m.Target.ContentionMultiplier()
-	mem := lun.Dev.MemoryBuffer()
 	per := share / float64(len(workers))
 	for i, w := range workers {
 		// Portal choice is a pure function of (worker placement, index):
@@ -177,33 +215,7 @@ func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.
 		// No shared counter — the adaptive placer re-runs this body when
 		// rebuilding a flow's coefficients, and a stateful pick would make
 		// replays diverge.
-		p := m.route(w, i)
-		switch op {
-		case iscsi.OpRead:
-			if mem != nil {
-				m.workerCopy(f, w, mem, true, per, m.P.CopyCyclesPerByte*contention)
-			} else {
-				lun.Dev.AttachIO(f, false, 0, per)
-				w.Thread.ChargeMemoryScaled(f, w.Bounce, per, true, m.bounceScale())
-				w.Thread.ChargeCPU(f, per*m.P.MediaCyclesPerByte*contention, host.CatIO)
-			}
-			p.TgtNIC.ChargeDMAScaled(f, w.Bounce, per, false, m.bounceScale())
-			p.Link.ChargeWire(f, p.TgtNIC, per)
-			p.InitNIC.ChargeDMA(f, initBuf, per, true)
-		case iscsi.OpWrite:
-			p.InitNIC.ChargeDMA(f, initBuf, per, false)
-			p.Link.ChargeWire(f, p.InitNIC, per*m.P.ReadPenalty)
-			p.TgtNIC.ChargeDMAScaled(f, w.Bounce, per, true, m.bounceScale())
-			if mem != nil {
-				m.workerCopy(f, w, mem, false, per, m.P.CopyCyclesPerByte*contention)
-			} else {
-				lun.Dev.AttachIO(f, true, 0, per)
-				w.Thread.ChargeMemoryScaled(f, w.Bounce, per, false, m.bounceScale())
-				w.Thread.ChargeCPU(f, per*m.P.MediaCyclesPerByte*contention, host.CatIO)
-			}
-		default:
-			panic(fmt.Sprintf("iser: unknown op %v", op))
-		}
+		m.chargeWorker(f, op, lun, w, m.route(w, i), initBuf, 0, per, contention)
 	}
 	m.InitThread.ChargeCPU(f, share*m.P.InitCyclesPerByte, host.CatSys)
 }
@@ -300,38 +312,7 @@ func (m *Mover) Move(cmd *iscsi.Command, lun *iscsi.LUN, w *iscsi.Worker, onDone
 // wire, initiator kernel handling, and any caller-attached charges. It is
 // a pure function of current placement state, re-runnable by the placer.
 func (m *Mover) chargeMove(f *fluid.Flow, cmd *iscsi.Command, lun *iscsi.LUN, w *iscsi.Worker, p Portal) {
-	contention := m.Target.ContentionMultiplier()
-	mem := lun.Dev.MemoryBuffer()
-	switch cmd.Op {
-	case iscsi.OpRead:
-		// Backing store → bounce buffer (worker copy or media read).
-		if mem != nil {
-			m.workerCopy(f, w, mem, true, 1, m.P.CopyCyclesPerByte*contention)
-		} else {
-			lun.Dev.AttachIO(f, false, cmd.Length, 1)
-			w.Thread.ChargeMemoryScaled(f, w.Bounce, 1, true, m.bounceScale())
-			w.Thread.ChargeCPU(f, m.P.MediaCyclesPerByte*contention, host.CatIO)
-		}
-		// RDMA WRITE bounce → initiator buffer.
-		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, 1, false, m.bounceScale())
-		p.Link.ChargeWire(f, p.TgtNIC, 1)
-		p.InitNIC.ChargeDMA(f, cmd.Buffer, 1, true)
-	case iscsi.OpWrite:
-		// RDMA READ initiator buffer → bounce (read penalty on the wire).
-		p.InitNIC.ChargeDMA(f, cmd.Buffer, 1, false)
-		p.Link.ChargeWire(f, p.InitNIC, m.P.ReadPenalty)
-		p.TgtNIC.ChargeDMAScaled(f, w.Bounce, 1, true, m.bounceScale())
-		// Bounce → backing store (coherency-sensitive write).
-		if mem != nil {
-			m.workerCopy(f, w, mem, false, 1, m.P.CopyCyclesPerByte*contention)
-		} else {
-			lun.Dev.AttachIO(f, true, cmd.Length, 1)
-			w.Thread.ChargeMemoryScaled(f, w.Bounce, 1, false, m.bounceScale())
-			w.Thread.ChargeCPU(f, m.P.MediaCyclesPerByte*contention, host.CatIO)
-		}
-	default:
-		panic(fmt.Sprintf("iser: unknown op %v", cmd.Op))
-	}
+	m.chargeWorker(f, cmd.Op, lun, w, p, cmd.Buffer, cmd.Length, 1, m.Target.ContentionMultiplier())
 	// Initiator-side kernel handling, plus any caller-attached charges
 	// (filesystem CPU, page-cache copies).
 	m.InitThread.ChargeCPU(f, m.P.InitCyclesPerByte, host.CatSys)

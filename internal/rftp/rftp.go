@@ -434,6 +434,26 @@ type Transfer struct {
 	// transfer is torn down first, so an outer scheduler may requeue.
 	OnFailure func(now sim.Time)
 
+	// Stats counts the session's recovery, failover, integrity and hedging
+	// work.
+	Stats
+
+	recoveryLat  []sim.Duration
+	migrationLat []sim.Duration
+	hedgeLat     []sim.Duration
+	winQ         []*metrics.WindowedQuantile // per-rail window completion times
+	firstHedge   sim.Time
+	hedgeCount   int // hedges currently racing
+	ticker       *sim.Ticker
+	unwatch      []func() // the rail watchers' unregister funcs
+	failed       bool
+	stopped      bool
+	released     bool
+}
+
+// Stats is what a session's recovery ladder did: retransmissions, stream
+// recoveries and rail moves, caught corruption and hedged windows.
+type Stats struct {
 	// Retransmitted counts payload bytes scheduled for retransmission
 	// after declared losses.
 	Retransmitted float64
@@ -454,18 +474,20 @@ type Transfer struct {
 	// moved by racing — the price of the tail cut.
 	Hedges, HedgeWins, HedgeLosses int
 	HedgeWaste                     float64
+}
 
-	recoveryLat  []sim.Duration
-	migrationLat []sim.Duration
-	hedgeLat     []sim.Duration
-	winQ         []*metrics.WindowedQuantile // per-rail window completion times
-	firstHedge   sim.Time
-	hedgeCount   int // hedges currently racing
-	ticker       *sim.Ticker
-	unwatch      []func() // the rail watchers' unregister funcs
-	failed       bool
-	stopped      bool
-	released     bool
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Retransmitted += o.Retransmitted
+	s.Recoveries += o.Recoveries
+	s.Migrations += o.Migrations
+	s.Failbacks += o.Failbacks
+	s.CorruptionsDetected += o.CorruptionsDetected
+	s.IntegrityViolations += o.IntegrityViolations
+	s.Hedges += o.Hedges
+	s.HedgeWins += o.HedgeWins
+	s.HedgeLosses += o.HedgeLosses
+	s.HedgeWaste += o.HedgeWaste
 }
 
 // Start launches an RFTP transfer of size bytes (math.Inf(1) for an

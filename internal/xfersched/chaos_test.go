@@ -77,10 +77,10 @@ func TestChaosAcceptance(t *testing.T) {
 	if j.Retries != 0 {
 		t.Fatalf("scheduler requeued the job %d times; recovery must stay in-protocol", j.Retries)
 	}
-	if j.Recoveries() == 0 {
+	if j.Stats().Recoveries == 0 {
 		t.Fatal("no in-protocol recoveries recorded under the chaos schedule")
 	}
-	if j.Retransmitted() <= 0 {
+	if j.Stats().Retransmitted <= 0 {
 		t.Fatal("recoveries recorded but nothing retransmitted")
 	}
 	if len(events) == 0 {

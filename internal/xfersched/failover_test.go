@@ -60,15 +60,15 @@ func TestFailoverAbsorbedWithoutRequeue(t *testing.T) {
 	if j.Retries != 0 {
 		t.Fatalf("scheduler requeued %d times; failover should have been absorbed in-protocol", j.Retries)
 	}
-	if j.Migrations() < 1 {
-		t.Fatalf("migrations = %d, want ≥1", j.Migrations())
+	if j.Stats().Migrations < 1 {
+		t.Fatalf("migrations = %d, want ≥1", j.Stats().Migrations)
 	}
 	if math.Abs(j.Moved()-float64(j.Spec.Bytes)) > 1 {
 		t.Fatalf("moved %v of %d", j.Moved(), j.Spec.Bytes)
 	}
 	r := s.Report()
-	if r.TotalMigrations != j.Migrations() {
-		t.Fatalf("report migrations %d != job %d", r.TotalMigrations, j.Migrations())
+	if r.TotalMigrations != j.Stats().Migrations {
+		t.Fatalf("report migrations %d != job %d", r.TotalMigrations, j.Stats().Migrations)
 	}
 	for _, tbl := range []string{r.SummaryTable().String(), r.TenantTable().String()} {
 		if !strings.Contains(tbl, "migr") {
@@ -134,8 +134,8 @@ func TestWatchdogGraceCoversMigration(t *testing.T) {
 	if j.Retries != 0 {
 		t.Fatalf("watchdog requeued %d times mid-failover; kind-aware grace should have held it back", j.Retries)
 	}
-	if j.Migrations() < 1 {
-		t.Fatalf("migrations = %d, want ≥1 (streams parked on the failover ladder)", j.Migrations())
+	if j.Stats().Migrations < 1 {
+		t.Fatalf("migrations = %d, want ≥1 (streams parked on the failover ladder)", j.Stats().Migrations)
 	}
 	if math.Abs(j.Moved()-float64(j.Spec.Bytes)) > 1 {
 		t.Fatalf("moved %v of %d", j.Moved(), j.Spec.Bytes)
@@ -178,7 +178,7 @@ func TestBatchWindowSurvivesRailKill(t *testing.T) {
 	if j.Retries != 0 {
 		t.Fatalf("scheduler requeued the window %d times; the failover should have been absorbed in-protocol", j.Retries)
 	}
-	if j.Migrations() < 1 {
-		t.Fatalf("migrations = %d, want ≥1", j.Migrations())
+	if j.Stats().Migrations < 1 {
+		t.Fatalf("migrations = %d, want ≥1", j.Stats().Migrations)
 	}
 }

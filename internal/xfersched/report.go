@@ -82,18 +82,18 @@ func (s *Scheduler) Report() Report {
 		ts := byTenant[j.Spec.Tenant]
 		ts.Jobs++
 		ts.Retries += j.Retries
-		ts.Recoveries += j.Recoveries()
-		ts.Migrations += j.Migrations()
-		ts.Failbacks += j.Failbacks()
+		st := j.Stats()
+		ts.Recoveries += st.Recoveries
+		ts.Migrations += st.Migrations
+		ts.Failbacks += st.Failbacks
 		r.TotalRetries += j.Retries
-		r.TotalRecoveries += j.Recoveries()
-		r.TotalRetransmitted += j.Retransmitted()
-		r.TotalMigrations += j.Migrations()
-		r.TotalFailbacks += j.Failbacks()
-		h, w, waste := j.Hedges()
-		r.TotalHedges += h
-		r.TotalHedgeWins += w
-		r.TotalHedgeWaste += waste
+		r.TotalRecoveries += st.Recoveries
+		r.TotalRetransmitted += st.Retransmitted
+		r.TotalMigrations += st.Migrations
+		r.TotalFailbacks += st.Failbacks
+		r.TotalHedges += st.Hedges
+		r.TotalHedgeWins += st.HedgeWins
+		r.TotalHedgeWaste += st.HedgeWaste
 		r.TotalSuspects += j.GraySuspects()
 		if j.Submitted < firstSubmit {
 			firstSubmit = j.Submitted
@@ -192,6 +192,7 @@ func (s *Scheduler) JobTable() *metrics.Table {
 			"wait", "elapsed", "goodput", "retries", "recov", "migr"},
 	}
 	for _, j := range s.jobs {
+		st := j.Stats()
 		elapsed, goodput := "-", "-"
 		if j.Finished > 0 && j.State == StateDone {
 			el := float64(j.Finished - j.Submitted)
@@ -211,8 +212,8 @@ func (s *Scheduler) JobTable() *metrics.Table {
 			elapsed,
 			goodput,
 			fmt.Sprintf("%d", j.Retries),
-			fmt.Sprintf("%d", j.Recoveries()),
-			fmt.Sprintf("%d", j.Migrations()),
+			fmt.Sprintf("%d", st.Recoveries),
+			fmt.Sprintf("%d", st.Migrations),
 		)
 	}
 	return t

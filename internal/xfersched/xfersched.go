@@ -158,15 +158,9 @@ type Job struct {
 	rt       *rftp.Transfer // concrete RFTP handle (recovery stats, OnFailure)
 	src, dst *fsim.File
 
-	recoveries    int     // in-protocol stream recoveries, folded attempts
-	retransmitted float64 // bytes scheduled for retransmission, folded attempts
-	migrations    int     // rail failovers, folded attempts
-	failbacks     int     // rail failbacks, folded attempts
-	hedges        int     // hedged windows launched, folded attempts
-	hedgeWins     int     // hedges that beat the original, folded attempts
-	hedgeWaste    float64 // duplicate bytes hedging re-sent, folded attempts
-	suspects      int     // gray suspect verdicts, folded attempts
-	stallBudget   sim.Duration
+	folded      rftp.Stats // recovery counters of finished attempts
+	suspects    int        // gray suspect verdicts, finished attempts
+	stallBudget sim.Duration
 
 	lastProgress   float64
 	lastProgressAt sim.Time
@@ -191,56 +185,16 @@ func (j *Job) workDone() bool {
 // Moved returns bytes delivered so far across all attempts.
 func (j *Job) Moved() float64 { return j.moved }
 
-// Recoveries returns the job's in-protocol stream recoveries across all
-// attempts — repairs RFTP made itself, without the scheduler requeueing.
-func (j *Job) Recoveries() int {
-	n := j.recoveries
+// Stats returns the job's recovery counters across all attempts:
+// in-protocol recoveries and retransmissions, rail failovers and
+// failbacks, and hedged windows — repairs RFTP made itself, without the
+// scheduler requeueing.
+func (j *Job) Stats() rftp.Stats {
+	st := j.folded
 	if j.rt != nil {
-		n += j.rt.Recoveries
+		st.Add(j.rt.Stats)
 	}
-	return n
-}
-
-// Retransmitted returns the payload bytes the job's transfers scheduled
-// for retransmission after declared losses.
-func (j *Job) Retransmitted() float64 {
-	b := j.retransmitted
-	if j.rt != nil {
-		b += j.rt.Retransmitted
-	}
-	return b
-}
-
-// Migrations returns the job's rail failovers across all attempts —
-// streams moved off a dead rail without the scheduler requeueing.
-func (j *Job) Migrations() int {
-	n := j.migrations
-	if j.rt != nil {
-		n += j.rt.Migrations
-	}
-	return n
-}
-
-// Failbacks returns the job's rail failbacks across all attempts —
-// streams returned to a re-admitted rail.
-func (j *Job) Failbacks() int {
-	n := j.failbacks
-	if j.rt != nil {
-		n += j.rt.Failbacks
-	}
-	return n
-}
-
-// Hedges returns launched / won hedged windows and the duplicate bytes
-// hedging re-sent, across all attempts.
-func (j *Job) Hedges() (launched, wins int, waste float64) {
-	launched, wins, waste = j.hedges, j.hedgeWins, j.hedgeWaste
-	if j.rt != nil {
-		launched += j.rt.Hedges
-		wins += j.rt.HedgeWins
-		waste += j.rt.HedgeWaste
-	}
-	return launched, wins, waste
+	return st
 }
 
 // GraySuspects returns how many gray suspect verdicts the job's rail
@@ -944,13 +898,7 @@ func (j *Job) foldAttempt() {
 	if j.rt == nil {
 		return
 	}
-	j.recoveries += j.rt.Recoveries
-	j.retransmitted += j.rt.Retransmitted
-	j.migrations += j.rt.Migrations
-	j.failbacks += j.rt.Failbacks
-	j.hedges += j.rt.Hedges
-	j.hedgeWins += j.rt.HedgeWins
-	j.hedgeWaste += j.rt.HedgeWaste
+	j.folded.Add(j.rt.Stats)
 	if m := j.rt.Rails(); m != nil {
 		j.suspects += m.SuspectEntries
 	}
