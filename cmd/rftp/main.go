@@ -48,6 +48,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	policies := map[string]numa.Policy{"bind": numa.PolicyBind, "default": numa.PolicyDefault}
+	pol, ok := policies[*policy]
+	if !ok {
+		fmt.Fprintf(stderr, "rftp: -policy %q: want bind or default\n", *policy)
+		return 2
+	}
+
 	spec := experiments.TransferRunSpec{WAN: *wan, Size: math.Inf(1), Window: sim.Duration(*duration)}
 	blockSize, err := units.ParseBlockSize(*bs)
 	if err != nil {
@@ -58,10 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Streams:          *streams,
 		BlockSize:        blockSize,
 		CreditsPerStream: *credits,
-		Policy:           numa.PolicyBind,
-	}
-	if *policy == "default" {
-		spec.Config.Policy = numa.PolicyDefault
+		Policy:           pol,
 	}
 	if *size != "" {
 		n, err := units.ParseBlockSize(*size)

@@ -54,6 +54,7 @@ func TestRunStatus(t *testing.T) {
 		{"-bs 5QB", 1, "unknown size suffix"},
 		{"-size 5QB", 1, "unknown size suffix"},
 		{"-streams 0", 1, "rftp"},
+		{"-policy bogus", 2, "-policy"},
 	} {
 		code, _, errs := drive(strings.Fields(tc.args)...)
 		if code != tc.code || !strings.Contains(errs, tc.want) {

@@ -43,11 +43,11 @@ type Options struct {
 	// DeviceFactory overrides LUN construction (ablations: SSD- or
 	// HDD-backed back ends). Nil builds the paper's NUMA-pinned ramdisks.
 	DeviceFactory func(store *host.Host, lun int, policy numa.Policy) blockdev.Device
-	// Recovery enables in-protocol failure recovery across the stack: both
-	// SAN iSCSI sessions replay dropped or timed-out commands (instead of
-	// hanging on a dropped PDU), and RFTP transfers launched
-	// through the System fill in ACK-timeout stream recovery (ApplyRFTP).
-	// Off, the system is fail-fast.
+	// Recovery enables RFTP's in-protocol failure recovery: transfers
+	// launched through the System fill in ACK-timeout stream recovery
+	// (ApplyRFTP). Off, the system is fail-fast. The iSCSI sessions have
+	// no recovery of their own: transfers stream across the SAN, so a dark
+	// SAN link stalls RFTP's ACKs and that ladder recovers it.
 	Recovery bool
 	// Rails, when enabled alongside Recovery, turns on multipath rail
 	// management for RFTP transfers launched through the System: failover
@@ -63,12 +63,9 @@ const (
 	lunSize int64 = 50 * units.GB
 )
 
-// The recovery ladder: fast iSCSI replay on the low-latency SANs, and RFTP
-// stream recovery that detects a loss within 250 ms and retries with
-// 50 ms..1 s backoff.
+// The recovery ladder: RFTP stream recovery that detects a loss within
+// 250 ms and retries with 50 ms..1 s backoff.
 const (
-	maxReplays                    = 8 // iSCSI command re-issues (iscsi.Session.MaxReplays)
-	replayDelay      sim.Duration = 50 * sim.Millisecond
 	ackTimeout       sim.Duration = 250 * sim.Millisecond
 	retryBackoff     sim.Duration = 50 * sim.Millisecond
 	retryBackoffMax  sim.Duration = sim.Second
@@ -147,7 +144,7 @@ func NewSystem(opt Options) (*System, error) {
 	tb := testbed.NewLAN()
 	sys := &System{Opt: opt, TB: tb}
 	if opt.Policy == numa.PolicyAuto {
-		sys.Placer = placer.New(tb.Sender.Sim, placer.DefaultConfig())
+		sys.Placer = placer.New(tb.Sender.Sim)
 	}
 
 	var err error
@@ -207,10 +204,6 @@ func buildSide(opt Options, tb *testbed.LAN, pl *placer.Engine, front, store *ho
 		mover.Placer = pl
 	}
 	sess := iscsi.NewSession(tgt, mover)
-	if opt.Recovery {
-		sess.MaxReplays = maxReplays
-		sess.ReplayDelay = replayDelay
-	}
 	fs, err := fsim.Mount(sess, front, fsim.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -352,27 +345,6 @@ func (s *System) FrontCapacity() float64 {
 		total += l.Cfg.Rate * l.Cfg.Efficiency()
 	}
 	return total
-}
-
-// FrontHeadroom returns the payload bandwidth still unallocated on the
-// front-end links leaving the given direction's sender, as of the last
-// fluid solve. A scheduler uses this to gauge per-side resource headroom
-// before admitting more work.
-func (s *System) FrontHeadroom(dir Direction) float64 {
-	snd, _ := s.ends(dir)
-	head := 0.0
-	for _, l := range s.TB.FrontLinks {
-		nic := l.A
-		if l.B.Host == snd.Front {
-			nic = l.B
-		}
-		r := l.Dir(nic)
-		free := r.Capacity() - r.Load()
-		if free > 0 {
-			head += free * l.Cfg.Efficiency()
-		}
-	}
-	return head
 }
 
 // MeasureCeiling measures the narrowest section of the end-to-end path the

@@ -100,29 +100,3 @@ func TestJobFilesRespectCapacity(t *testing.T) {
 		t.Fatalf("capacity leaked: free %d, want %d", sys.A.FS.Free(), free)
 	}
 }
-
-func TestFrontHeadroomTracksLoad(t *testing.T) {
-	sys := newSys(t, smallOpt())
-	cap := sys.FrontCapacity()
-	if cap <= 0 {
-		t.Fatal("front capacity unset")
-	}
-	idle := sys.FrontHeadroom(Forward)
-	if math.Abs(idle-cap)/cap > 1e-9 {
-		t.Fatalf("idle headroom %v, want full capacity %v", idle, cap)
-	}
-	tr, err := sys.StartRFTP(Forward, rftp.DefaultConfig(), rftp.DefaultParams(), math.Inf(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Engine().RunFor(2)
-	busy := sys.FrontHeadroom(Forward)
-	if busy >= idle*0.5 {
-		t.Fatalf("headroom %v barely moved from %v under a full-rate transfer", busy, idle)
-	}
-	// The reverse direction is untouched by a forward transfer.
-	if rev := sys.FrontHeadroom(Reverse); math.Abs(rev-cap)/cap > 1e-9 {
-		t.Fatalf("reverse headroom %v, want %v", rev, cap)
-	}
-	tr.Stop()
-}

@@ -34,7 +34,7 @@ const autoMigrationBound = 40
 // spread (PolicyDefault shape) and the engine converges them online.
 func fioAutoPoint(op iscsi.Op, blockSize int64) (float64, placer.Stats) {
 	r := newBackendRig(numa.PolicyAuto)
-	pl := placer.New(r.s, placer.DefaultConfig())
+	pl := placer.New(r.s)
 	mv := r.sess.Mover.(*iser.Mover)
 	mv.Placer = pl
 	for i := 0; i < 6; i++ {
@@ -108,7 +108,7 @@ func AutoPlacement() Result {
 			tracer: tracer, w0: 1.0, w1: 1.5,
 			wire: func(p *testbed.MotivatingPair, cfg *rftp.Config) {
 				if policy == numa.PolicyAuto {
-					pl = placer.New(p.A.Sim, placer.DefaultConfig())
+					pl = placer.New(p.A.Sim)
 					cfg.Placer = pl
 				}
 			},

@@ -107,9 +107,6 @@ type Link struct {
 	// notified and Fraction() does not report it — only end-to-end
 	// measurement can see a gray-sagged rail.
 	graySag float64
-	// latInflate scales the link's propagation delay (1 = nominal): a gray
-	// failure's latency inflation. Like graySag it is invisible to watchers.
-	latInflate float64
 	// watchers are the registered callbacks in registration order; an
 	// unwatched entry has a nil fn until notify finishes and compacts it.
 	// notifying is notify's nesting depth, watchSeq the last watcher id.
@@ -130,16 +127,15 @@ func Connect(s *fluid.Sim, cfg Config, ha *host.Host, na *numa.Node, hb *host.Ho
 		panic(fmt.Sprintf("fabric: link %s has negative RTT", cfg.Name))
 	}
 	l := &Link{
-		Cfg:        cfg,
-		A:          ha.NewDevice(cfg.Name+"/nicA", na),
-		B:          hb.NewDevice(cfg.Name+"/nicB", nb),
-		aToB:       s.AddResource(cfg.Name+"/a->b", cfg.Rate),
-		bToA:       s.AddResource(cfg.Name+"/b->a", cfg.Rate),
-		sim:        s,
-		eng:        s.Engine,
-		degrade:    1,
-		graySag:    1,
-		latInflate: 1,
+		Cfg:     cfg,
+		A:       ha.NewDevice(cfg.Name+"/nicA", na),
+		B:       hb.NewDevice(cfg.Name+"/nicB", nb),
+		aToB:    s.AddResource(cfg.Name+"/a->b", cfg.Rate),
+		bToA:    s.AddResource(cfg.Name+"/b->a", cfg.Rate),
+		sim:     s,
+		eng:     s.Engine,
+		degrade: 1,
+		graySag: 1,
 	}
 	return l
 }
@@ -178,9 +174,8 @@ func (l *Link) ChargeWire(f *fluid.Flow, from *host.Device, coeff float64) {
 // OneWayDelay is half the effective RTT.
 func (l *Link) OneWayDelay() sim.Duration { return l.RTT() / 2 }
 
-// RTT returns the round-trip propagation time, scaled by any injected
-// latency inflation (InflateLatency).
-func (l *Link) RTT() sim.Duration { return sim.Duration(float64(l.Cfg.RTT) * l.latInflate) }
+// RTT returns the round-trip propagation time.
+func (l *Link) RTT() sim.Duration { return l.Cfg.RTT }
 
 // BDP returns the bandwidth-delay product in bytes.
 func (l *Link) BDP() float64 { return l.Cfg.Rate * float64(l.RTT()) }
@@ -366,25 +361,6 @@ func (l *Link) GrayDegrade(fraction float64) {
 // bookkeeping only: detectors must not read this — it is the ground truth
 // they are being tested against.
 func (l *Link) GraySag() float64 { return l.graySag }
-
-// InflateLatency injects gray latency inflation: RTT, one-way delay and
-// every control-message delay scale by factor. No watcher is notified.
-// factor must be >= 1; InflateLatency(1) clears it. Credit- and
-// window-limited protocols sag (rate = window/RTT) while capacity-limited
-// flows are untouched — the signature of a jitter-limped rail.
-func (l *Link) InflateLatency(factor float64) {
-	if factor < 1 {
-		panic(fmt.Sprintf("fabric: InflateLatency factor %v below 1", factor))
-	}
-	if l.latInflate == factor {
-		return
-	}
-	l.latInflate = factor
-	l.eng.Tracef("fabric", "link %s latency inflated %g× (no notification)", l.Cfg.Name, factor)
-}
-
-// LatencyFactor returns the injected latency inflation (1 = nominal).
-func (l *Link) LatencyFactor() float64 { return l.latInflate }
 
 // Failed reports whether the link is currently down.
 func (l *Link) Failed() bool { return l.failed }

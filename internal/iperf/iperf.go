@@ -91,7 +91,7 @@ func Run(links []*fabric.Link, cfg Config) Report {
 	// PolicyDefault, and converge from there.
 	var auto *placer.Engine
 	if cfg.Policy == numa.PolicyAuto {
-		auto = placer.New(s, placer.DefaultConfig())
+		auto = placer.New(s)
 	}
 
 	var transfers []*fluid.Transfer

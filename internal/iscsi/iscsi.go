@@ -52,7 +52,6 @@ var (
 	ErrOutOfRange = errors.New("iscsi: I/O beyond end of device")
 	ErrZeroLength = errors.New("iscsi: zero-length I/O")
 	ErrNilBuffer  = errors.New("iscsi: command without initiator buffer")
-	ErrTimeout    = errors.New("iscsi: command timed out")
 )
 
 // Command is one SCSI I/O request.
@@ -76,13 +75,8 @@ type Command struct {
 	Issued sim.Time
 	Done   sim.Time
 
-	// completed guards against double completion (normal response racing
-	// an initiator-side timeout).
+	// completed guards against a second completion of one command.
 	completed bool
-	// replays counts re-issues of this command under session recovery.
-	replays int
-	// timer is the pending initiator-side timeout event.
-	timer *sim.Event
 }
 
 // LUN is a logical unit backed by a block device.
@@ -101,10 +95,9 @@ type Worker struct {
 // Mover is the data-plane transport (implemented by the iser package).
 type Mover interface {
 	// SendPDU delivers a control PDU of the given size to the other side
-	// after transport latency. fn always fires exactly once: ok=true on
-	// delivery, ok=false when the transport dropped the PDU (dark link),
-	// so session recovery can replay instead of inferring loss from hangs.
-	SendPDU(size float64, toTarget bool, fn func(now sim.Time, ok bool))
+	// after transport latency; fn fires on delivery. A PDU the transport
+	// drops (dark link) is lost and fn never fires.
+	SendPDU(size float64, toTarget bool, fn func(now sim.Time))
 	// Move transfers cmd's data using worker w's bounce buffer and
 	// thread. It must invoke onDone when the last byte is placed.
 	Move(cmd *Command, lun *LUN, w *Worker, onDone func(now sim.Time))
@@ -272,32 +265,10 @@ func (t *Target) ContentionMultiplier() float64 {
 type Session struct {
 	Target *Target
 	Mover  Mover
-	// Timeout, when positive, fails commands at the initiator with
-	// ErrTimeout if no response arrives in time (open-iscsi's
-	// node.session.timeo equivalent). The target may still be executing
-	// the command — exactly the messy reality of SCSI aborts.
-	Timeout sim.Duration
-	// MaxReplays, when positive, enables session recovery: a command whose
-	// PDU drops or that times out is re-issued up to MaxReplays times
-	// instead of failing terminally. Replayed data ops are offset-addressed
-	// and therefore idempotent; the completed-guard absorbs a late original
-	// response racing a replay.
-	MaxReplays int
-	// ReplayDelay is the pause before a re-issue (default 50 ms).
-	ReplayDelay sim.Duration
 
 	// Inflight tracks submitted-but-incomplete commands.
 	Inflight int
-	// TimedOut counts commands failed by the initiator-side timer.
-	TimedOut int64
-	// Replays counts command re-issues; Recovered counts commands that
-	// completed successfully after at least one replay.
-	Replays   int64
-	Recovered int64
 }
-
-// recoveryEnabled reports whether command replay is on.
-func (s *Session) recoveryEnabled() bool { return s.MaxReplays > 0 }
 
 // NewSession opens a session.
 func NewSession(t *Target, m Mover) *Session {
@@ -313,7 +284,7 @@ func (s *Session) Submit(cmd *Command) {
 	eng := s.Target.eng
 	cmd.Issued = eng.Now()
 	// Every submitted command is in flight until finish() delivers its
-	// single completion (success, validation error, or timeout).
+	// single completion (success or validation error).
 	s.Inflight++
 	fail := func(err error) {
 		eng.Schedule(0, func() { s.finish(cmd, err) })
@@ -335,86 +306,7 @@ func (s *Session) Submit(cmd *Command) {
 		return
 	}
 	eng.Tracef("iscsi", "submit %s lun=%d len=%d", cmd.Op, cmd.LUN, cmd.Length)
-	s.armTimeout(cmd)
-	s.sendCmdPDU(st, cmd)
-}
-
-// armTimeout (re)arms the initiator-side response timer for cmd.
-func (s *Session) armTimeout(cmd *Command) {
-	if s.Timeout <= 0 {
-		return
-	}
-	eng := s.Target.eng
-	if cmd.timer != nil {
-		eng.Cancel(cmd.timer)
-	}
-	cmd.timer = eng.Schedule(s.Timeout, func() {
-		cmd.timer = nil
-		if cmd.completed {
-			return
-		}
-		if s.recoveryEnabled() && cmd.replays < s.MaxReplays {
-			eng.Tracef("iscsi", "timeout %s lun=%d len=%d: replaying", cmd.Op, cmd.LUN, cmd.Length)
-			s.replay(cmd)
-			return
-		}
-		s.TimedOut++
-		eng.Tracef("iscsi", "timeout %s lun=%d len=%d", cmd.Op, cmd.LUN, cmd.Length)
-		s.finish(cmd, ErrTimeout)
-	})
-}
-
-// sendCmdPDU issues the command PDU toward the target. A dropped PDU is
-// replayed under recovery; otherwise it is silently lost and the command
-// hangs until the initiator timeout fires (legacy behavior).
-func (s *Session) sendCmdPDU(st *lunState, cmd *Command) {
-	s.Mover.SendPDU(s.Target.Cfg.CmdPDUBytes, true, func(_ sim.Time, ok bool) {
-		if !ok {
-			if s.recoveryEnabled() && !cmd.completed {
-				s.replay(cmd)
-			}
-			return
-		}
-		s.enqueue(st, cmd)
-	})
-}
-
-// replay schedules a re-issue of cmd after ReplayDelay, failing terminally
-// once MaxReplays is exhausted.
-func (s *Session) replay(cmd *Command) {
-	if cmd.completed {
-		return
-	}
-	if cmd.replays >= s.MaxReplays {
-		s.finish(cmd, ErrTimeout)
-		return
-	}
-	eng := s.Target.eng
-	delay := s.ReplayDelay
-	if delay <= 0 {
-		delay = 50 * sim.Millisecond
-	}
-	eng.Schedule(delay, func() {
-		if cmd.completed {
-			return
-		}
-		s.reissue(cmd)
-	})
-}
-
-// reissue re-sends cmd's command PDU immediately, counting the replay.
-func (s *Session) reissue(cmd *Command) {
-	st, ok := s.Target.luns[cmd.LUN]
-	if !ok {
-		s.finish(cmd, ErrNoLUN)
-		return
-	}
-	cmd.replays++
-	s.Replays++
-	s.Target.eng.Tracef("iscsi", "reissue %s lun=%d len=%d attempt=%d",
-		cmd.Op, cmd.LUN, cmd.Length, cmd.replays)
-	s.armTimeout(cmd)
-	s.sendCmdPDU(st, cmd)
+	s.Mover.SendPDU(s.Target.Cfg.CmdPDUBytes, true, func(sim.Time) { s.enqueue(st, cmd) })
 }
 
 // finish delivers a command's final status exactly once.
@@ -424,13 +316,6 @@ func (s *Session) finish(cmd *Command, err error) {
 	}
 	cmd.completed = true
 	s.Inflight--
-	if cmd.timer != nil {
-		s.Target.eng.Cancel(cmd.timer)
-		cmd.timer = nil
-	}
-	if err == nil && cmd.replays > 0 {
-		s.Recovered++
-	}
 	cmd.Done = s.Target.eng.Now()
 	if cmd.OnComplete != nil {
 		cmd.OnComplete(cmd.Done, err)
@@ -455,12 +340,8 @@ func (s *Session) run(st *lunState, w *Worker, cmd *Command) {
 	eng := s.Target.eng
 	eng.Schedule(st.lun.Dev.AccessLatency(), func() {
 		s.Mover.Move(cmd, st.lun, w, func(sim.Time) {
-			// Response PDU back to the initiator. A dropped response is
-			// recovered by the initiator timeout replaying the command.
-			s.Mover.SendPDU(s.Target.Cfg.CmdPDUBytes, false, func(now sim.Time, ok bool) {
-				if !ok {
-					return
-				}
+			// Response PDU back to the initiator.
+			s.Mover.SendPDU(s.Target.Cfg.CmdPDUBytes, false, func(now sim.Time) {
 				s.Target.Served++
 				eng.Tracef("iscsi", "done %s lun=%d len=%d lat=%.6fs",
 					cmd.Op, cmd.LUN, cmd.Length, float64(now-cmd.Issued))

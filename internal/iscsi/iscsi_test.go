@@ -20,8 +20,8 @@ type fakeMover struct {
 	moves   []*Command
 }
 
-func (f *fakeMover) SendPDU(size float64, toTarget bool, fn func(sim.Time, bool)) {
-	f.eng.Schedule(f.pduLat, func() { fn(f.eng.Now(), true) })
+func (f *fakeMover) SendPDU(size float64, toTarget bool, fn func(sim.Time)) {
+	f.eng.Schedule(f.pduLat, func() { fn(f.eng.Now()) })
 }
 
 func (f *fakeMover) Move(cmd *Command, lun *LUN, w *Worker, onDone func(sim.Time)) {
@@ -232,63 +232,6 @@ func TestCommandTimestamps(t *testing.T) {
 	}
 }
 
-func TestCommandTimeout(t *testing.T) {
-	// A mover that drops the command PDU (dark link): the initiator-side
-	// timer must fail the command.
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	var got error
-	sess := NewSession(r.target, dropMover{eng: r.eng})
-	sess.Timeout = 5
-	sess.Submit(&Command{Op: OpRead, LUN: 0, Length: units.MB, Buffer: r.buf,
-		OnComplete: func(_ sim.Time, err error) { got = err }})
-	r.eng.Run()
-	if got != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", got)
-	}
-	if sess.TimedOut != 1 {
-		t.Fatalf("TimedOut = %d", sess.TimedOut)
-	}
-	if sess.Inflight != 0 {
-		t.Fatalf("Inflight = %d after timeout", sess.Inflight)
-	}
-}
-
-// dropMover drops every PDU (a failed control path), reporting the drop.
-type dropMover struct{ eng *sim.Engine }
-
-func (d dropMover) SendPDU(_ float64, _ bool, fn func(sim.Time, bool)) {
-	if d.eng != nil {
-		fn(d.eng.Now(), false)
-	}
-}
-func (dropMover) Move(*Command, *LUN, *Worker, func(sim.Time))           {}
-func (dropMover) AttachPath(*fluid.Flow, Op, int, *numa.Buffer, float64) {}
-
-func TestTimeoutDoesNotDoubleComplete(t *testing.T) {
-	// Response arrives before the timer: exactly one completion, and the
-	// later timer must be a no-op.
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	r.sess.Timeout = 60
-	calls := 0
-	r.sess.Submit(&Command{Op: OpRead, LUN: 0, Length: units.MB, Buffer: r.buf,
-		OnComplete: func(_ sim.Time, err error) {
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			calls++
-		}})
-	r.eng.Run()
-	if calls != 1 {
-		t.Fatalf("OnComplete called %d times", calls)
-	}
-	if r.sess.TimedOut != 0 {
-		t.Fatalf("spurious timeout recorded")
-	}
-	if r.sess.Inflight != 0 {
-		t.Fatalf("Inflight = %d", r.sess.Inflight)
-	}
-}
-
 func TestValidationErrorsKeepInflightBalanced(t *testing.T) {
 	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
 	done := 0
@@ -297,87 +240,5 @@ func TestValidationErrorsKeepInflightBalanced(t *testing.T) {
 	r.eng.Run()
 	if done != 1 || r.sess.Inflight != 0 {
 		t.Fatalf("done=%d inflight=%d", done, r.sess.Inflight)
-	}
-}
-
-// flakyMover drops PDUs until the heal time, then behaves like fakeMover.
-type flakyMover struct {
-	fakeMover
-	healAt sim.Time
-}
-
-func (f *flakyMover) SendPDU(size float64, toTarget bool, fn func(sim.Time, bool)) {
-	if f.eng.Now() < f.healAt {
-		fn(f.eng.Now(), false)
-		return
-	}
-	f.fakeMover.SendPDU(size, toTarget, fn)
-}
-
-func TestReplayRecoversDroppedCommandPDU(t *testing.T) {
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	fm := &flakyMover{fakeMover: *r.mover, healAt: 0.5}
-	sess := NewSession(r.target, fm)
-	sess.MaxReplays = 20
-	sess.ReplayDelay = 50 * sim.Millisecond
-	var got error
-	called := false
-	sess.Submit(&Command{Op: OpRead, LUN: 0, Length: units.MB, Buffer: r.buf,
-		OnComplete: func(_ sim.Time, err error) { got, called = err, true }})
-	r.eng.Run()
-	if !called || got != nil {
-		t.Fatalf("called=%v err=%v, want clean completion after replays", called, got)
-	}
-	if sess.Replays < 1 || sess.Recovered != 1 {
-		t.Fatalf("replays=%d recovered=%d", sess.Replays, sess.Recovered)
-	}
-	if sess.Inflight != 0 {
-		t.Fatalf("Inflight = %d", sess.Inflight)
-	}
-}
-
-func TestReplayExhaustionFailsTerminally(t *testing.T) {
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	sess := NewSession(r.target, dropMover{eng: r.eng})
-	sess.MaxReplays = 3
-	sess.ReplayDelay = 10 * sim.Millisecond
-	var got error
-	calls := 0
-	sess.Submit(&Command{Op: OpRead, LUN: 0, Length: units.MB, Buffer: r.buf,
-		OnComplete: func(_ sim.Time, err error) { got = err; calls++ }})
-	r.eng.Run()
-	if calls != 1 {
-		t.Fatalf("OnComplete called %d times", calls)
-	}
-	if got != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout after replay exhaustion", got)
-	}
-	if sess.Replays != 3 {
-		t.Fatalf("replays = %d, want 3", sess.Replays)
-	}
-}
-
-func TestTimeoutReplayStillDeliversOnce(t *testing.T) {
-	// Slow mover: the first timeout replays the command while the original
-	// is still executing; the completed-guard must deliver exactly once.
-	r := newRig(t, DefaultTargetConfig(numa.PolicyBind), 1)
-	slow := &fakeMover{eng: r.eng, pduLat: 50 * sim.Microsecond, byteSec: 0.05 * units.GBps}
-	sess := NewSession(r.target, slow)
-	sess.Timeout = 0.05
-	sess.MaxReplays = 10
-	sess.ReplayDelay = 10 * sim.Millisecond
-	calls := 0
-	var got error
-	sess.Submit(&Command{Op: OpRead, LUN: 0, Length: 8 * units.MB, Buffer: r.buf,
-		OnComplete: func(_ sim.Time, err error) { got = err; calls++ }})
-	r.eng.Run()
-	if calls != 1 {
-		t.Fatalf("OnComplete called %d times, want exactly once", calls)
-	}
-	if got != nil {
-		t.Fatalf("err = %v, want eventual success", got)
-	}
-	if sess.Replays < 1 {
-		t.Fatal("expected at least one timeout-driven replay")
 	}
 }

@@ -222,15 +222,10 @@ func (m *Mover) AttachPath(f *fluid.Flow, op iscsi.Op, lunID int, initBuf *numa.
 
 // SendPDU implements iscsi.Mover using the first portal's latency. Control
 // PDUs are small SEND messages and are not charged against bulk bandwidth.
-// A PDU submitted while the portal link is dark reports ok=false, giving
-// the session's recovery logic an explicit drop instead of a silent hang.
-func (m *Mover) SendPDU(size float64, toTarget bool, fn func(now sim.Time, ok bool)) {
+// A PDU submitted while the portal link is dark is dropped by the link.
+func (m *Mover) SendPDU(size float64, toTarget bool, fn func(now sim.Time)) {
 	l := m.Portals[0].Link
-	m.eng.Schedule(m.P.OpLatency, func() {
-		if !l.Send(size, func(now sim.Time) { fn(now, true) }) {
-			fn(m.eng.Now(), false)
-		}
-	})
+	m.eng.Schedule(m.P.OpLatency, func() { l.Send(size, fn) })
 }
 
 // pick selects the portal for a command: a NUMA-affine portal when the

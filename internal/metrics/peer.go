@@ -5,10 +5,10 @@ package metrics
 // every heartbeat yet delivers a fraction of what its peers do. "Slow" only
 // means something relative to the cohort carrying the same workload, so the
 // scorer never applies an absolute threshold. It compares each member's
-// decayed rate, and optionally its decayed latency, against the cohort
-// median and applies hysteresis in both directions: a verdict needs
-// SuspectAfter consecutive breaches, escalation needs sustained collapse,
-// and exoneration needs ClearAfter consecutive clean rounds.
+// decayed rate against the cohort median and applies hysteresis in both
+// directions: a verdict needs SuspectAfter consecutive breaches,
+// escalation needs sustained collapse, and exoneration needs ClearAfter
+// consecutive clean rounds.
 //
 // The scorer owns the statistics and the breach/clear counters; the caller
 // owns each member's standing and what a verdict does. Callers differ only
@@ -22,8 +22,8 @@ type PeerScorer struct {
 
 // PeerRule is a scorer's tuning.
 type PeerRule struct {
-	// Decay is the EWMA smoothing factor for rate and latency estimates, in
-	// (0, 1]; higher reacts faster, lower rides out bursts.
+	// Decay is the EWMA smoothing factor for rate estimates, in (0, 1];
+	// higher reacts faster, lower rides out bursts.
 	Decay float64
 	// SuspectBelow: a trusted member whose rate ratio to the cohort median
 	// falls below it breaches.
@@ -34,10 +34,6 @@ type PeerRule struct {
 	// ClearAbove: a suspect's round is clean once its ratio recovers past
 	// it. The gap to SuspectBelow is the band that prevents flapping.
 	ClearAbove float64
-	// LatencyOutlier: a member whose latency exceeds this multiple of the
-	// cohort median breaches, and its round is not clean. Zero judges no
-	// latency.
-	LatencyOutlier float64
 	// SuspectAfter is how many consecutive breaches convict (or escalate);
 	// ClearAfter how many consecutive clean rounds exonerate. Both ≥ 1.
 	SuspectAfter, ClearAfter int
@@ -65,7 +61,7 @@ const (
 )
 
 type peer struct {
-	rate, lat     EWMA
+	rate          EWMA
 	ratio         float64
 	breach, clear int
 }
@@ -86,17 +82,13 @@ func NewPeerScorer(n int, rule PeerRule) *PeerScorer {
 // load (per stream, per job) so the comparison is load-independent.
 func (s *PeerScorer) ObserveRate(i int, v float64) { s.m[i].rate.Observe(v) }
 
-// ObserveLatency feeds one latency sample for member i. A member with no
-// latency samples has a latency ratio of 1.
-func (s *PeerScorer) ObserveLatency(i int, v float64) { s.m[i].lat.Observe(v) }
-
 // Ratio returns member i's last rate ratio to the cohort median, 1 before
 // any round has judged it.
 func (s *PeerScorer) Ratio(i int) float64 { return s.m[i].ratio }
 
 // Reset forgets member i's estimates and counters and sets its ratio to 1.
 func (s *PeerScorer) Reset(i int) {
-	s.m[i] = peer{rate: EWMA{alpha: s.rule.Decay}, lat: EWMA{alpha: s.rule.Decay}, ratio: 1}
+	s.m[i] = peer{rate: EWMA{alpha: s.rule.Decay}, ratio: 1}
 }
 
 // ResetCounters zeroes member i's breach and clear counts. Callers call it
@@ -125,25 +117,12 @@ func (s *PeerScorer) Score(standing func(i int) Standing, verdict func(i int, to
 	if medRate <= 0 {
 		return false
 	}
-	medLat := 0.0
-	if r.LatencyOutlier > 0 {
-		s.scratch = s.scratch[:0]
-		for _, i := range s.cohort {
-			s.scratch = append(s.scratch, s.m[i].lat.Value())
-		}
-		medLat = Median(s.scratch)
-	}
 
 	for _, i := range s.cohort {
 		p := &s.m[i]
 		p.ratio = p.rate.Value() / medRate
-		latRatio := 1.0
-		if medLat > 0 && p.lat.Samples() > 0 {
-			latRatio = p.lat.Value() / medLat
-		}
-		latBad := r.LatencyOutlier > 0 && latRatio > r.LatencyOutlier
-		breached := p.ratio < r.SuspectBelow || latBad
-		clean := p.ratio > r.ClearAbove && !latBad
+		breached := p.ratio < r.SuspectBelow
+		clean := p.ratio > r.ClearAbove
 
 		to := PeerAbsent
 		switch standing(i) {

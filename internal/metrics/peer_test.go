@@ -12,12 +12,11 @@ import (
 // Decay 1 makes each estimate the latest sample, so ratios are exact.
 func TestPeerScorer(t *testing.T) {
 	base := PeerRule{Decay: 1, SuspectBelow: 0.7, DegradeBelow: 0.45, ClearAbove: 0.85,
-		LatencyOutlier: 3, SuspectAfter: 2, ClearAfter: 2, MinSamples: 1}
+		SuspectAfter: 2, ClearAfter: 2, MinSamples: 1}
 	x := math.NaN() // no sample this round
 
 	type round struct {
 		rates  []float64 // per member; NaN observes nothing
-		lats   []float64 // per member; nil or NaN observes nothing
 		reset  int       // member to Reset before observing; -1 none
 		judged bool      // Score's result
 		want   string    // verdicts issued, "member:standing" space-separated
@@ -83,19 +82,6 @@ func TestPeerScorer(t *testing.T) {
 				r([]float64{10, 10, 9}, true, ""),
 				r([]float64{10, 10, 9}, true, "2:trusted"),
 			}},
-		{name: "latency outlier, none without samples",
-			rounds: []round{
-				{rates: []float64{10, 10, 10}, lats: []float64{1, 1, x}, reset: -1, judged: true},
-				{rates: []float64{10, 10, 10}, lats: []float64{1, 1, x}, reset: -1, judged: true},
-				{rates: []float64{10, 10, 10}, lats: []float64{1, 10, x}, reset: -1, judged: true},
-				{rates: []float64{10, 10, 10}, lats: []float64{1, 10, x}, reset: -1, judged: true, want: "1:suspect"},
-			}},
-		{name: "latency not judged with LatencyOutlier 0",
-			rule: func(r *PeerRule) { r.LatencyOutlier = 0 },
-			rounds: []round{
-				{rates: []float64{10, 10, 10}, lats: []float64{1, 1, 50}, reset: -1, judged: true},
-				{rates: []float64{10, 10, 10}, lats: []float64{1, 1, 50}, reset: -1, judged: true},
-			}},
 		{name: "witness is evidence but never judged",
 			start: []Standing{PeerTrusted, PeerTrusted, PeerWitness},
 			rounds: []round{
@@ -136,11 +122,6 @@ func TestPeerScorer(t *testing.T) {
 						s.ObserveRate(i, v)
 					}
 				}
-				for i, v := range rd.lats {
-					if !math.IsNaN(v) {
-						s.ObserveLatency(i, v)
-					}
-				}
 				var got []string
 				judged := s.Score(func(i int) Standing { return standing[i] }, func(i int, to Standing) {
 					standing[i] = to
@@ -165,12 +146,11 @@ func TestPeerScorer(t *testing.T) {
 // TestPeerScorerReusesScratch: a steady round allocates nothing.
 func TestPeerScorerReusesScratch(t *testing.T) {
 	s := NewPeerScorer(8, PeerRule{Decay: 0.3, SuspectBelow: 0.5, ClearAbove: 0.8,
-		LatencyOutlier: 3, SuspectAfter: 2, ClearAfter: 2, MinSamples: 1})
+		SuspectAfter: 2, ClearAfter: 2, MinSamples: 1})
 	standing := func(int) Standing { return PeerTrusted }
 	verdict := func(int, Standing) {}
 	for i := 0; i < 8; i++ {
 		s.ObserveRate(i, float64(10+i))
-		s.ObserveLatency(i, 1)
 	}
 	s.Score(standing, verdict)
 	if a := testing.AllocsPerRun(100, func() { s.Score(standing, verdict) }); a != 0 {

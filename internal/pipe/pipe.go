@@ -57,22 +57,6 @@ func (z Zero) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share flo
 	return nil
 }
 
-// Memory streams to or from a resident memory region with no copy (the
-// staging buffer is registered directly over the data): only the touch
-// cost is charged.
-type Memory struct {
-	// TouchCyclesPerByte is the application's per-byte handling cost.
-	TouchCyclesPerByte float64
-}
-
-// Attach implements Stage.
-func (m Memory) Attach(f *fluid.Flow, th *host.Thread, buf *numa.Buffer, share float64) error {
-	if m.TouchCyclesPerByte > 0 {
-		th.ChargeCPU(f, share*m.TouchCyclesPerByte, host.CatUser)
-	}
-	return nil
-}
-
 // FileReader sources data from a SAN file.
 type FileReader struct {
 	File *fsim.File

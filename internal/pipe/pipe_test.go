@@ -9,7 +9,6 @@ import (
 	"e2edt/internal/numa"
 	"e2edt/internal/sim"
 	"e2edt/internal/testbed"
-	"e2edt/internal/units"
 )
 
 func testHost(t *testing.T) (*sim.Engine, *fluid.Sim, *host.Host) {
@@ -75,26 +74,4 @@ func TestZeroCustomCycles(t *testing.T) {
 	if got := f.Rate(); math.Abs(got-want)/want > 0.01 {
 		t.Fatalf("rate = %v, want %v", got, want)
 	}
-}
-
-func TestMemoryTouchCost(t *testing.T) {
-	_, s, h := testHost(t)
-	proc := h.NewProcess("p", numa.PolicyBind, h.M.Node(0))
-	th := proc.NewThread()
-	buf := h.M.NewBuffer("b", h.M.Node(0))
-	free := s.NewFlow("free", 10)
-	if err := (Memory{}).Attach(free, th, buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(free.Uses) != 0 {
-		t.Fatal("zero-touch Memory should attach nothing")
-	}
-	costly := s.NewFlow("c", 10)
-	if err := (Memory{TouchCyclesPerByte: 0.1}).Attach(costly, th, buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(costly.Uses) == 0 {
-		t.Fatal("touch cycles should attach CPU usage")
-	}
-	_ = units.KB
 }

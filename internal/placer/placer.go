@@ -49,43 +49,32 @@ import (
 	"e2edt/internal/sim"
 )
 
-// Config tunes the control loop.
-type Config struct {
-	// Cadence is the scan interval.
-	Cadence sim.Duration
-	// MoveGain is the minimum welfare gain to migrate an already-placed
+// The control loop's tuning.
+const (
+	// cadence is the scan interval.
+	cadence = 20 * sim.Millisecond
+	// moveGain is the minimum welfare gain to migrate an already-placed
 	// entity, expressed as an equivalent relative rate gain (a move must
-	// improve Nash welfare by at least log(1+MoveGain)); it is the
+	// improve Nash welfare by at least log(1+moveGain)); it is the
 	// flap-prevention hysteresis band.
 	// First placements are exempt: the initial-placement solver always
 	// commits the argmax layout (a single hill-climb step from the
 	// all-spread start is usually *negative* — one pinned thread contends
 	// with everyone else's spread load — so a gain gate would deadlock the
 	// solver in the spread local optimum).
-	MoveGain float64
-	// Cooldown is the minimum virtual time between migrations of one
+	moveGain = 0.02
+	// cooldown is the minimum virtual time between migrations of one
 	// entity.
-	Cooldown sim.Duration
-	// UtilThreshold gates re-migration: an already-placed entity is only
+	cooldown = 250 * sim.Millisecond
+	// utilThreshold gates re-migration: an already-placed entity is only
 	// reconsidered while some fluid resource runs at or above this share of
 	// its capacity (a bottleneck exists). First placements are exempt.
-	UtilThreshold float64
-	// MaxMovesPerScan bounds migration commits per scan so the executor
+	utilThreshold = 0.85
+	// maxMovesPerScan bounds migration commits per scan so the executor
 	// never storms the machine with simultaneous page migrations. Initial
 	// placements are exempt: the whole starting layout lands in one scan.
-	MaxMovesPerScan int
-}
-
-// DefaultConfig returns the tuning used by experiments.AutoPlacement.
-func DefaultConfig() Config {
-	return Config{
-		Cadence:         20 * sim.Millisecond,
-		MoveGain:        0.02,
-		Cooldown:        250 * sim.Millisecond,
-		UtilThreshold:   0.85,
-		MaxMovesPerScan: 2,
-	}
-}
+	maxMovesPerScan = 2
+)
 
 // Entity is one placeable unit: a set of threads that execute together and
 // the buffers they own. The engine pins the threads to cores of one node
@@ -187,7 +176,6 @@ type Stats struct {
 // Engine is the adaptive placement controller for one fluid simulation
 // (entities may span several hosts and machines sharing that simulation).
 type Engine struct {
-	Cfg Config
 	Sim *fluid.Sim
 	Eng *sim.Engine
 
@@ -201,15 +189,8 @@ type Engine struct {
 
 // New returns an engine over the given fluid simulation. The loop is
 // dormant until the first flow is tracked.
-func New(s *fluid.Sim, cfg Config) *Engine {
-	if cfg.Cadence <= 0 {
-		panic("placer: non-positive cadence")
-	}
-	if cfg.MaxMovesPerScan <= 0 {
-		cfg.MaxMovesPerScan = 1
-	}
+func New(s *fluid.Sim) *Engine {
 	return &Engine{
-		Cfg:   cfg,
 		Sim:   s,
 		Eng:   s.Engine,
 		index: make(map[*fluid.Flow]int),
@@ -284,7 +265,7 @@ func (e *Engine) arm() {
 	if e.scan != nil || len(e.flows) == 0 {
 		return
 	}
-	e.scan = e.Eng.Schedule(e.Cfg.Cadence, e.tick)
+	e.scan = e.Eng.Schedule(cadence, e.tick)
 }
 
 func (e *Engine) tick() {
@@ -328,7 +309,7 @@ func (e *Engine) welfare() float64 {
 // configured utilization threshold (the sensor's re-migration gate).
 func (e *Engine) bottleneck() bool {
 	for _, u := range e.Sim.Network.Utilization() {
-		if u.Capacity > 0 && u.Share >= e.Cfg.UtilThreshold {
+		if u.Capacity > 0 && u.Share >= utilThreshold {
 			return true
 		}
 	}
@@ -377,16 +358,16 @@ func (e *Engine) runScan() {
 
 	// Online migration controller: only while a bottleneck exists, only
 	// outside the per-entity cooldown, only for gains clearing the
-	// hysteresis band, and at most MaxMovesPerScan commits per scan.
+	// hysteresis band, and at most maxMovesPerScan commits per scan.
 	moves := 0
 	for _, en := range e.entities {
-		if moves >= e.Cfg.MaxMovesPerScan {
+		if moves >= maxMovesPerScan {
 			break
 		}
 		if en.node == nil || (len(en.Threads) == 0 && len(en.Buffers) == 0) {
 			continue
 		}
-		if now-en.lastMove < sim.Time(e.Cfg.Cooldown) {
+		if now-en.lastMove < sim.Time(cooldown) {
 			continue
 		}
 		if !e.bottleneck() {
@@ -410,7 +391,7 @@ func (e *Engine) runScan() {
 		}
 		// Restore the committed state of the world before deciding.
 		e.rebuildAll()
-		if bestNode == nil || bestGain < math.Log1p(e.Cfg.MoveGain) {
+		if bestNode == nil || bestGain < math.Log1p(moveGain) {
 			continue
 		}
 		e.commit(en, bestNode, before, bestGain)

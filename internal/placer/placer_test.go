@@ -73,21 +73,11 @@ func (r *rig) rebuild(f *fluid.Flow) {
 	r.dev[r.via].ChargeDMA(f, r.buf, 1, true)
 }
 
-func (r *rig) engine(cfg Config) *Engine {
-	e := New(r.s, cfg)
+func (r *rig) engine() *Engine {
+	e := New(r.s)
 	e.AddEntity("worker", r.m, []*host.Thread{r.thr}, []*numa.Buffer{r.buf}, 64*float64(units.MB))
 	e.Track(r.f, r.rebuild)
 	return e
-}
-
-func testEngineConfig() Config {
-	return Config{
-		Cadence:         20 * sim.Millisecond,
-		MoveGain:        0.02,
-		Cooldown:        100 * sim.Millisecond,
-		UtilThreshold:   0.85,
-		MaxMovesPerScan: 2,
-	}
 }
 
 // The initial-placement solver must land the worker local to the NIC its
@@ -95,7 +85,7 @@ func testEngineConfig() Config {
 // pays the interconnect plus the remote-access penalty.
 func TestInitialPlacementPicksLocalNode(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(testEngineConfig())
+	e := r.engine()
 	en := e.entities[0]
 	r.eng.RunUntil(sim.Time(50 * sim.Millisecond))
 	if en.Node() != r.m.Node(0) {
@@ -121,7 +111,7 @@ func TestInitialPlacementPicksLocalNode(t *testing.T) {
 // zero no matter how long the loop runs.
 func TestHysteresisHoldsPlacementSteady(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(testEngineConfig())
+	e := r.engine()
 	r.eng.RunUntil(sim.Time(1 * sim.Second))
 	st := e.Stats()
 	if st.Migrations != 0 {
@@ -146,7 +136,7 @@ func TestMigrationAfterLoadShiftRespectsCooldown(t *testing.T) {
 	r := newRig(t)
 	rec := &trace.Recorder{}
 	r.eng.SetTracer(rec)
-	e := r.engine(testEngineConfig())
+	e := r.engine()
 	en := e.entities[0]
 	shiftAt := sim.Time(200 * sim.Millisecond)
 	r.eng.At(shiftAt, func() { r.via = 1 })
@@ -177,8 +167,8 @@ func TestMigrationAfterLoadShiftRespectsCooldown(t *testing.T) {
 	if migrateAt < shiftAt {
 		t.Fatalf("migrated at %v, before the load even shifted (%v)", migrateAt, shiftAt)
 	}
-	if d := migrateAt - placeAt; d < sim.Time(e.Cfg.Cooldown) {
-		t.Fatalf("migrated %v after placement, inside the %v cooldown", d, e.Cfg.Cooldown)
+	if d := migrateAt - placeAt; d < sim.Time(cooldown) {
+		t.Fatalf("migrated %v after placement, inside the %v cooldown", d, cooldown)
 	}
 	if copiedAt <= migrateAt {
 		t.Fatalf("page copy finished at %v, not after the move at %v — cost not charged", copiedAt, migrateAt)
@@ -190,7 +180,7 @@ func TestZeroMigrateBytesChargesNoCopy(t *testing.T) {
 	r := newRig(t)
 	rec := &trace.Recorder{}
 	r.eng.SetTracer(rec)
-	e := New(r.s, testEngineConfig())
+	e := New(r.s)
 	e.AddEntity("worker", r.m, []*host.Thread{r.thr}, []*numa.Buffer{r.buf}, 0)
 	e.Track(r.f, r.rebuild)
 	r.eng.At(sim.Time(200*sim.Millisecond), func() { r.via = 1 })
@@ -210,7 +200,7 @@ func TestZeroMigrateBytesChargesNoCopy(t *testing.T) {
 // Engine.Run terminates.
 func TestLoopGoesDormantWhenUntracked(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(testEngineConfig())
+	e := r.engine()
 	r.eng.At(sim.Time(100*sim.Millisecond), func() { e.Untrack(r.f) })
 	r.eng.Run() // would never return if the scan kept re-arming
 	if e.Tracked() != 0 {
@@ -224,7 +214,7 @@ func TestLoopGoesDormantWhenUntracked(t *testing.T) {
 
 func TestTrackDuplicatePanics(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(testEngineConfig())
+	e := r.engine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("tracking the same flow twice must panic")
@@ -235,7 +225,7 @@ func TestTrackDuplicatePanics(t *testing.T) {
 
 func TestUntrackUnknownFlowIsNoOp(t *testing.T) {
 	r := newRig(t)
-	e := r.engine(testEngineConfig())
+	e := r.engine()
 	e.Untrack(r.s.NewFlow("stranger", 1)) // must not panic or disturb state
 	if e.Tracked() != 1 {
 		t.Fatalf("tracked = %d, want 1", e.Tracked())
@@ -249,7 +239,7 @@ func TestDecisionsReplayBitIdentically(t *testing.T) {
 		r := newRig(t)
 		rec := &trace.Recorder{}
 		r.eng.SetTracer(rec)
-		r.engine(testEngineConfig())
+		r.engine()
 		r.eng.At(sim.Time(200*sim.Millisecond), func() { r.via = 1 })
 		r.eng.RunUntil(sim.Time(1 * sim.Second))
 		return rec.Events
@@ -277,7 +267,7 @@ func TestRebuildAllReproducesMergedUses(t *testing.T) {
 	if len(first) != len(once) {
 		t.Fatalf("doubled charges built %d entries, single build %d", len(first), len(once))
 	}
-	e := New(r.s, testEngineConfig())
+	e := New(r.s)
 	e.Track(f, twice)
 	r.s.Refresh()
 	e.rebuildAll()

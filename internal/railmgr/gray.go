@@ -9,24 +9,23 @@ import (
 // structurally blind to: a rail that answers every probe and reports
 // Fraction()==1, yet delivers a fraction of its peers' throughput (sagging
 // optics, a limping NIC, a congested switch radix). It compares each rail's
-// decayed per-stream delivered rate and probe latency with the cohort of
-// usable rails (metrics.PeerScorer). A verdict moves the rail Healthy →
-// Suspect → Degraded and back; a link-layer degrade outranks it.
+// decayed per-stream delivered rate with the cohort of usable rails
+// (metrics.PeerScorer). A verdict moves the rail Healthy → Suspect →
+// Degraded and back; a link-layer degrade outranks it.
 
 // newGrayScorer returns the rail scorer. A rail is suspected below 70% of
-// the median per-stream rate or above 3× the median probe latency,
-// escalated below 45%, and cleared above 85%, each after 3 consecutive
-// rounds; a rail joins the cohort after 3 rate samples.
+// the median per-stream rate, escalated below 45%, and cleared above 85%,
+// each after 3 consecutive rounds; a rail joins the cohort after 3 rate
+// samples.
 func newGrayScorer(rails int) *metrics.PeerScorer {
 	return metrics.NewPeerScorer(rails, metrics.PeerRule{
-		Decay:          0.3,
-		SuspectBelow:   0.7,
-		DegradeBelow:   0.45,
-		ClearAbove:     0.85,
-		LatencyOutlier: 3,
-		SuspectAfter:   3,
-		ClearAfter:     3,
-		MinSamples:     3,
+		Decay:        0.3,
+		SuspectBelow: 0.7,
+		DegradeBelow: 0.45,
+		ClearAbove:   0.85,
+		SuspectAfter: 3,
+		ClearAfter:   3,
+		MinSamples:   3,
 	})
 }
 

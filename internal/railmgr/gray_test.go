@@ -129,26 +129,6 @@ func TestGrayEscalatesToDegraded(t *testing.T) {
 	}
 }
 
-// TestGrayLatencyOutlier: jitter inflation with intact throughput is
-// caught by the probe-latency arm of the scorer.
-func TestGrayLatencyOutlier(t *testing.T) {
-	tb, m := grayMgr(t)
-	run(tb, 500*sim.Millisecond)
-	tb.Links[1].InflateLatency(10)
-	run(tb, 1*sim.Second)
-	if m.State(1) != Suspect {
-		t.Fatalf("rail 1 = %v under 10x latency inflation, want suspect", m.State(1))
-	}
-	if m.Deaths != 0 {
-		t.Fatalf("latency outlier killed: Deaths = %d", m.Deaths)
-	}
-	tb.Links[1].InflateLatency(1)
-	run(tb, 2*sim.Second)
-	if m.State(1) != Healthy {
-		t.Fatalf("rail 1 = %v after jitter clears, want healthy", m.State(1))
-	}
-}
-
 // TestGrayVisibleDegradeOutranksVerdict: a link-layer degrade event on a
 // Suspect rail converts the statistical verdict into the stronger
 // link-backed Degraded state, which then clears on the link's own edge.

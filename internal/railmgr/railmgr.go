@@ -38,10 +38,10 @@ const (
 	// before the rail is re-admitted.
 	Probing
 	// Suspect: the rail answers every probe and reports full link-layer
-	// capacity, yet its delivered rate or probe latency is a statistical
-	// outlier against its cohort — a gray failure. Suspect rails stay
-	// usable (they make progress), but arbiters decay their weight and
-	// hedging avoids them as retry targets.
+	// capacity, yet its delivered rate is a statistical outlier against
+	// its cohort — a gray failure. Suspect rails stay usable (they make
+	// progress), but arbiters decay their weight and hedging avoids them
+	// as retry targets.
 	Suspect
 )
 
@@ -137,12 +137,10 @@ type Manager struct {
 	unwatch []func()
 
 	// Gray scorer state (allocated always, driven only when Gray is on).
-	// The scorer sees per-stream-normalized delivered rate and probe
-	// round-trip latency per rail.
-	gray      *metrics.PeerScorer
-	grayDeg   []bool     // rail was Degraded by the scorer, not the link
-	probeSent []sim.Time // departure time of the outstanding probe
-	firstSus  sim.Time   // earliest Suspect entry, -1 if never
+	// The scorer sees per-stream-normalized delivered rate per rail.
+	gray     *metrics.PeerScorer
+	grayDeg  []bool   // rail was Degraded by the scorer, not the link
+	firstSus sim.Time // earliest Suspect entry, -1 if never
 }
 
 // New builds a manager over the given rails and starts its heartbeat.
@@ -153,16 +151,15 @@ func New(eng *sim.Engine, links []*fabric.Link, pol Policy) *Manager {
 	}
 	m := &Manager{
 		pol: pol, eng: eng, links: links,
-		states:    make([]State, len(links)),
-		missed:    make([]int, len(links)),
-		echoes:    make([]int, len(links)),
-		seq:       make([]uint64, len(links)),
-		deadln:    make([]*sim.Event, len(links)),
-		gray:      newGrayScorer(len(links)),
-		grayDeg:   make([]bool, len(links)),
-		probeSent: make([]sim.Time, len(links)),
-		firstSus:  -1,
-		unwatch:   make([]func(), len(links)),
+		states:   make([]State, len(links)),
+		missed:   make([]int, len(links)),
+		echoes:   make([]int, len(links)),
+		seq:      make([]uint64, len(links)),
+		deadln:   make([]*sim.Event, len(links)),
+		gray:     newGrayScorer(len(links)),
+		grayDeg:  make([]bool, len(links)),
+		firstSus: -1,
+		unwatch:  make([]func(), len(links)),
 	}
 	for i, l := range links {
 		switch f := l.Fraction(); {
@@ -277,7 +274,6 @@ func (m *Manager) probe(i int) {
 	if min := 2 * l.RTT(); timeout < min {
 		timeout = min
 	}
-	m.probeSent[i] = m.eng.Now()
 	m.deadln[i] = m.eng.Schedule(timeout, func() {
 		m.deadln[i] = nil
 		m.probeMissed(i, seq)
@@ -299,9 +295,6 @@ func (m *Manager) probeEcho(i int, seq uint64) {
 		m.deadln[i] = nil
 	}
 	m.missed[i] = 0
-	if m.pol.Gray {
-		m.gray.ObserveLatency(i, float64(m.eng.Now()-m.probeSent[i]))
-	}
 	if m.states[i] != Probing {
 		return
 	}

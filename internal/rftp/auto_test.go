@@ -22,7 +22,7 @@ func TestAutoPolicyPlacesAndCompletes(t *testing.T) {
 	p := testbed.NewMotivatingPair()
 	cfg := DefaultConfig()
 	cfg.Policy = numa.PolicyAuto
-	pl := placer.New(p.A.Sim, placer.DefaultConfig())
+	pl := placer.New(p.A.Sim)
 	cfg.Placer = pl
 	size := 4 * float64(units.GB)
 	var doneAt sim.Time
@@ -82,7 +82,7 @@ func TestRandomizedAutoPlacementDeterminism(t *testing.T) {
 			p.Eng.SetTracer(rec)
 			cfg := DefaultConfig()
 			cfg.Policy = numa.PolicyAuto
-			pl := placer.New(p.A.Sim, placer.DefaultConfig())
+			pl := placer.New(p.A.Sim)
 			cfg.Placer = pl
 			var doneAt sim.Time
 			tr, err := Start(p.Links, p.A, cfg, railParams(),

@@ -66,7 +66,7 @@ func TestEveryFramingHonoursEveryParam(t *testing.T) {
 			nil,
 			func(tr *Transfer) bool { return tr.Size == 11*float64(units.GB) }, true},
 		{"Placer", func(p *testbed.MotivatingPair, cfg *Config, _ *Params) {
-			pl = placer.New(p.A.Sim, placer.DefaultConfig())
+			pl = placer.New(p.A.Sim)
 			cfg.Policy, cfg.Placer = numa.PolicyAuto, pl
 		},
 			nil,

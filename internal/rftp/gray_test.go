@@ -158,10 +158,10 @@ func TestGrayWeightDecaysCredits(t *testing.T) {
 	tr.Stop()
 }
 
-// TestGrayHedgeDeterminism sweeps 20 seeds of (gray mode, rail, onset,
-// severity) with detection and hedging on, and checks for each: the
-// transfer completes, delivers exactly once with hedges racing, stays
-// monotonic, and replays bit-identically.
+// TestGrayHedgeDeterminism sweeps 20 seeds of a gray rate sag (rail,
+// onset, severity, window) with detection and hedging on, and checks for
+// each: the transfer completes, delivers exactly once with hedges racing,
+// stays monotonic, and replays bit-identically.
 func TestGrayHedgeDeterminism(t *testing.T) {
 	size := 3 * float64(units.GB)
 	for seed := int64(0); seed < 20; seed++ {
@@ -169,7 +169,6 @@ func TestGrayHedgeDeterminism(t *testing.T) {
 		rail := rng.Intn(3)
 		sagAt := sim.Time(0.05 + rng.Float64()*0.2)
 		severity := 0.4 + rng.Float64()*0.45 // capacity sag in [0.4, 0.85]
-		jitter := rng.Float64() < 0.3        // else a slow-rail sag
 		window := sim.Time(0.2 + rng.Float64()*0.3)
 
 		run := func(sample bool) (*trace.Recorder, float64, sim.Time) {
@@ -183,13 +182,8 @@ func TestGrayHedgeDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			l := p.Links[rail]
-			if jitter {
-				p.Eng.At(sagAt, func() { l.InflateLatency(1 / (1 - severity)) })
-				p.Eng.At(sagAt+window, func() { l.InflateLatency(1) })
-			} else {
-				p.Eng.At(sagAt, func() { l.GrayDegrade(1 - severity) })
-				p.Eng.At(sagAt+window, func() { l.GrayDegrade(1) })
-			}
+			p.Eng.At(sagAt, func() { l.GrayDegrade(1 - severity) })
+			p.Eng.At(sagAt+window, func() { l.GrayDegrade(1) })
 			if sample {
 				last := -1.0
 				tk := p.Eng.NewTicker(10*sim.Millisecond, func(sim.Time) {
@@ -212,8 +206,8 @@ func TestGrayHedgeDeterminism(t *testing.T) {
 		rec1, got1, done1 := run(false)
 		rec2, got2, done2 := run(false)
 		if done1 <= 0 {
-			t.Fatalf("seed %d: transfer never completed (rail %d sev %.2f jitter %v)",
-				seed, rail, severity, jitter)
+			t.Fatalf("seed %d: transfer never completed (rail %d sev %.2f)",
+				seed, rail, severity)
 		}
 		if !near(got1, size, 1e-6) {
 			t.Fatalf("seed %d: delivered %g, want exactly %g", seed, got1, size)

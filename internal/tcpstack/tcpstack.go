@@ -16,9 +16,9 @@
 // experiment in §2.3 finds that a 400 Gbps STREAM machine supports at most
 // ≈200 Gbps of TCP traffic.
 //
-// Window behaviour is modelled as a socket-buffer cap (rate ≤ buf/RTT) with
-// an optional cubic-like convergence ramp, sufficient to reproduce
-// wide-area starvation effects for under-buffered connections.
+// Window behaviour is modelled as a socket-buffer cap (rate ≤ buf/RTT),
+// sufficient to reproduce wide-area starvation effects for under-buffered
+// connections.
 package tcpstack
 
 import (
@@ -45,9 +45,6 @@ type Params struct {
 	UserCyclesPerByte float64
 	// SockBuf caps the in-flight window (bytes); 0 means unbounded.
 	SockBuf float64
-	// RampTime is the cubic-like time constant for converging to the
-	// window cap after stream start; 0 disables ramping.
-	RampTime sim.Duration
 }
 
 // DefaultParams returns per-byte costs calibrated jointly against the
@@ -63,7 +60,6 @@ func DefaultParams() Params {
 		IRQCyclesPerByte:  0.064,
 		UserCyclesPerByte: 0.038,
 		SockBuf:           64 * 1024 * 1024,
-		RampTime:          0,
 	}
 }
 
@@ -80,7 +76,6 @@ type Conn struct {
 	kbufS *numa.Buffer // sender kernel socket buffer
 	kbufR *numa.Buffer // receiver kernel socket buffer
 	sim   *fluid.Sim
-	eng   *sim.Engine
 	seq   int
 }
 
@@ -95,7 +90,7 @@ func Dial(l *fabric.Link, srcNIC *host.Device, send, recv *host.Thread, p Params
 	c := &Conn{
 		Params: p, Link: l, SrcNIC: srcNIC,
 		SendThr: send, RecvThr: recv,
-		sim: l.Sim(), eng: l.Engine(),
+		sim: l.Sim(),
 	}
 	c.kbufS = kernelBuffer(send, "skbuf-snd")
 	c.kbufR = kernelBuffer(recv, "skbuf-rcv")
@@ -204,31 +199,9 @@ func (c *Conn) charge(f *fluid.Flow, opt FlowOptions) {
 }
 
 // Stream starts a transfer of size bytes (math.Inf(1) for an open-ended
-// stream) and returns the fluid transfer for observation. When RampTime is
-// positive, the flow's demand converges to the window cap with an
-// exponential ramp sampled every RampTime/8.
+// stream) and returns the fluid transfer for observation.
 func (c *Conn) Stream(size float64, opt FlowOptions, onDone func(now sim.Time)) *fluid.Transfer {
-	f := c.NewFlow(opt)
-	tr := &fluid.Transfer{Flow: f, Remaining: size, OnComplete: onDone}
-	if c.Params.RampTime > 0 {
-		cap := c.windowCap()
-		if math.IsInf(cap, 1) {
-			cap = c.Link.Cfg.Rate
-		}
-		c.sim.Network.SetDemand(f, cap/16)
-		start := c.eng.Now()
-		tau := float64(c.Params.RampTime)
-		var tick *sim.Ticker
-		tick = c.eng.NewTicker(c.Params.RampTime/8, func(now sim.Time) {
-			if !tr.Active() {
-				tick.Stop()
-				return
-			}
-			age := float64(now - start)
-			ramp := 1 - math.Exp(-age/tau)
-			c.sim.SetDemand(f, math.Max(cap/16, cap*ramp))
-		})
-	}
+	tr := &fluid.Transfer{Flow: c.NewFlow(opt), Remaining: size, OnComplete: onDone}
 	c.sim.Start(tr)
 	return tr
 }

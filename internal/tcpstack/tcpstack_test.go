@@ -171,48 +171,6 @@ func TestUnboundedWindow(t *testing.T) {
 	}
 }
 
-func TestRampConvergesToCap(t *testing.T) {
-	wan := fabric.Config{Name: "wan", Rate: units.FromGbps(40), RTT: 0.095}
-	r := newRig(t, wan)
-	p := DefaultParams()
-	p.SockBuf = 64 * float64(units.MB)
-	p.RampTime = 1
-	c := r.boundConn(p)
-	tr := c.Stream(math.Inf(1), FlowOptions{}, nil)
-	r.eng.RunUntil(1)
-	r.s.Sync()
-	early := tr.Transferred()
-	r.eng.RunUntil(11)
-	r.s.Sync()
-	late := tr.Transferred() - early
-	cap := p.SockBuf / 0.095
-	// First second is ramping: clearly below cap; last 10s near cap.
-	if early >= cap*0.9 {
-		t.Fatalf("first-second volume %v too close to cap %v (no ramp)", early, cap)
-	}
-	if late < cap*10*0.9 {
-		t.Fatalf("post-ramp volume %v below 90%% of cap %v", late, cap*10)
-	}
-}
-
-func TestRampStopsAfterFiniteTransfer(t *testing.T) {
-	r := newRig(t, lanCfg())
-	p := DefaultParams()
-	p.RampTime = 0.5
-	c := r.boundConn(p)
-	done := false
-	c.Stream(float64(10*units.MB), FlowOptions{}, func(sim.Time) { done = true })
-	r.eng.RunUntil(30)
-	if !done {
-		t.Fatal("finite ramped stream never completed")
-	}
-	// Ticker must have stopped; engine should drain.
-	r.eng.RunFor(5)
-	if r.eng.Pending() > 0 {
-		t.Fatalf("%d events still pending after stream end (leaked ticker?)", r.eng.Pending())
-	}
-}
-
 func TestCacheResidentSourceCheaperThanMemorySource(t *testing.T) {
 	// iperf default (cache-resident) vs. big-buffer source: the latter
 	// reads real memory and costs controller bandwidth.

@@ -16,8 +16,8 @@ import (
 // scheduler while a seeded chaos schedule (link flaps, a degradation
 // window, injected error-completion bursts) plays out on the front-end
 // fabric, plus one flap on a SAN link so the storage path recovers too.
-// Recovery is enabled at every layer; the scheduler's watchdog stays armed
-// as the second line of defense.
+// RFTP recovery is enabled; the scheduler's watchdog stays armed as the
+// second line of defense.
 func chaosScenario(t *testing.T, seed int64) (*Job, []trace.Record) {
 	t.Helper()
 	opt := core.DefaultOptions()
